@@ -10,22 +10,25 @@
 //! the runtime's `tile_input_hash` double-checks the agreement on every
 //! result.
 //!
-//! This module also owns the *non-panicking* validation layer that
+//! This module also owns the *non-panicking* parsing layer that
 //! `cardopc-serve` uses for untrusted request bytes (`parse_design`,
 //! `parse_tiling`, `parse_opc`, [`validate`], [`sanitize_run_dir`]);
 //! serve's `wire` module re-exports it so the HTTP job format and the
 //! fleet work-unit format can never drift apart.
 //!
-//! The `OpcConfig` serialisation destructures the struct exhaustively —
-//! adding a field to `OpcConfig` without extending the wire format is a
-//! compile error, mirroring the runtime's `hash_config` guarantee.
+//! The `OpcConfig` wire format has no field list of its own: encoding and
+//! both decodings (the full work-unit form and the job format's preset +
+//! overrides) are visitors of `OpcConfig::walk`, the one exhaustive field
+//! walk that also drives validation and the runtime's tile hashes. A new
+//! config field is on the wire the moment it is in the walk.
 
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 
 use cardopc_json::Json;
 use cardopc_layout::{Clip, DesignKind, DesignSource, LayerFilter, TARGET_LAYER};
-use cardopc_mrc::MrcRules;
-use cardopc_opc::{MeasureConvention, OpcConfig, SrafConfig};
+use cardopc_litho::Precision;
+use cardopc_opc::{FieldVisitor, OpcConfig, Value};
 use cardopc_runtime::TilingConfig;
 
 /// Upper bound on `design.tiles`: neither a correction service nor a
@@ -216,11 +219,11 @@ pub fn parse_tiling(tiling: &Json) -> Result<TilingConfig, BadRequest> {
     Ok(TilingConfig { tile_size, halo })
 }
 
-/// Numeric `OpcConfig` overrides the job wire format accepts on top of a
-/// preset. Deliberately a subset: the exotic fields (corner pull, relax
-/// schedule, conventions) stay preset-controlled. (The fleet work-unit
-/// format is different — it carries the *full* config; see
-/// [`WorkSpec::from_json`].)
+/// The keys the job wire format accepts: a preset, plus the `OpcConfig`
+/// fields it may override. Deliberately a subset: the exotic fields
+/// (corner pull, relax schedule, conventions) stay preset-controlled.
+/// (The fleet work-unit format is different — it carries the *full*
+/// config; see [`WorkSpec::from_json`].)
 const OPC_KEYS: [&str; 8] = [
     "preset",
     "pitch",
@@ -232,17 +235,14 @@ const OPC_KEYS: [&str; 8] = [
     "precision",
 ];
 
-/// Parses an `opc` object: a preset name plus numeric overrides.
+/// Parses an `opc` object: a preset name plus overrides.
 ///
 /// # Errors
 ///
-/// A message for unknown presets, unknown keys, or non-numeric overrides.
+/// A message for unknown presets, unknown keys, or ill-typed overrides.
 pub fn parse_opc(opc: &Json) -> Result<OpcConfig, BadRequest> {
-    let Json::Obj(_) = opc else {
-        return Err("'opc' must be an object".into());
-    };
     reject_unknown(opc, &OPC_KEYS)?;
-    let mut config = match opc.get("preset") {
+    let preset = match opc.get("preset") {
         None => OpcConfig::large_scale(),
         Some(v) => match v.as_str().ok_or("'opc.preset' must be a string")? {
             "via" => OpcConfig::via(),
@@ -251,76 +251,17 @@ pub fn parse_opc(opc: &Json) -> Result<OpcConfig, BadRequest> {
             other => return Err(format!("unknown opc preset '{other}'")),
         },
     };
-    if let Some(v) = opc.get("pitch") {
-        config.pitch = v.as_f64().ok_or("'opc.pitch' must be a number")?;
-    }
-    if let Some(v) = opc.get("iterations") {
-        config.iterations = v.as_usize().ok_or("'opc.iterations' must be an integer")?;
-    }
-    if let Some(v) = opc.get("move_step") {
-        config.move_step = v.as_f64().ok_or("'opc.move_step' must be a number")?;
-    }
-    if let Some(v) = opc.get("l_c") {
-        config.l_c = v.as_f64().ok_or("'opc.l_c' must be a number")?;
-    }
-    if let Some(v) = opc.get("l_u") {
-        config.l_u = v.as_f64().ok_or("'opc.l_u' must be a number")?;
-    }
-    if let Some(v) = opc.get("decay_at") {
-        config.decay_at = v.as_usize().ok_or("'opc.decay_at' must be an integer")?;
-    }
-    if let Some(v) = opc.get("precision") {
-        config.precision = parse_precision(v)?;
-    }
-    Ok(config)
+    decode_opc(opc, &preset, false)
 }
 
-/// Parses a precision value strictly: exactly `"f64"` or `"f32"`, with a
-/// field-naming message for everything else. Shared by the job wire format
-/// (optional, defaults to `f64`) and the fleet work-unit format (required).
-fn parse_precision(v: &Json) -> Result<cardopc_litho::Precision, BadRequest> {
-    v.as_str()
-        .and_then(cardopc_litho::Precision::parse)
-        .ok_or_else(|| "'opc.precision' must be \"f64\" or \"f32\"".into())
-}
-
-/// Non-panicking mirror of [`OpcConfig::assert_valid`] (plus finiteness,
-/// which the panic path trusts the compiler's literals for).
+/// [`OpcConfig::validate`] under the name the wire layers import: every
+/// field checked against its range rule, without panicking.
 ///
 /// # Errors
 ///
 /// The first violated constraint, phrased for a 400 response body.
 pub fn validate(config: &OpcConfig) -> Result<(), BadRequest> {
-    let finite_pos = |name: &str, v: f64| {
-        if v.is_finite() && v > 0.0 {
-            Ok(())
-        } else {
-            Err(format!("'opc.{name}' must be positive and finite"))
-        }
-    };
-    finite_pos("l_c", config.l_c)?;
-    finite_pos("l_u", config.l_u)?;
-    finite_pos("move_step", config.move_step)?;
-    finite_pos("pitch", config.pitch)?;
-    if config.iterations == 0 {
-        return Err("'opc.iterations' must be at least 1".into());
-    }
-    if !(config.decay_factor > 0.0 && config.decay_factor <= 1.0) {
-        return Err("'opc.decay_factor' must be in (0, 1]".into());
-    }
-    if !config.tension.is_finite() {
-        return Err("'opc.tension' must be finite".into());
-    }
-    if config.samples_per_segment == 0 {
-        return Err("'opc.samples_per_segment' must be at least 1".into());
-    }
-    if !config.epe_search.is_finite() || config.epe_search <= 0.0 {
-        return Err("'opc.epe_search' must be positive".into());
-    }
-    if config.dose_delta.is_nan() || config.dose_delta < 0.0 {
-        return Err("'opc.dose_delta' must be non-negative".into());
-    }
-    Ok(())
+    config.validate()
 }
 
 /// Validates a `run_dir` name: a single path component of safe
@@ -397,7 +338,7 @@ impl WorkSpec {
                     ("halo", Json::Num(self.tiling.halo)),
                 ]),
             ),
-            ("opc", opc_to_json(&self.opc)),
+            ("opc", encode_opc(&self.opc)),
         ])
     }
 
@@ -413,8 +354,14 @@ impl WorkSpec {
         reject_unknown(json, &["design", "tiling", "opc"])?;
         let design = parse_design(json.get("design").ok_or("missing 'design'")?)?;
         let tiling = parse_tiling(json.get("tiling").ok_or("missing 'tiling'")?)?;
-        let opc = opc_from_json(json.get("opc").ok_or("missing 'opc'")?)?;
-        validate(&opc)?;
+        // Every field is required, so the base only lends the walk its
+        // shape; hostile values stop here, before a worker builds anything.
+        let opc = decode_opc(
+            json.get("opc").ok_or("missing 'opc'")?,
+            &OpcConfig::via(),
+            true,
+        )?;
+        opc.validate()?;
         Ok(WorkSpec {
             design,
             tiling,
@@ -423,228 +370,132 @@ impl WorkSpec {
     }
 }
 
-/// Serialises the complete `OpcConfig`. The exhaustive destructure makes
-/// a new config field a compile error here (and in [`opc_from_json`]),
-/// exactly like the runtime's `hash_config`: the wire format can never
-/// silently drop a knob that changes correction output.
-fn opc_to_json(config: &OpcConfig) -> Json {
-    let OpcConfig {
-        l_c,
-        l_u,
-        move_step,
-        iterations,
-        decay_at,
-        decay_factor,
-        tension,
-        corner_pull,
-        smooth_window,
-        spline_normals,
-        relax_every,
-        relax_strength,
-        samples_per_segment,
-        epe_search,
-        pitch,
-        dose_delta,
-        sraf,
-        mrc,
-        convention,
-        precision,
-    } = config;
-    let mut members = vec![
-        ("l_c", Json::Num(*l_c)),
-        ("l_u", Json::Num(*l_u)),
-        ("move_step", Json::Num(*move_step)),
-        ("iterations", Json::num_usize(*iterations)),
-        ("decay_at", Json::num_usize(*decay_at)),
-        ("decay_factor", Json::Num(*decay_factor)),
-        ("tension", Json::Num(*tension)),
-        ("corner_pull", Json::Num(*corner_pull)),
-        ("smooth_window", Json::num_usize(*smooth_window)),
-        ("spline_normals", Json::Bool(*spline_normals)),
-        ("relax_every", Json::num_usize(*relax_every)),
-        ("relax_strength", Json::Num(*relax_strength)),
-        ("samples_per_segment", Json::num_usize(*samples_per_segment)),
-        ("epe_search", Json::Num(*epe_search)),
-        ("pitch", Json::Num(*pitch)),
-        ("dose_delta", Json::Num(*dose_delta)),
-    ];
-    match sraf {
-        None => members.push(("sraf", Json::Null)),
-        Some(SrafConfig {
-            length_ratio,
-            width,
-            distance,
-            min_edge,
-        }) => members.push((
-            "sraf",
-            Json::obj(vec![
-                ("length_ratio", Json::Num(*length_ratio)),
-                ("width", Json::Num(*width)),
-                ("distance", Json::Num(*distance)),
-                ("min_edge", Json::Num(*min_edge)),
-            ]),
-        )),
-    }
-    match mrc {
-        None => members.push(("mrc", Json::Null)),
-        Some(MrcRules {
-            min_space,
-            min_width,
-            min_area,
-            max_curvature,
-        }) => members.push((
-            "mrc",
-            Json::obj(vec![
-                ("min_space", Json::Num(*min_space)),
-                ("min_width", Json::Num(*min_width)),
-                ("min_area", Json::Num(*min_area)),
-                ("max_curvature", Json::Num(*max_curvature)),
-            ]),
-        )),
-    }
-    members.push((
-        "convention",
-        match convention {
-            MeasureConvention::ViaEdgeCenters => Json::Str("via_edge_centers".into()),
-            MeasureConvention::MetalSpacing(nm) => {
-                Json::obj(vec![("metal_spacing", Json::Num(*nm))])
-            }
-        },
-    ));
-    members.push(("precision", Json::Str(precision.name().into())));
-    Json::obj(members)
+/// Serialises the complete `OpcConfig` in walk order.
+fn encode_opc(config: &OpcConfig) -> Json {
+    let mut encode = Encode(Vec::new());
+    let Ok(_) = config.walk(&mut encode);
+    Json::Obj(encode.0)
 }
 
-/// Parses a config produced by [`opc_to_json`]. Every field is required —
-/// the full-config wire format has no defaults to hide behind.
-fn opc_from_json(json: &Json) -> Result<OpcConfig, BadRequest> {
-    let Json::Obj(_) = json else {
+/// The encoding visitor: one member per field. A group that is on is an
+/// object its (dotted) fields land in; one that is off is `null`, or the
+/// name of the variant "off" stands for.
+struct Encode(Vec<(String, Json)>);
+
+impl FieldVisitor for Encode {
+    type Error = Infallible;
+    fn visit(&mut self, name: &'static str, value: Value) -> Result<Value, Infallible> {
+        let json = match value {
+            Value::Real(v, _) => Json::Num(v),
+            Value::Count(v, _) => Json::num_usize(v),
+            Value::Flag(v) => Json::Bool(v),
+            Value::Precision(v) => Json::Str(v.name().into()),
+            Value::Group(true, _) => Json::Obj(Vec::new()),
+            Value::Group(false, None) => Json::Null,
+            Value::Group(false, Some(variant)) => Json::Str(variant.into()),
+        };
+        match (name.split_once('.'), self.0.last_mut()) {
+            (Some((_, key)), Some((_, Json::Obj(group)))) => group.push((key.into(), json)),
+            _ => self.0.push((name.into(), json)),
+        }
+        Ok(value)
+    }
+}
+
+/// Decodes an `opc` object over `base`. `strict` is the fleet work-unit
+/// format: every field the walk visits is required and nothing else may
+/// be present — a worker must never fall back to a default and silently
+/// produce results the coordinator would reject by hash. Otherwise (the
+/// job format's overrides) an absent field keeps `base`'s value.
+fn decode_opc(json: &Json, base: &OpcConfig, strict: bool) -> Result<OpcConfig, BadRequest> {
+    let Json::Obj(members) = json else {
         return Err("'opc' must be an object".into());
     };
-    reject_unknown(
+    let mut decode = Decode {
         json,
-        &[
-            "l_c",
-            "l_u",
-            "move_step",
-            "iterations",
-            "decay_at",
-            "decay_factor",
-            "tension",
-            "corner_pull",
-            "smooth_window",
-            "spline_normals",
-            "relax_every",
-            "relax_strength",
-            "samples_per_segment",
-            "epe_search",
-            "pitch",
-            "dose_delta",
-            "sraf",
-            "mrc",
-            "convention",
-            "precision",
-        ],
-    )?;
-    let num = |key: &str| -> Result<f64, BadRequest> {
-        json.get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("'opc.{key}' must be a number"))
+        strict,
+        asked: Vec::new(),
     };
-    let int = |key: &str| -> Result<usize, BadRequest> {
-        json.get(key)
-            .and_then(Json::as_usize)
-            .ok_or(format!("'opc.{key}' must be an integer"))
-    };
-    let sraf = match json.get("sraf") {
-        None => return Err("missing 'opc.sraf' (use null to disable)".into()),
-        Some(Json::Null) => None,
-        Some(s) => {
-            reject_unknown(s, &["length_ratio", "width", "distance", "min_edge"])?;
-            let field = |key: &str| -> Result<f64, BadRequest> {
-                s.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("'opc.sraf.{key}' must be a number"))
-            };
-            Some(SrafConfig {
-                length_ratio: field("length_ratio")?,
-                width: field("width")?,
-                distance: field("distance")?,
-                min_edge: field("min_edge")?,
-            })
+    let config = base.walk(&mut decode)?;
+    if strict {
+        // The walk has asked for every legal key; the strict format
+        // admits no others, at either level.
+        let asked = |path: &str| decode.asked.contains(&path);
+        for (key, value) in members {
+            if !asked(key) {
+                return Err(format!("unknown field '{key}'"));
+            }
+            for (inner, _) in value.as_obj().unwrap_or_default() {
+                if !asked(&format!("{key}.{inner}")) {
+                    return Err(format!("unknown field '{inner}'"));
+                }
+            }
         }
-    };
-    let mrc = match json.get("mrc") {
-        None => return Err("missing 'opc.mrc' (use null to disable)".into()),
-        Some(Json::Null) => None,
-        Some(m) => {
-            reject_unknown(m, &["min_space", "min_width", "min_area", "max_curvature"])?;
-            let field = |key: &str| -> Result<f64, BadRequest> {
-                m.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("'opc.mrc.{key}' must be a number"))
-            };
-            Some(MrcRules {
-                min_space: field("min_space")?,
-                min_width: field("min_width")?,
-                min_area: field("min_area")?,
-                max_curvature: field("max_curvature")?,
-            })
+    }
+    Ok(config)
+}
+
+/// The decoding visitor: looks each dotted field name up in `json`.
+struct Decode<'a> {
+    json: &'a Json,
+    strict: bool,
+    /// Every name the walk has looked up so far.
+    asked: Vec<&'static str>,
+}
+
+impl FieldVisitor for Decode<'_> {
+    type Error = BadRequest;
+    fn visit(&mut self, name: &'static str, value: Value) -> Result<Value, BadRequest> {
+        self.asked.push(name);
+        let member = match name.split_once('.') {
+            Some((group, key)) => self.json.get(group).and_then(|g| g.get(key)),
+            None => self.json.get(name),
+        };
+        if member.is_none() && !self.strict {
+            return Ok(value);
         }
-    };
-    let convention = match json.get("convention") {
-        Some(Json::Str(s)) if s == "via_edge_centers" => MeasureConvention::ViaEdgeCenters,
-        Some(obj @ Json::Obj(_)) => {
-            reject_unknown(obj, &["metal_spacing"])?;
-            let nm = obj
-                .get("metal_spacing")
-                .and_then(Json::as_f64)
-                .ok_or("'opc.convention.metal_spacing' must be a number")?;
-            MeasureConvention::MetalSpacing(nm)
+        // In the strict format a missing scalar reads like an ill-typed one.
+        let must_be = |what: &str| format!("'opc.{name}' must be {what}");
+        match value {
+            Value::Real(_, rule) => match member.and_then(Json::as_f64) {
+                Some(v) => Ok(Value::Real(v, rule)),
+                None => Err(must_be("a number")),
+            },
+            Value::Count(_, min) => match member.and_then(Json::as_usize) {
+                Some(v) => Ok(Value::Count(v, min)),
+                None => Err(must_be("an integer")),
+            },
+            Value::Flag(_) => match member.and_then(Json::as_bool) {
+                Some(v) => Ok(Value::Flag(v)),
+                None => Err(must_be("a boolean")),
+            },
+            // Exactly "f64" or "f32"; no aliases, no silent default.
+            Value::Precision(_) => match member.map(|j| j.as_str().and_then(Precision::parse)) {
+                Some(Some(v)) => Ok(Value::Precision(v)),
+                Some(None) => Err(must_be("\"f64\" or \"f32\"")),
+                None => Err(format!("missing 'opc.{name}' (\"f64\" or \"f32\")")),
+            },
+            Value::Group(_, off) => match (member, off) {
+                (None, None) => Err(format!("missing 'opc.{name}' (use null to disable)")),
+                (Some(Json::Null), None) => Ok(Value::Group(false, off)),
+                (Some(Json::Str(s)), Some(variant)) if s == variant => Ok(Value::Group(false, off)),
+                // A non-object here fails on the group's first field.
+                (Some(Json::Obj(_)), _) | (Some(_), None) => Ok(Value::Group(true, off)),
+                // `convention` is the one group with a named "off"; the
+                // message has always spelled out its one field.
+                (_, Some(variant)) => Err(format!(
+                    "'opc.{name}' must be \"{variant}\" or {{\"metal_spacing\": nm}}"
+                )),
+            },
         }
-        _ => {
-            return Err(
-                "'opc.convention' must be \"via_edge_centers\" or {\"metal_spacing\": nm}".into(),
-            )
-        }
-    };
-    // REQUIRED, like every other field of the full-config format: a worker
-    // must never fall back to a default precision and silently produce
-    // results the coordinator would reject by hash.
-    let precision = match json.get("precision") {
-        None => return Err("missing 'opc.precision' (\"f64\" or \"f32\")".into()),
-        Some(v) => parse_precision(v)?,
-    };
-    Ok(OpcConfig {
-        l_c: num("l_c")?,
-        l_u: num("l_u")?,
-        move_step: num("move_step")?,
-        iterations: int("iterations")?,
-        decay_at: int("decay_at")?,
-        decay_factor: num("decay_factor")?,
-        tension: num("tension")?,
-        corner_pull: num("corner_pull")?,
-        smooth_window: int("smooth_window")?,
-        spline_normals: json
-            .get("spline_normals")
-            .and_then(Json::as_bool)
-            .ok_or("'opc.spline_normals' must be a boolean")?,
-        relax_every: int("relax_every")?,
-        relax_strength: num("relax_strength")?,
-        samples_per_segment: int("samples_per_segment")?,
-        epe_search: num("epe_search")?,
-        pitch: num("pitch")?,
-        dose_delta: num("dose_delta")?,
-        sraf,
-        mrc,
-        convention,
-        precision,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cardopc_mrc::MrcRules;
+    use cardopc_opc::{MeasureConvention, SrafConfig};
 
     fn parse(text: &str) -> Json {
         Json::parse(text).unwrap()
@@ -816,17 +667,211 @@ mod tests {
         );
     }
 
+    fn tiling() -> TilingConfig {
+        TilingConfig {
+            tile_size: 1024.0,
+            halo: 256.0,
+        }
+    }
+
+    /// The wire text of a spec carrying `opc`.
+    fn wire(opc: &OpcConfig) -> String {
+        let design = DesignSpec::generated(DesignKind::Gcd, 1, None);
+        let spec = WorkSpec {
+            design,
+            tiling: tiling(),
+            opc: opc.clone(),
+        };
+        spec.to_json().to_string_compact()
+    }
+
+    /// Every group on, so the fixture text carries every field of the walk.
+    fn all_groups_on() -> OpcConfig {
+        OpcConfig {
+            convention: MeasureConvention::MetalSpacing(60.0),
+            ..OpcConfig::via()
+        }
+    }
+
+    /// The generated sweep: whatever field the config walk visits is on
+    /// the wire (mutating it changes the encoding) and survives the round
+    /// trip — no hand-kept field list to forget a new knob in.
     #[test]
-    fn validate_mirrors_assert_valid() {
-        validate(&OpcConfig::via()).unwrap();
-        validate(&OpcConfig::metal()).unwrap();
-        validate(&OpcConfig::large_scale()).unwrap();
-        let mut c = OpcConfig::via();
-        c.move_step = 0.0;
-        assert!(validate(&c).is_err());
-        c = OpcConfig::via();
-        c.pitch = f64::NAN;
-        assert!(validate(&c).is_err());
+    fn every_walked_field_reaches_the_wire_and_round_trips() {
+        OpcConfig::for_each_field_mutation(|field, base, changed| {
+            let text = wire(changed);
+            assert_ne!(text, wire(base), "{field} is not encoded");
+            let back = WorkSpec::from_json(&parse(&text)).unwrap();
+            assert_eq!(&back.opc, changed, "{field} does not round-trip");
+        });
+    }
+
+    /// Hostile work units: values a well-formed coordinator never sends
+    /// must be rejected at parse time with a field-naming message, not
+    /// reach a worker (where `metal_spacing: 0` was an unbounded loop and
+    /// a negative MRC rule a handler panic).
+    #[test]
+    fn work_spec_rejects_out_of_range_and_non_finite_values() {
+        let good = wire(&all_groups_on());
+        assert!(WorkSpec::from_json(&parse(&good)).is_ok());
+        let reject = |from: &str, to: &str, field: &str| {
+            assert!(good.contains(from), "fixture lost {from}");
+            let err = WorkSpec::from_json(&parse(&good.replacen(from, to, 1))).unwrap_err();
+            assert!(
+                err.starts_with(&format!("'opc.{field}' must ")),
+                "{to}: {err}"
+            );
+        };
+        for bad in ["0", "-60"] {
+            let to = format!(r#""metal_spacing":{bad}"#);
+            reject(r#""metal_spacing":60"#, &to, "convention.metal_spacing");
+        }
+        for (from, key) in [
+            (r#""length_ratio":0.6"#, "sraf.length_ratio"),
+            (r#""width":40"#, "sraf.width"),
+            (r#""distance":100"#, "sraf.distance"),
+            (r#""min_edge":60"#, "sraf.min_edge"),
+            (r#""min_space":18"#, "mrc.min_space"),
+            (r#""min_width":25"#, "mrc.min_width"),
+            (r#""min_area":800"#, "mrc.min_area"),
+            (r#""max_curvature":0.3333333333333333"#, "mrc.max_curvature"),
+        ] {
+            let name = key.split_once('.').unwrap().1;
+            for bad in ["0", "-1"] {
+                reject(from, &format!(r#""{name}":{bad}"#), key);
+            }
+        }
+        for bad in ["-0.01", "1.01"] {
+            let to = format!(r#""relax_strength":{bad}"#);
+            reject(r#""relax_strength":0.3"#, &to, "relax_strength");
+        }
+        // `1e999` parses to +inf: no real-valued field may carry it.
+        for (from, key) in [
+            (r#""l_c":20"#, "l_c"),
+            (r#""tension":0.6"#, "tension"),
+            (r#""corner_pull":1"#, "corner_pull"),
+            (r#""epe_search":40"#, "epe_search"),
+            (r#""dose_delta":0.02"#, "dose_delta"),
+            (r#""width":40"#, "sraf.width"),
+            (r#""min_area":800"#, "mrc.min_area"),
+            (r#""metal_spacing":60"#, "convention.metal_spacing"),
+        ] {
+            let name = key.rsplit('.').next().unwrap();
+            reject(from, &format!(r#""{name}":1e999"#), key);
+            reject(from, &format!(r#""{name}":-1e999"#), key);
+        }
+    }
+
+    /// The rejections that predate the single walk keep their exact text.
+    #[test]
+    fn historical_rejection_messages_are_unchanged() {
+        let good = wire(&all_groups_on());
+        let message = |from: &str, to: &str| {
+            assert!(good.contains(from), "fixture lost {from}");
+            WorkSpec::from_json(&parse(&good.replacen(from, to, 1))).unwrap_err()
+        };
+        for (from, to, expected) in [
+            (
+                r#""l_c":20"#,
+                r#""l_c":0"#,
+                "'opc.l_c' must be positive and finite",
+            ),
+            (
+                r#""pitch":4"#,
+                r#""pitch":-4"#,
+                "'opc.pitch' must be positive and finite",
+            ),
+            (
+                r#""iterations":32"#,
+                r#""iterations":0"#,
+                "'opc.iterations' must be at least 1",
+            ),
+            (
+                r#""decay_factor":0.5"#,
+                r#""decay_factor":2"#,
+                "'opc.decay_factor' must be in (0, 1]",
+            ),
+            (
+                r#""epe_search":40"#,
+                r#""epe_search":0"#,
+                "'opc.epe_search' must be positive",
+            ),
+            (
+                r#""dose_delta":0.02"#,
+                r#""dose_delta":-1"#,
+                "'opc.dose_delta' must be non-negative",
+            ),
+            (r#""l_u":30"#, r#""l_u":"x""#, "'opc.l_u' must be a number"),
+            (
+                r#""decay_at":16"#,
+                r#""decay_at":1.5"#,
+                "'opc.decay_at' must be an integer",
+            ),
+            (
+                r#""spline_normals":false"#,
+                r#""spline_normals":0"#,
+                "'opc.spline_normals' must be a boolean",
+            ),
+            (
+                r#""width":40"#,
+                r#""width":null"#,
+                "'opc.sraf.width' must be a number",
+            ),
+            (
+                r#""min_area":800,"#,
+                "",
+                "'opc.mrc.min_area' must be a number",
+            ),
+            (
+                r#""metal_spacing":60"#,
+                r#""metal_spacing":"far""#,
+                "'opc.convention.metal_spacing' must be a number",
+            ),
+            (
+                r#""convention":{"metal_spacing":60}"#,
+                r#""convention":"edges""#,
+                "'opc.convention' must be \"via_edge_centers\" or {\"metal_spacing\": nm}",
+            ),
+            (
+                r#""precision":"f64""#,
+                r#""precision":"f16""#,
+                "'opc.precision' must be \"f64\" or \"f32\"",
+            ),
+            (
+                r#","precision":"f64""#,
+                "",
+                "missing 'opc.precision' (\"f64\" or \"f32\")",
+            ),
+            (
+                r#""pitch":4"#,
+                r#""pitch":4,"pitchfork":1"#,
+                "unknown field 'pitchfork'",
+            ),
+            (
+                r#""width":40"#,
+                r#""width":40,"depth":1"#,
+                "unknown field 'depth'",
+            ),
+        ] {
+            assert_eq!(message(from, to), expected);
+        }
+        let err = message(
+            r#""mrc":{"min_space":18,"min_width":25,"min_area":800,"max_curvature":0.3333333333333333},"#,
+            "",
+        );
+        assert_eq!(err, "missing 'opc.mrc' (use null to disable)");
+        // The job format's overrides share the decoder and its messages.
+        for (bad, expected) in [
+            (r#"{"pitch": "fine"}"#, "'opc.pitch' must be a number"),
+            (
+                r#"{"iterations": 2.5}"#,
+                "'opc.iterations' must be an integer",
+            ),
+            (r#"{"tension": 0.5}"#, "unknown field 'tension'"),
+            (r#"[]"#, "'opc' must be an object"),
+        ] {
+            assert_eq!(parse_opc(&parse(bad)).unwrap_err(), expected);
+        }
     }
 
     #[test]
@@ -942,6 +987,72 @@ mod tests {
         }
         for bad in [r#"{"design": {"kind": "gcd"}}"#, r#"{"extra": 1}"#, "[]"] {
             assert!(WorkSpec::from_json(&Json::parse(bad).unwrap()).is_err());
+        }
+    }
+
+    /// The exact wire strings the parent commit produced (before the
+    /// encoder became a visitor of `OpcConfig::walk`): key order and
+    /// number formatting are the worker-side preparation cache key, and a
+    /// mixed-version fleet must keep agreeing on them.
+    #[test]
+    fn golden_work_spec_wire_strings_are_unchanged() {
+        let mut opc = OpcConfig::metal();
+        opc.l_c = 0.1 + 0.2;
+        opc.sraf = Some(SrafConfig {
+            length_ratio: 0.55,
+            width: 21.0,
+            distance: 63.0,
+            min_edge: 97.0,
+        });
+        opc.precision = cardopc_litho::Precision::F32;
+        let tiling = TilingConfig {
+            tile_size: 1024.0,
+            halo: 256.0,
+        };
+        let metal = WorkSpec {
+            design: DesignSpec::generated(DesignKind::Aes, 3, Some(1536.0)),
+            tiling,
+            opc,
+        };
+        let via = WorkSpec {
+            design: DesignSpec::gds(
+                PathBuf::from("chip.gds"),
+                LayerFilter::Layer(TARGET_LAYER),
+                None,
+            ),
+            tiling,
+            opc: OpcConfig::via(),
+        };
+        let golden_metal = concat!(
+            r#"{"design":{"kind":"aes","tiles":3,"crop":1536},"#,
+            r#""tiling":{"tile":1024,"halo":256},"#,
+            r#""opc":{"l_c":0.30000000000000004,"l_u":30,"move_step":4,"iterations":32,"#,
+            r#""decay_at":16,"decay_factor":0.5,"tension":0.6,"corner_pull":-0.7,"#,
+            r#""smooth_window":0,"spline_normals":false,"relax_every":4,"#,
+            r#""relax_strength":0.15,"samples_per_segment":8,"epe_search":40,"pitch":4,"#,
+            r#""dose_delta":0.02,"#,
+            r#""sraf":{"length_ratio":0.55,"width":21,"distance":63,"min_edge":97},"#,
+            r#""mrc":{"min_space":18,"min_width":25,"min_area":800,"#,
+            r#""max_curvature":0.3333333333333333},"#,
+            r#""convention":{"metal_spacing":60},"precision":"f32"}}"#,
+        );
+        let golden_via = concat!(
+            r#"{"design":{"gds":"chip.gds","layer":"1"},"#,
+            r#""tiling":{"tile":1024,"halo":256},"#,
+            r#""opc":{"l_c":20,"l_u":30,"move_step":2,"iterations":32,"#,
+            r#""decay_at":16,"decay_factor":0.5,"tension":0.6,"corner_pull":1,"#,
+            r#""smooth_window":0,"spline_normals":false,"relax_every":2,"#,
+            r#""relax_strength":0.3,"samples_per_segment":8,"epe_search":40,"pitch":4,"#,
+            r#""dose_delta":0.02,"#,
+            r#""sraf":{"length_ratio":0.6,"width":40,"distance":100,"min_edge":60},"#,
+            r#""mrc":{"min_space":18,"min_width":25,"min_area":800,"#,
+            r#""max_curvature":0.3333333333333333},"#,
+            r#""convention":"via_edge_centers","precision":"f64"}}"#,
+        );
+        for (spec, golden) in [(metal, golden_metal), (via, golden_via)] {
+            assert_eq!(spec.to_json().to_string_compact(), golden);
+            let back = WorkSpec::from_json(&Json::parse(golden).unwrap()).unwrap();
+            assert_eq!(back, spec);
         }
     }
 }

@@ -242,6 +242,17 @@ fn accept_loop(listener: TcpListener, state: &Arc<WorkerState>) {
     }
 }
 
+/// One claimed connection slot, handed back on drop — so also when a
+/// handler panics: leaked slots would wedge the worker at
+/// [`MAX_CONNECTIONS`], shedding every later request.
+struct ConnectionSlot<'a>(&'a AtomicUsize);
+
+impl Drop for ConnectionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 fn handle_connection(mut stream: TcpStream, state: &Arc<WorkerState>) {
     // Keep-alive lanes exchange small messages back to back; Nagle would
     // add delayed-ACK stalls between them.
@@ -250,9 +261,10 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<WorkerState>) {
     // requests can hold a thread for seconds. Keep-alive lanes hold their
     // connection for a whole run, but there are only workers × window of
     // them — far under the cap.
-    if state.active_connections.fetch_add(1, Ordering::AcqRel) >= MAX_CONNECTIONS {
+    let claimed_before = state.active_connections.fetch_add(1, Ordering::AcqRel);
+    let _slot = ConnectionSlot(&state.active_connections);
+    if claimed_before >= MAX_CONNECTIONS {
         Response::error(503, "worker is saturated").write(&mut stream);
-        state.active_connections.fetch_sub(1, Ordering::AcqRel);
         return;
     }
     // Serve requests until the peer closes, stops asking for keep-alive,
@@ -277,7 +289,6 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<WorkerState>) {
             break;
         }
     }
-    state.active_connections.fetch_sub(1, Ordering::AcqRel);
 }
 
 fn route(request: &Request, state: &Arc<WorkerState>) -> Response {

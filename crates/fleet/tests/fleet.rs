@@ -277,6 +277,41 @@ fn coordinator_run_dir_resumes_without_asking_workers() {
 }
 
 #[test]
+fn hostile_dispatch_is_a_400_and_the_worker_stays_healthy() {
+    let w = worker();
+    let good = cardopc_fleet::proto::dispatch_body(&spec(), 0);
+    // Values that used to get past parsing: a zero measure spacing (an
+    // unbounded loop in the tile scorer) and a negative mask rule (a
+    // panic inside the handler thread).
+    for (from, to, field) in [
+        (
+            r#""convention":{"metal_spacing":60}"#,
+            r#""convention":{"metal_spacing":0}"#,
+            "'opc.convention.metal_spacing'",
+        ),
+        (
+            r#""min_space":18"#,
+            r#""min_space":-1"#,
+            "'opc.mrc.min_space'",
+        ),
+        (r#""pitch":16"#, r#""pitch":1e999"#, "'opc.pitch'"),
+    ] {
+        assert!(good.contains(from), "fixture lost {from}");
+        let r =
+            client::post_json(w.local_addr(), "/v1/tiles", &good.replacen(from, to, 1)).unwrap();
+        assert_eq!(r.status, 400, "{to}: {}", r.body_str());
+        assert!(r.body_str().contains(field), "{}", r.body_str());
+    }
+    // Nothing was corrected, nothing leaked: the worker answers health
+    // probes and still corrects the well-formed request.
+    let health = client::get(w.local_addr(), "/healthz").unwrap();
+    assert_eq!(health.status, 200);
+    assert!(health.body_str().contains(r#""tiles_done":0"#));
+    let r = client::post_json(w.local_addr(), "/v1/tiles", &good).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body_str());
+}
+
+#[test]
 fn keep_alive_connection_reuses_one_stream_across_requests() {
     let w = worker();
     let mut conn = client::Connection::new(w.local_addr());

@@ -46,7 +46,7 @@ mod flow;
 mod sraf;
 
 pub use baseline::{RectOpc, RectOpcConfig, RectOutcome};
-pub use config::{OpcConfig, SrafConfig};
+pub use config::{FieldVisitor, OpcConfig, Rule, SrafConfig, Value};
 pub use control::OpcShape;
 pub use correct::{
     correct_shapes, correct_shapes_recording, correct_shapes_with_pool, outward_normals,

@@ -17,12 +17,17 @@
 //! `OpcConfig` field — erases the tile's absolute position while keeping
 //! everything the correction depends on. Positional identity (tile index,
 //! grid coordinates, origin, global target ids) is deliberately excluded.
-//! Floats hash through the canonicalising [`Fnv`] writer, so `-0.0` vs
-//! `0.0` bit patterns cannot cause a spurious miss.
+//! Floats hash through the canonicalising `Fnv` writer, so `-0.0` vs
+//! `0.0` bit patterns cannot cause a spurious miss. The key and the
+//! checkpoint's `tile_input_hash` are the same walk (`crate::hash`), with
+//! and without the positional identity.
 //!
 //! What is stored ([`CachedTile`]): the owned main shapes (tagged with
 //! their *local* target index) and **all** assist features of the window,
-//! in the optimizer's output order, window-relative. SRAF seam ownership
+//! in the optimizer's output order, window-relative. It is exactly the
+//! payload of a checkpoint record — a record is an entry plus a tile
+//! position — so both line formats share one codec and one shape type.
+//! SRAF seam ownership
 //! is decided at replay time by the *replaying* tile's own owner test —
 //! an edge tile and an interior tile can legally share a key yet keep
 //! different halo assists, because the clamped owner grid treats the chip
@@ -35,7 +40,8 @@
 //! marker and corrects; concurrent requesters of the same key block on
 //! the shard's condvar (with a cancellation-aware timeout) and receive
 //! the finished value as a hit. A failed leader removes the marker and
-//! wakes the waiters, the first of which becomes the next leader. Waiting
+//! wakes the waiters, the first of which becomes the next leader (a drop
+//! guard, so a leader whose correction panics releases it too). Waiting
 //! threads belong to the scheduler's worker pool; the pool's nested-run
 //! protocol degrades a blocked submitter to draining its own queue, so a
 //! waiter can never deadlock the leader's litho work.
@@ -44,33 +50,27 @@
 //! is bounded by entry count and byte budget, evicting the
 //! least-recently-hit entry first and counting evictions.
 //!
-//! Persistence reuses the checkpoint file discipline: an append-only
-//! `cache.jsonl` of self-describing lines (a torn final line from a
-//! killed process parses as garbage and is skipped; the last line per key
-//! wins), a `cache.lock` PID file with stale-lock reclaim, and a
-//! compaction rewrite on drop when the file has accumulated dead lines.
+//! Persistence is the checkpoint file discipline, through the same
+//! helpers: an append-only `cache.jsonl` of self-describing lines (a torn
+//! final line from a killed process parses as garbage and is skipped; the
+//! last line per key wins), a `cache.lock` PID file with stale-lock
+//! reclaim, and an atomic compaction rewrite on drop when the file has
+//! accumulated dead lines.
 //! A directory locked by a live process degrades to a read-only open (the
 //! store is still consulted and new corrections are kept in memory for
 //! the run, just not written back).
 
 use crate::checkpoint::{
-    acquire_pid_lock, hash_config, metrics_json, parse_metrics, Fnv, TileMetrics,
+    hex_field, parse_payload, payload_members, Frame, StitchedShape, TileMetrics,
 };
 use crate::json::Json;
-use crate::partition::{Tile, TilingConfig};
+use crate::store::{acquire_pid_lock, append_line, load_jsonl, open_append, write_atomic};
 use crate::RuntimeError;
-use cardopc_geometry::Point;
-use cardopc_opc::OpcConfig;
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// Bumped whenever the key composition or the stored-value semantics
-/// change, so stale stores from older builds can never replay.
-const KEY_VERSION: u8 = 1;
 
 /// Entry line format version.
 const ENTRY_VERSION: f64 = 1.0;
@@ -81,56 +81,9 @@ const SHARDS: usize = 16;
 /// How long a single-flight waiter sleeps between cancellation checks.
 const WAIT_SLICE: Duration = Duration::from_millis(50);
 
-// ------------------------------------------------------------------ key
-
-/// The canonical, translation-normalised content key of a tile.
-///
-/// Two tiles share a key exactly when their halo windows hold bitwise
-/// congruent geometry (same window-relative target vertices, same
-/// ownership flags), the same `(tile_size, halo)` split, and the same
-/// complete OPC configuration — in which case their corrections are the
-/// same pure function of the window and one can replay for the other by
-/// translation. Tile position (index, grid cell, origin) and global
-/// target ids are excluded; they are reapplied at replay time.
-pub fn tile_cache_key(tile: &Tile, tiling: &TilingConfig, config: &OpcConfig) -> u64 {
-    let mut h = Fnv::new();
-    h.write(&[KEY_VERSION]);
-    h.write_f64(tile.clip.width());
-    h.write_f64(tile.clip.height());
-    // The core's placement inside the window — and thus PV-band
-    // restriction and SRAF seam ownership — depends on the split, not
-    // just the window extent.
-    h.write_f64(tiling.tile_size);
-    h.write_f64(tiling.halo);
-    h.write_usize(tile.clip.targets().len());
-    for (target, owned) in tile.clip.targets().iter().zip(&tile.owned) {
-        h.write(&[*owned as u8]);
-        h.write_usize(target.len());
-        for v in target.vertices() {
-            // Window-relative coordinates: the partitioner already
-            // subtracted the window origin.
-            h.write_f64(v.x);
-            h.write_f64(v.y);
-        }
-    }
-    hash_config(&mut h, config);
-    h.0
-}
+pub use crate::hash::tile_cache_key;
 
 // ---------------------------------------------------------------- values
-
-/// One corrected shape in window coordinates.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CachedShape {
-    /// For main patterns, the index of the corrected target in the tile
-    /// clip's target list (always an *owned* target). `None` marks an
-    /// assist feature.
-    pub target: Option<usize>,
-    /// Cardinal tension of the shape's spline.
-    pub tension: f64,
-    /// Control points, window coordinates.
-    pub control_points: Vec<Point>,
-}
 
 /// The cached correction of one tile pattern, window-relative.
 #[derive(Clone, Debug, PartialEq)]
@@ -140,8 +93,10 @@ pub struct CachedTile {
     /// Per-iteration |EPE| sums over the whole halo window.
     pub epe_history: Vec<f64>,
     /// Owned mains followed by **every** window assist, in optimizer
-    /// output order. Assist seam filtering happens at replay.
-    pub shapes: Vec<CachedShape>,
+    /// output order, window coordinates. A main's `global_id` is the index
+    /// of its (always *owned*) target in the tile clip's target list.
+    /// Assist seam filtering happens at replay.
+    pub shapes: Vec<StitchedShape>,
     /// Tile metrics (position-independent: EPE over owned sites, PV band
     /// over the core, MRC over the window).
     pub metrics: TileMetrics,
@@ -152,33 +107,19 @@ pub struct CachedTile {
 impl CachedTile {
     /// Serialises the entry as one compact JSON line (no newline).
     fn to_json_line(&self, key: u64) -> String {
-        let shapes = Json::Arr(
-            self.shapes
-                .iter()
-                .map(|s| {
-                    let mut cps = Vec::with_capacity(2 * s.control_points.len());
-                    for p in &s.control_points {
-                        cps.push(p.x);
-                        cps.push(p.y);
-                    }
-                    Json::obj(vec![
-                        ("t", s.target.map_or(Json::Null, Json::num_usize)),
-                        ("tension", Json::Num(s.tension)),
-                        ("cps", Json::num_arr(&cps)),
-                    ])
-                })
-                .collect(),
-        );
-        Json::obj(vec![
+        let mut members = vec![
             ("v", Json::Num(ENTRY_VERSION)),
             ("key", Json::Str(format!("{key:016x}"))),
-            ("owned_epe", Json::num_arr(&self.owned_epe_history)),
-            ("epe", Json::num_arr(&self.epe_history)),
-            ("metrics", metrics_json(&self.metrics)),
-            ("seconds", Json::Num(self.seconds)),
-            ("shapes", shapes),
-        ])
-        .to_string_compact()
+        ];
+        members.extend(payload_members(
+            Frame::Window,
+            &self.owned_epe_history,
+            &self.epe_history,
+            &self.metrics,
+            self.seconds,
+            &self.shapes,
+        ));
+        Json::obj(members).to_string_compact()
     }
 
     /// Parses one JSONL line back into `(key, entry)`.
@@ -187,57 +128,7 @@ impl CachedTile {
         if v.get("v").and_then(Json::as_f64) != Some(ENTRY_VERSION) {
             return Err("unknown cache entry version".into());
         }
-        let field = |key: &str| v.get(key).ok_or_else(|| format!("missing field {key}"));
-        let key = u64::from_str_radix(field("key")?.as_str().ok_or("bad key")?, 16)
-            .map_err(|_| "bad key".to_string())?;
-        let floats = |name: &str| -> Result<Vec<f64>, String> {
-            field(name)?
-                .as_arr()
-                .ok_or_else(|| format!("bad array {name}"))?
-                .iter()
-                .map(|j| j.as_f64().ok_or_else(|| format!("bad number in {name}")))
-                .collect()
-        };
-        let owned_epe_history = floats("owned_epe")?;
-        let epe_history = floats("epe")?;
-        let metrics = parse_metrics(field("metrics")?)?;
-        let seconds = field("seconds")?.as_f64().ok_or("bad seconds")?;
-        let mut shapes = Vec::new();
-        for s in field("shapes")?.as_arr().ok_or("bad shapes")? {
-            let target = match s.get("t").ok_or("missing shape target")? {
-                Json::Null => None,
-                j => Some(j.as_usize().ok_or("bad shape target")?),
-            };
-            let tension = s
-                .get("tension")
-                .and_then(Json::as_f64)
-                .ok_or("bad tension")?;
-            let flat = s.get("cps").and_then(Json::as_arr).ok_or("bad cps")?;
-            if flat.len() % 2 != 0 {
-                return Err("odd cps length".into());
-            }
-            let mut control_points = Vec::with_capacity(flat.len() / 2);
-            for pair in flat.chunks_exact(2) {
-                let x = pair[0].as_f64().ok_or("bad cp")?;
-                let y = pair[1].as_f64().ok_or("bad cp")?;
-                control_points.push(Point::new(x, y));
-            }
-            shapes.push(CachedShape {
-                target,
-                tension,
-                control_points,
-            });
-        }
-        Ok((
-            key,
-            CachedTile {
-                owned_epe_history,
-                epe_history,
-                shapes,
-                metrics,
-                seconds,
-            },
-        ))
+        Ok((hex_field(&v, "key")?, parse_payload(&v, Frame::Window)?))
     }
 }
 
@@ -395,51 +286,32 @@ impl TileCache {
         // Load the backing file: last parseable line per key wins, keyed
         // to its line position as the initial recency.
         let path = dir.join("cache.jsonl");
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                cache.file_bytes.store(text.len() as u64, Ordering::Relaxed);
-                let mut loaded: HashMap<u64, (u64, Arc<CachedTile>, u64)> = HashMap::new();
-                for line in text.lines() {
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    if let Ok((key, value)) = CachedTile::from_json_line(line) {
-                        let tick = cache.tick.fetch_add(1, Ordering::Relaxed);
-                        loaded.insert(key, (tick, Arc::new(value), line.len() as u64 + 1));
-                    }
-                }
-                for (key, (tick, value, bytes)) in loaded {
-                    let shard = cache.shard(key);
-                    shard
-                        .map
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert(
-                            key,
-                            Slot::Ready(Entry {
-                                value,
-                                bytes,
-                                last_hit: tick,
-                            }),
-                        );
-                    cache.entries.fetch_add(1, Ordering::Relaxed);
-                    cache.bytes.fetch_add(bytes, Ordering::Relaxed);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(RuntimeError::Io(format!("read {}: {e}", path.display())));
-            }
+        let (lines, file_bytes) = load_jsonl(&path, CachedTile::from_json_line)?;
+        cache.file_bytes.store(file_bytes, Ordering::Relaxed);
+        let mut loaded: HashMap<u64, Entry> = HashMap::new();
+        for ((key, value), bytes) in lines {
+            let last_hit = cache.tick.fetch_add(1, Ordering::Relaxed);
+            let value = Arc::new(value);
+            // A later line for the same key replaces the earlier one.
+            loaded.insert(
+                key,
+                Entry {
+                    value,
+                    bytes,
+                    last_hit,
+                },
+            );
+        }
+        for (key, entry) in loaded {
+            cache.entries.fetch_add(1, Ordering::Relaxed);
+            cache.bytes.fetch_add(entry.bytes, Ordering::Relaxed);
+            cache
+                .lock_shard(cache.shard(key))
+                .insert(key, Slot::Ready(entry));
         }
 
         if !cache.read_only {
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| RuntimeError::Io(format!("open {}: {e}", path.display())))?;
-            cache.writer = Some(Mutex::new(file));
+            cache.writer = Some(Mutex::new(open_append(&path)?));
         }
         cache.dir = Some(dir.clone());
         cache.enforce_budget();
@@ -507,39 +379,27 @@ impl TileCache {
             }
         }
 
-        // This caller is the leader for `key`.
-        match correct() {
-            Ok(value) => {
-                let value = Arc::new(value);
-                let line = value.to_json_line(key);
-                let bytes = line.len() as u64 + 1;
-                {
-                    let mut map = self.lock_shard(shard);
-                    map.insert(
-                        key,
-                        Slot::Ready(Entry {
-                            value: Arc::clone(&value),
-                            bytes,
-                            last_hit: self.tick.fetch_add(1, Ordering::Relaxed),
-                        }),
-                    );
-                }
-                shard.cond.notify_all();
-                self.entries.fetch_add(1, Ordering::Relaxed);
-                self.bytes.fetch_add(bytes, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.persist(&line);
-                self.enforce_budget();
-                Ok(Some((value, false)))
-            }
-            Err(e) => {
-                let mut map = self.lock_shard(shard);
-                map.remove(&key);
-                drop(map);
-                shard.cond.notify_all();
-                Err(e)
-            }
-        }
+        // This caller is the leader for `key`. If `correct` fails or
+        // panics, dropping `lead` releases the key to the next caller.
+        let lead = Leader { shard, key };
+        let value = Arc::new(correct()?);
+        let line = value.to_json_line(key);
+        let bytes = line.len() as u64 + 1;
+        self.lock_shard(shard).insert(
+            key,
+            Slot::Ready(Entry {
+                value: Arc::clone(&value),
+                bytes,
+                last_hit: self.tick.fetch_add(1, Ordering::Relaxed),
+            }),
+        );
+        drop(lead);
+        self.entries.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.persist(line);
+        self.enforce_budget();
+        Ok(Some((value, false)))
     }
 
     fn shard(&self, key: u64) -> &Shard {
@@ -553,17 +413,13 @@ impl TileCache {
     /// Best-effort append of one entry line to the backing file. A write
     /// failure degrades the cache to memory-only behaviour for that
     /// entry; it never fails the correction.
-    fn persist(&self, line: &str) {
+    fn persist(&self, line: String) {
         if let Some(writer) = &self.writer {
+            let bytes = line.len() as u64 + 1;
             let mut file = writer.lock().unwrap_or_else(PoisonError::into_inner);
-            let ok = file
-                .write_all(line.as_bytes())
-                .and_then(|()| file.write_all(b"\n"))
-                .and_then(|()| file.flush());
-            match ok {
+            match append_line(&mut file, line) {
                 Ok(()) => {
-                    self.file_bytes
-                        .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
+                    self.file_bytes.fetch_add(bytes, Ordering::Relaxed);
                 }
                 Err(e) => {
                     eprintln!("cardopc: tile cache append failed ({e}); entry kept in memory")
@@ -611,6 +467,31 @@ impl TileCache {
     }
 }
 
+/// The in-flight claim on a key, held by the caller correcting it.
+/// Dropping it — after publishing the value, or while unwinding from a
+/// failed or panicking correction — removes a marker that is still in
+/// flight and wakes the key's waiters, so a fault in one leader can never
+/// park every later requester of that pattern.
+struct Leader<'a> {
+    shard: &'a Shard,
+    key: u64,
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        let mut map = self
+            .shard
+            .map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(Slot::InFlight) = map.get(&self.key) {
+            map.remove(&self.key);
+        }
+        drop(map);
+        self.shard.cond.notify_all();
+    }
+}
+
 impl Drop for TileCache {
     fn drop(&mut self) {
         // Compact the backing file when it carries dead weight (evicted
@@ -634,11 +515,9 @@ impl Drop for TileCache {
                 text.push_str(line);
                 text.push('\n');
             }
-            let tmp = dir.join("cache.jsonl.tmp");
-            let path = dir.join("cache.jsonl");
             // Best effort: a failed compaction leaves the (valid,
             // merely larger) append-only file in place.
-            let _ = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, &path));
+            let _ = write_atomic(&dir.join("cache.jsonl"), &text);
         }
         if let Some(lock) = self.lock.take() {
             let _ = std::fs::remove_file(lock);
@@ -649,10 +528,10 @@ impl Drop for TileCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::config_mutations;
-    use crate::partition::partition_clip;
-    use cardopc_geometry::Polygon;
+    use crate::partition::{partition_clip, TilingConfig};
+    use cardopc_geometry::{Point, Polygon};
     use cardopc_layout::Clip;
+    use cardopc_opc::OpcConfig;
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("cardopc-cache-{tag}-{}", std::process::id()))
@@ -663,13 +542,15 @@ mod tests {
             owned_epe_history: vec![3.0 + seed, 1.5],
             epe_history: vec![6.0, 2.0 + seed],
             shapes: vec![
-                CachedShape {
-                    target: Some(0),
+                StitchedShape {
+                    global_id: Some(0),
+                    is_sraf: false,
                     tension: 0.6,
                     control_points: vec![Point::new(1.25 + seed, 2.0), Point::new(3.0, 4.5)],
                 },
-                CachedShape {
-                    target: None,
+                StitchedShape {
+                    global_id: None,
+                    is_sraf: true,
                     tension: 0.6,
                     control_points: vec![Point::new(0.5, 0.25), Point::new(0.125, 9.0)],
                 },
@@ -794,14 +675,15 @@ mod tests {
             tile_cache_key(&p_alt.tiles[0], &alt, &config),
         );
 
-        // Every single OpcConfig field mutation invalidates the key.
-        for (field, changed) in config_mutations(&config) {
+        // Every single-field mutation the config walk generates changes
+        // the key.
+        OpcConfig::for_each_field_mutation(|field, config, changed| {
             assert_ne!(
-                k0,
-                tile_cache_key(&base.tiles[0], &tiling, &changed),
+                tile_cache_key(&base.tiles[0], &tiling, config),
+                tile_cache_key(&base.tiles[0], &tiling, changed),
                 "mutating {field} must change the cache key"
             );
-        }
+        });
     }
 
     #[test]
@@ -884,6 +766,27 @@ mod tests {
             .get_or_correct(9, &never, || ok_sample(1.0))
             .unwrap()
             .unwrap();
+        assert!(!hit);
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn panicking_leader_releases_the_key() {
+        let cache = Arc::new(memory_cache());
+        let never = || false;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_correct(11, &never, || -> Result<CachedTile, RuntimeError> {
+                panic!("correction blew up")
+            })
+        }));
+        assert!(unwound.is_err());
+        // The in-flight marker went with the unwinding leader: a caller on
+        // another thread claims the key instead of waiting forever on it.
+        let claimed = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || cache.get_or_correct(11, &|| false, || ok_sample(1.0)))
+        };
+        let (_, hit) = claimed.join().unwrap().unwrap().unwrap();
         assert!(!hit);
         assert_eq!(cache.stats().entries, 1);
     }
@@ -1127,5 +1030,90 @@ mod tests {
         let never = || false;
         cache.get_or_correct(1, &never, || ok_sample(0.0)).unwrap();
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    // ------------------------------------------------- byte compatibility
+
+    /// Hashes of one fixed tile captured at the commit *before* the config
+    /// walk, the geometry walk and the payload codec were unified. They
+    /// pin hash input order and float canonicalisation: a moved byte here
+    /// silently orphans every existing `tiles.jsonl` / `cache.jsonl`.
+    #[test]
+    fn golden_tile_hashes_are_unchanged() {
+        use cardopc_litho::Precision::{F32, F64};
+        let tiling = TilingConfig {
+            tile_size: 1000.0,
+            halo: 100.0,
+        };
+        let base = keyed_partition(0.0, 0.0);
+        let tile = &base.tiles[0];
+        let golden: [(OpcConfig, cardopc_litho::Precision, u64, u64); 6] = [
+            (
+                OpcConfig::via(),
+                F64,
+                0x787b2f0e0ea2a2b7,
+                0x0b72f1b09a5ce92f,
+            ),
+            (
+                OpcConfig::via(),
+                F32,
+                0x787b2e0e0ea2a104,
+                0x0b72f0b09a5ce77c,
+            ),
+            (
+                OpcConfig::metal(),
+                F64,
+                0xc27c675ec289f7e2,
+                0xdea4b2b3c7da85fa,
+            ),
+            (
+                OpcConfig::metal(),
+                F32,
+                0xc27c685ec289f995,
+                0xdea4b3b3c7da87ad,
+            ),
+            (
+                OpcConfig::large_scale(),
+                F64,
+                0x551ff00f14209f36,
+                0x2c3d3fc332e6d03e,
+            ),
+            (
+                OpcConfig::large_scale(),
+                F32,
+                0x551ff10f1420a0e9,
+                0x2c3d40c332e6d1f1,
+            ),
+        ];
+        for (mut config, precision, input_hash, cache_key) in golden {
+            config.precision = precision;
+            assert_eq!(
+                crate::checkpoint::tile_input_hash(tile, &config),
+                input_hash,
+                "input hash, {precision}"
+            );
+            assert_eq!(
+                tile_cache_key(tile, &tiling, &config),
+                cache_key,
+                "cache key, {precision}"
+            );
+        }
+    }
+
+    /// One `cache.jsonl` line as the parent commit wrote it: it must still
+    /// parse, and re-encode to the same bytes.
+    #[test]
+    fn golden_cache_line_is_unchanged() {
+        let golden = concat!(
+            r#"{"v":1,"key":"feedf00ddeadbeef","owned_epe":[3,1.5],"epe":[6,2],"#,
+            r#""metrics":{"shapes":2,"owned":1,"epe_sum_nm":4.25,"epe_violations":0,"#,
+            r#""pvb_nm2":512,"mrc_initial":0,"mrc_remaining":0},"seconds":0.75,"#,
+            r#""shapes":[{"t":0,"tension":0.6,"cps":[1.25,2,3,4.5]},"#,
+            r#"{"t":null,"tension":0.6,"cps":[0.5,0.25,0.125,9]}]}"#,
+        );
+        let (key, entry) = CachedTile::from_json_line(golden).unwrap();
+        assert_eq!(key, 0xfeed_f00d_dead_beef);
+        assert_eq!(entry, sample(0.0));
+        assert_eq!(entry.to_json_line(key), golden);
     }
 }

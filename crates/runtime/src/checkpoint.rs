@@ -12,29 +12,42 @@
 //! FNV-1a hash of the tile's current input (geometry bits + OPC
 //! configuration). A truncated final line — the signature of a killed
 //! run — fails to parse and is simply ignored, so the tile re-executes.
+//!
+//! A checkpoint record is a tile-cache entry plus a tile position, so the
+//! two stores share everything but the line header: the tile payload
+//! codec (`payload_members` / `parse_payload`, which [`crate::cache`]
+//! borrows), the hash walk (`crate::hash`) and the file discipline
+//! (`crate::store`).
 
+use crate::cache::CachedTile;
 use crate::json::Json;
-use crate::partition::Tile;
+use crate::store::{
+    acquire_pid_lock, append_line, io_error, load_jsonl, open_append, write_atomic,
+};
 use crate::RuntimeError;
 use cardopc_geometry::Point;
-use cardopc_opc::{MeasureConvention, OpcConfig};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
+
+pub use crate::hash::tile_input_hash;
 
 /// Record format version.
 const RECORD_VERSION: f64 = 1.0;
 
-/// One corrected shape in chip coordinates, ready for stitching.
+/// One corrected shape, in the coordinate frame of whatever holds it: a
+/// [`TileRecord`] (and everything stitched from records) is in chip
+/// coordinates, a [`CachedTile`] in its window's.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StitchedShape {
-    /// Index of the target in the source clip (None for SRAFs).
+    /// Index of the shape's target — in the source clip for chip-frame
+    /// shapes, in the tile clip's target list for window-frame ones (None
+    /// for SRAFs).
     pub global_id: Option<usize>,
     /// Whether the shape is a sub-resolution assist.
     pub is_sraf: bool,
     /// Cardinal tension of the shape's spline.
     pub tension: f64,
-    /// Control points, chip coordinates.
+    /// Control points, in the holder's frame.
     pub control_points: Vec<Point>,
 }
 
@@ -80,198 +93,159 @@ pub struct TileRecord {
     pub seconds: f64,
 }
 
-// ---------------------------------------------------------------- hashing
-
-/// Canonical bit pattern of an `f64` for hashing: `-0.0` folds onto `0.0`
-/// (they compare equal, and geometry that differs only in signed zeros is
-/// identical) and every NaN payload folds onto one canonical NaN, so a
-/// hash can never distinguish values the geometry itself cannot.
-pub(crate) fn canon_f64_bits(v: f64) -> u64 {
-    if v == 0.0 {
-        0u64 // +0.0; catches -0.0 too, since -0.0 == 0.0
-    } else if v.is_nan() {
-        f64::NAN.to_bits()
-    } else {
-        v.to_bits()
-    }
-}
-
-/// 64-bit FNV-1a.
-pub(crate) struct Fnv(pub(crate) u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn write_f64(&mut self, v: f64) {
-        self.write(&canon_f64_bits(v).to_le_bytes());
-    }
-
-    pub(crate) fn write_usize(&mut self, v: usize) {
-        self.write(&(v as u64).to_le_bytes());
-    }
-}
-
-/// Hashes a tile's complete input: identity, window geometry, every
-/// target's vertices and ownership, and the OPC configuration. Any change
-/// to any of these invalidates the tile's checkpoint record.
-pub fn tile_input_hash(tile: &Tile, config: &OpcConfig) -> u64 {
-    let mut h = Fnv::new();
-    h.write_usize(tile.index);
-    h.write_usize(tile.tx);
-    h.write_usize(tile.ty);
-    h.write_f64(tile.origin.x);
-    h.write_f64(tile.origin.y);
-    h.write_f64(tile.clip.width());
-    h.write_f64(tile.clip.height());
-    h.write_usize(tile.clip.targets().len());
-    for ((target, gid), owned) in tile
-        .clip
-        .targets()
-        .iter()
-        .zip(&tile.global_ids)
-        .zip(&tile.owned)
-    {
-        h.write_usize(*gid);
-        h.write(&[*owned as u8]);
-        h.write_usize(target.len());
-        for v in target.vertices() {
-            h.write_f64(v.x);
-            h.write_f64(v.y);
-        }
-    }
-    hash_config(&mut h, config);
-    h.0
-}
-
-/// Hashes every `OpcConfig` field. The exhaustive destructuring (no `..`
-/// rest patterns anywhere) is deliberate: adding a field to `OpcConfig`,
-/// `SrafConfig` or `MrcRules` breaks this function at compile time, so a
-/// new knob can never silently be left out of checkpoint/cache keys.
-pub(crate) fn hash_config(h: &mut Fnv, c: &OpcConfig) {
-    let OpcConfig {
-        l_c,
-        l_u,
-        move_step,
-        iterations,
-        decay_at,
-        decay_factor,
-        tension,
-        corner_pull,
-        smooth_window,
-        spline_normals,
-        relax_every,
-        relax_strength,
-        samples_per_segment,
-        epe_search,
-        pitch,
-        dose_delta,
-        sraf,
-        mrc,
-        convention,
-        precision,
-    } = c;
-    h.write_f64(*l_c);
-    h.write_f64(*l_u);
-    h.write_f64(*move_step);
-    h.write_usize(*iterations);
-    h.write_usize(*decay_at);
-    h.write_f64(*decay_factor);
-    h.write_f64(*tension);
-    h.write_f64(*corner_pull);
-    h.write_usize(*smooth_window);
-    h.write(&[*spline_normals as u8]);
-    h.write_usize(*relax_every);
-    h.write_f64(*relax_strength);
-    h.write_usize(*samples_per_segment);
-    h.write_f64(*epe_search);
-    h.write_f64(*pitch);
-    h.write_f64(*dose_delta);
-    match sraf {
-        None => h.write(&[0]),
-        Some(cardopc_opc::SrafConfig {
-            length_ratio,
-            width,
-            distance,
-            min_edge,
-        }) => {
-            h.write(&[1]);
-            h.write_f64(*length_ratio);
-            h.write_f64(*width);
-            h.write_f64(*distance);
-            h.write_f64(*min_edge);
-        }
-    }
-    match mrc {
-        None => h.write(&[0]),
-        Some(cardopc_mrc::MrcRules {
-            min_space,
-            min_width,
-            min_area,
-            max_curvature,
-        }) => {
-            h.write(&[1]);
-            h.write_f64(*min_space);
-            h.write_f64(*min_width);
-            h.write_f64(*min_area);
-            h.write_f64(*max_curvature);
-        }
-    }
-    match convention {
-        MeasureConvention::ViaEdgeCenters => h.write(&[0]),
-        MeasureConvention::MetalSpacing(s) => {
-            h.write(&[1]);
-            h.write_f64(*s);
-        }
-    }
-    // Simulation precision changes every intensity sample, so f32 and f64
-    // runs must never alias in checkpoint or tile-cache keys.
-    h.write(&[precision.tag()]);
-}
-
 // ---------------------------------------------------------- serialisation
+
+/// The coordinate frame of a container's shapes — a property of the
+/// container, which also fixes how its shape objects spell their target
+/// index on disk.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Frame {
+    /// [`TileRecord`]: chip coordinates; `"id"` plus an explicit `"sraf"`.
+    Chip,
+    /// [`CachedTile`]: window coordinates; `"t"`, assists are the nulls.
+    Window,
+}
+
+/// The tile payload — histories, metrics, seconds, shapes with flat `cps`
+/// — as the members that follow a container line's header. The one
+/// encoder behind `tiles.jsonl` and `cache.jsonl` lines.
+pub(crate) fn payload_members(
+    frame: Frame,
+    owned_epe: &[f64],
+    epe: &[f64],
+    metrics: &TileMetrics,
+    seconds: f64,
+    shapes: &[StitchedShape],
+) -> [(&'static str, Json); 5] {
+    let shape_json = |s: &StitchedShape| {
+        let id = s.global_id.map_or(Json::Null, Json::num_usize);
+        let cps: Vec<f64> = s.control_points.iter().flat_map(|p| [p.x, p.y]).collect();
+        let tension = ("tension", Json::Num(s.tension));
+        let cps = ("cps", Json::num_arr(&cps));
+        Json::obj(match frame {
+            Frame::Chip => vec![("id", id), ("sraf", Json::Bool(s.is_sraf)), tension, cps],
+            Frame::Window => vec![("t", id), tension, cps],
+        })
+    };
+    let m = metrics;
+    [
+        ("owned_epe", Json::num_arr(owned_epe)),
+        ("epe", Json::num_arr(epe)),
+        (
+            "metrics",
+            Json::obj(vec![
+                ("shapes", Json::num_usize(m.shapes)),
+                ("owned", Json::num_usize(m.owned)),
+                ("epe_sum_nm", Json::Num(m.epe_sum_nm)),
+                ("epe_violations", Json::num_usize(m.epe_violations)),
+                ("pvb_nm2", Json::Num(m.pvb_nm2)),
+                ("mrc_initial", Json::num_usize(m.mrc_initial)),
+                ("mrc_remaining", Json::num_usize(m.mrc_remaining)),
+            ]),
+        ),
+        ("seconds", Json::Num(seconds)),
+        ("shapes", Json::Arr(shapes.iter().map(shape_json).collect())),
+    ]
+}
+
+/// A required member of a container line.
+pub(crate) fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    v.get(key).ok_or_else(|| format!("missing field {key}"))
+}
+
+/// A required 16-digit hex member (tile hashes, cache keys).
+pub(crate) fn hex_field(v: &Json, key: &str) -> Result<u64, String> {
+    let text = field(v, key)?.as_str();
+    text.and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| format!("bad {key}"))
+}
+
+/// Parses the payload [`payload_members`] wrote out of a container line.
+///
+/// # Errors
+///
+/// A message describing the malformed member.
+pub(crate) fn parse_payload(v: &Json, frame: Frame) -> Result<CachedTile, String> {
+    let floats = |key: &str| -> Result<Vec<f64>, String> {
+        let items = field(v, key)?.as_arr();
+        let items = items.ok_or_else(|| format!("bad array {key}"))?;
+        let mut parsed = Vec::with_capacity(items.len());
+        for item in items {
+            parsed.push(
+                item.as_f64()
+                    .ok_or_else(|| format!("bad number in {key}"))?,
+            );
+        }
+        Ok(parsed)
+    };
+    let m = field(v, "metrics")?;
+    let bad_metric = |key: &str| format!("bad metric {key}");
+    let count = |key: &str| field(m, key)?.as_usize().ok_or_else(|| bad_metric(key));
+    let real = |key: &str| field(m, key)?.as_f64().ok_or_else(|| bad_metric(key));
+    let metrics = TileMetrics {
+        shapes: count("shapes")?,
+        owned: count("owned")?,
+        epe_sum_nm: real("epe_sum_nm")?,
+        epe_violations: count("epe_violations")?,
+        pvb_nm2: real("pvb_nm2")?,
+        mrc_initial: count("mrc_initial")?,
+        mrc_remaining: count("mrc_remaining")?,
+    };
+    let listed = field(v, "shapes")?.as_arr().ok_or("bad shapes")?;
+    let mut shapes = Vec::with_capacity(listed.len());
+    for s in listed {
+        let id = if frame == Frame::Chip { "id" } else { "t" };
+        let global_id = match field(s, id)? {
+            Json::Null => None,
+            j => Some(j.as_usize().ok_or("bad shape id")?),
+        };
+        let is_sraf = match frame {
+            Frame::Chip => field(s, "sraf")?.as_bool().ok_or("bad sraf")?,
+            Frame::Window => global_id.is_none(),
+        };
+        let flat = field(s, "cps")?.as_arr().ok_or("bad cps")?;
+        if flat.len() % 2 != 0 {
+            return Err("odd cps length".into());
+        }
+        let mut control_points = Vec::with_capacity(flat.len() / 2);
+        for pair in flat.chunks_exact(2) {
+            let (x, y) = (pair[0].as_f64(), pair[1].as_f64());
+            control_points.push(Point::new(x.ok_or("bad cp")?, y.ok_or("bad cp")?));
+        }
+        shapes.push(StitchedShape {
+            global_id,
+            is_sraf,
+            tension: field(s, "tension")?.as_f64().ok_or("bad tension")?,
+            control_points,
+        });
+    }
+    Ok(CachedTile {
+        owned_epe_history: floats("owned_epe")?,
+        epe_history: floats("epe")?,
+        shapes,
+        metrics,
+        seconds: field(v, "seconds")?.as_f64().ok_or("bad seconds")?,
+    })
+}
 
 impl TileRecord {
     /// Serialises the record as one compact JSON line (no newline).
     pub fn to_json_line(&self) -> String {
-        let shapes = Json::Arr(
-            self.shapes
-                .iter()
-                .map(|s| {
-                    let mut cps = Vec::with_capacity(2 * s.control_points.len());
-                    for p in &s.control_points {
-                        cps.push(p.x);
-                        cps.push(p.y);
-                    }
-                    Json::obj(vec![
-                        ("id", s.global_id.map_or(Json::Null, Json::num_usize)),
-                        ("sraf", Json::Bool(s.is_sraf)),
-                        ("tension", Json::Num(s.tension)),
-                        ("cps", Json::num_arr(&cps)),
-                    ])
-                })
-                .collect(),
-        );
-        Json::obj(vec![
+        let mut members = vec![
             ("v", Json::Num(RECORD_VERSION)),
             ("tile", Json::num_usize(self.index)),
             ("name", Json::Str(self.name.clone())),
             ("hash", Json::Str(format!("{:016x}", self.input_hash))),
-            ("owned_epe", Json::num_arr(&self.owned_epe_history)),
-            ("epe", Json::num_arr(&self.epe_history)),
-            ("metrics", metrics_json(&self.metrics)),
-            ("seconds", Json::Num(self.seconds)),
-            ("shapes", shapes),
-        ])
-        .to_string_compact()
+        ];
+        members.extend(payload_members(
+            Frame::Chip,
+            &self.owned_epe_history,
+            &self.epe_history,
+            &self.metrics,
+            self.seconds,
+            &self.shapes,
+        ));
+        Json::obj(members).to_string_compact()
     }
 
     /// Parses one JSONL line back into a record.
@@ -285,96 +259,18 @@ impl TileRecord {
         if v.get("v").and_then(Json::as_f64) != Some(RECORD_VERSION) {
             return Err("unknown record version".into());
         }
-        let field = |key: &str| v.get(key).ok_or_else(|| format!("missing field {key}"));
-        let index = field("tile")?.as_usize().ok_or("bad tile index")?;
-        let name = field("name")?.as_str().ok_or("bad name")?.to_string();
-        let input_hash = u64::from_str_radix(field("hash")?.as_str().ok_or("bad hash")?, 16)
-            .map_err(|_| "bad hash".to_string())?;
-        let floats = |key: &str| -> Result<Vec<f64>, String> {
-            field(key)?
-                .as_arr()
-                .ok_or_else(|| format!("bad array {key}"))?
-                .iter()
-                .map(|j| j.as_f64().ok_or_else(|| format!("bad number in {key}")))
-                .collect()
-        };
-        let owned_epe_history = floats("owned_epe")?;
-        let epe_history = floats("epe")?;
-        let metrics = parse_metrics(field("metrics")?)?;
-        let seconds = field("seconds")?.as_f64().ok_or("bad seconds")?;
-        let mut shapes = Vec::new();
-        for s in field("shapes")?.as_arr().ok_or("bad shapes")? {
-            let global_id = match s.get("id").ok_or("missing shape id")? {
-                Json::Null => None,
-                j => Some(j.as_usize().ok_or("bad shape id")?),
-            };
-            let is_sraf = s.get("sraf").and_then(Json::as_bool).ok_or("bad sraf")?;
-            let tension = s
-                .get("tension")
-                .and_then(Json::as_f64)
-                .ok_or("bad tension")?;
-            let flat = s.get("cps").and_then(Json::as_arr).ok_or("bad cps")?;
-            if flat.len() % 2 != 0 {
-                return Err("odd cps length".into());
-            }
-            let mut control_points = Vec::with_capacity(flat.len() / 2);
-            for pair in flat.chunks_exact(2) {
-                let x = pair[0].as_f64().ok_or("bad cp")?;
-                let y = pair[1].as_f64().ok_or("bad cp")?;
-                control_points.push(Point::new(x, y));
-            }
-            shapes.push(StitchedShape {
-                global_id,
-                is_sraf,
-                tension,
-                control_points,
-            });
-        }
+        let payload = parse_payload(&v, Frame::Chip)?;
         Ok(TileRecord {
-            index,
-            name,
-            input_hash,
-            owned_epe_history,
-            epe_history,
-            shapes,
-            metrics,
-            seconds,
+            index: field(&v, "tile")?.as_usize().ok_or("bad tile index")?,
+            name: field(&v, "name")?.as_str().ok_or("bad name")?.to_string(),
+            input_hash: hex_field(&v, "hash")?,
+            owned_epe_history: payload.owned_epe_history,
+            epe_history: payload.epe_history,
+            shapes: payload.shapes,
+            metrics: payload.metrics,
+            seconds: payload.seconds,
         })
     }
-}
-
-pub(crate) fn metrics_json(m: &TileMetrics) -> Json {
-    Json::obj(vec![
-        ("shapes", Json::num_usize(m.shapes)),
-        ("owned", Json::num_usize(m.owned)),
-        ("epe_sum_nm", Json::Num(m.epe_sum_nm)),
-        ("epe_violations", Json::num_usize(m.epe_violations)),
-        ("pvb_nm2", Json::Num(m.pvb_nm2)),
-        ("mrc_initial", Json::num_usize(m.mrc_initial)),
-        ("mrc_remaining", Json::num_usize(m.mrc_remaining)),
-    ])
-}
-
-pub(crate) fn parse_metrics(v: &Json) -> Result<TileMetrics, String> {
-    let us = |key: &str| {
-        v.get(key)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| format!("bad metric {key}"))
-    };
-    let fl = |key: &str| {
-        v.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("bad metric {key}"))
-    };
-    Ok(TileMetrics {
-        shapes: us("shapes")?,
-        owned: us("owned")?,
-        epe_sum_nm: fl("epe_sum_nm")?,
-        epe_violations: us("epe_violations")?,
-        pvb_nm2: fl("pvb_nm2")?,
-        mrc_initial: us("mrc_initial")?,
-        mrc_remaining: us("mrc_remaining")?,
-    })
 }
 
 // ------------------------------------------------------------- run dir
@@ -406,13 +302,9 @@ impl RunDir {
     /// [`RuntimeError::Locked`] when another live process holds the lock.
     pub fn open(root: impl Into<PathBuf>) -> Result<RunDir, RuntimeError> {
         let root = root.into();
-        std::fs::create_dir_all(&root)
-            .map_err(|e| RuntimeError::Io(format!("create {}: {e}", root.display())))?;
-        let lock = acquire_lock(&root)?;
-        Ok(RunDir {
-            root,
-            lock: Some(lock),
-        })
+        std::fs::create_dir_all(&root).map_err(|e| io_error("create", &root, e))?;
+        let lock = Some(acquire_pid_lock(&root, "run.lock")?);
+        Ok(RunDir { root, lock })
     }
 
     /// The directory path.
@@ -444,31 +336,16 @@ impl RunDir {
 
     /// Loads usable checkpoint records: the last parseable record per tile
     /// index. Hash validation against the current partition happens in the
-    /// scheduler (it knows the tiles). Missing file → empty map.
+    /// scheduler (it knows the tiles). Missing file → empty map; malformed
+    /// lines (e.g. the torn final line of a killed run) are skipped, so
+    /// their tiles simply re-execute.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Io`] when the file exists but cannot be read.
     pub fn load_records(&self) -> Result<HashMap<usize, TileRecord>, RuntimeError> {
-        let path = self.tiles_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(HashMap::new()),
-            Err(e) => return Err(RuntimeError::Io(format!("read {}: {e}", path.display()))),
-        };
-        let mut records = HashMap::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            // Malformed lines (e.g. the torn final line of a killed run)
-            // are skipped: their tiles simply re-execute.
-            if let Ok(record) = TileRecord::from_json_line(line) {
-                records.insert(record.index, record);
-            }
-        }
-        Ok(records)
+        let (records, _) = load_jsonl(&self.tiles_path(), TileRecord::from_json_line)?;
+        Ok(records.into_iter().map(|(r, _)| (r.index, r)).collect())
     }
 
     /// Opens the checkpoint file for appending.
@@ -477,12 +354,7 @@ impl RunDir {
     ///
     /// [`RuntimeError::Io`] on open failure.
     pub fn append_handle(&self) -> Result<std::fs::File, RuntimeError> {
-        let path = self.tiles_path();
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| RuntimeError::Io(format!("open {}: {e}", path.display())))
+        open_append(&self.tiles_path())
     }
 
     /// Appends one record line and flushes it.
@@ -494,10 +366,7 @@ impl RunDir {
         file: &mut std::fs::File,
         record: &TileRecord,
     ) -> Result<(), RuntimeError> {
-        let mut line = record.to_json_line();
-        line.push('\n');
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.flush())
+        append_line(file, record.to_json_line())
             .map_err(|e| RuntimeError::Io(format!("append checkpoint: {e}")))
     }
 
@@ -507,11 +376,8 @@ impl RunDir {
     ///
     /// [`RuntimeError::Io`] on write failure.
     pub fn write_manifest(&self, json: &str) -> Result<(), RuntimeError> {
-        let tmp = self.root.join("manifest.json.tmp");
         let path = self.manifest_path();
-        std::fs::write(&tmp, json)
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .map_err(|e| RuntimeError::Io(format!("write {}: {e}", path.display())))
+        write_atomic(&path, json).map_err(|e| io_error("write", &path, e))
     }
 
     /// Writes the timing-free manifest JSON (atomically, like
@@ -521,11 +387,8 @@ impl RunDir {
     ///
     /// [`RuntimeError::Io`] on write failure.
     pub fn write_stable_manifest(&self, json: &str) -> Result<(), RuntimeError> {
-        let tmp = self.root.join("manifest.stable.json.tmp");
         let path = self.stable_manifest_path();
-        std::fs::write(&tmp, json)
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .map_err(|e| RuntimeError::Io(format!("write {}: {e}", path.display())))
+        write_atomic(&path, json).map_err(|e| io_error("write", &path, e))
     }
 }
 
@@ -537,178 +400,6 @@ impl Drop for RunDir {
             let _ = std::fs::remove_file(lock);
         }
     }
-}
-
-/// Acquires `root/run.lock` with an atomic create-new, reclaiming locks
-/// whose owning PID is no longer alive.
-fn acquire_lock(root: &Path) -> Result<PathBuf, RuntimeError> {
-    acquire_pid_lock(root, "run.lock")
-}
-
-/// Acquires `root/<name>` as a PID lock file with an atomic create-new,
-/// reclaiming locks whose owning PID is no longer alive. Shared by the
-/// run directory (`run.lock`) and the tile cache (`cache.lock`).
-pub(crate) fn acquire_pid_lock(root: &Path, name: &str) -> Result<PathBuf, RuntimeError> {
-    let path = root.join(name);
-    // Two attempts: acquire, or (reclaim stale then) acquire.
-    for attempt in 0..2 {
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut file) => {
-                // PID written best-effort: an unreadable/empty lock is
-                // treated as stale by later openers.
-                let _ = writeln!(file, "{}", std::process::id());
-                return Ok(path);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                let owner = std::fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u32>().ok());
-                match owner {
-                    Some(pid) if pid_alive(pid) => {
-                        return Err(RuntimeError::Locked {
-                            path: path.display().to_string(),
-                            pid,
-                        });
-                    }
-                    _ => {
-                        if attempt == 1 {
-                            // Lost the reclaim race to another process
-                            // that is now live.
-                            return Err(RuntimeError::Locked {
-                                path: path.display().to_string(),
-                                pid: owner.unwrap_or(0),
-                            });
-                        }
-                        eprintln!(
-                            "cardopc: reclaiming stale run lock {} (owner {} is gone)",
-                            path.display(),
-                            owner.map_or_else(|| "<unreadable>".into(), |p| p.to_string()),
-                        );
-                        let _ = std::fs::remove_file(&path);
-                    }
-                }
-            }
-            Err(e) => {
-                return Err(RuntimeError::Io(format!("lock {}: {e}", path.display())));
-            }
-        }
-    }
-    unreachable!("lock acquisition loop returns on every branch")
-}
-
-/// Whether a PID refers to a live process. The runtime's own PID is
-/// always live; other PIDs are probed via `/proc` where available and
-/// conservatively assumed live elsewhere (a false "live" merely refuses
-/// the lock, never corrupts the checkpoint file).
-fn pid_alive(pid: u32) -> bool {
-    if pid == std::process::id() {
-        return true;
-    }
-    if cfg!(target_os = "linux") {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
-    }
-}
-
-/// Every single-field mutation of a base `OpcConfig`, labelled, for
-/// hash/cache-key invalidation sweeps. One entry per field (plus the
-/// `Some`/`None` flips of the optional groups), so a future field that is
-/// added to `hash_config` (the compiler forces that much) should also be
-/// added here to get invalidation coverage.
-#[cfg(test)]
-pub(crate) fn config_mutations(base: &OpcConfig) -> Vec<(&'static str, OpcConfig)> {
-    let mut out: Vec<(&'static str, OpcConfig)> = Vec::new();
-    {
-        let mut push = |name: &'static str, f: &dyn Fn(&mut OpcConfig)| {
-            let mut c = base.clone();
-            f(&mut c);
-            out.push((name, c));
-        };
-        push("l_c", &|c| c.l_c += 1.0);
-        push("l_u", &|c| c.l_u += 1.0);
-        push("move_step", &|c| c.move_step += 0.5);
-        push("iterations", &|c| c.iterations += 1);
-        push("decay_at", &|c| c.decay_at += 1);
-        push("decay_factor", &|c| c.decay_factor *= 0.5);
-        push("tension", &|c| c.tension += 0.05);
-        push("corner_pull", &|c| c.corner_pull += 0.1);
-        push("smooth_window", &|c| c.smooth_window += 1);
-        push("spline_normals", &|c| c.spline_normals = !c.spline_normals);
-        push("relax_every", &|c| c.relax_every += 1);
-        push("relax_strength", &|c| c.relax_strength += 0.01);
-        push("samples_per_segment", &|c| c.samples_per_segment += 1);
-        push("epe_search", &|c| c.epe_search += 1.0);
-        push("pitch", &|c| c.pitch *= 2.0);
-        push("dose_delta", &|c| c.dose_delta += 0.01);
-        push("sraf presence", &|c| {
-            c.sraf = match c.sraf {
-                None => Some(cardopc_opc::SrafConfig::default()),
-                Some(_) => None,
-            }
-        });
-        push("mrc presence", &|c| {
-            c.mrc = match c.mrc {
-                None => Some(cardopc_mrc::MrcRules::default()),
-                Some(_) => None,
-            }
-        });
-        push("convention kind", &|c| {
-            c.convention = match c.convention {
-                MeasureConvention::ViaEdgeCenters => MeasureConvention::MetalSpacing(60.0),
-                MeasureConvention::MetalSpacing(_) => MeasureConvention::ViaEdgeCenters,
-            }
-        });
-        push("convention spacing", &|c| {
-            c.convention = match c.convention {
-                MeasureConvention::MetalSpacing(s) => MeasureConvention::MetalSpacing(s + 1.0),
-                MeasureConvention::ViaEdgeCenters => MeasureConvention::MetalSpacing(1.0),
-            }
-        });
-        push("precision", &|c| {
-            c.precision = match c.precision {
-                cardopc_litho::Precision::F64 => cardopc_litho::Precision::F32,
-                cardopc_litho::Precision::F32 => cardopc_litho::Precision::F64,
-            }
-        });
-    }
-    {
-        let with_sraf = {
-            let mut c = base.clone();
-            c.sraf.get_or_insert_with(cardopc_opc::SrafConfig::default);
-            c
-        };
-        let mut push_sraf = |name: &'static str, f: &dyn Fn(&mut cardopc_opc::SrafConfig)| {
-            let mut c = with_sraf.clone();
-            f(c.sraf.as_mut().unwrap());
-            out.push((name, c));
-        };
-        push_sraf("sraf.length_ratio", &|s| s.length_ratio += 0.1);
-        push_sraf("sraf.width", &|s| s.width += 1.0);
-        push_sraf("sraf.distance", &|s| s.distance += 1.0);
-        push_sraf("sraf.min_edge", &|s| s.min_edge += 1.0);
-    }
-    {
-        let with_mrc = {
-            let mut c = base.clone();
-            c.mrc.get_or_insert_with(cardopc_mrc::MrcRules::default);
-            c
-        };
-        let mut push_mrc = |name: &'static str, f: &dyn Fn(&mut cardopc_mrc::MrcRules)| {
-            let mut c = with_mrc.clone();
-            f(c.mrc.as_mut().unwrap());
-            out.push((name, c));
-        };
-        push_mrc("mrc.min_space", &|r| r.min_space += 1.0);
-        push_mrc("mrc.min_width", &|r| r.min_width += 1.0);
-        push_mrc("mrc.min_area", &|r| r.min_area += 1.0);
-        push_mrc("mrc.max_curvature", &|r| r.max_curvature *= 2.0);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -747,28 +438,6 @@ mod tests {
             },
             seconds: 1.75,
         }
-    }
-
-    #[test]
-    fn f64_hashing_canonicalises_signed_zero_and_nan() {
-        // -0.0 and +0.0 are the same geometry; their hashes must agree.
-        assert_eq!(canon_f64_bits(0.0), canon_f64_bits(-0.0));
-        let hash_one = |v: f64| {
-            let mut h = Fnv::new();
-            h.write_f64(v);
-            h.0
-        };
-        assert_eq!(hash_one(0.0), hash_one(-0.0));
-        assert_ne!(hash_one(0.0), hash_one(f64::MIN_POSITIVE));
-        // Every NaN payload folds onto one canonical NaN.
-        let quiet = f64::NAN;
-        let payload = f64::from_bits(f64::NAN.to_bits() | 0xdead);
-        assert!(payload.is_nan());
-        assert_eq!(hash_one(quiet), hash_one(payload));
-        assert_eq!(hash_one(quiet), hash_one(-quiet));
-        // Ordinary values still hash by exact bits: 1-ulp neighbours differ.
-        let x = 1.0f64;
-        assert_ne!(hash_one(x), hash_one(f64::from_bits(x.to_bits() + 1)));
     }
 
     #[test]
@@ -859,59 +528,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One `tiles.jsonl` line as the parent commit wrote it (before the
+    /// payload codec was shared with the tile cache): it must still parse,
+    /// and re-encode to the same bytes.
     #[test]
-    fn config_changes_invalidate_hash() {
-        use crate::partition::{partition_clip, TilingConfig};
-        use cardopc_geometry::Polygon;
-        use cardopc_layout::Clip;
-
-        let clip = Clip::new(
-            "h",
-            500.0,
-            500.0,
-            vec![Polygon::rect(
-                Point::new(100.0, 100.0),
-                Point::new(200.0, 170.0),
-            )],
+    fn golden_record_line_is_unchanged() {
+        let golden = concat!(
+            r#"{"v":1,"tile":3,"name":"gcd[0]:1x0","hash":"deadbeefcafef00d","#,
+            r#""owned_epe":[10.5,7.25,0.30000000000000004],"epe":[20,14.5,0.3333333333333333],"#,
+            r#""metrics":{"shapes":12,"owned":7,"epe_sum_nm":33.75,"epe_violations":2,"#,
+            r#""pvb_nm2":1234,"mrc_initial":1,"mrc_remaining":0},"seconds":1.75,"#,
+            r#""shapes":[{"id":42,"sraf":false,"tension":0.6,"cps":[1.5,-2.25,0.000000000001,3]},"#,
+            r#"{"id":null,"sraf":true,"tension":0.6,"cps":[0.1,0.2,0.3,0.4]}]}"#,
         );
-        let p = partition_clip(
-            &clip,
-            &TilingConfig {
-                tile_size: 500.0,
-                halo: 0.0,
-            },
-        )
-        .unwrap();
-        let base = OpcConfig::large_scale();
-        let h0 = tile_input_hash(&p.tiles[0], &base);
-        assert_eq!(h0, tile_input_hash(&p.tiles[0], &base), "deterministic");
-        // Every single-field mutation of the configuration must change
-        // the hash (guards future fields via the exhaustive helper).
-        for (field, changed) in config_mutations(&base) {
-            assert_ne!(
-                h0,
-                tile_input_hash(&p.tiles[0], &changed),
-                "mutating {field} must invalidate the hash"
-            );
-        }
-        // Geometry change checked via a shifted clip:
-        let clip2 = Clip::new(
-            "h",
-            500.0,
-            500.0,
-            vec![Polygon::rect(
-                Point::new(101.0, 100.0),
-                Point::new(201.0, 170.0),
-            )],
-        );
-        let p2 = partition_clip(
-            &clip2,
-            &TilingConfig {
-                tile_size: 500.0,
-                halo: 0.0,
-            },
-        )
-        .unwrap();
-        assert_ne!(h0, tile_input_hash(&p2.tiles[0], &base));
+        let parsed = TileRecord::from_json_line(golden).unwrap();
+        assert_eq!(parsed, record());
+        assert_eq!(parsed.to_json_line(), golden);
     }
 }

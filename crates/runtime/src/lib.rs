@@ -32,6 +32,18 @@
 //!    the stored window-relative correction instead of re-running it, so
 //!    cost collapses from total tiles to *unique* tile patterns.
 //!
+//! One implementation per concept underneath: a checkpoint record is a
+//! tile-cache entry plus a tile position, so both stores share one
+//! payload codec and one shape record ([`StitchedShape`], whose frame —
+//! chip or window — belongs to its container; see [`checkpoint`]), one
+//! tile hash walk (`hash`: [`tile_input_hash`] and [`tile_cache_key`]
+//! are the same walk with and without the tile's position, and the
+//! configuration reaches it through `OpcConfig::walk`, the single
+//! exhaustive field walk in `cardopc-opc`), and one file discipline
+//! (`store`: torn-tail-tolerant JSONL load, append + flush, atomic
+//! tmp + rename, PID lock). To add an `OpcConfig` field: add it to the
+//! struct and to the walk — the compiler lists the rest.
+//!
 //! The `cardopc` binary (in the `cardopc-serve` crate) wraps this into a
 //! command-line runner and an HTTP correction service.
 
@@ -40,13 +52,15 @@ pub mod checkpoint;
 mod error;
 pub mod gdsout;
 pub mod handle;
+mod hash;
 pub mod json;
 pub mod manifest;
 pub mod partition;
 pub mod schedule;
 pub mod stitch;
+mod store;
 
-pub use cache::{tile_cache_key, CacheConfig, CacheStats, CachedShape, CachedTile, TileCache};
+pub use cache::{tile_cache_key, CacheConfig, CacheStats, CachedTile, TileCache};
 pub use checkpoint::{tile_input_hash, RunDir, StitchedShape, TileMetrics, TileRecord};
 pub use error::RuntimeError;
 pub use gdsout::{write_mask_gds, MaskGdsOptions, MASK_NM_PER_DBU};

@@ -20,7 +20,7 @@
 //! nondeterministic but records are self-describing, so resume does not
 //! care.
 
-use crate::cache::{tile_cache_key, CachedShape, CachedTile};
+use crate::cache::{tile_cache_key, CachedTile};
 use crate::checkpoint::{tile_input_hash, RunDir, StitchedShape, TileMetrics, TileRecord};
 use crate::handle::{EngineKey, RunControl, TileEvent};
 use crate::partition::{Partition, Tile};
@@ -145,7 +145,7 @@ pub fn run_tiles_controlled(
 
     // Split tiles into resumable and to-run.
     let mut results: Vec<TileResult> = Vec::with_capacity(total);
-    let mut todo: Vec<&Tile> = Vec::new();
+    let mut todo: Vec<(&Tile, u64)> = Vec::new();
     for tile in &partition.tiles {
         let hash = tile_input_hash(tile, config);
         match checkpoints.get(&tile.index) {
@@ -154,7 +154,7 @@ pub fn run_tiles_controlled(
                 resumed: true,
                 cached: false,
             }),
-            _ => todo.push(tile),
+            _ => todo.push((tile, hash)),
         }
     }
     let resumed = results.len();
@@ -196,8 +196,10 @@ pub fn run_tiles_controlled(
             return;
         }
         let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(tile) = todo.get(i) else { return };
-        let outcome = execute_tile(tile, partition, flow, config, slot, slot_index, control);
+        let Some(&(tile, hash)) = todo.get(i) else {
+            return;
+        };
+        let outcome = execute_tile(tile, hash, partition, flow, slot, slot_index, control);
         let outcome = match outcome {
             // Cancelled while waiting on an in-flight cache key: no
             // result for this tile; the loop's cancellation check exits.
@@ -297,10 +299,11 @@ pub fn correct_single_tile(
     control: &RunControl<'_>,
     slot_index: usize,
 ) -> Result<Option<TileRecord>, RuntimeError> {
+    // Tiles sit at their own index (the fleet worker relies on it too).
     let tile = partition
         .tiles
-        .iter()
-        .find(|t| t.index == tile_index)
+        .get(tile_index)
+        .filter(|t| t.index == tile_index)
         .ok_or(RuntimeError::InvalidConfig(
             "tile index outside the partition",
         ))?;
@@ -308,33 +311,28 @@ pub fn correct_single_tile(
         engines: HashMap::new(),
         results: Vec::new(),
     };
-    let outcome = execute_tile(
-        tile,
-        partition,
-        flow,
-        flow.config(),
-        &mut slot,
-        slot_index,
-        control,
-    )?;
+    let hash = tile_input_hash(tile, flow.config());
+    let outcome = execute_tile(tile, hash, partition, flow, &mut slot, slot_index, control)?;
     Ok(outcome.map(|(record, _cached)| record))
 }
 
 /// Runs one tile through the (optionally cached) correction path and
-/// assembles its checkpoint record. `Ok(None)` means the run was
-/// cancelled while the tile waited on another caller's in-flight
-/// correction of the same pattern. The boolean is `true` for a cache
-/// replay.
+/// assembles its checkpoint record under `input_hash` (the tile's
+/// [`tile_input_hash`], which every caller has already computed). `Ok(None)`
+/// means the run was cancelled while the tile waited on another caller's
+/// in-flight correction of the same pattern. The boolean is `true` for a
+/// cache replay.
 fn execute_tile(
     tile: &Tile,
+    input_hash: u64,
     partition: &Partition,
     flow: &CardOpc,
-    config: &cardopc_opc::OpcConfig,
     slot: &mut Slot,
     slot_index: usize,
     control: &RunControl<'_>,
 ) -> Result<Option<(TileRecord, bool)>, RuntimeError> {
     let start = std::time::Instant::now();
+    let config = flow.config();
     let correct = |slot: &mut Slot| correct_tile(tile, flow, config, slot, slot_index, control);
     let (value, cached) = match control.cache {
         Some(cache) => {
@@ -347,13 +345,8 @@ fn execute_tile(
         }
         None => (CachedRef::Owned(correct(slot)?), false),
     };
-    let record = materialize(
-        tile,
-        partition,
-        config,
-        value.as_ref(),
-        start.elapsed().as_secs_f64(),
-    );
+    let seconds = start.elapsed().as_secs_f64();
+    let record = materialize(tile, input_hash, partition, value.as_ref(), seconds);
     Ok(Some((record, cached)))
 }
 
@@ -510,10 +503,10 @@ fn correct_tile(
     let mut main_index = 0usize;
     for shape in &optimized.shapes {
         if shape.is_sraf {
-            shapes.push(cached_shape(shape, None));
+            shapes.push(window_shape(shape, None));
         } else {
             if tile.owned[main_index] {
-                shapes.push(cached_shape(shape, Some(main_index)));
+                shapes.push(window_shape(shape, Some(main_index)));
             }
             main_index += 1;
         }
@@ -538,9 +531,12 @@ fn correct_tile(
     })
 }
 
-fn cached_shape(shape: &cardopc_opc::OpcShape, target: Option<usize>) -> CachedShape {
-    CachedShape {
-        target,
+/// A corrected shape in window coordinates; `target` is a main's index in
+/// the tile clip's target list.
+fn window_shape(shape: &cardopc_opc::OpcShape, target: Option<usize>) -> StitchedShape {
+    StitchedShape {
+        global_id: target,
+        is_sraf: target.is_none(),
         tension: shape.spline.tension(),
         control_points: shape.spline.control_points().to_vec(),
     }
@@ -557,8 +553,8 @@ fn cached_shape(shape: &cardopc_opc::OpcShape, target: Option<usize>) -> CachedS
 /// byte-identical to a cold correction by construction.
 fn materialize(
     tile: &Tile,
+    input_hash: u64,
     partition: &Partition,
-    config: &cardopc_opc::OpcConfig,
     value: &CachedTile,
     seconds: f64,
 ) -> TileRecord {
@@ -568,36 +564,29 @@ fn materialize(
         let oy = ((c.y / ts).floor().max(0.0) as usize).min(partition.ny - 1);
         (ox, oy) == (tile.tx, tile.ty)
     };
-    let translate =
-        |cps: &[Point]| -> Vec<Point> { cps.iter().map(|p| *p + tile.origin).collect() };
+    // Window frame → chip frame: same shape record, control points moved
+    // by the origin and a main's local target index traded for its global
+    // id.
     let mut shapes = Vec::with_capacity(value.shapes.len());
     for s in &value.shapes {
-        match s.target {
-            Some(t) => shapes.push(StitchedShape {
-                global_id: Some(tile.global_ids[t]),
-                is_sraf: false,
-                tension: s.tension,
-                control_points: translate(&s.control_points),
-            }),
-            None => {
-                let centre = cardopc_geometry::BBox::from_points(s.control_points.iter().copied())
-                    .center()
-                    + tile.origin;
-                if owns(centre) {
-                    shapes.push(StitchedShape {
-                        global_id: None,
-                        is_sraf: true,
-                        tension: s.tension,
-                        control_points: translate(&s.control_points),
-                    });
-                }
+        if s.is_sraf {
+            let window_centre =
+                cardopc_geometry::BBox::from_points(s.control_points.iter().copied()).center();
+            if !owns(window_centre + tile.origin) {
+                continue;
             }
         }
+        shapes.push(StitchedShape {
+            global_id: s.global_id.map(|local| tile.global_ids[local]),
+            is_sraf: s.is_sraf,
+            tension: s.tension,
+            control_points: s.control_points.iter().map(|p| *p + tile.origin).collect(),
+        });
     }
     TileRecord {
         index: tile.index,
         name: tile.clip.name().to_string(),
-        input_hash: tile_input_hash(tile, config),
+        input_hash,
         owned_epe_history: value.owned_epe_history.clone(),
         epe_history: value.epe_history.clone(),
         shapes,
