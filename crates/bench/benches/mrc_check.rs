@@ -69,5 +69,55 @@ fn bench_resolve(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_check, bench_curvature_only, bench_resolve);
+/// A post-correction logic tile, as the resolver meets it in a tiled run:
+/// tile 0 of `cardopc --design gcd --crop 8192` at the CLI defaults after
+/// its 10 correction iterations, MRC stage not yet run (90 shapes, ~54 k
+/// boundary samples, 281 violations).
+fn corrected_logic_tile() -> Vec<CardinalSpline> {
+    use cardopc::layout::generated_clip;
+    use cardopc::runtime::partition_clip;
+
+    let clip = generated_clip(DesignKind::Gcd, 1, Some(8192.0));
+    let tiling = TilingConfig {
+        tile_size: 4096.0,
+        halo: 1024.0,
+    };
+    let tile = &partition_clip(&clip, &tiling).unwrap().tiles[0];
+    let config = OpcConfig {
+        mrc: None,
+        ..OpcConfig::large_scale()
+    };
+    let engine = engine_for_extent(tile.clip.width(), tile.clip.height(), config.pitch).unwrap();
+    let corrected = CardOpc::new(config)
+        .optimize_with_engine(&tile.clip, &engine)
+        .unwrap();
+    corrected.shapes.into_iter().map(|s| s.spline).collect()
+}
+
+fn bench_logic_tile(c: &mut Criterion) {
+    let tile = corrected_logic_tile();
+    let rules = OpcConfig::large_scale()
+        .mrc
+        .expect("large_scale checks MRC");
+    let checker = MrcChecker::new(rules);
+    c.bench_function("mrc_check_logic_tile", |b| {
+        b.iter(|| black_box(checker.check(black_box(&tile))))
+    });
+    // The resolver exactly as `optimize_with_engine` configures it.
+    let resolver = MrcResolver::new(rules, ResolveConfig::default());
+    c.bench_function("mrc_resolve_logic_tile", |b| {
+        b.iter(|| {
+            let mut shapes = tile.clone();
+            black_box(resolver.resolve(&mut shapes))
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_check,
+    bench_curvature_only,
+    bench_resolve,
+    bench_logic_tile
+);
 criterion_main!(benches);

@@ -387,7 +387,7 @@ mod tests {
         let mut out = Vec::new();
         put_i16s(&mut out, rtype::LAYER, &[7]);
         put_i32s(&mut out, rtype::XY, &[0, 0, 10, 0, 10, 20, 0, 20, 0, 0]);
-        put_ascii(&mut out, rtype::STRNAME, &"TOP".to_string());
+        put_ascii(&mut out, rtype::STRNAME, "TOP");
         put_real8s(&mut out, rtype::UNITS, &[1e-3, 1e-9]).unwrap();
         put_empty(&mut out, rtype::ENDEL);
 

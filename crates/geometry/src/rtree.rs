@@ -7,7 +7,7 @@
 //! for R-Tree Packing* (ICDE'97); incremental [`RTree::insert`] uses
 //! Guttman's least-enlargement descent with linear split.
 
-use crate::{BBox, Segment};
+use crate::BBox;
 
 /// Maximum number of entries per node.
 const NODE_CAPACITY: usize = 16;
@@ -177,37 +177,36 @@ impl<T> RTree<T> {
     /// boxes intersect `query`.
     pub fn query_indices(&self, query: &BBox) -> Vec<usize> {
         let mut out = Vec::new();
-        let Some(root) = self.root else {
-            return out;
-        };
-        let mut stack = vec![root];
+        self.for_each_in(query, &mut Vec::new(), |i| out.push(i));
+        out
+    }
+
+    /// Calls `visit` with the index of every item whose bounding box
+    /// intersects `query`, in [`RTree::query_indices`] order.
+    ///
+    /// `stack` is traversal scratch owned by the caller (its contents on
+    /// entry are discarded), so a probe loop issuing one query per
+    /// boundary sample allocates nothing per query. A visitor that walks
+    /// another tree needs a second stack for it.
+    pub fn for_each_in(&self, query: &BBox, stack: &mut Vec<usize>, mut visit: impl FnMut(usize)) {
+        stack.clear();
+        stack.extend(self.root);
         while let Some(n) = stack.pop() {
             let node = &self.nodes[n];
             if !node.bbox.intersects(query) {
                 continue;
             }
             match &node.kind {
-                NodeKind::Inner(children) => stack.extend(children.iter().copied()),
+                NodeKind::Inner(children) => stack.extend_from_slice(children),
                 NodeKind::Leaf(entries) => {
-                    out.extend(
-                        entries
-                            .iter()
-                            .copied()
-                            .filter(|&i| self.items[i].0.intersects(query)),
-                    );
+                    for &i in entries {
+                        if self.items[i].0.intersects(query) {
+                            visit(i);
+                        }
+                    }
                 }
             }
         }
-        out
-    }
-
-    /// Indices of items whose bounding boxes intersect the bounding box of
-    /// a probe segment.
-    ///
-    /// This is the coarse phase of the MRC probe test; callers refine hits
-    /// with exact segment-geometry intersection.
-    pub fn query_segment_indices(&self, probe: &Segment) -> Vec<usize> {
-        self.query_indices(&probe.bbox())
     }
 
     fn push_node(&mut self, node: Node) -> usize {
@@ -499,17 +498,6 @@ mod tests {
         for (b, _) in &items {
             assert!(tree.bbox().contains_bbox(b));
         }
-    }
-
-    #[test]
-    fn query_segment_uses_probe_bbox() {
-        let items = vec![
-            (BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)), 0),
-            (BBox::new(Point::new(50.0, 0.0), Point::new(60.0, 10.0)), 1),
-        ];
-        let tree = RTree::bulk_load(items);
-        let probe = Segment::new(Point::new(5.0, 5.0), Point::new(5.0, 30.0));
-        assert_eq!(tree.query_segment_indices(&probe), vec![0]);
     }
 
     #[test]

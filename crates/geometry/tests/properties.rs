@@ -132,7 +132,9 @@ proptest! {
         prop_assert!(poly.contains(poly.centroid()));
     }
 
-    /// R-tree query results always match a brute-force scan.
+    /// R-tree query results always match a brute-force scan, and the
+    /// visitor form on a reused caller-owned stack is the same walk as
+    /// `query_indices`.
     #[test]
     fn rtree_matches_linear_scan(seed in 0u64..200, n in 1usize..200) {
         let mut rng = SplitMix64::new(seed);
@@ -148,6 +150,7 @@ proptest! {
             })
             .collect();
         let tree = RTree::bulk_load(items.clone());
+        let mut stack = vec![usize::MAX; 3];
         for _ in 0..5 {
             let x = rng.range_f64(-50.0, 500.0);
             let y = rng.range_f64(-50.0, 500.0);
@@ -160,7 +163,12 @@ proptest! {
                 .map(|&(_, i)| i)
                 .collect();
             want.sort_unstable();
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(&got, &want);
+            let mut visited = Vec::new();
+            tree.for_each_in(&q, &mut stack, |i| visited.push(i));
+            prop_assert_eq!(&visited, &tree.query_indices(&q));
+            visited.sort_unstable();
+            prop_assert_eq!(visited, want);
         }
     }
 

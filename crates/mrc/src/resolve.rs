@@ -14,10 +14,11 @@
 //! The move distance escalates "from small to large" over retry rounds, as
 //! the paper describes; violations usually clear within a few trials.
 
-use crate::check::MrcWorld;
+use crate::check::{MrcWorld, ShapeCache};
 use crate::{MrcChecker, MrcRules, Violation, ViolationKind};
 use cardopc_geometry::Point;
 use cardopc_spline::CardinalSpline;
+use std::collections::BTreeMap;
 
 /// What to do with shapes whose *area* violates the rules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,6 +74,16 @@ pub struct ResolveReport {
     pub moves_applied: usize,
     /// Shapes removed under [`AreaPolicy::RemoveShape`].
     pub shapes_removed: usize,
+    /// Violations left at the end of each executed round (after that
+    /// round's reverts). A tail that stops falling while `rounds` runs to
+    /// the limit is a stall: the same trials are applied and undone.
+    pub violations_per_round: Vec<usize>,
+    /// Checks that probed every shape: the initial one and one after
+    /// every removal of shapes.
+    pub full_probes: usize,
+    /// Shapes probed again by all other checks, i.e. the ones a trial
+    /// round or a revert moved plus their neighbours within probe reach.
+    pub incremental_probes: usize,
 }
 
 impl ResolveReport {
@@ -137,10 +148,14 @@ impl MrcResolver {
             rounds: 0,
             moves_applied: 0,
             shapes_removed: 0,
+            violations_per_round: Vec::new(),
+            full_probes: 0,
+            incremental_probes: 0,
         };
 
         // Sample and index every shape once; afterwards only shapes that
-        // actually move (or get removed) pay for re-sampling.
+        // actually move pay for re-sampling, and only they and their
+        // neighbours are probed again.
         let mut world = MrcWorld::build(shapes, self.config.samples_per_segment);
 
         // Remove / accept sub-area shapes up front so the loop works on
@@ -159,7 +174,7 @@ impl MrcResolver {
             report.shapes_removed = before - shapes.len();
         }
 
-        let mut violations = checker.check_with_world(shapes, &world);
+        let mut violations = recheck(&checker, shapes, &mut world);
         report.initial_violations = violations.len() + report.shapes_removed;
 
         for round in 0..self.config.max_rounds {
@@ -170,9 +185,10 @@ impl MrcResolver {
             let step = self.config.step_schedule[round.min(self.config.step_schedule.len() - 1)];
 
             // One move per (shape, control point) per round; aggregate the
-            // requested directions so opposing requests cancel.
-            let mut moves: std::collections::HashMap<(usize, usize), Point> =
-                std::collections::HashMap::new();
+            // requested directions so opposing requests cancel. Keyed in
+            // (shape, control point) order, so trials, the changed set and
+            // reverts are processed shape by shape.
+            let mut moves: BTreeMap<(usize, usize), Point> = BTreeMap::new();
             for v in &violations {
                 if v.kind == ViolationKind::Area {
                     continue; // handled by policy / cancellation
@@ -231,91 +247,76 @@ impl MrcResolver {
                 }
             }
 
-            // Apply per-shape, with snapshot + cancel on new area violation.
-            let mut by_shape: std::collections::HashMap<usize, Vec<(usize, Point)>> =
-                std::collections::HashMap::new();
-            for ((shape, cp), dir) in moves {
-                if let Some(d) = dir.normalized() {
-                    by_shape.entry(shape).or_default().push((cp, d * step));
-                }
-            }
             // Violation count per shape before this round's moves, used to
             // keep the resolver monotone.
-            let mut before_counts: std::collections::HashMap<usize, usize> =
-                std::collections::HashMap::new();
-            for v in &violations {
-                *before_counts.entry(v.shape).or_insert(0) += 1;
-            }
+            let before_counts = per_shape_counts(&violations, shapes.len());
 
+            // Apply per-shape, with snapshot + cancel on new area violation.
             let mut to_remove: Vec<usize> = Vec::new();
-            let mut snapshots: std::collections::HashMap<usize, CardinalSpline> =
-                std::collections::HashMap::new();
-            for (shape_idx, cp_moves) in by_shape {
+            // Undo records of the trial moves that stand so far: the shape
+            // and its world cache as they were before the round.
+            let mut trials: Vec<(usize, CardinalSpline, ShapeCache)> = Vec::new();
+            let mut moves = moves
+                .into_iter()
+                .filter_map(|((shape, cp), dir)| Some((shape, cp, dir.normalized()? * step)))
+                .peekable();
+            while let Some(&(shape_idx, ..)) = moves.peek() {
                 let snapshot = shapes[shape_idx].clone();
                 let area_before = world.area(shape_idx);
-                for &(cp, delta) in &cp_moves {
+                while let Some((_, cp, delta)) = moves.next_if(|m| m.0 == shape_idx) {
                     shapes[shape_idx].control_points_mut()[cp] += delta;
                     report.moves_applied += 1;
                 }
-                world.refresh(shape_idx, &shapes[shape_idx]);
+                let cache_before = world.refresh(shape_idx, &shapes[shape_idx]);
                 let area_after = world.area(shape_idx);
                 if area_after < self.rules.min_area && area_before >= self.rules.min_area {
                     match self.config.area_policy {
                         // The move created an area violation: cancel it.
                         AreaPolicy::Keep => {
                             shapes[shape_idx] = snapshot;
-                            world.refresh(shape_idx, &shapes[shape_idx]);
-                            continue;
+                            world.replace(shape_idx, cache_before);
                         }
                         // ILT-fitting flow: a shape that must shrink below
                         // the area limit to satisfy the other rules is a
                         // non-printable speck — drop it.
-                        AreaPolicy::RemoveShape => {
-                            to_remove.push(shape_idx);
-                            continue;
-                        }
+                        AreaPolicy::RemoveShape => to_remove.push(shape_idx),
                     }
+                    continue;
                 }
-                snapshots.insert(shape_idx, snapshot);
+                trials.push((shape_idx, snapshot, cache_before));
             }
             if !to_remove.is_empty() {
-                to_remove.sort_unstable();
                 for idx in to_remove.into_iter().rev() {
                     shapes.remove(idx);
                     world.remove(idx);
                     report.shapes_removed += 1;
-                    // Snapshot indices after a removal no longer line up;
-                    // drop them for this round (reverts resume next round).
-                    snapshots.clear();
                 }
+                // Undo-record indices after a removal no longer line up;
+                // drop them for this round (reverts resume next round).
+                trials.clear();
             }
 
-            violations = checker.check_with_world(shapes, &world);
+            violations = recheck(&checker, shapes, &mut world);
 
             // Monotonicity guard: a trial move that left its shape with
             // *more* violations than before is undone (the escalating step
             // schedule retries from the snapshot at a different distance
             // next round).
-            if !snapshots.is_empty() {
-                let mut after_counts: std::collections::HashMap<usize, usize> =
-                    std::collections::HashMap::new();
-                for v in &violations {
-                    *after_counts.entry(v.shape).or_insert(0) += 1;
-                }
+            if !trials.is_empty() {
+                let after_counts = per_shape_counts(&violations, shapes.len());
                 let mut reverted = false;
-                for (idx, snapshot) in snapshots {
-                    let before = before_counts.get(&idx).copied().unwrap_or(0);
-                    let after = after_counts.get(&idx).copied().unwrap_or(0);
-                    if after > before {
+                for (idx, snapshot, cache_before) in trials {
+                    if after_counts[idx] > before_counts[idx] {
                         shapes[idx] = snapshot;
-                        world.refresh(idx, &shapes[idx]);
+                        world.replace(idx, cache_before);
                         reverted = true;
                     }
                 }
                 if reverted {
-                    violations = checker.check_with_world(shapes, &world);
+                    violations = recheck(&checker, shapes, &mut world);
                 }
             }
+            report.violations_per_round.push(violations.len());
         }
 
         // Final sweep: stubborn small violators are non-printable specks.
@@ -331,14 +332,43 @@ impl MrcResolver {
                         world.remove(idx);
                         report.shapes_removed += 1;
                     }
-                    violations = checker.check_with_world(shapes, &world);
+                    violations = recheck(&checker, shapes, &mut world);
                 }
             }
         }
 
         report.remaining = violations;
+        report.full_probes = world.full_probes;
+        report.incremental_probes = world.incremental_probes;
         report
     }
+}
+
+/// The resolver's check: brings `world`'s violation lists up to date
+/// after a round's moves or reverts. In this crate's own tests every call
+/// doubles as a differential oracle against a from-scratch check.
+fn recheck(
+    checker: &MrcChecker,
+    shapes: &[CardinalSpline],
+    world: &mut MrcWorld,
+) -> Vec<Violation> {
+    let violations = checker.recheck(shapes, world);
+    #[cfg(test)]
+    assert_eq!(
+        violations,
+        checker.check(shapes),
+        "incremental recheck diverged from a full check"
+    );
+    violations
+}
+
+/// Number of violations located on each of `n` shapes.
+fn per_shape_counts(violations: &[Violation], n: usize) -> Vec<usize> {
+    let mut counts = vec![0; n];
+    for v in violations {
+        counts[v.shape] += 1;
+    }
+    counts
 }
 
 /// `true` when the strongest-curvature point of `segment` is convex (the
@@ -514,6 +544,71 @@ mod tests {
         assert!(report.is_clean());
         let checker = MrcChecker::new(MrcRules::default());
         assert!(checker.check(&shapes).is_empty());
+    }
+
+    #[test]
+    fn every_recheck_matches_a_full_check_on_random_layouts() {
+        // `recheck` compares each incremental result with a from-scratch
+        // check in this crate's tests, so running the resolver *is* the
+        // differential oracle: after every apply, every revert and every
+        // removal, of every round, under both area policies.
+        use cardopc_geometry::SplitMix64;
+        let (mut stalled_rounds, mut removed_mid_run) = (0, 0);
+        for seed in 0..10 {
+            let mut rng = SplitMix64::new(seed);
+            // Crowded on purpose: neighbours 5-30 nm apart (spacing), thin
+            // bars (width), tight corners (curvature) and ~40 nm squares
+            // that a spacing pull shrinks below the area limit.
+            let mut layout = Vec::new();
+            for gy in 0..4 {
+                for gx in 0..4 {
+                    let (w, h) = if rng.chance(0.3) {
+                        (rng.range_f64(39.0, 46.0), rng.range_f64(39.0, 46.0))
+                    } else {
+                        (rng.range_f64(25.0, 150.0), rng.range_f64(25.0, 150.0))
+                    };
+                    let x = gx as f64 * 170.0 + rng.range_f64(0.0, 165.0 - w).max(0.0);
+                    let y = gy as f64 * 170.0 + rng.range_f64(0.0, 165.0 - h).max(0.0);
+                    layout.push(dense_square(x, y, w, h, rng.range_usize(1, 5)));
+                }
+            }
+            for policy in [AreaPolicy::Keep, AreaPolicy::RemoveShape] {
+                let mut shapes = layout.clone();
+                let resolver = MrcResolver::new(
+                    MrcRules::default(),
+                    ResolveConfig {
+                        area_policy: policy,
+                        remove_stubborn_below: Some(2500.0),
+                        ..ResolveConfig::default()
+                    },
+                );
+                let checker = MrcChecker::new(MrcRules::default());
+                let specks = checker.check_area(&shapes).len();
+                let report = resolver.resolve(&mut shapes);
+                assert!(report.initial_violations > 0, "seed {seed}");
+                assert_eq!(report.remaining, checker.check(&shapes), "seed {seed}");
+                assert_eq!(report.violations_per_round.len(), report.rounds);
+                assert!(report.full_probes >= 1);
+                if policy == AreaPolicy::Keep {
+                    assert_eq!(report.shapes_removed, 0);
+                    assert_eq!(shapes.len(), layout.len());
+                    assert_eq!(
+                        report.violations_per_round.last(),
+                        Some(&report.remaining.len())
+                    );
+                    // One check per round, two when it reverts.
+                    let probes = report.incremental_probes;
+                    assert!(probes <= 2 * report.rounds * layout.len());
+                    let per_round = &report.violations_per_round;
+                    stalled_rounds += per_round.windows(2).filter(|w| w[1] >= w[0]).count();
+                } else {
+                    removed_mid_run += report.shapes_removed - specks;
+                }
+            }
+        }
+        // The seeds must actually reach the hard cases.
+        assert!(stalled_rounds > 0, "every round made progress");
+        assert!(removed_mid_run > 0, "no shape was removed after round 0");
     }
 
     #[test]

@@ -142,3 +142,49 @@ fn large_tiles_initialise_with_large_config() {
     let shapes = flow.initialize(&window).unwrap();
     assert_eq!(shapes.len(), window.targets().len());
 }
+
+/// Golden of the MRC stage on a real logic tile, captured at the commit
+/// *before* the resolver's check became incremental (PR 14): tile 0 of
+/// `cardopc --design gcd --crop 8192` at the CLI defaults, through
+/// `optimize_with_engine`. The resolver may get faster; every control
+/// point bit and both violation counts must stay where they were.
+#[test]
+fn logic_tile_mrc_outcome_matches_pre_incremental_golden() {
+    use cardopc::layout::generated_clip;
+    use cardopc::litho::{simd, SimdMode};
+    use cardopc::runtime::{partition_clip, TilingConfig};
+
+    let clip = generated_clip(DesignKind::Gcd, 1, Some(8192.0));
+    let tiling = TilingConfig {
+        tile_size: 4096.0,
+        halo: 1024.0,
+    };
+    let tile = &partition_clip(&clip, &tiling).unwrap().tiles[0];
+    let config = OpcConfig::large_scale();
+    let engine = engine_for_extent(tile.clip.width(), tile.clip.height(), config.pitch).unwrap();
+    let out = CardOpc::new(config)
+        .optimize_with_engine(&tile.clip, &engine)
+        .unwrap();
+
+    // FNV-1a over the bit patterns of every control point, shape order.
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut control_points = 0usize;
+    for p in out.shapes.iter().flat_map(|s| s.spline.control_points()) {
+        for byte in [p.x, p.y]
+            .into_iter()
+            .flat_map(|c| c.to_bits().to_le_bytes())
+        {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        control_points += 1;
+    }
+    assert_eq!((out.shapes.len(), control_points), (90, 6788));
+    assert_eq!((out.mrc_initial_violations, out.mrc_remaining), (281, 76));
+    // The aerial images behind the correction loop differ in the last bits
+    // between the FMA and the scalar kernels, so the points do too.
+    let golden = match simd::active_mode() {
+        SimdMode::Avx2 => 0x89f7_ce7e_bafd_9d7a,
+        SimdMode::Scalar => 0x2ee4_ed06_6602_1a70,
+    };
+    assert_eq!(hash, golden, "control points moved: {hash:#018x}");
+}
