@@ -43,6 +43,45 @@ fn bench_aerial(c: &mut Criterion) {
     }
 }
 
+/// The two production grids (logic tile, via clip): full frame, the ROI
+/// path at 50 % and at 89 % of the columns (the widest restriction
+/// `CardOpc::roi_columns` still takes — it must not cost more than the full
+/// frame), the three-condition evaluation, and engine construction.
+fn bench_socs(c: &mut Criterion) {
+    use cardopc::litho::{Precision, ProcessCondition};
+    let conditions = [
+        ProcessCondition::NOMINAL,
+        ProcessCondition::outer(0.02),
+        ProcessCondition::inner(0.02),
+    ];
+    for (precision, tag) in [(Precision::F64, "f64"), (Precision::F32, "f32")] {
+        for (edge, pitch) in [(768usize, 8.0), (500, 4.0)] {
+            let mut group = c.benchmark_group(format!("socs_{tag}/{edge}x{edge}"));
+            group.sample_size(10);
+            let build = || {
+                LithoEngine::with_precision(OpticsConfig::default(), edge, edge, pitch, precision)
+                    .unwrap()
+            };
+            let engine = build();
+            let mask = mask_with_squares(edge, pitch);
+            group.bench_function("full", |b| {
+                b.iter(|| black_box(engine.aerial_image(black_box(&mask)).unwrap()))
+            });
+            for percent in [50usize, 89] {
+                let cols: Vec<usize> = (0..edge).filter(|x| x * 100 / edge < percent).collect();
+                group.bench_function(format!("cols_{percent}"), |b| {
+                    b.iter(|| black_box(engine.aerial_image_cols(black_box(&mask), &cols).unwrap()))
+                });
+            }
+            group.bench_function("multi", |b| {
+                b.iter(|| black_box(engine.aerial_images_multi(black_box(&mask), &conditions)))
+            });
+            group.bench_function("engine_build", |b| b.iter(|| black_box(build())));
+            group.finish();
+        }
+    }
+}
+
 fn bench_fft(c: &mut Criterion) {
     use cardopc::litho::fft::Field;
     let mut group = c.benchmark_group("fft2");
@@ -69,5 +108,5 @@ fn bench_raster(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_aerial, bench_fft, bench_raster);
+criterion_group!(benches, bench_aerial, bench_socs, bench_fft, bench_raster);
 criterion_main!(benches);

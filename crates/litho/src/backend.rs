@@ -6,9 +6,10 @@
 //! physics. What varies per run is the arithmetic the convolution hot loop
 //! executes: the default [`CpuBackend<f64>`] runs the reference
 //! double-precision path (4-lane AVX2), while [`CpuBackend<f32>`] narrows
-//! the kernels once at construction and runs the same algorithms in single
-//! precision (8-lane AVX2) for roughly double the SIMD throughput and half
-//! the memory traffic.
+//! the kernel patches (a few hundred KB, never a full-grid field) once at
+//! construction and runs the same algorithms in single precision (8-lane
+//! AVX2) for roughly double the SIMD throughput and half the memory
+//! traffic.
 //!
 //! Masks enter and intensities leave every backend as `f64`: only the
 //! simulation interior downcasts. Geometry, MRC and spline fitting never
@@ -17,7 +18,7 @@
 //! the summation tree); across backends the accuracy contract is relative —
 //! see the f32-vs-f64 tolerance tests.
 
-use crate::optics::SocsKernel;
+use crate::optics::SocsStacks;
 use crate::pool::WorkerPool;
 use crate::scalar::{Precision, Scalar};
 use crate::workspace::LithoWorkspace;
@@ -32,39 +33,19 @@ pub trait LithoBackend: std::fmt::Debug + Send + Sync {
     /// The interior arithmetic this backend runs.
     fn precision(&self) -> Precision;
 
-    /// Full-frame SOCS intensity for one focus state into `intensity`
-    /// (`width*height` samples, overwritten).
-    fn intensity(
-        &self,
-        mask: &[f64],
-        defocused: bool,
-        pool: &WorkerPool,
-        parallelism: usize,
-        intensity: &mut [f64],
-    );
-
-    /// Multi-condition SOCS intensity from a single forward mask FFT: one
-    /// output per entry of `states` (`true` = defocused kernel stack).
-    fn intensity_multi(
+    /// One SOCS intensity per entry of `states` (`true` = defocused kernel
+    /// stack) from a single forward mask FFT, into the matching entry of
+    /// `outputs` (`width*height` samples each, overwritten). `cols`
+    /// restricts the computed pixel columns; the others are zeroed (see
+    /// [`LithoWorkspace::images`]).
+    fn images(
         &self,
         mask: &[f64],
         states: &[bool],
+        cols: Option<&[usize]>,
         pool: &WorkerPool,
         parallelism: usize,
         outputs: &mut [&mut [f64]],
-    );
-
-    /// Column-restricted SOCS intensity (see
-    /// [`LithoWorkspace::socs_intensity_cols`]); off-ROI pixels are zeroed.
-    #[allow(clippy::too_many_arguments)]
-    fn intensity_cols(
-        &self,
-        mask: &[f64],
-        defocused: bool,
-        cols: &[usize],
-        pool: &WorkerPool,
-        parallelism: usize,
-        intensity: &mut [f64],
     );
 
     /// Clones the backend (kernel stacks are shared; scratch is not).
@@ -73,67 +54,23 @@ pub trait LithoBackend: std::fmt::Debug + Send + Sync {
 
 /// CPU SOCS backend generic over the interior [`Scalar`].
 ///
-/// Holds the kernel stacks at its own precision (`f64` backends share the
+/// Holds the kernel patches at its own precision (`f64` backends share the
 /// engine's reference stacks by `Arc`; `f32` backends hold a one-time
 /// narrowed copy) plus a reusable [`LithoWorkspace`] so repeat calls are
 /// allocation-free. Concurrent callers fall back to a transient workspace
 /// rather than serialising on the lock.
 #[derive(Debug)]
 pub struct CpuBackend<T: Scalar = f64> {
-    width: usize,
-    height: usize,
-    nominal: Arc<Vec<SocsKernel<T>>>,
-    defocused: Arc<Vec<SocsKernel<T>>>,
+    stacks: Arc<SocsStacks<T>>,
     workspace: Mutex<LithoWorkspace<T>>,
 }
 
 impl<T: Scalar> CpuBackend<T> {
-    /// Builds a backend over pre-narrowed kernel stacks.
-    pub fn new(
-        width: usize,
-        height: usize,
-        nominal: Arc<Vec<SocsKernel<T>>>,
-        defocused: Arc<Vec<SocsKernel<T>>>,
-    ) -> CpuBackend<T> {
+    /// Builds a backend over kernel stacks at its own precision.
+    pub fn new(stacks: Arc<SocsStacks<T>>) -> CpuBackend<T> {
         CpuBackend {
-            width,
-            height,
-            nominal,
-            defocused,
+            stacks,
             workspace: Mutex::new(LithoWorkspace::new()),
-        }
-    }
-
-    /// Builds a backend by narrowing `f64` reference kernel stacks to `T`
-    /// (an `Arc` bump, not a copy, when `T` = `f64` would make this
-    /// redundant — use [`CpuBackend::new`] there).
-    pub fn from_reference(
-        width: usize,
-        height: usize,
-        nominal: &[SocsKernel],
-        defocused: &[SocsKernel],
-    ) -> CpuBackend<T> {
-        CpuBackend::new(
-            width,
-            height,
-            Arc::new(nominal.iter().map(SocsKernel::to_precision).collect()),
-            Arc::new(defocused.iter().map(SocsKernel::to_precision).collect()),
-        )
-    }
-
-    fn kernels(&self, defocused: bool) -> &[SocsKernel<T>] {
-        if defocused {
-            &self.defocused
-        } else {
-            &self.nominal
-        }
-    }
-
-    fn with_workspace<R>(&self, f: impl FnOnce(&mut LithoWorkspace<T>) -> R) -> R {
-        match self.workspace.try_lock() {
-            Ok(mut ws) => f(&mut ws),
-            Err(TryLockError::Poisoned(poisoned)) => f(&mut poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => f(&mut LithoWorkspace::new()),
         }
     }
 }
@@ -143,126 +80,61 @@ impl<T: Scalar> LithoBackend for CpuBackend<T> {
         T::PRECISION
     }
 
-    fn intensity(
-        &self,
-        mask: &[f64],
-        defocused: bool,
-        pool: &WorkerPool,
-        parallelism: usize,
-        intensity: &mut [f64],
-    ) {
-        self.with_workspace(|ws| {
-            ws.socs_intensity(
-                self.width,
-                self.height,
-                mask,
-                self.kernels(defocused),
-                pool,
-                parallelism,
-                intensity,
-            );
-        });
-    }
-
-    fn intensity_multi(
+    fn images(
         &self,
         mask: &[f64],
         states: &[bool],
+        cols: Option<&[usize]>,
         pool: &WorkerPool,
         parallelism: usize,
         outputs: &mut [&mut [f64]],
     ) {
-        let kernel_sets: Vec<&[SocsKernel<T>]> = states.iter().map(|&d| self.kernels(d)).collect();
-        self.with_workspace(|ws| {
-            ws.socs_intensity_multi(
-                self.width,
-                self.height,
-                mask,
-                &kernel_sets,
-                pool,
-                parallelism,
-                outputs,
-            );
-        });
-    }
-
-    fn intensity_cols(
-        &self,
-        mask: &[f64],
-        defocused: bool,
-        cols: &[usize],
-        pool: &WorkerPool,
-        parallelism: usize,
-        intensity: &mut [f64],
-    ) {
-        self.with_workspace(|ws| {
-            ws.socs_intensity_cols(
-                self.width,
-                self.height,
-                mask,
-                self.kernels(defocused),
-                cols,
-                pool,
-                parallelism,
-                intensity,
-            );
-        });
+        let mut run = |ws: &mut LithoWorkspace<T>| {
+            ws.images(&self.stacks, mask, states, cols, pool, parallelism, outputs)
+        };
+        match self.workspace.try_lock() {
+            Ok(mut ws) => run(&mut ws),
+            Err(TryLockError::Poisoned(poisoned)) => run(&mut poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => run(&mut LithoWorkspace::new()),
+        }
     }
 
     fn clone_box(&self) -> Box<dyn LithoBackend> {
-        Box::new(CpuBackend {
-            width: self.width,
-            height: self.height,
-            nominal: Arc::clone(&self.nominal),
-            defocused: Arc::clone(&self.defocused),
-            workspace: Mutex::new(LithoWorkspace::new()),
-        })
+        Box::new(CpuBackend::new(Arc::clone(&self.stacks)))
     }
 }
 
 /// Builds the backend for a precision from the `f64` reference stacks:
-/// `F64` shares the stacks by `Arc`, `F32` narrows them once.
+/// `F64` shares them by `Arc`, `F32` narrows the patches once.
 pub(crate) fn make_backend(
     precision: Precision,
-    width: usize,
-    height: usize,
-    nominal: &Arc<Vec<SocsKernel>>,
-    defocused: &Arc<Vec<SocsKernel>>,
+    stacks: &Arc<SocsStacks>,
 ) -> Box<dyn LithoBackend> {
     match precision {
-        Precision::F64 => Box::new(CpuBackend::new(
-            width,
-            height,
-            Arc::clone(nominal),
-            Arc::clone(defocused),
-        )),
-        Precision::F32 => Box::new(CpuBackend::<f32>::from_reference(
-            width, height, nominal, defocused,
-        )),
+        Precision::F64 => Box::new(CpuBackend::new(Arc::clone(stacks))),
+        Precision::F32 => Box::new(CpuBackend::new(Arc::new(stacks.to_precision::<f32>()))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optics::{build_kernels, OpticsConfig};
+    use crate::optics::OpticsConfig;
 
-    fn stacks() -> (Arc<Vec<SocsKernel>>, Arc<Vec<SocsKernel>>) {
+    fn stacks() -> Arc<SocsStacks> {
         let cfg = OpticsConfig {
             source_rings: 1,
             points_per_ring: 4,
             ..OpticsConfig::default()
         };
-        let nominal = build_kernels(&cfg, 64, 64, 8.0, 0.0).unwrap();
-        let defocused = build_kernels(&cfg, 64, 64, 8.0, cfg.defocus).unwrap();
-        (Arc::new(nominal), Arc::new(defocused))
+        Arc::new(SocsStacks::build(&cfg, 64, 64, 8.0).unwrap())
     }
 
     #[test]
     fn backends_report_their_precision() {
-        let (nominal, defocused) = stacks();
-        let b64 = make_backend(Precision::F64, 64, 64, &nominal, &defocused);
-        let b32 = make_backend(Precision::F32, 64, 64, &nominal, &defocused);
+        let stacks = stacks();
+        let b64 = make_backend(Precision::F64, &stacks);
+        let b32 = make_backend(Precision::F32, &stacks);
         assert_eq!(b64.precision(), Precision::F64);
         assert_eq!(b32.precision(), Precision::F32);
         assert_eq!(b64.clone_box().precision(), Precision::F64);
@@ -271,26 +143,25 @@ mod tests {
 
     #[test]
     fn f64_backend_shares_reference_stacks() {
-        let (nominal, defocused) = stacks();
-        let _backend = make_backend(Precision::F64, 64, 64, &nominal, &defocused);
+        let stacks = stacks();
+        let _backend = make_backend(Precision::F64, &stacks);
         // One count for the local Arc, one inside the backend.
-        assert_eq!(Arc::strong_count(&nominal), 2);
-        assert_eq!(Arc::strong_count(&defocused), 2);
+        assert_eq!(Arc::strong_count(&stacks), 2);
     }
 
     #[test]
     fn f32_backend_tracks_f64_on_both_focus_states() {
-        let (nominal, defocused) = stacks();
-        let b64 = make_backend(Precision::F64, 64, 64, &nominal, &defocused);
-        let b32 = make_backend(Precision::F32, 64, 64, &nominal, &defocused);
+        let stacks = stacks();
+        let b64 = make_backend(Precision::F64, &stacks);
+        let b32 = make_backend(Precision::F32, &stacks);
         let mut rng = cardopc_geometry::SplitMix64::new(11);
         let mask: Vec<f64> = (0..64 * 64).map(|_| rng.range_f64(0.0, 1.0)).collect();
         let pool = WorkerPool::new(2);
         for defocus in [false, true] {
             let mut a = vec![0.0; 64 * 64];
             let mut b = vec![0.0; 64 * 64];
-            b64.intensity(&mask, defocus, &pool, 2, &mut a);
-            b32.intensity(&mask, defocus, &pool, 2, &mut b);
+            b64.images(&mask, &[defocus], None, &pool, 2, &mut [&mut a]);
+            b32.images(&mask, &[defocus], None, &pool, 2, &mut [&mut b]);
             let peak = a.iter().cloned().fold(0.0f64, f64::max);
             for (i, (&x, &y)) in b.iter().zip(&a).enumerate() {
                 assert!(

@@ -1,12 +1,12 @@
 //! The lithography simulation engine (Hopkins Eq. 1 via SOCS kernels).
 
 use crate::backend::{make_backend, LithoBackend};
-use crate::optics::{build_kernels, OpticsConfig, SocsKernel};
+use crate::optics::{OpticsConfig, SocsKernel, SocsStacks};
 use crate::pool::WorkerPool;
 use crate::scalar::Precision;
 use crate::LithoError;
 use cardopc_geometry::Grid;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A process condition at which the mask can be printed.
 ///
@@ -49,9 +49,12 @@ impl ProcessCondition {
 
 /// Partially coherent lithography simulator over a fixed grid.
 ///
-/// Construction precomputes the frequency-domain SOCS kernel stacks for
-/// nominal and defocused conditions; each [`LithoEngine::aerial_image`] call
-/// then costs one forward FFT of the mask plus one inverse FFT per kernel.
+/// Construction synthesises the SOCS kernel stacks for nominal and defocused
+/// conditions as compact frequency-domain patches (the pupil is a hard
+/// disk); each [`LithoEngine::aerial_image`] call then costs one forward
+/// FFT of the mask, one small inverse FFT per kernel on the coarsest grid
+/// that holds the pupil, and one Fourier upsample of the summed intensity
+/// (`DESIGN.md` §6).
 ///
 /// ```no_run
 /// use cardopc_geometry::Grid;
@@ -73,8 +76,10 @@ pub struct LithoEngine {
     /// Reference (`f64`) kernel stacks — always synthesised in double
     /// precision whatever the simulation backend runs, so gradient-based
     /// ILT and kernel introspection see one set of physics.
-    nominal: Arc<Vec<SocsKernel>>,
-    defocused: Arc<Vec<SocsKernel>>,
+    stacks: Arc<SocsStacks>,
+    /// Full-grid `[nominal, defocused]` kernels, materialised on first
+    /// request (only pixel ILT asks) and shared across clones.
+    full_kernels: Arc<[OnceLock<Vec<SocsKernel>>; 2]>,
     /// Parallel task-slot count, resolved once at construction from the
     /// shared pool (itself sized from `CARDOPC_THREADS` or the machine's
     /// available parallelism) — never queried per call.
@@ -82,7 +87,7 @@ pub struct LithoEngine {
     /// Interior arithmetic of the simulation backend.
     precision: Precision,
     /// The simulation backend: owns the hot-loop workspace and, for reduced
-    /// precisions, a narrowed copy of the kernel stacks. Repeat calls are
+    /// precisions, a narrowed copy of the kernel patches. Repeat calls are
     /// allocation-free; concurrent callers on the same engine fall back to
     /// a transient workspace rather than serialising on the lock.
     backend: Box<dyn LithoBackend>,
@@ -96,8 +101,8 @@ impl Clone for LithoEngine {
             height: self.height,
             pitch: self.pitch,
             threshold: self.threshold,
-            nominal: Arc::clone(&self.nominal),
-            defocused: Arc::clone(&self.defocused),
+            stacks: Arc::clone(&self.stacks),
+            full_kernels: Arc::clone(&self.full_kernels),
             workers: self.workers,
             precision: self.precision,
             // Kernel stacks are shared; scratch is not — it refills lazily.
@@ -135,11 +140,11 @@ impl LithoEngine {
     /// Builds an engine whose simulation interior runs at `precision`.
     ///
     /// Kernel synthesis always happens in `f64`; an `F32` engine narrows
-    /// the stacks once at construction and runs the convolution hot loop
-    /// (spectrum, per-kernel products, pruned inverse transforms, `|z|²`
-    /// accumulation) in single precision — masks and intensities remain
-    /// `f64` at the API boundary. See `DESIGN.md` §12 for the accuracy
-    /// contract.
+    /// the kernel patches once at construction and runs the convolution hot
+    /// loop (spectrum, per-kernel products, pruned inverse transforms,
+    /// `|z|²` accumulation, intensity upsample) in single precision — masks
+    /// and intensities remain `f64` at the API boundary. See `DESIGN.md`
+    /// §12 for the accuracy contract.
     ///
     /// # Errors
     ///
@@ -151,23 +156,16 @@ impl LithoEngine {
         pitch: f64,
         precision: Precision,
     ) -> Result<Self, LithoError> {
-        let nominal = Arc::new(build_kernels(&config, width, height, pitch, 0.0)?);
-        let defocused = Arc::new(build_kernels(
-            &config,
-            width,
-            height,
-            pitch,
-            config.defocus,
-        )?);
-        let backend = make_backend(precision, width, height, &nominal, &defocused);
+        let stacks = Arc::new(SocsStacks::build(&config, width, height, pitch)?);
+        let backend = make_backend(precision, &stacks);
         Ok(LithoEngine {
             config,
             width,
             height,
             pitch,
             threshold: Self::DEFAULT_THRESHOLD,
-            nominal,
-            defocused,
+            stacks,
+            full_kernels: Arc::default(),
             workers: WorkerPool::global().parallelism(),
             precision,
             backend,
@@ -204,15 +202,17 @@ impl LithoEngine {
         self.threshold
     }
 
-    /// The nominal-focus SOCS kernel stack (used by gradient-based ILT to
-    /// backpropagate through the imaging model).
+    /// The nominal-focus SOCS kernel stack on the full grid (used by
+    /// gradient-based ILT to backpropagate through the imaging model).
+    /// Materialised on first call; aerial images never need it.
     pub fn nominal_kernels(&self) -> &[SocsKernel] {
-        &self.nominal
+        self.full_kernels[0].get_or_init(|| self.stacks.full_kernels(false))
     }
 
-    /// The defocused SOCS kernel stack.
+    /// The defocused SOCS kernel stack on the full grid (materialised on
+    /// first call).
     pub fn defocused_kernels(&self) -> &[SocsKernel] {
-        &self.defocused
+        self.full_kernels[1].get_or_init(|| self.stacks.full_kernels(true))
     }
 
     /// Overrides the resist threshold.
@@ -228,8 +228,8 @@ impl LithoEngine {
     /// Overrides the parallel task-slot count (clamped to at least 1).
     ///
     /// The summation order of the SOCS reduction is pinned to ascending
-    /// kernel order regardless of this setting, so results agree across
-    /// worker counts to within reassociation rounding (< 1e-12).
+    /// kernel order regardless of this setting, so results are
+    /// byte-identical across worker counts.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -244,29 +244,29 @@ impl LithoEngine {
         Ok(())
     }
 
-    fn image_with(&self, defocused: bool, mask: &Grid) -> Grid {
-        let mut intensity = vec![0.0f64; self.width * self.height];
-        self.backend.intensity(
+    /// One image per focus state from a single forward mask FFT, optionally
+    /// restricted to pixel columns — the one request every public image
+    /// call is phrased as.
+    fn images(&self, mask: &Grid, states: &[bool], cols: Option<&[usize]>) -> Vec<Grid> {
+        let n = self.width * self.height;
+        let mut buffers: Vec<Vec<f64>> = states.iter().map(|_| vec![0.0f64; n]).collect();
+        let mut outputs: Vec<&mut [f64]> = buffers.iter_mut().map(Vec::as_mut_slice).collect();
+        self.backend.images(
             mask.data(),
-            defocused,
-            WorkerPool::global(),
-            self.workers,
-            &mut intensity,
-        );
-        Grid::from_data(self.width, self.height, self.pitch, intensity)
-    }
-
-    fn image_with_cols(&self, defocused: bool, mask: &Grid, cols: &[usize]) -> Grid {
-        let mut intensity = vec![0.0f64; self.width * self.height];
-        self.backend.intensity_cols(
-            mask.data(),
-            defocused,
+            states,
             cols,
             WorkerPool::global(),
             self.workers,
-            &mut intensity,
+            &mut outputs,
         );
-        Grid::from_data(self.width, self.height, self.pitch, intensity)
+        buffers
+            .into_iter()
+            .map(|b| Grid::from_data(self.width, self.height, self.pitch, b))
+            .collect()
+    }
+
+    fn image(&self, defocused: bool, mask: &Grid, cols: Option<&[usize]>) -> Grid {
+        self.images(mask, &[defocused], cols).remove(0)
     }
 
     /// Computes the aerial image `I = Σ_k w_k |M ⊗ h_k|²` at nominal focus.
@@ -276,16 +276,16 @@ impl LithoEngine {
     /// [`LithoError::GridMismatch`] when the mask grid has the wrong shape.
     pub fn aerial_image(&self, mask: &Grid) -> Result<Grid, LithoError> {
         self.check_mask(mask)?;
-        Ok(self.image_with(false, mask))
+        Ok(self.image(false, mask, None))
     }
 
     /// Nominal-focus aerial image restricted to the given pixel columns
     /// (x indices); every other pixel of the result is zero.
     ///
-    /// Computed columns are bit-identical to [`LithoEngine::aerial_image`]
-    /// at the same worker count, but the per-kernel inverse transform skips
-    /// both transposes and all off-ROI column transforms — the OPC
-    /// correction loop uses this because EPE evaluation only samples the
+    /// Computed columns are bit-identical to [`LithoEngine::aerial_image`],
+    /// but the column pass of the final upsample skips every off-ROI
+    /// column, so this never costs more than the full image — the OPC
+    /// correction loop uses it because EPE evaluation only samples the
     /// image near the frozen measurement anchors.
     ///
     /// # Errors
@@ -297,7 +297,7 @@ impl LithoEngine {
     /// Panics when a column index is out of range.
     pub fn aerial_image_cols(&self, mask: &Grid, cols: &[usize]) -> Result<Grid, LithoError> {
         self.check_mask(mask)?;
-        Ok(self.image_with_cols(false, mask, cols))
+        Ok(self.image(false, mask, Some(cols)))
     }
 
     /// Aerial image at the defocused condition.
@@ -307,7 +307,7 @@ impl LithoEngine {
     /// [`LithoError::GridMismatch`] when the mask grid has the wrong shape.
     pub fn aerial_image_defocused(&self, mask: &Grid) -> Result<Grid, LithoError> {
         self.check_mask(mask)?;
-        Ok(self.image_with(true, mask))
+        Ok(self.image(true, mask, None))
     }
 
     /// Aerial images at several process conditions from a **single**
@@ -319,10 +319,8 @@ impl LithoEngine {
     /// only changes thresholding, not the image) are served by cloning the
     /// state's image. The returned grids align with `conditions`, and each
     /// is **bit-identical** to the serial [`LithoEngine::aerial_image`] /
-    /// [`LithoEngine::aerial_image_defocused`] call at the same worker
-    /// count — every kernel set keeps its standalone chunking and
-    /// slot-ordered reduction
-    /// ([`LithoWorkspace::socs_intensity_multi`]).
+    /// [`LithoEngine::aerial_image_defocused`] call at any worker count
+    /// ([`crate::LithoWorkspace::images`]).
     ///
     /// # Errors
     ///
@@ -343,23 +341,7 @@ impl LithoEngine {
                 states.push(c.defocused);
             }
         }
-        let n = self.width * self.height;
-        let mut buffers: Vec<Vec<f64>> = states.iter().map(|_| vec![0.0f64; n]).collect();
-        {
-            let mut outputs: Vec<&mut [f64]> =
-                buffers.iter_mut().map(|b| b.as_mut_slice()).collect();
-            self.backend.intensity_multi(
-                mask.data(),
-                &states,
-                WorkerPool::global(),
-                self.workers,
-                &mut outputs,
-            );
-        }
-        let state_grids: Vec<Grid> = buffers
-            .into_iter()
-            .map(|b| Grid::from_data(self.width, self.height, self.pitch, b))
-            .collect();
+        let state_grids = self.images(mask, &states, None);
         Ok(conditions
             .iter()
             .map(|c| {
@@ -418,7 +400,7 @@ impl LithoEngine {
                 mask[(ix, iy)] = 1.0;
             }
         }
-        let aerial = self.image_with(false, &mask);
+        let aerial = self.image(false, &mask, None);
         // Intensity exactly at the edge (x = width/2 · pitch), mid-height.
         let edge_x = (self.width / 2) as f64 * self.pitch;
         let mid_y = self.height as f64 * self.pitch * 0.5;
@@ -488,18 +470,22 @@ mod tests {
         for v in mask.data_mut() {
             *v = rng.range_f64(0.0, 1.0);
         }
+        let cols: Vec<usize> = (3..40).collect();
+        let conditions = [ProcessCondition::NOMINAL, ProcessCondition::inner(0.02)];
+        let all = |engine: &LithoEngine| {
+            let mut images = engine.aerial_images_multi(&mask, &conditions).unwrap();
+            images.push(engine.aerial_image(&mask).unwrap());
+            images.push(engine.aerial_image_cols(&mask, &cols).unwrap());
+            images
+        };
         let mut engine = small_engine();
         engine.set_workers(1);
-        let reference = engine.aerial_image(&mask).unwrap();
+        let reference = all(&engine);
         for workers in [2usize, 3, 4, 16] {
             engine.set_workers(workers);
             assert_eq!(engine.workers(), workers);
-            let got = engine.aerial_image(&mask).unwrap();
-            for (i, (&a, &b)) in got.data().iter().zip(reference.data()).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-12 * (1.0 + b.abs()),
-                    "workers {workers}, pixel {i}: {a} vs {b}"
-                );
+            for (i, (got, want)) in all(&engine).iter().zip(&reference).enumerate() {
+                assert_eq!(got.data(), want.data(), "workers {workers}, image {i}");
             }
         }
     }
@@ -676,6 +662,18 @@ mod tests {
         assert_eq!(engine.clone().precision(), Precision::F32);
         // Reference kernels stay f64 whatever the backend runs.
         assert!(!engine.nominal_kernels().is_empty());
+    }
+
+    #[test]
+    fn full_grid_kernels_are_materialised_once_and_shared_by_clones() {
+        let engine = small_engine();
+        let clone = engine.clone();
+        let first = engine.nominal_kernels().as_ptr();
+        assert_eq!(clone.nominal_kernels().as_ptr(), first);
+        assert_eq!(engine.nominal_kernels().len(), 2);
+        assert_eq!(clone.defocused_kernels().len(), 4);
+        let k = &engine.defocused_kernels()[0];
+        assert_eq!((k.transfer.width(), k.transfer.height()), (64, 64));
     }
 
     #[test]

@@ -185,31 +185,6 @@ pub fn fft_inplace(data: &mut [Complex], inverse: bool) {
     FftPlan::<f64>::get(data.len()).execute(data, inverse);
 }
 
-/// Cache-blocked widening transpose: `src` is `rows` rows of `cols`
-/// samples, `dst[c * rows + r] = src[r * cols + c]` converted to `f64`.
-///
-/// With the split-complex layout this is the only transpose the SOCS
-/// reduction needs on its way out: it unfolds the transposed accumulator of
-/// [`Field::ifft2_pruned_accumulate_t`] back to row-major while widening the
-/// simulation precision to the `f64` output domain (identity for `T = f64`).
-pub(crate) fn transpose_real_into<T: Scalar>(src: &[T], rows: usize, cols: usize, dst: &mut [f64]) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(dst.len(), rows * cols);
-    const TILE: usize = 32;
-    for r0 in (0..rows).step_by(TILE) {
-        let r1 = (r0 + TILE).min(rows);
-        for c0 in (0..cols).step_by(TILE) {
-            let c1 = (c0 + TILE).min(cols);
-            for r in r0..r1 {
-                let row = r * cols;
-                for c in c0..c1 {
-                    dst[c * rows + r] = src[row + c].to_f64();
-                }
-            }
-        }
-    }
-}
-
 /// Column stride for the 2-D transpose scratch: `height`, padded by one
 /// cache line when a tight stride would be a multiple of 256 samples.
 ///
@@ -306,9 +281,10 @@ pub struct FftScratch<T: Scalar = f64> {
     pub(crate) t_re: Vec<T>,
     /// Blocked-transpose buffer for 2-D column passes (im lane).
     pub(crate) t_im: Vec<T>,
-    /// Column gather buffer for the fused accumulate paths (re lane).
+    /// Column gather lanes of [`ifft2_live_rows`], row lane of
+    /// [`fft2_real_band`] (re lane).
     pub(crate) col_re: Vec<T>,
-    /// Column gather buffer for the fused accumulate paths (im lane).
+    /// Column gather / row lane (im lane).
     pub(crate) col_im: Vec<T>,
 }
 
@@ -320,11 +296,180 @@ impl<T: Scalar> FftScratch<T> {
 }
 
 #[inline]
-fn ensure<T: Scalar>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
+pub(crate) fn ensure<T: Scalar>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
     if buf.len() < n {
         buf.resize(n, T::ZERO);
     }
     &mut buf[..n]
+}
+
+/// A rectangle of 2-D spectrum bins in signed-frequency coordinates: bin
+/// `(x0 + a, y0 + b)`, `a < w`, `b < h`, sits at FFT index
+/// `(wrap(x0 + a, W), wrap(y0 + b, H))` of a `W×H` transform.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Band {
+    pub x0: isize,
+    pub y0: isize,
+    pub w: usize,
+    pub h: usize,
+}
+
+/// FFT index of signed frequency `f` on an `n`-point axis.
+#[inline]
+pub(crate) fn wrap(f: isize, n: usize) -> usize {
+    f.rem_euclid(n as isize) as usize
+}
+
+/// Forward 2-D FFT of a real `w×h` image, keeping only the bins of `band`:
+/// `out[a·col_stride + b·row_stride]` receives bin `(band.x0 + a,
+/// band.y0 + b)`.
+///
+/// Rows are transformed two at a time (packed into the re/im lanes of one
+/// complex transform and split by Hermitian symmetry, as in
+/// [`Field::fill_forward_real_with`]); only the band's columns are unpacked,
+/// straight into contiguous column lanes, so the column pass runs
+/// `band.w` transforms instead of `w` and no transpose is needed.
+pub(crate) fn fft2_real_band<S: Scalar, T: Scalar>(
+    real: &[S],
+    (w, h): (usize, usize),
+    band: Band,
+    scratch: &mut FftScratch<T>,
+    (out_re, out_im): (&mut [T], &mut [T]),
+    (col_stride, row_stride): (usize, usize),
+) {
+    assert_eq!(real.len(), w * h, "sample count mismatch");
+    assert!(band.w <= w && band.h <= h, "band exceeds the grid");
+    let mode = simd::active_mode();
+    let plan_w = FftPlan::<T>::get(w);
+    let plan_h = FftPlan::<T>::get(h);
+    let FftScratch {
+        pong_re,
+        pong_im,
+        blu_re,
+        blu_im,
+        t_re,
+        t_im,
+        col_re,
+        col_im,
+    } = scratch;
+    let cs = padded_stride::<T>(h);
+    let t_re = ensure(t_re, band.w * cs);
+    let t_im = ensure(t_im, band.w * cs);
+    let row_re = ensure(col_re, w);
+    let row_im = ensure(col_im, w);
+    let narrow = |dst: &mut [T], y: usize| {
+        for (d, &s) in dst.iter_mut().zip(&real[y * w..(y + 1) * w]) {
+            *d = T::from_f64(s.to_f64());
+        }
+    };
+    for y in (0..h).step_by(2) {
+        let paired = y + 1 < h;
+        narrow(row_re, y);
+        if paired {
+            narrow(row_im, y + 1);
+        } else {
+            row_im.fill(T::ZERO);
+        }
+        plan_w.execute_split_parts(
+            mode, row_re, row_im, pong_re, pong_im, blu_re, blu_im, false,
+        );
+        for a in 0..band.w {
+            let k = wrap(band.x0 + a as isize, w);
+            let km = (w - k) % w;
+            let (zkr, zki, zmr, zmi) = (row_re[k], row_im[k], row_re[km], row_im[km]);
+            let i = a * cs + y;
+            if paired {
+                // A[k] = (Z[k] + conj Z[-k])/2, B[k] = (Z[k] - conj Z[-k])/(2i).
+                t_re[i] = T::HALF * (zkr + zmr);
+                t_im[i] = T::HALF * (zki - zmi);
+                t_re[i + 1] = T::HALF * (zki + zmi);
+                t_im[i + 1] = T::HALF * (zmr - zkr);
+            } else {
+                t_re[i] = zkr;
+                t_im[i] = zki;
+            }
+        }
+    }
+    for a in 0..band.w {
+        let (cr, ci) = (&mut t_re[a * cs..a * cs + h], &mut t_im[a * cs..a * cs + h]);
+        plan_h.execute_split_parts(mode, cr, ci, pong_re, pong_im, blu_re, blu_im, false);
+        for b in 0..band.h {
+            let y = wrap(band.y0 + b as isize, h);
+            out_re[a * col_stride + b * row_stride] = cr[y];
+            out_im[a * col_stride + b * row_stride] = ci[y];
+        }
+    }
+}
+
+/// Unscaled inverse 2-D FFT of a `w×h` spectrum that is zero outside
+/// `rows.len() / w` consecutive rows starting at signed frequency `y0`.
+///
+/// `rows` holds those live rows (frequency domain along x, row-major) and
+/// is consumed as scratch. After the row pass, the requested columns (`None`
+/// = all) are gathered eight at a time into zero-padded column lanes,
+/// transformed, and handed to `emit(xs, re, im, stride)`: column `xs[j]`
+/// occupies `[j·stride, j·stride + h)` of both lanes. Every column is
+/// transformed independently, so a column's values do not depend on which
+/// other columns were requested.
+///
+/// # Panics
+///
+/// Panics on an out-of-range column index.
+pub(crate) fn ifft2_live_rows<T: Scalar>(
+    (rows_re, rows_im): (&mut [T], &mut [T]),
+    (w, h): (usize, usize),
+    y0: isize,
+    cols: Option<&[usize]>,
+    scratch: &mut FftScratch<T>,
+    mut emit: impl FnMut(&[usize], &[T], &[T], usize),
+) {
+    const COLS: usize = 8;
+    let live = rows_re.len() / w;
+    debug_assert!(live <= h && rows_im.len() == rows_re.len());
+    let mode = simd::active_mode();
+    let plan_w = FftPlan::<T>::get(w);
+    let plan_h = FftPlan::<T>::get(h);
+    let FftScratch {
+        pong_re,
+        pong_im,
+        blu_re,
+        blu_im,
+        col_re,
+        col_im,
+        ..
+    } = scratch;
+    for (rr, ri) in rows_re.chunks_exact_mut(w).zip(rows_im.chunks_exact_mut(w)) {
+        plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, blu_re, blu_im, true);
+    }
+    let cs = padded_stride::<T>(h);
+    let col_re = ensure(col_re, COLS * cs);
+    let col_im = ensure(col_im, COLS * cs);
+    let count = cols.map_or(w, <[usize]>::len);
+    let mut xs = [0usize; COLS];
+    for start in (0..count).step_by(COLS) {
+        let xs = &mut xs[..COLS.min(count - start)];
+        for (j, x) in xs.iter_mut().enumerate() {
+            *x = cols.map_or(start + j, |c| c[start + j]);
+            assert!(*x < w, "column index out of range");
+        }
+        col_re.fill(T::ZERO);
+        col_im.fill(T::ZERO);
+        for b in 0..live {
+            let (y, row) = (wrap(y0 + b as isize, h), b * w);
+            for (j, &x) in xs.iter().enumerate() {
+                col_re[j * cs + y] = rows_re[row + x];
+                col_im[j * cs + y] = rows_im[row + x];
+            }
+        }
+        for j in 0..xs.len() {
+            let (cr, ci) = (
+                &mut col_re[j * cs..j * cs + h],
+                &mut col_im[j * cs..j * cs + h],
+            );
+            plan_h.execute_split_parts(mode, cr, ci, pong_re, pong_im, blu_re, blu_im, true);
+        }
+        emit(xs, col_re, col_im, cs);
+    }
 }
 
 /// A 2-D complex field, row-major, stored split-complex (separate re/im
@@ -461,7 +606,7 @@ impl<T: Scalar> Field<T> {
     /// skipping the row-pass transform of rows whose `live_rows` entry is
     /// `false`.
     ///
-    /// This is the SOCS convolution hot path: the frequency-domain product
+    /// This is pixel ILT's convolution path: the frequency-domain product
     /// `FFT(mask) · H_k` is zero on every row outside the (shifted) pupil
     /// support, so those rows' inverse row transforms are identically zero
     /// and can be skipped — the caller guarantees dead rows hold zeros (see
@@ -474,171 +619,6 @@ impl<T: Scalar> Field<T> {
     pub fn ifft2_pruned_unscaled(&mut self, live_rows: &[bool], scratch: &mut FftScratch<T>) {
         assert_eq!(live_rows.len(), self.height, "row mask length mismatch");
         self.fft2_core(true, scratch, Some(live_rows), false);
-    }
-
-    /// Row-pruned unscaled inverse transform restricted to the given
-    /// columns, fused with the SOCS reduction into a **column-contiguous**
-    /// accumulator: `acc[ci·height + y] += weight · |z(cols[ci], y)|²`.
-    ///
-    /// Runs the same pruned inverse *row* pass as
-    /// [`Field::ifft2_pruned_unscaled`], then — instead of transposing the
-    /// whole field, transforming every column and transposing back —
-    /// gathers each requested column into a contiguous buffer, applies the
-    /// identical column transform, and accumulates the weighted squared
-    /// magnitudes contiguously. The accumulated pixels are bit-identical to
-    /// the full path (the same [`crate::FftPlan`] and the same contiguous
-    /// [`crate::simd`] reduction kernel run on the same values in the same
-    /// order), and both transposes plus the off-ROI column transforms are
-    /// skipped entirely; callers scatter the per-column strips back to
-    /// row-major once per image.
-    ///
-    /// This is the OPC-iteration hot path: EPE correction only reads the
-    /// aerial image near the frozen measurement anchors, so only those
-    /// columns need spatial-domain values. `self` is left partially
-    /// transformed (rows done, columns untouched) — callers must treat the
-    /// field as scratch afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `acc.len() != cols.len() * height`, on a row-mask length
-    /// mismatch, or on an out-of-range column index.
-    pub fn ifft2_pruned_cols_accumulate(
-        &mut self,
-        live_rows: &[bool],
-        cols: &[usize],
-        scratch: &mut FftScratch<T>,
-        weight: T,
-        acc: &mut [T],
-    ) {
-        let (w, h) = (self.width, self.height);
-        assert_eq!(live_rows.len(), h, "row mask length mismatch");
-        assert_eq!(acc.len(), cols.len() * h, "accumulator length mismatch");
-        let mode = simd::active_mode();
-        let plan_w = FftPlan::<T>::get(w);
-        let plan_h = FftPlan::<T>::get(h);
-        let FftScratch {
-            pong_re,
-            pong_im,
-            blu_re,
-            blu_im,
-            col_re,
-            col_im,
-            ..
-        } = scratch;
-        for ((rr, ri), &live) in self
-            .re
-            .chunks_exact_mut(w)
-            .zip(self.im.chunks_exact_mut(w))
-            .zip(live_rows)
-        {
-            if live {
-                plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, blu_re, blu_im, true);
-            }
-        }
-        let col_re = ensure(col_re, h);
-        let col_im = ensure(col_im, h);
-        for (ci, &x) in cols.iter().enumerate() {
-            assert!(x < w, "column index out of range");
-            for y in 0..h {
-                col_re[y] = self.re[y * w + x];
-                col_im[y] = self.im[y * w + x];
-            }
-            plan_h
-                .execute_split_parts(mode, col_re, col_im, pong_re, pong_im, blu_re, blu_im, true);
-            simd::acc_norm_sq(mode, col_re, col_im, weight, &mut acc[ci * h..(ci + 1) * h]);
-        }
-    }
-
-    /// Row-pruned unscaled inverse transform over *every* column, fused
-    /// with the SOCS reduction into a **transposed** accumulator:
-    /// `acc_t[x·height + y] += weight · |z(x, y)|²`.
-    ///
-    /// Runs the same pruned inverse row pass as
-    /// [`Field::ifft2_pruned_unscaled`], then gathers each column's live
-    /// entries into a contiguous buffer (dead rows contribute exact zeros
-    /// and are **never read**, so callers may leave them unwritten — see
-    /// [`Field::mul_pointwise_live_rows_into`]), applies the identical
-    /// column transform, and accumulates the weighted squared magnitudes
-    /// column-contiguously. Compared to the full path this skips both
-    /// blocked transposes, the write-back of the transformed field, and
-    /// every dead-row load/store — the accumulated values are bit-identical
-    /// (the same [`crate::FftPlan`] and reduction kernel run on the same
-    /// values in the same order), only stored transposed; callers undo the
-    /// layout with one real-valued transpose after the kernel loop.
-    ///
-    /// `self` is left partially transformed (rows done, columns untouched)
-    /// — callers must treat the field as scratch afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics on row-mask or accumulator length mismatch.
-    pub fn ifft2_pruned_accumulate_t(
-        &mut self,
-        live_rows: &[bool],
-        scratch: &mut FftScratch<T>,
-        weight: T,
-        acc_t: &mut [T],
-    ) {
-        let (w, h) = (self.width, self.height);
-        assert_eq!(live_rows.len(), h, "row mask length mismatch");
-        assert_eq!(acc_t.len(), w * h, "accumulator length mismatch");
-        let mode = simd::active_mode();
-        let plan_w = FftPlan::<T>::get(w);
-        let plan_h = FftPlan::<T>::get(h);
-        let FftScratch {
-            pong_re,
-            pong_im,
-            blu_re,
-            blu_im,
-            col_re,
-            col_im,
-            ..
-        } = scratch;
-        for ((rr, ri), &live) in self
-            .re
-            .chunks_exact_mut(w)
-            .zip(self.im.chunks_exact_mut(w))
-            .zip(live_rows)
-        {
-            if live {
-                plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, blu_re, blu_im, true);
-            }
-        }
-        // Gather 8 adjacent columns per pass so each cache line of the
-        // row-major field is consumed once, into padded column lanes that
-        // don't alias each other (see [`padded_stride`]). The per-column
-        // transform + accumulate below is unchanged, so results stay
-        // bitwise identical to a column-at-a-time gather.
-        const COLS: usize = 8;
-        let cs = padded_stride::<T>(h);
-        let col_re = ensure(col_re, COLS * cs);
-        let col_im = ensure(col_im, COLS * cs);
-        for x0 in (0..w).step_by(COLS) {
-            let bw = COLS.min(w - x0);
-            for (y, &live) in live_rows.iter().enumerate() {
-                if live {
-                    let row = y * w + x0;
-                    for j in 0..bw {
-                        col_re[j * cs + y] = self.re[row + j];
-                        col_im[j * cs + y] = self.im[row + j];
-                    }
-                } else {
-                    for j in 0..bw {
-                        col_re[j * cs + y] = T::ZERO;
-                        col_im[j * cs + y] = T::ZERO;
-                    }
-                }
-            }
-            for j in 0..bw {
-                let (cr, ci) = (
-                    &mut col_re[j * cs..j * cs + h],
-                    &mut col_im[j * cs..j * cs + h],
-                );
-                plan_h.execute_split_parts(mode, cr, ci, pong_re, pong_im, blu_re, blu_im, true);
-                let x = x0 + j;
-                simd::acc_norm_sq(mode, cr, ci, weight, &mut acc_t[x * h..(x + 1) * h]);
-            }
-        }
     }
 
     fn fft2_core(
@@ -901,28 +881,7 @@ impl<T: Scalar> Field<T> {
         live_rows: &[bool],
         dst: &mut Field<T>,
     ) {
-        self.mul_rows(other, live_rows, dst, true, false);
-    }
-
-    /// Row-pruned pointwise multiplication writing **only** the live rows
-    /// of `dst`; dead rows are left untouched (possibly holding stale data
-    /// from a previous kernel).
-    ///
-    /// Pairs with [`Field::ifft2_pruned_accumulate_t`], which never reads
-    /// dead rows — together they skip every dead-row store and load of the
-    /// SOCS hot loop. Do **not** combine with the transposing inverse
-    /// paths, which read the whole field.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension or mask-length mismatch.
-    pub fn mul_pointwise_live_rows_into(
-        &self,
-        other: &Field<T>,
-        live_rows: &[bool],
-        dst: &mut Field<T>,
-    ) {
-        self.mul_rows(other, live_rows, dst, false, false);
+        self.mul_rows(other, live_rows, dst, false);
     }
 
     /// Row-pruned pointwise multiplication by the *conjugate* of `other`
@@ -938,17 +897,10 @@ impl<T: Scalar> Field<T> {
         live_rows: &[bool],
         dst: &mut Field<T>,
     ) {
-        self.mul_rows(other, live_rows, dst, true, true);
+        self.mul_rows(other, live_rows, dst, true);
     }
 
-    fn mul_rows(
-        &self,
-        other: &Field<T>,
-        live_rows: &[bool],
-        dst: &mut Field<T>,
-        zero_dead: bool,
-        conj: bool,
-    ) {
+    fn mul_rows(&self, other: &Field<T>, live_rows: &[bool], dst: &mut Field<T>, conj: bool) {
         self.assert_same_dims(other);
         self.assert_same_dims(dst);
         assert_eq!(live_rows.len(), self.height, "row mask length mismatch");
@@ -965,7 +917,7 @@ impl<T: Scalar> Field<T> {
                 } else {
                     simd::cmul(mode, ar, ai, br, bi, dr, di);
                 }
-            } else if zero_dead {
+            } else {
                 dst.re[row.clone()].fill(T::ZERO);
                 dst.im[row].fill(T::ZERO);
             }
@@ -1346,78 +1298,85 @@ mod tests {
     }
 
     #[test]
-    fn pruned_cols_accumulate_matches_full_path() {
-        // The fused column-restricted inverse must reproduce the full
-        // pruned-inverse + accumulate_norm_sq result *bit-identically* on
-        // the requested columns (column-contiguous accumulator layout).
-        let (w, h) = (16, 8);
-        let mut rng = SplitMix64::new(60);
-        let mut spec: Field = Field::zeros(w, h);
-        let live: Vec<bool> = (0..h).map(|y| y < 3 || y >= h - 2).collect();
-        for (y, &is_live) in live.iter().enumerate() {
-            if is_live {
-                for x in 0..w {
-                    spec.set(
-                        x,
-                        y,
-                        Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)),
-                    );
-                }
-            }
-        }
-        let weight = 0.37;
-        let mut full = spec.clone();
-        let mut scratch = FftScratch::new();
-        full.ifft2_pruned_unscaled(&live, &mut scratch);
-        let mut expected = vec![0.5f64; w * h];
-        full.accumulate_norm_sq(weight, &mut expected);
-
-        let cols = [0usize, 3, 7, 15];
-        let mut roi = spec;
-        let mut acc = vec![0.5f64; cols.len() * h];
-        roi.ifft2_pruned_cols_accumulate(&live, &cols, &mut scratch, weight, &mut acc);
-        for (ci, &x) in cols.iter().enumerate() {
-            for y in 0..h {
-                assert_eq!(
-                    acc[ci * h + y],
-                    expected[y * w + x],
-                    "pixel ({x},{y}) not bit-identical"
+    fn real_band_forward_matches_full_spectrum_on_the_band() {
+        // Even/odd/single heights, a Bluestein width, bands that wrap
+        // through zero, and both output orientations.
+        for (w, h, band, seed) in [
+            (16usize, 12usize, (-3isize, -2isize, 7usize, 5usize), 80u64),
+            (15, 9, (-7, -4, 15, 9), 81),
+            (14, 7, (2, -3, 4, 6), 82),
+            (8, 1, (-1, 0, 3, 1), 83),
+        ] {
+            let band = Band {
+                x0: band.0,
+                y0: band.1,
+                w: band.2,
+                h: band.3,
+            };
+            let mut rng = SplitMix64::new(seed);
+            let real: Vec<f64> = (0..w * h).map(|_| rng.range_f64(-1.0, 1.0)).collect();
+            let full: Field = Field::forward_real(w, h, &real);
+            let mut scratch = FftScratch::new();
+            for (cs, rs) in [(1, band.w), (band.h, 1)] {
+                let mut re = vec![f64::NAN; band.w * band.h];
+                let mut im = re.clone();
+                fft2_real_band(
+                    &real,
+                    (w, h),
+                    band,
+                    &mut scratch,
+                    (&mut re, &mut im),
+                    (cs, rs),
                 );
+                for b in 0..band.h {
+                    for a in 0..band.w {
+                        let want =
+                            full.at(wrap(band.x0 + a as isize, w), wrap(band.y0 + b as isize, h));
+                        let got = Complex::new(re[a * cs + b * rs], im[a * cs + b * rs]);
+                        assert!((got - want).norm() < 1e-12, "{w}x{h} bin ({a},{b})");
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn pruned_accumulate_t_matches_full_path() {
-        let (w, h) = (12, 10);
-        let mut rng = SplitMix64::new(70);
+    fn live_rows_inverse_matches_full_inverse_on_requested_columns() {
+        let (w, h, y0, live) = (12usize, 10usize, -2isize, 5usize);
+        let mut rng = SplitMix64::new(90);
+        let rows = random_signal(live * w, 91);
         let mut spec: Field = Field::zeros(w, h);
-        let live: Vec<bool> = (0..h).map(|y| y < 4 || y >= h - 3).collect();
-        for (y, &is_live) in live.iter().enumerate() {
-            if is_live {
-                for x in 0..w {
-                    spec.set(
-                        x,
-                        y,
-                        Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)),
-                    );
-                }
-            }
+        for (i, &z) in rows.iter().enumerate() {
+            spec.set(i % w, wrap(y0 + (i / w) as isize, h), z);
         }
-        let weight = 1.21;
-        let mut full = spec.clone();
-        let mut scratch = FftScratch::new();
-        full.ifft2_pruned_unscaled(&live, &mut scratch);
-        let mut expected = vec![0.0f64; w * h];
-        full.accumulate_norm_sq(weight, &mut expected);
-
-        let mut fused = spec;
-        let mut acc_t = vec![0.0f64; w * h];
-        fused.ifft2_pruned_accumulate_t(&live, &mut scratch, weight, &mut acc_t);
-        for y in 0..h {
-            for x in 0..w {
-                assert_eq!(acc_t[x * h + y], expected[y * w + x], "pixel ({x},{y})");
-            }
+        spec.fft2_inplace(true);
+        let cols: Vec<usize> = (0..w).filter(|_| rng.range_f64(0.0, 1.0) < 0.6).collect();
+        let run = |cols: Option<&[usize]>| {
+            let mut out = vec![Complex::ZERO; w * h];
+            let mut re: Vec<f64> = rows.iter().map(|z| z.re).collect();
+            let mut im: Vec<f64> = rows.iter().map(|z| z.im).collect();
+            let emit = |xs: &[usize], cr: &[f64], ci: &[f64], cs: usize| {
+                for (j, &x) in xs.iter().enumerate() {
+                    for y in 0..h {
+                        out[y * w + x] = Complex::new(cr[j * cs + y], ci[j * cs + y]);
+                    }
+                }
+            };
+            let mut scratch = FftScratch::new();
+            ifft2_live_rows((&mut re, &mut im), (w, h), y0, cols, &mut scratch, emit);
+            out
+        };
+        let (full, roi) = (run(None), run(Some(&cols)));
+        for i in 0..w * h {
+            // Unscaled, and bit-identical whatever else was asked for.
+            let want = spec.at(i % w, i / w).scale((w * h) as f64);
+            assert!((full[i] - want).norm() < 1e-12, "pixel {i}");
+            let asked = cols.contains(&(i % w));
+            assert_eq!(
+                roi[i],
+                if asked { full[i] } else { Complex::ZERO },
+                "pixel {i}"
+            );
         }
     }
 

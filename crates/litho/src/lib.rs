@@ -12,8 +12,11 @@
 //!   AVX2/FMA kernels behind a scalar fallback (`CARDOPC_SIMD=off`),
 //! * [`OpticsConfig`] / SOCS kernel synthesis — an annular partially
 //!   coherent source discretised by Abbe's method into a kernel stack with
-//!   exactly the Hopkins structure `I = Σ w_k |M ⊗ h_k|²`,
-//! * [`LithoEngine`] — aerial images at nominal/defocused conditions,
+//!   exactly the Hopkins structure `I = Σ w_k |M ⊗ h_k|²`, stored as
+//!   compact frequency-domain patches ([`SocsStacks`]),
+//! * [`LithoEngine`] — aerial images at nominal/defocused conditions
+//!   (every kernel convolved on the smallest grid that holds the pupil,
+//!   the intensity Fourier-upsampled once: [`LithoWorkspace`]),
 //!   threshold resist, dose scaling, process corners,
 //! * [`LithoBackend`] / [`Precision`] — the simulation-precision seam:
 //!   kernels are always synthesised in `f64`, and the convolution hot loop
@@ -64,7 +67,7 @@ pub use metrics::{
     metal_measure_points_into, pvb_area, thresholded_xor_area, via_measure_points,
     via_measure_points_into, EpeReport, MeasurePoint,
 };
-pub use optics::{build_kernels, OpticsConfig, SocsKernel};
+pub use optics::{build_kernels, OpticsConfig, SocsKernel, SocsStacks};
 pub use plan::FftPlan;
 pub use pool::WorkerPool;
 pub use raster::{rasterize, rasterize_into, try_rasterize, RasterCache};

@@ -15,8 +15,14 @@
 //! where `P` is the circular pupil of cutoff `NA/λ` and `z` the defocus.
 //! The aerial image is then exactly the Hopkins/SOCS form of Eq. (1):
 //! `I = Σ_s w_s · |M ⊗ h_s|²`, evaluated in the frequency domain.
+//!
+//! `P` is a hard disk, so `H_s` is nonzero on a few dozen bins per axis
+//! whatever the grid. Kernels are therefore synthesised and stored as
+//! compact patches ([`SocsStacks`]) — the bounding box of the samples
+//! set — and the full-grid [`SocsKernel`] form exists only for pixel ILT,
+//! which differentiates through it.
 
-use crate::fft::{Complex, Field};
+use crate::fft::{next_five_smooth, wrap, Band, Complex, Field};
 use crate::scalar::Scalar;
 use crate::LithoError;
 
@@ -118,13 +124,12 @@ impl OpticsConfig {
     }
 }
 
-/// One SOCS kernel: a weight and its frequency-domain transfer function.
+/// One SOCS kernel on the full simulation grid: a weight and its
+/// frequency-domain transfer function.
 ///
-/// Kernels are always *synthesised* in `f64` ([`build_kernels`]); the
-/// single-precision backend narrows a finished stack once per engine via
-/// [`SocsKernel::to_precision`]. The weight stays `f64` — it is folded into
-/// accumulation weights in the reference domain and narrowed at the point
-/// of use.
+/// This is the form pixel ILT backpropagates through; the aerial-image
+/// pipeline runs on the compact [`KernelPatch`] instead, and
+/// [`crate::LithoEngine`] materialises full-grid kernels only on request.
 #[derive(Clone, Debug)]
 pub struct SocsKernel<T: Scalar = f64> {
     /// Hopkins weight `w_k`.
@@ -171,7 +176,149 @@ impl<T: Scalar> SocsKernel<T> {
     }
 }
 
-/// Builds the SOCS kernel stack for a simulation grid.
+/// One SOCS kernel in compact form: the weight and the transfer values over
+/// the bounding box of its nonzero samples. The pupil is a hard disk of
+/// radius `NA/λ`, so the box is a few dozen bins wide whatever the grid.
+#[derive(Clone, Debug)]
+pub(crate) struct KernelPatch<T: Scalar = f64> {
+    /// Hopkins weight `w_k`.
+    pub weight: f64,
+    /// Bounding box of the samples actually set, in signed frequencies.
+    pub band: Band,
+    /// Transfer values over the box, row-major `band.h × band.w` (re lane).
+    pub re: Vec<T>,
+    /// Transfer values over the box (im lane).
+    pub im: Vec<T>,
+}
+
+impl KernelPatch {
+    /// Scatters the patch onto a `width×height` grid.
+    fn to_kernel(&self, width: usize, height: usize) -> SocsKernel {
+        let mut transfer: Field = Field::zeros(width, height);
+        for b in 0..self.band.h {
+            let ky = wrap(self.band.y0 + b as isize, height);
+            for a in 0..self.band.w {
+                let kx = wrap(self.band.x0 + a as isize, width);
+                let i = b * self.band.w + a;
+                transfer.set(kx, ky, Complex::new(self.re[i], self.im[i]));
+            }
+        }
+        SocsKernel::new(self.weight, transfer)
+    }
+}
+
+/// The nominal and defocused kernel stacks of one engine in compact form,
+/// with the grid geometry the band-limited pipeline
+/// ([`crate::LithoWorkspace::images`]) derives from them.
+///
+/// Every coherent field `z_k` is band-limited to its kernel's box, so
+/// `|z_k|²` is band-limited to `±span` (the largest box extent minus one)
+/// and is sampled without aliasing on any grid of at least `2·span + 1`
+/// points per axis: the kernels are convolved on that *coarse* grid and the
+/// summed intensity is Fourier-interpolated to the full grid once. Where an
+/// axis is too coarse for that (`2·span + 1 > N`) the coarse grid is the
+/// grid itself and the interpolation copies every bin.
+#[derive(Clone, Debug)]
+pub struct SocsStacks<T: Scalar = f64> {
+    pub(crate) size: (usize, usize),
+    /// Coarse grid: per axis `min(N, next_five_smooth(2·span + 1))`.
+    pub(crate) coarse: (usize, usize),
+    /// Union of every kernel's box: the mask-spectrum bins that are read.
+    pub(crate) band: Band,
+    /// Bins of the coarse intensity spectrum carried to the full grid:
+    /// `|f| ≤ span`, or the whole axis where the coarse grid is the grid.
+    pub(crate) image_band: Band,
+    /// `[nominal, defocused]`.
+    pub(crate) stacks: [Vec<KernelPatch<T>>; 2],
+}
+
+impl SocsStacks {
+    /// Synthesises both stacks for a `width×height` grid of `pitch` nm
+    /// pixels (always in `f64`; see [`SocsStacks::to_precision`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`build_kernels`].
+    pub fn build(
+        config: &OpticsConfig,
+        width: usize,
+        height: usize,
+        pitch: f64,
+    ) -> Result<SocsStacks, LithoError> {
+        let stacks = [
+            build_patches(config, width, height, pitch, 0.0)?,
+            build_patches(config, width, height, pitch, config.defocus)?,
+        ];
+        let boxes = || stacks.iter().flatten().map(|p| p.band);
+        // Per axis: (union origin, union extent, coarse size, image band).
+        let axis = |n: usize, lo: fn(&Band) -> isize, len: fn(&Band) -> usize| {
+            let x0 = boxes().map(|b| lo(&b)).min().unwrap_or(0);
+            let x1 = boxes()
+                .map(|b| lo(&b) + len(&b) as isize)
+                .max()
+                .unwrap_or(0);
+            let span = boxes().map(|b| len(&b)).max().unwrap_or(1) - 1;
+            let m = n.min(next_five_smooth(2 * span + 1));
+            let image = if m == n {
+                (0, n)
+            } else {
+                (-(span as isize), 2 * span + 1)
+            };
+            (x0, (x1 - x0) as usize, m, image)
+        };
+        let (x0, w, mx, (ix0, iw)) = axis(width, |b| b.x0, |b| b.w);
+        let (y0, h, my, (iy0, ih)) = axis(height, |b| b.y0, |b| b.h);
+        Ok(SocsStacks {
+            size: (width, height),
+            coarse: (mx, my),
+            band: Band { x0, y0, w, h },
+            image_band: Band {
+                x0: ix0,
+                y0: iy0,
+                w: iw,
+                h: ih,
+            },
+            stacks,
+        })
+    }
+
+    /// The full-grid form of one stack (what pixel ILT differentiates).
+    pub(crate) fn full_kernels(&self, defocused: bool) -> Vec<SocsKernel> {
+        let (w, h) = self.size;
+        self.stacks[defocused as usize]
+            .iter()
+            .map(|p| p.to_kernel(w, h))
+            .collect()
+    }
+}
+
+impl<T: Scalar> SocsStacks<T> {
+    /// Narrows (or widens) the patches to another simulation precision; a
+    /// reduced-precision backend does this once, over a few hundred KB.
+    pub fn to_precision<U: Scalar>(&self) -> SocsStacks<U> {
+        let convert = |v: &[T]| v.iter().map(|&s| U::from_f64(s.to_f64())).collect();
+        let stack = |patches: &[KernelPatch<T>]| {
+            patches
+                .iter()
+                .map(|p| KernelPatch {
+                    weight: p.weight,
+                    band: p.band,
+                    re: convert(&p.re),
+                    im: convert(&p.im),
+                })
+                .collect()
+        };
+        SocsStacks {
+            size: self.size,
+            coarse: self.coarse,
+            band: self.band,
+            image_band: self.image_band,
+            stacks: [stack(&self.stacks[0]), stack(&self.stacks[1])],
+        }
+    }
+}
+
+/// Builds the SOCS kernel stack for a simulation grid, on the full grid.
 ///
 /// `width`/`height` are the grid dimensions in pixels (any nonzero sizes;
 /// 5-smooth lengths run on the direct mixed-radix path, everything else
@@ -195,6 +342,22 @@ pub fn build_kernels(
     pitch: f64,
     defocus: f64,
 ) -> Result<Vec<SocsKernel>, LithoError> {
+    let patches = build_patches(config, width, height, pitch, defocus)?;
+    Ok(patches.iter().map(|p| p.to_kernel(width, height)).collect())
+}
+
+/// [`build_kernels`] in compact form: each kernel is evaluated over the
+/// bounding box of its shifted pupil only, then cropped to the samples
+/// actually set (`fc·L` is 13.99 bins on the 500²/4 nm via grid, so the box
+/// cannot be predicted from the cutoff alone). A source point whose pupil
+/// contains no grid frequency contributes nothing and is dropped.
+fn build_patches(
+    config: &OpticsConfig,
+    width: usize,
+    height: usize,
+    pitch: f64,
+    defocus: f64,
+) -> Result<Vec<KernelPatch>, LithoError> {
     config.validate()?;
     if width == 0 || height == 0 {
         return Err(LithoError::EmptyGrid { width, height });
@@ -222,7 +385,17 @@ pub fn build_kernels(
         && config.points_per_ring.is_multiple_of(2)
         && 0.5 / pitch > fc * (1.0 + config.sigma_outer);
     let half_ring = config.points_per_ring / 2;
-    let mut kernels = Vec::new();
+    let mut patches = Vec::new();
+
+    // Signed frequency indices an `n`-point axis represents (FFT layout:
+    // the upper half wraps to negatives), clipped to where a pupil centred
+    // on `-fs` can reach.
+    let reach = |n: usize, fs: f64| {
+        let scale = n as f64 * pitch;
+        let lo = ((-fs - fc) * scale).floor() as isize - 1;
+        let hi = ((-fs + fc) * scale).ceil() as isize + 1;
+        lo.max(-(((n - 1) / 2) as isize))..=hi.min((n / 2) as isize)
+    };
 
     for (index, (fsx, fsy, weight)) in config.source_points().into_iter().enumerate() {
         let weight = if fold {
@@ -234,35 +407,54 @@ pub fn build_kernels(
         } else {
             weight
         };
-        let mut transfer: Field = Field::zeros(width, height);
-        for ky in 0..height {
-            // FFT frequency layout: wrap the upper half to negatives.
-            let fy_idx = if ky <= height / 2 {
-                ky as f64
-            } else {
-                ky as f64 - height as f64
-            };
-            let fy = fy_idx / (height as f64 * pitch);
-            for kx in 0..width {
-                let fx_idx = if kx <= width / 2 {
-                    kx as f64
-                } else {
-                    kx as f64 - width as f64
-                };
-                let fx = fx_idx / (width as f64 * pitch);
+        let (xs, ys) = (reach(width, fsx), reach(height, fsy));
+        let cw = (xs.end() - xs.start() + 1).max(0) as usize;
+        // Samples set are unit-modulus, so zero marks the unset ones.
+        let mut set = vec![Complex::ZERO; cw * ys.clone().count()];
+        // Tight box of the samples set: (x min, x max, y min, y max).
+        let mut tight: Option<(isize, isize, isize, isize)> = None;
+        for iy in ys.clone() {
+            let fy = iy as f64 / (height as f64 * pitch);
+            for ix in xs.clone() {
+                let fx = ix as f64 / (width as f64 * pitch);
                 let gx = fx + fsx;
                 let gy = fy + fsy;
                 let g2 = gx * gx + gy * gy;
                 if g2 <= fc * fc {
                     // Paraxial defocus aberration phase.
                     let phase = -std::f64::consts::PI * lambda * defocus * g2;
-                    transfer.set(kx, ky, Complex::from_angle(phase));
+                    let i = (iy - ys.start()) as usize * cw + (ix - xs.start()) as usize;
+                    set[i] = Complex::from_angle(phase);
+                    let t = tight.unwrap_or((ix, ix, iy, iy));
+                    tight = Some((t.0.min(ix), t.1.max(ix), t.2.min(iy), t.3.max(iy)));
                 }
             }
         }
-        kernels.push(SocsKernel::new(weight, transfer));
+        let Some((x0, x1, y0, y1)) = tight else {
+            continue;
+        };
+        let band = Band {
+            x0,
+            y0,
+            w: (x1 - x0 + 1) as usize,
+            h: (y1 - y0 + 1) as usize,
+        };
+        let (mut re, mut im) = (Vec::new(), Vec::new());
+        for iy in y0..=y1 {
+            let row = (iy - ys.start()) as usize * cw + (x0 - xs.start()) as usize;
+            for z in &set[row..row + band.w] {
+                re.push(z.re);
+                im.push(z.im);
+            }
+        }
+        patches.push(KernelPatch {
+            weight,
+            band,
+            re,
+            im,
+        });
     }
-    Ok(kernels)
+    Ok(patches)
 }
 
 #[cfg(test)]
@@ -402,6 +594,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn patches_are_cropped_to_the_samples_set() {
+        // 500²/4 nm: fc·L = 13.99, so the box is what the samples say, not
+        // what the cutoff predicts.
+        let cfg = OpticsConfig::default();
+        let stacks = SocsStacks::build(&cfg, 500, 500, 4.0).unwrap();
+        assert_eq!(stacks.size, (500, 500));
+        assert_eq!((stacks.stacks[0].len(), stacks.stacks[1].len()), (8, 16));
+        for patch in stacks.stacks.iter().flatten() {
+            let Band { w, h, .. } = patch.band;
+            assert_eq!(patch.re.len(), w * h);
+            let set = |i: usize| patch.re[i] != 0.0 || patch.im[i] != 0.0;
+            // Every edge row and column of the box holds a sample.
+            assert!((0..w).any(&set) && (0..w).any(|a| set((h - 1) * w + a)));
+            assert!((0..h).any(|b| set(b * w)) && (0..h).any(|b| set(b * w + w - 1)));
+            assert!(w <= 28 && h <= 28, "box {w}x{h}");
+            // The union band holds every box.
+            let u = stacks.band;
+            assert!(u.x0 <= patch.band.x0 && patch.band.x0 + w as isize <= u.x0 + u.w as isize);
+            assert!(u.y0 <= patch.band.y0 && patch.band.y0 + h as isize <= u.y0 + u.h as isize);
+        }
+        // Narrowing keeps the geometry.
+        let narrow = stacks.to_precision::<f32>();
+        assert_eq!((narrow.coarse, narrow.band), (stacks.coarse, stacks.band));
+        assert_eq!(narrow.image_band, stacks.image_band);
     }
 
     #[test]

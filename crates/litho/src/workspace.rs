@@ -1,58 +1,74 @@
-//! Reusable scratch state for the SOCS convolution hot loop.
+//! The band-limited SOCS pipeline and its reusable scratch state.
 //!
-//! One [`LithoWorkspace`] holds every buffer `LithoEngine::image_with` (and
-//! pixel ILT's forward/backward passes) needs: the mask spectrum, one work
-//! field + FFT scratch per parallel task slot, and one accumulator strip
-//! per *kernel*. After the first call at a given grid size, the per-kernel
-//! loop performs **zero heap allocations** — the frequency product writes
-//! only the kernel's live rows into the slot's field, the pruned inverse
-//! gathers each column through the slot's scratch, and the `|z|²` reduction
-//! accumulates in place. The multi-condition entry
-//! ([`LithoWorkspace::socs_intensity_multi`]) computes every process
-//! condition's image from a single forward mask FFT.
+//! Every transfer function is a hard pupil disk, so each coherent field
+//! `z_k = M ⊗ h_k` is band-limited to its kernel's box and the intensity
+//! `Σ_k w_k |z_k|²` to `±span` ([`SocsStacks`]). One
+//! [`LithoWorkspace::images`] call therefore runs
+//!
+//! 1. one forward real FFT of the mask, keeping only the union of the
+//!    kernel boxes ([`fft2_real_band`]);
+//! 2. per kernel: the product over its patch, written at the *origin* of a
+//!    coarse-grid field (a circular spectrum shift is a unit-modulus
+//!    modulation in space, so `|z_k|²` is unchanged), a row-pruned
+//!    coarse-grid inverse, and `w_k·|z_k|²` into that kernel's strip;
+//! 3. per image: the strips folded in ascending kernel order, a forward
+//!    real FFT of the coarse intensity, its `|f| ≤ span` bins copied into
+//!    the live rows of the full-grid spectrum (trigonometric interpolation),
+//!    and one row-pruned inverse whose column pass covers every column or
+//!    only the requested ones ([`ifft2_live_rows`]).
+//!
+//! This is exact, not an approximation: the result differs from a full-grid
+//! convolution per kernel by rounding only. After the first call at a given
+//! geometry the pipeline performs no heap allocation beyond the per-call
+//! task lists.
 //!
 //! The workspace is generic over the simulation [`Scalar`]: masks enter and
-//! intensities leave as `f64`, everything in between — spectrum, work
-//! fields, accumulator strips — runs at the workspace precision, and the
-//! kernel weight (including the folded `1/n²` normalisation) is narrowed
-//! from the `f64` reference at the point of use.
+//! intensities leave as `f64`, everything in between runs at the workspace
+//! precision, and each kernel weight (with every transform normalisation
+//! folded in) is narrowed from the `f64` reference at the point of use.
 //!
-//! Accumulation granularity is one strip per kernel (not per task slot), and
-//! strips are reduced in ascending kernel order. The per-pixel floating
-//! point summation tree is therefore a fixed left fold over kernels no
-//! matter how the kernels are chunked across tasks — outputs are
+//! Accumulation granularity is one strip per *kernel* (not per task), and
+//! strips are reduced in ascending kernel order: the per-pixel summation
+//! tree is a fixed left fold however the kernels are chunked across tasks,
+//! and every other stage is a pure function of its input — outputs are
 //! **byte-identical for any worker count**, per dispatch mode and precision.
+//! A column of the last inverse is transformed independently of the others,
+//! so a column-restricted image equals the full one bit for bit on the
+//! requested columns; and the mask spectrum is shared but not altered, so a
+//! multi-state call equals the single-state calls bit for bit.
 
-use crate::fft::{FftScratch, Field};
-use crate::optics::SocsKernel;
+use crate::fft::{ensure, fft2_real_band, ifft2_live_rows, wrap, Band, FftScratch};
+use crate::optics::{KernelPatch, SocsStacks};
 use crate::pool::WorkerPool;
 use crate::scalar::Scalar;
+use crate::simd;
 
 /// Scratch owned by one parallel task slot.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct WorkSlot<T: Scalar = f64> {
-    /// Frequency/space work field for the per-kernel product + inverse FFT
-    /// (only live rows are ever written or read on the full-image path).
-    pub field: Option<Field<T>>,
-    /// FFT scratch (ping-pong, transpose and column-gather lanes) for the
-    /// fused inverse column pass.
-    pub scratch: FftScratch<T>,
+struct WorkSlot<T: Scalar> {
+    /// Live rows of the spectrum being inverted (re lane): a kernel's
+    /// product on the coarse grid, then an image's bins on the full grid.
+    rows_re: Vec<T>,
+    /// Live rows (im lane).
+    rows_im: Vec<T>,
+    /// Band of the coarse intensity spectrum (re lane).
+    band_re: Vec<T>,
+    /// Band of the coarse intensity spectrum (im lane).
+    band_im: Vec<T>,
+    scratch: FftScratch<T>,
 }
 
-/// Reusable buffers for aerial-image / ILT hot loops on one grid size.
+/// Reusable buffers for the aerial-image pipeline.
 #[derive(Clone, Debug, Default)]
 pub struct LithoWorkspace<T: Scalar = f64> {
-    width: usize,
-    height: usize,
-    /// Forward spectrum of the current mask.
-    pub(crate) spectrum: Option<Field<T>>,
-    /// Scratch for the forward transform.
-    pub(crate) forward_scratch: FftScratch<T>,
-    pub(crate) slots: Vec<WorkSlot<T>>,
-    /// Per-kernel accumulator strips (`strips[k·stride .. (k+1)·stride]`
-    /// holds kernel `k`'s `w·|z|²` contribution), reduced in ascending
-    /// kernel order after the fan-out so the summation tree is independent
-    /// of the task count.
+    /// Mask spectrum over `SocsStacks::band`, row-major (re lane).
+    spec_re: Vec<T>,
+    /// Mask spectrum (im lane).
+    spec_im: Vec<T>,
+    forward_scratch: FftScratch<T>,
+    slots: Vec<WorkSlot<T>>,
+    /// Per-kernel accumulator strips on the coarse grid, column-major
+    /// (`x·my + y`), one after another in state then kernel order.
     strips: Vec<T>,
 }
 
@@ -62,342 +78,239 @@ impl<T: Scalar> LithoWorkspace<T> {
         LithoWorkspace::default()
     }
 
-    /// Ensures buffers exist for a `width`×`height` grid and `slots`
-    /// parallel task slots (no-op when already sized).
-    fn prepare(&mut self, width: usize, height: usize, slots: usize) {
-        if self.width != width || self.height != height {
-            self.width = width;
-            self.height = height;
-            self.spectrum = None;
-            self.slots.clear();
-            self.strips.clear();
-        }
-        if self.spectrum.is_none() {
-            self.spectrum = Some(Field::zeros(width, height));
-        }
-        if self.slots.len() < slots {
-            self.slots.resize_with(slots, WorkSlot::default);
-        }
-        for slot in &mut self.slots[..slots] {
-            if slot.field.is_none() {
-                slot.field = Some(Field::zeros(width, height));
-            }
-        }
-    }
-
-    /// Grows the per-kernel strip buffer to at least `len` samples.
-    fn ensure_strips(&mut self, len: usize) {
-        if self.strips.len() < len {
-            self.strips.resize(len, T::ZERO);
-        }
-    }
-
-    /// Computes the SOCS intensity `Σ_k w_k |M ⊗ h_k|²` of a real-valued
-    /// mask raster into `intensity`, using `pool` with `parallelism` task
-    /// slots. `intensity` must have `width*height` elements; it is
-    /// overwritten.
+    /// Computes one SOCS intensity `Σ_k w_k |M ⊗ h_k|²` of the real-valued
+    /// `mask` raster per entry of `states` (`true` = defocused stack) into
+    /// the matching entry of `outputs`, from a single forward mask FFT.
     ///
-    /// The per-kernel normalisation `1/(width·height)²` (from the unscaled
-    /// inverse transform) is folded into each kernel's weight. Each kernel
-    /// accumulates into its own strip and the strips are reduced in
-    /// ascending kernel order, so the per-pixel summation tree is the same
-    /// left fold over kernels regardless of `parallelism` — the output is
-    /// **byte-identical** for any worker count (per dispatch mode and
-    /// precision).
-    ///
-    /// The per-kernel loop is the fully fused path: the frequency product
-    /// writes only the kernel's live rows, the pruned inverse gathers each
-    /// column's live entries and accumulates `w·|z|²` into a transposed
-    /// per-slot accumulator without ever touching dead rows, and one
-    /// real-valued transpose after the reduction restores row-major layout
-    /// ([`Field::ifft2_pruned_accumulate_t`]).
+    /// With `cols = Some(xs)` only those pixel columns are computed and
+    /// every other pixel is zero; the computed pixels are bit-identical to
+    /// the unrestricted image. `parallelism` bounds the tasks per stage and
+    /// never changes a bit of the result.
     ///
     /// # Panics
     ///
-    /// Panics when `mask.len()` or `intensity.len()` differ from
-    /// `width*height`.
+    /// Panics when `outputs.len() != states.len()`, on any sample-count
+    /// mismatch with the stacks' grid, or on an out-of-range column index.
     #[allow(clippy::too_many_arguments)]
-    pub fn socs_intensity(
+    pub fn images(
         &mut self,
-        width: usize,
-        height: usize,
+        stacks: &SocsStacks<T>,
         mask: &[f64],
-        kernels: &[SocsKernel<T>],
-        pool: &WorkerPool,
-        parallelism: usize,
-        intensity: &mut [f64],
-    ) {
-        let n = width * height;
-        assert_eq!(mask.len(), n, "mask sample count mismatch");
-        assert_eq!(intensity.len(), n, "intensity sample count mismatch");
-        let nk = kernels.len();
-        let tasks = parallelism.clamp(1, nk.max(1));
-        self.prepare(width, height, tasks);
-        self.ensure_strips(nk * n);
-
-        let spectrum = self.spectrum.as_mut().expect("prepared above");
-        spectrum.fill_forward_real_with(mask, &mut self.forward_scratch);
-        let spectrum: &Field<T> = spectrum;
-        if nk == 0 {
-            intensity.fill(0.0);
-            return;
-        }
-
-        // |IFFT_unscaled(z)/n|² = |z|²/n²: fold the normalisation into w_k.
-        let inv_n2 = 1.0 / (n as f64 * n as f64);
-        let chunk = nk.div_ceil(tasks);
-        let strips = &mut self.strips[..nk * n];
-        let mut units: Vec<(&mut WorkSlot<T>, &mut [T])> = self.slots[..tasks]
-            .iter_mut()
-            .zip(strips.chunks_mut(chunk * n))
-            .collect();
-        pool.run_with_slots(&mut units, |t, (slot, strip_chunk)| {
-            Self::convolve_chunk(
-                spectrum,
-                kernels.iter().skip(t * chunk).take(chunk),
-                inv_n2,
-                slot,
-                strip_chunk,
-                n,
-            );
-        });
-        Self::reduce_strips(strips, nk, n);
-        crate::fft::transpose_real_into(&strips[..n], width, height, intensity);
-    }
-
-    /// One task's share of a kernel set: the fused product → pruned
-    /// inverse → `w·|z|²` loop, each kernel accumulating into its own strip
-    /// of `strips` (so results are independent of the chunking).
-    fn convolve_chunk<'k>(
-        spectrum: &Field<T>,
-        kernels: impl Iterator<Item = &'k SocsKernel<T>>,
-        inv_n2: f64,
-        slot: &mut WorkSlot<T>,
-        strips: &mut [T],
-        stride: usize,
-    ) {
-        let field = slot.field.as_mut().expect("prepared above");
-        for (kernel, strip) in kernels.zip(strips.chunks_mut(stride)) {
-            strip.fill(T::ZERO);
-            spectrum.mul_pointwise_live_rows_into(&kernel.transfer, &kernel.live_rows, field);
-            field.ifft2_pruned_accumulate_t(
-                &kernel.live_rows,
-                &mut slot.scratch,
-                T::from_f64(kernel.weight * inv_n2),
-                strip,
-            );
-        }
-    }
-
-    /// Left-folds `count` per-kernel strips of `stride` samples into the
-    /// first strip, in ascending kernel order — the canonical summation
-    /// tree every entry point shares, whatever the task chunking was.
-    fn reduce_strips(strips: &mut [T], count: usize, stride: usize) {
-        let (first, rest) = strips.split_at_mut(stride);
-        for k in 1..count {
-            let src = &rest[(k - 1) * stride..k * stride];
-            for (dst, &v) in first.iter_mut().zip(src) {
-                *dst += v;
-            }
-        }
-    }
-
-    /// Multi-condition SOCS intensity: computes one aerial image per kernel
-    /// set from a **single** forward mask FFT, dispatching every set's
-    /// convolutions over `pool` in one fan-out.
-    ///
-    /// Each set accumulates into its own contiguous per-kernel strip region
-    /// and is reduced in ascending kernel order, exactly as a standalone
-    /// [`LithoWorkspace::socs_intensity`] call would — so every output is
-    /// **bit-identical** to the serial per-set path at *any* `parallelism`;
-    /// the only sharing is the forward spectrum, which is a pure function
-    /// of the mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `outputs.len() != kernel_sets.len()`, or on any sample
-    /// count mismatch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn socs_intensity_multi(
-        &mut self,
-        width: usize,
-        height: usize,
-        mask: &[f64],
-        kernel_sets: &[&[SocsKernel<T>]],
+        states: &[bool],
+        cols: Option<&[usize]>,
         pool: &WorkerPool,
         parallelism: usize,
         outputs: &mut [&mut [f64]],
     ) {
-        let n = width * height;
-        assert_eq!(mask.len(), n, "mask sample count mismatch");
-        assert_eq!(
-            outputs.len(),
-            kernel_sets.len(),
-            "one output per kernel set required"
-        );
+        let (w, h) = stacks.size;
+        let m2 = stacks.coarse.0 * stacks.coarse.1;
+        assert_eq!(mask.len(), w * h, "mask sample count mismatch");
+        assert_eq!(outputs.len(), states.len(), "one output per state");
         for out in outputs.iter() {
-            assert_eq!(out.len(), n, "intensity sample count mismatch");
+            assert_eq!(out.len(), w * h, "intensity sample count mismatch");
         }
-        // Per-set chunk sizes, identical to each set's standalone chunking,
-        // and one work unit (task) per chunk. Each unit descriptor is
-        // `(set index, first kernel, kernel count)`.
-        let mut descs: Vec<(usize, usize, usize)> = Vec::new();
-        for (c, set) in kernel_sets.iter().enumerate() {
-            let tasks = parallelism.clamp(1, set.len().max(1));
-            let chunk = set.len().div_ceil(tasks).max(1);
-            let mut start = 0usize;
-            while start < set.len() {
-                let count = chunk.min(set.len() - start);
-                descs.push((c, start, count));
-                start += count;
-            }
+        // Each state is chunked as if it were alone, one task per chunk.
+        let mut chunks: Vec<&[KernelPatch<T>]> = Vec::new();
+        for &defocused in states {
+            let stack = &stacks.stacks[defocused as usize];
+            let tasks = parallelism.clamp(1, stack.len().max(1));
+            chunks.extend(stack.chunks(stack.len().div_ceil(tasks).max(1)));
         }
-        let total_nk: usize = kernel_sets.iter().map(|set| set.len()).sum();
-        self.prepare(width, height, descs.len().max(1));
-        self.ensure_strips(total_nk * n);
-
-        let spectrum = self.spectrum.as_mut().expect("prepared above");
-        spectrum.fill_forward_real_with(mask, &mut self.forward_scratch);
-        let spectrum: &Field<T> = spectrum;
-
-        // One pool fan-out over every set's chunks. Unit `u` statically owns
-        // its kernel range and strip region, so results do not depend on
-        // which worker claims which unit.
-        let inv_n2 = 1.0 / (n as f64 * n as f64);
-        {
-            let mut rest: &mut [T] = &mut self.strips[..total_nk * n];
-            #[allow(clippy::type_complexity)]
-            let mut units: Vec<((usize, usize, usize), &mut WorkSlot<T>, &mut [T])> =
-                Vec::with_capacity(descs.len());
-            for (&desc, slot) in descs.iter().zip(self.slots.iter_mut()) {
-                let (head, tail) = rest.split_at_mut(desc.2 * n);
-                rest = tail;
-                units.push((desc, slot, head));
-            }
-            pool.run_with_slots(&mut units, |_u, ((c, start, count), slot, strips)| {
-                let set = kernel_sets[*c];
-                Self::convolve_chunk(
-                    spectrum,
-                    set[*start..*start + *count].iter(),
-                    inv_n2,
-                    slot,
-                    strips,
-                    n,
-                );
-            });
+        let total: usize = chunks.iter().map(|c| c.len()).sum();
+        let slots = chunks.len().max(states.len());
+        if self.slots.len() < slots {
+            self.slots.resize_with(slots, WorkSlot::default);
         }
-        // Ascending-kernel-order reduction per set, over its strip region.
-        let mut base = 0usize;
-        for (out, set) in outputs.iter_mut().zip(kernel_sets) {
-            if set.is_empty() {
-                out.fill(0.0);
-                continue;
-            }
-            let region = &mut self.strips[base * n..(base + set.len()) * n];
-            Self::reduce_strips(region, set.len(), n);
-            crate::fft::transpose_real_into(&region[..n], width, height, out);
-            base += set.len();
+        ensure(&mut self.strips, total * m2);
+
+        let band = stacks.band;
+        fft2_real_band(
+            mask,
+            (w, h),
+            band,
+            &mut self.forward_scratch,
+            (
+                ensure(&mut self.spec_re, band.w * band.h),
+                ensure(&mut self.spec_im, band.w * band.h),
+            ),
+            (1, band.w),
+        );
+
+        // Kernel fan-out. A task statically owns its kernels and strips, so
+        // results do not depend on which worker claims it.
+        let spectrum = (&self.spec_re[..], &self.spec_im[..]);
+        let mut rest = &mut self.strips[..total * m2];
+        let mut units = Vec::new();
+        for (&patches, slot) in chunks.iter().zip(&mut self.slots) {
+            let (head, tail) = rest.split_at_mut(patches.len() * m2);
+            rest = tail;
+            units.push((patches, slot, head));
         }
-    }
-
-    /// Column-restricted SOCS intensity: like
-    /// [`LithoWorkspace::socs_intensity`] but only the pixels in the given
-    /// `cols` (x indices) are computed; every other pixel of `intensity` is
-    /// left at zero.
-    ///
-    /// The per-kernel inverse transform skips both transposes and every
-    /// off-ROI column transform ([`Field::ifft2_pruned_cols_accumulate`]),
-    /// which is what makes restricted re-simulation inside the OPC
-    /// correction loop cheap. Computed pixels are bit-identical to the full
-    /// path at *any* `parallelism` (identical per-column kernel operations,
-    /// same ascending-kernel reduction order).
-    ///
-    /// # Panics
-    ///
-    /// Panics on sample-count mismatch or an out-of-range column index.
-    #[allow(clippy::too_many_arguments)]
-    pub fn socs_intensity_cols(
-        &mut self,
-        width: usize,
-        height: usize,
-        mask: &[f64],
-        kernels: &[SocsKernel<T>],
-        cols: &[usize],
-        pool: &WorkerPool,
-        parallelism: usize,
-        intensity: &mut [f64],
-    ) {
-        let n = width * height;
-        assert_eq!(mask.len(), n, "mask sample count mismatch");
-        assert_eq!(intensity.len(), n, "intensity sample count mismatch");
-        let nk = kernels.len();
-        let tasks = parallelism.clamp(1, nk.max(1));
-        let stride = cols.len() * height;
-        self.prepare(width, height, tasks);
-        self.ensure_strips(nk * stride);
-
-        let spectrum = self.spectrum.as_mut().expect("prepared above");
-        spectrum.fill_forward_real_with(mask, &mut self.forward_scratch);
-        let spectrum: &Field<T> = spectrum;
-        if nk == 0 || stride == 0 {
-            intensity.fill(0.0);
-            return;
-        }
-
-        let inv_n2 = 1.0 / (n as f64 * n as f64);
-        let chunk = nk.div_ceil(tasks);
-        let strips = &mut self.strips[..nk * stride];
-        let mut units: Vec<(&mut WorkSlot<T>, &mut [T])> = self.slots[..tasks]
-            .iter_mut()
-            .zip(strips.chunks_mut(chunk * stride))
-            .collect();
-        pool.run_with_slots(&mut units, |t, (slot, strip_chunk)| {
-            let field = slot.field.as_mut().expect("prepared above");
-            for (kernel, strip) in kernels
-                .iter()
-                .skip(t * chunk)
-                .take(chunk)
-                .zip(strip_chunk.chunks_mut(stride))
-            {
-                strip.fill(T::ZERO);
-                spectrum.mul_pointwise_pruned_into(&kernel.transfer, &kernel.live_rows, field);
-                field.ifft2_pruned_cols_accumulate(
-                    &kernel.live_rows,
-                    cols,
-                    &mut slot.scratch,
-                    T::from_f64(kernel.weight * inv_n2),
-                    strip,
-                );
-            }
+        pool.run_with_slots(&mut units, |_, (patches, slot, strips)| {
+            convolve_chunk(stacks, spectrum, patches, slot, strips);
         });
 
-        // Ascending-kernel reduction, then scatter the column-contiguous
-        // result back to row-major, widening to the f64 output domain
-        // (bit-identical summation tree to the full path).
-        Self::reduce_strips(strips, nk, stride);
-        intensity.fill(0.0);
-        let first = &strips[..stride];
-        for (ci, &x) in cols.iter().enumerate() {
-            for y in 0..height {
-                intensity[y * width + x] = first[ci * height + y].to_f64();
+        // Per image: fold the state's strips, then interpolate.
+        let mut rest = &mut self.strips[..total * m2];
+        let mut units = Vec::new();
+        for ((&defocused, out), slot) in states.iter().zip(outputs.iter_mut()).zip(&mut self.slots)
+        {
+            let nk = stacks.stacks[defocused as usize].len();
+            let (head, tail) = rest.split_at_mut(nk * m2);
+            rest = tail;
+            units.push((slot, head, &mut **out));
+        }
+        pool.run_with_slots(&mut units, |_, (slot, strips, out)| {
+            if cols.is_some() || strips.is_empty() {
+                out.fill(0.0);
             }
+            if strips.is_empty() {
+                return;
+            }
+            // Ascending kernel order: the canonical summation tree.
+            let (first, others) = strips.split_at_mut(m2);
+            for strip in others.chunks_exact(m2) {
+                for (dst, &v) in first.iter_mut().zip(strip) {
+                    *dst += v;
+                }
+            }
+            upsample(stacks, first, slot, cols, out);
+        });
+    }
+}
+
+/// One task's kernels: product over the patch at the origin of the coarse
+/// field → row-pruned inverse → `w·|z|²` into the kernel's own strip.
+fn convolve_chunk<T: Scalar>(
+    stacks: &SocsStacks<T>,
+    (spec_re, spec_im): (&[T], &[T]),
+    patches: &[KernelPatch<T>],
+    slot: &mut WorkSlot<T>,
+    strips: &mut [T],
+) {
+    let (w, h) = stacks.size;
+    let (mx, my) = stacks.coarse;
+    let band = stacks.band;
+    let mode = simd::active_mode();
+    // Unscaled transforms: the coherent fields carry a factor `w·h`, the
+    // coarse intensity spectrum another `mx·my`; fold both into the weight.
+    let norm = 1.0 / ((w * h) as f64 * (w * h) as f64 * (mx * my) as f64);
+    for (patch, strip) in patches.iter().zip(strips.chunks_exact_mut(mx * my)) {
+        let Band {
+            x0,
+            y0,
+            w: pw,
+            h: ph,
+        } = patch.band;
+        let rows_re = ensure(&mut slot.rows_re, ph * mx);
+        let rows_im = ensure(&mut slot.rows_im, ph * mx);
+        let corner = (y0 - band.y0) as usize * band.w + (x0 - band.x0) as usize;
+        for b in 0..ph {
+            let (s, p, d) = (corner + b * band.w, b * pw, b * mx);
+            simd::cmul(
+                mode,
+                &spec_re[s..s + pw],
+                &spec_im[s..s + pw],
+                &patch.re[p..p + pw],
+                &patch.im[p..p + pw],
+                &mut rows_re[d..d + pw],
+                &mut rows_im[d..d + pw],
+            );
+            rows_re[d + pw..d + mx].fill(T::ZERO);
+            rows_im[d + pw..d + mx].fill(T::ZERO);
+        }
+        strip.fill(T::ZERO);
+        let weight = T::from_f64(patch.weight * norm);
+        ifft2_live_rows(
+            (rows_re, rows_im),
+            (mx, my),
+            0,
+            None,
+            &mut slot.scratch,
+            |xs, re, im, cs| {
+                for (j, &x) in xs.iter().enumerate() {
+                    let col = j * cs..j * cs + my;
+                    let acc = &mut strip[x * my..(x + 1) * my];
+                    simd::acc_norm_sq(mode, &re[col.clone()], &im[col], weight, acc);
+                }
+            },
+        );
+    }
+}
+
+/// Fourier-interpolates a coarse intensity (column-major, `x·my + y`) to
+/// the full grid: its spectrum's `image_band` bins become the live rows of
+/// the full-grid spectrum, whose inverse is the image.
+fn upsample<T: Scalar>(
+    stacks: &SocsStacks<T>,
+    coarse: &[T],
+    slot: &mut WorkSlot<T>,
+    cols: Option<&[usize]>,
+    out: &mut [f64],
+) {
+    let (w, h) = stacks.size;
+    let (mx, my) = stacks.coarse;
+    let ib = stacks.image_band;
+    let band_re = ensure(&mut slot.band_re, ib.w * ib.h);
+    let band_im = ensure(&mut slot.band_im, ib.w * ib.h);
+    // Column-major storage is the row-major `my×mx` transpose, whose
+    // spectrum is the transposed spectrum: ask for the transposed band and
+    // store it back row-major.
+    let transposed = Band {
+        x0: ib.y0,
+        y0: ib.x0,
+        w: ib.h,
+        h: ib.w,
+    };
+    fft2_real_band(
+        coarse,
+        (my, mx),
+        transposed,
+        &mut slot.scratch,
+        (band_re, band_im),
+        (ib.w, 1),
+    );
+    let rows_re = ensure(&mut slot.rows_re, ib.h * w);
+    let rows_im = ensure(&mut slot.rows_im, ib.h * w);
+    rows_re.fill(T::ZERO);
+    rows_im.fill(T::ZERO);
+    for b in 0..ib.h {
+        for a in 0..ib.w {
+            let x = wrap(ib.x0 + a as isize, w);
+            rows_re[b * w + x] = band_re[b * ib.w + a];
+            rows_im[b * w + x] = band_im[b * ib.w + a];
         }
     }
+    ifft2_live_rows(
+        (rows_re, rows_im),
+        (w, h),
+        ib.y0,
+        cols,
+        &mut slot.scratch,
+        |xs, re, _, cs| {
+            for (y, row) in out.chunks_exact_mut(w).enumerate() {
+                for (j, &x) in xs.iter().enumerate() {
+                    row[x] = re[j * cs + y].to_f64();
+                }
+            }
+        },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optics::{build_kernels, OpticsConfig};
+    use crate::fft::Field;
+    use crate::optics::{build_kernels, OpticsConfig, SocsKernel};
     use cardopc_geometry::SplitMix64;
+    use proptest::prelude::*;
 
-    fn kernels_64() -> Vec<SocsKernel> {
-        let cfg = OpticsConfig {
+    fn small_source() -> OpticsConfig {
+        OpticsConfig {
             source_rings: 1,
             points_per_ring: 6,
             ..OpticsConfig::default()
-        };
-        build_kernels(&cfg, 64, 64, 8.0, 0.0).unwrap()
+        }
     }
 
     fn random_mask(n: usize, seed: u64) -> Vec<f64> {
@@ -405,14 +318,12 @@ mod tests {
         (0..n).map(|_| rng.range_f64(0.0, 1.0)).collect()
     }
 
-    /// Reference SOCS intensity via the plain (allocating) field API.
-    fn reference_intensity(mask: &[f64], kernels: &[SocsKernel]) -> Vec<f64> {
-        let spectrum = {
-            let mut f: Field = Field::from_real(64, 64, mask);
-            f.fft2_inplace(false);
-            f
-        };
-        let mut intensity = vec![0.0; 64 * 64];
+    /// The *definition* of the SOCS intensity, kept here only: every kernel
+    /// convolved on the full grid through the plain allocating field API.
+    fn reference_intensity(w: usize, h: usize, mask: &[f64], kernels: &[SocsKernel]) -> Vec<f64> {
+        let mut spectrum: Field = Field::from_real(w, h, mask);
+        spectrum.fft2_inplace(false);
+        let mut intensity = vec![0.0; w * h];
         for k in kernels {
             let mut field = spectrum.mul_pointwise(&k.transfer);
             field.fft2_inplace(true);
@@ -423,95 +334,203 @@ mod tests {
         intensity
     }
 
-    #[test]
-    fn socs_intensity_matches_reference_for_any_parallelism() {
-        let kernels = kernels_64();
-        let mask = random_mask(64 * 64, 42);
-        let expected = reference_intensity(&mask, &kernels);
+    /// One pipeline call on a fresh workspace.
+    fn run<T: Scalar>(
+        stacks: &SocsStacks<T>,
+        mask: &[f64],
+        states: &[bool],
+        cols: Option<&[usize]>,
+        parallelism: usize,
+    ) -> Vec<Vec<f64>> {
         let pool = WorkerPool::new(4);
-        for parallelism in [1usize, 2, 3, 4, 16] {
-            let mut ws: LithoWorkspace = LithoWorkspace::new();
-            let mut intensity = vec![0.0; 64 * 64];
-            ws.socs_intensity(64, 64, &mask, &kernels, &pool, parallelism, &mut intensity);
-            for (i, (&got, &want)) in intensity.iter().zip(&expected).enumerate() {
-                assert!(
-                    (got - want).abs() < 1e-12 * (1.0 + want.abs()),
-                    "parallelism {parallelism}, pixel {i}: {got} vs {want}"
-                );
+        let mut images = vec![vec![f64::NAN; mask.len()]; states.len()];
+        let mut outputs: Vec<&mut [f64]> = images.iter_mut().map(Vec::as_mut_slice).collect();
+        LithoWorkspace::<T>::new().images(
+            stacks,
+            mask,
+            states,
+            cols,
+            &pool,
+            parallelism,
+            &mut outputs,
+        );
+        images
+    }
+
+    fn peak(image: &[f64]) -> f64 {
+        image.iter().cloned().fold(0.0, f64::max)
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], tol: f64, what: &str) {
+        let bound = tol * peak(want);
+        assert!(bound > 0.0, "{what}: dark reference");
+        for (i, (&g, &r)) in got.iter().zip(want).enumerate() {
+            assert!((g - r).abs() <= bound, "{what}, pixel {i}: {g} vs {r}");
+        }
+    }
+
+    /// Both stacks at both precisions against the full-grid definition.
+    fn check_against_reference(cfg: &OpticsConfig, w: usize, h: usize, pitch: f64, seed: u64) {
+        let stacks = SocsStacks::build(cfg, w, h, pitch).unwrap();
+        let mask = random_mask(w * h, seed);
+        let got64 = run(&stacks, &mask, &[false, true], None, 2);
+        let got32 = run(
+            &stacks.to_precision::<f32>(),
+            &mask,
+            &[false, true],
+            None,
+            2,
+        );
+        for (state, defocus) in [0.0, cfg.defocus].into_iter().enumerate() {
+            let kernels = build_kernels(cfg, w, h, pitch, defocus).unwrap();
+            let want = reference_intensity(w, h, &mask, &kernels);
+            let what = format!("{w}x{h} @ {pitch} nm, state {state}");
+            assert_close(&got64[state], &want, 1e-12, &format!("{what}, f64"));
+            assert_close(&got32[state], &want, 2e-4, &format!("{what}, f32"));
+        }
+    }
+
+    #[test]
+    fn images_match_full_grid_reference_on_production_grids() {
+        // The logic-tile and via-clip grids (coarse grids 180² and 60²).
+        check_against_reference(&small_source(), 768, 768, 8.0, 1);
+        check_against_reference(&small_source(), 500, 500, 4.0, 2);
+        assert_eq!(
+            SocsStacks::build(&OpticsConfig::default(), 768, 768, 8.0)
+                .unwrap()
+                .coarse,
+            (180, 180)
+        );
+        assert_eq!(
+            SocsStacks::build(&OpticsConfig::default(), 500, 500, 4.0)
+                .unwrap()
+                .coarse,
+            (60, 60)
+        );
+    }
+
+    #[test]
+    fn images_match_full_grid_reference_on_odd_grids() {
+        // Non-square 5-smooth, then odd × pow2 with a Bluestein axis.
+        check_against_reference(&OpticsConfig::default(), 100, 60, 4.0, 3);
+        check_against_reference(&OpticsConfig::default(), 77, 64, 8.0, 4);
+        check_against_reference(&OpticsConfig::default(), 64, 64, 8.0, 5);
+    }
+
+    #[test]
+    fn images_match_full_grid_reference_when_the_grid_is_the_coarse_grid() {
+        // 40 nm pixels: 4·(NA/λ)·pitch ≥ 1, so |z|² aliases on the grid
+        // itself, the coarse grid cannot be smaller, the shifted pupil
+        // reaches Nyquist and the Hermitian fold is off.
+        let cfg = OpticsConfig::default();
+        let stacks = SocsStacks::build(&cfg, 16, 16, 40.0).unwrap();
+        assert_eq!(stacks.coarse, (16, 16));
+        assert_eq!(stacks.stacks[0].len(), cfg.source_points().len());
+        check_against_reference(&cfg, 16, 16, 40.0, 6);
+        // One axis only: at 34 nm `2·span + 1` fills a 13-point axis but
+        // fits a 16-point one.
+        let stacks = SocsStacks::build(&cfg, 13, 16, 34.0).unwrap();
+        assert_eq!(stacks.coarse, (13, 15));
+        check_against_reference(&cfg, 13, 16, 34.0, 7);
+    }
+
+    proptest! {
+        /// Random masks under random optics — including odd point counts,
+        /// which never fold — still match the definition.
+        #[test]
+        fn images_match_reference_under_random_optics(
+            seed in 0u64..1000,
+            rings in 1usize..3,
+            points in 1usize..8,
+            sigma_inner in 0.0f64..0.6,
+            sigma_width in 0.0f64..0.4,
+            defocus in -120.0f64..120.0,
+            w in 20usize..72,
+            h in 20usize..72,
+        ) {
+            let cfg = OpticsConfig {
+                source_rings: rings,
+                points_per_ring: points,
+                sigma_inner,
+                sigma_outer: sigma_inner + sigma_width,
+                defocus,
+                ..OpticsConfig::default()
+            };
+            check_against_reference(&cfg, w, h, 8.0, seed);
+        }
+    }
+
+    #[test]
+    fn output_is_bit_identical_for_any_parallelism_cols_and_state_set() {
+        fn check<T: Scalar>(stacks: &SocsStacks<T>) {
+            let mask = random_mask(64 * 64, 42);
+            let cols: Vec<usize> = vec![0, 5, 9, 31, 63];
+            let base = run(stacks, &mask, &[false, true], None, 1);
+            for parallelism in [1usize, 2, 3, 4, 16] {
+                let both = run(stacks, &mask, &[false, true], None, parallelism);
+                assert_eq!(both, base, "parallelism {parallelism}");
+                for (state, defocused) in [false, true].into_iter().enumerate() {
+                    // Multi-state ≡ single-state.
+                    let alone = run(stacks, &mask, &[defocused], None, parallelism);
+                    assert_eq!(alone[0], base[state], "state {state} alone");
+                    // Column-restricted ≡ full on the columns, zero elsewhere.
+                    let roi = run(stacks, &mask, &[defocused], Some(&cols), parallelism);
+                    for (i, (&got, &full)) in roi[0].iter().zip(&base[state]).enumerate() {
+                        let want = if cols.contains(&(i % 64)) { full } else { 0.0 };
+                        assert_eq!(got, want, "state {state}, pixel {i}");
+                    }
+                }
+            }
+        }
+        let stacks = SocsStacks::build(&small_source(), 64, 64, 8.0).unwrap();
+        check(&stacks);
+        check(&stacks.to_precision::<f32>());
+    }
+
+    #[test]
+    fn image_commutes_with_cyclic_shifts_and_the_x_mirror() {
+        // What tile-cache replay by translation leans on.
+        let (w, h) = (60usize, 48usize);
+        let stacks = SocsStacks::build(&OpticsConfig::default(), w, h, 8.0).unwrap();
+        let mask = random_mask(w * h, 9);
+        let image = run(&stacks, &mask, &[false, true], None, 2);
+        let remap = |src: &[f64], f: &dyn Fn(usize, usize) -> (usize, usize)| {
+            let mut dst = vec![0.0; w * h];
+            for y in 0..h {
+                for x in 0..w {
+                    let (sx, sy) = f(x, y);
+                    dst[y * w + x] = src[sy * w + sx];
+                }
+            }
+            dst
+        };
+        let shift = |x: usize, y: usize| ((x + w - 7) % w, (y + h - 13) % h);
+        let mirror = |x: usize, y: usize| ((w - x) % w, y);
+        for (name, f) in [("shift", &shift as &dyn Fn(_, _) -> _), ("mirror", &mirror)] {
+            let moved = run(&stacks, &remap(&mask, f), &[false, true], None, 2);
+            for state in 0..2 {
+                let what = format!("{name}, state {state}");
+                assert_close(&moved[state], &remap(&image[state], f), 1e-12, &what);
             }
         }
     }
 
     #[test]
-    fn f32_socs_intensity_tracks_f64_within_tolerance() {
-        let kernels = kernels_64();
-        let kernels_32: Vec<SocsKernel<f32>> = kernels.iter().map(|k| k.to_precision()).collect();
-        let mask = random_mask(64 * 64, 43);
-        let pool = WorkerPool::new(2);
-        let mut ws64: LithoWorkspace = LithoWorkspace::new();
-        let mut ws32: LithoWorkspace<f32> = LithoWorkspace::new();
-        let mut i64 = vec![0.0; 64 * 64];
-        let mut i32 = vec![0.0; 64 * 64];
-        ws64.socs_intensity(64, 64, &mask, &kernels, &pool, 2, &mut i64);
-        ws32.socs_intensity(64, 64, &mask, &kernels_32, &pool, 2, &mut i32);
-        let peak = i64.iter().cloned().fold(0.0f64, f64::max);
-        assert!(peak > 0.0);
-        for (i, (&a, &b)) in i32.iter().zip(&i64).enumerate() {
-            assert!(
-                (a - b).abs() < 2e-4 * peak,
-                "pixel {i}: f32 {a} vs f64 {b} (peak {peak})"
-            );
-        }
-    }
-
-    #[test]
-    fn f32_socs_intensity_is_deterministic_across_parallelism() {
-        let kernels_32: Vec<SocsKernel<f32>> =
-            kernels_64().iter().map(|k| k.to_precision()).collect();
-        let mask = random_mask(64 * 64, 44);
-        let pool = WorkerPool::new(4);
-        let mut baseline = vec![0.0; 64 * 64];
-        let mut ws: LithoWorkspace<f32> = LithoWorkspace::new();
-        ws.socs_intensity(64, 64, &mask, &kernels_32, &pool, 1, &mut baseline);
-        for parallelism in [2usize, 3, 4, 16] {
-            let mut ws: LithoWorkspace<f32> = LithoWorkspace::new();
-            let mut intensity = vec![0.0; 64 * 64];
-            ws.socs_intensity(
-                64,
-                64,
-                &mask,
-                &kernels_32,
-                &pool,
-                parallelism,
-                &mut intensity,
-            );
-            assert_eq!(intensity, baseline, "parallelism {parallelism}");
-        }
-    }
-
-    #[test]
-    fn socs_intensity_cols_matches_full_on_roi() {
-        let kernels = kernels_64();
-        let mask = random_mask(64 * 64, 7);
-        let pool = WorkerPool::new(3);
-        let cols: Vec<usize> = vec![0, 5, 9, 31, 63];
-        for parallelism in [1usize, 3] {
-            let mut ws: LithoWorkspace = LithoWorkspace::new();
-            let mut full = vec![0.0; 64 * 64];
-            ws.socs_intensity(64, 64, &mask, &kernels, &pool, parallelism, &mut full);
-            let mut roi = vec![f64::NAN; 64 * 64];
-            ws.socs_intensity_cols(64, 64, &mask, &kernels, &cols, &pool, parallelism, &mut roi);
-            for y in 0..64 {
-                for x in 0..64 {
-                    let i = y * 64 + x;
-                    if cols.contains(&x) {
-                        assert_eq!(
-                            roi[i], full[i],
-                            "parallelism {parallelism}, pixel ({x},{y}) not bit-identical"
-                        );
-                    } else {
-                        assert_eq!(roi[i], 0.0, "off-ROI pixel ({x},{y}) not zero");
-                    }
+    fn output_spectrum_is_empty_outside_the_image_band() {
+        let (w, h) = (96usize, 80usize);
+        let stacks = SocsStacks::build(&OpticsConfig::default(), w, h, 8.0).unwrap();
+        let ib = stacks.image_band;
+        assert!(ib.w < w && ib.h < h, "test needs a real coarse grid");
+        let image = run(&stacks, &random_mask(w * h, 10), &[true], None, 1);
+        let mut spectrum: Field = Field::from_real(w, h, &image[0]);
+        spectrum.fft2_inplace(false);
+        let dc = spectrum.at(0, 0).norm();
+        let inside = |k: usize, n: usize, span: usize| k.min(n - k) <= span;
+        for ky in 0..h {
+            for kx in 0..w {
+                if !(inside(kx, w, ib.w / 2) && inside(ky, h, ib.h / 2)) {
+                    let leak = spectrum.at(kx, ky).norm();
+                    assert!(leak <= 1e-12 * dc, "bin ({kx},{ky}): {leak} vs DC {dc}");
                 }
             }
         }
@@ -519,19 +538,19 @@ mod tests {
 
     #[test]
     fn workspace_is_reusable_across_calls_and_sizes() {
-        let kernels = kernels_64();
         let pool = WorkerPool::new(2);
+        let small = SocsStacks::build(&small_source(), 64, 64, 8.0).unwrap();
+        let large = SocsStacks::build(&small_source(), 100, 60, 4.0).unwrap();
         let mut ws: LithoWorkspace = LithoWorkspace::new();
-        let mut out_a = vec![0.0; 64 * 64];
-        let mut out_b = vec![0.0; 64 * 64];
-        let mask_a = random_mask(64 * 64, 1);
-        let mask_b = random_mask(64 * 64, 2);
-        ws.socs_intensity(64, 64, &mask_a, &kernels, &pool, 2, &mut out_a);
-        ws.socs_intensity(64, 64, &mask_b, &kernels, &pool, 2, &mut out_b);
-        // Fresh workspace agrees: no state leaks between calls.
-        let mut fresh: LithoWorkspace = LithoWorkspace::new();
-        let mut out_b2 = vec![0.0; 64 * 64];
-        fresh.socs_intensity(64, 64, &mask_b, &kernels, &pool, 2, &mut out_b2);
-        assert_eq!(out_b, out_b2);
+        let mut reused = Vec::new();
+        for (stacks, seed) in [(&small, 1), (&large, 2), (&small, 3)] {
+            let mask = random_mask(stacks.size.0 * stacks.size.1, seed);
+            let mut out = vec![0.0; mask.len()];
+            ws.images(stacks, &mask, &[false], None, &pool, 2, &mut [&mut out]);
+            // A fresh workspace agrees: no state leaks between calls.
+            assert_eq!(out, run(stacks, &mask, &[false], None, 2)[0]);
+            reused.push(out);
+        }
+        assert_ne!(reused[0], reused[2]);
     }
 }

@@ -16,7 +16,7 @@
 use cardopc_geometry::{Grid, Point, Polygon, SplitMix64};
 use cardopc_litho::fft::FftScratch;
 use cardopc_litho::simd::{self, SimdMode};
-use cardopc_litho::{rasterize, FftPlan, LithoEngine, OpticsConfig, ProcessCondition};
+use cardopc_litho::{rasterize, FftPlan, LithoEngine, OpticsConfig, Precision, ProcessCondition};
 use std::sync::Mutex;
 
 static MODE_LOCK: Mutex<()> = Mutex::new(());
@@ -166,6 +166,40 @@ fn scalar_mode_is_bitwise_deterministic_across_worker_counts() {
             }
         }
     });
+}
+
+/// Byte identity across worker counts holds for every image call, at both
+/// precisions, in each dispatch mode.
+#[test]
+fn every_image_call_is_bitwise_deterministic_across_worker_counts_in_both_modes() {
+    let _guard = MODE_LOCK.lock().unwrap();
+    let mask = test_mask(96, 80, 4.0);
+    let cols: Vec<usize> = (10..70).collect();
+    let conditions = [ProcessCondition::NOMINAL, ProcessCondition::inner(0.02)];
+    for mode in [SimdMode::Scalar, SimdMode::Avx2] {
+        for precision in [Precision::F64, Precision::F32] {
+            with_mode(mode, || {
+                let mut e =
+                    LithoEngine::with_precision(OpticsConfig::default(), 96, 80, 4.0, precision)
+                        .unwrap();
+                let mut reference: Option<Vec<Grid>> = None;
+                for workers in [1usize, 2, 3, 4, 16] {
+                    e.set_workers(workers);
+                    let mut images = e.aerial_images_multi(&mask, &conditions).unwrap();
+                    images.push(e.aerial_image(&mask).unwrap());
+                    images.push(e.aerial_image_cols(&mask, &cols).unwrap());
+                    let reference = reference.get_or_insert_with(|| images.clone());
+                    for (i, (got, want)) in images.iter().zip(reference.iter()).enumerate() {
+                        assert_eq!(
+                            got.data(),
+                            want.data(),
+                            "{mode:?} {precision:?} workers={workers} image {i}"
+                        );
+                    }
+                }
+            });
+        }
+    }
 }
 
 #[test]
