@@ -69,11 +69,12 @@ fn bench_resolve(c: &mut Criterion) {
     });
 }
 
-/// A post-correction logic tile, as the resolver meets it in a tiled run:
-/// tile 0 of `cardopc --design gcd --crop 8192` at the CLI defaults after
-/// its 10 correction iterations, MRC stage not yet run (90 shapes, ~54 k
-/// boundary samples, 281 violations).
-fn corrected_logic_tile() -> Vec<CardinalSpline> {
+/// The post-correction logic tiles, as the resolver meets them in a tiled
+/// run: the four tiles of `cardopc --design gcd --crop 8192` at the CLI
+/// defaults after their 10 correction iterations, MRC stage not yet run
+/// (tile 0: 90 shapes, ~54 k boundary samples, 281 violations; tile 1 is
+/// the heaviest with 1 215).
+fn corrected_logic_tiles() -> Vec<Vec<CardinalSpline>> {
     use cardopc::layout::generated_clip;
     use cardopc::runtime::partition_clip;
 
@@ -82,35 +83,113 @@ fn corrected_logic_tile() -> Vec<CardinalSpline> {
         tile_size: 4096.0,
         halo: 1024.0,
     };
-    let tile = &partition_clip(&clip, &tiling).unwrap().tiles[0];
     let config = OpcConfig {
         mrc: None,
         ..OpcConfig::large_scale()
     };
-    let engine = engine_for_extent(tile.clip.width(), tile.clip.height(), config.pitch).unwrap();
-    let corrected = CardOpc::new(config)
-        .optimize_with_engine(&tile.clip, &engine)
-        .unwrap();
-    corrected.shapes.into_iter().map(|s| s.spline).collect()
+    let correct = |tile: &cardopc::runtime::Tile| {
+        let engine =
+            engine_for_extent(tile.clip.width(), tile.clip.height(), config.pitch).unwrap();
+        let corrected = CardOpc::new(config.clone())
+            .optimize_with_engine(&tile.clip, &engine)
+            .unwrap();
+        corrected.shapes.into_iter().map(|s| s.spline).collect()
+    };
+    let tiles = partition_clip(&clip, &tiling).unwrap().tiles;
+    tiles.iter().map(correct).collect()
 }
 
-fn bench_logic_tile(c: &mut Criterion) {
-    let tile = corrected_logic_tile();
+fn bench_logic_tiles(c: &mut Criterion) {
+    let tiles = corrected_logic_tiles();
     let rules = OpcConfig::large_scale()
         .mrc
         .expect("large_scale checks MRC");
     let checker = MrcChecker::new(rules);
     c.bench_function("mrc_check_logic_tile", |b| {
-        b.iter(|| black_box(checker.check(black_box(&tile))))
+        b.iter(|| black_box(checker.check(black_box(&tiles[0]))))
     });
     // The resolver exactly as `optimize_with_engine` configures it.
     let resolver = MrcResolver::new(rules, ResolveConfig::default());
-    c.bench_function("mrc_resolve_logic_tile", |b| {
-        b.iter(|| {
-            let mut shapes = tile.clone();
-            black_box(resolver.resolve(&mut shapes))
-        })
-    });
+    let names = [
+        "mrc_resolve_logic_tile",
+        "mrc_resolve_logic_tile_1",
+        "mrc_resolve_logic_tile_2",
+        "mrc_resolve_logic_tile_3",
+    ];
+    for (name, tile) in names.into_iter().zip(&tiles) {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut shapes = tile.clone();
+                black_box(resolver.resolve(&mut shapes))
+            })
+        });
+    }
+}
+
+/// The seam pass of the array job: a 64×64 field of the two-wire cell
+/// (step 1024 nm, dissected as the large-scale flow does) under the
+/// 1024 nm seam grid, `check_spacing_in_bands` only. As in the job, no
+/// wire comes within reach of a seam, so no shape is indexed; the
+/// `_crossing` row shifts the field 200 nm so every long wire straddles a
+/// seam and is sampled, indexed and probed once.
+fn bench_seam_bands(c: &mut Criterion) {
+    const CELLS: usize = 64;
+    const STEP: f64 = 1024.0;
+    let wire =
+        |x0: f64, y0: f64, x1: f64, y1: f64| Polygon::rect(Point::new(x0, y0), Point::new(x1, y1));
+    let cell = Clip::new(
+        "cell",
+        STEP,
+        STEP,
+        vec![
+            wire(160.0, 256.0, 864.0, 326.0),
+            wire(160.0, 640.0, 640.0, 710.0),
+        ],
+    );
+    let dissected = CardOpc::new(OpcConfig::large_scale())
+        .initialize(&cell)
+        .unwrap();
+    let field = |shift: f64| -> Vec<CardinalSpline> {
+        let mut shapes = Vec::with_capacity(2 * CELLS * CELLS);
+        for gy in 0..CELLS {
+            for gx in 0..CELLS {
+                let by = Point::new(gx as f64 * STEP + shift, gy as f64 * STEP);
+                for shape in &dissected {
+                    let mut spline = shape.spline.clone();
+                    spline
+                        .control_points_mut()
+                        .iter_mut()
+                        .for_each(|p| *p += by);
+                    shapes.push(spline);
+                }
+            }
+        }
+        shapes
+    };
+    let rules = OpcConfig::large_scale()
+        .mrc
+        .expect("large_scale checks MRC");
+    let extent = CELLS as f64 * STEP;
+    let mut bands = Vec::new();
+    for k in 1..CELLS {
+        let seam = k as f64 * STEP;
+        let s = rules.min_space;
+        bands.push(BBox::new(
+            Point::new(seam - s, 0.0),
+            Point::new(seam + s, extent),
+        ));
+        bands.push(BBox::new(
+            Point::new(0.0, seam - s),
+            Point::new(extent, seam + s),
+        ));
+    }
+    let checker = MrcChecker::new(rules);
+    for (name, shift) in [("mrc_seam_bands", 0.0), ("mrc_seam_bands_crossing", 200.0)] {
+        let shapes = field(shift);
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(checker.check_spacing_in_bands(black_box(&shapes), &bands)))
+        });
+    }
 }
 
 criterion_group!(
@@ -118,6 +197,7 @@ criterion_group!(
     bench_check,
     bench_curvature_only,
     bench_resolve,
-    bench_logic_tile
+    bench_logic_tiles,
+    bench_seam_bands
 );
 criterion_main!(benches);

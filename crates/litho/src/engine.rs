@@ -518,6 +518,38 @@ mod tests {
     }
 
     #[test]
+    fn aerial_images_multi_repeated_and_reordered_states_match_per_condition_calls() {
+        // However the conditions repeat or order the two focus states,
+        // every image equals the per-condition call bit for bit — the
+        // contract any scheme that hands out a state's grid without copying
+        // it has to keep (ROADMAP item 1(d)).
+        let mut rng = cardopc_geometry::SplitMix64::new(80);
+        let mut mask = Grid::zeros(64, 64, 8.0);
+        for v in mask.data_mut() {
+            *v = rng.range_f64(0.0, 1.0);
+        }
+        let engine = small_engine();
+        let (nominal, inner, outer) = (
+            ProcessCondition::NOMINAL,
+            ProcessCondition::inner(0.02),
+            ProcessCondition::outer(0.02),
+        );
+        for conditions in [
+            vec![nominal, inner],
+            vec![nominal, outer, inner],
+            vec![inner, nominal, inner],
+            vec![inner, inner, inner],
+        ] {
+            let multi = engine.aerial_images_multi(&mask, &conditions).unwrap();
+            assert_eq!(multi.len(), conditions.len());
+            for (got, &condition) in multi.iter().zip(&conditions) {
+                let want = engine.aerial_image_at(&mask, condition).unwrap();
+                assert_eq!(got.data(), want.data(), "{condition:?} of {conditions:?}");
+            }
+        }
+    }
+
+    #[test]
     fn aerial_images_multi_empty_conditions() {
         let engine = small_engine();
         let mask = Grid::zeros(64, 64, 8.0);

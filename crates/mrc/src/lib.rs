@@ -6,8 +6,9 @@
 //!
 //! * [`MrcRules`] — the four curvilinear rules: spacing, width, area,
 //!   curvature (after Bork et al., *MRC for curvilinear mask shapes*),
-//! * [`MrcChecker`] — probe-segment spacing/width checks over an R-tree of
-//!   sampled mask edges, shoelace area checks, and fully analytic spline
+//! * [`MrcChecker`] — probe-segment spacing/width checks over the sampled
+//!   mask edges (an R-tree over the shapes, a loop-order box hierarchy over
+//!   each shape's edges), shoelace area checks, and fully analytic spline
 //!   curvature checks,
 //! * [`MrcResolver`] — trial-move violation resolving: control points slide
 //!   along/against their normals with escalating steps until the mask is

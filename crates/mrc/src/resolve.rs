@@ -78,12 +78,20 @@ pub struct ResolveReport {
     /// round's reverts). A tail that stops falling while `rounds` runs to
     /// the limit is a stall: the same trials are applied and undone.
     pub violations_per_round: Vec<usize>,
-    /// Checks that probed every shape: the initial one and one after
-    /// every removal of shapes.
+    /// Checks that launched a spacing probe from every shape: the initial
+    /// one and one after every removal of shapes.
     pub full_probes: usize,
-    /// Shapes probed again by all other checks, i.e. the ones a trial
-    /// round or a revert moved plus their neighbours within probe reach.
+    /// Shapes that launched a spacing probe in all other checks, i.e. the
+    /// ones a trial round or a revert bent plus the neighbours that face
+    /// the bend within probe reach.
     pub incremental_probes: usize,
+    /// Width probes launched by all checks together. A trial costs the
+    /// samples of the segments it bent and the probes that can see them,
+    /// not the shape: on a logic tile the total stays below two
+    /// whole-tile checks.
+    pub width_samples_probed: usize,
+    /// Spacing probes launched by all checks together.
+    pub spacing_samples_probed: usize,
 }
 
 impl ResolveReport {
@@ -151,11 +159,13 @@ impl MrcResolver {
             violations_per_round: Vec::new(),
             full_probes: 0,
             incremental_probes: 0,
+            width_samples_probed: 0,
+            spacing_samples_probed: 0,
         };
 
         // Sample and index every shape once; afterwards only shapes that
-        // actually move pay for re-sampling, and only they and their
-        // neighbours are probed again.
+        // actually move pay for re-sampling, and only the samples that
+        // changed or can see a changed edge are probed again.
         let mut world = MrcWorld::build(shapes, self.config.samples_per_segment);
 
         // Remove / accept sub-area shapes up front so the loop works on
@@ -340,6 +350,8 @@ impl MrcResolver {
         report.remaining = violations;
         report.full_probes = world.full_probes;
         report.incremental_probes = world.incremental_probes;
+        report.width_samples_probed = world.width_probes;
+        report.spacing_samples_probed = world.spacing_probes;
         report
     }
 }

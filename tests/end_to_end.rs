@@ -191,3 +191,70 @@ fn logic_tile_mrc_outcome_matches_pre_incremental_golden() {
     };
     assert_eq!(hash, golden, "control points moved: {hash:#018x}");
 }
+
+/// The same golden for the other three tiles of the clip, captured from
+/// the commit before the MRC world became sample-granular (PR 18). Tile 1
+/// starts with 4× tile 0's violations, so far more trials, reverts and
+/// carried-over probe results stand behind its control points.
+#[test]
+fn logic_tiles_1_to_3_mrc_outcome_matches_pre_sample_granular_golden() {
+    use cardopc::layout::generated_clip;
+    use cardopc::litho::{simd, SimdMode};
+    use cardopc::runtime::{partition_clip, TilingConfig};
+
+    let clip = generated_clip(DesignKind::Gcd, 1, Some(8192.0));
+    let tiling = TilingConfig {
+        tile_size: 4096.0,
+        halo: 1024.0,
+    };
+    let tiles = partition_clip(&clip, &tiling).unwrap().tiles;
+    assert_eq!(tiles.len(), 4);
+    // (shapes, control points), (initial, remaining), AVX2 hash, scalar hash.
+    let golden = [
+        (
+            (93, 6934),
+            (1215, 383),
+            0x42bf_0d21_dcea_b50a_u64,
+            0x7675_0cac_deaf_8d72_u64,
+        ),
+        (
+            (94, 6714),
+            (156, 95),
+            0x124d_e4c6_c5b2_ba0b,
+            0x2701_1c8c_00da_d089,
+        ),
+        (
+            (90, 6532),
+            (522, 85),
+            0xf0cd_0936_6bc7_1e9a,
+            0x426c_9f2b_04ca_c1c6,
+        ),
+    ];
+    for (tile, (sizes, violations, avx2, scalar)) in tiles[1..].iter().zip(golden) {
+        let config = OpcConfig::large_scale();
+        let engine =
+            engine_for_extent(tile.clip.width(), tile.clip.height(), config.pitch).unwrap();
+        let out = CardOpc::new(config)
+            .optimize_with_engine(&tile.clip, &engine)
+            .unwrap();
+        // FNV-1a over the bit patterns of every control point, shape order.
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut control_points = 0usize;
+        for p in out.shapes.iter().flat_map(|s| s.spline.control_points()) {
+            for byte in [p.x, p.y]
+                .into_iter()
+                .flat_map(|c| c.to_bits().to_le_bytes())
+            {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            control_points += 1;
+        }
+        let want = match simd::active_mode() {
+            SimdMode::Avx2 => avx2,
+            SimdMode::Scalar => scalar,
+        };
+        assert_eq!((out.shapes.len(), control_points), sizes);
+        assert_eq!((out.mrc_initial_violations, out.mrc_remaining), violations);
+        assert_eq!(hash, want, "control points moved: {hash:#018x}");
+    }
+}
