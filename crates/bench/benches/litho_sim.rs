@@ -43,10 +43,56 @@ fn bench_aerial(c: &mut Criterion) {
     }
 }
 
+/// Via centres (pixels) of [`via_like_mask`]: two rows of three.
+const VIA_CENTRES: [(usize, usize); 6] = [
+    (110, 150),
+    (250, 150),
+    (390, 150),
+    (110, 350),
+    (250, 350),
+    (390, 350),
+];
+
+/// A Table-I-like clip on the 500²/4 nm grid: six 72 nm vias, each with
+/// four SRAF bars, in a mostly empty frame (≈ 66 % of the row pairs are all
+/// zeros — what the forward pass's row skip feeds on).
+fn via_like_mask() -> Grid {
+    let mut g = Grid::zeros(500, 500, 4.0);
+    let mut rect = |cx: usize, cy: usize, hw: usize, hh: usize| {
+        for iy in cy - hh..cy + hh {
+            for ix in cx - hw..cx + hw {
+                g[(ix, iy)] = 1.0;
+            }
+        }
+    };
+    for (cx, cy) in VIA_CENTRES {
+        rect(cx, cy, 9, 9);
+        for d in [-37isize, 37] {
+            rect(cx, cy.wrapping_add_signed(d), 13, 4);
+            rect(cx.wrapping_add_signed(d), cy, 4, 13);
+        }
+    }
+    g
+}
+
+/// The columns within 22 px of a via's edge: 37 % of the frame, the share
+/// `CardOpc::roi_columns` requests on the Table I clips.
+fn via_roi_columns() -> Vec<usize> {
+    (0..500)
+        .filter(|x| {
+            VIA_CENTRES
+                .iter()
+                .any(|(cx, _)| (cx - 31..cx + 31).contains(x))
+        })
+        .collect()
+}
+
 /// The two production grids (logic tile, via clip): full frame, the ROI
 /// path at 50 % and at 89 % of the columns (the widest restriction
 /// `CardOpc::roi_columns` still takes — it must not cost more than the full
-/// frame), the three-condition evaluation, and engine construction.
+/// frame), the three-condition evaluation, and engine construction; then
+/// the via grid under a via-like mask (mostly empty rows, the ROI at its
+/// production share) beside a dense random one (no empty row at all).
 fn bench_socs(c: &mut Criterion) {
     use cardopc::litho::{Precision, ProcessCondition};
     let conditions = [
@@ -79,6 +125,30 @@ fn bench_socs(c: &mut Criterion) {
             group.bench_function("engine_build", |b| b.iter(|| black_box(build())));
             group.finish();
         }
+        let engine =
+            LithoEngine::with_precision(OpticsConfig::default(), 500, 500, 4.0, precision).unwrap();
+        let (vias, cols) = (via_like_mask(), via_roi_columns());
+        let mut group = c.benchmark_group(format!("socs_{tag}/500x500_vias"));
+        group.sample_size(10);
+        group.bench_function("full", |b| {
+            b.iter(|| black_box(engine.aerial_image(black_box(&vias)).unwrap()))
+        });
+        group.bench_function("cols_37", |b| {
+            b.iter(|| black_box(engine.aerial_image_cols(black_box(&vias), &cols).unwrap()))
+        });
+        group.bench_function("multi", |b| {
+            b.iter(|| black_box(engine.aerial_images_multi(black_box(&vias), &conditions)))
+        });
+        group.finish();
+        let mut rng = SplitMix64::new(19);
+        let data = (0..500 * 500).map(|_| rng.range_f64(0.0, 1.0)).collect();
+        let dense = Grid::from_data(500, 500, 4.0, data);
+        let mut group = c.benchmark_group(format!("socs_{tag}/500x500_dense"));
+        group.sample_size(10);
+        group.bench_function("full", |b| {
+            b.iter(|| black_box(engine.aerial_image(black_box(&dense)).unwrap()))
+        });
+        group.finish();
     }
 }
 

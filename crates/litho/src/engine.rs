@@ -282,11 +282,14 @@ impl LithoEngine {
     /// Nominal-focus aerial image restricted to the given pixel columns
     /// (x indices); every other pixel of the result is zero.
     ///
-    /// Computed columns are bit-identical to [`LithoEngine::aerial_image`],
-    /// but the column pass of the final upsample skips every off-ROI
-    /// column, so this never costs more than the full image — the OPC
-    /// correction loop uses it because EPE evaluation only samples the
-    /// image near the frozen measurement anchors.
+    /// Computed columns are bit-identical to [`LithoEngine::aerial_image`]
+    /// whatever else is requested, in any order and with repeats: the final
+    /// upsample transforms real columns in canonical pairs `(2p, 2p + 1)`,
+    /// runs the pair of every requested column and writes only the
+    /// requested ones. Off-ROI pairs are skipped, so this never costs more
+    /// than the full image — the OPC correction loop uses it because EPE
+    /// evaluation only samples the image near the frozen measurement
+    /// anchors.
     ///
     /// # Errors
     ///

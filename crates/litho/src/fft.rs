@@ -18,6 +18,18 @@
 //! nonzero dimensions are accepted; 5-smooth sizes (`2^a·3^b·5^c`) run the
 //! direct mixed-radix pipeline and are what [`next_five_smooth`] rounds
 //! grids to, while other sizes transparently fall back to Bluestein.
+//!
+//! The two crate-internal 2-D passes at the full-grid ends of the SOCS
+//! pipeline know that a real image has a Hermitian spectrum,
+//! `F(−kx, −ky) = conj F(kx, ky)`. `fft2_real_band` (real in) skips
+//! all-zero row pairs, transforms the non-negative-frequency columns of its
+//! band and fills the others by conjugate mirror; `ifft2_live_rows` (real
+//! out) inverts only the `ky ≥ 0` rows and carries two real columns per
+//! complex transform. Bins that are their own mirror — frequency 0 and, on
+//! an even axis, Nyquist — are transformed like any other on the way in and
+//! contribute their real part on the way out. The same inverse also serves
+//! the per-kernel coherent fields, which are complex and use none of this;
+//! neither do the 1-D kernels underneath ([`crate::plan`]).
 
 use crate::plan::FftPlan;
 use crate::scalar::Scalar;
@@ -286,6 +298,9 @@ pub struct FftScratch<T: Scalar = f64> {
     pub(crate) col_re: Vec<T>,
     /// Column gather / row lane (im lane).
     pub(crate) col_im: Vec<T>,
+    /// The band columns [`fft2_real_band`] transforms, as `(a, k, −k)`:
+    /// band column, its FFT index on the row axis, and the opposite index.
+    pub(crate) direct: Vec<(usize, usize, usize)>,
 }
 
 impl<T: Scalar> FftScratch<T> {
@@ -327,8 +342,22 @@ pub(crate) fn wrap(f: isize, n: usize) -> usize {
 /// Rows are transformed two at a time (packed into the re/im lanes of one
 /// complex transform and split by Hermitian symmetry, as in
 /// [`Field::fill_forward_real_with`]); only the band's columns are unpacked,
-/// straight into contiguous column lanes, so the column pass runs
-/// `band.w` transforms instead of `w` and no transpose is needed.
+/// straight into contiguous column lanes, so no transpose is needed. A real
+/// input buys two more things:
+///
+/// * **Empty rows.** A row pair that is all zeros has a zero row spectrum:
+///   its lane entries are zeroed and no transform runs. "Zero" is `== 0.0`,
+///   so `−0.0` counts and NaN does not (it must propagate). The transform
+///   of such a pair would be a field of signed zeros, and every later
+///   operation maps `==` inputs to `==` outputs, so skipping is invisible
+///   under `==` — only the sign of an exact zero can differ.
+/// * **Half the columns.** The row-pass lanes satisfy
+///   `t(−kx, y) = conj t(kx, y)`, hence `F(−kx, ky) = conj F(kx, −ky)`: a
+///   negative-frequency column whose opposite is in the band too is not
+///   transformed but read off the opposite column's full-length result.
+///   Frequency 0 and (even `w`) Nyquist are their own opposite and are
+///   transformed, as is a column whose opposite lies outside the band — the
+///   band need not be symmetric.
 pub(crate) fn fft2_real_band<S: Scalar, T: Scalar>(
     real: &[S],
     (w, h): (usize, usize),
@@ -351,31 +380,54 @@ pub(crate) fn fft2_real_band<S: Scalar, T: Scalar>(
         t_im,
         col_re,
         col_im,
+        direct,
     } = scratch;
     let cs = padded_stride::<T>(h);
     let t_re = ensure(t_re, band.w * cs);
     let t_im = ensure(t_im, band.w * cs);
     let row_re = ensure(col_re, w);
     let row_im = ensure(col_im, w);
-    let narrow = |dst: &mut [T], y: usize| {
-        for (d, &s) in dst.iter_mut().zip(&real[y * w..(y + 1) * w]) {
+    // The band column holding the opposite frequency of column `a`, when
+    // `a` is a negative frequency and the band has its opposite.
+    let mirror = |a: usize| {
+        let kx = band.x0 + a as isize;
+        let m = wrap(-kx - band.x0, w);
+        (2 * wrap(kx, w) > w && m < band.w).then_some(m)
+    };
+    direct.clear();
+    direct.extend((0..band.w).filter(|&a| mirror(a).is_none()).map(|a| {
+        let k = wrap(band.x0 + a as isize, w);
+        (a, k, (w - k) % w)
+    }));
+    let narrow = |dst: &mut [T], src: &[S]| {
+        for (d, &s) in dst.iter_mut().zip(src) {
             *d = T::from_f64(s.to_f64());
         }
     };
+    // Branch-free within a chunk, so the scan for an empty row pair
+    // vectorises; a lit row still leaves it at its first lit chunk.
+    let empty = |chunk: &[S]| chunk.iter().fold(true, |z, &s| z & (s == S::ZERO));
     for y in (0..h).step_by(2) {
         let paired = y + 1 < h;
-        narrow(row_re, y);
+        let rows = &real[y * w..(y + 1 + paired as usize) * w];
+        if rows.chunks(32).all(empty) {
+            for &(a, ..) in direct.iter() {
+                let i = a * cs + y;
+                t_re[i..=i + paired as usize].fill(T::ZERO);
+                t_im[i..=i + paired as usize].fill(T::ZERO);
+            }
+            continue;
+        }
+        narrow(row_re, &rows[..w]);
         if paired {
-            narrow(row_im, y + 1);
+            narrow(row_im, &rows[w..]);
         } else {
             row_im.fill(T::ZERO);
         }
         plan_w.execute_split_parts(
             mode, row_re, row_im, pong_re, pong_im, blu_re, blu_im, false,
         );
-        for a in 0..band.w {
-            let k = wrap(band.x0 + a as isize, w);
-            let km = (w - k) % w;
+        for &(a, k, km) in direct.iter() {
             let (zkr, zki, zmr, zmi) = (row_re[k], row_im[k], row_re[km], row_im[km]);
             let i = a * cs + y;
             if paired {
@@ -390,27 +442,48 @@ pub(crate) fn fft2_real_band<S: Scalar, T: Scalar>(
             }
         }
     }
-    for a in 0..band.w {
+    for &(a, ..) in direct.iter() {
         let (cr, ci) = (&mut t_re[a * cs..a * cs + h], &mut t_im[a * cs..a * cs + h]);
         plan_h.execute_split_parts(mode, cr, ci, pong_re, pong_im, blu_re, blu_im, false);
+    }
+    for a in 0..band.w {
+        // A mirrored column is its opposite's lane, back to front, conjugated.
+        let (lane, conj) = mirror(a).map_or((a, false), |m| (m, true));
         for b in 0..band.h {
-            let y = wrap(band.y0 + b as isize, h);
-            out_re[a * col_stride + b * row_stride] = cr[y];
-            out_im[a * col_stride + b * row_stride] = ci[y];
+            let ky = band.y0 + b as isize;
+            let y = lane * cs + wrap(if conj { -ky } else { ky }, h);
+            let o = a * col_stride + b * row_stride;
+            out_re[o] = t_re[y];
+            out_im[o] = if conj { -t_im[y] } else { t_im[y] };
         }
     }
 }
 
-/// Unscaled inverse 2-D FFT of a `w×h` spectrum that is zero outside
-/// `rows.len() / w` consecutive rows starting at signed frequency `y0`.
+/// Unscaled inverse 2-D FFT of a `w×h` spectrum given by its first
+/// `rows.len() / w` rows (`ky = 0, 1, …`; frequency domain along x,
+/// row-major, consumed as scratch), in one of two readings:
 ///
-/// `rows` holds those live rows (frequency domain along x, row-major) and
-/// is consumed as scratch. After the row pass, the requested columns (`None`
-/// = all) are gathered eight at a time into zero-padded column lanes,
-/// transformed, and handed to `emit(xs, re, im, stride)`: column `xs[j]`
-/// occupies `[j·stride, j·stride + h)` of both lanes. Every column is
-/// transformed independently, so a column's values do not depend on which
-/// other columns were requested.
+/// * `real == false`: the remaining rows of the spectrum are zero and the
+///   result is complex. Lane `j` of a batch is column `lanes[j][0]`.
+/// * `real == true`: the spectrum is that of a **real** image and the rows
+///   are its `ky ≥ 0` half (`ky ≤ h/2`); after the row pass row `−ky` would
+///   be the conjugate of row `ky`, so it is neither stored nor inverted but
+///   read as a sign flip in the gather — at `wrap(−ky, h)`, and rows 0 and
+///   (even `h`) `h/2`, their own mirror, contribute their real part. Two
+///   real columns share one transform: lane `j` carries
+///   `Z = R(xa, ·) + i·R(xb, ·)` for the **canonical pair**
+///   `(xa, xb) = (2p, 2p + 1)` (the last column of an odd width is paired
+///   with nothing), and comes out with column `xa` in its re lane and `xb`
+///   in its im lane. `lanes[j]` names the *requested* ones of the two,
+///   `usize::MAX` standing for "not this one".
+///
+/// The requested columns (`None` = all) are gathered up to eight lanes at a
+/// time into zero-padded column lanes, transformed, and handed to
+/// `emit(lanes, re, im, stride)`: lane `j` occupies `[j·stride, j·stride +
+/// h)` of both. Every lane is transformed independently and a real column
+/// always rides with its canonical partner, so a column's values do not
+/// depend on which other columns were requested, in what order or how
+/// often.
 ///
 /// # Panics
 ///
@@ -418,14 +491,15 @@ pub(crate) fn fft2_real_band<S: Scalar, T: Scalar>(
 pub(crate) fn ifft2_live_rows<T: Scalar>(
     (rows_re, rows_im): (&mut [T], &mut [T]),
     (w, h): (usize, usize),
-    y0: isize,
     cols: Option<&[usize]>,
+    real: bool,
     scratch: &mut FftScratch<T>,
-    mut emit: impl FnMut(&[usize], &[T], &[T], usize),
+    mut emit: impl FnMut(&[[usize; 2]], &[T], &[T], usize),
 ) {
-    const COLS: usize = 8;
+    const LANES: usize = 8;
     let live = rows_re.len() / w;
-    debug_assert!(live <= h && rows_im.len() == rows_re.len());
+    debug_assert!(rows_im.len() == rows_re.len());
+    debug_assert!(live <= if real { h / 2 + 1 } else { h });
     let mode = simd::active_mode();
     let plan_w = FftPlan::<T>::get(w);
     let plan_h = FftPlan::<T>::get(h);
@@ -442,33 +516,62 @@ pub(crate) fn ifft2_live_rows<T: Scalar>(
         plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, blu_re, blu_im, true);
     }
     let cs = padded_stride::<T>(h);
-    let col_re = ensure(col_re, COLS * cs);
-    let col_im = ensure(col_im, COLS * cs);
+    let col_re = ensure(col_re, LANES * cs);
+    let col_im = ensure(col_im, LANES * cs);
     let count = cols.map_or(w, <[usize]>::len);
-    let mut xs = [0usize; COLS];
-    for start in (0..count).step_by(COLS) {
-        let xs = &mut xs[..COLS.min(count - start)];
-        for (j, x) in xs.iter_mut().enumerate() {
-            *x = cols.map_or(start + j, |c| c[start + j]);
-            assert!(*x < w, "column index out of range");
+    // Per lane: the first column it gathers, and the columns to emit.
+    let (mut src, mut lanes) = ([0usize; LANES], [[usize::MAX; 2]; LANES]);
+    let mut next = 0;
+    while next < count {
+        let mut n = 0;
+        while next < count {
+            let x = cols.map_or(next, |c| c[next]);
+            assert!(x < w, "column index out of range");
+            // A real column joins its partner when that is the lane before.
+            let (first, half) = if real { (x & !1, x & 1) } else { (x, 0) };
+            if real && n > 0 && src[n - 1] == first {
+                lanes[n - 1][half] = x;
+            } else if n == LANES {
+                break;
+            } else {
+                (src[n], lanes[n]) = (first, [usize::MAX; 2]);
+                lanes[n][half] = x;
+                n += 1;
+            }
+            next += 1;
         }
         col_re.fill(T::ZERO);
         col_im.fill(T::ZERO);
-        for b in 0..live {
-            let (y, row) = (wrap(y0 + b as isize, h), b * w);
-            for (j, &x) in xs.iter().enumerate() {
-                col_re[j * cs + y] = rows_re[row + x];
-                col_im[j * cs + y] = rows_im[row + x];
+        for y in 0..live {
+            let (row, ym) = (y * w, (h - y) % h);
+            for (j, &x) in src[..n].iter().enumerate() {
+                let (ar, ai) = (rows_re[row + x], rows_im[row + x]);
+                let (zr, zi) = (&mut col_re[j * cs..], &mut col_im[j * cs..]);
+                if !real {
+                    (zr[y], zi[y]) = (ar, ai);
+                    continue;
+                }
+                let (br, bi) = match x + 1 < w {
+                    true => (rows_re[row + x + 1], rows_im[row + x + 1]),
+                    false => (T::ZERO, T::ZERO),
+                };
+                if ym == y {
+                    (zr[y], zi[y]) = (ar, br);
+                } else {
+                    // Z(ky) = A + i·B and Z(−ky) = conj A + i·conj B.
+                    (zr[y], zi[y]) = (ar - bi, ai + br);
+                    (zr[ym], zi[ym]) = (ar + bi, br - ai);
+                }
             }
         }
-        for j in 0..xs.len() {
+        for j in 0..n {
             let (cr, ci) = (
                 &mut col_re[j * cs..j * cs + h],
                 &mut col_im[j * cs..j * cs + h],
             );
             plan_h.execute_split_parts(mode, cr, ci, pong_re, pong_im, blu_re, blu_im, true);
         }
-        emit(xs, col_re, col_im, cs);
+        emit(&lanes[..n], col_re, col_im, cs);
     }
 }
 
@@ -1001,6 +1104,7 @@ impl<T: Scalar> Field<T> {
 mod tests {
     use super::*;
     use cardopc_geometry::SplitMix64;
+    use proptest::prelude::*;
 
     fn random_signal(n: usize, seed: u64) -> Vec<Complex> {
         let mut rng = SplitMix64::new(seed);
@@ -1297,25 +1401,34 @@ mod tests {
         }
     }
 
+    fn band(x0: isize, y0: isize, w: usize, h: usize) -> Band {
+        Band { x0, y0, w, h }
+    }
+
     #[test]
     fn real_band_forward_matches_full_spectrum_on_the_band() {
-        // Even/odd/single heights, a Bluestein width, bands that wrap
-        // through zero, and both output orientations.
+        // Against the plain complex transform of the same real samples:
+        // even/odd/single heights, a Bluestein width, both output
+        // orientations, and every way a band can sit on the mirror identity
+        // — symmetric, whole-axis (signed and from 0), off-centre, one-sided
+        // negative (no opposite in the band: transformed), straddling
+        // (some opposites in, some out; rows one-sided, so the fill reads
+        // beyond the band's rows) and touching Nyquist on both axes.
         for (w, h, band, seed) in [
-            (16usize, 12usize, (-3isize, -2isize, 7usize, 5usize), 80u64),
-            (15, 9, (-7, -4, 15, 9), 81),
-            (14, 7, (2, -3, 4, 6), 82),
-            (8, 1, (-1, 0, 3, 1), 83),
+            (16usize, 12usize, band(-3, -2, 7, 5), 80u64),
+            (15, 9, band(-7, -4, 15, 9), 81),
+            (12, 8, band(0, 0, 12, 8), 82),
+            (14, 7, band(2, -3, 4, 6), 83),
+            (16, 10, band(-6, -3, 4, 6), 84),
+            (16, 10, band(-5, 0, 8, 5), 85),
+            (16, 12, band(-7, -6, 16, 12), 86),
+            (8, 1, band(-1, 0, 3, 1), 87),
         ] {
-            let band = Band {
-                x0: band.0,
-                y0: band.1,
-                w: band.2,
-                h: band.3,
-            };
             let mut rng = SplitMix64::new(seed);
             let real: Vec<f64> = (0..w * h).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-            let full: Field = Field::forward_real(w, h, &real);
+            let mut full: Field = Field::from_real(w, h, &real);
+            full.fft2_inplace(false);
+            let bound = 1e-13 * full.iter().map(Complex::norm).fold(0.0, f64::max);
             let mut scratch = FftScratch::new();
             for (cs, rs) in [(1, band.w), (band.h, 1)] {
                 let mut re = vec![f64::NAN; band.w * band.h];
@@ -1333,8 +1446,145 @@ mod tests {
                         let want =
                             full.at(wrap(band.x0 + a as isize, w), wrap(band.y0 + b as isize, h));
                         let got = Complex::new(re[a * cs + b * rs], im[a * cs + b * rs]);
-                        assert!((got - want).norm() < 1e-12, "{w}x{h} bin ({a},{b})");
+                        assert!((got - want).norm() <= bound, "{w}x{h} bin ({a},{b})");
                     }
+                }
+            }
+        }
+    }
+
+    /// [`fft2_real_band`] as it was before it knew anything about zeros or
+    /// mirrors: every row pair and every band column transformed. Kept as
+    /// the oracle of the row skip and, bin for bin, of the mirror fill.
+    fn fft2_real_band_dense(real: &[f64], (w, h): (usize, usize), band: Band) -> Vec<Complex> {
+        let mode = simd::active_mode();
+        let (plan_w, plan_h) = (FftPlan::<f64>::get(w), FftPlan::<f64>::get(h));
+        let mut s = FftScratch::<f64>::new();
+        let (mut t_re, mut t_im) = (vec![0.0; band.w * h], vec![0.0; band.w * h]);
+        for y in (0..h).step_by(2) {
+            let paired = y + 1 < h;
+            let mut row_re = real[y * w..(y + 1) * w].to_vec();
+            let mut row_im = match paired {
+                true => real[(y + 1) * w..(y + 2) * w].to_vec(),
+                false => vec![0.0; w],
+            };
+            plan_w.execute_split_parts(
+                mode,
+                &mut row_re,
+                &mut row_im,
+                &mut s.pong_re,
+                &mut s.pong_im,
+                &mut s.blu_re,
+                &mut s.blu_im,
+                false,
+            );
+            for a in 0..band.w {
+                let k = wrap(band.x0 + a as isize, w);
+                let km = (w - k) % w;
+                let (zkr, zki, zmr, zmi) = (row_re[k], row_im[k], row_re[km], row_im[km]);
+                let i = a * h + y;
+                if paired {
+                    t_re[i] = 0.5 * (zkr + zmr);
+                    t_im[i] = 0.5 * (zki - zmi);
+                    t_re[i + 1] = 0.5 * (zki + zmi);
+                    t_im[i + 1] = 0.5 * (zmr - zkr);
+                } else {
+                    t_re[i] = zkr;
+                    t_im[i] = zki;
+                }
+            }
+        }
+        let mut out = vec![Complex::ZERO; band.w * band.h];
+        for a in 0..band.w {
+            let (cr, ci) = (&mut t_re[a * h..(a + 1) * h], &mut t_im[a * h..(a + 1) * h]);
+            plan_h.execute_split_parts(
+                mode,
+                cr,
+                ci,
+                &mut s.pong_re,
+                &mut s.pong_im,
+                &mut s.blu_re,
+                &mut s.blu_im,
+                false,
+            );
+            for b in 0..band.h {
+                let y = wrap(band.y0 + b as isize, h);
+                out[b * band.w + a] = Complex::new(cr[y], ci[y]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn row_skip_and_mirror_fill_equal_the_dense_transform_under_eq() {
+        // `==`, not bits: a skipped pair contributes +0.0 where its
+        // transform would contribute zeros of either sign, and nothing else
+        // may differ. NaN (never skipped) must come out wherever the dense
+        // transform puts it.
+        let same = |a: f64, b: f64| a == b || (a.is_nan() && b.is_nan());
+        for (w, h, band) in [
+            (20usize, 14usize, band(-4, -3, 9, 7)),
+            (14, 9, band(-6, -2, 11, 6)),
+            (12, 8, band(0, 0, 12, 8)),
+        ] {
+            let mut rng = SplitMix64::new((w * h) as u64);
+            let mut masks: Vec<(&str, Vec<f64>)> = Vec::new();
+            for name in ["sparse rows a", "sparse rows b", "sparse rows c"] {
+                // Lit rows one in three: empty pairs, half-lit pairs, lit pairs.
+                let mut m = vec![0.0; w * h];
+                for row in m.chunks_exact_mut(w) {
+                    if rng.range_f64(0.0, 1.0) < 0.33 {
+                        row.iter_mut().for_each(|v| *v = rng.range_f64(0.0, 1.0));
+                    }
+                }
+                masks.push((name, m));
+            }
+            masks.push(("empty", vec![0.0; w * h]));
+            let mut one = vec![0.0; w * h];
+            one[(h - 1) * w + 3] = 1.0;
+            masks.push(("one pixel", one.clone()));
+            one[2 * w..3 * w].fill(-0.0);
+            masks.push(("negative-zero row", one.clone()));
+            one[5 * w + 1] = f64::NAN;
+            masks.push(("NaN pixel", one));
+            for (name, mask) in &masks {
+                // Every bin of the grid, so the opposite of any bin is there.
+                let every = Band { x0: 0, y0: 0, w, h };
+                let dense = fft2_real_band_dense(mask, (w, h), every);
+                let mut re = vec![f64::NAN; band.w * band.h];
+                let mut im = re.clone();
+                let mut scratch = FftScratch::new();
+                fft2_real_band(
+                    mask,
+                    (w, h),
+                    band,
+                    &mut scratch,
+                    (&mut re, &mut im),
+                    (1, band.w),
+                );
+                for b in 0..band.h {
+                    for a in 0..band.w {
+                        let (kx, ky) = (band.x0 + a as isize, band.y0 + b as isize);
+                        let opposite_in_band = wrap(-kx - band.x0, w) < band.w;
+                        let want = if 2 * wrap(kx, w) > w && opposite_in_band {
+                            dense[wrap(-ky, h) * w + wrap(-kx, w)].conj()
+                        } else {
+                            dense[wrap(ky, h) * w + wrap(kx, w)]
+                        };
+                        let i = b * band.w + a;
+                        assert!(
+                            same(re[i], want.re) && same(im[i], want.im),
+                            "{w}x{h} {name}, bin ({kx},{ky}): {}{:+}i vs {want}",
+                            re[i],
+                            im[i]
+                        );
+                    }
+                }
+                if *name == "NaN pixel" {
+                    assert!(re.iter().all(|v| v.is_nan()), "{w}x{h}: NaN was dropped");
+                }
+                if *name == "empty" {
+                    assert!(re.iter().chain(&im).all(|&v| v == 0.0));
                 }
             }
         }
@@ -1342,12 +1592,12 @@ mod tests {
 
     #[test]
     fn live_rows_inverse_matches_full_inverse_on_requested_columns() {
-        let (w, h, y0, live) = (12usize, 10usize, -2isize, 5usize);
+        let (w, h, live) = (12usize, 10usize, 5usize);
         let mut rng = SplitMix64::new(90);
         let rows = random_signal(live * w, 91);
         let mut spec: Field = Field::zeros(w, h);
         for (i, &z) in rows.iter().enumerate() {
-            spec.set(i % w, wrap(y0 + (i / w) as isize, h), z);
+            spec.set(i % w, i / w, z);
         }
         spec.fft2_inplace(true);
         let cols: Vec<usize> = (0..w).filter(|_| rng.range_f64(0.0, 1.0) < 0.6).collect();
@@ -1355,15 +1605,15 @@ mod tests {
             let mut out = vec![Complex::ZERO; w * h];
             let mut re: Vec<f64> = rows.iter().map(|z| z.re).collect();
             let mut im: Vec<f64> = rows.iter().map(|z| z.im).collect();
-            let emit = |xs: &[usize], cr: &[f64], ci: &[f64], cs: usize| {
-                for (j, &x) in xs.iter().enumerate() {
+            let emit = |lanes: &[[usize; 2]], cr: &[f64], ci: &[f64], cs: usize| {
+                for (j, &[x, _]) in lanes.iter().enumerate() {
                     for y in 0..h {
                         out[y * w + x] = Complex::new(cr[j * cs + y], ci[j * cs + y]);
                     }
                 }
             };
             let mut scratch = FftScratch::new();
-            ifft2_live_rows((&mut re, &mut im), (w, h), y0, cols, &mut scratch, emit);
+            ifft2_live_rows((&mut re, &mut im), (w, h), cols, false, &mut scratch, emit);
             out
         };
         let (full, roi) = (run(None), run(Some(&cols)));
@@ -1377,6 +1627,88 @@ mod tests {
                 if asked { full[i] } else { Complex::ZERO },
                 "pixel {i}"
             );
+        }
+    }
+
+    /// The real-output pass over the `ky ≥ 0` rows of a spectrum, as an
+    /// image (row-major; zero where nothing was emitted).
+    fn real_pass(rows: &[Complex], (w, h): (usize, usize), cols: Option<&[usize]>) -> Vec<f64> {
+        let mut out = vec![0.0; w * h];
+        let mut re: Vec<f64> = rows.iter().map(|z| z.re).collect();
+        let mut im: Vec<f64> = rows.iter().map(|z| z.im).collect();
+        let emit = |lanes: &[[usize; 2]], cr: &[f64], ci: &[f64], cs: usize| {
+            for (j, lane) in lanes.iter().enumerate() {
+                // `usize::MAX` marks the column that was not asked for.
+                for (&x, values) in lane.iter().zip([cr, ci]) {
+                    if x < w {
+                        for y in 0..h {
+                            out[y * w + x] = values[j * cs + y];
+                        }
+                    }
+                }
+            }
+        };
+        let mut scratch = FftScratch::new();
+        ifft2_live_rows((&mut re, &mut im), (w, h), cols, true, &mut scratch, emit);
+        out
+    }
+
+    proptest! {
+        /// Random sizes (odd and non-5-smooth included), random real images
+        /// band-limited along y, random column requests (any order, with
+        /// repeats): the real-output pass equals the complex pass over the
+        /// whole spectrum within rounding, and a pixel's bits do not depend
+        /// on what was requested with it.
+        #[test]
+        fn real_output_pass_matches_complex_pass_and_roi_is_bitwise(
+            seed in 0u64..100_000,
+            w in 4usize..73,
+            h in 4usize..73,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let real: Vec<f64> = (0..w * h).map(|_| rng.range_f64(-1.0, 1.0)).collect();
+            let mut spec: Field = Field::from_real(w, h, &real);
+            spec.fft2_inplace(false);
+            // Keep `|ky| ≤ span`; `span = h/2` keeps everything, Nyquist too.
+            let span = rng.range_usize(0, h / 2 + 1);
+            let mut rows: Vec<Complex> = spec.iter().collect();
+            for (ky, row) in rows.chunks_exact_mut(w).enumerate() {
+                if ky.min(h - ky) > span {
+                    row.fill(Complex::ZERO);
+                }
+            }
+
+            let mut complex = vec![Complex::ZERO; w * h];
+            let mut re: Vec<f64> = rows.iter().map(|z| z.re).collect();
+            let mut im: Vec<f64> = rows.iter().map(|z| z.im).collect();
+            let emit = |lanes: &[[usize; 2]], cr: &[f64], ci: &[f64], cs: usize| {
+                for (j, &[x, _]) in lanes.iter().enumerate() {
+                    for y in 0..h {
+                        complex[y * w + x] = Complex::new(cr[j * cs + y], ci[j * cs + y]);
+                    }
+                }
+            };
+            let mut scratch = FftScratch::new();
+            ifft2_live_rows((&mut re, &mut im), (w, h), None, false, &mut scratch, emit);
+
+            let half = &rows[..(span + 1) * w];
+            let full = real_pass(half, (w, h), None);
+            let bound = 1e-12 * complex.iter().map(|z| z.norm()).fold(0.0, f64::max);
+            for (i, (&got, want)) in full.iter().zip(&complex).enumerate() {
+                prop_assert!(
+                    (got - want.re).abs() <= bound && want.im.abs() <= bound,
+                    "{}x{} span {}, pixel {}: {} vs {}", w, h, span, i, got, want
+                );
+            }
+
+            let request: Vec<usize> = (0..rng.range_usize(0, 2 * w))
+                .map(|_| rng.range_usize(0, w))
+                .collect();
+            let roi = real_pass(half, (w, h), Some(&request));
+            for (i, (&got, &all)) in roi.iter().zip(&full).enumerate() {
+                let want = if request.contains(&(i % w)) { all } else { 0.0 };
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{}x{}, pixel {}", w, h, i);
+            }
         }
     }
 

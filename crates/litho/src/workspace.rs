@@ -1,21 +1,30 @@
-//! The band-limited SOCS pipeline and its reusable scratch state.
+//! The band-limited, Hermitian-aware SOCS pipeline and its reusable scratch
+//! state.
 //!
 //! Every transfer function is a hard pupil disk, so each coherent field
 //! `z_k = M ⊗ h_k` is band-limited to its kernel's box and the intensity
-//! `Σ_k w_k |z_k|²` to `±span` ([`SocsStacks`]). One
-//! [`LithoWorkspace::images`] call therefore runs
+//! `Σ_k w_k |z_k|²` to `±span` ([`SocsStacks`]); and Hopkins' sum takes a
+//! **real** mask to a **real** intensity, so both full-grid ends of the
+//! pipeline work on half a spectrum. One [`LithoWorkspace::images`] call
+//! runs
 //!
 //! 1. one forward real FFT of the mask, keeping only the union of the
-//!    kernel boxes ([`fft2_real_band`]);
+//!    kernel boxes ([`fft2_real_band`]): all-zero row pairs are not
+//!    transformed, and a negative-frequency column is the conjugate mirror
+//!    of its opposite, `F(−kx, ky) = conj F(kx, −ky)`;
 //! 2. per kernel: the product over its patch, written at the *origin* of a
 //!    coarse-grid field (a circular spectrum shift is a unit-modulus
 //!    modulation in space, so `|z_k|²` is unchanged), a row-pruned
-//!    coarse-grid inverse, and `w_k·|z_k|²` into that kernel's strip;
+//!    coarse-grid inverse, and `w_k·|z_k|²` into that kernel's strip —
+//!    `z_k` is complex, so this stage has no symmetry to use;
 //! 3. per image: the strips folded in ascending kernel order, a forward
-//!    real FFT of the coarse intensity, its `|f| ≤ span` bins copied into
-//!    the live rows of the full-grid spectrum (trigonometric interpolation),
-//!    and one row-pruned inverse whose column pass covers every column or
-//!    only the requested ones ([`ifft2_live_rows`]).
+//!    real FFT of the coarse intensity for the `ky ≥ 0` half of its
+//!    `|f| ≤ span` bins, those copied into live rows of the full-grid
+//!    spectrum (trigonometric interpolation), and one inverse
+//!    ([`ifft2_live_rows`]) that never forms rows `ky < 0` — after the row
+//!    pass they are the conjugates of the rows it has — and transforms real
+//!    columns two at a time, `R(2p, ·) + i·R(2p + 1, ·)`, over every column
+//!    or only the pairs of the requested ones.
 //!
 //! This is exact, not an approximation: the result differs from a full-grid
 //! convolution per kernel by rounding only. After the first call at a given
@@ -27,15 +36,30 @@
 //! precision, and each kernel weight (with every transform normalisation
 //! folded in) is narrowed from the `f64` reference at the point of use.
 //!
-//! Accumulation granularity is one strip per *kernel* (not per task), and
-//! strips are reduced in ascending kernel order: the per-pixel summation
-//! tree is a fixed left fold however the kernels are chunked across tasks,
-//! and every other stage is a pure function of its input — outputs are
-//! **byte-identical for any worker count**, per dispatch mode and precision.
-//! A column of the last inverse is transformed independently of the others,
-//! so a column-restricted image equals the full one bit for bit on the
-//! requested columns; and the mask spectrum is shared but not altered, so a
-//! multi-state call equals the single-state calls bit for bit.
+//! A pixel's bits are a function of (mask, x, y, precision, SIMD mode)
+//! alone, which is three **bitwise** contracts:
+//!
+//! * *Any worker count.* Accumulation granularity is one strip per *kernel*
+//!   (not per task) and strips are reduced in ascending kernel order: the
+//!   per-pixel summation tree is a fixed left fold however the kernels are
+//!   chunked across tasks, and every other stage is a pure function of its
+//!   input.
+//! * *Column-restricted ≡ full on the requested columns.* Column `x` always
+//!   shares its transform with the same partner, `x ^ 1` — the canonical
+//!   pair, never "whichever column was requested next" — and each pair is
+//!   transformed independently of the others; a restricted call computes
+//!   the pair of every requested column and writes only what was asked for.
+//! * *Multi-state ≡ single-state.* The mask spectrum is shared but not
+//!   altered.
+//!
+//! Measured in scratch when this was designed (ISSUE 19) and left out, so
+//! nobody repeats them: running a batch of columns as one interleaved
+//! Stockham pipeline (stride × B; no gather, bit identical) is *slower* — an
+//! 8-column block is 98 KB and leaves L1 where one 768-point column is
+//! 12 KB (upsample inverse 4.1 → 4.9–5.6 ms at B = 8/16/32); evaluating the
+//! image only at the pixels the correction loop reads (0.4–0.5 % of a via
+//! frame, 20 % of a logic tile) waits for a benchmark whose replay does not
+//! demand `aerial_image_cols` bit for bit.
 
 use crate::fft::{ensure, fft2_real_band, ifft2_live_rows, wrap, Band, FftScratch};
 use crate::optics::{KernelPatch, SocsStacks};
@@ -82,10 +106,11 @@ impl<T: Scalar> LithoWorkspace<T> {
     /// `mask` raster per entry of `states` (`true` = defocused stack) into
     /// the matching entry of `outputs`, from a single forward mask FFT.
     ///
-    /// With `cols = Some(xs)` only those pixel columns are computed and
-    /// every other pixel is zero; the computed pixels are bit-identical to
-    /// the unrestricted image. `parallelism` bounds the tasks per stage and
-    /// never changes a bit of the result.
+    /// With `cols = Some(xs)` (any order, repeats allowed) only those pixel
+    /// columns are written — each computed with its canonical partner
+    /// `x ^ 1`, as in the unrestricted image, so the written pixels are
+    /// bit-identical to it — and every other pixel is zero. `parallelism`
+    /// bounds the tasks per stage and never changes a bit of the result.
     ///
     /// # Panics
     ///
@@ -221,14 +246,15 @@ fn convolve_chunk<T: Scalar>(
         }
         strip.fill(T::ZERO);
         let weight = T::from_f64(patch.weight * norm);
+        // `z_k` is complex: every column, one per transform.
         ifft2_live_rows(
             (rows_re, rows_im),
             (mx, my),
-            0,
             None,
+            false,
             &mut slot.scratch,
-            |xs, re, im, cs| {
-                for (j, &x) in xs.iter().enumerate() {
+            |lanes, re, im, cs| {
+                for (j, &[x, _]) in lanes.iter().enumerate() {
                     let col = j * cs..j * cs + my;
                     let acc = &mut strip[x * my..(x + 1) * my];
                     simd::acc_norm_sq(mode, &re[col.clone()], &im[col], weight, acc);
@@ -240,7 +266,9 @@ fn convolve_chunk<T: Scalar>(
 
 /// Fourier-interpolates a coarse intensity (column-major, `x·my + y`) to
 /// the full grid: its spectrum's `image_band` bins become the live rows of
-/// the full-grid spectrum, whose inverse is the image.
+/// the full-grid spectrum, whose inverse is the image. The image is real,
+/// so only the `ky ≥ 0` half of the band is computed, scattered and
+/// inverted ([`ifft2_live_rows`] reads the other half as its mirror).
 fn upsample<T: Scalar>(
     stacks: &SocsStacks<T>,
     coarse: &[T],
@@ -251,15 +279,19 @@ fn upsample<T: Scalar>(
     let (w, h) = stacks.size;
     let (mx, my) = stacks.coarse;
     let ib = stacks.image_band;
-    let band_re = ensure(&mut slot.band_re, ib.w * ib.h);
-    let band_im = ensure(&mut slot.band_im, ib.w * ib.h);
+    // `|ky| ≤ span`, or the whole axis from 0: either way rows
+    // `ky = 0..=ib.h / 2` and their mirrors are the band.
+    debug_assert!(ib.y0 == 0 || ib.y0 == -((ib.h / 2) as isize));
+    let half = ib.h / 2 + 1;
+    let band_re = ensure(&mut slot.band_re, ib.w * half);
+    let band_im = ensure(&mut slot.band_im, ib.w * half);
     // Column-major storage is the row-major `my×mx` transpose, whose
     // spectrum is the transposed spectrum: ask for the transposed band and
     // store it back row-major.
     let transposed = Band {
-        x0: ib.y0,
+        x0: 0,
         y0: ib.x0,
-        w: ib.h,
+        w: half,
         h: ib.w,
     };
     fft2_real_band(
@@ -270,11 +302,11 @@ fn upsample<T: Scalar>(
         (band_re, band_im),
         (ib.w, 1),
     );
-    let rows_re = ensure(&mut slot.rows_re, ib.h * w);
-    let rows_im = ensure(&mut slot.rows_im, ib.h * w);
+    let rows_re = ensure(&mut slot.rows_re, half * w);
+    let rows_im = ensure(&mut slot.rows_im, half * w);
     rows_re.fill(T::ZERO);
     rows_im.fill(T::ZERO);
-    for b in 0..ib.h {
+    for b in 0..half {
         for a in 0..ib.w {
             let x = wrap(ib.x0 + a as isize, w);
             rows_re[b * w + x] = band_re[b * ib.w + a];
@@ -284,13 +316,19 @@ fn upsample<T: Scalar>(
     ifft2_live_rows(
         (rows_re, rows_im),
         (w, h),
-        ib.y0,
         cols,
+        true,
         &mut slot.scratch,
-        |xs, re, _, cs| {
+        |lanes, re, im, cs| {
             for (y, row) in out.chunks_exact_mut(w).enumerate() {
-                for (j, &x) in xs.iter().enumerate() {
-                    row[x] = re[j * cs + y].to_f64();
+                for (j, &[xa, xb]) in lanes.iter().enumerate() {
+                    // An unrequested column is `usize::MAX`: out of range.
+                    if let Some(px) = row.get_mut(xa) {
+                        *px = re[j * cs + y].to_f64();
+                    }
+                    if let Some(px) = row.get_mut(xb) {
+                        *px = im[j * cs + y].to_f64();
+                    }
                 }
             }
         },
@@ -434,6 +472,65 @@ mod tests {
         check_against_reference(&cfg, 13, 16, 34.0, 7);
     }
 
+    /// The upsample as it was before the pipeline knew its output is real:
+    /// every bin of `image_band` placed in a full-grid spectrum, every row
+    /// and every column inverted (one column per transform) and the real
+    /// part kept — through the plain [`Field`] API, sharing nothing with
+    /// [`upsample`].
+    fn upsample_reference<T: Scalar>(stacks: &SocsStacks<T>, coarse: &[T]) -> Vec<f64> {
+        let ((w, h), (mx, my), ib) = (stacks.size, stacks.coarse, stacks.image_band);
+        let mut small: Field<T> = Field::zeros(mx, my);
+        for (i, &v) in coarse.iter().enumerate() {
+            small.set(i / my, i % my, crate::fft::Complex::new(v.to_f64(), 0.0));
+        }
+        small.fft2_inplace(false);
+        let mut full: Field<T> = Field::zeros(w, h);
+        for b in 0..ib.h {
+            for a in 0..ib.w {
+                let (kx, ky) = (ib.x0 + a as isize, ib.y0 + b as isize);
+                full.set(
+                    wrap(kx, w),
+                    wrap(ky, h),
+                    small.at(wrap(kx, mx), wrap(ky, my)),
+                );
+            }
+        }
+        full.fft2_inplace(true);
+        // `upsample` leaves its inverse unscaled.
+        full.iter().map(|z| z.re * (w * h) as f64).collect()
+    }
+
+    #[test]
+    fn upsample_matches_the_unpaired_full_inverse() {
+        fn check<T: Scalar>(stacks: &SocsStacks<T>, tol: f64, what: &str) {
+            let (mx, my) = stacks.coarse;
+            let coarse: Vec<T> = random_mask(mx * my, 77)
+                .into_iter()
+                .map(T::from_f64)
+                .collect();
+            let mut got = vec![f64::NAN; stacks.size.0 * stacks.size.1];
+            upsample(stacks, &coarse, &mut WorkSlot::default(), None, &mut got);
+            assert_close(&got, &upsample_reference(stacks, &coarse), tol, what);
+        }
+        // The production grids, odd and Bluestein axes, and the two grids
+        // whose coarse grid is the grid itself (`image_band` from 0, Nyquist
+        // row included) on both axes or on one.
+        for (w, h, pitch) in [
+            (768usize, 768usize, 8.0),
+            (500, 500, 4.0),
+            (100, 60, 4.0),
+            (77, 64, 8.0),
+            (64, 64, 8.0),
+            (16, 16, 40.0),
+            (13, 16, 34.0),
+        ] {
+            let stacks = SocsStacks::build(&OpticsConfig::default(), w, h, pitch).unwrap();
+            let what = format!("{w}x{h} @ {pitch} nm");
+            check(&stacks, 1e-13, &format!("{what}, f64"));
+            check(&stacks.to_precision::<f32>(), 1e-5, &format!("{what}, f32"));
+        }
+    }
+
     proptest! {
         /// Random masks under random optics — including odd point counts,
         /// which never fold — still match the definition.
@@ -463,8 +560,19 @@ mod tests {
     #[test]
     fn output_is_bit_identical_for_any_parallelism_cols_and_state_set() {
         fn check<T: Scalar>(stacks: &SocsStacks<T>) {
-            let mask = random_mask(64 * 64, 42);
-            let cols: Vec<usize> = vec![0, 5, 9, 31, 63];
+            let (w, h) = stacks.size;
+            let mask = random_mask(w * h, 42);
+            // Sorted across pairs, a lone odd and a lone even column, any
+            // order, repeats, nothing at all; the last column of an odd
+            // width has no partner.
+            let requests: [&[usize]; 6] = [
+                &[0, 5, 9, 31, w - 1],
+                &[7],
+                &[8],
+                &[31, 4, 5, 30, w - 1, 9],
+                &[5, 5, 4, w - 1, 5],
+                &[],
+            ];
             let base = run(stacks, &mask, &[false, true], None, 1);
             for parallelism in [1usize, 2, 3, 4, 16] {
                 let both = run(stacks, &mask, &[false, true], None, parallelism);
@@ -474,17 +582,25 @@ mod tests {
                     let alone = run(stacks, &mask, &[defocused], None, parallelism);
                     assert_eq!(alone[0], base[state], "state {state} alone");
                     // Column-restricted ≡ full on the columns, zero elsewhere.
-                    let roi = run(stacks, &mask, &[defocused], Some(&cols), parallelism);
-                    for (i, (&got, &full)) in roi[0].iter().zip(&base[state]).enumerate() {
-                        let want = if cols.contains(&(i % 64)) { full } else { 0.0 };
-                        assert_eq!(got, want, "state {state}, pixel {i}");
+                    for cols in requests {
+                        let roi = run(stacks, &mask, &[defocused], Some(cols), parallelism);
+                        for (i, (&got, &full)) in roi[0].iter().zip(&base[state]).enumerate() {
+                            let want = if cols.contains(&(i % w)) { full } else { 0.0 };
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{w}x{h} state {state}, columns {cols:?}, pixel {i}"
+                            );
+                        }
                     }
                 }
             }
         }
-        let stacks = SocsStacks::build(&small_source(), 64, 64, 8.0).unwrap();
-        check(&stacks);
-        check(&stacks.to_precision::<f32>());
+        for (w, h) in [(64, 64), (45, 40)] {
+            let stacks = SocsStacks::build(&small_source(), w, h, 8.0).unwrap();
+            check(&stacks);
+            check(&stacks.to_precision::<f32>());
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use cardopc_layout::Clip;
 use cardopc_litho::{LithoEngine, RasterCache};
 use cardopc_mrc::{AreaPolicy, MrcResolver, ResolveConfig};
 use cardopc_spline::SamplingPlan;
+use std::sync::{Arc, Mutex};
 
 /// Result of a CardOPC run on one clip.
 #[derive(Clone, Debug)]
@@ -82,6 +83,10 @@ pub struct OptimizedShapes {
 #[derive(Clone, Debug)]
 pub struct CardOpc {
     config: OpcConfig,
+    /// The engine [`CardOpc::run`] calibrated last and the extent (bits of
+    /// the longer clip edge, nm) it was sized for: one slot, so a batch of
+    /// clips of one extent (the 13 Table I clips) builds it once.
+    last_engine: Arc<Mutex<Option<(u64, LithoEngine)>>>,
 }
 
 impl CardOpc {
@@ -93,7 +98,10 @@ impl CardOpc {
     /// [`OpcConfig::assert_valid`]).
     pub fn new(config: OpcConfig) -> Self {
         config.assert_valid();
-        CardOpc { config }
+        CardOpc {
+            config,
+            last_engine: Arc::default(),
+        }
     }
 
     /// The configuration.
@@ -167,7 +175,21 @@ impl CardOpc {
     ///
     /// Any [`OpcError`]; see [`CardOpc::run_with_engine`].
     pub fn run(&self, clip: &Clip) -> Result<OpcOutcome, OpcError> {
-        let engine = engine_for_extent(clip.width(), clip.height(), self.config.pitch)?;
+        // The engine is a function of the extent it is sized for: this
+        // flow's pitch is fixed and `run` always simulates in f64. A clone
+        // shares the kernel stacks and the calibrated threshold and starts
+        // with an empty workspace.
+        let extent = clip.width().max(clip.height()).to_bits();
+        let slot = || self.last_engine.lock().expect("no panic holds the memo");
+        let reused = slot().as_ref().filter(|(e, _)| *e == extent).cloned();
+        let engine = match reused {
+            Some((_, engine)) => engine,
+            None => {
+                let engine = engine_for_extent(clip.width(), clip.height(), self.config.pitch)?;
+                *slot() = Some((extent, engine.clone()));
+                engine
+            }
+        };
         self.run_with_engine(clip, &engine)
     }
 
@@ -424,6 +446,29 @@ mod tests {
         let flow = CardOpc::new(fast_config());
         let empty = Clip::new("empty", 100.0, 100.0, vec![]);
         assert!(matches!(flow.run(&empty), Err(OpcError::EmptyClip)));
+    }
+
+    #[test]
+    fn run_reuses_an_equal_extent_engine_without_moving_a_bit() {
+        // Every float of an outcome that the engine can reach.
+        fn bits(o: &OpcOutcome) -> Vec<u64> {
+            let points = o.shapes.iter().flat_map(|s| s.spline.control_points());
+            points
+                .flat_map(|p| [p.x, p.y])
+                .chain(o.epe_history.iter().copied())
+                .chain([o.threshold, o.evaluation.epe_sum_nm, o.evaluation.pvb_nm2])
+                .map(f64::to_bits)
+                .collect()
+        }
+        let wide = Clip::new("wide", 1400.0, 1000.0, small_clip().targets().to_vec());
+        // A new flow has an empty memo: these engines are built for the run.
+        let fresh = |clip: &Clip| bits(&CardOpc::new(fast_config()).run(clip).unwrap());
+        let flow = CardOpc::new(fast_config());
+        let runs = [small_clip(), small_clip(), wide, small_clip(), small_clip()];
+        for (i, clip) in runs.iter().enumerate() {
+            // Builds, reuses, evicts, rebuilds, reuses.
+            assert_eq!(bits(&flow.run(clip).unwrap()), fresh(clip), "run {i}");
+        }
     }
 
     #[test]

@@ -1037,9 +1037,10 @@ mod tests {
     /// Hashes of one fixed tile. The input hashes were captured at the
     /// commit *before* the config walk, the geometry walk and the payload
     /// codec were unified; the cache keys are those same walks under
-    /// `KEY_VERSION` 2 (bumped when the band-limited SOCS pipeline moved
-    /// every tile's numerics in the last bits, so stores written by older
-    /// binaries cannot replay). They pin hash input order and float
+    /// `KEY_VERSION` 3 (bumped to 2 when the band-limited SOCS pipeline,
+    /// and to 3 when the Hermitian-aware image passes, moved every tile's
+    /// numerics in the last bits, so stores written by older binaries
+    /// cannot replay). They pin hash input order and float
     /// canonicalisation: a moved byte here silently orphans every existing
     /// `tiles.jsonl` / `cache.jsonl`.
     #[test]
@@ -1056,37 +1057,37 @@ mod tests {
                 OpcConfig::via(),
                 F64,
                 0x787b2f0e0ea2a2b7,
-                0x2fb3ecd6f93e2fe4,
+                0xa448233e1d99de09,
             ),
             (
                 OpcConfig::via(),
                 F32,
                 0x787b2e0e0ea2a104,
-                0x2fb3edd6f93e3197,
+                0xa448223e1d99dc56,
             ),
             (
                 OpcConfig::metal(),
                 F64,
                 0xc27c675ec289f7e2,
-                0x733cc5bff25d93e1,
+                0xe0be52d6eeaa39f4,
             ),
             (
                 OpcConfig::metal(),
                 F32,
                 0xc27c685ec289f995,
-                0x733cc4bff25d922e,
+                0xe0be53d6eeaa3ba7,
             ),
             (
                 OpcConfig::large_scale(),
                 F64,
                 0x551ff00f14209f36,
-                0x8002893e1a915ca5,
+                0x396d4d7ce4eaeb3c,
             ),
             (
                 OpcConfig::large_scale(),
                 F32,
                 0x551ff10f1420a0e9,
-                0x8002883e1a915af2,
+                0x396d4e7ce4eaecef,
             ),
         ];
         for (mut config, precision, input_hash, cache_key) in golden {
@@ -1102,6 +1103,51 @@ mod tests {
                 "cache key, {precision}"
             );
         }
+    }
+
+    /// The cache keys of that tile under `KEY_VERSION` 2, in the golden's
+    /// order: a store holding them was written with pre-Hermitian numerics
+    /// and must not serve the tile any more.
+    #[test]
+    fn keys_written_under_version_2_miss() {
+        use cardopc_litho::Precision::{F32, F64};
+        let retired: [u64; 6] = [
+            0x2fb3ecd6f93e2fe4,
+            0x2fb3edd6f93e3197,
+            0x733cc5bff25d93e1,
+            0x733cc4bff25d922e,
+            0x8002893e1a915ca5,
+            0x8002883e1a915af2,
+        ];
+        let tiling = TilingConfig {
+            tile_size: 1000.0,
+            halo: 100.0,
+        };
+        let base = keyed_partition(0.0, 0.0);
+        let cache = memory_cache();
+        let never = || false;
+        for key in retired {
+            cache
+                .get_or_correct(key, &never, || ok_sample(0.0))
+                .unwrap();
+        }
+        let presets = [
+            OpcConfig::via(),
+            OpcConfig::metal(),
+            OpcConfig::large_scale(),
+        ];
+        for mut config in presets {
+            for precision in [F64, F32] {
+                config.precision = precision;
+                let key = tile_cache_key(&base.tiles[0], &tiling, &config);
+                let (_, hit) = cache
+                    .get_or_correct(key, &never, || ok_sample(1.0))
+                    .unwrap()
+                    .unwrap();
+                assert!(!hit, "{precision}: a version-2 entry replayed");
+            }
+        }
+        assert_eq!(cache.stats().hits, 0);
     }
 
     /// One `cache.jsonl` line as the parent commit wrote it: it must still

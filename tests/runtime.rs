@@ -130,6 +130,32 @@ fn tiled_run_is_deterministic_across_worker_counts() {
     assert_eq!(one.manifest.to_json(false), four.manifest.to_json(false));
 }
 
+/// The f32 backend end to end — `cardopc --quick --precision f32`, in
+/// process: the timing-free manifest is byte-identical whatever the worker
+/// count (the image's pixel bits depend on neither the task split nor,
+/// since columns pair up canonically, on who asked for which columns).
+#[test]
+fn f32_quick_run_is_byte_identical_across_worker_counts() {
+    use cardopc::layout::generated_clip;
+    use cardopc::litho::Precision;
+
+    let clip = generated_clip(DesignKind::Gcd, 1, Some(2048.0));
+    let mut opc = OpcConfig::large_scale();
+    (opc.pitch, opc.iterations, opc.precision) = (8.0, 4, Precision::F32);
+    let run = |workers: usize| {
+        let pool = WorkerPool::new(workers);
+        run_clip(&clip, &RunConfig::new(opc.clone(), tiling()), &pool).unwrap()
+    };
+    let (one, two) = (run(1), run(2));
+    assert!(one.complete && two.complete);
+    assert_eq!(one.manifest.tiles.len(), 4);
+    assert_eq!(one.manifest.to_json(false), two.manifest.to_json(false));
+    assert_eq!(
+        one.stitched.as_ref().unwrap().mains,
+        two.stitched.as_ref().unwrap().mains
+    );
+}
+
 #[test]
 fn checkpoint_resume_reproduces_uninterrupted_run() {
     let clip = centered_clip();
