@@ -8,9 +8,10 @@
 //!   for tests and one-shot admin calls;
 //! - [`Connection`] keeps one TCP connection alive across requests
 //!   (`Connection: keep-alive`, `Content-Length`-framed reads) — the
-//!   coordinator holds one per dispatch lane so the per-tile dispatch
-//!   path pays no connect/teardown tax.
+//!   coordinator holds one per dispatch lane so the dispatch path pays
+//!   no connect/teardown tax.
 
+use crate::proto::MAX_BATCH;
 use cardopc_json::Json;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -236,6 +237,15 @@ impl Connection {
     }
 }
 
+/// Largest framed response body a [`Connection`] accepts. The largest
+/// legitimate one answers a full dispatch: [`MAX_BATCH`] record lines, each
+/// allowed what any single message of this protocol is
+/// ([`MAX_BODY_BYTES`](crate::http::MAX_BODY_BYTES), 4 MiB — the record of
+/// the densest tile at CLI defaults is ≈ 150 KB, an array tile's 2.4 KB):
+/// 64 × 4 MiB = 256 MiB. A peer declaring more is answered with
+/// `InvalidData` before a byte of the body is read.
+pub const MAX_RESPONSE_BYTES: usize = MAX_BATCH * crate::http::MAX_BODY_BYTES;
+
 /// Reads one `Content-Length`-framed response off a kept-alive stream.
 fn read_framed_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
@@ -258,6 +268,9 @@ fn read_framed_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
             .map_err(|_| bad("bad content-length in response"))?,
         None => return Err(bad("response lacks content-length")),
     };
+    if content_length > MAX_RESPONSE_BYTES {
+        return Err(bad("response body too large"));
+    }
     let mut body = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
         let mut chunk = [0u8; 8192];

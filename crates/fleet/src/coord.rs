@@ -1,31 +1,66 @@
-//! The fleet coordinator: lease-based tile dispatch with work stealing,
-//! heartbeat-driven worker retirement, and checkpoint recovery.
+//! The fleet coordinator: lease-based dispatch of **runs of congruent
+//! tiles** with work stealing, heartbeat-driven worker retirement, and
+//! checkpoint recovery.
 //!
-//! # State machine
+//! # What a claim is
+//!
+//! The to-run tiles are ordered by pattern: classes (tiles sharing a
+//! [`tile_cache_key`]) in first-seen order, tile index within a class. A
+//! lane's **claim** takes the head of the pending queue plus the pending
+//! tiles that follow it *with the same key*, up to [`MAX_BATCH`], and
+//! sends them as one `POST /v1/tiles`. Nothing selects this: unique tiles
+//! (a logic design) have one-tile classes and go out one per request; a
+//! 64×64 array (9 classes) goes out in ≈ 70 requests instead of 4096. The
+//! order — and so every request body — is a function of the partition and
+//! the spec alone.
+//!
+//! Class-pure runs are what keep the lease meaning "one correction": a
+//! worker with its tile cache corrects the first tile of a run and replays
+//! the rest by translation, so a request carries at most one real
+//! correction, and each small pattern is simulated once fleet-wide rather
+//! than once per worker. (A `--no-cache` worker corrects every tile, so
+//! the request's IO timeout is `lease ×` tiles carried.)
+//!
+//! # State machine (per tile)
 //!
 //! Every to-run tile moves through: **pending** → **leased** (dispatched
 //! to a worker, lease clock running) → **done** (first valid result wins).
-//! Transitions out of *leased* that do not finish the tile put it back in
-//! *pending*:
+//! Each tile keeps its own lease list, `done` flag and at most two live
+//! leases; `dispatched`, `stolen`, `duplicates` and `redispatched` count
+//! tiles. Transitions out of *leased* that do not finish the tile put it
+//! back in *pending*:
 //!
-//! - the dispatch request fails or times out (the HTTP read timeout *is*
-//!   the lease — a worker that does not answer within it loses the tile);
+//! - the request that carried it fails or times out (the HTTP read timeout
+//!   *is* the lease — a worker that does not answer within it loses the
+//!   run);
 //! - the owning worker is retired (crash detected by the heartbeat
 //!   prober, or `max_failures` consecutive errors).
 //!
-//! Near the tail an idle lane may **steal**: duplicate-dispatch a tile
-//! whose every lease is older than `steal_after` to a different worker.
-//! The first result marks the tile done; the loser's copy is discarded on
-//! arrival (`duplicates` in [`FleetStats`]). Tiles are deterministic, so
-//! which copy wins never changes the output — byte-identity by
-//! construction.
+//! Near the tail an idle lane may **steal**: duplicate-dispatch tiles whose
+//! every lease is older than `steal_after` to a different worker — the
+//! first such tile plus the stealable same-class tiles after it. The first
+//! result marks a tile done; the loser's copy is discarded on arrival
+//! (`duplicates` in [`FleetStats`]). Tiles are deterministic, so which
+//! copy wins never changes the output — byte-identity by construction.
+//!
+//! # What is per request: all-or-nothing answers
+//!
+//! One request is one worker failure, one IO timeout and one `requests`
+//! count, however many tiles it carries. Its answer is accepted or refused
+//! as a whole: the lane checks the line count, the order, and `index` and
+//! `input_hash` of *every* line before it settles *any* tile, so a short,
+//! long, reordered, duplicated or mis-hashed answer (or an oversized one,
+//! refused by the client before it is read) re-queues the whole run and
+//! checkpoints nothing. The verified line is then appended to the run dir
+//! verbatim — it is never re-encoded, and no record is encoded under
+//! the coordinator's state lock.
 //!
 //! # Dispatch topology
 //!
-//! Each worker gets `window` lane threads, so at most `window` tiles are
-//! in flight per worker — a slow box can absorb at most its window, not
-//! the queue. Lanes pull from the shared pending queue (work-conserving),
-//! then fall back to stealing.
+//! Each worker gets `window` lane threads, so at most `window` requests
+//! are in flight per worker — a slow box can absorb at most its window,
+//! not the queue. Lanes pull from the shared pending queue
+//! (work-conserving), then fall back to stealing.
 //!
 //! # Recovery
 //!
@@ -35,14 +70,14 @@
 //! so a coordinator restart loses no finished work even when its own run
 //! dir is gone — the workers' checkpoints are the durable copy.
 
-use crate::client;
-use crate::proto;
+use crate::client::{self, HttpResponse};
+use crate::proto::{self, MAX_BATCH};
 use crate::spec::WorkSpec;
 use cardopc_runtime::{
-    partition_clip, stitch::StitchAccumulator, tile_input_hash, RunControl, RunDir, RunManifest,
-    RuntimeError, ScheduleOutcome, Stitched, TileEvent, TileRecord, TileResult,
+    partition_clip, stitch::StitchAccumulator, tile_cache_key, tile_input_hash, RunControl, RunDir,
+    RunManifest, RuntimeError, ScheduleOutcome, Stitched, TileEvent, TileRecord, TileResult,
 };
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -57,8 +92,9 @@ pub struct FleetConfig {
     /// In-flight tiles per worker (lane threads). Bounds how much work a
     /// slow worker can absorb.
     pub window: usize,
-    /// Per-tile lease: the dispatch request's IO timeout. A worker that
-    /// does not answer within it loses the tile back to the queue.
+    /// Per-tile lease: a dispatch request's IO timeout is this times the
+    /// tiles it carries. A worker that does not answer within it loses the
+    /// run back to the queue.
     pub lease: Duration,
     /// Minimum lease age before an idle lane may duplicate-dispatch
     /// (steal) a tile leased to another worker.
@@ -97,7 +133,7 @@ impl Default for FleetConfig {
 /// Dispatch/robustness counters of one fleet run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FleetStats {
-    /// Dispatch attempts (including steals and re-dispatches).
+    /// Tile dispatch attempts (including steals and re-dispatches).
     pub dispatched: usize,
     /// Steal dispatches (duplicate of a still-leased tile).
     pub stolen: usize,
@@ -110,6 +146,9 @@ pub struct FleetStats {
     pub retired_workers: usize,
     /// Tiles adopted from workers' checkpoints during startup recovery.
     pub recovered: usize,
+    /// `POST /v1/tiles` requests sent (each carries a run of 1 ..=
+    /// [`MAX_BATCH`] tiles; re-dispatches and steals included).
+    pub requests: usize,
 }
 
 /// Result of a fleet run. `outcome`/`stitched`/`manifest` mirror a
@@ -172,10 +211,18 @@ impl From<RuntimeError> for FleetError {
     }
 }
 
-/// One to-run tile's dispatch state.
-struct TileSlot {
+/// One to-run tile's identity: fixed for the run, read without the lock.
+struct TileInfo {
     index: usize,
     hash: u64,
+    /// [`tile_cache_key`]: tiles sharing it are congruent and travel
+    /// together.
+    key: u64,
+}
+
+/// One to-run tile's dispatch state.
+#[derive(Default)]
+struct TileSlot {
     done: bool,
     in_pending: bool,
     /// Live leases: `(worker id, dispatch instant)`.
@@ -190,7 +237,8 @@ struct WorkerSlot {
 }
 
 struct State {
-    tiles: Vec<TileSlot>,
+    /// Dispatch state of `Shared::tiles`, position for position.
+    slots: Vec<TileSlot>,
     pending: VecDeque<usize>,
     done: usize,
     workers: Vec<WorkerSlot>,
@@ -211,6 +259,9 @@ struct Shared<'a> {
     state: Mutex<State>,
     cv: Condvar,
     sink: Mutex<Option<std::fs::File>>,
+    /// The to-run tiles in claim order: classes in first-seen order, tile
+    /// index within a class.
+    tiles: Vec<TileInfo>,
     spec: &'a WorkSpec,
     config: &'a FleetConfig,
     control: &'a RunControl<'a>,
@@ -314,10 +365,11 @@ pub fn run_fleet(
             if i < total && wanted[i] && record.input_hash == hashes[i] {
                 wanted[i] = false;
                 stats.recovered += 1;
-                // Re-checkpoint locally so the next coordinator restart
-                // resumes without asking the workers.
+                // Re-checkpoint locally (the worker's line, verbatim) so
+                // the next coordinator restart resumes without asking the
+                // workers.
                 if let Some(file) = sink.as_mut() {
-                    RunDir::append_record(file, &record)?;
+                    RunDir::append_line(file, line)?;
                 }
                 results.push(TileResult {
                     record,
@@ -347,27 +399,36 @@ pub fn run_fleet(
         }
     }
 
-    // To-dispatch tiles, in index order, optionally budget-truncated.
-    let mut todo: Vec<TileSlot> = (0..total)
+    // To-dispatch tiles: budget-truncated in index order (a budget takes
+    // the lowest indices), then ordered by pattern — classes in first-seen
+    // order, index order within a class (the sort is stable).
+    let mut todo: Vec<TileInfo> = (0..total)
         .filter(|&i| wanted[i])
-        .map(|i| TileSlot {
+        .take(config.max_tiles.unwrap_or(usize::MAX))
+        .map(|i| TileInfo {
             index: partition.tiles[i].index,
             hash: hashes[i],
-            done: false,
-            in_pending: true,
-            leases: Vec::new(),
+            key: tile_cache_key(&partition.tiles[i], &partition.config, &spec.opc),
         })
         .collect();
-    if let Some(budget) = config.max_tiles {
-        todo.truncate(budget);
+    let mut class_rank: HashMap<u64, usize> = HashMap::new();
+    for tile in &todo {
+        let next = class_rank.len();
+        class_rank.entry(tile.key).or_insert(next);
     }
+    todo.sort_by_key(|tile| class_rank[&tile.key]);
     let todo_len = todo.len();
     let lanes = config.workers.len() * config.window.max(1);
 
     let shared = Shared {
         state: Mutex::new(State {
             pending: (0..todo_len).collect(),
-            tiles: todo,
+            slots: (0..todo_len)
+                .map(|_| TileSlot {
+                    in_pending: true,
+                    ..TileSlot::default()
+                })
+                .collect(),
             done: 0,
             workers: config
                 .workers
@@ -391,6 +452,7 @@ pub fn run_fleet(
         }),
         cv: Condvar::new(),
         sink: Mutex::new(sink),
+        tiles: todo,
         spec,
         config,
         control,
@@ -480,66 +542,51 @@ pub fn run_fleet(
     })
 }
 
-/// What a lane decided to do while holding the state lock.
-enum Claim {
-    /// Dispatch tile `tiles[pos]`.
-    Dispatch { pos: usize, index: usize, hash: u64 },
-    /// Nothing claimable right now; lane exits.
-    Finished,
+/// Why a request settled nothing. `tile` is set for a worker-side tile
+/// failure (HTTP 5xx — deterministic for a broken tile) and names the tile
+/// that failed; transport errors and refused answers stay "maybe
+/// transient".
+struct Failure {
+    tile: Option<usize>,
+    message: String,
 }
 
-/// One dispatch lane: claim → HTTP dispatch (lease = IO timeout) →
-/// settle. Exits when all tiles are done, the run is aborted/cancelled,
-/// or its worker is retired.
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure {
+            tile: None,
+            message,
+        }
+    }
+}
+
+/// One dispatch lane: claim a run → one HTTP request (lease = IO timeout)
+/// → verify the whole answer → settle. Exits when all tiles are done, the
+/// run is aborted/cancelled, or its worker is retired.
 ///
 /// Each lane owns one keep-alive [`client::Connection`] to its worker, so
-/// after the first tile a dispatch costs a request/response exchange, not
-/// a TCP connect + teardown per tile. A stale connection (worker idle
-/// timeout between tiles) is retried once on a fresh one inside the
-/// client; dispatch is idempotent, so the retry is safe.
+/// after the first request a dispatch costs a request/response exchange,
+/// not a TCP connect + teardown. A stale connection (worker idle timeout
+/// between requests) is retried once on a fresh one inside the client;
+/// dispatch is idempotent, so the retry is safe.
 fn lane_loop(shared: &Shared<'_>, worker_id: usize) {
     let addr = {
         let state = shared.lock();
         state.workers[worker_id].addr
     };
     let mut connection = client::Connection::new(addr);
-    loop {
-        let claim = claim_tile(shared, worker_id);
-        let Claim::Dispatch { pos, index, hash } = claim else {
-            break;
+    while let Some(run) = claim_run(shared, worker_id) {
+        let indices: Vec<usize> = run.iter().map(|&pos| shared.tiles[pos].index).collect();
+        let body = proto::dispatch_body(shared.spec, &indices);
+        // A caching worker corrects at most the first tile of a class-pure
+        // run; one without a cache corrects them all.
+        let timeout = shared.config.lease * run.len() as u32;
+        let response = connection.request_with_timeout("POST", "/v1/tiles", Some(&body), timeout);
+        let answer = match &response {
+            Ok(response) => verify_answer(shared, &run, response),
+            Err(e) => Err(e.to_string().into()),
         };
-        let body = proto::dispatch_body(shared.spec, index);
-        let outcome = connection
-            .request_with_timeout("POST", "/v1/tiles", Some(&body), shared.config.lease)
-        .map_err(|e| (false, e.to_string()))
-        .and_then(|response| {
-            if response.status == 200 {
-                TileRecord::from_json_line(response.body_str().trim())
-                    .map_err(|e| (false, format!("unparseable record: {e}")))
-            } else {
-                // A 5xx is a worker-side tile failure (deterministic for a
-                // broken tile); transport errors stay "maybe transient".
-                let tile_side = response.status >= 500;
-                Err((
-                    tile_side,
-                    format!("worker answered {}: {}", response.status, response.body_str()),
-                ))
-            }
-        })
-        .and_then(|record| {
-            if record.index == index && record.input_hash == hash {
-                Ok(record)
-            } else {
-                Err((
-                    false,
-                    format!(
-                        "record mismatch: got tile {} hash {:016x}, want tile {index} hash {hash:016x}",
-                        record.index, record.input_hash
-                    ),
-                ))
-            }
-        });
-        settle(shared, worker_id, pos, outcome);
+        settle(shared, worker_id, &run, answer);
     }
     let mut state = shared.lock();
     state.active_lanes -= 1;
@@ -547,35 +594,98 @@ fn lane_loop(shared: &Shared<'_>, worker_id: usize) {
     shared.cv.notify_all();
 }
 
-/// Claims the next tile for `worker_id`: pending first, then a steal.
-/// Blocks (with periodic wakeups, so steal ages are re-examined) while
-/// other workers still hold fresh leases.
-fn claim_tile(shared: &Shared<'_>, worker_id: usize) -> Claim {
+/// Checks a worker's whole answer against the run it was asked for: one
+/// line per tile, in request order, each parsing to a record with that
+/// tile's index and input hash. Returns every record beside the line it
+/// was parsed from (borrowed from the response body, so the line that was
+/// verified is the line that gets checkpointed) — or refuses the answer as
+/// a whole.
+fn verify_answer<'r>(
+    shared: &Shared<'_>,
+    run: &[usize],
+    response: &'r HttpResponse,
+) -> Result<Vec<(TileRecord, &'r str)>, Failure> {
+    if response.status != 200 {
+        let message = format!(
+            "worker answered {}: {}",
+            response.status,
+            response.body_str()
+        );
+        // A tile failure names its tile; any other 5xx is pinned on the
+        // head of the run.
+        let named = || response.json().ok()?.get("tile")?.as_usize();
+        let tile = (response.status >= 500).then(|| named().unwrap_or(shared.tiles[run[0]].index));
+        return Err(Failure { tile, message });
+    }
+    let body =
+        std::str::from_utf8(&response.body).map_err(|_| "answer is not UTF-8".to_string())?;
+    let mut lines = body.lines();
+    let mut verified = Vec::with_capacity(run.len());
+    for &pos in run {
+        let want = &shared.tiles[pos];
+        let line = lines.next().map(str::trim).ok_or_else(|| {
+            format!(
+                "short answer: {} lines for {} tiles",
+                verified.len(),
+                run.len()
+            )
+        })?;
+        let record = TileRecord::from_json_line(line)
+            .map_err(|e| format!("unparseable record for tile {}: {e}", want.index))?;
+        if record.index != want.index || record.input_hash != want.hash {
+            return Err(format!(
+                "record mismatch: got tile {} hash {:016x}, want tile {} hash {:016x}",
+                record.index, record.input_hash, want.index, want.hash
+            )
+            .into());
+        }
+        verified.push((record, line));
+    }
+    if lines.next().is_some() {
+        return Err(format!("long answer: more than {} lines", run.len()).into());
+    }
+    Ok(verified)
+}
+
+/// Claims the next run for `worker_id` — positions into `Shared::tiles` —
+/// from the pending queue first, then by stealing; `None` when the lane
+/// should exit. Blocks (with periodic wakeups, so steal ages are
+/// re-examined) while other workers still hold fresh leases.
+fn claim_run(shared: &Shared<'_>, worker_id: usize) -> Option<Vec<usize>> {
+    let tiles = &shared.tiles;
     let mut state = shared.lock();
     loop {
-        if state.done == state.tiles.len()
+        if state.done == tiles.len()
             || state.aborted
             || state.workers[worker_id].retired
             || shared.control.cancelled()
         {
-            return Claim::Finished;
+            return None;
         }
-        // Pending queue first (work-conserving).
-        let mut picked = None;
-        while let Some(pos) = state.pending.pop_front() {
-            state.tiles[pos].in_pending = false;
-            if !state.tiles[pos].done {
-                picked = Some(pos);
-                break;
+        // Pending queue first (work-conserving): its head and the pending
+        // tiles behind it that share the head's pattern.
+        let mut run: Vec<usize> = Vec::new();
+        while let Some(&pos) = state.pending.front() {
+            if !state.slots[pos].done {
+                let congruent = run
+                    .first()
+                    .is_none_or(|&head| tiles[head].key == tiles[pos].key);
+                if run.len() == MAX_BATCH || !congruent {
+                    break;
+                }
+                run.push(pos);
             }
+            state.pending.pop_front();
+            state.slots[pos].in_pending = false;
         }
-        // Tail: steal a tile whose every lease has aged past the steal
-        // threshold and belongs to someone else. Capped at two live
-        // leases per tile — one steal in flight at a time.
-        if picked.is_none() {
+        // Tail: steal tiles whose every lease has aged past the steal
+        // threshold and belongs to someone else — the first one and the
+        // same-class tiles after it. Capped at two live leases per tile:
+        // one steal in flight at a time.
+        if run.is_empty() {
             let now = Instant::now();
             let steal_after = shared.config.steal_after;
-            picked = state.tiles.iter().position(|t| {
+            let stealable = |t: &TileSlot| {
                 !t.done
                     && !t.in_pending
                     && !t.leases.is_empty()
@@ -583,93 +693,116 @@ fn claim_tile(shared: &Shared<'_>, worker_id: usize) -> Claim {
                     && t.leases.iter().all(|&(w, since)| {
                         w != worker_id && now.duration_since(since) >= steal_after
                     })
-            });
-            if picked.is_some() {
-                state.stats.stolen += 1;
+            };
+            if let Some(first) = state.slots.iter().position(stealable) {
+                run.extend(
+                    (first..tiles.len())
+                        .take_while(|&pos| tiles[pos].key == tiles[first].key)
+                        .filter(|&pos| stealable(&state.slots[pos]))
+                        .take(MAX_BATCH),
+                );
+                state.stats.stolen += run.len();
             }
         }
-        match picked {
-            Some(pos) => {
-                state.tiles[pos].leases.push((worker_id, Instant::now()));
-                state.stats.dispatched += 1;
-                return Claim::Dispatch {
-                    pos,
-                    index: state.tiles[pos].index,
-                    hash: state.tiles[pos].hash,
-                };
-            }
-            None => {
-                state = shared
-                    .cv
-                    .wait_timeout(state, Duration::from_millis(100))
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
+        if run.is_empty() {
+            state = shared
+                .cv
+                .wait_timeout(state, Duration::from_millis(100))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            continue;
         }
+        let now = Instant::now();
+        for &pos in &run {
+            state.slots[pos].leases.push((worker_id, now));
+        }
+        state.stats.dispatched += run.len();
+        state.stats.requests += 1;
+        return Some(run);
     }
 }
 
-/// Settles one dispatch: first valid result wins; failures re-queue the
-/// tile and count toward the worker's retirement.
+/// Settles one request, tile by tile: first valid result wins; a failed
+/// request re-queues its whole run and counts once toward the worker's
+/// retirement.
 fn settle(
     shared: &Shared<'_>,
     worker_id: usize,
-    pos: usize,
-    outcome: Result<TileRecord, (bool, String)>,
+    run: &[usize],
+    answer: Result<Vec<(TileRecord, &str)>, Failure>,
 ) {
     let mut state = shared.lock();
-    state.tiles[pos].leases.retain(|&(w, _)| w != worker_id);
-    match outcome {
-        Ok(record) => {
+    for &pos in run {
+        state.slots[pos].leases.retain(|&(w, _)| w != worker_id);
+    }
+    match answer {
+        Ok(verified) => {
             state.workers[worker_id].failures = 0;
-            if state.tiles[pos].done {
-                state.stats.duplicates += 1;
-                drop(state);
-                shared.cv.notify_all();
-                return;
+            let mut fresh = Vec::with_capacity(verified.len());
+            let mut events = Vec::new();
+            for (&pos, (record, line)) in run.iter().zip(verified) {
+                if state.slots[pos].done {
+                    state.stats.duplicates += 1;
+                    continue;
+                }
+                state.slots[pos].done = true;
+                state.done += 1;
+                state.completed += 1;
+                state.accumulator.add_record(&record);
+                if shared.control.progress.is_some() {
+                    events.push(TileEvent {
+                        tile: record.index,
+                        name: record.name.clone(),
+                        resumed: false,
+                        cached: false,
+                        seconds: record.seconds,
+                        completed: state.completed,
+                        total: shared.total,
+                    });
+                }
+                state.records.push(record);
+                fresh.push(line);
             }
-            state.tiles[pos].done = true;
-            state.done += 1;
-            state.completed += 1;
-            let completed = state.completed;
-            state.accumulator.add_record(&record);
-            {
-                let mut sink = shared.sink.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(file) = sink.as_mut() {
-                    if let Err(e) = RunDir::append_record(file, &record) {
-                        state.io_error.get_or_insert(e);
+            drop(state);
+            shared.cv.notify_all();
+            // The verified lines, verbatim; the state lock is not held
+            // across the writes.
+            let mut sink = shared.sink.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(file) = sink.as_mut() {
+                for line in fresh {
+                    if let Err(e) = RunDir::append_line(file, line) {
+                        shared.lock().io_error.get_or_insert(e);
+                        break;
                     }
                 }
             }
-            let event = shared.control.progress.map(|_| TileEvent {
-                tile: record.index,
-                name: record.name.clone(),
-                resumed: false,
-                cached: false,
-                seconds: record.seconds,
-                completed,
-                total: shared.total,
-            });
-            state.records.push(record);
-            drop(state);
-            shared.cv.notify_all();
-            if let (Some(progress), Some(event)) = (shared.control.progress, event) {
-                progress(&event);
+            drop(sink);
+            if let Some(progress) = shared.control.progress {
+                events.iter().for_each(progress);
             }
         }
-        Err((tile_side, message)) => {
-            if tile_side {
-                let index = state.tiles[pos].index;
+        Err(Failure { tile, message }) => {
+            if let Some(index) = tile {
                 match &mut state.tile_error {
                     Some((lowest, _)) if *lowest <= index => {}
                     slot => *slot = Some((index, message)),
                 }
             }
-            if !state.tiles[pos].done {
-                state.stats.redispatched += 1;
-                if state.tiles[pos].leases.is_empty() && !state.tiles[pos].in_pending {
-                    state.tiles[pos].in_pending = true;
-                    state.pending.push_front(pos);
+            // Back to the head of the queue, in run order.
+            let State {
+                slots,
+                pending,
+                stats,
+                ..
+            } = &mut *state;
+            for &pos in run.iter().rev() {
+                let slot = &mut slots[pos];
+                if !slot.done {
+                    stats.redispatched += 1;
+                    if slot.leases.is_empty() && !slot.in_pending {
+                        slot.in_pending = true;
+                        pending.push_front(pos);
+                    }
                 }
             }
             state.workers[worker_id].failures += 1;
@@ -691,8 +824,7 @@ fn retire_worker(state: &mut State, worker_id: usize) {
     state.workers[worker_id].retired = true;
     state.alive -= 1;
     state.stats.retired_workers += 1;
-    for pos in 0..state.tiles.len() {
-        let tile = &mut state.tiles[pos];
+    for (pos, tile) in state.slots.iter_mut().enumerate() {
         tile.leases.retain(|&(w, _)| w != worker_id);
         if !tile.done && tile.leases.is_empty() && !tile.in_pending {
             tile.in_pending = true;
@@ -711,7 +843,7 @@ fn retire_worker(state: &mut State, worker_id: usize) {
 fn heartbeat_loop(shared: &Shared<'_>, worker_id: usize) {
     let finished = |state: &State| {
         state.active_lanes == 0
-            || state.done == state.tiles.len()
+            || state.done == state.slots.len()
             || state.aborted
             || state.workers[worker_id].retired
     };

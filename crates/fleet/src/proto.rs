@@ -3,53 +3,80 @@
 //! Four endpoints, all over the same HTTP/1.1 subset `cardopc-serve`
 //! speaks (`Content-Length` framing; workers additionally honour
 //! `Connection: keep-alive`, so a dispatch lane reuses one stream for
-//! every tile it sends):
+//! every request it sends):
 //!
-//! | Method & path          | Purpose                                       |
-//! |------------------------|-----------------------------------------------|
-//! | `POST /v1/tiles`       | correct one tile; 200 body = checkpoint line  |
-//! | `GET /v1/records`      | every checkpointed record, as JSONL           |
-//! | `GET /healthz`         | heartbeat (liveness + tiles-done counter)     |
-//! | `POST /admin/shutdown` | stop accepting and let the process exit 0     |
+//! | Method & path          | Purpose                                         |
+//! |------------------------|-------------------------------------------------|
+//! | `POST /v1/tiles`       | correct a run of tiles; 200 body = one          |
+//! |                        | checkpoint line per tile, in request order      |
+//! | `GET /v1/records`      | every checkpointed record, as JSONL             |
+//! | `GET /healthz`         | heartbeat (liveness + tiles-done counter)       |
+//! | `POST /admin/shutdown` | stop accepting and let the process exit 0       |
 //!
-//! A dispatch body is `{"spec": <work spec>, "tile": <index>}` — the
-//! [`WorkSpec`] is self-contained, so a worker needs no session state and
-//! any worker can serve any tile of any job. The 200 response body is the
-//! runtime's own `TileRecord` JSONL line, which carries the tile input
-//! hash; the coordinator recomputes that hash locally and rejects a
-//! mismatched record, so a worker that somehow expanded a different
-//! partition cannot corrupt the run.
+//! A dispatch body is `{"spec": <work spec>, "tiles": [<index>, …]}` with
+//! 1 ..= [`MAX_BATCH`] indices — the [`WorkSpec`] is self-contained, so a
+//! worker needs no session state and any worker can serve any tile of any
+//! job; a single tile is a batch of one, there is no other request form.
+//! The spec is parsed, validated and expanded once per request, which is
+//! why the coordinator sends congruent tiles together (see
+//! [`crate::coord`]). The 200 body is the runtime's own `TileRecord` JSONL,
+//! one `\n`-terminated line per requested tile in request order; each line
+//! carries the tile input hash, which the coordinator recomputes locally,
+//! so a worker that somehow expanded a different partition cannot corrupt
+//! the run. A request fails as a whole: on the first tile that errors the
+//! worker answers 500 with `{"error": …, "tile": <index>}` and no lines —
+//! what it had already finished stays in its record map, so the
+//! re-dispatch is answered from memory.
 
 use crate::spec::{reject_unknown, BadRequest, WorkSpec};
 use cardopc_json::Json;
 
-/// Serialises a tile dispatch request body.
-pub fn dispatch_body(spec: &WorkSpec, tile: usize) -> String {
-    Json::obj(vec![
-        ("spec", spec.to_json()),
-        ("tile", Json::num_usize(tile)),
-    ])
-    .to_string_compact()
+/// Most tiles one dispatch request may carry — the one constant the
+/// coordinator's claim and [`parse_dispatch`] share. Large enough that a
+/// run of replayed tiles amortises the per-request spec handling to
+/// nothing, small enough that a worker's window is not the whole queue and
+/// an answer stays ≈ 150 KB for array-sized records
+/// ([`MAX_RESPONSE_BYTES`](crate::client::MAX_RESPONSE_BYTES) bounds it).
+pub const MAX_BATCH: usize = 64;
+
+/// Serialises a dispatch request for `tiles` (1 ..= [`MAX_BATCH`] indices).
+pub fn dispatch_body(spec: &WorkSpec, tiles: &[usize]) -> String {
+    let tiles = tiles.iter().map(|&t| Json::num_usize(t)).collect();
+    Json::obj(vec![("spec", spec.to_json()), ("tiles", Json::Arr(tiles))]).to_string_compact()
 }
 
 /// Parses a `POST /v1/tiles` body.
 ///
 /// # Errors
 ///
-/// A message for malformed JSON, unknown fields, or an invalid spec;
+/// A message for malformed JSON, unknown fields, an invalid spec, or a
+/// tile list that is not 1 ..= [`MAX_BATCH`] non-negative integers;
 /// workers answer 400 with it.
-pub fn parse_dispatch(body: &str) -> Result<(WorkSpec, usize), BadRequest> {
+pub fn parse_dispatch(body: &str) -> Result<(WorkSpec, Vec<usize>), BadRequest> {
     let json = Json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
     let Json::Obj(_) = &json else {
         return Err("dispatch body must be a JSON object".into());
     };
-    reject_unknown(&json, &["spec", "tile"])?;
+    reject_unknown(&json, &["spec", "tiles"])?;
     let spec = WorkSpec::from_json(json.get("spec").ok_or("missing 'spec'")?)?;
-    let tile = json
-        .get("tile")
-        .and_then(Json::as_usize)
-        .ok_or("'tile' must be a non-negative integer")?;
-    Ok((spec, tile))
+    let tiles = json
+        .get("tiles")
+        .and_then(Json::as_arr)
+        .ok_or("'tiles' must be an array of tile indices")?;
+    if tiles.is_empty() || tiles.len() > MAX_BATCH {
+        return Err(format!(
+            "'tiles' must hold 1 to {MAX_BATCH} indices, got {}",
+            tiles.len()
+        ));
+    }
+    let tiles = tiles
+        .iter()
+        .map(|t| {
+            t.as_usize()
+                .ok_or("'tiles' entries must be non-negative integers")
+        })
+        .collect::<Result<Vec<usize>, _>>()?;
+    Ok((spec, tiles))
 }
 
 #[cfg(test)]
@@ -73,24 +100,40 @@ mod tests {
 
     #[test]
     fn dispatch_roundtrips() {
-        let body = dispatch_body(&spec(), 3);
-        let (back, tile) = parse_dispatch(&body).unwrap();
-        assert_eq!(back, spec());
-        assert_eq!(tile, 3);
+        let full: Vec<usize> = (0..MAX_BATCH).map(|i| i * 3).collect();
+        for tiles in [vec![3], full] {
+            let body = dispatch_body(&spec(), &tiles);
+            let (back, back_tiles) = parse_dispatch(&body).unwrap();
+            assert_eq!(back, spec());
+            assert_eq!(back_tiles, tiles);
+        }
     }
 
     #[test]
     fn dispatch_rejections() {
-        let good = dispatch_body(&spec(), 0);
+        let good = dispatch_body(&spec(), &[0]);
+        let with_tiles = |tiles: &str| good.replace("\"tiles\":[0]", &format!("\"tiles\":{tiles}"));
+        let too_many: Vec<usize> = (0..=MAX_BATCH).collect();
         for bad in [
             "not json",
             "[]",
-            r#"{"tile": 0}"#,
-            r#"{"spec": {}, "tile": 0}"#,
-            &good.replace("\"tile\":0", "\"tile\":-1"),
-            &good.replace("\"tile\":0", "\"tile\":0,\"extra\":1"),
+            r#"{"tiles": [0]}"#,
+            r#"{"spec": {}, "tiles": [0]}"#,
+            &with_tiles("[]"),
+            &with_tiles(&format!("{too_many:?}")),
+            &with_tiles("[-1]"),
+            &with_tiles("[0,1.5]"),
+            &with_tiles("[\"0\"]"),
+            &with_tiles("0"),
+            &with_tiles("{\"0\":0}"),
+            // The pre-batch request form is just an unknown key now.
+            &good.replace("\"tiles\":[0]", "\"tile\":0"),
+            &good.replace("\"tiles\":[0]", "\"tiles\":[0],\"tile\":0"),
+            &good.replace("\"tiles\":[0]", "\"tiles\":[0],\"extra\":1"),
         ] {
+            assert_ne!(bad, good, "fixture lost its tiles field");
             assert!(parse_dispatch(bad).is_err(), "accepted: {bad}");
         }
+        assert!(parse_dispatch(&good).is_ok());
     }
 }

@@ -1,8 +1,9 @@
 //! The fleet worker: a stateless-by-design tile-correction process.
 //!
 //! A worker holds no job state a coordinator depends on for progress —
-//! every `POST /v1/tiles` request is self-contained (full [`WorkSpec`] +
-//! tile index), so any worker can serve any tile of any job at any time.
+//! every `POST /v1/tiles` request is self-contained (full [`WorkSpec`](crate::WorkSpec) +
+//! a run of tile indices), so any worker can serve any tile of any job at
+//! any time.
 //! What a worker *does* keep is pure gain:
 //!
 //! - a **prepared-state cache** keyed by the spec's canonical JSON: the
@@ -11,11 +12,12 @@
 //! - a shared [`EngineCache`] so concurrent dispatch lanes reuse litho
 //!   engines across tiles and specs;
 //! - an optional in-memory tile cache (repeated patterns replay);
-//! - a **checkpoint map** keyed by tile input hash, optionally persisted
-//!   to a `RunDir`. A re-dispatched, duplicate-dispatched (work-steal),
-//!   or post-restart tile whose hash is already known is answered from
-//!   the checkpoint without recomputation — this is what makes the
-//!   coordinator's aggressive re-dispatch and crash recovery cheap, and
+//! - a **record map** of encoded checkpoint lines keyed by tile input
+//!   hash, optionally persisted to a `RunDir`. A re-dispatched,
+//!   duplicate-dispatched (work-steal), or post-restart tile whose hash is
+//!   already known is answered from the map without recomputation (and
+//!   without re-encoding) — this is what makes the coordinator's
+//!   aggressive re-dispatch and crash recovery cheap, and
 //!   `GET /v1/records` is how a restarted coordinator harvests it.
 //!
 //! Determinism: the correction path is `cardopc_runtime`'s own
@@ -24,12 +26,13 @@
 
 use crate::http::{self, ReadOutcome, Request, Response};
 use crate::proto;
+use cardopc_json::Json;
 use cardopc_opc::CardOpc;
 use cardopc_runtime::{
     correct_single_tile, partition_clip, tile_input_hash, CacheConfig, EngineCache, Partition,
-    RunControl, RunDir, TileCache, TileRecord,
+    RunControl, RunDir, TileCache,
 };
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -75,11 +78,19 @@ struct Prepared {
     flow: CardOpc,
 }
 
+/// A finished tile as the worker keeps it: the encoded checkpoint line —
+/// what every answer, the checkpoint file and `/v1/records` carry — so no
+/// request ever encodes a record under the map's lock.
+struct KnownRecord {
+    index: usize,
+    line: String,
+}
+
 struct WorkerState {
     local_addr: SocketAddr,
     /// Finished tiles keyed by tile input hash (multi-spec by nature:
     /// different specs produce different hashes).
-    records: Mutex<HashMap<u64, TileRecord>>,
+    records: Mutex<HashMap<u64, KnownRecord>>,
     /// Append handle into `run_dir`'s checkpoint file, when persistent.
     sink: Option<Mutex<std::fs::File>>,
     /// Held for its PID lock; also the source of loaded checkpoints.
@@ -120,7 +131,13 @@ impl WorkerServer {
                 .load_records()
                 .map_err(|e| io::Error::other(e.to_string()))?
             {
-                records.insert(record.input_hash, record);
+                records.insert(
+                    record.input_hash,
+                    KnownRecord {
+                        index: record.index,
+                        line: record.to_json_line(),
+                    },
+                );
             }
         }
         let sink = match &run_dir {
@@ -295,11 +312,11 @@ fn route(request: &Request, state: &Arc<WorkerState>) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Response::json(
             200,
-            cardopc_json::Json::obj(vec![
-                ("ok", cardopc_json::Json::Bool(true)),
+            Json::obj(vec![
+                ("ok", Json::Bool(true)),
                 (
                     "tiles_done",
-                    cardopc_json::Json::num_usize(state.tiles_done.load(Ordering::Acquire)),
+                    Json::num_usize(state.tiles_done.load(Ordering::Acquire)),
                 ),
             ])
             .to_string_compact(),
@@ -326,12 +343,17 @@ fn route(request: &Request, state: &Arc<WorkerState>) -> Response {
     }
 }
 
-/// `POST /v1/tiles`: correct (or answer from checkpoint) one tile.
+/// `POST /v1/tiles`: correct (or answer from the record map) a run of
+/// tiles, one checkpoint line per tile in request order. The spec is
+/// parsed and expanded once for the whole run. The first tile that fails
+/// fails the request — with a 500 naming it — but everything finished
+/// before it stays in the record map, so the re-dispatch is answered from
+/// memory.
 fn dispatch(request: &Request, state: &Arc<WorkerState>) -> Response {
     let Some(body) = request.body_str() else {
         return Response::error(400, "request body must be UTF-8 JSON");
     };
-    let (spec, tile_index) = match proto::parse_dispatch(body) {
+    let (spec, tiles) = match proto::parse_dispatch(body) {
         Ok(parsed) => parsed,
         Err(msg) => return Response::error(400, &msg),
     };
@@ -370,82 +392,114 @@ fn dispatch(request: &Request, state: &Arc<WorkerState>) -> Response {
         }
     };
 
-    let Some(tile) = prepared.partition.tiles.get(tile_index) else {
+    let partition = &prepared.partition;
+    if let Some(&outside) = tiles.iter().find(|&&t| t >= partition.tiles.len()) {
         return Response::error(
             400,
             &format!(
-                "tile {tile_index} outside the partition ({} tiles)",
-                prepared.partition.tiles.len()
+                "tile {outside} outside the partition ({} tiles)",
+                partition.tiles.len()
             ),
         );
-    };
-    let hash = tile_input_hash(tile, prepared.flow.config());
-
-    // Checkpoint hit: a re-dispatch, steal duplicate, or post-restart
-    // replay is answered without recomputation.
-    {
-        let records = state.records.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(record) = records.get(&hash) {
-            return Response::json(200, record.to_json_line());
+    }
+    let lane = state.lane_counter.fetch_add(1, Ordering::Relaxed);
+    let mut answer = String::new();
+    for tile_index in tiles {
+        if let Err(message) = answer_tile(state, &prepared, tile_index, lane, &mut answer) {
+            return Response::json(
+                500,
+                Json::obj(vec![
+                    ("error", Json::Str(message)),
+                    ("tile", Json::num_usize(tile_index)),
+                ])
+                .to_string_compact(),
+            );
         }
     }
+    Response::text(200, answer)
+}
 
-    let lane = state.lane_counter.fetch_add(1, Ordering::Relaxed);
+/// Appends one tile's checkpoint line (and its newline) to `answer`: from
+/// the record map when the tile's input hash is known, else by correcting
+/// it, checkpointing the line and remembering it.
+fn answer_tile(
+    state: &WorkerState,
+    prepared: &Prepared,
+    tile_index: usize,
+    lane: usize,
+    answer: &mut String,
+) -> Result<(), String> {
+    let tile = &prepared.partition.tiles[tile_index];
+    let hash = tile_input_hash(tile, prepared.flow.config());
+    let lock_records = || state.records.lock().unwrap_or_else(PoisonError::into_inner);
+    let push = |answer: &mut String, line: &str| {
+        answer.push_str(line);
+        answer.push('\n');
+    };
+
+    // Record-map hit: a re-dispatch, steal duplicate, or post-restart
+    // replay is answered without recomputation.
+    if let Some(known) = lock_records().get(&hash) {
+        push(answer, &known.line);
+        return Ok(());
+    }
+
     let control = RunControl {
         engines: Some(&state.engines),
         cache: state.cache.as_ref(),
         ..RunControl::default()
     };
-    let record = match correct_single_tile(
+    let corrected = correct_single_tile(
         &prepared.partition,
         tile_index,
         &prepared.flow,
         &control,
         lane,
-    ) {
+    );
+    let record = match corrected {
         Ok(Some(record)) => record,
         // No cancellation handle is attached, so `None` cannot happen;
         // answer defensively rather than panicking the handler.
-        Ok(None) => return Response::error(500, "correction cancelled"),
-        Err(e) => return Response::error(500, &format!("tile {tile_index} failed: {e}")),
+        Ok(None) => return Err("correction cancelled".into()),
+        Err(e) => return Err(format!("tile {tile_index} failed: {e}")),
     };
-
-    let mut records = state.records.lock().unwrap_or_else(PoisonError::into_inner);
-    let line = match records.entry(record.input_hash) {
-        std::collections::hash_map::Entry::Occupied(existing) => {
-            // A concurrent duplicate finished first; serve its record so
-            // the checkpoint file and the response agree.
-            existing.get().to_json_line()
-        }
-        std::collections::hash_map::Entry::Vacant(slot) => {
-            let line = record.to_json_line();
+    // Encoded once, before the lock: this line is the response, the
+    // checkpoint and the `/v1/records` entry.
+    let line = record.to_json_line();
+    let mut records = lock_records();
+    match records.entry(hash) {
+        // A concurrent duplicate finished first; serve its line so the
+        // checkpoint file and the response agree.
+        Entry::Occupied(existing) => push(answer, &existing.get().line),
+        Entry::Vacant(slot) => {
             if let Some(sink) = &state.sink {
                 let mut file = sink.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Err(e) = RunDir::append_record(&mut file, &record) {
-                    return Response::error(500, &format!("checkpoint append failed: {e}"));
-                }
+                RunDir::append_line(&mut file, &line)
+                    .map_err(|e| format!("checkpoint append failed: {e}"))?;
             }
-            slot.insert(record);
+            push(answer, &line);
+            slot.insert(KnownRecord {
+                index: record.index,
+                line,
+            });
             state.tiles_done.fetch_add(1, Ordering::AcqRel);
-            line
         }
-    };
-    Response::json(200, line)
+    }
+    Ok(())
 }
 
 /// `GET /v1/records`: every checkpointed record as JSONL, sorted by tile
 /// index then hash (deterministic output for tests and debugging).
 fn records_jsonl(state: &Arc<WorkerState>) -> Response {
     let records = state.records.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut entries: Vec<(usize, u64, String)> = records
-        .values()
-        .map(|r| (r.index, r.input_hash, r.to_json_line()))
+    let mut entries: Vec<(usize, u64, &str)> = records
+        .iter()
+        .map(|(&hash, known)| (known.index, hash, known.line.as_str()))
         .collect();
-    drop(records);
     entries.sort_unstable_by_key(|&(index, hash, _)| (index, hash));
     let mut body = String::new();
     for (_, _, line) in entries {
-        body.push_str(&line);
+        body.push_str(line);
         body.push('\n');
     }
     Response::text(200, body)

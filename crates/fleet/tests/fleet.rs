@@ -3,17 +3,28 @@
 //! failure modes that justify the fleet's existence — hung workers
 //! (lease expiry → re-dispatch), crashed workers (heartbeat retirement),
 //! work-steal duplicate races (first result wins), and coordinator
-//! restarts recovering finished tiles from workers' checkpoints.
+//! restarts recovering finished tiles from workers' checkpoints. Every
+//! scenario runs on two specs: four unique tiles (one tile per request)
+//! and an array of repeated cells (runs of congruent tiles per request).
 
+use cardopc_fleet::client::HttpResponse;
 use cardopc_fleet::http::{self, ReadOutcome, Response};
+use cardopc_fleet::proto::{parse_dispatch, MAX_BATCH};
 use cardopc_fleet::spec::DesignSpec;
 use cardopc_fleet::worker::{WorkerConfig, WorkerServer};
 use cardopc_fleet::{client, run_fleet, FleetConfig, FleetError, WorkSpec};
-use cardopc_layout::DesignKind;
+use cardopc_geometry::{Point, Polygon};
+use cardopc_layout::{write_clip_gds, Clip, DesignKind, LayerFilter, TARGET_LAYER};
 use cardopc_litho::WorkerPool;
 use cardopc_opc::OpcConfig;
-use cardopc_runtime::{run_clip, RunConfig, RunControl, TilingConfig};
+use cardopc_runtime::{
+    run_clip_controlled, CacheConfig, RunConfig, RunControl, RuntimeError, TileCache, TileRecord,
+    TilingConfig,
+};
+use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The serve smoke spec: 1024 nm gcd crop, 512 nm tiles + 256 nm halo →
@@ -32,12 +43,79 @@ fn spec() -> WorkSpec {
     }
 }
 
+/// A GDS design written for one test and removed when the test ends.
+struct DesignFile(PathBuf);
+
+impl DesignFile {
+    fn write(tag: &str, clip: &Clip) -> DesignFile {
+        let name = format!("cardopc-fleet-{tag}-{}.gds", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, write_clip_gds(clip, TARGET_LAYER, 0).unwrap()).unwrap();
+        DesignFile(path)
+    }
+
+    /// The job over this file: `tile` nm cores + `halo`, pitch 16, 3
+    /// iterations (the [`spec`] settings).
+    fn spec(&self, tile: f64, halo: f64) -> WorkSpec {
+        WorkSpec {
+            design: DesignSpec::gds(self.0.clone(), LayerFilter::Layer(TARGET_LAYER), None),
+            tiling: TilingConfig {
+                tile_size: tile,
+                halo,
+            },
+            ..spec()
+        }
+    }
+}
+
+impl Drop for DesignFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Columns × rows of the array design, and its tile count.
+const ARRAY: (usize, usize) = (70, 3);
+const ARRAY_TILES: usize = ARRAY.0 * ARRAY.1;
+/// Dispatch requests the array job takes when nothing goes wrong: three
+/// classes of 68 tiles (top edge, middle row, bottom edge) split 64 + 4,
+/// and the four corners and the two ends of the middle row go alone.
+const ARRAY_REQUESTS: usize = 3 * 2 + 6;
+
+/// A 70×3 array of a two-wire cell at a 1024 nm step, tiled 1024 + 512:
+/// 210 tiles in 9 classes of congruent windows, three of them larger than
+/// [`MAX_BATCH`].
+fn array_design(tag: &str) -> (DesignFile, WorkSpec) {
+    const STEP: f64 = 1024.0;
+    assert!(ARRAY.0 - 2 > MAX_BATCH, "edge classes must split");
+    let mut wires = Vec::new();
+    for row in 0..ARRAY.1 {
+        for col in 0..ARRAY.0 {
+            let at = |x: f64, y: f64| Point::new(col as f64 * STEP + x, row as f64 * STEP + y);
+            wires.push(Polygon::rect(at(160.0, 256.0), at(864.0, 326.0)));
+            wires.push(Polygon::rect(at(160.0, 640.0), at(640.0, 710.0)));
+        }
+    }
+    let (width, height) = (ARRAY.0 as f64 * STEP, ARRAY.1 as f64 * STEP);
+    let file = DesignFile::write(tag, &Clip::new("array", width, height, wires));
+    let spec = file.spec(STEP, 512.0);
+    (file, spec)
+}
+
 /// The same spec corrected by the single-process runtime — the
-/// byte-identity baseline every fleet manifest is compared against.
+/// byte-identity baseline every fleet manifest is compared against. (With
+/// a tile cache, so the array corrects its 9 patterns, not its 210 tiles;
+/// cold ≡ warm is the cache's own contract.)
 fn direct_manifest(spec: &WorkSpec) -> String {
     let clip = spec.build_clip().unwrap();
     let pool = WorkerPool::new(2);
-    let outcome = run_clip(&clip, &RunConfig::new(spec.opc.clone(), spec.tiling), &pool).unwrap();
+    let cache = TileCache::open(&CacheConfig::default()).unwrap();
+    let control = RunControl {
+        cache: Some(&cache),
+        ..RunControl::default()
+    };
+    let config = RunConfig::new(spec.opc.clone(), spec.tiling);
+    let outcome = run_clip_controlled(&clip, &config, &pool, &control).unwrap();
     assert!(outcome.complete);
     outcome.manifest.to_json(false)
 }
@@ -84,37 +162,85 @@ fn dead_addr() -> SocketAddr {
     // Listener dropped: the port now refuses connections.
 }
 
-/// A proxy in front of `backend` that delays every `POST /v1/tiles`
-/// response by `delay` (health probes pass straight through) — a slow
-/// worker whose leases age enough to get stolen from.
-fn slow_proxy(backend: SocketAddr, delay: Duration) -> SocketAddr {
+/// A raw `Content-Length`-framed 200 answer.
+fn framed(body: &str) -> Vec<u8> {
+    format!(
+        "HTTP/1.1 200 OK\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// A man in the middle in front of `backend`. Health probes and record
+/// harvests pass straight through; for every `POST /v1/tiles`, `meddle`
+/// gets the request body and a way to fetch the backend's honest answer,
+/// and returns the raw bytes the coordinator is to receive (none at all:
+/// the connection just drops, as when a worker is killed mid-request).
+fn proxy(
+    backend: SocketAddr,
+    meddle: impl Fn(&str, &dyn Fn() -> HttpResponse) -> Vec<u8> + Send + Sync + 'static,
+) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
+    let meddle = Arc::new(meddle);
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { break };
+            let meddle = Arc::clone(&meddle);
             std::thread::spawn(move || {
                 let ReadOutcome::Request(request) = http::read_request(&mut stream) else {
                     return;
                 };
-                let body = request.body_str().map(str::to_string);
-                let Ok(upstream) = client::request_with_timeout(
-                    backend,
-                    &request.method,
-                    &request.path,
-                    body.as_deref(),
-                    Duration::from_secs(120),
-                ) else {
-                    return;
+                let body = request.body_str().unwrap_or("");
+                let forward = || {
+                    client::request_with_timeout(
+                        backend,
+                        &request.method,
+                        &request.path,
+                        Some(body),
+                        Duration::from_secs(120),
+                    )
+                    .unwrap()
                 };
-                if request.path == "/v1/tiles" {
-                    std::thread::sleep(delay);
-                }
-                Response::text(upstream.status, upstream.body_str()).write(&mut stream);
+                let answer = if request.path == "/v1/tiles" {
+                    meddle(body, &forward)
+                } else {
+                    framed(&forward().body_str())
+                };
+                let _ = stream.write_all(&answer);
             });
         }
     });
     addr
+}
+
+/// A proxy that delays the answers to the dispatches `slow` picks by
+/// `delay` — a slow worker whose leases age enough to get stolen from.
+fn slow_proxy(backend: SocketAddr, delay: Duration, slow: fn(&[usize]) -> bool) -> SocketAddr {
+    proxy(backend, move |request, forward| {
+        let answer = forward();
+        if slow(&parse_dispatch(request).unwrap().1) {
+            std::thread::sleep(delay);
+        }
+        framed(&answer.body_str())
+    })
+}
+
+/// Runs `spec` on `n` fresh workers with default settings.
+fn run_on_fresh_workers(spec: &WorkSpec, n: usize) -> cardopc_fleet::FleetOutcome {
+    let workers: Vec<WorkerServer> = (0..n).map(|_| worker()).collect();
+    let config = FleetConfig {
+        workers: workers.iter().map(WorkerServer::local_addr).collect(),
+        ..FleetConfig::default()
+    };
+    run_fleet(spec, &config, &RunControl::default()).unwrap()
+}
+
+/// `tiles_done` of a worker's `/healthz`.
+fn tiles_done(worker: &WorkerServer) -> usize {
+    let health = client::get(worker.local_addr(), "/healthz").unwrap();
+    let health = health.json().unwrap();
+    health.get("tiles_done").unwrap().as_usize().unwrap()
 }
 
 #[test]
@@ -187,7 +313,7 @@ fn steal_duplicate_race_first_result_wins_byte_identically() {
     // The slow worker's first lease ages 8 s; the fast worker finishes
     // the other three tiles and steals it long before that.
     let mut config = fast_config(vec![
-        slow_proxy(slow_backend.local_addr(), Duration::from_secs(8)),
+        slow_proxy(slow_backend.local_addr(), Duration::from_secs(8), |_| true),
         fast.local_addr(),
     ]);
     config.window = 1;
@@ -279,7 +405,7 @@ fn coordinator_run_dir_resumes_without_asking_workers() {
 #[test]
 fn hostile_dispatch_is_a_400_and_the_worker_stays_healthy() {
     let w = worker();
-    let good = cardopc_fleet::proto::dispatch_body(&spec(), 0);
+    let good = cardopc_fleet::proto::dispatch_body(&spec(), &[0]);
     // Values that used to get past parsing: a zero measure spacing (an
     // unbounded loop in the tile scorer) and a negative mask rule (a
     // panic inside the handler thread).
@@ -365,4 +491,338 @@ fn unusable_fleets_error_instead_of_hanging() {
         FleetError::WorkersExhausted { remaining } => assert_eq!(remaining, 4),
         other => panic!("expected WorkersExhausted, got {other}"),
     }
+}
+
+// ------------------------------------------------ runs of congruent tiles
+
+#[test]
+fn any_worker_count_matches_single_process_and_only_arrays_batch() {
+    let (_file, array) = array_design("counts");
+    let unique = spec();
+    let (array_direct, unique_direct) = (direct_manifest(&array), direct_manifest(&unique));
+    for n in 1..=3 {
+        let outcome = run_on_fresh_workers(&array, n);
+        assert!(outcome.complete);
+        assert_eq!(outcome.manifest.to_json(false), array_direct, "{n} workers");
+        let stats = outcome.stats;
+        assert_eq!(stats.dispatched, ARRAY_TILES, "{stats:?}");
+        assert_eq!(stats.requests, ARRAY_REQUESTS, "{stats:?}");
+
+        // Unique tiles are classes of one: a request per tile, as ever.
+        let outcome = run_on_fresh_workers(&unique, n);
+        assert_eq!(
+            outcome.manifest.to_json(false),
+            unique_direct,
+            "{n} workers"
+        );
+        assert_eq!(outcome.stats.dispatched, 4, "{:?}", outcome.stats);
+        assert_eq!(outcome.stats.requests, 4, "{:?}", outcome.stats);
+    }
+}
+
+#[test]
+fn worker_killed_mid_batch_loses_the_whole_run_to_the_survivor() {
+    let (_file, spec) = array_design("killed");
+    let survivor = worker();
+    // Every run sent to the doomed worker dies in flight: the request is
+    // read, the connection drops. (Lone tiles it answers: a failed run
+    // returns to the head of the queue, and a lane that only ever lost
+    // tile 0 would lose no run.) It keeps answering health probes, so it
+    // is the failed requests that retire it.
+    let lost: Arc<Mutex<Vec<usize>>> = Arc::default();
+    let backend = worker();
+    let doomed = {
+        let lost = Arc::clone(&lost);
+        proxy(backend.local_addr(), move |request, forward| {
+            let tiles = parse_dispatch(request).unwrap().1;
+            if tiles.len() == 1 {
+                return framed(&forward().body_str());
+            }
+            lost.lock().unwrap().push(tiles.len());
+            Vec::new()
+        })
+    };
+    let mut config = fast_config(vec![doomed, survivor.local_addr()]);
+    config.window = 1;
+
+    let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
+    assert!(outcome.complete);
+    let (stats, lost) = (outcome.stats, lost.lock().unwrap().clone());
+    assert_eq!(stats.retired_workers, 1, "{stats:?}");
+    // One failed request is one worker failure however many tiles it
+    // carried; every tile it carried goes back to the queue.
+    assert_eq!(lost.len(), config.max_failures as usize, "{lost:?}");
+    assert_eq!(stats.redispatched, lost.iter().sum::<usize>(), "{stats:?}");
+    assert_eq!(
+        stats.dispatched,
+        ARRAY_TILES + stats.redispatched + stats.stolen,
+        "{stats:?}"
+    );
+    assert_eq!(outcome.manifest.to_json(false), direct_manifest(&spec));
+}
+
+#[test]
+fn steal_inside_a_slow_batch_settles_tile_by_tile() {
+    let (_file, spec) = array_design("steal");
+    let (slow_backend, fast) = (worker(), worker());
+    // The slow worker stalls on its first multi-tile run; the fast one
+    // finishes the rest of the job and steals that run's tiles.
+    let slow = slow_proxy(slow_backend.local_addr(), Duration::from_secs(3), |tiles| {
+        tiles.len() > 1
+    });
+    let mut config = fast_config(vec![slow, fast.local_addr()]);
+    config.window = 1;
+
+    let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
+    assert!(outcome.complete);
+    let stats = outcome.stats;
+    assert!(
+        stats.stolen > 1,
+        "a run must be stolen, not a tile: {stats:?}"
+    );
+    // Both copies of every stolen tile arrive; the first wins, the other
+    // is discarded — counted per tile.
+    assert_eq!(stats.duplicates, stats.stolen, "{stats:?}");
+    assert_eq!(stats.redispatched, 0, "{stats:?}");
+    assert_eq!(outcome.outcome.executed, ARRAY_TILES);
+    assert_eq!(outcome.manifest.to_json(false), direct_manifest(&spec));
+}
+
+#[test]
+fn tile_budget_still_takes_the_lowest_indices() {
+    let (_file, spec) = array_design("budget");
+    let (w1, w2) = (worker(), worker());
+    // 72 tiles: row 0 (corner, 68 edge tiles, corner), then the left end
+    // and the first interior tile of row 1 — five classes, cut by index
+    // before anything is ordered by class.
+    let config = FleetConfig {
+        workers: vec![w1.local_addr(), w2.local_addr()],
+        max_tiles: Some(72),
+        ..FleetConfig::default()
+    };
+    let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
+    assert!(!outcome.complete);
+    assert_eq!(outcome.outcome.executed, 72);
+    assert_eq!(outcome.outcome.remaining, ARRAY_TILES - 72);
+    let indices: Vec<usize> = outcome
+        .outcome
+        .results
+        .iter()
+        .map(|r| r.record.index)
+        .collect();
+    assert_eq!(indices, (0..72).collect::<Vec<_>>());
+    assert_eq!(outcome.stats.requests, 6, "{:?}", outcome.stats);
+}
+
+#[test]
+fn claim_order_is_a_function_of_the_partition_and_spec_alone() {
+    let (_file, spec) = array_design("order");
+    // Every request body a run sends, in arrival order, seen by recording
+    // proxies in front of `n` fresh workers.
+    let bodies_of_run = |n: usize, window: usize| -> Vec<String> {
+        let log: Arc<Mutex<Vec<String>>> = Arc::default();
+        let backends: Vec<WorkerServer> = (0..n).map(|_| worker()).collect();
+        let recording = |backend: &WorkerServer| {
+            let log = Arc::clone(&log);
+            proxy(backend.local_addr(), move |request, forward| {
+                log.lock().unwrap().push(request.to_string());
+                framed(&forward().body_str())
+            })
+        };
+        let config = FleetConfig {
+            workers: backends.iter().map(recording).collect(),
+            window,
+            ..FleetConfig::default()
+        };
+        let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
+        assert!(outcome.complete);
+        let bodies = log.lock().unwrap().clone();
+        bodies
+    };
+
+    // One lane: the request sequence itself repeats, class by class.
+    let first = bodies_of_run(1, 1);
+    assert_eq!(first.len(), ARRAY_REQUESTS);
+    assert_eq!(first, bodies_of_run(1, 1));
+    let runs: Vec<Vec<usize>> = first
+        .iter()
+        .map(|body| parse_dispatch(body).unwrap().1)
+        .collect();
+    assert_eq!(runs[0], [0]);
+    assert_eq!(runs[1], (1..=64).collect::<Vec<_>>());
+    assert_eq!(runs[2], [65, 66, 67, 68]);
+    assert_eq!(runs[3], [69]);
+    assert!(runs.iter().all(|run| run.is_sorted()), "{runs:?}");
+
+    // Four lanes race for the queue, but what they take from it is the
+    // same set of runs.
+    let mut raced = bodies_of_run(2, 2);
+    let mut expected = first;
+    raced.sort();
+    expected.sort();
+    assert_eq!(raced, expected);
+}
+
+#[test]
+fn coordinator_checkpoint_lines_are_verbatim_and_canonical() {
+    let (_file, spec) = array_design("verbatim");
+    let run_dir =
+        std::env::temp_dir().join(format!("cardopc-fleet-verbatim-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&run_dir);
+    let (w1, w2) = (worker(), worker());
+    let config = FleetConfig {
+        workers: vec![w1.local_addr(), w2.local_addr()],
+        run_dir: Some(run_dir.clone()),
+        ..FleetConfig::default()
+    };
+    let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
+    assert!(outcome.complete);
+
+    // The coordinator appended the workers' lines as they came; each must
+    // be exactly what encoding the parsed record gives, so a checkpoint
+    // written this way resumes like one the scheduler wrote.
+    let text = std::fs::read_to_string(run_dir.join("tiles.jsonl")).unwrap();
+    let mut seen = vec![false; ARRAY_TILES];
+    for line in text.lines() {
+        let record = TileRecord::from_json_line(line).unwrap();
+        assert_eq!(record.to_json_line(), line, "tile {}", record.index);
+        assert!(!std::mem::replace(&mut seen[record.index], true));
+    }
+    assert!(seen.iter().all(|&s| s), "a tile has no checkpoint line");
+
+    // And it does resume: nothing left to dispatch.
+    let resumed = run_fleet(&spec, &config, &RunControl::default()).unwrap();
+    assert_eq!(resumed.outcome.resumed, ARRAY_TILES);
+    assert_eq!(resumed.stats.requests, 0, "{:?}", resumed.stats);
+    assert_eq!(resumed.manifest.to_json(false), direct_manifest(&spec));
+    let _ = std::fs::remove_dir_all(&run_dir);
+}
+
+#[test]
+fn failing_tile_surfaces_the_same_lowest_index_for_any_worker_count() {
+    // Six tiles in a row, wires in tiles 2 and 4 only (different ones, so
+    // two classes); every other window is empty and corrects to nothing.
+    // At a 0.25 nm pitch a 1536 nm window needs a 6144-pixel grid, which
+    // the engine refuses: exactly the two wired tiles fail, everywhere.
+    let wire = |x: f64, len: f64| {
+        Polygon::rect(
+            Point::new(x + 400.0, 480.0),
+            Point::new(x + 400.0 + len, 550.0),
+        )
+    };
+    let wires = vec![wire(2048.0, 200.0), wire(4096.0, 240.0)];
+    let file = DesignFile::write("failing", &Clip::new("row", 6144.0, 1024.0, wires));
+    let mut spec = file.spec(1024.0, 256.0);
+    spec.opc.pitch = 0.25;
+
+    let clip = spec.build_clip().unwrap();
+    let config = RunConfig::new(spec.opc.clone(), spec.tiling);
+    let direct = run_clip_controlled(&clip, &config, &WorkerPool::new(2), &RunControl::default());
+    assert!(
+        matches!(direct, Err(RuntimeError::Tile { tile: 2, .. })),
+        "{direct:?}"
+    );
+
+    for n in 1..=3 {
+        let workers: Vec<WorkerServer> = (0..n).map(|_| worker()).collect();
+        let config = fast_config(workers.iter().map(WorkerServer::local_addr).collect());
+        let err = run_fleet(&spec, &config, &RunControl::default()).unwrap_err();
+        let message = err.to_string();
+        assert!(
+            message.contains("tile 2 failed on the fleet") && message.contains("\"tile\":2"),
+            "{n} workers: {message}"
+        );
+    }
+}
+
+// ------------------------------------------------ answers not to be trusted
+
+/// Runs the array job on one healthy worker and one whose every answer is
+/// `corrupt`ed on the way back, and checks that nothing the bad worker
+/// said was believed: it is retired, every tile was settled by the healthy
+/// worker, and the checkpoint holds one canonical line per tile.
+fn run_beside_a_lying_worker(tag: &str, corrupt: fn(Vec<&str>) -> Vec<u8>) {
+    let (_file, spec) = array_design(tag);
+    let run_dir = std::env::temp_dir().join(format!("cardopc-fleet-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&run_dir);
+    let (healthy, backend) = (worker(), worker());
+    let liar = proxy(backend.local_addr(), move |_, forward| {
+        corrupt(forward().body_str().lines().collect())
+    });
+    let mut config = fast_config(vec![liar, healthy.local_addr()]);
+    config.run_dir = Some(run_dir.clone());
+
+    let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
+    assert!(outcome.complete);
+    let stats = outcome.stats;
+    assert_eq!(stats.retired_workers, 1, "{stats:?}");
+    assert!(stats.redispatched >= 1, "{stats:?}");
+    assert_eq!(stats.duplicates, 0, "{stats:?}");
+    assert_eq!(tiles_done(&healthy), ARRAY_TILES);
+    let text = std::fs::read_to_string(run_dir.join("tiles.jsonl")).unwrap();
+    assert_eq!(text.lines().count(), ARRAY_TILES);
+    for line in text.lines() {
+        let record = TileRecord::from_json_line(line).unwrap();
+        assert_eq!(record.to_json_line(), line, "tile {}", record.index);
+    }
+    assert_eq!(outcome.manifest.to_json(false), direct_manifest(&spec));
+    let _ = std::fs::remove_dir_all(&run_dir);
+}
+
+fn jsonl(lines: &[&str]) -> Vec<u8> {
+    framed(&lines.iter().map(|l| format!("{l}\n")).collect::<String>())
+}
+
+#[test]
+fn oversized_declared_length_is_refused_unread() {
+    run_beside_a_lying_worker("oversized", |_| {
+        let declared = cardopc_fleet::client::MAX_RESPONSE_BYTES + 1;
+        format!("HTTP/1.1 200 OK\r\ncontent-length: {declared}\r\n\r\n").into_bytes()
+    });
+}
+
+#[test]
+fn short_answer_settles_nothing() {
+    run_beside_a_lying_worker("short", |lines| jsonl(&lines[1..]));
+}
+
+#[test]
+fn long_answer_settles_nothing() {
+    run_beside_a_lying_worker("long", |mut lines| {
+        lines.push(lines[0]);
+        jsonl(&lines)
+    });
+}
+
+#[test]
+fn reordered_answer_settles_nothing() {
+    // A one-line answer cannot be reordered; it is dropped instead.
+    run_beside_a_lying_worker("reordered", |mut lines| {
+        lines.rotate_left(1);
+        jsonl(if lines.len() > 1 { &lines } else { &[] })
+    });
+}
+
+#[test]
+fn duplicated_index_settles_nothing() {
+    run_beside_a_lying_worker("duplicated", |mut lines| {
+        let last = lines.len() - 1;
+        lines[last] = lines[0];
+        jsonl(if lines.len() > 1 { &lines } else { &[] })
+    });
+}
+
+#[test]
+fn wrong_input_hash_in_one_line_settles_nothing() {
+    run_beside_a_lying_worker("hash", |lines| {
+        // Flip the low hex digit of the last line's hash.
+        let last = lines[lines.len() - 1];
+        let at = last.find("\"hash\":\"").unwrap() + 8 + 15;
+        let digit = if &last[at..=at] == "0" { "1" } else { "0" };
+        let forged = format!("{}{digit}{}", &last[..at], &last[at + 1..]);
+        let mut lines: Vec<&str> = lines;
+        let n = lines.len();
+        lines[n - 1] = &forged;
+        jsonl(&lines)
+    });
 }

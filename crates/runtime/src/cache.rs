@@ -417,7 +417,7 @@ impl TileCache {
         if let Some(writer) = &self.writer {
             let bytes = line.len() as u64 + 1;
             let mut file = writer.lock().unwrap_or_else(PoisonError::into_inner);
-            match append_line(&mut file, line) {
+            match append_line(&mut file, &line) {
                 Ok(()) => {
                     self.file_bytes.fetch_add(bytes, Ordering::Relaxed);
                 }

@@ -357,7 +357,9 @@ impl RunDir {
         open_append(&self.tiles_path())
     }
 
-    /// Appends one record line and flushes it.
+    /// Appends one record and flushes it: encode, then
+    /// [`RunDir::append_line`]. Callers that share the file behind a lock
+    /// encode first and take the lock for `append_line` alone.
     ///
     /// # Errors
     ///
@@ -366,8 +368,19 @@ impl RunDir {
         file: &mut std::fs::File,
         record: &TileRecord,
     ) -> Result<(), RuntimeError> {
-        append_line(file, record.to_json_line())
-            .map_err(|e| RuntimeError::Io(format!("append checkpoint: {e}")))
+        RunDir::append_line(file, &record.to_json_line())
+    }
+
+    /// Appends one already encoded record line ([`TileRecord::to_json_line`]
+    /// output, no newline) and flushes it. The fleet coordinator appends
+    /// the line a worker sent — after parsing and verifying it — rather
+    /// than re-encoding the record it parsed.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Io`] on write failure.
+    pub fn append_line(file: &mut std::fs::File, line: &str) -> Result<(), RuntimeError> {
+        append_line(file, line).map_err(|e| RuntimeError::Io(format!("append checkpoint: {e}")))
     }
 
     /// Writes the manifest JSON (atomically via a temp file + rename).

@@ -3,6 +3,7 @@
 //! replacement of whole files, and PID lock files with stale-lock reclaim.
 
 use crate::RuntimeError;
+use cardopc_litho::WorkerPool;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -15,23 +16,57 @@ pub(crate) fn io_error(verb: &str, path: &Path, e: std::io::Error) -> RuntimeErr
 /// order, each with the bytes it occupies — plus the file's total size.
 /// Lines `parse` rejects (the torn tail of a killed writer) are skipped,
 /// so collecting the result into a map keyed by the line's identity makes
-/// the last line per key win. A missing file is an empty store.
+/// the last line per key win. A missing file is an empty store. Parsing is
+/// spread over the global [`WorkerPool`] (see [`parse_lines`]).
 ///
 /// # Errors
 ///
 /// [`RuntimeError::Io`] when the file exists but cannot be read.
-pub(crate) fn load_jsonl<T>(
+pub(crate) fn load_jsonl<T: Send>(
     path: &Path,
-    parse: impl Fn(&str) -> Result<T, String>,
+    parse: impl Fn(&str) -> Result<T, String> + Sync,
 ) -> Result<(Vec<(T, u64)>, u64), RuntimeError> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(io_error("read", path, e)),
     };
-    let lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
-    let parsed = lines.filter_map(|l| Some((parse(l).ok()?, l.len() as u64 + 1)));
-    Ok((parsed.collect(), text.len() as u64))
+    let parsed = parse_lines(&text, WorkerPool::global(), parse);
+    Ok((parsed, text.len() as u64))
+}
+
+/// Below this many lines a store is parsed on the caller's thread: waking
+/// the pool costs more than a handful of records.
+const PARALLEL_MIN_LINES: usize = 64;
+
+/// Parses the non-empty lines of `text`: one contiguous chunk per pool
+/// executor, concatenated in file order, so the result is the sequential
+/// loop's for any pool size.
+fn parse_lines<T: Send>(
+    text: &str,
+    pool: &WorkerPool,
+    parse: impl Fn(&str) -> Result<T, String> + Sync,
+) -> Vec<(T, u64)> {
+    let lines: Vec<&str> = text
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .collect();
+    let parse_chunk = |chunk: &[&str]| -> Vec<(T, u64)> {
+        let keep = |l: &&str| Some((parse(l).ok()?, l.len() as u64 + 1));
+        chunk.iter().filter_map(keep).collect()
+    };
+    if pool.parallelism() <= 1 || lines.len() < PARALLEL_MIN_LINES {
+        return parse_chunk(&lines);
+    }
+    let mut chunks: Vec<_> = lines
+        .chunks(lines.len().div_ceil(pool.parallelism()))
+        .map(|chunk| (chunk, Vec::new()))
+        .collect();
+    pool.run_with_slots(&mut chunks, |_, (chunk, parsed)| {
+        *parsed = parse_chunk(chunk)
+    });
+    chunks.into_iter().flat_map(|(_, parsed)| parsed).collect()
 }
 
 /// Opens a JSONL store for appending, creating it if needed.
@@ -47,9 +82,11 @@ pub(crate) fn open_append(path: &Path) -> Result<std::fs::File, RuntimeError> {
 
 /// Appends `line` plus its newline in one write, then flushes: a killed
 /// writer tears at most the final line.
-pub(crate) fn append_line(file: &mut std::fs::File, mut line: String) -> std::io::Result<()> {
-    line.push('\n');
-    file.write_all(line.as_bytes())?;
+pub(crate) fn append_line(file: &mut std::fs::File, line: &str) -> std::io::Result<()> {
+    let mut bytes = Vec::with_capacity(line.len() + 1);
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
+    file.write_all(&bytes)?;
     file.flush()
 }
 
@@ -126,5 +163,81 @@ fn pid_alive(pid: u32) -> bool {
         Path::new(&format!("/proc/{pid}")).exists()
     } else {
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashMap;
+
+    /// `<key> <value>`; anything else is a torn line.
+    fn parse(line: &str) -> Result<(u32, u32), String> {
+        let (key, value) = line.split_once(' ').ok_or("torn")?;
+        Ok((
+            key.parse().map_err(|_| "bad key")?,
+            value.parse().map_err(|_| "bad value")?,
+        ))
+    }
+
+    /// 500 keys written three times over (so a later line must win), with
+    /// blank lines, padded lines, garbage in the middle and a torn tail.
+    fn store_text() -> String {
+        let mut text = String::new();
+        for round in 0..3 {
+            for key in 0..500 {
+                text.push_str(&format!("{key} {}\n", round * 1000 + key));
+                if key % 97 == 0 {
+                    text.push_str("\n  \nnot a record\n");
+                }
+            }
+            text.push_str(&format!("  {round} 77  \r\n"));
+        }
+        text.push_str("499 12");
+        text.push_str("34 tor");
+        text
+    }
+
+    #[test]
+    fn any_pool_size_parses_like_one_thread() {
+        let text = store_text();
+        let one = parse_lines(&text, &WorkerPool::new(1), parse);
+        assert_eq!(one.len(), 3 * 501);
+        assert_eq!(one[0], ((0, 0), 4));
+        // Bytes are the trimmed line plus its newline.
+        assert_eq!(one[500], ((0, 77), 5));
+        for threads in [2, 3, 8] {
+            let many = parse_lines(&text, &WorkerPool::new(threads), parse);
+            assert_eq!(many, one, "{threads} threads");
+        }
+        // File order is kept, so the last line per key wins and the torn
+        // tail changes nothing.
+        let map: HashMap<u32, u32> = one.into_iter().map(|(pair, _)| pair).collect();
+        assert_eq!(map[&499], 2499);
+        assert_eq!(map[&0], 2000);
+        assert_eq!(map[&2], 77);
+    }
+
+    #[test]
+    fn small_empty_and_missing_stores_load() {
+        let pool = WorkerPool::new(4);
+        assert!(parse_lines("", &pool, parse).is_empty());
+        assert!(parse_lines("\n\n", &pool, parse).is_empty());
+        // A handful of lines stays on the caller's thread — same answer.
+        let few = parse_lines("1 2\n1 3\ntorn", &pool, parse);
+        assert_eq!(few, vec![((1, 2), 4), ((1, 3), 4)]);
+
+        let dir = std::env::temp_dir().join(format!("cardopc-store-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.jsonl");
+        assert_eq!(load_jsonl(&path, parse).unwrap(), (Vec::new(), 0));
+        std::fs::write(&path, "").unwrap();
+        assert_eq!(load_jsonl(&path, parse).unwrap(), (Vec::new(), 0));
+        let text = store_text();
+        std::fs::write(&path, &text).unwrap();
+        let (loaded, bytes) = load_jsonl(&path, parse).unwrap();
+        assert_eq!(bytes, text.len() as u64);
+        assert_eq!(loaded, parse_lines(&text, &WorkerPool::new(1), parse));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -98,7 +98,8 @@ RUN OPTIONS:
     --worker-addr <HOST:PORT>       shard across an already-running
                                     `cardopc worker` (repeatable; combines
                                     with --workers-local)
-    --lease-secs <S>                fleet per-tile lease timeout [120]
+    --lease-secs <S>                fleet per-tile lease timeout (a request
+                                    carrying n tiles gets n times this) [120]
     --steal-secs <S>                fleet steal threshold: idle workers
                                     duplicate-dispatch tiles leased longer
                                     than this [20]
@@ -444,32 +445,40 @@ fn serve_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// A spawned local worker process; shut down (politely, then by force)
-/// on drop so an aborted coordinator does not leak children.
+/// A spawned local worker process.
 struct LocalWorker {
     child: std::process::Child,
     addr: std::net::SocketAddr,
 }
 
-impl Drop for LocalWorker {
+/// The spawned local workers; shut down (politely, then by force) on drop
+/// so an aborted coordinator does not leak children.
+struct LocalWorkers(Vec<LocalWorker>);
+
+impl Drop for LocalWorkers {
     fn drop(&mut self) {
-        let _ = client::request_with_timeout(
-            self.addr,
-            "POST",
-            "/admin/shutdown",
-            Some("{}"),
-            Duration::from_secs(2),
-        );
-        // Give the polite path a moment, then make sure.
-        for _ in 0..20 {
-            match self.child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) => std::thread::sleep(Duration::from_millis(50)),
-                Err(_) => break,
-            }
+        // Ask everyone first, then reap: the workers exit side by side.
+        for worker in &self.0 {
+            let _ = client::request_with_timeout(
+                worker.addr,
+                "POST",
+                "/admin/shutdown",
+                Some("{}"),
+                Duration::from_secs(2),
+            );
         }
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+        // A worker is gone a few ms after the request; give the polite
+        // path about a second in all, then make sure.
+        let deadline = std::time::Instant::now() + Duration::from_secs(1);
+        for worker in &mut self.0 {
+            while matches!(worker.child.try_wait(), Ok(None))
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let _ = worker.child.kill();
+            let _ = worker.child.wait();
+        }
     }
 }
 
@@ -561,10 +570,10 @@ fn export_mask_gds(
 /// and/or already running remotely) and print the same manifest a
 /// single-process run would.
 fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfig) -> ExitCode {
-    let mut locals = Vec::new();
+    let mut locals = LocalWorkers(Vec::new());
     for _ in 0..args.workers_local {
         match spawn_local_worker() {
-            Ok(worker) => locals.push(worker),
+            Ok(worker) => locals.0.push(worker),
             Err(msg) => {
                 eprintln!("cardopc: error: {msg}");
                 return ExitCode::FAILURE;
@@ -572,6 +581,7 @@ fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfi
         }
     }
     let workers: Vec<std::net::SocketAddr> = locals
+        .0
         .iter()
         .map(|w| w.addr)
         .chain(args.worker_addrs.iter().copied())
@@ -596,7 +606,7 @@ fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfi
     eprintln!(
         "cardopc: fleet of {} workers ({} spawned local), lease {:.0}s, steal after {:.0}s",
         config.workers.len(),
-        locals.len(),
+        locals.0.len(),
         config.lease.as_secs_f64(),
         config.steal_after.as_secs_f64(),
     );
@@ -621,13 +631,15 @@ fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfi
     );
     let stats = outcome.stats;
     println!(
-        "fleet dispatched {} stolen {} duplicates {} redispatched {} retired {} recovered {}",
+        "fleet dispatched {} stolen {} duplicates {} redispatched {} retired {} recovered {} \
+         requests {}",
         stats.dispatched,
         stats.stolen,
         stats.duplicates,
         stats.redispatched,
         stats.retired_workers,
-        stats.recovered
+        stats.recovered,
+        stats.requests
     );
     if let Some(dir) = &config.run_dir {
         if outcome.complete {

@@ -547,6 +547,7 @@ impl JobStore {
         self.metrics
             .fleet_tiles_dispatched
             .add(stats.dispatched as u64);
+        self.metrics.fleet_requests.add(stats.requests as u64);
         self.metrics.fleet_tiles_stolen.add(stats.stolen as u64);
         self.metrics
             .fleet_tiles_redispatched

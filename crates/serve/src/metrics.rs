@@ -205,6 +205,8 @@ pub struct Metrics {
     pub fleet_jobs: Counter,
     /// Fleet tile dispatch attempts (including steals and re-dispatches).
     pub fleet_tiles_dispatched: Counter,
+    /// Fleet dispatch requests (each carries a run of congruent tiles).
+    pub fleet_requests: Counter,
     /// Fleet steal dispatches (duplicate of a still-leased tile).
     pub fleet_tiles_stolen: Counter,
     /// Fleet tiles re-queued after a failed or expired dispatch.
@@ -273,7 +275,7 @@ impl Metrics {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(2048);
-        let counters: [(&str, &Counter); 16] = [
+        let counters: [(&str, &Counter); 17] = [
             ("cardopc_http_requests_total", &self.http_requests),
             ("cardopc_http_client_errors_total", &self.http_client_errors),
             ("cardopc_http_server_errors_total", &self.http_server_errors),
@@ -288,6 +290,7 @@ impl Metrics {
                 "cardopc_fleet_tiles_dispatched_total",
                 &self.fleet_tiles_dispatched,
             ),
+            ("cardopc_fleet_requests_total", &self.fleet_requests),
             ("cardopc_fleet_tiles_stolen_total", &self.fleet_tiles_stolen),
             (
                 "cardopc_fleet_tiles_redispatched_total",

@@ -212,3 +212,58 @@ fn layer_filter_selects_targets_from_gds() {
     assert!(stderr(&out).contains("42"), "{}", stderr(&out));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Spawned `--workers-local` processes inherit the coordinator's stderr,
+/// so a captured run reaches end-of-file only once the coordinator *and*
+/// every worker it spawned have exited: a leaked child shows up as a
+/// capture that never finishes.
+fn cardopc_and_children_exit(args: &'static [&'static str], dir: &Path) -> Output {
+    let (done, finished) = std::sync::mpsc::channel();
+    let dir = dir.to_path_buf();
+    std::thread::spawn(move || done.send(cardopc(args, &dir)));
+    finished
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .unwrap_or_else(|_| panic!("{args:?}: a process still holds the output pipe"))
+}
+
+#[test]
+fn local_workers_are_reaped_on_success_and_on_failure() {
+    let dir = tempdir("localworkers");
+    let fleet: &[&str] = &["--quick", "--workers-local", "2", "--run-dir", "fleet"];
+    let out = cardopc_and_children_exit(fleet, &dir);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("executed 4 resumed 0 remaining 0"), "{text}");
+    // Four unique tiles: four requests. The label is appended after the
+    // ones existing parsers know.
+    let counters = "fleet dispatched 4 stolen 0 duplicates 0 redispatched 0 retired 0 \
+                    recovered 0 requests 4";
+    assert!(text.contains(counters), "{text}");
+    let single = cardopc(&["--quick", "--run-dir", "single"], &dir);
+    assert!(single.status.success(), "{}", stderr(&single));
+    assert_eq!(
+        std::fs::read(dir.join("fleet/manifest.stable.json")).unwrap(),
+        std::fs::read(dir.join("single/manifest.stable.json")).unwrap()
+    );
+
+    // A run that fails with its workers already up (a tile budget leaves
+    // no mask to export) ...
+    let incomplete: &[&str] = &[
+        "--quick",
+        "--workers-local",
+        "2",
+        "--max-tiles",
+        "1",
+        "--out-gds",
+        "mask.gds",
+    ];
+    let out = cardopc_and_children_exit(incomplete, &dir);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("run incomplete"), "{}", stderr(&out));
+    // ... and one that fails before it gets that far.
+    let bad_design: &[&str] = &["--design", "missing.gds", "--workers-local", "2"];
+    let out = cardopc_and_children_exit(bad_design, &dir);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("missing.gds"), "{}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -629,6 +629,12 @@ fn registered_fleet_workers_run_jobs_byte_identically() {
         metric_value(&metrics, "cardopc_fleet_tiles_dispatched_total ") >= 4,
         "{metrics}"
     );
+    // Four unique tiles: every request carries one.
+    assert_eq!(
+        metric_value(&metrics, "cardopc_fleet_requests_total "),
+        metric_value(&metrics, "cardopc_fleet_tiles_dispatched_total "),
+        "{metrics}"
+    );
 
     drop(server);
     let _ = std::fs::remove_dir_all(root);
