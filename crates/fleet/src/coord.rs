@@ -62,20 +62,22 @@
 //! not the queue. Lanes pull from the shared pending queue
 //! (work-conserving), then fall back to stealing.
 //!
-//! # Recovery
+//! # Around the dispatch: the run frame
 //!
-//! Before dispatching, the coordinator resumes from its own run dir, then
-//! harvests `GET /v1/records` from every worker: any record whose input
-//! hash matches a wanted tile is adopted (and re-checkpointed locally),
-//! so a coordinator restart loses no finished work even when its own run
-//! dir is gone — the workers' checkpoints are the durable copy.
+//! Resume from the coordinator's run dir, the tile budget, committing a
+//! verified line, progress events, the outcome and the manifests are
+//! [`cardopc_runtime::run`]'s — the frame a single-process run uses. The
+//! coordinator adds one thing before dispatching: it harvests
+//! `GET /v1/records` from every worker and lets the frame adopt each line,
+//! so a restart loses no finished work even when its own run dir is gone —
+//! the workers' checkpoints are the durable copy.
 
 use crate::client::{self, HttpResponse};
 use crate::proto::{self, MAX_BATCH};
 use crate::spec::WorkSpec;
 use cardopc_runtime::{
-    partition_clip, stitch::StitchAccumulator, tile_cache_key, tile_input_hash, RunControl, RunDir,
-    RunManifest, RuntimeError, ScheduleOutcome, Stitched, TileEvent, TileRecord, TileResult,
+    partition_clip, tile_cache_key, Run, RunControl, RunManifest, RunOutcome, RunStore,
+    RuntimeError, ScheduleOutcome, Stitched, TileRecord,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -172,6 +174,13 @@ pub struct FleetOutcome {
     pub cancelled: bool,
 }
 
+impl From<FleetOutcome> for RunOutcome {
+    /// Where the tiles were corrected is not part of a run's outcome.
+    fn from(fleet: FleetOutcome) -> RunOutcome {
+        RunOutcome::new(fleet.manifest, fleet.stitched, fleet.outcome)
+    }
+}
+
 /// Why a fleet run could not produce an outcome.
 #[derive(Debug)]
 pub enum FleetError {
@@ -244,10 +253,6 @@ struct State {
     workers: Vec<WorkerSlot>,
     alive: usize,
     stats: FleetStats,
-    records: Vec<TileRecord>,
-    accumulator: StitchAccumulator,
-    completed: usize,
-    io_error: Option<RuntimeError>,
     /// Lowest-indexed tile whose dispatch failed with a worker-side tile
     /// error (HTTP 500) — surfaced if the run cannot complete.
     tile_error: Option<(usize, String)>,
@@ -258,14 +263,14 @@ struct State {
 struct Shared<'a> {
     state: Mutex<State>,
     cv: Condvar,
-    sink: Mutex<Option<std::fs::File>>,
+    /// The run frame: decides what is resumed, commits what the lanes
+    /// settle, and says when to stop claiming.
+    run: Run<'a>,
     /// The to-run tiles in claim order: classes in first-seen order, tile
     /// index within a class.
     tiles: Vec<TileInfo>,
     spec: &'a WorkSpec,
     config: &'a FleetConfig,
-    control: &'a RunControl<'a>,
-    total: usize,
 }
 
 impl Shared<'_> {
@@ -304,111 +309,39 @@ pub fn run_fleet(
     }
     let clip = spec.build_clip().map_err(FleetError::Spec)?;
     let partition = partition_clip(&clip, &spec.tiling)?;
-    let total = partition.tiles.len();
-    let hashes: Vec<u64> = partition
-        .tiles
-        .iter()
-        .map(|t| tile_input_hash(t, &spec.opc))
-        .collect();
-
-    let run_dir = match &config.run_dir {
-        Some(path) => Some(RunDir::open(path)?),
-        None => None,
+    let mut store = RunStore::open(config.run_dir.as_deref())?;
+    // The coordinator corrects nothing itself: no engine or tile cache.
+    let control = RunControl {
+        progress: control.progress,
+        handle: control.handle,
+        ..RunControl::default()
     };
-    let checkpoints = match &run_dir {
-        Some(dir) => dir.load_records()?,
-        None => Default::default(),
-    };
-    let mut sink = match &run_dir {
-        Some(dir) => Some(dir.append_handle()?),
-        None => None,
-    };
-
-    // Resume from the coordinator's own checkpoints.
-    let mut results: Vec<TileResult> = Vec::with_capacity(total);
-    let mut wanted: Vec<bool> = vec![true; total];
-    for (i, tile) in partition.tiles.iter().enumerate() {
-        if let Some(record) = checkpoints.get(&tile.index) {
-            if record.input_hash == hashes[i] {
-                wanted[i] = false;
-                results.push(TileResult {
-                    record: record.clone(),
-                    resumed: true,
-                    cached: false,
-                });
-            }
-        }
-    }
-    let resumed = results.len();
+    let sink = store.sink.as_mut();
+    let mut run = Run::new(&partition, &spec.opc, &store.checkpoints, sink, &control);
 
     // Recovery: adopt matching records from the workers' checkpoints.
     // A fresh or unreachable worker simply contributes nothing here.
     let mut stats = FleetStats::default();
     for addr in &config.workers {
-        let Ok(response) =
-            client::request_with_timeout(*addr, "GET", "/v1/records", None, config.lease)
-        else {
+        let harvest = client::request_with_timeout(*addr, "GET", "/v1/records", None, config.lease);
+        let Some(response) = harvest.ok().filter(|r| r.status == 200) else {
             continue;
         };
-        if response.status != 200 {
-            continue;
-        }
         for line in response.body_str().lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(record) = TileRecord::from_json_line(line) else {
-                continue;
-            };
-            let i = record.index;
-            if i < total && wanted[i] && record.input_hash == hashes[i] {
-                wanted[i] = false;
-                stats.recovered += 1;
-                // Re-checkpoint locally (the worker's line, verbatim) so
-                // the next coordinator restart resumes without asking the
-                // workers.
-                if let Some(file) = sink.as_mut() {
-                    RunDir::append_line(file, line)?;
-                }
-                results.push(TileResult {
-                    record,
-                    resumed: true,
-                    cached: false,
-                });
-            }
-        }
-    }
-    results.sort_unstable_by_key(|r| r.record.index);
-
-    // Report resumed/recovered tiles first (monotonic completed counter),
-    // and seed the incremental stitcher with them.
-    let mut accumulator = StitchAccumulator::new();
-    for (done, r) in results.iter().enumerate() {
-        accumulator.add_record(&r.record);
-        if let Some(progress) = control.progress {
-            progress(&TileEvent {
-                tile: r.record.index,
-                name: r.record.name.clone(),
-                resumed: true,
-                cached: false,
-                seconds: r.record.seconds,
-                completed: done + 1,
-                total,
-            });
+            stats.recovered += usize::from(run.adopt(line.trim())?);
         }
     }
 
     // To-dispatch tiles: budget-truncated in index order (a budget takes
     // the lowest indices), then ordered by pattern — classes in first-seen
     // order, index order within a class (the sort is stable).
-    let mut todo: Vec<TileInfo> = (0..total)
-        .filter(|&i| wanted[i])
-        .take(config.max_tiles.unwrap_or(usize::MAX))
-        .map(|i| TileInfo {
-            index: partition.tiles[i].index,
-            hash: hashes[i],
-            key: tile_cache_key(&partition.tiles[i], &partition.config, &spec.opc),
+    let mut todo: Vec<TileInfo> = run
+        .start(config.max_tiles)
+        .into_iter()
+        .map(|(index, hash)| TileInfo {
+            index,
+            hash,
+            key: tile_cache_key(&partition.tiles[index], &partition.config, &spec.opc),
         })
         .collect();
     let mut class_rank: HashMap<u64, usize> = HashMap::new();
@@ -442,21 +375,15 @@ pub fn run_fleet(
                 .collect(),
             alive: config.workers.len(),
             stats,
-            records: Vec::new(),
-            accumulator,
-            completed: resumed + stats.recovered,
-            io_error: None,
             tile_error: None,
             aborted: false,
             active_lanes: lanes,
         }),
         cv: Condvar::new(),
-        sink: Mutex::new(sink),
+        run,
         tiles: todo,
         spec,
         config,
-        control,
-        total,
     };
 
     std::thread::scope(|scope| {
@@ -470,16 +397,11 @@ pub fn run_fleet(
         }
     });
 
-    let state = shared
-        .state
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    if let Some(e) = state.io_error {
-        return Err(FleetError::Runtime(e));
-    }
-    let cancelled = control.cancelled();
+    let Shared { state, run, .. } = shared;
+    let state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let outcome = run.finish()?;
     let unfinished = todo_len - state.done;
-    if state.alive == 0 && unfinished > 0 && !cancelled {
+    if state.alive == 0 && unfinished > 0 && !outcome.cancelled {
         // Surface a deterministic tile failure when one was observed —
         // workers were likely retired *because* the tile itself fails.
         if let Some((tile, message)) = state.tile_error {
@@ -492,52 +414,20 @@ pub fn run_fleet(
         });
     }
 
-    let mut records = state.records;
-    records.sort_unstable_by_key(|r| r.index);
-    let executed = records.len();
-    let tile_seconds: f64 = records.iter().map(|r| r.seconds).sum();
-    for record in records {
-        results.push(TileResult {
-            record,
-            resumed: false,
-            cached: false,
-        });
-    }
-    results.sort_unstable_by_key(|r| r.record.index);
-
-    let outcome = ScheduleOutcome {
-        remaining: total - results.len(),
-        executed,
-        resumed: resumed + state.stats.recovered,
-        tile_seconds,
-        cache_hits: 0,
-        cache_misses: 0,
-        cancelled,
-        results,
-    };
-    let complete = outcome.remaining == 0;
-    let stitched = complete.then(|| state.accumulator.finish(&partition, spec.opc.mrc.as_ref()));
-    let manifest = RunManifest::build(
+    let (manifest, stitched) = store.conclude(
         clip.name(),
         &partition,
         &outcome,
-        stitched.as_ref(),
+        spec.opc.mrc.as_ref(),
         config.workers.len(),
-        start.elapsed().as_secs_f64(),
-    );
-    if complete {
-        if let Some(dir) = &run_dir {
-            dir.write_manifest(&manifest.to_json(true))?;
-            dir.write_stable_manifest(&manifest.to_json(false))?;
-        }
-    }
-
+        start,
+    )?;
     Ok(FleetOutcome {
         manifest,
         stitched,
         stats: state.stats,
-        complete,
-        cancelled,
+        complete: outcome.remaining == 0,
+        cancelled: outcome.cancelled,
         outcome,
     })
 }
@@ -658,7 +548,7 @@ fn claim_run(shared: &Shared<'_>, worker_id: usize) -> Option<Vec<usize>> {
         if state.done == tiles.len()
             || state.aborted
             || state.workers[worker_id].retired
-            || shared.control.cancelled()
+            || shared.run.stopped()
         {
             return None;
         }
@@ -739,46 +629,21 @@ fn settle(
         Ok(verified) => {
             state.workers[worker_id].failures = 0;
             let mut fresh = Vec::with_capacity(verified.len());
-            let mut events = Vec::new();
-            for (&pos, (record, line)) in run.iter().zip(verified) {
+            for (&pos, answer) in run.iter().zip(verified) {
                 if state.slots[pos].done {
                     state.stats.duplicates += 1;
                     continue;
                 }
                 state.slots[pos].done = true;
                 state.done += 1;
-                state.completed += 1;
-                state.accumulator.add_record(&record);
-                if shared.control.progress.is_some() {
-                    events.push(TileEvent {
-                        tile: record.index,
-                        name: record.name.clone(),
-                        resumed: false,
-                        cached: false,
-                        seconds: record.seconds,
-                        completed: state.completed,
-                        total: shared.total,
-                    });
-                }
-                state.records.push(record);
-                fresh.push(line);
+                fresh.push(answer);
             }
             drop(state);
             shared.cv.notify_all();
             // The verified lines, verbatim; the state lock is not held
             // across the writes.
-            let mut sink = shared.sink.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(file) = sink.as_mut() {
-                for line in fresh {
-                    if let Err(e) = RunDir::append_line(file, line) {
-                        shared.lock().io_error.get_or_insert(e);
-                        break;
-                    }
-                }
-            }
-            drop(sink);
-            if let Some(progress) = shared.control.progress {
-                events.iter().for_each(progress);
+            for (record, line) in fresh {
+                shared.run.commit(record, false, Some(line));
             }
         }
         Err(Failure { tile, message }) => {

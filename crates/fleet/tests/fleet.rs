@@ -17,6 +17,7 @@ use cardopc_geometry::{Point, Polygon};
 use cardopc_layout::{write_clip_gds, Clip, DesignKind, LayerFilter, TARGET_LAYER};
 use cardopc_litho::WorkerPool;
 use cardopc_opc::OpcConfig;
+use cardopc_runtime as rt;
 use cardopc_runtime::{
     run_clip_controlled, CacheConfig, RunConfig, RunControl, RuntimeError, TileCache, TileRecord,
     TilingConfig,
@@ -26,6 +27,9 @@ use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+#[path = "../../../tests/support/resume.rs"]
+mod resume;
 
 /// The serve smoke spec: 1024 nm gcd crop, 512 nm tiles + 256 nm halo →
 /// 2×2 tiles of 1024 nm windows on 64² grids at pitch 16.
@@ -733,6 +737,102 @@ fn failing_tile_surfaces_the_same_lowest_index_for_any_worker_count() {
             "{n} workers: {message}"
         );
     }
+}
+
+// ------------------------------------------------------ cross-mode resume
+
+/// An uninterrupted single-process run of `spec`, and a finishing
+/// single-process run of it from `run_dir` reporting to `control`.
+fn run_locally(
+    spec: &WorkSpec,
+    run_dir: Option<&std::path::Path>,
+    control: &RunControl<'_>,
+) -> rt::RunOutcome {
+    let clip = spec.build_clip().unwrap();
+    let mut config = RunConfig::new(spec.opc.clone(), spec.tiling);
+    config.run_dir = run_dir.map(Into::into);
+    run_clip_controlled(&clip, &config, &WorkerPool::new(2), control).unwrap()
+}
+
+/// The reverse of `tests/runtime.rs`'s cross-mode test: the coordinator
+/// checkpoints two tiles, the local pool finishes the run from its dir.
+#[test]
+fn local_pool_finishes_a_run_the_fleet_started() {
+    let spec = spec();
+    let run_dir = std::env::temp_dir().join(format!("cardopc-cross-fleet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&run_dir);
+    let reference = run_locally(&spec, None, &RunControl::default());
+    let log = resume::EventLog::default();
+    let progress = |event: &rt::TileEvent| log.push(event);
+    let control = RunControl {
+        progress: Some(&progress),
+        ..RunControl::default()
+    };
+
+    let (w1, w2) = (worker(), worker());
+    let config = FleetConfig {
+        workers: vec![w1.local_addr(), w2.local_addr()],
+        run_dir: Some(run_dir.clone()),
+        max_tiles: Some(2),
+        ..FleetConfig::default()
+    };
+    let partial = run_fleet(&spec, &config, &control).unwrap();
+    assert!(!partial.complete);
+    resume::assert_progress(&log, 0, 2, 4);
+
+    let finished = run_locally(&spec, Some(&run_dir), &control);
+    resume::assert_finished_like(&reference, &finished, &run_dir, (2, 2), &log);
+    let _ = std::fs::remove_dir_all(&run_dir);
+}
+
+/// A coordinator that lost its run dir: a second one with a zero budget
+/// dispatches nothing and only harvests — the workers' lines land in the
+/// emptied dir verbatim — and the local pool finishes from there.
+#[test]
+fn harvest_only_coordinator_rebuilds_a_run_dir_the_local_pool_finishes() {
+    let spec = spec();
+    let run_dir =
+        std::env::temp_dir().join(format!("cardopc-cross-harvest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&run_dir);
+    let reference = run_locally(&spec, None, &RunControl::default());
+    let log = resume::EventLog::default();
+    let progress = |event: &rt::TileEvent| log.push(event);
+    let control = RunControl {
+        progress: Some(&progress),
+        ..RunControl::default()
+    };
+
+    let (w1, w2) = (worker(), worker());
+    let mut config = FleetConfig {
+        workers: vec![w1.local_addr(), w2.local_addr()],
+        run_dir: Some(run_dir.clone()),
+        max_tiles: Some(2),
+        ..FleetConfig::default()
+    };
+    let partial = run_fleet(&spec, &config, &control).unwrap();
+    assert_eq!(partial.outcome.executed, 2);
+    resume::assert_progress(&log, 0, 2, 4);
+    std::fs::remove_dir_all(&run_dir).unwrap();
+
+    config.max_tiles = Some(0);
+    let harvest = run_fleet(&spec, &config, &control).unwrap();
+    assert!(!harvest.complete);
+    assert_eq!(harvest.stats.recovered, 2, "{:?}", harvest.stats);
+    assert_eq!(harvest.stats.requests, 0, "{:?}", harvest.stats);
+    assert_eq!((harvest.outcome.resumed, harvest.outcome.executed), (2, 0));
+    resume::assert_progress(&log, 2, 2, 4);
+    let records = |w: &WorkerServer| client::get(w.local_addr(), "/v1/records").unwrap();
+    let held = records(&w1).body_str() + &records(&w2).body_str();
+    let mut held: Vec<&str> = held.lines().collect();
+    let checkpointed = std::fs::read_to_string(run_dir.join("tiles.jsonl")).unwrap();
+    let mut checkpointed: Vec<&str> = checkpointed.lines().collect();
+    held.sort();
+    checkpointed.sort();
+    assert_eq!(checkpointed, held);
+
+    let finished = run_locally(&spec, Some(&run_dir), &control);
+    resume::assert_finished_like(&reference, &finished, &run_dir, (2, 2), &log);
+    let _ = std::fs::remove_dir_all(&run_dir);
 }
 
 // ------------------------------------------------ answers not to be trusted

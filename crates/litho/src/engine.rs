@@ -1,12 +1,70 @@
 //! The lithography simulation engine (Hopkins Eq. 1 via SOCS kernels).
 
-use crate::backend::{make_backend, LithoBackend};
 use crate::optics::{OpticsConfig, SocsKernel, SocsStacks};
 use crate::pool::WorkerPool;
-use crate::scalar::Precision;
+use crate::scalar::{Precision, Scalar};
+use crate::workspace::LithoWorkspace;
 use crate::LithoError;
 use cardopc_geometry::Grid;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
+
+/// The simulation interior at one precision: the kernel patches at that
+/// precision plus a reusable [`LithoWorkspace`], so repeat calls are
+/// allocation-free. Masks enter and intensities leave as `f64`.
+#[derive(Debug)]
+struct Interior<T: Scalar> {
+    stacks: Arc<SocsStacks<T>>,
+    workspace: Mutex<LithoWorkspace<T>>,
+}
+
+impl<T: Scalar> Interior<T> {
+    fn new(stacks: Arc<SocsStacks<T>>) -> Interior<T> {
+        Interior {
+            stacks,
+            workspace: Mutex::new(LithoWorkspace::new()),
+        }
+    }
+
+    /// [`LithoWorkspace::images`] on the engine's workspace — or, when
+    /// another caller on the same engine holds it, on a transient one
+    /// rather than serialising on the lock.
+    fn images(
+        &self,
+        mask: &[f64],
+        states: &[bool],
+        cols: Option<&[usize]>,
+        workers: usize,
+        outputs: &mut [&mut [f64]],
+    ) {
+        let pool = WorkerPool::global();
+        let mut run = |ws: &mut LithoWorkspace<T>| {
+            ws.images(&self.stacks, mask, states, cols, pool, workers, outputs)
+        };
+        match self.workspace.try_lock() {
+            Ok(mut ws) => run(&mut ws),
+            Err(TryLockError::Poisoned(poisoned)) => run(&mut poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => run(&mut LithoWorkspace::new()),
+        }
+    }
+}
+
+impl<T: Scalar> Clone for Interior<T> {
+    /// Kernel stacks are shared; scratch is not — it refills lazily.
+    fn clone(&self) -> Interior<T> {
+        Interior::new(Arc::clone(&self.stacks))
+    }
+}
+
+/// The arithmetic the convolution hot loop runs: `F64` shares the engine's
+/// reference stacks by `Arc` (4-lane AVX2); `F32` holds a copy of the
+/// kernel patches — a few hundred KB, never a full-grid field — narrowed
+/// once at construction (8-lane AVX2). Geometry, MRC and spline fitting
+/// never see reduced precision.
+#[derive(Clone, Debug)]
+enum Simulation {
+    F64(Interior<f64>),
+    F32(Interior<f32>),
+}
 
 /// A process condition at which the mask can be printed.
 ///
@@ -66,7 +124,7 @@ impl ProcessCondition {
 /// assert_eq!(aerial.width(), 256);
 /// # Ok::<(), cardopc_litho::LithoError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct LithoEngine {
     config: OpticsConfig,
     width: usize,
@@ -74,7 +132,7 @@ pub struct LithoEngine {
     pitch: f64,
     threshold: f64,
     /// Reference (`f64`) kernel stacks — always synthesised in double
-    /// precision whatever the simulation backend runs, so gradient-based
+    /// precision whatever the simulation runs, so gradient-based
     /// ILT and kernel introspection see one set of physics.
     stacks: Arc<SocsStacks>,
     /// Full-grid `[nominal, defocused]` kernels, materialised on first
@@ -84,31 +142,8 @@ pub struct LithoEngine {
     /// shared pool (itself sized from `CARDOPC_THREADS` or the machine's
     /// available parallelism) — never queried per call.
     workers: usize,
-    /// Interior arithmetic of the simulation backend.
-    precision: Precision,
-    /// The simulation backend: owns the hot-loop workspace and, for reduced
-    /// precisions, a narrowed copy of the kernel patches. Repeat calls are
-    /// allocation-free; concurrent callers on the same engine fall back to
-    /// a transient workspace rather than serialising on the lock.
-    backend: Box<dyn LithoBackend>,
-}
-
-impl Clone for LithoEngine {
-    fn clone(&self) -> LithoEngine {
-        LithoEngine {
-            config: self.config.clone(),
-            width: self.width,
-            height: self.height,
-            pitch: self.pitch,
-            threshold: self.threshold,
-            stacks: Arc::clone(&self.stacks),
-            full_kernels: Arc::clone(&self.full_kernels),
-            workers: self.workers,
-            precision: self.precision,
-            // Kernel stacks are shared; scratch is not — it refills lazily.
-            backend: self.backend.clone_box(),
-        }
-    }
+    /// The simulation interior, at the precision chosen at construction.
+    simulation: Simulation,
 }
 
 impl LithoEngine {
@@ -157,7 +192,10 @@ impl LithoEngine {
         precision: Precision,
     ) -> Result<Self, LithoError> {
         let stacks = Arc::new(SocsStacks::build(&config, width, height, pitch)?);
-        let backend = make_backend(precision, &stacks);
+        let simulation = match precision {
+            Precision::F64 => Simulation::F64(Interior::new(Arc::clone(&stacks))),
+            Precision::F32 => Simulation::F32(Interior::new(Arc::new(stacks.to_precision()))),
+        };
         Ok(LithoEngine {
             config,
             width,
@@ -167,14 +205,16 @@ impl LithoEngine {
             stacks,
             full_kernels: Arc::default(),
             workers: WorkerPool::global().parallelism(),
-            precision,
-            backend,
+            simulation,
         })
     }
 
-    /// The interior arithmetic of the simulation backend.
+    /// The interior arithmetic of the simulation.
     pub fn precision(&self) -> Precision {
-        self.precision
+        match self.simulation {
+            Simulation::F64(_) => Precision::F64,
+            Simulation::F32(_) => Precision::F32,
+        }
     }
 
     /// The optics configuration.
@@ -251,14 +291,11 @@ impl LithoEngine {
         let n = self.width * self.height;
         let mut buffers: Vec<Vec<f64>> = states.iter().map(|_| vec![0.0f64; n]).collect();
         let mut outputs: Vec<&mut [f64]> = buffers.iter_mut().map(Vec::as_mut_slice).collect();
-        self.backend.images(
-            mask.data(),
-            states,
-            cols,
-            WorkerPool::global(),
-            self.workers,
-            &mut outputs,
-        );
+        let (mask, workers) = (mask.data(), self.workers);
+        match &self.simulation {
+            Simulation::F64(sim) => sim.images(mask, states, cols, workers, &mut outputs),
+            Simulation::F32(sim) => sim.images(mask, states, cols, workers, &mut outputs),
+        }
         buffers
             .into_iter()
             .map(|b| Grid::from_data(self.width, self.height, self.pitch, b))
@@ -693,10 +730,18 @@ mod tests {
         assert_eq!(small_engine().precision(), Precision::F64);
         let engine = small_engine_f32();
         assert_eq!(engine.precision(), Precision::F32);
-        // Clones keep the backend precision.
+        // Clones keep the simulation precision.
         assert_eq!(engine.clone().precision(), Precision::F32);
-        // Reference kernels stay f64 whatever the backend runs.
+        // Reference kernels stay f64 whatever the simulation runs.
         assert!(!engine.nominal_kernels().is_empty());
+    }
+
+    #[test]
+    fn f64_backend_shares_reference_stacks() {
+        // One count for the engine's reference stacks, one inside the f64
+        // simulation; the f32 simulation holds its own narrowed copy.
+        assert_eq!(Arc::strong_count(&small_engine().stacks), 2);
+        assert_eq!(Arc::strong_count(&small_engine_f32().stacks), 1);
     }
 
     #[test]

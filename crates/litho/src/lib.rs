@@ -18,11 +18,11 @@
 //!   (every kernel convolved on the smallest grid that holds the pupil,
 //!   the intensity Fourier-upsampled once: [`LithoWorkspace`]),
 //!   threshold resist, dose scaling, process corners,
-//! * [`LithoBackend`] / [`Precision`] — the simulation-precision seam:
-//!   kernels are always synthesised in `f64`, and the convolution hot loop
-//!   runs at a per-run precision ([`CpuBackend<f64>`] reference path or the
-//!   narrowed [`CpuBackend<f32>`] 8-lane AVX2 path); masks and intensities
-//!   stay `f64` at the API boundary,
+//! * [`Precision`] — the per-run simulation precision
+//!   ([`LithoEngine::with_precision`]): kernels are always synthesised in
+//!   `f64`, and the convolution hot loop runs the `f64` reference path or
+//!   the narrowed `f32` 8-lane AVX2 path; masks and intensities stay `f64`
+//!   at the API boundary,
 //! * [`rasterize`] — anti-aliased polygon rasterisation bridging the
 //!   geometric OPC world and image-space simulation,
 //! * [`metrics`] — EPE (per-site, signed), L2 and PV-band, with the paper's
@@ -44,7 +44,6 @@
 
 #![warn(missing_docs)]
 
-mod backend;
 mod engine;
 mod error;
 pub mod fft;
@@ -58,7 +57,6 @@ pub mod simd;
 mod stage_ps;
 mod workspace;
 
-pub use backend::{CpuBackend, LithoBackend};
 pub use engine::{LithoEngine, ProcessCondition};
 pub use error::LithoError;
 pub use fft::{next_five_smooth, FftScratch, Field};

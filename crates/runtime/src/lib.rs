@@ -8,7 +8,7 @@
 //!    windows with a halo margin; every target is owned by exactly one
 //!    tile (bbox-centre rule over an R-tree), and halo copies give each
 //!    tile the optical context a monolithic run would see.
-//! 2. **Schedule** ([`run_tiles`]): tiles fan out over the shared
+//! 2. **Schedule** ([`run_tiles_controlled`]): tiles fan out over the shared
 //!    [`WorkerPool`], each slot holding its own calibrated
 //!    [`LithoEngine`](cardopc_litho::LithoEngine) keyed by the (uniform)
 //!    window extent. Results are merged in tile order, so the outcome is
@@ -32,7 +32,10 @@
 //!    the stored window-relative correction instead of re-running it, so
 //!    cost collapses from total tiles to *unique* tile patterns.
 //!
-//! One implementation per concept underneath: a checkpoint record is a
+//! One implementation per concept underneath: resume, budget, commit and
+//! conclude are one frame ([`run`]) around whichever executor corrects the
+//! tiles — this crate's pool scheduler or the fleet coordinator; a
+//! checkpoint record is a
 //! tile-cache entry plus a tile position, so both stores share one
 //! payload codec and one shape record ([`StitchedShape`], whose frame —
 //! chip or window — belongs to its container; see [`checkpoint`]), one
@@ -56,6 +59,7 @@ mod hash;
 pub mod json;
 pub mod manifest;
 pub mod partition;
+pub mod run;
 pub mod schedule;
 pub mod stitch;
 mod store;
@@ -67,10 +71,9 @@ pub use gdsout::{write_mask_gds, MaskGdsOptions, MASK_NM_PER_DBU};
 pub use handle::{EngineCache, RunControl, RunHandle, TileEvent};
 pub use manifest::{Aggregate, RunManifest, TileSummary};
 pub use partition::{partition_clip, Partition, Tile, TilingConfig};
-pub use schedule::{
-    correct_single_tile, run_tiles, run_tiles_controlled, ScheduleOutcome, TileResult,
-};
-pub use stitch::{seam_bands, stitch, StitchAccumulator, Stitched};
+pub use run::{Run, RunOutcome, RunStore};
+pub use schedule::{correct_single_tile, run_tiles_controlled, ScheduleOutcome, TileResult};
+pub use stitch::{seam_bands, stitch, Stitched};
 
 use cardopc_layout::Clip;
 use cardopc_litho::WorkerPool;
@@ -103,24 +106,6 @@ impl RunConfig {
             max_tiles: None,
         }
     }
-}
-
-/// Result of [`run_clip`].
-#[derive(Clone, Debug)]
-pub struct RunOutcome {
-    /// The run manifest (written to `run_dir/manifest.json` when the run
-    /// completed and a run directory was configured).
-    pub manifest: RunManifest,
-    /// The stitched full-chip mask; `None` when the tile budget left the
-    /// run incomplete.
-    pub stitched: Option<Stitched>,
-    /// Per-tile results, sorted by tile index.
-    pub results: Vec<TileResult>,
-    /// `true` when every tile of the partition completed.
-    pub complete: bool,
-    /// `true` when the run stopped early because its [`RunHandle`] was
-    /// cancelled (the checkpointed tiles make it resumable).
-    pub cancelled: bool,
 }
 
 /// Runs the tiled flow end to end: partition → (resume) → schedule →
@@ -168,64 +153,24 @@ pub fn run_clip_controlled(
     let start = std::time::Instant::now();
     let flow = CardOpc::new(config.opc.clone());
     let partition = partition_clip(clip, &config.tiling)?;
-
-    let run_dir = match &config.run_dir {
-        Some(path) => Some(RunDir::open(path)?),
-        None => None,
-    };
-    let checkpoints = match &run_dir {
-        Some(dir) => dir.load_records()?,
-        None => Default::default(),
-    };
-    let mut sink = match &run_dir {
-        Some(dir) => Some(dir.append_handle()?),
-        None => None,
-    };
-
+    let mut store = RunStore::open(config.run_dir.as_deref())?;
     let outcome = run_tiles_controlled(
         &partition,
         &flow,
         pool,
-        &checkpoints,
+        &store.checkpoints,
         config.max_tiles,
-        sink.as_mut(),
+        store.sink.as_mut(),
         control,
     )?;
-    let complete = outcome.remaining == 0;
-
-    let stitched = complete.then(|| {
-        stitch(
-            &partition,
-            outcome
-                .results
-                .iter()
-                .flat_map(|r| r.record.shapes.iter().cloned()),
-            config.opc.mrc.as_ref(),
-        )
-    });
-
-    let manifest = RunManifest::build(
+    let rules = config.opc.mrc.as_ref();
+    let (manifest, stitched) = store.conclude(
         clip.name(),
         &partition,
         &outcome,
-        stitched.as_ref(),
+        rules,
         pool.parallelism(),
-        start.elapsed().as_secs_f64(),
-    );
-    if complete {
-        if let Some(dir) = &run_dir {
-            dir.write_manifest(&manifest.to_json(true))?;
-            // The timing-free companion: byte-identical across reruns,
-            // resumes, worker counts and cache states of the same input.
-            dir.write_stable_manifest(&manifest.to_json(false))?;
-        }
-    }
-
-    Ok(RunOutcome {
-        manifest,
-        stitched,
-        cancelled: outcome.cancelled,
-        results: outcome.results,
-        complete,
-    })
+        start,
+    )?;
+    Ok(RunOutcome::new(manifest, stitched, outcome))
 }

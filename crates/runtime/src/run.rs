@@ -1,0 +1,338 @@
+//! The run frame: what every tiled run does around correcting its tiles,
+//! whether the executor is the local pool ([`crate::run_clip`]) or the
+//! fleet coordinator (`cardopc_fleet::run_fleet`). DESIGN.md §7 has the
+//! contract table.
+//!
+//! 1. **open** ([`RunStore::open`]): lock the run directory, load its
+//!    checkpoint records, open `tiles.jsonl` for appending;
+//! 2. **resume / adopt** ([`Run::new`], [`Run::adopt`]): a record whose
+//!    input hash still matches its tile stands for that tile — from the
+//!    run's own checkpoints, or as an encoded line harvested from a fleet
+//!    worker (re-checkpointed verbatim);
+//! 3. **budget** ([`Run::start`]): resumed tiles are reported first, then
+//!    at most `max_tiles` wanted tiles, lowest index first, go to the
+//!    executor, which owns nothing but its claim policy;
+//! 4. **commit** ([`Run::commit`]): a finished tile's line is appended,
+//!    then the tile is counted and reported; the first failed append stops
+//!    the run ([`Run::stopped`]);
+//! 5. **conclude** ([`Run::finish`], [`RunStore::conclude`]): the
+//!    index-sorted [`ScheduleOutcome`], the stitched mask, the manifests.
+
+use crate::checkpoint::{tile_input_hash, RunDir, TileRecord};
+use crate::handle::{RunControl, TileEvent};
+use crate::manifest::RunManifest;
+use crate::partition::Partition;
+use crate::schedule::{ScheduleOutcome, TileResult};
+use crate::stitch::{stitch, Stitched};
+use crate::RuntimeError;
+use cardopc_mrc::MrcRules;
+use cardopc_opc::OpcConfig;
+use std::collections::HashMap;
+use std::fs::File;
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
+
+/// Result of a concluded run.
+#[derive(Clone, Debug)]
+pub struct RunOutcome {
+    /// The run manifest (written to `run_dir/manifest.json` when the run
+    /// completed and a run directory was configured).
+    pub manifest: RunManifest,
+    /// The stitched full-chip mask; `None` when the tile budget left the
+    /// run incomplete.
+    pub stitched: Option<Stitched>,
+    /// Per-tile results, sorted by tile index.
+    pub results: Vec<TileResult>,
+    /// `true` when every tile of the partition completed.
+    pub complete: bool,
+    /// `true` when the run stopped early because its
+    /// [`RunHandle`](crate::RunHandle) was cancelled (the checkpointed
+    /// tiles make it resumable).
+    pub cancelled: bool,
+}
+
+impl RunOutcome {
+    /// The outcome of a run [`RunStore::conclude`]d into `manifest` and
+    /// `stitched`.
+    pub fn new(
+        manifest: RunManifest,
+        stitched: Option<Stitched>,
+        outcome: ScheduleOutcome,
+    ) -> RunOutcome {
+        RunOutcome {
+            manifest,
+            stitched,
+            complete: outcome.remaining == 0,
+            cancelled: outcome.cancelled,
+            results: outcome.results,
+        }
+    }
+}
+
+/// A run's checkpoint store, opened: the locked directory, the records it
+/// held and the append handle. All empty without a run directory.
+#[derive(Debug)]
+pub struct RunStore {
+    dir: Option<RunDir>,
+    /// The last parseable record per tile index (hashes not yet checked).
+    pub checkpoints: HashMap<usize, TileRecord>,
+    /// `tiles.jsonl`, open for appending.
+    pub sink: Option<File>,
+}
+
+impl RunStore {
+    /// Opens `run_dir` (creating and locking it) and loads its records;
+    /// `None` disables checkpointing.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Io`] / [`RuntimeError::Locked`] from the directory.
+    pub fn open(run_dir: Option<&Path>) -> Result<RunStore, RuntimeError> {
+        let dir = run_dir.map(RunDir::open).transpose()?;
+        let (checkpoints, sink) = match &dir {
+            Some(dir) => (dir.load_records()?, Some(dir.append_handle()?)),
+            None => Default::default(),
+        };
+        Ok(RunStore {
+            dir,
+            checkpoints,
+            sink,
+        })
+    }
+
+    /// Concludes a run: stitches a complete `outcome` (seam MRC under
+    /// `rules`), builds the manifest and — complete runs with a directory
+    /// only — writes `manifest.json` and its timing-free companion, which
+    /// is byte-identical however the same input was executed.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Io`] when a manifest cannot be written.
+    pub fn conclude(
+        &self,
+        design: &str,
+        partition: &Partition,
+        outcome: &ScheduleOutcome,
+        rules: Option<&MrcRules>,
+        workers: usize,
+        start: Instant,
+    ) -> Result<(RunManifest, Option<Stitched>), RuntimeError> {
+        let complete = outcome.remaining == 0;
+        let shapes = outcome.results.iter().flat_map(|r| &r.record.shapes);
+        let stitched = complete.then(|| stitch(partition, shapes.cloned(), rules));
+        let wall = start.elapsed().as_secs_f64();
+        let manifest =
+            RunManifest::build(design, partition, outcome, stitched.as_ref(), workers, wall);
+        if let (true, Some(dir)) = (complete, &self.dir) {
+            dir.write_manifest(&manifest.to_json(true))?;
+            dir.write_stable_manifest(&manifest.to_json(false))?;
+        }
+        Ok((manifest, stitched))
+    }
+}
+
+/// What the executor's threads share under one lock.
+struct Ledger<'a> {
+    sink: Option<&'a mut File>,
+    /// Committed tiles, as they came.
+    committed: Vec<TileResult>,
+    /// The lowest-indexed tile whose correction failed.
+    failure: Option<(usize, RuntimeError)>,
+}
+
+/// One run's bookkeeping between open and conclude (see the module docs).
+pub struct Run<'a> {
+    control: &'a RunControl<'a>,
+    /// Per tile: its input hash while no record stands for it yet.
+    wanted: Vec<Option<u64>>,
+    /// Tiles a checkpointed or adopted record stands for.
+    resumed: Vec<TileResult>,
+    checkpointing: bool,
+    /// The first failed checkpoint append.
+    append_error: OnceLock<RuntimeError>,
+    ledger: Mutex<Ledger<'a>>,
+}
+
+impl<'a> Run<'a> {
+    /// Hashes every tile of `partition` under `opc` and resumes those
+    /// whose record in `checkpoints` still carries that hash. Finished
+    /// tiles are appended to `sink` when one is given.
+    pub fn new(
+        partition: &Partition,
+        opc: &OpcConfig,
+        checkpoints: &HashMap<usize, TileRecord>,
+        sink: Option<&'a mut File>,
+        control: &'a RunControl<'a>,
+    ) -> Run<'a> {
+        let mut run = Run {
+            control,
+            wanted: Vec::with_capacity(partition.tiles.len()),
+            resumed: Vec::new(),
+            checkpointing: sink.is_some(),
+            append_error: OnceLock::new(),
+            ledger: Mutex::new(Ledger {
+                sink,
+                committed: Vec::new(),
+                failure: None,
+            }),
+        };
+        for tile in &partition.tiles {
+            // Tiles sit at their own index.
+            run.wanted.push(Some(tile_input_hash(tile, opc)));
+            if let Some(record) = checkpoints.get(&tile.index) {
+                run.take(record.clone());
+            }
+        }
+        run
+    }
+
+    /// Lets `record` stand for its tile when the tile is still wanted and
+    /// was hashed from the same input.
+    fn take(&mut self, record: TileRecord) -> bool {
+        match self.wanted.get_mut(record.index) {
+            Some(slot) if slot.is_some_and(|hash| record.input_hash == hash) => {
+                *slot = None;
+                self.resumed.push(TileResult {
+                    record,
+                    resumed: true,
+                    cached: false,
+                });
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Adopts an already encoded record line (a fleet worker's checkpoint)
+    /// when it parses and can stand for a wanted tile: the line is
+    /// re-checkpointed verbatim, so the next run resumes from its own
+    /// directory without asking. `Ok(false)` leaves everything untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Io`] when the append fails.
+    pub fn adopt(&mut self, line: &str) -> Result<bool, RuntimeError> {
+        let adopted = TileRecord::from_json_line(line).is_ok_and(|record| self.take(record));
+        if let (true, Some(file)) = (adopted, self.lock().sink.as_mut()) {
+            RunDir::append_line(file, line)?;
+        }
+        Ok(adopted)
+    }
+
+    /// Ends the resume phase: reports every resumed or adopted tile in
+    /// index order — so an observer's `completed` counter is monotonic from
+    /// 1 — and returns the tiles to execute as `(tile index, input hash)`,
+    /// lowest index first, at most `max_tiles` of them.
+    pub fn start(&mut self, max_tiles: Option<usize>) -> Vec<(usize, u64)> {
+        self.resumed.sort_unstable_by_key(|r| r.record.index);
+        if let Some(progress) = self.control.progress {
+            for (done, r) in self.resumed.iter().enumerate() {
+                progress(&event(r, done + 1, self.wanted.len()));
+            }
+        }
+        let todo = self.wanted.iter().enumerate();
+        todo.filter_map(|(index, hash)| Some((index, (*hash)?)))
+            .take(max_tiles.unwrap_or(usize::MAX))
+            .collect()
+    }
+
+    /// `true` once the executor must claim no more tiles: the run's handle
+    /// was cancelled, or a checkpoint append failed. Tiles in flight still
+    /// finish and commit, so a stopped run resumes like a budgeted one.
+    pub fn stopped(&self) -> bool {
+        self.control.cancelled() || self.append_error.get().is_some()
+    }
+
+    /// Commits a finished tile: appends its line to the checkpoint (`line`
+    /// when the executor holds the encoded form, as the fleet coordinator
+    /// does; otherwise encoded here, on the calling thread, before the
+    /// lock), then counts and reports it. A failed append is latched — the
+    /// tile stays uncommitted and the run [`stopped`](Run::stopped).
+    pub fn commit(&self, record: TileRecord, cached: bool, line: Option<&str>) {
+        let encoded = (line.is_none() && self.checkpointing).then(|| record.to_json_line());
+        let mut ledger = self.lock();
+        if let (Some(file), Some(line)) = (ledger.sink.as_mut(), line.or(encoded.as_deref())) {
+            if let Err(e) = RunDir::append_line(file, line) {
+                let _ = self.append_error.set(e);
+                return;
+            }
+        }
+        let result = TileResult {
+            record,
+            resumed: false,
+            cached,
+        };
+        let completed = self.resumed.len() + ledger.committed.len() + 1;
+        let progress = self.control.progress;
+        let report = progress.map(|p| (p, event(&result, completed, self.wanted.len())));
+        ledger.committed.push(result);
+        drop(ledger);
+        if let Some((progress, event)) = report {
+            progress(&event);
+        }
+    }
+
+    /// Records that `tile`'s correction failed. The run goes on — every
+    /// other tile still runs and checkpoints — and [`Run::finish`]
+    /// surfaces the lowest-indexed failure, whatever the claim order.
+    pub fn fail(&self, tile: usize, error: RuntimeError) {
+        let mut ledger = self.lock();
+        if ledger.failure.as_ref().is_none_or(|(t, _)| tile < *t) {
+            ledger.failure = Some((tile, error));
+        }
+    }
+
+    /// Assembles the outcome, results sorted by tile index.
+    ///
+    /// # Errors
+    ///
+    /// The first checkpoint append failure, else the lowest-indexed tile
+    /// failure.
+    pub fn finish(self) -> Result<ScheduleOutcome, RuntimeError> {
+        let ledger = self.ledger.into_inner();
+        let ledger = ledger.unwrap_or_else(PoisonError::into_inner);
+        let failure = ledger.failure.map(|(_, e)| e);
+        if let Some(e) = self.append_error.into_inner().or(failure) {
+            return Err(e);
+        }
+        let by_index = |r: &TileResult| r.record.index;
+        let (mut results, mut committed) = (self.resumed, ledger.committed);
+        committed.sort_unstable_by_key(by_index);
+        let (resumed, executed) = (results.len(), committed.len());
+        let cache_hits = committed.iter().filter(|r| r.cached).count();
+        let tile_seconds = committed.iter().map(|r| r.record.seconds).sum();
+        results.append(&mut committed);
+        results.sort_unstable_by_key(by_index);
+        Ok(ScheduleOutcome {
+            remaining: self.wanted.len() - results.len(),
+            executed,
+            resumed,
+            tile_seconds,
+            cache_hits,
+            cache_misses: match self.control.cache {
+                Some(_) => executed - cache_hits,
+                None => 0,
+            },
+            cancelled: self.control.cancelled(),
+            results,
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Ledger<'a>> {
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The progress event of a finished tile, the `completed`-th of `total`.
+fn event(result: &TileResult, completed: usize, total: usize) -> TileEvent {
+    TileEvent {
+        tile: result.record.index,
+        name: result.record.name.clone(),
+        resumed: result.resumed,
+        cached: result.cached,
+        seconds: result.record.seconds,
+        completed,
+        total,
+    }
+}

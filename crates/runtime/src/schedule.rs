@@ -15,16 +15,17 @@
 //! documented < 1e-12 reassociation rounding — the same effect it has on
 //! a monolithic run.)
 //!
-//! Finished tiles are appended to the checkpoint file (when one is given)
-//! as they complete: each record is encoded on the thread that produced it
-//! and only the write happens under the sink mutex. Line order in the file
-//! is nondeterministic but records are self-describing, so resume does not
-//! care.
+//! Everything around the fan-out — which tiles are resumed, the budget,
+//! committing a finished tile to the checkpoint file, progress events, the
+//! outcome — is the [`Run`] frame's (see [`crate::run`]). Line order in the
+//! file is nondeterministic but records are self-describing, so resume does
+//! not care.
 
 use crate::cache::{tile_cache_key, CachedTile};
-use crate::checkpoint::{tile_input_hash, RunDir, StitchedShape, TileMetrics, TileRecord};
-use crate::handle::{EngineKey, RunControl, TileEvent};
+use crate::checkpoint::{tile_input_hash, StitchedShape, TileMetrics, TileRecord};
+use crate::handle::{EngineKey, RunControl};
 use crate::partition::{Partition, Tile};
+use crate::run::Run;
 use crate::RuntimeError;
 use cardopc_geometry::{Grid, Point, Polygon};
 use cardopc_litho::{measure_epe, metal_measure_points, via_measure_points, LithoEngine};
@@ -32,7 +33,7 @@ use cardopc_litho::{ProcessCondition, WorkerPool};
 use cardopc_opc::{engine_for_extent_at, CardOpc, MeasureConvention, EPE_TOLERANCE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Outcome of one tile: its checkpoint record, and whether it was resumed
 /// from a previous run rather than executed.
@@ -77,61 +78,30 @@ pub struct ScheduleOutcome {
 /// Per-slot state: an engine memo keyed by `(width, height, pitch bits)`.
 /// Windows are uniform per run, so this holds one engine per slot, but the
 /// key keeps correctness if a future caller mixes extents. When a shared
-/// [`EngineCache`] is attached the memo holds `Arc`s into it (no lock on
-/// the per-tile hot path); otherwise the engines are run-local.
-/// Per-tile outcome: the record plus whether it came out of the tile cache.
-type SlotResult = (usize, Result<(TileRecord, bool), RuntimeError>);
+/// [`EngineCache`](crate::EngineCache) is attached the memo holds `Arc`s
+/// into it (no lock on the per-tile hot path); otherwise the engines are
+/// run-local.
+type Slot = HashMap<EngineKey, Arc<LithoEngine>>;
 
-struct Slot {
-    engines: HashMap<EngineKey, Arc<LithoEngine>>,
-    results: Vec<SlotResult>,
-}
-
-/// Runs every not-yet-checkpointed tile of `partition` over `pool`.
+/// Runs every not-yet-checkpointed tile of `partition` over `pool`: the
+/// [`Run`] frame around a pool fan-out.
 ///
 /// `checkpoints` is consulted per tile: a record whose stored hash matches
 /// the tile's current input hash is reused verbatim (the tile is not
 /// executed); stale or missing records mean the tile runs. At most
 /// `max_tiles` tiles are *executed* (resumed tiles are free); `None` means
 /// no budget. Records of executed tiles are appended to `sink` as they
-/// complete.
+/// complete. `control` attaches per-tile progress events, an optional
+/// cross-run engine cache and cooperative cancellation, checked before
+/// each tile claim: tiles already in flight finish and are checkpointed,
+/// so a cancelled run resumes exactly like a budget-limited one, and the
+/// outcome's `cancelled` flag records that the handle fired.
 ///
 /// # Errors
 ///
-/// [`RuntimeError::Tile`] for the lowest-indexed tile whose flow failed,
-/// or [`RuntimeError::Io`] when checkpoint appending failed.
-pub fn run_tiles(
-    partition: &Partition,
-    flow: &CardOpc,
-    pool: &WorkerPool,
-    checkpoints: &HashMap<usize, TileRecord>,
-    max_tiles: Option<usize>,
-    sink: Option<&mut std::fs::File>,
-) -> Result<ScheduleOutcome, RuntimeError> {
-    run_tiles_controlled(
-        partition,
-        flow,
-        pool,
-        checkpoints,
-        max_tiles,
-        sink,
-        &RunControl::default(),
-    )
-}
-
-/// [`run_tiles`] with [`RunControl`] hooks: per-tile progress events,
-/// cooperative cancellation checked before each tile claim, and an
-/// optional cross-run engine cache.
-///
-/// Cancellation stops new tiles from being claimed; tiles already in
-/// flight finish and are checkpointed, so a cancelled run resumes exactly
-/// like a budget-limited one. The outcome's `cancelled` flag records that
-/// the handle fired.
-///
-/// # Errors
-///
-/// See [`run_tiles`].
-#[allow(clippy::too_many_arguments)]
+/// [`RuntimeError::Io`] when a checkpoint append failed (no tile is
+/// claimed after the failure), else [`RuntimeError::Tile`] for the
+/// lowest-indexed tile whose flow failed (every other tile still ran).
 pub fn run_tiles_controlled(
     partition: &Partition,
     flow: &CardOpc,
@@ -141,145 +111,29 @@ pub fn run_tiles_controlled(
     sink: Option<&mut std::fs::File>,
     control: &RunControl<'_>,
 ) -> Result<ScheduleOutcome, RuntimeError> {
-    let config = flow.config();
-    let total = partition.tiles.len();
+    let mut run = Run::new(partition, flow.config(), checkpoints, sink, control);
+    let todo = run.start(max_tiles);
 
-    // Split tiles into resumable and to-run.
-    let mut results: Vec<TileResult> = Vec::with_capacity(total);
-    let mut todo: Vec<(&Tile, u64)> = Vec::new();
-    for tile in &partition.tiles {
-        let hash = tile_input_hash(tile, config);
-        match checkpoints.get(&tile.index) {
-            Some(record) if record.input_hash == hash => results.push(TileResult {
-                record: record.clone(),
-                resumed: true,
-                cached: false,
-            }),
-            _ => todo.push((tile, hash)),
-        }
-    }
-    let resumed = results.len();
-    if let Some(budget) = max_tiles {
-        todo.truncate(budget);
-    }
-
-    // Resumed tiles are "finished" before any correction work starts:
-    // report them first so an observer's completed counter is monotonic.
-    if let Some(progress) = control.progress {
-        for (done, r) in results.iter().enumerate() {
-            progress(&TileEvent {
-                tile: r.record.index,
-                name: r.record.name.clone(),
-                resumed: true,
-                cached: false,
-                seconds: r.record.seconds,
-                completed: done + 1,
-                total,
-            });
-        }
-    }
-
-    // Fan the to-run tiles over the pool: each slot claims tiles from the
-    // shared cursor until the list is drained or the run is cancelled.
+    // Each slot claims tiles from the shared cursor until the list is
+    // drained or the run is stopped.
     let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(resumed);
-    let sink = sink.map(Mutex::new);
-    let io_error: Mutex<Option<RuntimeError>> = Mutex::new(None);
-    let mut slots: Vec<Slot> = (0..pool.parallelism().max(1))
-        .map(|_| Slot {
-            engines: HashMap::new(),
-            results: Vec::new(),
-        })
-        .collect();
-
-    pool.run_with_slots(&mut slots, |slot_index, slot| loop {
-        if control.cancelled() {
-            return;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&(tile, hash)) = todo.get(i) else {
-            return;
-        };
-        let outcome = execute_tile(tile, hash, partition, flow, slot, slot_index, control);
-        let outcome = match outcome {
-            // Cancelled while waiting on an in-flight cache key: no
-            // result for this tile; the loop's cancellation check exits.
-            Ok(None) => continue,
-            Ok(Some(pair)) => Ok(pair),
-            Err(e) => Err(e),
-        };
-        if let Ok((record, cached)) = &outcome {
-            if let Some(sink) = &sink {
-                // Encoded before the lock is taken: a replayed tile is a
-                // few µs of work, and a pool serialised behind 20 µs of
-                // JSON per record is a convoy.
-                let line = record.to_json_line();
-                let mut file = sink
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Err(e) = RunDir::append_line(&mut file, &line) {
-                    let mut io = io_error
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    io.get_or_insert(e);
-                }
-            }
-            if let Some(progress) = control.progress {
-                progress(&TileEvent {
-                    tile: record.index,
-                    name: record.name.clone(),
-                    resumed: false,
-                    cached: *cached,
-                    seconds: record.seconds,
-                    completed: completed.fetch_add(1, Ordering::AcqRel) + 1,
-                    total,
-                });
+    let mut slots = vec![Slot::new(); pool.parallelism().max(1)];
+    pool.run_with_slots(&mut slots, |slot_index, slot| {
+        while !run.stopped() {
+            let Some(&(index, hash)) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                return;
+            };
+            let tile = &partition.tiles[index];
+            match execute_tile(tile, hash, partition, flow, slot, slot_index, control) {
+                Ok(Some((record, cached))) => run.commit(record, cached, None),
+                // Cancelled while waiting on an in-flight cache key: no
+                // result for this tile, and the loop is about to exit.
+                Ok(None) => {}
+                Err(e) => run.fail(index, e),
             }
         }
-        slot.results.push((tile.index, outcome));
     });
-
-    if let Some(e) = io_error
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        return Err(e);
-    }
-
-    // Merge per-slot results; surface the lowest-indexed failure so the
-    // reported error is deterministic regardless of claim order.
-    let mut executed_results: Vec<SlotResult> = slots.into_iter().flat_map(|s| s.results).collect();
-    executed_results.sort_unstable_by_key(|(index, _)| *index);
-    let executed = executed_results.len();
-    let mut tile_seconds = 0.0;
-    let mut cache_hits = 0usize;
-    for (_, outcome) in executed_results {
-        let (record, cached) = outcome?;
-        tile_seconds += record.seconds;
-        cache_hits += cached as usize;
-        results.push(TileResult {
-            record,
-            resumed: false,
-            cached,
-        });
-    }
-    results.sort_unstable_by_key(|r| r.record.index);
-    let cache_misses = if control.cache.is_some() {
-        executed - cache_hits
-    } else {
-        0
-    };
-
-    Ok(ScheduleOutcome {
-        remaining: total - resumed - executed,
-        results,
-        executed,
-        resumed,
-        tile_seconds,
-        cache_hits,
-        cache_misses,
-        cancelled: control.cancelled(),
-    })
+    run.finish()
 }
 
 /// Corrects exactly one tile of `partition` and returns its checkpoint
@@ -311,10 +165,7 @@ pub fn correct_single_tile(
         .ok_or(RuntimeError::InvalidConfig(
             "tile index outside the partition",
         ))?;
-    let mut slot = Slot {
-        engines: HashMap::new(),
-        results: Vec::new(),
-    };
+    let mut slot = Slot::new();
     let hash = tile_input_hash(tile, flow.config());
     let outcome = execute_tile(tile, hash, partition, flow, &mut slot, slot_index, control)?;
     Ok(outcome.map(|(record, _cached)| record))
@@ -343,31 +194,15 @@ fn execute_tile(
             let key = tile_cache_key(tile, &partition.config, config);
             let cancelled = || control.cancelled();
             match cache.get_or_correct(key, &cancelled, || correct(slot))? {
-                Some((value, hit)) => (CachedRef::Shared(value), hit),
+                Some(found) => found,
                 None => return Ok(None),
             }
         }
-        None => (CachedRef::Owned(correct(slot)?), false),
+        None => (Arc::new(correct(slot)?), false),
     };
     let seconds = start.elapsed().as_secs_f64();
-    let record = materialize(tile, input_hash, partition, value.as_ref(), seconds);
+    let record = materialize(tile, input_hash, partition, &value, seconds);
     Ok(Some((record, cached)))
-}
-
-/// Owned-or-shared corrected tile (avoids an `Arc` round trip on the
-/// uncached path).
-enum CachedRef {
-    Shared(Arc<CachedTile>),
-    Owned(CachedTile),
-}
-
-impl CachedRef {
-    fn as_ref(&self) -> &CachedTile {
-        match self {
-            CachedRef::Shared(v) => v,
-            CachedRef::Owned(v) => v,
-        }
-    }
 }
 
 /// Corrects one tile — the expensive part: the full OPC flow plus
@@ -404,7 +239,7 @@ fn correct_tile(
         config.pitch.to_bits(),
         config.precision.tag(),
     );
-    let engine: &LithoEngine = match slot.engines.entry(key) {
+    let engine: &LithoEngine = match slot.entry(key) {
         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
         std::collections::hash_map::Entry::Vacant(v) => {
             let build = || {
@@ -679,8 +514,26 @@ mod tests {
         .unwrap();
         let flow = CardOpc::new(config());
         let none = HashMap::new();
-        let one = run_tiles(&partition, &flow, &WorkerPool::new(1), &none, None, None).unwrap();
-        let four = run_tiles(&partition, &flow, &WorkerPool::new(4), &none, None, None).unwrap();
+        let one = run_tiles_controlled(
+            &partition,
+            &flow,
+            &WorkerPool::new(1),
+            &none,
+            None,
+            None,
+            &RunControl::default(),
+        )
+        .unwrap();
+        let four = run_tiles_controlled(
+            &partition,
+            &flow,
+            &WorkerPool::new(4),
+            &none,
+            None,
+            None,
+            &RunControl::default(),
+        )
+        .unwrap();
         assert_eq!(one.results.len(), 4);
         assert_eq!(one.executed, 4);
         for (a, b) in one.results.iter().zip(&four.results) {
@@ -717,8 +570,26 @@ mod tests {
         f32_config.precision = cardopc_litho::Precision::F32;
         let flow = CardOpc::new(f32_config);
         let none = HashMap::new();
-        let one = run_tiles(&partition, &flow, &WorkerPool::new(1), &none, None, None).unwrap();
-        let four = run_tiles(&partition, &flow, &WorkerPool::new(4), &none, None, None).unwrap();
+        let one = run_tiles_controlled(
+            &partition,
+            &flow,
+            &WorkerPool::new(1),
+            &none,
+            None,
+            None,
+            &RunControl::default(),
+        )
+        .unwrap();
+        let four = run_tiles_controlled(
+            &partition,
+            &flow,
+            &WorkerPool::new(4),
+            &none,
+            None,
+            None,
+            &RunControl::default(),
+        )
+        .unwrap();
         assert_eq!(one.executed, 4);
         for (a, b) in one.results.iter().zip(&four.results) {
             assert_eq!(a.record.index, b.record.index);
@@ -744,7 +615,16 @@ mod tests {
         let none = HashMap::new();
 
         // Budgeted run: only 3 of 4 tiles execute.
-        let partial = run_tiles(&partition, &flow, &pool, &none, Some(3), None).unwrap();
+        let partial = run_tiles_controlled(
+            &partition,
+            &flow,
+            &pool,
+            &none,
+            Some(3),
+            None,
+            &RunControl::default(),
+        )
+        .unwrap();
         assert_eq!(partial.executed, 3);
         assert_eq!(partial.remaining, 1);
         assert_eq!(partial.results.len(), 3);
@@ -755,7 +635,16 @@ mod tests {
             .iter()
             .map(|r| (r.record.index, r.record.clone()))
             .collect();
-        let rest = run_tiles(&partition, &flow, &pool, &ckpts, None, None).unwrap();
+        let rest = run_tiles_controlled(
+            &partition,
+            &flow,
+            &pool,
+            &ckpts,
+            None,
+            None,
+            &RunControl::default(),
+        )
+        .unwrap();
         assert_eq!(rest.resumed, 3);
         assert_eq!(rest.executed, 1);
         assert_eq!(rest.remaining, 0);
@@ -765,8 +654,84 @@ mod tests {
         let mut other = config();
         other.iterations = 3;
         let flow2 = CardOpc::new(other);
-        let rerun = run_tiles(&partition, &flow2, &pool, &ckpts, None, None).unwrap();
+        let rerun = run_tiles_controlled(
+            &partition,
+            &flow2,
+            &pool,
+            &ckpts,
+            None,
+            None,
+            &RunControl::default(),
+        )
+        .unwrap();
         assert_eq!(rerun.resumed, 0);
         assert_eq!(rerun.executed, 4);
+    }
+
+    /// A full disk must not cost the whole job: the first failed append
+    /// stops the claim loop instead of correcting every remaining tile
+    /// into the void, nothing half-written is left behind, and a re-run
+    /// with a working sink starts clean.
+    #[test]
+    fn failed_checkpoint_append_stops_the_run_and_leaves_nothing_stale() {
+        use crate::handle::TileEvent;
+        use crate::RunDir;
+
+        // 4×4 tiles around one wire: most windows are empty.
+        let wire = Polygon::rect(Point::new(900.0, 980.0), Point::new(1200.0, 1050.0));
+        let clip = Clip::new("append-fail", 2048.0, 2048.0, vec![wire]);
+        let tiling = TilingConfig {
+            tile_size: 512.0,
+            halo: 256.0,
+        };
+        let partition = partition_clip(&clip, &tiling).unwrap();
+        assert_eq!(partition.tiles.len(), 16);
+        let flow = CardOpc::new(config());
+        let pool = WorkerPool::new(2);
+        let root = std::env::temp_dir().join(format!("cardopc-append-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let run_dir = RunDir::open(&root).unwrap();
+
+        // A sink that refuses every write: the checkpoint file, read-only.
+        std::fs::File::create(run_dir.tiles_path()).unwrap();
+        let mut refusing = std::fs::File::open(run_dir.tiles_path()).unwrap();
+        let events = AtomicUsize::new(0);
+        let progress = |_: &TileEvent| {
+            events.fetch_add(1, Ordering::Relaxed);
+        };
+        let control = RunControl {
+            progress: Some(&progress),
+            ..RunControl::default()
+        };
+        let none = HashMap::new();
+        let sink = Some(&mut refusing);
+        let failed = run_tiles_controlled(&partition, &flow, &pool, &none, None, sink, &control);
+        assert!(matches!(failed, Err(RuntimeError::Io(_))), "{failed:?}");
+        let reported = events.load(Ordering::Relaxed);
+        assert!(reported < 16, "{reported} tiles reported after the failure");
+
+        // Nothing was checkpointed, so nothing stale can be resumed.
+        let held = run_dir.load_records().unwrap();
+        assert!(held.is_empty());
+        let mut sink = run_dir.append_handle().unwrap();
+        let control = RunControl::default();
+        let rerun = run_tiles_controlled(
+            &partition,
+            &flow,
+            &pool,
+            &held,
+            None,
+            Some(&mut sink),
+            &control,
+        );
+        let rerun = rerun.unwrap();
+        assert_eq!((rerun.resumed, rerun.executed, rerun.remaining), (0, 16, 0));
+        let held = run_dir.load_records().unwrap();
+        let again = run_tiles_controlled(&partition, &flow, &pool, &held, None, None, &control);
+        let again = again.unwrap();
+        assert_eq!((again.resumed, again.executed), (16, 0));
+        assert_eq!(again.results.len(), 16);
+        drop(run_dir);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

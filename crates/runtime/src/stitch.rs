@@ -109,59 +109,6 @@ pub fn stitch(
     out
 }
 
-/// Incremental stitching: accumulate tile records as they stream in (any
-/// order — e.g. from fleet workers finishing out of sequence), then
-/// [`finish`](StitchAccumulator::finish) into the same [`Stitched`] a
-/// one-shot [`stitch`] over all records would produce. The merge is
-/// order-independent up to the final sort, so the result is deterministic
-/// for any arrival order.
-#[derive(Clone, Debug, Default)]
-pub struct StitchAccumulator {
-    // Per-tile shape batches. Kept keyed by tile index and sorted at
-    // finish time so SRAFs (which [`stitch`] leaves in input order) come
-    // out in tile order no matter when each tile's result arrived.
-    tiles: Vec<(usize, Vec<StitchedShape>)>,
-}
-
-impl StitchAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> StitchAccumulator {
-        StitchAccumulator::default()
-    }
-
-    /// Folds one tile record's shapes in. Re-adding a tile index replaces
-    /// the earlier batch (records are deterministic, so a duplicate from
-    /// a work-steal race carries identical shapes anyway).
-    pub fn add_record(&mut self, record: &crate::checkpoint::TileRecord) {
-        let shapes = record.shapes.clone();
-        match self.tiles.iter_mut().find(|(i, _)| *i == record.index) {
-            Some((_, existing)) => *existing = shapes,
-            None => self.tiles.push((record.index, shapes)),
-        }
-    }
-
-    /// Number of shapes accumulated so far.
-    pub fn len(&self) -> usize {
-        self.tiles.iter().map(|(_, s)| s.len()).sum()
-    }
-
-    /// `true` when nothing has been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Merges everything accumulated and runs the seam MRC pass —
-    /// equivalent to [`stitch`] over the same records in tile order.
-    pub fn finish(mut self, partition: &Partition, rules: Option<&MrcRules>) -> Stitched {
-        self.tiles.sort_unstable_by_key(|(i, _)| *i);
-        stitch(
-            partition,
-            self.tiles.into_iter().flat_map(|(_, s)| s),
-            rules,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,55 +184,6 @@ mod tests {
         assert_eq!(merged.srafs.len(), 1);
         assert_eq!(merged.len(), 3);
         assert!(merged.seam_violations.is_empty());
-    }
-
-    #[test]
-    fn accumulator_matches_one_shot_stitch_for_any_arrival_order() {
-        let p = partition();
-        let records: Vec<crate::checkpoint::TileRecord> = [
-            vec![
-                shape(Some(2), 1500.0, 500.0, 40.0),
-                shape(None, 300.0, 300.0, 15.0),
-            ],
-            vec![
-                shape(None, 900.0, 500.0, 15.0),
-                shape(Some(0), 200.0, 200.0, 40.0),
-            ],
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, shapes)| crate::checkpoint::TileRecord {
-            index: i,
-            name: format!("t{i}"),
-            input_hash: 0,
-            owned_epe_history: vec![],
-            epe_history: vec![],
-            shapes,
-            metrics: Default::default(),
-            seconds: 0.0,
-        })
-        .collect();
-        let direct = stitch(
-            &p,
-            records.iter().flat_map(|r| r.shapes.iter().cloned()),
-            None,
-        );
-        let mut forward = StitchAccumulator::new();
-        let mut reverse = StitchAccumulator::new();
-        for r in &records {
-            forward.add_record(r);
-        }
-        for r in records.iter().rev() {
-            reverse.add_record(r);
-        }
-        assert_eq!(forward.len(), 4);
-        let forward = forward.finish(&p, None);
-        let reverse = reverse.finish(&p, None);
-        assert_eq!(forward.mains, direct.mains);
-        assert_eq!(reverse.mains, direct.mains);
-        // SRAFs come out in tile order even for reversed arrival.
-        assert_eq!(forward.srafs, direct.srafs);
-        assert_eq!(reverse.srafs, direct.srafs);
     }
 
     #[test]

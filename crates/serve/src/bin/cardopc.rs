@@ -38,16 +38,16 @@
 use cardopc_fleet::spec::DesignSpec;
 use cardopc_fleet::worker::{WorkerConfig, WorkerServer};
 use cardopc_fleet::{client, run_fleet, FleetConfig, WorkSpec};
-use cardopc_layout::{write_clip_gds, DesignKind, LayerFilter, TARGET_LAYER};
+use cardopc_layout::{write_clip_gds, Clip, DesignKind, LayerFilter, TARGET_LAYER};
 use cardopc_litho::{Precision, WorkerPool};
 use cardopc_opc::OpcConfig;
 use cardopc_runtime::{
     run_clip_controlled, write_mask_gds, CacheConfig, MaskGdsOptions, RunConfig, RunControl,
-    Stitched, TileCache, TilingConfig,
+    RunOutcome, Stitched, TileCache, TilingConfig,
 };
 use cardopc_serve::{ServeConfig, Server};
 use std::io::BufRead;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -94,7 +94,10 @@ RUN OPTIONS:
     --quick                         small smoke preset: gcd, 2048 nm crop,
                                     1024 nm tiles, 512 nm halo, 4 iterations
     --workers-local <N>             shard across N spawned worker processes
-                                    (fleet mode)
+                                    (fleet mode: --no-cache is forwarded to
+                                    them; --threads, --workers and
+                                    --cache-dir are refused, workers size
+                                    their pools from CARDOPC_THREADS)
     --worker-addr <HOST:PORT>       shard across an already-running
                                     `cardopc worker` (repeatable; combines
                                     with --workers-local)
@@ -139,20 +142,16 @@ enum DesignChoice {
     Gds(PathBuf),
 }
 
-/// Prints help or the version when `flag` asks for one; the caller exits
-/// 0 (success: the user got exactly what they asked for).
-fn info_flag(flag: &str) -> bool {
+/// A flag the mode's own parser does not know: help and the version
+/// print and succeed (`Ok(None)`: the user got exactly what they asked
+/// for); anything else is a usage error.
+fn other_flag<T>(flag: &str) -> Result<Option<T>, String> {
     match flag {
-        "--help" | "-h" => {
-            println!("{USAGE}");
-            true
-        }
-        "--version" => {
-            println!("cardopc {}", env!("CARGO_PKG_VERSION"));
-            true
-        }
-        _ => false,
+        "--help" | "-h" => println!("{USAGE}"),
+        "--version" => println!("cardopc {}", env!("CARGO_PKG_VERSION")),
+        other => return Err(format!("unknown flag '{other}'\n\n{USAGE}")),
     }
+    Ok(None)
 }
 
 struct RunArgs {
@@ -171,9 +170,9 @@ struct RunArgs {
     iterations: usize,
     threads: Option<usize>,
     workers: Option<usize>,
-    run_dir: Option<String>,
+    run_dir: Option<PathBuf>,
     max_tiles: Option<usize>,
-    cache_dir: Option<String>,
+    cache_dir: Option<PathBuf>,
     no_cache: bool,
     workers_local: usize,
     worker_addrs: Vec<std::net::SocketAddr>,
@@ -258,9 +257,9 @@ impl RunArgs {
                 "--iterations" => args.iterations = parse_num(&flag, &value()?)?,
                 "--threads" => args.threads = Some(parse_num(&flag, &value()?)?),
                 "--workers" => args.workers = Some(parse_num(&flag, &value()?)?),
-                "--run-dir" => args.run_dir = Some(value()?),
+                "--run-dir" => args.run_dir = Some(value()?.into()),
                 "--max-tiles" => args.max_tiles = Some(parse_num(&flag, &value()?)?),
-                "--cache-dir" => args.cache_dir = Some(value()?),
+                "--cache-dir" => args.cache_dir = Some(value()?.into()),
                 "--no-cache" => args.no_cache = true,
                 "--workers-local" => args.workers_local = parse_num(&flag, &value()?)?,
                 "--worker-addr" => {
@@ -281,15 +280,28 @@ impl RunArgs {
                     args.pitch = 8.0;
                     args.iterations = 4;
                 }
-                other => {
-                    if info_flag(other) {
-                        return Ok(None);
-                    }
-                    return Err(format!("unknown flag '{other}'\n\n{USAGE}"));
-                }
+                other => return other_flag(other),
             }
         }
         Ok(Some(args))
+    }
+
+    /// Whether the flags ask for fleet mode, refusing the local-pool flags
+    /// a coordinator would silently drop.
+    fn fleet_mode(&self) -> Result<bool, String> {
+        let fleet = self.workers_local > 0 || !self.worker_addrs.is_empty();
+        let local_only = [
+            ("--threads", self.threads.is_some()),
+            ("--workers", self.workers.is_some()),
+            ("--cache-dir", self.cache_dir.is_some()),
+        ];
+        match local_only.iter().find(|(_, given)| fleet && *given) {
+            Some((flag, _)) => Err(format!(
+                "{flag} does not apply with --workers-local / --worker-addr: fleet workers \
+                 size their pools from CARDOPC_THREADS and keep no persistent cache"
+            )),
+            None => Ok(fleet),
+        }
     }
 
     /// The design recipe these flags describe, validated for
@@ -315,39 +327,28 @@ impl RunArgs {
     }
 }
 
-struct ServeArgs {
-    config: ServeConfig,
-}
-
-impl ServeArgs {
-    /// `Ok(None)` means an informational flag (`--help`, `--version`)
-    /// was handled and the process should exit successfully.
-    fn parse(it: &mut std::vec::IntoIter<String>) -> Result<Option<ServeArgs>, String> {
-        let mut config = ServeConfig::default();
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .ok_or_else(|| format!("{flag} expects a value\n\n{USAGE}"))
-            };
-            match flag.as_str() {
-                "--addr" => config.addr = value()?,
-                "--max-queued" => config.max_queued = parse_num(&flag, &value()?)?,
-                "--max-inflight" => config.max_inflight = parse_num(&flag, &value()?)?,
-                "--retain-terminal" => config.retain_terminal = parse_num(&flag, &value()?)?,
-                "--threads" => config.threads = Some(parse_num(&flag, &value()?)?),
-                "--run-root" => config.run_root = value()?.into(),
-                "--cache-dir" => config.cache_dir = Some(value()?.into()),
-                "--no-cache" => config.cache = false,
-                other => {
-                    if info_flag(other) {
-                        return Ok(None);
-                    }
-                    return Err(format!("unknown flag '{other}'\n\n{USAGE}"));
-                }
-            }
+/// Serve-mode flags. `Ok(None)` means an informational flag (`--help`,
+/// `--version`) was handled and the process should exit successfully.
+fn parse_serve(it: &mut std::vec::IntoIter<String>) -> Result<Option<ServeConfig>, String> {
+    let mut config = ServeConfig::default();
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .ok_or_else(|| format!("{flag} expects a value\n\n{USAGE}"))
+        };
+        match flag.as_str() {
+            "--addr" => config.addr = value()?,
+            "--max-queued" => config.max_queued = parse_num(&flag, &value()?)?,
+            "--max-inflight" => config.max_inflight = parse_num(&flag, &value()?)?,
+            "--retain-terminal" => config.retain_terminal = parse_num(&flag, &value()?)?,
+            "--threads" => config.threads = Some(parse_num(&flag, &value()?)?),
+            "--run-root" => config.run_root = value()?.into(),
+            "--cache-dir" => config.cache_dir = Some(value()?.into()),
+            "--no-cache" => config.cache = false,
+            other => return other_flag(other),
         }
-        Ok(Some(ServeArgs { config }))
     }
+    Ok(Some(config))
 }
 
 fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
@@ -370,33 +371,35 @@ fn main() -> ExitCode {
     }
 }
 
-/// Worker mode: serve tile dispatches until a `POST /admin/shutdown`.
-fn worker_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
+/// Worker-mode flags; `Ok(None)` as for [`parse_serve`].
+fn parse_worker(it: &mut std::vec::IntoIter<String>) -> Result<Option<WorkerConfig>, String> {
     let mut config = WorkerConfig::default();
     while let Some(flag) = it.next() {
         let mut value = || {
             it.next()
                 .ok_or_else(|| format!("{flag} expects a value\n\n{USAGE}"))
         };
-        let result = match flag.as_str() {
-            "--addr" => value().map(|v| config.addr = v),
-            "--run-dir" => value().map(|v| config.run_dir = Some(v.into())),
-            "--no-cache" => {
-                config.cache = false;
-                Ok(())
-            }
-            other => {
-                if info_flag(other) {
-                    return ExitCode::SUCCESS;
-                }
-                Err(format!("unknown flag '{other}'\n\n{USAGE}"))
-            }
-        };
-        if let Err(msg) = result {
+        match flag.as_str() {
+            "--addr" => config.addr = value()?,
+            "--run-dir" => config.run_dir = Some(value()?.into()),
+            "--no-cache" => config.cache = false,
+            other => return other_flag(other),
+        }
+    }
+    Ok(Some(config))
+}
+
+/// Worker mode: serve tile dispatches until a `POST /admin/shutdown`.
+fn worker_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
+    let config = match parse_worker(it) {
+        Ok(Some(config)) => config,
+        Ok(None) => return ExitCode::SUCCESS,
+        Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
-    }
+    };
+    let cache = config.cache;
     let worker = match WorkerServer::start(config) {
         Ok(worker) => worker,
         Err(e) => {
@@ -407,7 +410,12 @@ fn worker_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
     // Machine-readable: coordinators spawning local workers on port 0
     // scrape the bound address from this line.
     println!("cardopc-worker listening on {}", worker.local_addr());
-    eprintln!("cardopc worker: POST /admin/shutdown to stop");
+    // Literal lines are one write each: workers sharing a coordinator's
+    // stderr never interleave inside them.
+    match cache {
+        true => eprintln!("cardopc worker: tile cache on; POST /admin/shutdown to stop"),
+        false => eprintln!("cardopc worker: tile cache off; POST /admin/shutdown to stop"),
+    }
     worker.wait_shutdown();
     eprintln!("cardopc worker: stopped");
     ExitCode::SUCCESS
@@ -416,19 +424,18 @@ fn worker_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
 /// Serve mode: start the service, print the bound address, block until a
 /// drain completes, exit 0.
 fn serve_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
-    let args = match ServeArgs::parse(it) {
-        Ok(Some(args)) => args,
+    let config = match parse_serve(it) {
+        Ok(Some(config)) => config,
         Ok(None) => return ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    let threads = args
-        .config
+    let threads = config
         .threads
         .unwrap_or_else(WorkerPool::configured_parallelism);
-    let mut server = match Server::start(args.config) {
+    let mut server = match Server::start(config) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("cardopc serve: cannot start: {e}");
@@ -482,12 +489,13 @@ impl Drop for LocalWorkers {
     }
 }
 
-/// Spawns one `cardopc worker` child on an ephemeral port and scrapes
-/// its bound address from the announce line.
-fn spawn_local_worker() -> Result<LocalWorker, String> {
+/// Spawns one `cardopc worker` child on an ephemeral port (forwarding
+/// `--no-cache`) and scrapes its bound address from the announce line.
+fn spawn_local_worker(no_cache: bool) -> Result<LocalWorker, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
     let mut child = std::process::Command::new(exe)
         .args(["worker", "--addr", "127.0.0.1:0"])
+        .args(no_cache.then_some("--no-cache"))
         .stdout(std::process::Stdio::piped())
         .spawn()
         .map_err(|e| format!("cannot spawn worker: {e}"))?;
@@ -510,7 +518,7 @@ fn spawn_local_worker() -> Result<LocalWorker, String> {
 
 /// `fs::write` with the parent directory created first (CLI outputs may
 /// name not-yet-existing directories, e.g. a shared `--run-dir` tree).
-fn write_creating_parents(path: &std::path::Path, bytes: &[u8]) -> Result<(), String> {
+fn write_creating_parents(path: &Path, bytes: &[u8]) -> Result<(), String> {
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)
             .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
@@ -519,7 +527,7 @@ fn write_creating_parents(path: &std::path::Path, bytes: &[u8]) -> Result<(), St
 }
 
 /// Writes the pre-OPC target clip as GDSII (1 nm/dbu, target layer).
-fn export_target_gds(clip: &cardopc_layout::Clip, path: &std::path::Path) -> Result<(), String> {
+fn export_target_gds(clip: &Clip, path: &Path) -> Result<(), String> {
     let bytes = write_clip_gds(clip, TARGET_LAYER, 0)?;
     write_creating_parents(path, &bytes)?;
     eprintln!(
@@ -537,7 +545,7 @@ fn export_mask_gds(
     stitched: Option<&Stitched>,
     name: &str,
     args: &RunArgs,
-    opc: &OpcConfig,
+    samples_per_segment: usize,
 ) -> Result<(), String> {
     let Some(path) = &args.out_gds else {
         return Ok(());
@@ -552,7 +560,7 @@ fn export_mask_gds(
     let options = MaskGdsOptions {
         mask_layer: args.mask_layer,
         sraf_layer: args.sraf_layer,
-        samples_per_segment: opc.samples_per_segment,
+        samples_per_segment,
     };
     let bytes = write_mask_gds(stitched, name, &options).map_err(|e| e.to_string())?;
     write_creating_parents(path, &bytes)?;
@@ -566,40 +574,24 @@ fn export_mask_gds(
     Ok(())
 }
 
+/// What a run mode hands the shared tail: the outcome and the mode's own
+/// summary line.
+type Ran = (RunOutcome, Option<String>);
+type AnyError = Box<dyn std::error::Error>;
+
 /// Fleet mode: shard the run across worker processes (spawned locally
-/// and/or already running remotely) and print the same manifest a
-/// single-process run would.
-fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfig) -> ExitCode {
+/// and/or already running remotely); the workers are shut down on return.
+fn run_on_fleet(args: &RunArgs, spec: &WorkSpec) -> Result<Ran, AnyError> {
     let mut locals = LocalWorkers(Vec::new());
     for _ in 0..args.workers_local {
-        match spawn_local_worker() {
-            Ok(worker) => locals.0.push(worker),
-            Err(msg) => {
-                eprintln!("cardopc: error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
+        locals.0.push(spawn_local_worker(args.no_cache)?);
     }
-    let workers: Vec<std::net::SocketAddr> = locals
-        .0
-        .iter()
-        .map(|w| w.addr)
-        .chain(args.worker_addrs.iter().copied())
-        .collect();
-
-    let spec = WorkSpec {
-        design,
-        tiling: TilingConfig {
-            tile_size: args.tile,
-            halo: args.halo,
-        },
-        opc,
-    };
+    let spawned = locals.0.iter().map(|w| w.addr);
     let config = FleetConfig {
-        workers,
+        workers: spawned.chain(args.worker_addrs.iter().copied()).collect(),
         lease: Duration::from_secs_f64(args.lease_secs.max(0.1)),
         steal_after: Duration::from_secs_f64(args.steal_secs.max(0.1)),
-        run_dir: args.run_dir.as_ref().map(Into::into),
+        run_dir: args.run_dir.clone(),
         max_tiles: args.max_tiles,
         ..FleetConfig::default()
     };
@@ -610,27 +602,9 @@ fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfi
         config.lease.as_secs_f64(),
         config.steal_after.as_secs_f64(),
     );
-
-    let outcome = match run_fleet(&spec, &config, &RunControl::default()) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("cardopc: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Err(msg) = export_mask_gds(outcome.stitched.as_ref(), mask_name, args, &spec.opc) {
-        eprintln!("cardopc: error: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    print!("{}", outcome.manifest.render_table());
-    println!(
-        "executed {} resumed {} remaining {}",
-        outcome.manifest.executed, outcome.manifest.resumed, outcome.manifest.remaining
-    );
+    let outcome = run_fleet(spec, &config, &RunControl::default())?;
     let stats = outcome.stats;
-    println!(
+    let line = format!(
         "fleet dispatched {} stolen {} duplicates {} redispatched {} retired {} recovered {} \
          requests {}",
         stats.dispatched,
@@ -641,17 +615,104 @@ fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfi
         stats.recovered,
         stats.requests
     );
-    if let Some(dir) = &config.run_dir {
-        if outcome.complete {
-            println!("manifest: {}", dir.join("manifest.json").display());
-        } else {
-            println!(
-                "partial run ({} tiles left): re-run with the same --run-dir to resume",
-                outcome.manifest.remaining
-            );
+    Ok((outcome.into(), Some(line)))
+}
+
+/// Local mode: correct the tiles on this process's worker pool.
+fn run_local(args: &RunArgs, clip: &Clip, spec: WorkSpec) -> Result<Ran, AnyError> {
+    let local_pool;
+    // --threads beats --workers beats CARDOPC_THREADS (inside global()).
+    let pool = match args.threads.or(args.workers) {
+        Some(n) => {
+            local_pool = WorkerPool::new(n.max(1));
+            &local_pool
         }
+        None => WorkerPool::global(),
+    };
+    eprintln!(
+        "cardopc: {} ({} targets), tile {} nm + halo {} nm, pitch {} nm, {} sim, {} workers",
+        clip.name(),
+        clip.targets().len(),
+        args.tile,
+        args.halo,
+        args.pitch,
+        args.precision.name(),
+        pool.parallelism()
+    );
+    // Tile cache: --no-cache disables it, --cache-dir persists it across
+    // runs; the default is an in-memory cache scoped to this run (so a
+    // repeated-cell design still collapses to its unique tile patterns).
+    let cache_config = CacheConfig {
+        dir: args.cache_dir.clone(),
+        ..CacheConfig::default()
+    };
+    let cache = (!args.no_cache).then(|| TileCache::open(&cache_config));
+    let cache = cache.transpose()?;
+    let control = RunControl {
+        cache: cache.as_ref(),
+        ..RunControl::default()
+    };
+    let config = RunConfig {
+        opc: spec.opc,
+        tiling: spec.tiling,
+        run_dir: args.run_dir.clone(),
+        max_tiles: args.max_tiles,
+    };
+    let outcome = run_clip_controlled(clip, &config, pool, &control)?;
+    let m = &outcome.manifest;
+    let line = cache.map(|_| format!("cache hits {} misses {}", m.cache_hits, m.cache_misses));
+    Ok((outcome, line))
+}
+
+/// One correction, local or fleet: validate, run, then the tail both modes
+/// share — mask export, manifest table and summary lines to stdout.
+fn run(args: &RunArgs) -> Result<(), AnyError> {
+    let mut opc = OpcConfig::large_scale();
+    opc.pitch = args.pitch;
+    opc.precision = args.precision;
+    opc.iterations = args.iterations;
+    opc.validate()?;
+    let fleet = args.fleet_mode()?;
+    let design = args.design_spec()?;
+    let clip = design.build_clip()?;
+    if let Some(path) = &args.write_target_gds {
+        export_target_gds(&clip, path)?;
     }
-    ExitCode::SUCCESS
+    let samples = opc.samples_per_segment;
+    let spec = WorkSpec {
+        design,
+        tiling: TilingConfig {
+            tile_size: args.tile,
+            halo: args.halo,
+        },
+        opc,
+    };
+    let (outcome, mode_line) = match fleet {
+        true => run_on_fleet(args, &spec)?,
+        false => run_local(args, &clip, spec)?,
+    };
+
+    export_mask_gds(outcome.stitched.as_ref(), clip.name(), args, samples)?;
+    let manifest = &outcome.manifest;
+    print!("{}", manifest.render_table());
+    println!(
+        "executed {} resumed {} remaining {}",
+        manifest.executed, manifest.resumed, manifest.remaining
+    );
+    if let Some(line) = mode_line {
+        println!("{line}");
+    }
+    match &args.run_dir {
+        Some(dir) if outcome.complete => {
+            println!("manifest: {}", dir.join("manifest.json").display());
+        }
+        Some(_) => println!(
+            "partial run ({} tiles left): re-run with the same --run-dir to resume",
+            manifest.remaining
+        ),
+        None => {}
+    }
+    Ok(())
 }
 
 /// Run mode: one correction, manifest to stdout.
@@ -664,124 +725,11 @@ fn run_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    let design = match args.design_spec() {
-        Ok(design) => design,
-        Err(msg) => {
-            eprintln!("cardopc: error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let clip = match design.build_clip() {
-        Ok(clip) => clip,
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("cardopc: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = &args.write_target_gds {
-        if let Err(msg) = export_target_gds(&clip, path) {
-            eprintln!("cardopc: error: {msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    let mut opc = OpcConfig::large_scale();
-    opc.pitch = args.pitch;
-    opc.precision = args.precision;
-    opc.iterations = args.iterations;
-
-    if args.workers_local > 0 || !args.worker_addrs.is_empty() {
-        let name = clip.name().to_string();
-        return fleet_main(&args, design, &name, opc);
-    }
-
-    let config = RunConfig {
-        opc,
-        tiling: TilingConfig {
-            tile_size: args.tile,
-            halo: args.halo,
-        },
-        run_dir: args.run_dir.as_ref().map(Into::into),
-        max_tiles: args.max_tiles,
-    };
-
-    let local_pool;
-    // --threads beats --workers beats CARDOPC_THREADS (inside global()).
-    let pool = match args.threads.or(args.workers) {
-        Some(n) => {
-            local_pool = WorkerPool::new(n.max(1));
-            &local_pool
-        }
-        None => WorkerPool::global(),
-    };
-
-    eprintln!(
-        "cardopc: {} ({} targets), tile {} nm + halo {} nm, pitch {} nm, {} sim, {} workers",
-        clip.name(),
-        clip.targets().len(),
-        args.tile,
-        args.halo,
-        args.pitch,
-        args.precision.name(),
-        pool.parallelism()
-    );
-
-    // Tile cache: --no-cache disables it, --cache-dir persists it across
-    // runs; the default is an in-memory cache scoped to this run (so a
-    // repeated-cell design still collapses to its unique tile patterns).
-    let cache = if args.no_cache {
-        None
-    } else {
-        let cache_config = CacheConfig {
-            dir: args.cache_dir.as_ref().map(Into::into),
-            ..CacheConfig::default()
-        };
-        match TileCache::open(&cache_config) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!("cardopc: error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let control = RunControl {
-        cache: cache.as_ref(),
-        ..RunControl::default()
-    };
-
-    let outcome = match run_clip_controlled(&clip, &config, pool, &control) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("cardopc: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Err(msg) = export_mask_gds(outcome.stitched.as_ref(), clip.name(), &args, &config.opc) {
-        eprintln!("cardopc: error: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    print!("{}", outcome.manifest.render_table());
-    println!(
-        "executed {} resumed {} remaining {}",
-        outcome.manifest.executed, outcome.manifest.resumed, outcome.manifest.remaining
-    );
-    if cache.is_some() {
-        println!(
-            "cache hits {} misses {}",
-            outcome.manifest.cache_hits, outcome.manifest.cache_misses
-        );
-    }
-    if let Some(dir) = &config.run_dir {
-        if outcome.complete {
-            println!("manifest: {}", dir.join("manifest.json").display());
-        } else {
-            println!(
-                "partial run ({} tiles left): re-run with the same --run-dir to resume",
-                outcome.manifest.remaining
-            );
-        }
-    }
-    ExitCode::SUCCESS
 }

@@ -525,16 +525,16 @@ impl JobStore {
         }
     }
 
-    /// Shards one job across the registered fleet workers, mapping the
-    /// fleet outcome onto the runtime's [`RunOutcome`] shape (the
-    /// timing-free manifest is byte-identical by construction, so
-    /// clients cannot tell where a job ran).
+    /// Shards one job across the registered fleet workers. Both executors
+    /// conclude through the same run frame (the timing-free manifest is
+    /// byte-identical by construction), so clients cannot tell where a
+    /// job ran.
     fn execute_fleet(
         &self,
         spec: &JobSpec,
         workers: Vec<std::net::SocketAddr>,
         control: &RunControl<'_>,
-    ) -> Result<cardopc_runtime::RunOutcome, FleetError> {
+    ) -> Result<RunOutcome, FleetError> {
         self.metrics.fleet_jobs.inc();
         let config = FleetConfig {
             workers,
@@ -559,13 +559,7 @@ impl JobStore {
         self.metrics
             .fleet_tiles_recovered
             .add(stats.recovered as u64);
-        Ok(cardopc_runtime::RunOutcome {
-            manifest: outcome.manifest,
-            stitched: outcome.stitched,
-            results: outcome.outcome.results,
-            complete: outcome.complete,
-            cancelled: outcome.cancelled,
-        })
+        Ok(outcome.into())
     }
 
     /// Removes a terminal job from the store (freeing its result

@@ -108,6 +108,94 @@ fn bad_design_flags_exit_nonzero_with_actionable_messages() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Flag values an `OpcConfig` cannot hold are user input, not a bug: one
+/// `cardopc: error:` line carrying the validation rule and exit status 1
+/// (a panic would be 101), before anything is built or spawned — in local
+/// and in fleet mode.
+#[test]
+fn invalid_opc_flags_exit_1_with_the_validation_message() {
+    let dir = tempdir("badopc");
+    let pitch = "'opc.pitch' must be positive and finite";
+    for (args, needle) in [
+        (&["--quick", "--pitch", "0"][..], pitch),
+        (&["--quick", "--pitch", "-8"][..], pitch),
+        (&["--quick", "--pitch", "NaN"][..], pitch),
+        (
+            &["--quick", "--iterations", "0"][..],
+            "'opc.iterations' must be at least 1",
+        ),
+        (
+            &["--quick", "--pitch", "0", "--workers-local", "2"][..],
+            pitch,
+        ),
+    ] {
+        let out = cardopc(args, &dir);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        let want = format!("cardopc: error: {needle}\n");
+        assert_eq!(stderr(&out), want, "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flag that only sizes or feeds this process's pool, combined with
+/// fleet mode, is refused by name rather than silently dropped.
+fn assert_fleet_mode_refuses(flag: &str, value: &str) {
+    let dir = tempdir(&format!("fleetflag{flag}"));
+    for fleet in [
+        &["--workers-local", "2"][..],
+        &["--worker-addr", "127.0.0.1:9"][..],
+    ] {
+        let args = [&["--quick", flag, value][..], fleet].concat();
+        let out = cardopc(&args, &dir);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        let text = stderr(&out);
+        let needle = format!("cardopc: error: {flag} does not apply with --workers-local");
+        assert!(text.starts_with(&needle), "{args:?}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleet_mode_refuses_threads() {
+    assert_fleet_mode_refuses("--threads", "2");
+}
+
+#[test]
+fn fleet_mode_refuses_workers() {
+    assert_fleet_mode_refuses("--workers", "2");
+}
+
+#[test]
+fn fleet_mode_refuses_cache_dir() {
+    assert_fleet_mode_refuses("--cache-dir", "cache");
+}
+
+/// `--no-cache` reaches the spawned workers: each announces its tile cache
+/// state on the stderr it inherits from the coordinator.
+#[test]
+fn fleet_mode_forwards_no_cache_to_spawned_workers() {
+    let dir = tempdir("fleetnocache");
+    for (args, state) in [
+        (
+            &["--quick", "--workers-local", "2", "--no-cache"][..],
+            "off",
+        ),
+        (&["--quick", "--workers-local", "2"][..], "on"),
+    ] {
+        let out = cardopc(args, &dir);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let text = stderr(&out);
+        let announced = format!("cardopc worker: tile cache {state};");
+        assert_eq!(text.matches(&announced).count(), 2, "{args:?}: {text}");
+        assert_eq!(text.matches("tile cache").count(), 2, "{args:?}: {text}");
+        assert!(
+            stdout(&out).contains("executed 4 resumed 0 remaining 0"),
+            "{args:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The full real-design pipeline, as a user would drive it:
 ///
 /// 1. Correct a generated design directly, exporting the pre-OPC target

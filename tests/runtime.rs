@@ -12,7 +12,11 @@ use cardopc::geometry::Point;
 use cardopc::layout::{large_tile, Clip, DesignKind};
 use cardopc::litho::WorkerPool;
 use cardopc::opc::{CardOpc, OpcConfig};
+use cardopc::runtime as rt;
 use cardopc::runtime::{run_clip, RunConfig, RunOutcome, TilingConfig};
+
+#[path = "support/resume.rs"]
+mod resume;
 
 /// A 2048×2048 nm clip whose content (a real crop of the synthetic gcd
 /// metal tile) sits entirely inside [624, 1424]² — within every tile
@@ -212,4 +216,57 @@ fn checkpoint_resume_reproduces_uninterrupted_run() {
     assert_eq!(noop.manifest.to_json(false), fresh.manifest.to_json(false));
 
     std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// Cross-mode resume, local first: the pool corrects two tiles into a run
+/// dir, the fleet coordinator finishes the run from it, and nothing tells
+/// the result from an uninterrupted local run.
+#[test]
+fn fleet_finishes_a_run_the_local_pool_started() {
+    use cardopc::fleet::{
+        run_fleet, DesignSpec, FleetConfig, WorkSpec, WorkerConfig, WorkerServer,
+    };
+    use cardopc::runtime::{run_clip_controlled, RunControl};
+
+    let mut opc = OpcConfig::large_scale();
+    (opc.pitch, opc.iterations) = (16.0, 3);
+    let spec = WorkSpec {
+        design: DesignSpec::generated(DesignKind::Gcd, 1, Some(1024.0)),
+        tiling: TilingConfig {
+            tile_size: 512.0,
+            halo: 256.0,
+        },
+        opc,
+    };
+    let clip = spec.build_clip().unwrap();
+    let pool = WorkerPool::new(2);
+    let run_dir = std::env::temp_dir().join(format!("cardopc-cross-local-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&run_dir);
+    let mut config = RunConfig::new(spec.opc.clone(), spec.tiling);
+    let reference = run_clip(&clip, &config, &pool).unwrap();
+
+    let log = resume::EventLog::default();
+    let progress = |event: &rt::TileEvent| log.push(event);
+    let control = RunControl {
+        progress: Some(&progress),
+        ..RunControl::default()
+    };
+    config.run_dir = Some(run_dir.clone());
+    config.max_tiles = Some(2);
+    let partial = run_clip_controlled(&clip, &config, &pool, &control).unwrap();
+    assert!(!partial.complete);
+    resume::assert_progress(&log, 0, 2, 4);
+
+    let workers: Vec<WorkerServer> = (0..2)
+        .map(|_| WorkerServer::start(WorkerConfig::default()).unwrap())
+        .collect();
+    let fleet = FleetConfig {
+        workers: workers.iter().map(WorkerServer::local_addr).collect(),
+        run_dir: Some(run_dir.clone()),
+        ..FleetConfig::default()
+    };
+    let finished = run_fleet(&spec, &fleet, &control).unwrap();
+    assert_eq!(finished.stats.dispatched, 2, "{:?}", finished.stats);
+    resume::assert_finished_like(&reference, &finished.into(), &run_dir, (2, 2), &log);
+    std::fs::remove_dir_all(&run_dir).unwrap();
 }
