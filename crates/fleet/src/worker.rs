@@ -24,7 +24,7 @@
 //! `correct_single_tile`, so a record produced here is byte-identical
 //! (timing aside) to the single-process scheduler's for the same tile.
 
-use crate::http::{self, ReadOutcome, Request, Response};
+use crate::http::{self, Request, Response};
 use crate::proto;
 use cardopc_json::Json;
 use cardopc_opc::CardOpc;
@@ -34,19 +34,14 @@ use cardopc_runtime::{
 };
 use std::collections::hash_map::{Entry, HashMap};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Engine-cache stripes: dispatch lanes are spread round-robin across
 /// these to keep lock contention off the per-tile hot path.
 const ENGINE_SLOTS: usize = 4;
-
-/// Maximum concurrently served connections; beyond this the worker sheds
-/// load with a 503 instead of spawning unboundedly.
-const MAX_CONNECTIONS: usize = 64;
 
 /// Worker configuration.
 #[derive(Clone, Debug)]
@@ -87,7 +82,6 @@ struct KnownRecord {
 }
 
 struct WorkerState {
-    local_addr: SocketAddr,
     /// Finished tiles keyed by tile input hash (multi-spec by nature:
     /// different specs produce different hashes).
     records: Mutex<HashMap<u64, KnownRecord>>,
@@ -100,17 +94,12 @@ struct WorkerState {
     cache: Option<TileCache>,
     lane_counter: AtomicUsize,
     tiles_done: AtomicUsize,
-    active_connections: AtomicUsize,
-    stopping: AtomicBool,
-    shutdown_requested: Mutex<bool>,
-    shutdown_cv: Condvar,
+    server: http::StopHandle,
 }
 
 /// A running fleet worker.
 pub struct WorkerServer {
-    local_addr: SocketAddr,
-    state: Arc<WorkerState>,
-    accept_thread: Option<JoinHandle<()>>,
+    server: http::Server,
 }
 
 impl WorkerServer {
@@ -157,189 +146,65 @@ impl WorkerServer {
             None
         };
 
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let state = Arc::new(WorkerState {
-            local_addr,
-            records: Mutex::new(records),
-            sink,
-            _run_dir: run_dir,
-            prepared: Mutex::new(HashMap::new()),
-            engines: EngineCache::new(ENGINE_SLOTS),
-            cache,
-            lane_counter: AtomicUsize::new(0),
-            tiles_done: AtomicUsize::new(0),
-            active_connections: AtomicUsize::new(0),
-            stopping: AtomicBool::new(false),
-            shutdown_requested: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
-        });
-
-        let accept_thread = {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("cardopc-worker-accept".to_string())
-                .spawn(move || accept_loop(listener, &state))?
-        };
-
-        Ok(WorkerServer {
-            local_addr,
-            state,
-            accept_thread: Some(accept_thread),
-        })
+        let server = http::Server::start(&config.addr, "cardopc-worker", |server| {
+            Arc::new(WorkerState {
+                records: Mutex::new(records),
+                sink,
+                _run_dir: run_dir,
+                prepared: Mutex::new(HashMap::new()),
+                engines: EngineCache::new(ENGINE_SLOTS),
+                cache,
+                lane_counter: AtomicUsize::new(0),
+                tiles_done: AtomicUsize::new(0),
+                server,
+            })
+        })?;
+        Ok(WorkerServer { server })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.server.local_addr()
     }
 
     /// Blocks until `POST /admin/shutdown` arrives (the worker-process
     /// main thread's parking spot).
     pub fn wait_shutdown(&self) {
-        let mut requested = self
-            .state
-            .shutdown_requested
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while !*requested {
-            requested = self
-                .state
-                .shutdown_cv
-                .wait(requested)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.server.wait_stopped();
     }
 
     /// Stops accepting and joins the accept thread. Called by `Drop`;
     /// explicit calls are idempotent.
     pub fn shutdown(&mut self) {
-        self.state.stopping.store(true, Ordering::Release);
-        let mut requested = self
-            .state
-            .shutdown_requested
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *requested = true;
-        drop(requested);
-        self.state.shutdown_cv.notify_all();
-        // Unblock the blocking accept() with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
-        }
+        self.server.stop();
     }
 }
 
-impl Drop for WorkerServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, state: &Arc<WorkerState>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if state.stopping.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                continue;
+impl http::Handler for WorkerState {
+    fn route(&self, request: &Request) -> Response {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz") => Response::json(
+                200,
+                Json::obj(vec![
+                    ("ok", Json::Bool(true)),
+                    (
+                        "tiles_done",
+                        Json::num_usize(self.tiles_done.load(Ordering::Acquire)),
+                    ),
+                ])
+                .to_string_compact(),
+            ),
+            ("POST", "/v1/tiles") => dispatch(request, self),
+            ("GET", "/v1/records") => records_jsonl(self),
+            ("POST", "/admin/shutdown") => {
+                self.server.stop();
+                Response::json(202, r#"{"stopping":true}"#)
             }
-        };
-        if state.stopping.load(Ordering::Acquire) {
-            return;
-        }
-        let state = Arc::clone(state);
-        let _ = std::thread::Builder::new()
-            .name("cardopc-worker-conn".to_string())
-            .spawn(move || handle_connection(stream, &state));
-    }
-}
-
-/// One claimed connection slot, handed back on drop — so also when a
-/// handler panics: leaked slots would wedge the worker at
-/// [`MAX_CONNECTIONS`], shedding every later request.
-struct ConnectionSlot<'a>(&'a AtomicUsize);
-
-impl Drop for ConnectionSlot<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, state: &Arc<WorkerState>) {
-    // Keep-alive lanes exchange small messages back to back; Nagle would
-    // add delayed-ACK stalls between them.
-    let _ = stream.set_nodelay(true);
-    // Shed load instead of spawning handler work unboundedly; correction
-    // requests can hold a thread for seconds. Keep-alive lanes hold their
-    // connection for a whole run, but there are only workers × window of
-    // them — far under the cap.
-    let claimed_before = state.active_connections.fetch_add(1, Ordering::AcqRel);
-    let _slot = ConnectionSlot(&state.active_connections);
-    if claimed_before >= MAX_CONNECTIONS {
-        Response::error(503, "worker is saturated").write(&mut stream);
-        return;
-    }
-    // Serve requests until the peer closes, stops asking for keep-alive,
-    // sends garbage, or the worker is shutting down. Coordinator dispatch
-    // lanes ride one connection across every tile they dispatch; plain
-    // `Connection: close` clients get the old one-request behaviour.
-    loop {
-        let request = match http::read_request(&mut stream) {
-            ReadOutcome::Disconnected => break,
-            ReadOutcome::Malformed(e) => {
-                // Framing is unrecoverable after a malformed request;
-                // answer and close.
-                Response::error(e.status, &e.message).write(&mut stream);
-                break;
+            (_, "/healthz" | "/v1/tiles" | "/v1/records" | "/admin/shutdown") => {
+                Response::error(405, "method not allowed")
             }
-            ReadOutcome::Request(request) => request,
-        };
-        let keep_alive = request.wants_keep_alive() && !state.stopping.load(Ordering::Acquire);
-        let response = route(&request, state);
-        response.write_framed(&mut stream, keep_alive);
-        if !keep_alive {
-            break;
+            _ => Response::error(404, "no such route"),
         }
-    }
-}
-
-fn route(request: &Request, state: &Arc<WorkerState>) -> Response {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Response::json(
-            200,
-            Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                (
-                    "tiles_done",
-                    Json::num_usize(state.tiles_done.load(Ordering::Acquire)),
-                ),
-            ])
-            .to_string_compact(),
-        ),
-        ("POST", "/v1/tiles") => dispatch(request, state),
-        ("GET", "/v1/records") => records_jsonl(state),
-        ("POST", "/admin/shutdown") => {
-            state.stopping.store(true, Ordering::Release);
-            let mut requested = state
-                .shutdown_requested
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *requested = true;
-            drop(requested);
-            state.shutdown_cv.notify_all();
-            // Unblock the accept loop so it observes the stop flag.
-            let _ = TcpStream::connect(state.local_addr);
-            Response::json(202, r#"{"stopping":true}"#)
-        }
-        (_, "/healthz" | "/v1/tiles" | "/v1/records" | "/admin/shutdown") => {
-            Response::error(405, "method not allowed")
-        }
-        _ => Response::error(404, "no such route"),
     }
 }
 
@@ -349,7 +214,7 @@ fn route(request: &Request, state: &Arc<WorkerState>) -> Response {
 /// fails the request — with a 500 naming it — but everything finished
 /// before it stays in the record map, so the re-dispatch is answered from
 /// memory.
-fn dispatch(request: &Request, state: &Arc<WorkerState>) -> Response {
+fn dispatch(request: &Request, state: &WorkerState) -> Response {
     let Some(body) = request.body_str() else {
         return Response::error(400, "request body must be UTF-8 JSON");
     };
@@ -490,7 +355,7 @@ fn answer_tile(
 
 /// `GET /v1/records`: every checkpointed record as JSONL, sorted by tile
 /// index then hash (deterministic output for tests and debugging).
-fn records_jsonl(state: &Arc<WorkerState>) -> Response {
+fn records_jsonl(state: &WorkerState) -> Response {
     let records = state.records.lock().unwrap_or_else(PoisonError::into_inner);
     let mut entries: Vec<(usize, u64, &str)> = records
         .iter()

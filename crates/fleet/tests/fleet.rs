@@ -28,6 +28,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+#[path = "../../../tests/support/http_roles.rs"]
+mod http_roles;
 #[path = "../../../tests/support/resume.rs"]
 mod resume;
 
@@ -453,6 +455,30 @@ fn keep_alive_connection_reuses_one_stream_across_requests() {
         assert_eq!(r.header("connection"), Some("keep-alive"));
     }
     assert_eq!(conn.reused(), 2, "requests 2 and 3 must reuse the stream");
+}
+
+#[test]
+fn pipelined_keep_alive_requests_are_all_answered() {
+    http_roles::assert_pipelined_requests_answered(worker().local_addr());
+}
+
+#[test]
+fn saturated_worker_sheds_with_503_and_recovers() {
+    http_roles::assert_sheds_at_saturation(worker().local_addr());
+}
+
+#[test]
+fn malformed_requests_never_panic_the_worker() {
+    let w = worker();
+    let body = cardopc_fleet::proto::dispatch_body(&spec(), &[0]);
+    http_roles::assert_malformed_requests_answered(
+        w.local_addr(),
+        "/v1/tiles",
+        "/v1/records",
+        &body,
+    );
+    let health = client::get(w.local_addr(), "/healthz").unwrap();
+    assert_eq!(health.status, 200);
 }
 
 #[test]

@@ -34,39 +34,27 @@
 //! Requests` with a `Retry-After` header — the service sheds load at the
 //! door instead of queueing unboundedly. Memory is bounded on the way
 //! out too: only the newest `retain_terminal` finished jobs stay
-//! queryable, and at most `MAX_CONNECTIONS` connection handlers run at
-//! once.
+//! queryable. Connections are bounded by the shared [`http::Server`],
+//! whose doc states its slot cap, shed policy and keep-alive rules.
 
 pub mod fleet;
 pub mod job;
 pub mod metrics;
 pub mod wire;
 
-// The HTTP subset and its client grew up here and moved to
-// `cardopc-fleet` (the fleet wire protocol reuses them); re-exported so
-// `cardopc_serve::http`/`::client` paths keep working.
+// The HTTP subset and its client live in `cardopc-fleet` (the fleet wire
+// protocol shares them); re-exported for `cardopc_serve::http`/`::client`.
 pub use cardopc_fleet::{client, http};
 
 use fleet::WorkerRegistry;
-use http::{ReadOutcome, Response};
+use http::Response;
 use job::{DeleteOutcome, JobStore, PoolRef, ResultLookup, SubmitError};
 use metrics::Metrics;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Maximum concurrently served connections. Each connection gets a
-/// short-lived thread; past this the accept loop waits for a slot
-/// instead of spawning unboundedly (pending peers queue in the listen
-/// backlog, and per-connection IO timeouts guarantee slots free up).
-const MAX_CONNECTIONS: usize = 64;
-
-/// How long the accept loop backs off after `accept()` fails. A
-/// persistent error (e.g. EMFILE) would otherwise busy-spin the thread.
-const ACCEPT_ERROR_BACKOFF: std::time::Duration = std::time::Duration::from_millis(50);
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -121,10 +109,8 @@ struct Shared {
 
 /// A running correction service.
 pub struct Server {
-    local_addr: SocketAddr,
+    http: http::Server,
     shared: Arc<Shared>,
-    stop_accepting: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
     executors: Vec<JoinHandle<()>>,
 }
 
@@ -172,8 +158,6 @@ impl Server {
             })
             .collect::<io::Result<Vec<_>>>()?;
 
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             store,
             metrics,
@@ -181,28 +165,17 @@ impl Server {
             workers,
             run_root: config.run_root,
         });
-        let stop_accepting = Arc::new(AtomicBool::new(false));
-
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop_accepting);
-            std::thread::Builder::new()
-                .name("cardopc-accept".to_string())
-                .spawn(move || accept_loop(listener, &shared, &stop))?
-        };
-
+        let http = http::Server::start(&config.addr, "cardopc", |_| Arc::clone(&shared))?;
         Ok(Server {
-            local_addr,
+            http,
             shared,
-            stop_accepting,
-            accept_thread: Some(accept_thread),
             executors,
         })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.http.local_addr()
     }
 
     /// The fleet worker registry (what `POST /v1/workers` mutates);
@@ -227,19 +200,14 @@ impl Server {
         self.shared.store.drain();
     }
 
-    /// Full stop: drain, wait for jobs to settle, stop the accept loop,
+    /// Full stop: drain, wait for jobs to settle, stop the HTTP server,
     /// and join every thread. Called by `Drop`; explicit calls are
     /// idempotent.
     pub fn shutdown(&mut self) {
         self.shared.store.drain();
         self.shared.store.wait_idle();
         self.shared.store.shutdown();
-        self.stop_accepting.store(true, Ordering::Release);
-        // Unblock the blocking accept() with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
-        }
+        self.http.stop();
         for thread in self.executors.drain(..) {
             let _ = thread.join();
         }
@@ -252,135 +220,48 @@ impl Drop for Server {
     }
 }
 
-/// A counting semaphore bounding concurrent connection-handler threads.
-struct ConnGate {
-    active: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl ConnGate {
-    fn new() -> ConnGate {
-        ConnGate {
-            active: Mutex::new(0),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a slot is free, then claims it.
-    fn acquire(&self) {
-        let mut active = self.active.lock().unwrap_or_else(PoisonError::into_inner);
-        while *active >= MAX_CONNECTIONS {
-            active = self
-                .freed
-                .wait(active)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        *active += 1;
-    }
-
-    fn release(&self) {
-        let mut active = self.active.lock().unwrap_or_else(PoisonError::into_inner);
-        *active = active.saturating_sub(1);
-        drop(active);
-        self.freed.notify_one();
-    }
-}
-
-/// An acquired connection slot; released on drop (unwind included).
-struct ConnSlot(Arc<ConnGate>);
-
-impl Drop for ConnSlot {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
-
-/// Accepts connections until told to stop; each connection is served on
-/// its own short-lived thread, at most [`MAX_CONNECTIONS`] at a time
-/// (requests are small and bounded by the parser's limits, and every
-/// socket read/write carries a timeout, so slots always come back).
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, stop: &Arc<AtomicBool>) {
-    let gate = Arc::new(ConnGate::new());
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                // Back off instead of busy-spinning: a persistent failure
-                // (fd exhaustion, say) repeats immediately otherwise.
-                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
-                continue;
+impl http::Handler for Shared {
+    fn route(&self, request: &http::Request) -> Response {
+        let method = request.method.as_str();
+        let path = request.path.as_str();
+        match (method, path) {
+            ("GET", "/healthz") => Response::json(
+                200,
+                cardopc_json::Json::obj(vec![
+                    ("ok", cardopc_json::Json::Bool(true)),
+                    ("draining", cardopc_json::Json::Bool(self.store.draining())),
+                ])
+                .to_string_compact(),
+            ),
+            ("GET", "/metrics") => Response::text(
+                200,
+                self.metrics
+                    .render_with_cache(self.cache.as_ref().map(|c| c.stats())),
+            ),
+            ("POST", "/v1/jobs") => submit(request, self),
+            ("POST", "/v1/workers") => register_workers(request, self),
+            ("GET", "/v1/workers") => Response::json(200, self.workers.document()),
+            ("POST", "/admin/drain") => {
+                self.store.drain();
+                Response::json(202, r#"{"draining":true}"#)
             }
-        };
-        if stop.load(Ordering::Acquire) {
-            return;
+            // Any method: job_route answers 405 itself for wrong methods, so
+            // e.g. PUT /v1/jobs/{id} is a 405, not a 404 like unknown paths.
+            _ if path.starts_with("/v1/jobs/") => job_route(request, self),
+            (_, "/healthz" | "/metrics" | "/v1/jobs" | "/v1/workers" | "/admin/drain") => {
+                Response::error(405, "method not allowed")
+            }
+            _ => Response::error(404, "no such route"),
         }
-        gate.acquire();
-        let slot = ConnSlot(Arc::clone(&gate));
-        let shared = Arc::clone(shared);
-        let _ = std::thread::Builder::new()
-            .name("cardopc-conn".to_string())
-            .spawn(move || {
-                let _slot = slot;
-                handle_connection(stream, &shared);
-            });
     }
-}
 
-/// Serves one connection: read one request, route, answer, close.
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let response = match http::read_request(&mut stream) {
-        ReadOutcome::Disconnected => return,
-        ReadOutcome::Malformed(e) => Response::error(e.status, &e.message),
-        ReadOutcome::Request(request) => route(&request, shared),
-    };
-    shared.metrics.http_requests.inc();
-    match response.status {
-        400..=499 => shared.metrics.http_client_errors.inc(),
-        500..=599 => shared.metrics.http_server_errors.inc(),
-        _ => {}
-    }
-    response.write(&mut stream);
-}
-
-/// Maps a parsed request to a response.
-fn route(request: &http::Request, shared: &Shared) -> Response {
-    let method = request.method.as_str();
-    let path = request.path.as_str();
-    match (method, path) {
-        ("GET", "/healthz") => Response::json(
-            200,
-            cardopc_json::Json::obj(vec![
-                ("ok", cardopc_json::Json::Bool(true)),
-                (
-                    "draining",
-                    cardopc_json::Json::Bool(shared.store.draining()),
-                ),
-            ])
-            .to_string_compact(),
-        ),
-        ("GET", "/metrics") => Response::text(
-            200,
-            shared
-                .metrics
-                .render_with_cache(shared.cache.as_ref().map(|c| c.stats())),
-        ),
-        ("POST", "/v1/jobs") => submit(request, shared),
-        ("POST", "/v1/workers") => register_workers(request, shared),
-        ("GET", "/v1/workers") => Response::json(200, shared.workers.document()),
-        ("POST", "/admin/drain") => {
-            shared.store.drain();
-            Response::json(202, r#"{"draining":true}"#)
+    fn answered(&self, response: &Response) {
+        self.metrics.http_requests.inc();
+        match response.status {
+            400..=499 => self.metrics.http_client_errors.inc(),
+            500..=599 => self.metrics.http_server_errors.inc(),
+            _ => {}
         }
-        // Any method: job_route answers 405 itself for wrong methods, so
-        // e.g. PUT /v1/jobs/{id} is a 405, not a 404 like unknown paths.
-        _ if path.starts_with("/v1/jobs/") => job_route(request, shared),
-        (_, "/healthz" | "/metrics" | "/v1/jobs" | "/v1/workers" | "/admin/drain") => {
-            Response::error(405, "method not allowed")
-        }
-        _ => Response::error(404, "no such route"),
     }
 }
 

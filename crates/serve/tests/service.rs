@@ -16,6 +16,9 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+#[path = "../../../tests/support/http_roles.rs"]
+mod http_roles;
+
 /// A fast 2×2-tile job: 1024 nm gcd crop, 512 nm tiles + 256 nm halo →
 /// 1024 nm windows on 64² grids at pitch 16.
 const SMOKE_JOB: &str = r#"{
@@ -274,56 +277,7 @@ fn cancel_leaves_a_resumable_checkpoint() {
 fn malformed_requests_never_panic_the_server() {
     let (server, addr, root) = start("fuzz", 2, 1);
 
-    // Hand-picked nasties covering each parser rejection path.
-    let nasties: Vec<Vec<u8>> = vec![
-        b"garbage\r\n\r\n".to_vec(),
-        b"GET\r\n\r\n".to_vec(),
-        b"GET /healthz HTTP/2.0\r\n\r\n".to_vec(),
-        b"get /healthz HTTP/1.1\r\n\r\n".to_vec(),
-        b"GET healthz HTTP/1.1\r\n\r\n".to_vec(),
-        b"POST /v1/jobs HTTP/1.1\r\ncontent-length: nope\r\n\r\n".to_vec(),
-        b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 99999999999\r\n\r\n".to_vec(),
-        b"POST /v1/jobs HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n".to_vec(),
-        b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 7\r\n\r\n\xff\xfe\x00bad".to_vec(),
-        b"GET /healthz HTTP/1.1\r\nno-colon\r\n\r\n".to_vec(),
-        b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}".to_vec(),
-        format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(20_000)).into_bytes(),
-        // Deep nesting: a megabyte of '[' used to recurse once per byte
-        // and overflow the connection thread's stack (a process abort,
-        // not a panic); the parser's depth cap must answer 400 instead.
-        deep_nesting_request("[", 1_000_000),
-        deep_nesting_request("{\"k\":", 400_000),
-    ];
-    for raw in &nasties {
-        let reply = client::send_raw(addr, raw).unwrap();
-        assert_status_is_sane(&reply, raw);
-    }
-
-    // Deterministic random mutations of a valid request.
-    let template = format!(
-        "POST /v1/jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
-        SMOKE_JOB.len(),
-        SMOKE_JOB
-    )
-    .into_bytes();
-    let mut rng = SplitMix64::new(0xcafe);
-    for _ in 0..48 {
-        let mut mutated = template.clone();
-        for _ in 0..(1 + rng.next_u64() % 8) {
-            let kind = rng.next_u64() % 3;
-            let at = (rng.next_u64() as usize) % mutated.len();
-            match kind {
-                0 => mutated[at] = (rng.next_u64() & 0xff) as u8,
-                1 => mutated.truncate(at),
-                _ => mutated.insert(at, (rng.next_u64() & 0xff) as u8),
-            }
-            if mutated.is_empty() {
-                break;
-            }
-        }
-        let reply = client::send_raw(addr, &mutated).unwrap();
-        assert_status_is_sane(&reply, &mutated);
-    }
+    http_roles::assert_malformed_requests_answered(addr, "/v1/jobs", "/healthz", SMOKE_JOB);
 
     // The server is still alive and sane afterwards.
     let health = client::get(addr, "/healthz").unwrap();
@@ -335,38 +289,29 @@ fn malformed_requests_never_panic_the_server() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// A `POST /v1/jobs` whose body is `unit` repeated `times` — a
-/// pathologically deep JSON document within the 4 MB body limit.
-fn deep_nesting_request(unit: &str, times: usize) -> Vec<u8> {
-    let body = unit.repeat(times);
-    format!(
-        "POST /v1/jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
+#[test]
+fn pipelined_keep_alive_requests_are_all_answered() {
+    let (server, addr, root) = start("pipeline", 2, 1);
+    http_roles::assert_pipelined_requests_answered(addr);
+    drop(server);
+    let _ = std::fs::remove_dir_all(root);
 }
 
-/// A reply to garbage must be either silence (peer-level drop) or a
-/// well-formed HTTP response; a mutated-but-still-valid request may
-/// legitimately succeed, so any status is acceptable — it just has to BE
-/// a status.
-fn assert_status_is_sane(reply: &[u8], sent: &[u8]) {
-    if reply.is_empty() {
-        return;
-    }
-    let head = String::from_utf8_lossy(&reply[..reply.len().min(64)]).into_owned();
-    assert!(
-        head.starts_with("HTTP/1.1 "),
-        "non-HTTP reply {head:?} to {:?}",
-        String::from_utf8_lossy(&sent[..sent.len().min(80)])
+#[test]
+fn saturated_server_sheds_with_503_and_recovers() {
+    let (server, addr, root) = start("saturation", 2, 1);
+    http_roles::assert_sheds_at_saturation(addr);
+    // Sheds and malformed requests count like any other request.
+    client::send_raw(addr, b"garbage\r\n\r\n").unwrap();
+    let metrics = client::get(addr, "/metrics").unwrap().body_str();
+    assert!(metric_value(&metrics, "cardopc_http_server_errors_total ") >= 1);
+    assert_eq!(
+        metric_value(&metrics, "cardopc_http_client_errors_total "),
+        1,
+        "{metrics}"
     );
-    let status: u16 = head["HTTP/1.1 ".len()..]
-        .split(' ')
-        .next()
-        .unwrap()
-        .parse()
-        .expect("numeric status");
-    assert!((100..600).contains(&status), "status {status}");
+    drop(server);
+    let _ = std::fs::remove_dir_all(root);
 }
 
 #[test]
