@@ -399,7 +399,7 @@ pub fn run_fleet(
 
     let Shared { state, run, .. } = shared;
     let state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let outcome = run.finish()?;
+    let mut outcome = run.finish()?;
     let unfinished = todo_len - state.done;
     if state.alive == 0 && unfinished > 0 && !outcome.cancelled {
         // Surface a deterministic tile failure when one was observed —
@@ -417,7 +417,7 @@ pub fn run_fleet(
     let (manifest, stitched) = store.conclude(
         clip.name(),
         &partition,
-        &outcome,
+        &mut outcome,
         spec.opc.mrc.as_ref(),
         config.workers.len(),
         start,

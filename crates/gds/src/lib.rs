@@ -20,7 +20,10 @@
 //!
 //! Writing: [`write::GdsWriter`] emits byte-stable libraries (fixed
 //! zero timestamps) of BOUNDARY records, splitting polygons that exceed
-//! the 8191-point XY record limit via [`split::split_polygon`].
+//! the 8191-point XY record limit via [`split::split_polygon`]. Its one
+//! BOUNDARY encoder, [`write::put_boundary`], also encodes elements apart
+//! from the library, so a large library can be encoded in parallel and
+//! streamed out in order ([`GdsWriter::drain`]).
 //!
 //! ```
 //! use cardopc_gds::{flatten, parse_lib, FlattenLimits, GdsWriter, LayerFilter};
@@ -54,7 +57,7 @@ pub use model::{GdsElement, GdsLib, GdsRef, GdsStruct, LayerFilter, Strans};
 pub use read::parse_lib;
 pub use real::{decode_real8, encode_real8};
 pub use split::split_polygon;
-pub use write::GdsWriter;
+pub use write::{put_boundary, GdsWriter};
 
 /// Reads and parses a GDSII file from disk.
 ///

@@ -315,16 +315,25 @@ impl<'a> RecordIter<'a> {
 /// is the caller's bug (the XY splitter guarantees the bound for
 /// geometry), not an input-data condition.
 pub fn put_record(out: &mut Vec<u8>, rtype: u8, dtype: u8, data: &[u8]) {
+    put_header(out, rtype, dtype, data.len());
+    out.extend_from_slice(data);
+}
+
+/// Appends the header of a record whose `len` payload bytes the caller
+/// appends next (an element encoded straight into `out`).
+///
+/// # Panics
+///
+/// Panics when `len` exceeds [`MAX_PAYLOAD`] or is odd, as
+/// [`put_record`].
+pub fn put_header(out: &mut Vec<u8>, rtype: u8, dtype: u8, len: usize) {
     assert!(
-        data.len() <= MAX_PAYLOAD && data.len().is_multiple_of(2),
-        "record payload of {} bytes is unencodable",
-        data.len()
+        len <= MAX_PAYLOAD && len.is_multiple_of(2),
+        "record payload of {len} bytes is unencodable"
     );
-    let length = (data.len() + 4) as u16;
-    out.extend_from_slice(&length.to_be_bytes());
+    out.extend_from_slice(&((len + 4) as u16).to_be_bytes());
     out.push(rtype);
     out.push(dtype);
-    out.extend_from_slice(data);
 }
 
 /// Appends a no-payload record.

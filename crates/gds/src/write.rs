@@ -9,10 +9,14 @@
 //! Polygons beyond the 8191-point XY record limit are bisected by
 //! [`crate::split::split_polygon`] before encoding.
 
-use cardopc_geometry::Polygon;
+use std::borrow::Cow;
+
+use cardopc_geometry::{Point, Polygon};
 
 use crate::error::GdsError;
-use crate::record::{put_ascii, put_empty, put_i16s, put_real8s, put_record, rtype, MAX_XY_POINTS};
+use crate::record::{
+    dtype, put_ascii, put_empty, put_header, put_i16s, put_real8s, rtype, MAX_XY_POINTS,
+};
 use crate::split::split_polygon;
 
 /// Streaming writer for one GDSII library.
@@ -106,45 +110,15 @@ impl GdsWriter {
         polygon: &Polygon,
     ) -> Result<(), GdsError> {
         assert!(self.in_struct, "no structure open");
-        if polygon.len() < 3 {
-            return Err(GdsError::Grammar {
-                offset: self.out.len(),
-                reason: format!("polygon with {} vertices cannot be written", polygon.len()),
-            });
-        }
-        // The closing point is written explicitly, so a record fits
-        // MAX_XY_POINTS - 1 distinct vertices.
-        for piece in split_polygon(polygon, MAX_XY_POINTS - 1)? {
-            let mut dbu: Vec<i32> = Vec::with_capacity(piece.len() * 2 + 2);
-            for v in piece.vertices() {
-                dbu.push(self.quantise(v.x)?);
-                dbu.push(self.quantise(v.y)?);
-            }
-            // Close the ring.
-            dbu.push(dbu[0]);
-            dbu.push(dbu[1]);
-            put_empty(&mut self.out, rtype::BOUNDARY);
-            put_i16s(&mut self.out, rtype::LAYER, &[layer]);
-            put_i16s(&mut self.out, rtype::DATATYPE, &[datatype]);
-            let mut data = Vec::with_capacity(dbu.len() * 4);
-            for c in &dbu {
-                data.extend_from_slice(&c.to_be_bytes());
-            }
-            put_record(&mut self.out, rtype::XY, crate::record::dtype::I32, &data);
-            put_empty(&mut self.out, rtype::ENDEL);
-        }
-        Ok(())
+        put_boundary(&mut self.out, self.nm_per_dbu, layer, datatype, polygon)
     }
 
-    fn quantise(&self, nm: f64) -> Result<i32, GdsError> {
-        let dbu = (nm / self.nm_per_dbu).round();
-        if !dbu.is_finite() || dbu < i32::MIN as f64 || dbu > i32::MAX as f64 {
-            return Err(GdsError::CoordinateOverflow(format!(
-                "{nm} nm does not fit a 32-bit database unit at {} nm/dbu",
-                self.nm_per_dbu
-            )));
-        }
-        Ok(dbu as i32)
+    /// Takes the bytes encoded so far, leaving the writer's state (open
+    /// structure) as it was: a library too large to hold whole is written
+    /// out piece by piece, in order, with elements encoded elsewhere by
+    /// [`put_boundary`] in between.
+    pub fn drain(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.out)
     }
 
     /// Terminates the library and returns the finished byte stream.
@@ -158,6 +132,81 @@ impl GdsWriter {
         self.finished = true;
         self.out
     }
+}
+
+/// Appends `polygon` (vertices in nm) to `out` as one or more BOUNDARY
+/// elements on `layer:datatype` at `nm_per_dbu`, splitting to honour the
+/// XY record limit — the one BOUNDARY encoder, behind
+/// [`GdsWriter::boundary`] and any writer that encodes elements apart
+/// from the library (the parallel mask export). On error nothing is
+/// appended.
+///
+/// # Errors
+///
+/// [`GdsError::CoordinateOverflow`] when a quantised coordinate leaves
+/// `i32`, [`GdsError::TooManyVertices`] if splitting cannot converge,
+/// [`GdsError::Grammar`] (offset: `out.len()`) for a degenerate polygon.
+pub fn put_boundary(
+    out: &mut Vec<u8>,
+    nm_per_dbu: f64,
+    layer: i16,
+    datatype: i16,
+    polygon: &Polygon,
+) -> Result<(), GdsError> {
+    if polygon.len() < 3 {
+        return Err(GdsError::Grammar {
+            offset: out.len(),
+            reason: format!("polygon with {} vertices cannot be written", polygon.len()),
+        });
+    }
+    let start = out.len();
+    // The closing point is written explicitly, so a record fits
+    // MAX_XY_POINTS - 1 distinct vertices.
+    let encoded = split_polygon(polygon, MAX_XY_POINTS - 1).and_then(|pieces| {
+        let put = |piece: &Cow<'_, Polygon>| {
+            put_element(out, nm_per_dbu, layer, datatype, piece.vertices())
+        };
+        pieces.iter().try_for_each(put)
+    });
+    if encoded.is_err() {
+        out.truncate(start);
+    }
+    encoded
+}
+
+/// One BOUNDARY element whose ring fits one XY record.
+fn put_element(
+    out: &mut Vec<u8>,
+    nm_per_dbu: f64,
+    layer: i16,
+    datatype: i16,
+    ring: &[Point],
+) -> Result<(), GdsError> {
+    put_empty(out, rtype::BOUNDARY);
+    put_i16s(out, rtype::LAYER, &[layer]);
+    put_i16s(out, rtype::DATATYPE, &[datatype]);
+    // XY: every vertex, then the first again to close the ring.
+    let payload = (ring.len() + 1) * 8;
+    out.reserve(payload + 8);
+    put_header(out, rtype::XY, dtype::I32, payload);
+    let first = out.len();
+    for v in ring {
+        out.extend_from_slice(&quantise(v.x, nm_per_dbu)?.to_be_bytes());
+        out.extend_from_slice(&quantise(v.y, nm_per_dbu)?.to_be_bytes());
+    }
+    out.extend_from_within(first..first + 8);
+    put_empty(out, rtype::ENDEL);
+    Ok(())
+}
+
+fn quantise(nm: f64, nm_per_dbu: f64) -> Result<i32, GdsError> {
+    let dbu = (nm / nm_per_dbu).round();
+    if !dbu.is_finite() || dbu < i32::MIN as f64 || dbu > i32::MAX as f64 {
+        return Err(GdsError::CoordinateOverflow(format!(
+            "{nm} nm does not fit a 32-bit database unit at {nm_per_dbu} nm/dbu"
+        )));
+    }
+    Ok(dbu as i32)
 }
 
 #[cfg(test)]
@@ -245,6 +294,40 @@ mod tests {
         assert!(shapes.len() >= 2);
         let total: f64 = shapes.iter().map(|s| s.polygon.area()).sum();
         assert!((total - big.area()).abs() / big.area() < 1e-3);
+    }
+
+    #[test]
+    fn drained_library_with_elements_encoded_apart_is_the_same_stream() {
+        let polys: Vec<Polygon> = (0..3)
+            .map(|i| {
+                let x = i as f64 * 100.0;
+                Polygon::rect(Point::new(x, 0.25), Point::new(x + 50.5, 40.0))
+            })
+            .collect();
+        let mut whole = GdsWriter::new("MASK", 0.01).unwrap();
+        whole.begin_struct("TOP");
+        for p in &polys {
+            whole.boundary(2, 0, p).unwrap();
+        }
+        whole.end_struct();
+
+        let mut lib = GdsWriter::new("MASK", 0.01).unwrap();
+        lib.begin_struct("TOP");
+        let mut streamed = lib.drain();
+        let mut elements = Vec::new();
+        for p in &polys {
+            put_boundary(&mut elements, lib.nm_per_dbu(), 2, 0, p).unwrap();
+        }
+        streamed.extend_from_slice(&elements);
+        lib.end_struct();
+        streamed.extend_from_slice(&lib.finish());
+        assert_eq!(streamed, whole.finish());
+
+        // A failed element appends nothing.
+        let far = Polygon::rect(Point::new(1e12, 0.0), Point::new(1e12 + 10.0, 10.0));
+        let before = elements.clone();
+        assert!(put_boundary(&mut elements, 0.01, 2, 0, &far).is_err());
+        assert_eq!(elements, before);
     }
 
     #[test]

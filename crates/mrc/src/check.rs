@@ -388,6 +388,10 @@ fn dirty_runs(old: &ShapeCache, new: &ShapeCache, mut emit: impl FnMut(BBox)) {
 /// shape's bbox grown by exactly `min_space` by a few ulps.
 const REACH_SLACK: f64 = 1e-6;
 
+/// Relative margin around a Bézier-hull box for the rounding of sampled
+/// points (a few ulps of the largest coordinate; this is ~10⁷ of them).
+const HULL_ROUNDING: f64 = 1e-9;
+
 /// Cached per-shape sampling, edge indices and per-sample rule results,
 /// reusable across resolver rounds: a shape that moved is re-sampled and
 /// re-indexed, and [`MrcChecker::recheck`] probes again only the samples
@@ -690,8 +694,8 @@ impl MrcChecker {
 
     /// Spacing-rule check restricted to a set of rectangular bands:
     /// probes are launched only from boundary samples inside one of the
-    /// `bands`, and shapes whose bbox misses every band are skipped
-    /// entirely.
+    /// `bands`, and shapes out of reach of every band
+    /// ([`near_bands`](MrcChecker::near_bands)) are not even sampled.
     ///
     /// Tiled runtimes use this as the cross-boundary seam pass — each
     /// tile's interior was checked during its own MRC stage, so only the
@@ -709,26 +713,16 @@ impl MrcChecker {
             return Vec::new();
         }
         // A full-chip seam pass has hundreds of bands and thousands of
-        // shapes, nearly all far from every band. Index the bands once; a
-        // shape whose outline stays out of probe reach of all of them can
-        // neither launch a probe nor be hit by one, so it gets an absent
-        // cache — no samples, no edges, and an empty bbox that keeps it out
-        // of the shape tree — instead of normals and an edge index.
-        let per = self.samples_per_segment;
-        let reach = self.rules.min_space + REACH_SLACK;
+        // shapes, nearly all far from every band: those get an absent cache
+        // — no samples, no edges, and an empty bbox that keeps them out of
+        // the shape tree — instead of normals and an edge index.
+        let loops = shapes.iter().map(|s| (s.control_points(), s.tension()));
+        let mut caches = vec![ShapeCache::default(); shapes.len()];
+        for i in self.near_bands(loops, bands) {
+            caches[i] = ShapeCache::build(&shapes[i], self.samples_per_segment);
+        }
         let band_tree: RTree<()> = bands.iter().map(|&b| (b, ())).collect();
         let mut stack = Vec::new();
-        let build = |spline: &CardinalSpline| {
-            let outline = BBox::from_points(sampled_loop(spline, per)).expanded(reach);
-            let mut in_reach = false;
-            band_tree.for_each_in(&outline, &mut stack, |_| in_reach = true);
-            if in_reach {
-                ShapeCache::build(spline, per)
-            } else {
-                ShapeCache::default()
-            }
-        };
-        let caches: Vec<ShapeCache> = shapes.iter().map(build).collect();
         let tree = shape_tree(&caches);
         let mut near: Vec<BBox> = Vec::new();
         let mut out = Vec::new();
@@ -746,6 +740,41 @@ impl MrcChecker {
             }
         }
         out
+    }
+
+    /// Indices, in order, of the closed loops `(control points, tension)`
+    /// that can take part in [`check_spacing_in_bands`]: those whose
+    /// Bézier-hull box ([`CardinalSpline::closed_hull_box`]), grown by the
+    /// probe reach (`min_space` plus slack) and a rounding margin, meets a
+    /// band. Nothing is sampled. The test is exact: the hull box holds
+    /// every sample of the outline, so a loop left out has no sample in a
+    /// band (it launches no probe) and no edge within a probe's length of
+    /// one (no probe hits it) — the spacing pass restricted to the listed
+    /// loops finds the same violations.
+    ///
+    /// [`check_spacing_in_bands`]: MrcChecker::check_spacing_in_bands
+    pub fn near_bands<'p>(
+        &self,
+        loops: impl IntoIterator<Item = (&'p [Point], f64)>,
+        bands: &[BBox],
+    ) -> Vec<usize> {
+        let band_tree: RTree<()> = bands.iter().map(|&b| (b, ())).collect();
+        let mut stack = Vec::new();
+        let reach = self.rules.min_space + REACH_SLACK;
+        let mut near = Vec::new();
+        for (i, (points, tension)) in loops.into_iter().enumerate() {
+            let hull = CardinalSpline::closed_hull_box(points, tension);
+            let extent = [hull.min.x, hull.min.y, hull.max.x, hull.max.y]
+                .iter()
+                .fold(1.0f64, |m, c| m.max(c.abs()));
+            let mut in_reach = false;
+            let grown = hull.expanded(reach + HULL_ROUNDING * extent);
+            band_tree.for_each_in(&grown, &mut stack, |_| in_reach = true);
+            if in_reach {
+                near.push(i);
+            }
+        }
+        near
     }
 
     /// Area-rule check only.

@@ -8,15 +8,36 @@
 //! survive the round trip. Mains and SRAFs go to separate layers
 //! (foundry convention), both configurable.
 //!
+//! The export streams ([`stream_mask_gds`]): shapes go out in fixed-size
+//! chunks, each sampled from its borrowed control points and
+//! encoded on the global [`WorkerPool`], one wave of chunks at a time, and
+//! the chunks are written in mask order. A full-chip mask is never held
+//! whole — only one wave of encoded bytes is — and the CLI streams it into
+//! a temporary that is renamed into place ([`crate::write_file_atomic`]).
+//!
 //! The writer is deterministic: same stitched mask → same bytes,
-//! regardless of worker count, cache hits, or resume history — the
-//! stitcher already orders shapes canonically (mains by source-clip
-//! index, SRAFs in tile order) and [`cardopc_gds::GdsWriter`] emits
-//! fixed timestamps.
+//! regardless of pool size, worker count, cache hits, or resume history —
+//! the stitcher already orders shapes canonically (mains by source-clip
+//! index, SRAFs in tile order), each chunk's bytes are a pure function of
+//! its shapes, chunks are written in order, and
+//! [`cardopc_gds::GdsWriter`] emits fixed timestamps.
 
+use crate::checkpoint::StitchedShape;
 use crate::stitch::Stitched;
-use cardopc_gds::{GdsError, GdsWriter};
-use cardopc_spline::CardinalSpline;
+use cardopc_gds::{put_boundary, GdsError, GdsWriter};
+use cardopc_geometry::Polygon;
+use cardopc_litho::WorkerPool;
+use cardopc_spline::{CardinalSpline, SamplingPlan, SplineError};
+use std::io::Write;
+use std::sync::Arc;
+
+/// Shapes sampled and encoded per export task (≈ 130 KB of a 64×64 array
+/// mask's bytes).
+const CHUNK_SHAPES: usize = 64;
+
+/// Chunks per pool executor in one wave: enough for the pool to balance
+/// uneven chunks, few enough that a wave stays well under a megabyte.
+const CHUNKS_PER_EXECUTOR: usize = 2;
 
 /// Database grid of exported masks, nm per database unit. 0.01 nm keeps
 /// sub-nanometre spline geometry intact while staying far inside the
@@ -52,43 +73,137 @@ impl Default for MaskGdsOptions {
     }
 }
 
-/// Serialises a stitched mask to GDSII bytes: one structure named
-/// `name`, mains on `mask_layer:0`, SRAFs on `sraf_layer:0`, all
-/// coordinates on the 0.01 nm mask grid.
+/// Serialises a stitched mask to GDSII bytes in memory:
+/// [`stream_mask_gds`] into a `Vec`.
 ///
 /// # Errors
 ///
-/// [`GdsError`] when a sampled contour cannot be encoded (coordinate
-/// overflow past ±21 mm) or the structure name is not printable ASCII.
+/// See [`stream_mask_gds`].
 pub fn write_mask_gds(
     stitched: &Stitched,
     name: &str,
     options: &MaskGdsOptions,
 ) -> Result<Vec<u8>, GdsError> {
-    let per_segment = options.samples_per_segment.max(1);
-    let mut w = GdsWriter::new("CARDOPC_MASK", MASK_NM_PER_DBU)?;
-    w.begin_struct(name);
-    for (shapes, layer) in [
-        (&stitched.mains, options.mask_layer),
-        (&stitched.srafs, options.sraf_layer),
-    ] {
-        for shape in shapes.iter() {
-            // Control points were valid splines when checkpointed; a
-            // failure here means a corrupted record, and silently
-            // dropping mask geometry is never acceptable.
-            let spline = CardinalSpline::closed(shape.control_points.clone(), shape.tension)
-                .map_err(|e| GdsError::Io(format!("stitched shape is not a spline: {e}")))?;
-            w.boundary(layer, 0, &spline.to_polygon(per_segment))?;
+    let mut bytes = Vec::new();
+    stream_mask_gds(stitched, name, options, &mut bytes)?;
+    Ok(bytes)
+}
+
+/// Streams a stitched mask as GDSII into `out`: one structure named
+/// `name`, mains on `mask_layer:0`, SRAFs on `sraf_layer:0`, all
+/// coordinates on the 0.01 nm mask grid. Chunks are encoded on
+/// [`WorkerPool::global`]; the bytes are the same for any pool size.
+/// Returns the number of bytes written.
+///
+/// # Errors
+///
+/// [`GdsError`] when a shape's control points are not a spline (a
+/// corrupted record: mask geometry is never silently dropped), a sampled
+/// contour cannot be encoded (coordinate overflow past ±21 mm), or `out`
+/// fails. Bytes already written stay written: stream into a temporary.
+///
+/// # Panics
+///
+/// Panics when `name` is not ASCII.
+pub fn stream_mask_gds(
+    stitched: &Stitched,
+    name: &str,
+    options: &MaskGdsOptions,
+    out: &mut impl Write,
+) -> Result<u64, GdsError> {
+    stream_on(WorkerPool::global(), stitched, name, options, out)
+}
+
+fn stream_on(
+    pool: &WorkerPool,
+    stitched: &Stitched,
+    name: &str,
+    options: &MaskGdsOptions,
+    out: &mut impl Write,
+) -> Result<u64, GdsError> {
+    let mut written = 0;
+    let mut put = |bytes: &[u8]| -> Result<(), GdsError> {
+        out.write_all(bytes)?;
+        written += bytes.len() as u64;
+        Ok(())
+    };
+    let mut lib = GdsWriter::new("CARDOPC_MASK", MASK_NM_PER_DBU)?;
+    lib.begin_struct(name);
+    put(&lib.drain())?;
+    let chunks = stitched.len().div_ceil(CHUNK_SHAPES);
+    let wave = CHUNKS_PER_EXECUTOR * pool.parallelism();
+    // One buffer per chunk of a wave, reused by every wave.
+    let mut slots: Vec<(Vec<u8>, Result<(), GdsError>)> = Vec::new();
+    for first in (0..chunks).step_by(wave) {
+        slots.resize_with(wave.min(chunks - first), || (Vec::new(), Ok(())));
+        pool.run_with_slots(&mut slots, |k, (bytes, result)| {
+            *result = encode_chunk(stitched, first + k, options, bytes);
+        });
+        for (bytes, result) in &mut slots {
+            std::mem::replace(result, Ok(()))?;
+            put(bytes)?;
         }
     }
-    w.end_struct();
-    Ok(w.finish())
+    lib.end_struct();
+    put(&lib.finish())?;
+    Ok(written)
+}
+
+/// Encodes chunk `chunk` of the mask (shapes in mask order: mains, then
+/// SRAFs) into `out`, cleared first.
+fn encode_chunk(
+    stitched: &Stitched,
+    chunk: usize,
+    options: &MaskGdsOptions,
+    out: &mut Vec<u8>,
+) -> Result<(), GdsError> {
+    out.clear();
+    let per_segment = options.samples_per_segment.max(1);
+    let mains = stitched.mains.len();
+    let (mut plan, mut ring): (Option<Arc<SamplingPlan>>, _) = (None, Vec::new());
+    let end = ((chunk + 1) * CHUNK_SHAPES).min(stitched.len());
+    for i in chunk * CHUNK_SHAPES..end {
+        let (shape, layer) = match i.checked_sub(mains) {
+            None => (&stitched.mains[i], options.mask_layer),
+            Some(j) => (&stitched.srafs[j], options.sraf_layer),
+        };
+        let plan = plan_for(&mut plan, per_segment, shape)?;
+        CardinalSpline::sample_closed_into(&shape.control_points, plan, &mut ring)
+            .map_err(not_a_spline)?;
+        let polygon = Polygon::new(std::mem::take(&mut ring));
+        put_boundary(out, MASK_NM_PER_DBU, layer, 0, &polygon)?;
+        ring = polygon.into_vertices();
+    }
+    Ok(())
+}
+
+/// The sampling plan of `shape`'s tension: `cached` when it has that
+/// tension (shapes of one mask nearly always share one), else fetched.
+fn plan_for<'a>(
+    cached: &'a mut Option<Arc<SamplingPlan>>,
+    per_segment: usize,
+    shape: &StitchedShape,
+) -> Result<&'a SamplingPlan, GdsError> {
+    let tension = shape.tension;
+    if !tension.is_finite() {
+        return Err(not_a_spline(SplineError::InvalidTension));
+    }
+    if cached
+        .as_ref()
+        .is_none_or(|plan| plan.tension().to_bits() != tension.to_bits())
+    {
+        *cached = Some(SamplingPlan::get(per_segment, tension));
+    }
+    Ok(cached.as_deref().expect("set above"))
+}
+
+fn not_a_spline(e: SplineError) -> GdsError {
+    GdsError::Io(format!("stitched shape is not a spline: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::StitchedShape;
     use cardopc_gds::{flatten, FlattenLimits, LayerFilter};
     use cardopc_geometry::Point;
 
@@ -184,5 +299,155 @@ mod tests {
         mask.mains[0].control_points.truncate(2); // not a closed spline
         let err = write_mask_gds(&mask, "MASK", &MaskGdsOptions::default()).unwrap_err();
         assert!(err.to_string().contains("not a spline"), "{err}");
+    }
+
+    /// The serial export the streaming one replaced, kept as its oracle:
+    /// one owned spline per shape, one library buffer.
+    fn serial_oracle(stitched: &Stitched, name: &str, options: &MaskGdsOptions) -> Vec<u8> {
+        let per_segment = options.samples_per_segment.max(1);
+        let mut w = GdsWriter::new("CARDOPC_MASK", MASK_NM_PER_DBU).unwrap();
+        w.begin_struct(name);
+        for (shapes, layer) in [
+            (&stitched.mains, options.mask_layer),
+            (&stitched.srafs, options.sraf_layer),
+        ] {
+            for shape in shapes.iter() {
+                let spline =
+                    CardinalSpline::closed(shape.control_points.clone(), shape.tension).unwrap();
+                w.boundary(layer, 0, &spline.to_polygon(per_segment))
+                    .unwrap();
+            }
+        }
+        w.end_struct();
+        w.finish()
+    }
+
+    /// A closed loop of `n` control points on a circle.
+    fn ring_shape(c: Point, r: f64, n: usize, tension: f64, id: Option<usize>) -> StitchedShape {
+        let control_points = (0..n)
+            .map(|k| {
+                let a = std::f64::consts::TAU * k as f64 / n as f64;
+                c + Point::new(r * a.cos(), r * a.sin())
+            })
+            .collect();
+        StitchedShape {
+            global_id: id,
+            is_sraf: id.is_none(),
+            tension,
+            control_points,
+        }
+    }
+
+    /// `mains` + `srafs` shapes on a grid, two tensions mixed; the main at
+    /// index `CHUNK_SHAPES - 1` (the last of chunk 0) samples to 8 800
+    /// vertices and is split into several BOUNDARY elements.
+    fn grid_mask(mains: usize, srafs: usize) -> Stitched {
+        let at = |i: usize| Point::new((i % 40) as f64 * 300.0, (i / 40) as f64 * 300.0);
+        let tension = |i: usize| [0.6, 0.5, 0.5][i % 3];
+        let mut mask = Stitched {
+            mains: (0..mains)
+                .map(|i| ring_shape(at(i), 60.0 + (i % 7) as f64, 12, tension(i), Some(i)))
+                .collect(),
+            srafs: (0..srafs)
+                .map(|i| ring_shape(at(i) + Point::new(150.0, 150.0), 10.0, 6, tension(i), None))
+                .collect(),
+            seam_violations: Vec::new(),
+        };
+        mask.mains[CHUNK_SHAPES - 1] = ring_shape(at(0), 50_000.0, 1100, 0.5, Some(0));
+        mask
+    }
+
+    #[test]
+    fn streamed_export_is_the_serial_export_for_any_pool_size() {
+        // 3 full chunks and a partial one; SRAFs start mid-chunk.
+        let mask = grid_mask(2 * CHUNK_SHAPES + 9, CHUNK_SHAPES + 8);
+        assert_ne!(mask.len() % CHUNK_SHAPES, 0);
+        let options = MaskGdsOptions {
+            mask_layer: 7,
+            sraf_layer: 9,
+            samples_per_segment: 8,
+        };
+        let oracle = serial_oracle(&mask, "MASK", &options);
+        let lib = cardopc_gds::parse_lib(&oracle).unwrap();
+        let elements = flatten(&lib, "MASK", LayerFilter::All, FlattenLimits::default());
+        assert!(
+            elements.unwrap().len() > mask.len(),
+            "the long shape must split"
+        );
+        for threads in 1..=4 {
+            let mut streamed = Vec::new();
+            let pool = WorkerPool::new(threads);
+            let n = stream_on(&pool, &mask, "MASK", &options, &mut streamed).unwrap();
+            assert_eq!(n, streamed.len() as u64);
+            assert!(streamed == oracle, "{threads} threads: bytes differ");
+        }
+        assert!(write_mask_gds(&mask, "MASK", &options).unwrap() == oracle);
+    }
+
+    /// Counts what it is given, keeps nothing.
+    #[derive(Default)]
+    struct Counting {
+        total: u64,
+        largest: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.total += buf.len() as u64;
+            self.largest = self.largest.max(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_chip_sized_mask_streams_in_one_wave_at_a_time() {
+        // The 64×64 array's mask: 8 192 shapes of 33 control points, 264
+        // vertices each at 8 samples per segment — 17.6 MB.
+        let mask = Stitched {
+            mains: (0..8192)
+                .map(|i| {
+                    let c = Point::new((i % 128) as f64 * 1024.0, (i / 128) as f64 * 512.0);
+                    ring_shape(c + Point::new(500.0, 250.0), 150.0, 33, 0.5, Some(i))
+                })
+                .collect(),
+            ..Stitched::default()
+        };
+        // BOUNDARY 4 + LAYER 6 + DATATYPE 6 + XY 4 + 265 × 8 + ENDEL 4.
+        let element = 4 + 6 + 6 + 4 + 265 * 8 + 4;
+        let pool = WorkerPool::new(2);
+        let mut sink = Counting::default();
+        let options = MaskGdsOptions::default();
+        let n = stream_on(&pool, &mask, "ARRAY", &options, &mut sink).unwrap();
+        assert_eq!(n, sink.total);
+        assert!(sink.total > 8192 * element as u64, "{}", sink.total);
+        assert!(sink.total > 17_000_000);
+        // The bound: no write is larger than one wave of chunks — in fact
+        // each write is one chunk's bytes (here 64 × 2 144 B = 137 KB, the
+        // wave 4 chunks = 549 KB), never the 17.6 MB mask.
+        let wave = CHUNKS_PER_EXECUTOR * pool.parallelism() * CHUNK_SHAPES * element;
+        assert!(sink.largest <= CHUNK_SHAPES * element, "{}", sink.largest);
+        assert!(sink.largest <= wave);
+    }
+
+    #[test]
+    fn a_corrupt_shape_mid_mask_leaves_nothing_under_the_destination() {
+        let mut mask = grid_mask(3 * CHUNK_SHAPES, 0);
+        mask.mains[2 * CHUNK_SHAPES + 5].control_points[3].x = f64::NAN;
+        let dir = std::env::temp_dir().join(format!("cardopc-gdsout-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mask.gds");
+        let options = MaskGdsOptions::default();
+        let failed = crate::write_file_atomic(&path, |out| {
+            stream_mask_gds(&mask, "MASK", &options, out).map(drop)
+        });
+        let err = failed.unwrap_err();
+        assert!(err.to_string().contains("not a spline"), "{err}");
+        assert!(!path.exists(), "a partial mask appeared");
+        assert!(!dir.join("mask.gds.tmp").exists(), "temporary left behind");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

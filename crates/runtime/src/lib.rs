@@ -67,13 +67,14 @@ mod store;
 pub use cache::{tile_cache_key, CacheConfig, CacheStats, CachedTile, TileCache};
 pub use checkpoint::{tile_input_hash, RunDir, StitchedShape, TileMetrics, TileRecord};
 pub use error::RuntimeError;
-pub use gdsout::{write_mask_gds, MaskGdsOptions, MASK_NM_PER_DBU};
+pub use gdsout::{stream_mask_gds, write_mask_gds, MaskGdsOptions, MASK_NM_PER_DBU};
 pub use handle::{EngineCache, RunControl, RunHandle, TileEvent};
 pub use manifest::{Aggregate, RunManifest, TileSummary};
 pub use partition::{partition_clip, Partition, Tile, TilingConfig};
 pub use run::{Run, RunOutcome, RunStore};
 pub use schedule::{correct_single_tile, run_tiles_controlled, ScheduleOutcome, TileResult};
 pub use stitch::{seam_bands, stitch, Stitched};
+pub use store::write_file_atomic;
 
 use cardopc_layout::Clip;
 use cardopc_litho::WorkerPool;
@@ -154,7 +155,7 @@ pub fn run_clip_controlled(
     let flow = CardOpc::new(config.opc.clone());
     let partition = partition_clip(clip, &config.tiling)?;
     let mut store = RunStore::open(config.run_dir.as_deref())?;
-    let outcome = run_tiles_controlled(
+    let mut outcome = run_tiles_controlled(
         &partition,
         &flow,
         pool,
@@ -167,7 +168,7 @@ pub fn run_clip_controlled(
     let (manifest, stitched) = store.conclude(
         clip.name(),
         &partition,
-        &outcome,
+        &mut outcome,
         rules,
         pool.parallelism(),
         start,

@@ -16,7 +16,8 @@
 //!    then the tile is counted and reported; the first failed append stops
 //!    the run ([`Run::stopped`]);
 //! 5. **conclude** ([`Run::finish`], [`RunStore::conclude`]): the
-//!    index-sorted [`ScheduleOutcome`], the stitched mask, the manifests.
+//!    index-sorted [`ScheduleOutcome`], the stitched mask (a complete
+//!    run's shapes move into it), the manifests.
 
 use crate::checkpoint::{tile_input_hash, RunDir, TileRecord};
 use crate::handle::{RunControl, TileEvent};
@@ -42,7 +43,8 @@ pub struct RunOutcome {
     /// The stitched full-chip mask; `None` when the tile budget left the
     /// run incomplete.
     pub stitched: Option<Stitched>,
-    /// Per-tile results, sorted by tile index.
+    /// Per-tile results, sorted by tile index. A complete run's records
+    /// hold no shapes: they moved into `stitched`.
     pub results: Vec<TileResult>,
     /// `true` when every tile of the partition completed.
     pub complete: bool,
@@ -106,6 +108,10 @@ impl RunStore {
     /// only — writes `manifest.json` and its timing-free companion, which
     /// is byte-identical however the same input was executed.
     ///
+    /// A complete run's shapes *move* into the stitched mask: its records
+    /// keep index, hash, metrics and histories, and no shapes. An
+    /// incomplete run's records keep theirs.
+    ///
     /// # Errors
     ///
     /// [`RuntimeError::Io`] when a manifest cannot be written.
@@ -113,14 +119,17 @@ impl RunStore {
         &self,
         design: &str,
         partition: &Partition,
-        outcome: &ScheduleOutcome,
+        outcome: &mut ScheduleOutcome,
         rules: Option<&MrcRules>,
         workers: usize,
         start: Instant,
     ) -> Result<(RunManifest, Option<Stitched>), RuntimeError> {
         let complete = outcome.remaining == 0;
-        let shapes = outcome.results.iter().flat_map(|r| &r.record.shapes);
-        let stitched = complete.then(|| stitch(partition, shapes.cloned(), rules));
+        let stitched = complete.then(|| {
+            let records = outcome.results.iter_mut().map(|r| &mut r.record);
+            let shapes = records.flat_map(|r| std::mem::take(&mut r.shapes));
+            stitch(partition, shapes, rules)
+        });
         let wall = start.elapsed().as_secs_f64();
         let manifest =
             RunManifest::build(design, partition, outcome, stitched.as_ref(), workers, wall);
@@ -334,5 +343,70 @@ fn event(result: &TileResult, completed: usize, total: usize) -> TileEvent {
         seconds: result.record.seconds,
         completed,
         total,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::partition::{partition_clip, TilingConfig};
+    use crate::{run_clip, run_tiles_controlled, RunConfig};
+    use cardopc_geometry::{Point, Polygon};
+    use cardopc_layout::Clip;
+    use cardopc_litho::WorkerPool;
+    use cardopc_opc::CardOpc;
+
+    #[test]
+    fn a_complete_run_moves_its_shapes_into_the_mask_and_a_partial_one_keeps_them() {
+        // One wire per 512 nm tile, the middle pair facing across a seam.
+        let wire =
+            |x: f64, y: f64| Polygon::rect(Point::new(x, y), Point::new(x + 260.0, y + 70.0));
+        let targets = vec![
+            wire(120.0, 200.0),
+            wire(560.0, 240.0),
+            wire(150.0, 700.0),
+            wire(600.0, 760.0),
+        ];
+        let clip = Clip::new("move-test", 1024.0, 1024.0, targets);
+        let tiling = TilingConfig {
+            tile_size: 512.0,
+            halo: 256.0,
+        };
+        let mut opc = OpcConfig::large_scale();
+        opc.iterations = 2;
+        opc.pitch = 16.0;
+        assert!(opc.mrc.is_some(), "the seam pass must run");
+        let pool = WorkerPool::new(2);
+        let config = RunConfig::new(opc.clone(), tiling);
+
+        let done = run_clip(&clip, &config, &pool).unwrap();
+        assert!(done.complete);
+        assert!(done.results.iter().all(|r| r.record.shapes.is_empty()));
+        let partition = partition_clip(&clip, &tiling).unwrap();
+        let none = HashMap::new();
+        let control = RunControl::default();
+        let flow = CardOpc::new(opc.clone());
+        let unconcluded =
+            run_tiles_controlled(&partition, &flow, &pool, &none, None, None, &control);
+        let unconcluded = unconcluded.unwrap();
+        let shapes = unconcluded
+            .results
+            .iter()
+            .flat_map(|r| r.record.shapes.iter().cloned());
+        let expected = stitch(&partition, shapes, opc.mrc.as_ref());
+        assert_eq!(expected.mains.len(), 4);
+        assert_eq!(done.stitched, Some(expected));
+
+        let budget = RunConfig {
+            max_tiles: Some(2),
+            ..config
+        };
+        let partial = run_clip(&clip, &budget, &pool).unwrap();
+        assert!(partial.stitched.is_none());
+        assert_eq!(partial.results.len(), 2);
+        for (kept, full) in partial.results.iter().zip(&unconcluded.results) {
+            assert!(!kept.record.shapes.is_empty());
+            assert_eq!(kept.record.shapes, full.record.shapes);
+        }
     }
 }

@@ -8,6 +8,13 @@
 //! the stitcher finishes with a cross-boundary MRC pass restricted to the
 //! seam bands — strips of ± `min_space` around every internal core
 //! boundary, the only places a cross-tile pair can violate spacing.
+//!
+//! The shapes arrive by value (a concluded run moves them out of its
+//! records) and stay where they are: the seam pass first picks, from the
+//! control points alone, the shapes whose Bézier-hull box comes within
+//! probe reach of a band, and only those become splines to check. A shape
+//! out of reach could neither launch a probe nor be hit by one, so the
+//! result is the all-shapes pass's.
 
 use crate::checkpoint::StitchedShape;
 use crate::partition::Partition;
@@ -16,7 +23,7 @@ use cardopc_mrc::{MrcChecker, MrcRules, Violation};
 use cardopc_spline::CardinalSpline;
 
 /// The merged full-chip mask.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Stitched {
     /// Main shapes sorted by source-clip target index.
     pub mains: Vec<StitchedShape>,
@@ -102,11 +109,35 @@ pub fn stitch(
     if let Some(rules) = rules {
         let bands = seam_bands(partition, rules);
         if !bands.is_empty() && !out.is_empty() {
-            let checker = MrcChecker::new(*rules);
-            out.seam_violations = checker.check_spacing_in_bands(&out.splines(), &bands);
+            out.seam_violations = seam_check(&out, &bands, rules);
         }
     }
     out
+}
+
+/// The seam pass over the shapes that can reach a band: only those are
+/// rebuilt as splines ([`MrcChecker::near_bands`]; on a full chip, a few
+/// percent of the mask) and checked; violation indices are mapped back
+/// to mask order (mains, then SRAFs). Exact — the result is
+/// `check_spacing_in_bands(&mask.splines(), bands)`'s.
+fn seam_check(mask: &Stitched, bands: &[BBox], rules: &MrcRules) -> Vec<Violation> {
+    let checker = MrcChecker::new(*rules);
+    let shapes: Vec<&StitchedShape> = mask.mains.iter().chain(&mask.srafs).collect();
+    let loops = shapes.iter().map(|s| (&s.control_points[..], s.tension));
+    let (order, near): (Vec<usize>, Vec<CardinalSpline>) = checker
+        .near_bands(loops, bands)
+        .into_iter()
+        .filter_map(|i| {
+            let shape = shapes[i];
+            let spline = CardinalSpline::closed(shape.control_points.clone(), shape.tension);
+            Some((i, spline.ok()?))
+        })
+        .unzip();
+    let mut found = checker.check_spacing_in_bands(&near, bands);
+    for v in &mut found {
+        v.shape = order[v.shape];
+    }
+    found
 }
 
 #[cfg(test)]
@@ -225,5 +256,96 @@ mod tests {
             Some(&rules),
         );
         assert!(far.seam_violations.is_empty());
+    }
+
+    /// `stitch`'s seam pass against both oracles: the all-splines entry
+    /// point and the unrestricted spacing check filtered to the bands.
+    fn assert_exact_seam_pass(p: &Partition, shapes: Vec<StitchedShape>) -> Stitched {
+        let rules = MrcRules::opc_node();
+        let merged = stitch(p, shapes, Some(&rules));
+        let bands = seam_bands(p, &rules);
+        let checker = MrcChecker::new(rules);
+        let splines = merged.splines();
+        assert_eq!(splines.len(), merged.len());
+        let all = checker.check_spacing_in_bands(&splines, &bands);
+        assert_eq!(merged.seam_violations, all);
+        let full = checker.check_spacing(&splines);
+        let in_bands = |v: &&Violation| bands.iter().any(|b| b.contains(v.location));
+        let expected: Vec<Violation> = full.iter().filter(in_bands).cloned().collect();
+        assert_eq!(merged.seam_violations, expected);
+        merged
+    }
+
+    #[test]
+    fn prefiltered_seam_pass_is_the_all_shapes_pass() {
+        let p = partition();
+        let merged = assert_exact_seam_pass(
+            &p,
+            vec![
+                shape(Some(0), 967.0, 500.0, 30.0),
+                shape(Some(1), 1033.0, 500.0, 30.0),
+                shape(Some(2), 300.0, 500.0, 30.0),
+                shape(None, 1500.0, 200.0, 12.0),
+            ],
+        );
+        assert!(!merged.seam_violations.is_empty());
+    }
+
+    /// A 4-point square of side `side` at tension 1.5: each side bulges
+    /// out by `0.25 · 1.5 · side` between corners that stay put.
+    fn bulging(id: Option<usize>, right_edge: f64, cy: f64, side: f64) -> StitchedShape {
+        let (x0, y0) = (right_edge - side, cy - side / 2.0);
+        StitchedShape {
+            global_id: id,
+            is_sraf: id.is_none(),
+            tension: 1.5,
+            control_points: vec![
+                Point::new(x0, y0),
+                Point::new(right_edge, y0),
+                Point::new(right_edge, y0 + side),
+                Point::new(x0, y0 + side),
+            ],
+        }
+    }
+
+    proptest::proptest! {
+        /// Shapes 0–3 × `min_space` from the seam at x = 1000 (mains and
+        /// SRAFs, either side), one far away, and one whose control points are all out
+        /// of reach of the band while its curve bulges 45 nm into it,
+        /// 10 nm from a partner: the hull box must hold the handles, or
+        /// the pair's violations go missing.
+        #[test]
+        fn prefiltered_seam_pass_is_exact_near_seams(seed in 0u64..u64::MAX) {
+            let mut rng = cardopc_geometry::SplitMix64::new(seed);
+            let p = partition();
+            let space = MrcRules::opc_node().min_space;
+            let mut shapes = Vec::new();
+            for k in 0..rng.range_usize(2, 9) {
+                let half = rng.range_f64(15.0, 40.0);
+                let gap = rng.range_f64(0.0, 3.0 * space);
+                let side = if rng.chance(0.5) { 1.0 } else { -1.0 };
+                let cx = 1000.0 + side * (half + gap);
+                let cy = 150.0 + k as f64 * 95.0 + rng.range_f64(-20.0, 20.0);
+                let id = rng.chance(0.7).then_some(10 + k);
+                shapes.push(shape(id, cx, cy, half));
+            }
+            // Control points end at x = 950 (950 + 18 < 982, the band's
+            // edge); the curve reaches 995. The partner's left side is at
+            // 1005.
+            let bulge = bulging(Some(0), 950.0, 950.0, 120.0);
+            let reach = BBox::from_points(bulge.control_points.iter().copied()).expanded(space);
+            proptest::prop_assert!(reach.max.x < 1000.0 - space);
+            shapes.push(bulge);
+            shapes.push(shape(Some(1), 1035.0, 950.0, 30.0));
+            // Out of reach, ahead of the near shapes in mask order: the
+            // pass's indices must be mapped back.
+            shapes.push(shape(Some(5), 300.0, 500.0, 30.0));
+            let merged = assert_exact_seam_pass(&p, shapes);
+            let bulge_index = 0; // mains sort by id
+            proptest::prop_assert!(
+                merged.seam_violations.iter().any(|v| v.shape == bulge_index),
+                "the bulge's violations are missing"
+            );
+        }
     }
 }

@@ -4,7 +4,8 @@
 
 use crate::RuntimeError;
 use cardopc_litho::WorkerPool;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 /// `RuntimeError::Io` in the crate's "<verb> <path>: <cause>" form.
@@ -90,12 +91,37 @@ pub(crate) fn append_line(file: &mut std::fs::File, line: &str) -> std::io::Resu
     file.flush()
 }
 
-/// Replaces `path` atomically: writes `<path>.tmp`, then renames it over.
-pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+/// Replaces `path` atomically: `write` fills `<path>.tmp` — beside
+/// `path`, so the rename stays on one filesystem — through a buffer that
+/// is flushed before the rename. A write that fails removes the temporary
+/// and leaves `path` as it was; a killed writer leaves at most the
+/// temporary. Either way, no short file ever appears under `path`. (No
+/// `fsync`: this guards against writers that die, not against power loss.)
+///
+/// # Errors
+///
+/// The first error of `write`, or of creating, flushing or renaming the
+/// temporary.
+pub fn write_file_atomic<E: From<std::io::Error>>(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), E>,
+) -> Result<(), E> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
+    let tmp = PathBuf::from(tmp);
+    let mut out = BufWriter::new(File::create(&tmp)?);
+    let written = write(&mut out).and_then(|()| Ok(out.flush()?));
+    drop(out);
+    let renamed = written.and_then(|()| Ok(std::fs::rename(&tmp, path)?));
+    if renamed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    renamed
+}
+
+/// [`write_file_atomic`] of a string (manifests, cache compaction).
+pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    write_file_atomic(path, |out| out.write_all(contents.as_bytes()))
 }
 
 /// Acquires `root/<name>` as a PID lock file with an atomic create-new,
@@ -216,6 +242,52 @@ mod tests {
         assert_eq!(map[&499], 2499);
         assert_eq!(map[&0], 2000);
         assert_eq!(map[&2], 77);
+    }
+
+    /// A sink that takes `left` more bytes, then fails like a full disk.
+    pub(crate) struct FailAfter<W> {
+        pub(crate) inner: W,
+        pub(crate) left: usize,
+    }
+
+    impl<W: std::io::Write> std::io::Write for FailAfter<W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                return Err(std::io::Error::other("no space left on device"));
+            }
+            let n = self.inner.write(&buf[..buf.len().min(self.left)])?;
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn a_failed_atomic_write_leaves_the_destination_and_no_temporary() {
+        let dir = std::env::temp_dir().join(format!("cardopc-atomic-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mask.gds");
+        let tmp = dir.join("mask.gds.tmp");
+        std::fs::write(&path, b"the previous mask").unwrap();
+        // Fails after 100 000 bytes, well past the write buffer.
+        let failed = write_file_atomic(&path, |out| {
+            let mut sink = FailAfter {
+                inner: out,
+                left: 100_000,
+            };
+            (0..1000).try_for_each(|_| sink.write_all(&[7u8; 1000]))
+        });
+        assert!(failed.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"the previous mask");
+        assert!(!tmp.exists(), "temporary left behind");
+        // A write that succeeds replaces the file whole.
+        write_atomic(&path, "the next mask").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"the next mask");
+        assert!(!tmp.exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -42,11 +42,12 @@ use cardopc_layout::{write_clip_gds, Clip, DesignKind, LayerFilter, TARGET_LAYER
 use cardopc_litho::{Precision, WorkerPool};
 use cardopc_opc::OpcConfig;
 use cardopc_runtime::{
-    run_clip_controlled, write_mask_gds, CacheConfig, MaskGdsOptions, RunConfig, RunControl,
-    RunOutcome, Stitched, TileCache, TilingConfig,
+    run_clip_controlled, stream_mask_gds, write_file_atomic, CacheConfig, MaskGdsOptions,
+    RunConfig, RunControl, RunOutcome, Stitched, TileCache, TilingConfig,
 };
 use cardopc_serve::{ServeConfig, Server};
-use std::io::BufRead;
+use std::fs::File;
+use std::io::{BufRead, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -516,20 +517,25 @@ fn spawn_local_worker(no_cache: bool) -> Result<LocalWorker, String> {
     Ok(LocalWorker { child, addr })
 }
 
-/// `fs::write` with the parent directory created first (CLI outputs may
-/// name not-yet-existing directories, e.g. a shared `--run-dir` tree).
-fn write_creating_parents(path: &Path, bytes: &[u8]) -> Result<(), String> {
+/// Writes `path` atomically ([`write_file_atomic`]: a killed or failed
+/// write leaves no short file under the name) with the parent directory
+/// created first (CLI outputs may name not-yet-existing directories, e.g.
+/// a shared `--run-dir` tree).
+fn write_creating_parents<E: From<std::io::Error> + std::fmt::Display>(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), E>,
+) -> Result<(), String> {
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)
             .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
     }
-    std::fs::write(path, bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    write_file_atomic(path, write).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Writes the pre-OPC target clip as GDSII (1 nm/dbu, target layer).
 fn export_target_gds(clip: &Clip, path: &Path) -> Result<(), String> {
     let bytes = write_clip_gds(clip, TARGET_LAYER, 0)?;
-    write_creating_parents(path, &bytes)?;
+    write_creating_parents(path, |out| out.write_all(&bytes))?;
     eprintln!(
         "cardopc: wrote target GDS {} ({} bytes)",
         path.display(),
@@ -562,12 +568,14 @@ fn export_mask_gds(
         sraf_layer: args.sraf_layer,
         samples_per_segment,
     };
-    let bytes = write_mask_gds(stitched, name, &options).map_err(|e| e.to_string())?;
-    write_creating_parents(path, &bytes)?;
+    let mut bytes = 0;
+    write_creating_parents(path, |out| {
+        stream_mask_gds(stitched, name, &options, out).map(|n| bytes = n)
+    })?;
     eprintln!(
         "cardopc: wrote mask GDS {} ({} bytes, mains on {}:0, srafs on {}:0)",
         path.display(),
-        bytes.len(),
+        bytes,
         args.mask_layer,
         args.sraf_layer
     );

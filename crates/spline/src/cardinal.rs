@@ -19,7 +19,7 @@
 //! curvilinear MRC tractable.
 
 use crate::{SamplingPlan, SplineError};
-use cardopc_geometry::{Point, Polygon};
+use cardopc_geometry::{BBox, Point, Polygon};
 
 /// The per-segment cubic coefficients `p(t) = c0 + c1·t + c2·t² + c3·t³`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -176,13 +176,7 @@ impl CardinalSpline {
     /// Control point by wrapped/clamped signed index.
     #[inline]
     fn neighbor(&self, i: isize) -> Point {
-        let n = self.points.len() as isize;
-        let idx = if self.closed {
-            i.rem_euclid(n)
-        } else {
-            i.clamp(0, n - 1)
-        };
-        self.points[idx as usize]
+        neighbor(&self.points, self.closed, i)
     }
 
     fn coeffs(&self, segment: usize) -> Coeffs {
@@ -289,22 +283,45 @@ impl CardinalSpline {
             plan.tension(),
             self.tension
         );
-        out.clear();
-        let segs = self.segment_count();
-        out.reserve(segs * plan.per_segment() + 1);
-        for seg in 0..segs {
-            let i = seg as isize;
-            let pm1 = self.neighbor(i - 1);
-            let p0 = self.neighbor(i);
-            let p1 = self.neighbor(i + 1);
-            let p2 = self.neighbor(i + 2);
-            for w in plan.weights() {
-                out.push(pm1 * w[0] + p0 * w[1] + p1 * w[2] + p2 * w[3]);
-            }
-        }
-        if !self.closed {
-            out.push(*self.points.last().expect("validated non-empty"));
-        }
+        sample_points(&self.points, self.closed, plan, out);
+    }
+
+    /// Samples the closed loop through `points` at `plan`'s tension into
+    /// `out` (cleared first), reading the control points where they lie:
+    /// bit for bit what `CardinalSpline::closed(points.to_vec(),
+    /// plan.tension())?.sample_into(plan, out)` gives, without the copy.
+    ///
+    /// # Errors
+    ///
+    /// [`SplineError::TooFewPoints`] with fewer than 3 points,
+    /// [`SplineError::NonFinitePoint`] when a coordinate is NaN/infinite
+    /// (`out` is left untouched).
+    pub fn sample_closed_into(
+        points: &[Point],
+        plan: &SamplingPlan,
+        out: &mut Vec<Point>,
+    ) -> Result<(), SplineError> {
+        Self::validate(points, plan.tension(), 3)?;
+        sample_points(points, true, plan, out);
+        Ok(())
+    }
+
+    /// The Bézier-hull box of the closed loop through `points` at
+    /// `tension`: every control point `p_i` and both of its handles
+    /// `p_i ± (s/3)(p_{i+1} − p_{i−1})`. Segment `i` of Eq. 2 is exactly
+    /// the cubic Bézier `p_i, p_i + m_i/3, p_{i+1} − m_{i+1}/3, p_{i+1}`
+    /// with the cardinal tangent `m_i = s(p_{i+1} − p_{i−1})` (the handles
+    /// [`BezierChain`](crate::BezierChain) builds; arXiv 2011.08232), so the
+    /// curve lies in the convex hull of those four points and hence in this
+    /// box — sampled points up to their rounding. O(n), nothing sampled.
+    pub fn closed_hull_box(points: &[Point], tension: f64) -> BBox {
+        let n = points.len() as isize;
+        let arm = tension / 3.0;
+        (0..n).fold(BBox::EMPTY, |hull, i| {
+            let p = neighbor(points, true, i);
+            let handle = (neighbor(points, true, i + 1) - neighbor(points, true, i - 1)) * arm;
+            hull.union(BBox::new(p - handle, p + handle))
+        })
     }
 
     /// Samples the loop into a [`Polygon`] (closed splines only make sense
@@ -347,9 +364,50 @@ impl CardinalSpline {
     }
 }
 
+/// Control point of `points` by wrapped (`closed`) or clamped signed index.
+#[inline]
+fn neighbor(points: &[Point], closed: bool, i: isize) -> Point {
+    let n = points.len() as isize;
+    let idx = if closed {
+        i.rem_euclid(n)
+    } else {
+        i.clamp(0, n - 1)
+    };
+    points[idx as usize]
+}
+
+/// Samples the spline through `points` with `plan`'s weights into `out`
+/// (cleared first): [`CardinalSpline::sample_into`]'s loop, on borrowed
+/// control points.
+fn sample_points(points: &[Point], closed: bool, plan: &SamplingPlan, out: &mut Vec<Point>) {
+    out.clear();
+    let segs = if closed {
+        points.len()
+    } else {
+        points.len() - 1
+    };
+    out.reserve(segs * plan.per_segment() + 1);
+    for seg in 0..segs {
+        let i = seg as isize;
+        let pm1 = neighbor(points, closed, i - 1);
+        let p0 = neighbor(points, closed, i);
+        let p1 = neighbor(points, closed, i + 1);
+        let p2 = neighbor(points, closed, i + 2);
+        for w in plan.weights() {
+            out.push(pm1 * w[0] + p0 * w[1] + p1 * w[2] + p2 * w[3]);
+        }
+    }
+    if !closed {
+        out.push(*points.last().expect("validated non-empty"));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BezierChain;
+    use cardopc_geometry::SplitMix64;
+    use proptest::prelude::*;
 
     fn square() -> Vec<Point> {
         vec![
@@ -620,5 +678,69 @@ mod tests {
         let mut sp = CardinalSpline::closed(square(), 0.6).unwrap();
         sp.control_points_mut()[0] = Point::new(-5.0, -5.0);
         assert_eq!(sp.point(0, 0.0), Point::new(-5.0, -5.0));
+    }
+
+    #[test]
+    fn borrowed_sampling_matches_the_owned_spline_and_validates() {
+        let plan = SamplingPlan::get(8, 0.6);
+        let mut borrowed = vec![Point::new(1.0, 2.0)];
+        CardinalSpline::sample_closed_into(&square(), &plan, &mut borrowed).unwrap();
+        let owned = CardinalSpline::closed(square(), 0.6).unwrap();
+        assert_eq!(borrowed, owned.sample(8));
+        let two = [Point::ZERO, Point::new(1.0, 0.0)];
+        assert_eq!(
+            CardinalSpline::sample_closed_into(&two, &plan, &mut borrowed),
+            Err(SplineError::TooFewPoints { got: 2, need: 3 })
+        );
+        let nan = [Point::ZERO, Point::new(f64::NAN, 0.0), Point::new(1.0, 1.0)];
+        assert_eq!(
+            CardinalSpline::sample_closed_into(&nan, &plan, &mut borrowed),
+            Err(SplineError::NonFinitePoint)
+        );
+    }
+
+    /// A closed loop of `n` random points in a 200 nm box around a random
+    /// centre up to 10⁵ nm from the origin.
+    fn random_loop(seed: u64, n: usize) -> Vec<Point> {
+        let mut rng = SplitMix64::new(seed);
+        let c = Point::new(rng.range_f64(-1e5, 1e5), rng.range_f64(-1e5, 1e5));
+        let mut at = || c + Point::new(rng.range_f64(-100.0, 100.0), rng.range_f64(-100.0, 100.0));
+        (0..n).map(|_| at()).collect()
+    }
+
+    proptest! {
+        /// The Bézier form of Eq. 2 (first half of the spline oracle): every
+        /// sampled point lies in the hull box up to rounding, and the hull
+        /// box is the box of `BezierChain`'s points and handles.
+        #[test]
+        fn samples_lie_in_the_bezier_hull_box(
+            seed in 0u64..u64::MAX,
+            n in 3usize..=40,
+            s in -0.5..1.5f64,
+            per_segment in 1usize..=16,
+        ) {
+            let points = random_loop(seed, n);
+            let hull = CardinalSpline::closed_hull_box(&points, s);
+            let extent = [hull.min.x, hull.min.y, hull.max.x, hull.max.y]
+                .iter()
+                .fold(1.0f64, |m, c| m.max(c.abs()));
+            let tol = 1e-9 * extent;
+            let mut samples = Vec::new();
+            let plan = SamplingPlan::get(per_segment, s);
+            CardinalSpline::sample_closed_into(&points, &plan, &mut samples).unwrap();
+            prop_assert_eq!(samples.len(), n * per_segment);
+            for p in &samples {
+                prop_assert!(hull.expanded(tol).contains(*p), "{:?} outside {:?}", p, hull);
+            }
+            let chain = BezierChain::closed(points.clone(), s).unwrap();
+            let handles = (0..n).flat_map(|i| {
+                let (h0, h1) = chain.handles(i);
+                [h0, h1]
+            });
+            let bezier = BBox::from_points(points.iter().copied().chain(handles));
+            for (a, b) in [(hull.min, bezier.min), (hull.max, bezier.max)] {
+                prop_assert!(a.distance(b) <= 1e-9, "hull {:?} vs Bézier box {:?}", hull, bezier);
+            }
+        }
     }
 }
