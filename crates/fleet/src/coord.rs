@@ -46,14 +46,15 @@
 //! # What is per request: all-or-nothing answers
 //!
 //! One request is one worker failure, one IO timeout and one `requests`
-//! count, however many tiles it carries. Its answer is accepted or refused
-//! as a whole: the lane checks the line count, the order, and `index` and
-//! `input_hash` of *every* line before it settles *any* tile, so a short,
-//! long, reordered, duplicated or mis-hashed answer (or an oversized one,
-//! refused by the client before it is read) re-queues the whole run and
-//! checkpoints nothing. The verified line is then appended to the run dir
-//! verbatim — it is never re-encoded, and no record is encoded under
-//! the coordinator's state lock.
+//! count, however many tiles it carries. Its answer — the class's entry
+//! line, then its tile lines — is accepted or refused as a whole: the lane
+//! checks the entry's key, the line count, the order, and the index, input
+//! hash, key and [`Placement::of`] of *every* tile line before it settles
+//! *any* tile, so a short, long, reordered, duplicated, mis-hashed,
+//! mis-keyed or misplaced answer (or an oversized one, refused by the
+//! client before it is read) re-queues the whole run and checkpoints
+//! nothing. The run frame places the entry and appends the verified lines
+//! verbatim — nothing is re-encoded, and nothing is encoded under a lock.
 //!
 //! # Dispatch topology
 //!
@@ -68,7 +69,7 @@
 //! verified line, progress events, the outcome and the manifests are
 //! [`cardopc_runtime::run`]'s — the frame a single-process run uses. The
 //! coordinator adds one thing before dispatching: it harvests
-//! `GET /v1/records` from every worker and lets the frame adopt each line,
+//! `GET /v1/records` from every worker and lets the frame adopt the lines,
 //! so a restart loses no finished work even when its own run dir is gone —
 //! the workers' checkpoints are the durable copy.
 
@@ -76,8 +77,8 @@ use crate::client::{self, HttpResponse};
 use crate::proto::{self, MAX_BATCH};
 use crate::spec::WorkSpec;
 use cardopc_runtime::{
-    partition_clip, tile_cache_key, Run, RunControl, RunManifest, RunOutcome, RunStore,
-    RuntimeError, ScheduleOutcome, Stitched, TileRecord,
+    partition_clip, tile_cache_key, CachedTile, Partition, Placement, Run, RunControl, RunManifest,
+    RunOutcome, RunStore, RuntimeError, ScheduleOutcome, Stitched, StoreLine, TileLine,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -269,6 +270,7 @@ struct Shared<'a> {
     /// The to-run tiles in claim order: classes in first-seen order, tile
     /// index within a class.
     tiles: Vec<TileInfo>,
+    partition: &'a Partition,
     spec: &'a WorkSpec,
     config: &'a FleetConfig,
 }
@@ -327,9 +329,7 @@ pub fn run_fleet(
         let Some(response) = harvest.ok().filter(|r| r.status == 200) else {
             continue;
         };
-        for line in response.body_str().lines() {
-            stats.recovered += usize::from(run.adopt(line.trim())?);
-        }
+        stats.recovered += run.adopt(&response.body_str())?;
     }
 
     // To-dispatch tiles: budget-truncated in index order (a budget takes
@@ -382,6 +382,7 @@ pub fn run_fleet(
         cv: Condvar::new(),
         run,
         tiles: todo,
+        partition: &partition,
         spec,
         config,
     };
@@ -484,17 +485,21 @@ fn lane_loop(shared: &Shared<'_>, worker_id: usize) {
     shared.cv.notify_all();
 }
 
-/// Checks a worker's whole answer against the run it was asked for: one
-/// line per tile, in request order, each parsing to a record with that
-/// tile's index and input hash. Returns every record beside the line it
-/// was parsed from (borrowed from the response body, so the line that was
-/// verified is the line that gets checkpointed) — or refuses the answer as
-/// a whole.
+/// A verified answer: the entry its tile lines place, and every line beside
+/// the text it came as (borrowed from the response body, so the lines that
+/// were verified are the lines that get checkpointed).
+type Answer<'r> = ((CachedTile, &'r str), Vec<(TileLine, &'r str)>);
+
+/// Checks a worker's whole answer against the run it was asked for: the
+/// entry line of the run's class key, then one tile line per tile, in
+/// request order, each with that tile's index, input hash and key, placing
+/// the entry as the coordinator's own [`Placement::of`] — or refuses the
+/// answer as a whole.
 fn verify_answer<'r>(
     shared: &Shared<'_>,
     run: &[usize],
     response: &'r HttpResponse,
-) -> Result<Vec<(TileRecord, &'r str)>, Failure> {
+) -> Result<Answer<'r>, Failure> {
     if response.status != 200 {
         let message = format!(
             "worker answered {}: {}",
@@ -509,32 +514,33 @@ fn verify_answer<'r>(
     }
     let body =
         std::str::from_utf8(&response.body).map_err(|_| "answer is not UTF-8".to_string())?;
-    let mut lines = body.lines();
-    let mut verified = Vec::with_capacity(run.len());
+    let mut lines = body.lines().map(str::trim);
+    let class = shared.tiles[run[0]].key;
+    let entry_line = lines.next().unwrap_or_default();
+    let entry = match StoreLine::parse(entry_line) {
+        Ok(StoreLine::Entry(key, entry)) if key == class => entry,
+        _ => return Err(format!("answer does not open with the entry of {class:016x}").into()),
+    };
+    let mut tiles = Vec::with_capacity(run.len());
     for &pos in run {
         let want = &shared.tiles[pos];
-        let line = lines.next().map(str::trim).ok_or_else(|| {
-            format!(
-                "short answer: {} lines for {} tiles",
-                verified.len(),
-                run.len()
-            )
-        })?;
-        let record = TileRecord::from_json_line(line)
-            .map_err(|e| format!("unparseable record for tile {}: {e}", want.index))?;
-        if record.index != want.index || record.input_hash != want.hash {
-            return Err(format!(
-                "record mismatch: got tile {} hash {:016x}, want tile {} hash {:016x}",
-                record.index, record.input_hash, want.index, want.hash
-            )
-            .into());
+        let short = || format!("short answer: {} tile lines for {}", tiles.len(), run.len());
+        let line = lines.next().ok_or_else(short)?;
+        let Ok(StoreLine::Tile(tile_line)) = StoreLine::parse(line) else {
+            return Err(format!("unparseable tile line for tile {}", want.index).into());
+        };
+        let tile = &shared.partition.tiles[want.index];
+        let own = Placement::of(tile, shared.partition, &entry);
+        let got = (tile_line.index, tile_line.input_hash, tile_line.key);
+        if got != (want.index, want.hash, want.key) || own.as_ref() != Some(&tile_line.placement) {
+            return Err(format!("tile line {got:x?} is not tile {}'s", want.index).into());
         }
-        verified.push((record, line));
+        tiles.push((tile_line, line));
     }
     if lines.next().is_some() {
-        return Err(format!("long answer: more than {} lines", run.len()).into());
+        return Err(format!("long answer: more than {} tile lines", run.len()).into());
     }
-    Ok(verified)
+    Ok(((entry, entry_line), tiles))
 }
 
 /// Claims the next run for `worker_id` — positions into `Shared::tiles` —
@@ -619,31 +625,33 @@ fn settle(
     shared: &Shared<'_>,
     worker_id: usize,
     run: &[usize],
-    answer: Result<Vec<(TileRecord, &str)>, Failure>,
+    answer: Result<Answer<'_>, Failure>,
 ) {
     let mut state = shared.lock();
     for &pos in run {
         state.slots[pos].leases.retain(|&(w, _)| w != worker_id);
     }
     match answer {
-        Ok(verified) => {
+        Ok(((entry, entry_line), tiles)) => {
             state.workers[worker_id].failures = 0;
-            let mut fresh = Vec::with_capacity(verified.len());
-            for (&pos, answer) in run.iter().zip(verified) {
+            let mut fresh = Vec::with_capacity(tiles.len());
+            for (&pos, tile) in run.iter().zip(tiles) {
                 if state.slots[pos].done {
                     state.stats.duplicates += 1;
                     continue;
                 }
                 state.slots[pos].done = true;
                 state.done += 1;
-                fresh.push(answer);
+                fresh.push(tile);
             }
             drop(state);
             shared.cv.notify_all();
             // The verified lines, verbatim; the state lock is not held
             // across the writes.
-            for (record, line) in fresh {
-                shared.run.commit(record, false, Some(line));
+            for (line, text) in fresh {
+                shared
+                    .run
+                    .commit(line, &entry, false, Some((entry_line, text)));
             }
         }
         Err(Failure { tile, message }) => {

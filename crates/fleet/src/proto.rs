@@ -7,9 +7,9 @@
 //!
 //! | Method & path          | Purpose                                         |
 //! |------------------------|-------------------------------------------------|
-//! | `POST /v1/tiles`       | correct a run of tiles; 200 body = one          |
-//! |                        | checkpoint line per tile, in request order      |
-//! | `GET /v1/records`      | every checkpointed record, as JSONL             |
+//! | `POST /v1/tiles`       | correct a run of tiles; 200 body = the entry    |
+//! |                        | line, then one tile line per tile, in order     |
+//! | `GET /v1/records`      | every stored entry line, then tile line (JSONL) |
 //! | `GET /healthz`         | heartbeat (liveness + tiles-done counter)       |
 //! | `POST /admin/shutdown` | stop accepting and let the process exit 0       |
 //!
@@ -19,14 +19,16 @@
 //! job; a single tile is a batch of one, there is no other request form.
 //! The spec is parsed, validated and expanded once per request, which is
 //! why the coordinator sends congruent tiles together (see
-//! [`crate::coord`]). The 200 body is the runtime's own `TileRecord` JSONL,
-//! one `\n`-terminated line per requested tile in request order; each line
-//! carries the tile input hash, which the coordinator recomputes locally,
-//! so a worker that somehow expanded a different partition cannot corrupt
-//! the run. A request fails as a whole: on the first tile that errors the
-//! worker answers 500 with `{"error": …, "tile": <index>}` and no lines —
-//! what it had already finished stays in its record map, so the
-//! re-dispatch is answered from memory.
+//! [`crate::coord`]). The 200 body is the runtime's own `tiles.jsonl`
+//! lines, each `\n`-terminated: the entry line of the run's pattern (said
+//! once), then one tile line per requested tile in request order. A tile
+//! line carries the tile input hash, cache key and placement, which the
+//! coordinator recomputes locally, so a worker that somehow expanded a
+//! different partition cannot corrupt the run. A request fails as a whole:
+//! on the first tile that errors the worker answers 500 with
+//! `{"error": …, "tile": <index>}` and no lines — what it had already
+//! finished stays in its store, so the re-dispatch is answered from
+//! memory.
 
 use crate::spec::{reject_unknown, BadRequest, WorkSpec};
 use cardopc_json::Json;
@@ -34,9 +36,9 @@ use cardopc_json::Json;
 /// Most tiles one dispatch request may carry — the one constant the
 /// coordinator's claim and [`parse_dispatch`] share. Large enough that a
 /// run of replayed tiles amortises the per-request spec handling to
-/// nothing, small enough that a worker's window is not the whole queue and
-/// an answer stays ≈ 150 KB for array-sized records
-/// ([`MAX_RESPONSE_BYTES`](crate::client::MAX_RESPONSE_BYTES) bounds it).
+/// nothing, small enough that a worker's window is not the whole queue
+/// ([`MAX_RESPONSE_BYTES`](crate::client::MAX_RESPONSE_BYTES) bounds an
+/// answer).
 pub const MAX_BATCH: usize = 64;
 
 /// Serialises a dispatch request for `tiles` (1 ..= [`MAX_BATCH`] indices).

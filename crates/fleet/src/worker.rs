@@ -12,16 +12,20 @@
 //! - a shared [`EngineCache`] so concurrent dispatch lanes reuse litho
 //!   engines across tiles and specs;
 //! - an optional in-memory tile cache (repeated patterns replay);
-//! - a **record map** of encoded checkpoint lines keyed by tile input
-//!   hash, optionally persisted to a `RunDir`. A re-dispatched,
-//!   duplicate-dispatched (work-steal), or post-restart tile whose hash is
-//!   already known is answered from the map without recomputation (and
-//!   without re-encoding) — this is what makes the coordinator's
-//!   aggressive re-dispatch and crash recovery cheap, and
+//! - the runtime's **line store** ([`LineStore`]) of finished tiles — each
+//!   pattern's entry line by cache key, each tile's line by input hash —
+//!   optionally persisted to a `RunDir` (and read back verbatim on
+//!   start). A re-dispatched, duplicate-dispatched (work-steal), or
+//!   post-restart tile whose hash is already known is answered from it
+//!   without recomputation or re-encoding — this is what makes the
+//!   coordinator's aggressive re-dispatch and crash recovery cheap, and
 //!   `GET /v1/records` is how a restarted coordinator harvests it.
 //!
+//! An answer is the run directory's own lines: the class's entry line,
+//! then one tile line per requested tile, in request order.
+//!
 //! Determinism: the correction path is `cardopc_runtime`'s own
-//! `correct_single_tile`, so a record produced here is byte-identical
+//! `correct_single_tile`, so a line produced here is byte-identical
 //! (timing aside) to the single-process scheduler's for the same tile.
 
 use crate::http::{self, Request, Response};
@@ -29,10 +33,10 @@ use crate::proto;
 use cardopc_json::Json;
 use cardopc_opc::CardOpc;
 use cardopc_runtime::{
-    correct_single_tile, partition_clip, tile_input_hash, CacheConfig, EngineCache, Partition,
-    RunControl, RunDir, TileCache,
+    correct_single_tile, partition_clip, tile_input_hash, CacheConfig, EngineCache, LineStore,
+    Partition, RunControl, RunDir, RuntimeError, TileCache,
 };
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -73,21 +77,11 @@ struct Prepared {
     flow: CardOpc,
 }
 
-/// A finished tile as the worker keeps it: the encoded checkpoint line —
-/// what every answer, the checkpoint file and `/v1/records` carry — so no
-/// request ever encodes a record under the map's lock.
-struct KnownRecord {
-    index: usize,
-    line: String,
-}
-
 struct WorkerState {
-    /// Finished tiles keyed by tile input hash (multi-spec by nature:
-    /// different specs produce different hashes).
-    records: Mutex<HashMap<u64, KnownRecord>>,
-    /// Append handle into `run_dir`'s checkpoint file, when persistent.
-    sink: Option<Mutex<std::fs::File>>,
-    /// Held for its PID lock; also the source of loaded checkpoints.
+    /// Finished tiles as lines (multi-spec by nature: different specs
+    /// produce different hashes and keys), mirrored into `run_dir`.
+    store: Mutex<LineStore>,
+    /// Held for its PID lock.
     _run_dir: Option<RunDir>,
     prepared: Mutex<HashMap<String, Arc<Prepared>>>,
     engines: EngineCache,
@@ -110,46 +104,23 @@ impl WorkerServer {
     /// Bind/listen failures, an unopenable run directory (including one
     /// locked by another live worker), or an unreadable checkpoint file.
     pub fn start(config: WorkerConfig) -> io::Result<WorkerServer> {
-        let run_dir = match &config.run_dir {
-            Some(path) => Some(RunDir::open(path).map_err(|e| io::Error::other(e.to_string()))?),
-            None => None,
-        };
-        let mut records = HashMap::new();
-        if let Some(dir) = &run_dir {
-            for (_, record) in dir
-                .load_records()
-                .map_err(|e| io::Error::other(e.to_string()))?
-            {
-                records.insert(
-                    record.input_hash,
-                    KnownRecord {
-                        index: record.index,
-                        line: record.to_json_line(),
-                    },
-                );
-            }
-        }
-        let sink = match &run_dir {
-            Some(dir) => Some(Mutex::new(
-                dir.append_handle()
-                    .map_err(|e| io::Error::other(e.to_string()))?,
-            )),
-            None => None,
-        };
+        let other = |e: RuntimeError| io::Error::other(e.to_string());
+        let run_dir = config.run_dir.as_ref().map(RunDir::open);
+        let run_dir = run_dir.transpose().map_err(other)?;
+        let store = LineStore::open(run_dir.as_ref()).map_err(other)?;
         let cache = if config.cache {
             let cache_config = CacheConfig {
                 dir: None,
                 ..CacheConfig::default()
             };
-            Some(TileCache::open(&cache_config).map_err(|e| io::Error::other(e.to_string()))?)
+            Some(TileCache::open(&cache_config).map_err(other)?)
         } else {
             None
         };
 
         let server = http::Server::start(&config.addr, "cardopc-worker", |server| {
             Arc::new(WorkerState {
-                records: Mutex::new(records),
-                sink,
+                store: Mutex::new(store),
                 _run_dir: run_dir,
                 prepared: Mutex::new(HashMap::new()),
                 engines: EngineCache::new(ENGINE_SLOTS),
@@ -208,12 +179,13 @@ impl http::Handler for WorkerState {
     }
 }
 
-/// `POST /v1/tiles`: correct (or answer from the record map) a run of
-/// tiles, one checkpoint line per tile in request order. The spec is
-/// parsed and expanded once for the whole run. The first tile that fails
-/// fails the request — with a 500 naming it — but everything finished
-/// before it stays in the record map, so the re-dispatch is answered from
-/// memory.
+/// `POST /v1/tiles`: correct (or answer from the store) a run of tiles:
+/// the entry line of each pattern they place (one, for the coordinator's
+/// class-pure runs), then one tile line per tile in request order. The
+/// spec is parsed and expanded once for the whole run. The first tile that
+/// fails fails the request — with a 500 naming it — but everything
+/// finished before it stays in the store, so the re-dispatch is answered
+/// from memory.
 fn dispatch(request: &Request, state: &WorkerState) -> Response {
     let Some(body) = request.body_str() else {
         return Response::error(400, "request body must be UTF-8 JSON");
@@ -268,45 +240,56 @@ fn dispatch(request: &Request, state: &WorkerState) -> Response {
         );
     }
     let lane = state.lane_counter.fetch_add(1, Ordering::Relaxed);
-    let mut answer = String::new();
+    let (mut keys, mut tile_lines) = (Vec::new(), String::new());
     for tile_index in tiles {
-        if let Err(message) = answer_tile(state, &prepared, tile_index, lane, &mut answer) {
-            return Response::json(
-                500,
-                Json::obj(vec![
-                    ("error", Json::Str(message)),
-                    ("tile", Json::num_usize(tile_index)),
-                ])
-                .to_string_compact(),
-            );
+        match answer_tile(state, &prepared, tile_index, lane) {
+            Ok((key, line)) => {
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+                tile_lines.push_str(&line);
+                tile_lines.push('\n');
+            }
+            Err(message) => {
+                return Response::json(
+                    500,
+                    Json::obj(vec![
+                        ("error", Json::Str(message)),
+                        ("tile", Json::num_usize(tile_index)),
+                    ])
+                    .to_string_compact(),
+                );
+            }
         }
     }
+    let store = state.store.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut answer = String::new();
+    for entry in keys.into_iter().filter_map(|key| store.entry(key)) {
+        answer.push_str(entry);
+        answer.push('\n');
+    }
+    answer.push_str(&tile_lines);
     Response::text(200, answer)
 }
 
-/// Appends one tile's checkpoint line (and its newline) to `answer`: from
-/// the record map when the tile's input hash is known, else by correcting
-/// it, checkpointing the line and remembering it.
+/// One tile's cache key and tile line: from the store when the tile's
+/// input hash is known, else by correcting it and storing (and
+/// checkpointing) its lines.
 fn answer_tile(
     state: &WorkerState,
     prepared: &Prepared,
     tile_index: usize,
     lane: usize,
-    answer: &mut String,
-) -> Result<(), String> {
+) -> Result<(u64, String), String> {
     let tile = &prepared.partition.tiles[tile_index];
     let hash = tile_input_hash(tile, prepared.flow.config());
-    let lock_records = || state.records.lock().unwrap_or_else(PoisonError::into_inner);
-    let push = |answer: &mut String, line: &str| {
-        answer.push_str(line);
-        answer.push('\n');
-    };
+    let lock_store = || state.store.lock().unwrap_or_else(PoisonError::into_inner);
+    let held = |store: &LineStore| store.tile(hash).map(|(key, line)| (key, line.to_string()));
 
-    // Record-map hit: a re-dispatch, steal duplicate, or post-restart
-    // replay is answered without recomputation.
-    if let Some(known) = lock_records().get(&hash) {
-        push(answer, &known.line);
-        return Ok(());
+    // Store hit: a re-dispatch, steal duplicate, or post-restart replay is
+    // answered without recomputation.
+    if let Some(held) = held(&lock_store()) {
+        return Ok(held);
     }
 
     let control = RunControl {
@@ -321,51 +304,32 @@ fn answer_tile(
         &control,
         lane,
     );
-    let record = match corrected {
-        Ok(Some(record)) => record,
+    let (line, entry) = match corrected {
+        Ok(Some(finished)) => finished,
         // No cancellation handle is attached, so `None` cannot happen;
         // answer defensively rather than panicking the handler.
         Ok(None) => return Err("correction cancelled".into()),
         Err(e) => return Err(format!("tile {tile_index} failed: {e}")),
     };
-    // Encoded once, before the lock: this line is the response, the
-    // checkpoint and the `/v1/records` entry.
-    let line = record.to_json_line();
-    let mut records = lock_records();
-    match records.entry(hash) {
-        // A concurrent duplicate finished first; serve its line so the
-        // checkpoint file and the response agree.
-        Entry::Occupied(existing) => push(answer, &existing.get().line),
-        Entry::Vacant(slot) => {
-            if let Some(sink) = &state.sink {
-                let mut file = sink.lock().unwrap_or_else(PoisonError::into_inner);
-                RunDir::append_line(&mut file, &line)
-                    .map_err(|e| format!("checkpoint append failed: {e}"))?;
-            }
-            push(answer, &line);
-            slot.insert(KnownRecord {
-                index: record.index,
-                line,
-            });
-            state.tiles_done.fetch_add(1, Ordering::AcqRel);
-        }
+    // Encoded once, before the lock: the tile line, and the entry line if
+    // the store lacks it. They are the answer, the checkpoint and the
+    // `/v1/records` lines.
+    let text = line.to_json_line();
+    let missing = lock_store().entry(line.key).is_none();
+    let entry = missing.then(|| entry.to_json_line(line.key));
+    let mut store = lock_store();
+    let stored = store.insert(&line, text, entry);
+    if stored.map_err(|e| format!("checkpoint append failed: {e}"))? {
+        state.tiles_done.fetch_add(1, Ordering::AcqRel);
     }
-    Ok(())
+    // A concurrent duplicate that finished first keeps its line, so the
+    // checkpoint file and the answer agree.
+    held(&store).ok_or_else(|| format!("tile {tile_index} was not stored"))
 }
 
-/// `GET /v1/records`: every checkpointed record as JSONL, sorted by tile
-/// index then hash (deterministic output for tests and debugging).
+/// `GET /v1/records`: every stored line as JSONL — entry lines, then tile
+/// lines by tile index (deterministic output for tests and debugging).
 fn records_jsonl(state: &WorkerState) -> Response {
-    let records = state.records.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut entries: Vec<(usize, u64, &str)> = records
-        .iter()
-        .map(|(&hash, known)| (known.index, hash, known.line.as_str()))
-        .collect();
-    entries.sort_unstable_by_key(|&(index, hash, _)| (index, hash));
-    let mut body = String::new();
-    for (_, _, line) in entries {
-        body.push_str(line);
-        body.push('\n');
-    }
-    Response::text(200, body)
+    let store = state.store.lock().unwrap_or_else(PoisonError::into_inner);
+    Response::text(200, store.to_jsonl())
 }

@@ -19,9 +19,10 @@ use cardopc_litho::WorkerPool;
 use cardopc_opc::OpcConfig;
 use cardopc_runtime as rt;
 use cardopc_runtime::{
-    run_clip_controlled, CacheConfig, RunConfig, RunControl, RuntimeError, TileCache, TileRecord,
-    TilingConfig,
+    run_clip_controlled, CacheConfig, RunConfig, RunControl, RuntimeError, StoreLine, TileCache,
+    TileLine, TilingConfig,
 };
+use std::collections::HashSet;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -80,9 +81,11 @@ impl Drop for DesignFile {
     }
 }
 
-/// Columns × rows of the array design, and its tile count.
+/// Columns × rows of the array design, its tile count, and its classes of
+/// congruent tiles.
 const ARRAY: (usize, usize) = (70, 3);
 const ARRAY_TILES: usize = ARRAY.0 * ARRAY.1;
+const ARRAY_CLASSES: usize = 9;
 /// Dispatch requests the array job takes when nothing goes wrong: three
 /// classes of 68 tiles (top edge, middle row, bottom edge) split 64 + 4,
 /// and the four corners and the two ends of the middle row go alone.
@@ -242,6 +245,31 @@ fn run_on_fresh_workers(spec: &WorkSpec, n: usize) -> cardopc_fleet::FleetOutcom
     run_fleet(spec, &config, &RunControl::default()).unwrap()
 }
 
+/// The entry and tile lines of a checkpoint, counted — after checking that
+/// each line re-encodes to itself, that no key's entry and no tile appears
+/// twice, and that every tile line's entry is there.
+fn canonical_lines(text: &str) -> (usize, usize) {
+    let (mut keys, mut tiles, mut named) = (HashSet::new(), HashSet::new(), Vec::new());
+    for line in text.lines() {
+        match StoreLine::parse(line).unwrap() {
+            StoreLine::Entry(key, entry) => {
+                assert_eq!(entry.to_json_line(key), line);
+                assert!(keys.insert(key), "entry {key:016x} twice");
+            }
+            StoreLine::Tile(tile) => {
+                assert_eq!(tile.to_json_line(), line, "tile {}", tile.index);
+                assert!(tiles.insert(tile.index), "tile {} twice", tile.index);
+                named.push(tile.key);
+            }
+        }
+    }
+    assert!(
+        named.iter().all(|k| keys.contains(k)),
+        "a tile line lacks its entry"
+    );
+    (keys.len(), tiles.len())
+}
+
 /// `tiles_done` of a worker's `/healthz`.
 fn tiles_done(worker: &WorkerServer) -> usize {
     let health = client::get(worker.local_addr(), "/healthz").unwrap();
@@ -303,7 +331,11 @@ fn hung_worker_loses_its_leases_and_the_fleet_still_finishes() {
 fn crashed_worker_is_retired_by_connection_failures() {
     let spec = spec();
     let good = worker();
-    let config = fast_config(vec![dead_addr(), good.local_addr()]);
+    // Every answer of the good worker takes longer than the dead address
+    // needs to refuse two connections, so the run cannot finish before the
+    // dead worker is retired, however the lanes are scheduled.
+    let slow = slow_proxy(good.local_addr(), Duration::from_millis(500), |_| true);
+    let config = fast_config(vec![dead_addr(), slow]);
 
     let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
     assert!(outcome.complete);
@@ -709,16 +741,11 @@ fn coordinator_checkpoint_lines_are_verbatim_and_canonical() {
     assert!(outcome.complete);
 
     // The coordinator appended the workers' lines as they came; each must
-    // be exactly what encoding the parsed record gives, so a checkpoint
-    // written this way resumes like one the scheduler wrote.
+    // be exactly what encoding the parsed line gives, so a checkpoint
+    // written this way resumes like one the scheduler wrote: one entry
+    // line per pattern, one tile line per tile.
     let text = std::fs::read_to_string(run_dir.join("tiles.jsonl")).unwrap();
-    let mut seen = vec![false; ARRAY_TILES];
-    for line in text.lines() {
-        let record = TileRecord::from_json_line(line).unwrap();
-        assert_eq!(record.to_json_line(), line, "tile {}", record.index);
-        assert!(!std::mem::replace(&mut seen[record.index], true));
-    }
-    assert!(seen.iter().all(|&s| s), "a tile has no checkpoint line");
+    assert_eq!(canonical_lines(&text), (ARRAY_CLASSES, ARRAY_TILES));
 
     // And it does resume: nothing left to dispatch.
     let resumed = run_fleet(&spec, &config, &RunControl::default()).unwrap();
@@ -864,9 +891,11 @@ fn harvest_only_coordinator_rebuilds_a_run_dir_the_local_pool_finishes() {
 // ------------------------------------------------ answers not to be trusted
 
 /// Runs the array job on one healthy worker and one whose every answer is
-/// `corrupt`ed on the way back, and checks that nothing the bad worker
-/// said was believed: it is retired, every tile was settled by the healthy
-/// worker, and the checkpoint holds one canonical line per tile.
+/// `corrupt`ed on the way back (its lines: the entry line, then the tile
+/// lines), and checks that nothing the bad worker said was believed: it is
+/// retired, every tile was settled by the healthy worker, and the
+/// checkpoint holds one canonical entry line per pattern and tile line per
+/// tile.
 fn run_beside_a_lying_worker(tag: &str, corrupt: fn(Vec<&str>) -> Vec<u8>) {
     let (_file, spec) = array_design(tag);
     let run_dir = std::env::temp_dir().join(format!("cardopc-fleet-{tag}-{}", std::process::id()));
@@ -886,17 +915,26 @@ fn run_beside_a_lying_worker(tag: &str, corrupt: fn(Vec<&str>) -> Vec<u8>) {
     assert_eq!(stats.duplicates, 0, "{stats:?}");
     assert_eq!(tiles_done(&healthy), ARRAY_TILES);
     let text = std::fs::read_to_string(run_dir.join("tiles.jsonl")).unwrap();
-    assert_eq!(text.lines().count(), ARRAY_TILES);
-    for line in text.lines() {
-        let record = TileRecord::from_json_line(line).unwrap();
-        assert_eq!(record.to_json_line(), line, "tile {}", record.index);
-    }
+    assert_eq!(canonical_lines(&text), (ARRAY_CLASSES, ARRAY_TILES));
     assert_eq!(outcome.manifest.to_json(false), direct_manifest(&spec));
     let _ = std::fs::remove_dir_all(&run_dir);
 }
 
 fn jsonl(lines: &[&str]) -> Vec<u8> {
     framed(&lines.iter().map(|l| format!("{l}\n")).collect::<String>())
+}
+
+/// The answer with its last tile line re-encoded after `edit`.
+fn forge_last_tile(lines: Vec<&str>, edit: fn(&mut TileLine)) -> Vec<u8> {
+    let last = lines.len() - 1;
+    let Ok(StoreLine::Tile(mut tile)) = StoreLine::parse(lines[last]) else {
+        panic!("an answer ends with a tile line: {}", lines[last]);
+    };
+    edit(&mut tile);
+    let forged = tile.to_json_line();
+    let mut lines: Vec<&str> = lines;
+    lines[last] = &forged;
+    jsonl(&lines)
 }
 
 #[test]
@@ -909,23 +947,23 @@ fn oversized_declared_length_is_refused_unread() {
 
 #[test]
 fn short_answer_settles_nothing() {
-    run_beside_a_lying_worker("short", |lines| jsonl(&lines[1..]));
+    run_beside_a_lying_worker("short", |lines| jsonl(&lines[..lines.len() - 1]));
 }
 
 #[test]
 fn long_answer_settles_nothing() {
     run_beside_a_lying_worker("long", |mut lines| {
-        lines.push(lines[0]);
+        lines.push(lines[1]);
         jsonl(&lines)
     });
 }
 
 #[test]
 fn reordered_answer_settles_nothing() {
-    // A one-line answer cannot be reordered; it is dropped instead.
+    // A one-tile answer cannot be reordered; it is dropped instead.
     run_beside_a_lying_worker("reordered", |mut lines| {
-        lines.rotate_left(1);
-        jsonl(if lines.len() > 1 { &lines } else { &[] })
+        lines[1..].rotate_left(1);
+        jsonl(if lines.len() > 2 { &lines } else { &[] })
     });
 }
 
@@ -933,22 +971,48 @@ fn reordered_answer_settles_nothing() {
 fn duplicated_index_settles_nothing() {
     run_beside_a_lying_worker("duplicated", |mut lines| {
         let last = lines.len() - 1;
-        lines[last] = lines[0];
-        jsonl(if lines.len() > 1 { &lines } else { &[] })
+        lines[last] = lines[1];
+        jsonl(if lines.len() > 2 { &lines } else { &[] })
     });
 }
 
 #[test]
 fn wrong_input_hash_in_one_line_settles_nothing() {
     run_beside_a_lying_worker("hash", |lines| {
-        // Flip the low hex digit of the last line's hash.
-        let last = lines[lines.len() - 1];
-        let at = last.find("\"hash\":\"").unwrap() + 8 + 15;
-        let digit = if &last[at..=at] == "0" { "1" } else { "0" };
-        let forged = format!("{}{digit}{}", &last[..at], &last[at + 1..]);
+        forge_last_tile(lines, |tile| tile.input_hash ^= 1)
+    });
+}
+
+#[test]
+fn missing_entry_line_settles_nothing() {
+    run_beside_a_lying_worker("no-entry", |lines| jsonl(&lines[1..]));
+}
+
+#[test]
+fn entry_for_another_key_settles_nothing() {
+    run_beside_a_lying_worker("other-entry", |lines| {
+        let Ok(StoreLine::Entry(key, entry)) = StoreLine::parse(lines[0]) else {
+            panic!("an answer opens with an entry line: {}", lines[0]);
+        };
+        let forged = entry.to_json_line(key ^ 1);
         let mut lines: Vec<&str> = lines;
-        let n = lines.len();
-        lines[n - 1] = &forged;
+        lines[0] = &forged;
         jsonl(&lines)
+    });
+}
+
+#[test]
+fn tile_line_naming_another_key_settles_nothing() {
+    run_beside_a_lying_worker("other-key", |lines| {
+        forge_last_tile(lines, |tile| tile.key ^= 1)
+    });
+}
+
+#[test]
+fn placement_other_than_the_coordinators_settles_nothing() {
+    // A well-formed placement that fits the entry — the window moved by a
+    // nanometre — but is not the one the coordinator computes.
+    run_beside_a_lying_worker("placement", |lines| {
+        forge_last_tile(lines, |tile| tile.placement.origin.x += 1.0)
     });
 }

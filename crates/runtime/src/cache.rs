@@ -24,16 +24,17 @@
 //!
 //! What is stored ([`CachedTile`]): the owned main shapes (tagged with
 //! their *local* target index) and **all** assist features of the window,
-//! in the optimizer's output order, window-relative. It is exactly the
-//! payload of a checkpoint record — a record is an entry plus a tile
-//! position — so both line formats share one codec and one shape type.
+//! in the optimizer's output order, window-relative. A run directory
+//! stores the very same entry line once per pattern, beside one short
+//! tile line per tile ([`crate::checkpoint`]): one codec, one shape type.
 //! SRAF seam ownership
 //! is decided at replay time by the *replaying* tile's own owner test —
 //! an edge tile and an interior tile can legally share a key yet keep
 //! different halo assists, because the clamped owner grid treats the chip
 //! boundary differently. Storing the full assist set and filtering late
 //! makes a replay bit-identical to a cold run by construction: both paths
-//! materialise records through the same code.
+//! build records through the same [`Placement`](crate::Placement) and
+//! [`TileLine::place`](crate::TileLine::place).
 //!
 //! Concurrency: a lock-striped index (16 shards) with **single-flight**
 //! de-duplication. The first thread to miss a key installs an in-flight
@@ -60,20 +61,14 @@
 //! store is still consulted and new corrections are kept in memory for
 //! the run, just not written back).
 
-use crate::checkpoint::{
-    hex_field, parse_payload, payload_members, Frame, StitchedShape, TileMetrics,
-};
-use crate::json::Json;
-use crate::store::{acquire_pid_lock, append_line, load_jsonl, open_append, write_atomic};
+use crate::checkpoint::{StitchedShape, TileMetrics};
+use crate::store::{acquire_pid_lock, append_lines, load_jsonl, open_append, write_atomic};
 use crate::RuntimeError;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// Entry line format version.
-const ENTRY_VERSION: f64 = 1.0;
 
 /// Lock stripes of the index.
 const SHARDS: usize = 16;
@@ -102,34 +97,6 @@ pub struct CachedTile {
     pub metrics: TileMetrics,
     /// Wall seconds the original (cold) correction took.
     pub seconds: f64,
-}
-
-impl CachedTile {
-    /// Serialises the entry as one compact JSON line (no newline).
-    fn to_json_line(&self, key: u64) -> String {
-        let mut members = vec![
-            ("v", Json::Num(ENTRY_VERSION)),
-            ("key", Json::Str(format!("{key:016x}"))),
-        ];
-        members.extend(payload_members(
-            Frame::Window,
-            &self.owned_epe_history,
-            &self.epe_history,
-            &self.metrics,
-            self.seconds,
-            &self.shapes,
-        ));
-        Json::obj(members).to_string_compact()
-    }
-
-    /// Parses one JSONL line back into `(key, entry)`.
-    fn from_json_line(line: &str) -> Result<(u64, CachedTile), String> {
-        let v = Json::parse(line)?;
-        if v.get("v").and_then(Json::as_f64) != Some(ENTRY_VERSION) {
-            return Err("unknown cache entry version".into());
-        }
-        Ok((hex_field(&v, "key")?, parse_payload(&v, Frame::Window)?))
-    }
 }
 
 // ---------------------------------------------------------------- config
@@ -417,7 +384,7 @@ impl TileCache {
         if let Some(writer) = &self.writer {
             let bytes = line.len() as u64 + 1;
             let mut file = writer.lock().unwrap_or_else(PoisonError::into_inner);
-            match append_line(&mut file, &line) {
+            match append_lines(&mut *file, &[&line]) {
                 Ok(()) => {
                     self.file_bytes.fetch_add(bytes, Ordering::Relaxed);
                 }

@@ -1,38 +1,47 @@
-//! Checkpoint/resume: self-describing JSONL tile records.
+//! Checkpoint/resume: `tiles.jsonl`, the run directory's store, where a
+//! repeated tile pattern is written once. It holds two kinds of line:
 //!
-//! Each finished tile appends one line to `tiles.jsonl` in the run
-//! directory. A record carries everything needed to (a) skip the tile on
-//! resume and (b) stitch its output without re-running it: the tile id,
-//! an input hash, the owned output shapes' control points (chip
-//! coordinates), per-iteration EPE sums and the tile metrics. Floats are
-//! serialised as shortest-roundtrip decimals (see [`crate::json`]), so a
-//! resumed run reconstructs bit-identical geometry and metrics.
+//! - an **entry line** (`ENTRY_VERSION` 1): one pattern's window-relative
+//!   correction under its cache key — byte for byte the line the tile
+//!   cache persists for that key and value ([`CachedTile::to_json_line`]);
+//! - a **tile line** (`RECORD_VERSION` 2, [`TileLine`]): one tile's index,
+//!   name, input hash, cache key, seconds and [`Placement`] — its window
+//!   origin, the global ids of the pattern's mains, the assists it keeps.
 //!
-//! Resume safety: a record is only honoured when its `hash` matches the
-//! FNV-1a hash of the tile's current input (geometry bits + OPC
-//! configuration). A truncated final line — the signature of a killed
-//! run — fails to parse and is simply ignored, so the tile re-executes.
-//!
-//! A checkpoint record is a tile-cache entry plus a tile position, so the
-//! two stores share everything but the line header: the tile payload
-//! codec (`payload_members` / `parse_payload`, which [`crate::cache`]
-//! borrows), the hash walk (`crate::hash`) and the file discipline
-//! (`crate::store`).
+//! An `Appender` writes a key's entry line with the first tile line of
+//! that key, in one write; later tiles of the class write their tile line
+//! alone. A resumed run may repeat an entry line: one key is one window
+//! input, so the same bits. [`RunDir::load_records`] places each tile
+//! line's entry ([`TileLine::place`], the one way any record is built). A
+//! line that does not parse (a torn tail, a damaged byte), whose entry is
+//! missing, or whose placement does not fit (`Placement::fits`) it is
+//! dropped: its tile re-executes. Floats are shortest-roundtrip decimals,
+//! so placed geometry is bit-identical. [`TileRecord::to_json_line`] /
+//! [`TileRecord::from_json_line`] are a standalone codec no store uses.
 
 use crate::cache::CachedTile;
 use crate::json::Json;
+use crate::partition::{Partition, Tile};
 use crate::store::{
-    acquire_pid_lock, append_line, io_error, load_jsonl, open_append, write_atomic,
+    acquire_pid_lock, append_lines, io_error, load_jsonl, open_append, write_atomic,
 };
 use crate::RuntimeError;
-use cardopc_geometry::Point;
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use cardopc_geometry::{BBox, Point};
+use std::collections::{HashMap, HashSet};
+use std::fs::File;
+use std::io::Write;
+use std::path::PathBuf;
 
 pub use crate::hash::tile_input_hash;
 
-/// Record format version.
-const RECORD_VERSION: f64 = 1.0;
+/// Tile line format version.
+const RECORD_VERSION: f64 = 2.0;
+
+/// Entry line format version (the tile cache's).
+const ENTRY_VERSION: f64 = 1.0;
+
+/// Standalone whole-record codec version.
+const WHOLE_RECORD_VERSION: f64 = 1.0;
 
 /// One corrected shape, in the coordinate frame of whatever holds it: a
 /// [`TileRecord`] (and everything stitched from records) is in chip
@@ -70,7 +79,7 @@ pub struct TileMetrics {
     pub mrc_remaining: usize,
 }
 
-/// The checkpoint record of one finished tile.
+/// The record of one finished tile, in chip coordinates.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TileRecord {
     /// Tile index within the partition.
@@ -93,6 +102,108 @@ pub struct TileRecord {
     pub seconds: f64,
 }
 
+// -------------------------------------------------------------- placement
+
+/// Where one tile puts its pattern's entry.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Placement {
+    /// The tile's window origin, chip coordinates.
+    pub origin: Point,
+    /// Global target ids of the entry's mains, in entry order.
+    pub ids: Vec<usize>,
+    /// Positions among the entry's assists, ascending, of those kept.
+    pub keep: Vec<usize>,
+}
+
+impl Placement {
+    /// How `tile` of `partition` places `entry`: its origin, each main's
+    /// global id, and the assists whose centre falls in the tile's core
+    /// under the partitioner's half-open owner convention (core ownership
+    /// deduplicates assists as it does mains). `None` when the entry names
+    /// a target the tile does not have.
+    pub fn of(tile: &Tile, partition: &Partition, entry: &CachedTile) -> Option<Placement> {
+        let ts = partition.config.tile_size;
+        let owns = |c: Point| {
+            let ox = ((c.x / ts).floor().max(0.0) as usize).min(partition.nx - 1);
+            let oy = ((c.y / ts).floor().max(0.0) as usize).min(partition.ny - 1);
+            (ox, oy) == (tile.tx, tile.ty)
+        };
+        let (mut ids, mut keep) = (Vec::new(), Vec::new());
+        for (n, s) in entry.shapes.iter().filter(|s| s.is_sraf).enumerate() {
+            let centre = BBox::from_points(s.control_points.iter().copied()).center();
+            keep.extend(owns(centre + tile.origin).then_some(n));
+        }
+        for s in entry.shapes.iter().filter(|s| !s.is_sraf) {
+            ids.push(*tile.global_ids.get(s.global_id?)?);
+        }
+        let origin = tile.origin;
+        Some(Placement { origin, ids, keep })
+    }
+
+    /// Whether this placement can apply to `entry`: one id per main, and
+    /// kept assists that exist, each named once.
+    pub(crate) fn fits(&self, entry: &CachedTile) -> bool {
+        let assists = entry.shapes.iter().filter(|s| s.is_sraf).count();
+        self.ids.len() == entry.shapes.len() - assists
+            && self.keep.windows(2).all(|w| w[0] < w[1])
+            && self.keep.last().is_none_or(|&last| last < assists)
+    }
+}
+
+/// One finished tile as its tile line holds it: its identity, and where it
+/// places the entry of its cache key.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TileLine {
+    /// Tile index within the partition.
+    pub index: usize,
+    /// Tile name (`clip:txxty`).
+    pub name: String,
+    /// The tile's input hash.
+    pub input_hash: u64,
+    /// The tile's cache key: the entry line this line places.
+    pub key: u64,
+    /// Wall seconds the tile took.
+    pub seconds: f64,
+    /// Where the tile puts the entry.
+    pub placement: Placement,
+}
+
+impl TileLine {
+    /// The tile's chip-frame record, built from its pattern's `entry`:
+    /// control points move by the origin, mains take the ids in order, only
+    /// kept assists stay. Every record — cold, replayed, resumed, harvested
+    /// — is built here. The placement must fit (`Placement::fits`) `entry`.
+    pub fn place(self, entry: &CachedTile) -> TileRecord {
+        let p = &self.placement;
+        let (mut ids, mut keep) = (p.ids.iter(), p.keep.iter().peekable());
+        let (mut shapes, mut assists) = (Vec::with_capacity(p.ids.len() + p.keep.len()), 0);
+        for s in &entry.shapes {
+            if s.is_sraf {
+                assists += 1;
+                if keep.next_if_eq(&&(assists - 1)).is_none() {
+                    continue;
+                }
+            }
+            shapes.push(StitchedShape {
+                global_id: if s.is_sraf { None } else { ids.next().copied() },
+                is_sraf: s.is_sraf,
+                tension: s.tension,
+                control_points: s.control_points.iter().map(|c| *c + p.origin).collect(),
+            });
+        }
+        TileRecord {
+            index: self.index,
+            name: self.name,
+            input_hash: self.input_hash,
+            owned_epe_history: entry.owned_epe_history.clone(),
+            epe_history: entry.epe_history.clone(),
+            shapes,
+            metrics: entry.metrics.clone(),
+            seconds: self.seconds,
+        }
+    }
+}
+
 // ---------------------------------------------------------- serialisation
 
 /// The coordinate frame of a container's shapes — a property of the
@@ -108,7 +219,7 @@ pub(crate) enum Frame {
 
 /// The tile payload — histories, metrics, seconds, shapes with flat `cps`
 /// — as the members that follow a container line's header. The one
-/// encoder behind `tiles.jsonl` and `cache.jsonl` lines.
+/// encoder behind entry lines and standalone records.
 pub(crate) fn payload_members(
     frame: Frame,
     owned_epe: &[f64],
@@ -149,15 +260,29 @@ pub(crate) fn payload_members(
 }
 
 /// A required member of a container line.
-pub(crate) fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
     v.get(key).ok_or_else(|| format!("missing field {key}"))
 }
 
 /// A required 16-digit hex member (tile hashes, cache keys).
-pub(crate) fn hex_field(v: &Json, key: &str) -> Result<u64, String> {
+fn hex_field(v: &Json, key: &str) -> Result<u64, String> {
     let text = field(v, key)?.as_str();
     text.and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or_else(|| format!("bad {key}"))
+}
+
+/// A 16-digit hex member's value.
+fn hex(v: u64) -> Json {
+    Json::Str(format!("{v:016x}"))
+}
+
+/// A required array member, each item converted by `item`.
+fn items<T>(v: &Json, key: &str, item: fn(&Json) -> Option<T>) -> Result<Vec<T>, String> {
+    let listed = field(v, key)?
+        .as_arr()
+        .ok_or_else(|| format!("bad array {key}"))?;
+    let parsed = listed.iter().map(item).collect::<Option<Vec<T>>>();
+    parsed.ok_or_else(|| format!("bad item in {key}"))
 }
 
 /// Parses the payload [`payload_members`] wrote out of a container line.
@@ -165,19 +290,7 @@ pub(crate) fn hex_field(v: &Json, key: &str) -> Result<u64, String> {
 /// # Errors
 ///
 /// A message describing the malformed member.
-pub(crate) fn parse_payload(v: &Json, frame: Frame) -> Result<CachedTile, String> {
-    let floats = |key: &str| -> Result<Vec<f64>, String> {
-        let items = field(v, key)?.as_arr();
-        let items = items.ok_or_else(|| format!("bad array {key}"))?;
-        let mut parsed = Vec::with_capacity(items.len());
-        for item in items {
-            parsed.push(
-                item.as_f64()
-                    .ok_or_else(|| format!("bad number in {key}"))?,
-            );
-        }
-        Ok(parsed)
-    };
+fn parse_payload(v: &Json, frame: Frame) -> Result<CachedTile, String> {
     let m = field(v, "metrics")?;
     let bad_metric = |key: &str| format!("bad metric {key}");
     let count = |key: &str| field(m, key)?.as_usize().ok_or_else(|| bad_metric(key));
@@ -203,39 +316,192 @@ pub(crate) fn parse_payload(v: &Json, frame: Frame) -> Result<CachedTile, String
             Frame::Chip => field(s, "sraf")?.as_bool().ok_or("bad sraf")?,
             Frame::Window => global_id.is_none(),
         };
-        let flat = field(s, "cps")?.as_arr().ok_or("bad cps")?;
+        let flat = items(s, "cps", Json::as_f64)?;
         if flat.len() % 2 != 0 {
             return Err("odd cps length".into());
-        }
-        let mut control_points = Vec::with_capacity(flat.len() / 2);
-        for pair in flat.chunks_exact(2) {
-            let (x, y) = (pair[0].as_f64(), pair[1].as_f64());
-            control_points.push(Point::new(x.ok_or("bad cp")?, y.ok_or("bad cp")?));
         }
         shapes.push(StitchedShape {
             global_id,
             is_sraf,
             tension: field(s, "tension")?.as_f64().ok_or("bad tension")?,
-            control_points,
+            control_points: flat
+                .chunks_exact(2)
+                .map(|p| Point::new(p[0], p[1]))
+                .collect(),
         });
     }
     Ok(CachedTile {
-        owned_epe_history: floats("owned_epe")?,
-        epe_history: floats("epe")?,
+        owned_epe_history: items(v, "owned_epe", Json::as_f64)?,
+        epe_history: items(v, "epe", Json::as_f64)?,
         shapes,
         metrics,
         seconds: field(v, "seconds")?.as_f64().ok_or("bad seconds")?,
     })
 }
 
+impl CachedTile {
+    /// The entry line of this value under `key` (one compact JSON line, no
+    /// newline) — what `cache.jsonl` and `tiles.jsonl` hold for a pattern.
+    pub fn to_json_line(&self, key: u64) -> String {
+        let mut members = vec![("v", Json::Num(ENTRY_VERSION)), ("key", hex(key))];
+        members.extend(payload_members(
+            Frame::Window,
+            &self.owned_epe_history,
+            &self.epe_history,
+            &self.metrics,
+            self.seconds,
+            &self.shapes,
+        ));
+        Json::obj(members).to_string_compact()
+    }
+
+    /// Parses an entry line back into `(key, entry)`.
+    ///
+    /// # Errors
+    ///
+    /// A message describing the malformed line, or that it is a tile line.
+    pub(crate) fn from_json_line(line: &str) -> Result<(u64, CachedTile), String> {
+        match StoreLine::parse(line)? {
+            StoreLine::Entry(key, entry) => Ok((key, entry)),
+            StoreLine::Tile(_) => Err("a tile line, not an entry line".into()),
+        }
+    }
+}
+
+impl TileLine {
+    /// Serialises the line as one compact JSON line (no newline).
+    pub fn to_json_line(&self) -> String {
+        let p = &self.placement;
+        let counts = |v: &[usize]| Json::Arr(v.iter().map(|&n| Json::num_usize(n)).collect());
+        Json::obj(vec![
+            ("v", Json::Num(RECORD_VERSION)),
+            ("tile", Json::num_usize(self.index)),
+            ("name", Json::Str(self.name.clone())),
+            ("hash", hex(self.input_hash)),
+            ("key", hex(self.key)),
+            ("seconds", Json::Num(self.seconds)),
+            ("origin", Json::num_arr(&[p.origin.x, p.origin.y])),
+            ("ids", counts(&p.ids)),
+            ("keep", counts(&p.keep)),
+        ])
+        .to_string_compact()
+    }
+
+    fn from_json(v: &Json) -> Result<TileLine, String> {
+        let [x, y] = items(v, "origin", Json::as_f64)?[..] else {
+            return Err("bad origin".into());
+        };
+        Ok(TileLine {
+            index: field(v, "tile")?.as_usize().ok_or("bad tile index")?,
+            name: field(v, "name")?.as_str().ok_or("bad name")?.to_string(),
+            input_hash: hex_field(v, "hash")?,
+            key: hex_field(v, "key")?,
+            seconds: field(v, "seconds")?.as_f64().ok_or("bad seconds")?,
+            placement: Placement {
+                origin: Point::new(x, y),
+                ids: items(v, "ids", Json::as_usize)?,
+                keep: items(v, "keep", Json::as_usize)?,
+            },
+        })
+    }
+}
+
+/// One line of `tiles.jsonl` or of a fleet answer.
+#[derive(Clone, Debug, PartialEq)]
+pub enum StoreLine {
+    /// An entry line: a pattern's key and window-relative correction.
+    Entry(u64, CachedTile),
+    /// A tile line.
+    Tile(TileLine),
+}
+
+impl StoreLine {
+    /// Parses either kind, told apart by the format version.
+    ///
+    /// # Errors
+    ///
+    /// A message describing the malformed line ("no line" to callers).
+    pub fn parse(line: &str) -> Result<StoreLine, String> {
+        let v = Json::parse(line)?;
+        match v.get("v").and_then(Json::as_f64) {
+            Some(RECORD_VERSION) => TileLine::from_json(&v).map(StoreLine::Tile),
+            Some(ENTRY_VERSION) => Ok(StoreLine::Entry(
+                hex_field(&v, "key")?,
+                parse_payload(&v, Frame::Window)?,
+            )),
+            _ => Err("unknown line version".into()),
+        }
+    }
+}
+
+/// Lines of a store, each beside `X` (its text, or nothing): the last
+/// entry line per key, and the tile lines whose entry is there and fits.
+pub(crate) type Usable<X> = (HashMap<u64, (CachedTile, X)>, Vec<(TileLine, X)>);
+
+pub(crate) fn usable<X>(lines: impl IntoIterator<Item = (StoreLine, X)>) -> Usable<X> {
+    let (mut entries, mut tiles) = (HashMap::new(), Vec::new());
+    for (line, x) in lines {
+        match line {
+            StoreLine::Entry(key, entry) => {
+                entries.insert(key, (entry, x));
+            }
+            StoreLine::Tile(tile) => tiles.push((tile, x)),
+        }
+    }
+    let fits = |t: &TileLine| entries.get(&t.key).is_some_and(|e| t.placement.fits(&e.0));
+    tiles.retain(|(t, _)| fits(t));
+    (entries, tiles)
+}
+
+fn append_error(e: std::io::Error) -> RuntimeError {
+    RuntimeError::Io(format!("append checkpoint: {e}"))
+}
+
+/// A store's write side, and the one owner of its rule: a key's entry line
+/// goes out once, in the same write as the first tile line of that key. A
+/// key counts as written only once that write succeeded.
+#[derive(Debug)]
+pub(crate) struct Appender<W> {
+    file: W,
+    written: HashSet<u64>,
+}
+
+impl<W: Write> Appender<W> {
+    pub(crate) fn new(file: W) -> Appender<W> {
+        let written = HashSet::new();
+        Appender { file, written }
+    }
+
+    /// Whether the next tile line of `key` must bring its entry line.
+    pub(crate) fn wants_entry(&self, key: u64) -> bool {
+        !self.written.contains(&key)
+    }
+
+    /// Appends `tile` — after `entry` while the key
+    /// [wants](Appender::wants_entry) it — in one write, and flushes.
+    /// `entry` may be `None` only where `wants_entry` said no.
+    pub(crate) fn append(
+        &mut self,
+        key: u64,
+        entry: Option<&str>,
+        tile: &str,
+    ) -> Result<(), RuntimeError> {
+        let entry = entry.filter(|_| self.wants_entry(key));
+        let lines: Vec<&str> = entry.into_iter().chain([tile]).collect();
+        append_lines(&mut self.file, &lines).map_err(append_error)?;
+        self.written.insert(key);
+        Ok(())
+    }
+}
+
 impl TileRecord {
     /// Serialises the record as one compact JSON line (no newline).
     pub fn to_json_line(&self) -> String {
         let mut members = vec![
-            ("v", Json::Num(RECORD_VERSION)),
+            ("v", Json::Num(WHOLE_RECORD_VERSION)),
             ("tile", Json::num_usize(self.index)),
             ("name", Json::Str(self.name.clone())),
-            ("hash", Json::Str(format!("{:016x}", self.input_hash))),
+            ("hash", hex(self.input_hash)),
         ];
         members.extend(payload_members(
             Frame::Chip,
@@ -248,15 +514,14 @@ impl TileRecord {
         Json::obj(members).to_string_compact()
     }
 
-    /// Parses one JSONL line back into a record.
+    /// Parses one [`TileRecord::to_json_line`] line back into a record.
     ///
     /// # Errors
     ///
-    /// A message describing the malformed field; callers treat any error
-    /// as "no record" (the tile re-executes).
+    /// A message describing the malformed field (a store line is one).
     pub fn from_json_line(line: &str) -> Result<TileRecord, String> {
         let v = Json::parse(line)?;
-        if v.get("v").and_then(Json::as_f64) != Some(RECORD_VERSION) {
+        if v.get("v").and_then(Json::as_f64) != Some(WHOLE_RECORD_VERSION) {
             return Err("unknown record version".into());
         }
         let payload = parse_payload(&v, Frame::Chip)?;
@@ -307,45 +572,28 @@ impl RunDir {
         Ok(RunDir { root, lock })
     }
 
-    /// The directory path.
-    pub fn path(&self) -> &Path {
-        &self.root
-    }
-
-    /// The lock file path.
-    pub fn lock_path(&self) -> PathBuf {
-        self.root.join("run.lock")
-    }
-
     /// The JSONL checkpoint file path.
     pub fn tiles_path(&self) -> PathBuf {
         self.root.join("tiles.jsonl")
     }
 
-    /// The manifest file path.
-    pub fn manifest_path(&self) -> PathBuf {
-        self.root.join("manifest.json")
-    }
-
-    /// The timing-free ("stable") manifest file path. This variant is
-    /// byte-identical across reruns, resumes, worker counts and cache
-    /// states of the same input, so CI can `cmp` it directly.
-    pub fn stable_manifest_path(&self) -> PathBuf {
-        self.root.join("manifest.stable.json")
-    }
-
-    /// Loads usable checkpoint records: the last parseable record per tile
-    /// index. Hash validation against the current partition happens in the
-    /// scheduler (it knows the tiles). Missing file → empty map; malformed
-    /// lines (e.g. the torn final line of a killed run) are skipped, so
-    /// their tiles simply re-execute.
+    /// Loads the records the checkpoint stands for: each tile line whose
+    /// entry is there and fits it, placed — the last such line per tile.
+    /// Lines are parsed over the pool, in any order. Hash validation
+    /// against the current partition happens in the run frame (it knows
+    /// the tiles). A missing file is an empty map; dropped lines (see the
+    /// module docs) simply re-execute their tiles.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Io`] when the file exists but cannot be read.
     pub fn load_records(&self) -> Result<HashMap<usize, TileRecord>, RuntimeError> {
-        let (records, _) = load_jsonl(&self.tiles_path(), TileRecord::from_json_line)?;
-        Ok(records.into_iter().map(|(r, _)| (r.index, r)).collect())
+        let (entries, tiles) = usable(load_jsonl(&self.tiles_path(), StoreLine::parse)?.0);
+        let place = |(t, _): (TileLine, u64)| {
+            let entry = &entries[&t.key].0;
+            (t.index, t.place(entry))
+        };
+        Ok(tiles.into_iter().map(place).collect())
     }
 
     /// Opens the checkpoint file for appending.
@@ -357,9 +605,7 @@ impl RunDir {
         open_append(&self.tiles_path())
     }
 
-    /// Appends one record and flushes it: encode, then
-    /// [`RunDir::append_line`]. Callers that share the file behind a lock
-    /// encode first and take the lock for `append_line` alone.
+    /// Appends one [`TileRecord::to_json_line`] line and flushes it.
     ///
     /// # Errors
     ///
@@ -368,19 +614,7 @@ impl RunDir {
         file: &mut std::fs::File,
         record: &TileRecord,
     ) -> Result<(), RuntimeError> {
-        RunDir::append_line(file, &record.to_json_line())
-    }
-
-    /// Appends one already encoded record line ([`TileRecord::to_json_line`]
-    /// output, no newline) and flushes it. The fleet coordinator appends
-    /// the line a worker sent — after parsing and verifying it — rather
-    /// than re-encoding the record it parsed.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Io`] on write failure.
-    pub fn append_line(file: &mut std::fs::File, line: &str) -> Result<(), RuntimeError> {
-        append_line(file, line).map_err(|e| RuntimeError::Io(format!("append checkpoint: {e}")))
+        append_lines(file, &[&record.to_json_line()]).map_err(append_error)
     }
 
     /// Writes the manifest JSON (atomically via a temp file + rename).
@@ -389,18 +623,22 @@ impl RunDir {
     ///
     /// [`RuntimeError::Io`] on write failure.
     pub fn write_manifest(&self, json: &str) -> Result<(), RuntimeError> {
-        let path = self.manifest_path();
-        write_atomic(&path, json).map_err(|e| io_error("write", &path, e))
+        self.write("manifest.json", json)
     }
 
     /// Writes the timing-free manifest JSON (atomically, like
-    /// [`RunDir::write_manifest`]).
+    /// [`RunDir::write_manifest`]): byte-identical across reruns, resumes,
+    /// worker counts and cache states of the same input.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Io`] on write failure.
     pub fn write_stable_manifest(&self, json: &str) -> Result<(), RuntimeError> {
-        let path = self.stable_manifest_path();
+        self.write("manifest.stable.json", json)
+    }
+
+    fn write(&self, name: &str, json: &str) -> Result<(), RuntimeError> {
+        let path = self.root.join(name);
         write_atomic(&path, json).map_err(|e| io_error("write", &path, e))
     }
 }
@@ -412,6 +650,89 @@ impl Drop for RunDir {
             // next opener reclaims (our PID is gone by then).
             let _ = std::fs::remove_file(lock);
         }
+    }
+}
+
+/// Finished tiles as lines, verbatim — entry lines by cache key, tile
+/// lines (with index and key) by input hash — optionally appended to a run
+/// directory: what a fleet worker answers from.
+#[derive(Debug, Default)]
+pub struct LineStore {
+    entries: HashMap<u64, String>,
+    tiles: HashMap<u64, (usize, u64, String)>,
+    sink: Option<Appender<File>>,
+}
+
+impl LineStore {
+    /// A store over `dir`, if any: the lines a resume would use, verbatim,
+    /// with `tiles.jsonl` open for appending (like a resumed run, it may
+    /// repeat a loaded entry line).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Io`] when the file cannot be read or opened.
+    pub fn open(dir: Option<&RunDir>) -> Result<LineStore, RuntimeError> {
+        let mut store = LineStore::default();
+        if let Some(dir) = dir {
+            let text = |l: &str| Ok((StoreLine::parse(l)?, l.to_string()));
+            let (lines, _) = load_jsonl(&dir.tiles_path(), text)?;
+            let (entries, tiles) = usable(lines.into_iter().map(|(line, _)| line));
+            store.entries = entries.into_iter().map(|(key, e)| (key, e.1)).collect();
+            for (t, line) in tiles {
+                store.tiles.insert(t.input_hash, (t.index, t.key, line));
+            }
+            store.sink = Some(Appender::new(dir.append_handle()?));
+        }
+        Ok(store)
+    }
+
+    /// The cache key and line of the tile whose input hash is `hash`.
+    pub fn tile(&self, hash: u64) -> Option<(u64, &str)> {
+        let (_, key, line) = self.tiles.get(&hash)?;
+        Some((*key, line))
+    }
+
+    /// The entry line of `key`.
+    pub fn entry(&self, key: u64) -> Option<&str> {
+        self.entries.get(&key).map(String::as_str)
+    }
+
+    /// Keeps `tile`'s line `text`, appended after its key's entry line —
+    /// `entry`, which the caller encodes (outside its lock) when
+    /// [`LineStore::entry`] has none — unless its input hash is held
+    /// already (`Ok(false)`).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Io`] when the append fails; the tile is not kept.
+    pub fn insert(
+        &mut self,
+        tile: &TileLine,
+        text: String,
+        entry: Option<String>,
+    ) -> Result<bool, RuntimeError> {
+        if self.tiles.contains_key(&tile.input_hash) {
+            return Ok(false);
+        }
+        self.entries.extend(entry.map(|entry| (tile.key, entry)));
+        if let Some(sink) = &mut self.sink {
+            let entry = self.entries.get(&tile.key).map(String::as_str);
+            sink.append(tile.key, entry, &text)?;
+        }
+        self.tiles
+            .insert(tile.input_hash, (tile.index, tile.key, text));
+        Ok(true)
+    }
+
+    /// Every held line as JSONL: entry lines, then tile lines by tile
+    /// index, each kind in a fixed order.
+    pub fn to_jsonl(&self) -> String {
+        let mut entries: Vec<_> = self.entries.values().collect();
+        let mut tiles: Vec<_> = self.tiles.values().collect();
+        entries.sort_unstable();
+        tiles.sort_unstable();
+        let lines = entries.into_iter().chain(tiles.into_iter().map(|t| &t.2));
+        lines.map(|line| format!("{line}\n")).collect()
     }
 }
 
@@ -453,6 +774,41 @@ mod tests {
         }
     }
 
+    /// `record()`'s pattern, window-relative (origin (1, -2), main 42 is
+    /// local target 0), with a second assist that tile 3 does not keep.
+    fn entry() -> CachedTile {
+        let at = |x: f64, y: f64| Point::new(x - 1.0, y + 2.0);
+        let r = record();
+        let mut shapes = r.shapes.clone();
+        for s in &mut shapes {
+            s.control_points = s.control_points.iter().map(|p| at(p.x, p.y)).collect();
+        }
+        shapes[0].global_id = Some(0);
+        shapes.insert(0, shapes[1].clone());
+        CachedTile {
+            owned_epe_history: r.owned_epe_history,
+            epe_history: r.epe_history,
+            shapes,
+            metrics: r.metrics,
+            seconds: 0.5,
+        }
+    }
+
+    fn tile_line() -> TileLine {
+        TileLine {
+            index: 3,
+            name: "gcd[0]:1x0".into(),
+            input_hash: 0xdead_beef_cafe_f00d,
+            key: 0xfeed_f00d_dead_beef,
+            seconds: 1.75,
+            placement: Placement {
+                origin: Point::new(1.0, -2.0),
+                ids: vec![42],
+                keep: vec![1],
+            },
+        }
+    }
+
     #[test]
     fn record_roundtrip_is_exact() {
         let r = record();
@@ -473,6 +829,41 @@ mod tests {
         for cut in [1, line.len() / 2, line.len() - 1] {
             assert!(TileRecord::from_json_line(&line[..cut]).is_err());
         }
+        let line = tile_line().to_json_line();
+        for cut in [1, line.len() / 2, line.len() - 1] {
+            assert!(StoreLine::parse(&line[..cut]).is_err());
+        }
+    }
+
+    #[test]
+    fn placing_an_entry_rebuilds_the_record_and_lines_roundtrip() {
+        let (entry, line) = (entry(), tile_line());
+        assert!(line.placement.fits(&entry));
+        let text = line.to_json_line();
+        assert_eq!(StoreLine::parse(&text), Ok(StoreLine::Tile(line.clone())));
+        let placed = line.clone().place(&entry);
+        assert_eq!(placed.shapes.len(), 2);
+        for (got, want) in placed.shapes.iter().zip(&record().shapes) {
+            assert_eq!((got.global_id, got.is_sraf), (want.global_id, want.is_sraf));
+        }
+        // Not every placement fits: an id per main, assists that exist.
+        for (ids, keep) in [
+            (vec![], vec![1]),
+            (vec![42, 43], vec![1]),
+            (vec![42], vec![2]),
+        ] {
+            let misfit = Placement {
+                ids,
+                keep,
+                ..line.placement.clone()
+            };
+            assert!(!misfit.fits(&entry), "{misfit:?}");
+        }
+        let twice = Placement {
+            keep: vec![1, 1],
+            ..line.placement
+        };
+        assert!(!twice.fits(&entry));
     }
 
     #[test]
@@ -482,23 +873,67 @@ mod tests {
         let run = RunDir::open(&dir).unwrap();
         assert!(run.load_records().unwrap().is_empty());
 
-        let mut file = run.append_handle().unwrap();
-        let a = record();
-        let mut b = record();
-        b.index = 5;
-        RunDir::append_record(&mut file, &a).unwrap();
-        RunDir::append_record(&mut file, &b).unwrap();
+        let mut sink = Appender::new(run.append_handle().unwrap());
+        let (entry, a) = (entry(), tile_line());
+        let entry_line = entry.to_json_line(a.key);
+        let mut b = tile_line();
+        (b.index, b.input_hash) = (5, 7);
+        let mut orphan = tile_line();
+        (orphan.index, orphan.input_hash, orphan.key) = (6, 9, 1);
+        // The second tile of a key writes its line alone; a line whose
+        // entry is missing (written so on purpose) is dropped.
+        sink.append(a.key, Some(&entry_line), &a.to_json_line())
+            .unwrap();
+        sink.append(b.key, Some(&entry_line), &b.to_json_line())
+            .unwrap();
+        sink.append(orphan.key, None, &orphan.to_json_line())
+            .unwrap();
+        let text = std::fs::read_to_string(run.tiles_path()).unwrap();
+        assert_eq!(text.lines().filter(|l| *l == entry_line).count(), 1);
         // Simulate a kill mid-append: a torn, unparseable final line.
         {
             use std::io::Write;
             let mut f = run.append_handle().unwrap();
-            write!(f, "{}", &record().to_json_line()[..40]).unwrap();
+            write!(f, "{}", &tile_line().to_json_line()[..40]).unwrap();
         }
         let records = run.load_records().unwrap();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[&3], a);
-        assert_eq!(records[&5], b);
+        assert_eq!(records[&3], a.clone().place(&entry));
+        assert_eq!(records[&5], b.place(&entry));
+        // A line store over the directory holds the same lines, verbatim.
+        let store = LineStore::open(Some(&run)).unwrap();
+        assert_eq!(store.entry(a.key), Some(entry.to_json_line(a.key).as_str()));
+        assert_eq!(store.tile(a.input_hash).unwrap().1, a.to_json_line());
+        assert!(store.tile(orphan.input_hash).is_none());
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A key counts as written only once its write succeeded: after a
+    /// failed append the next tile of the key still brings the entry.
+    #[test]
+    fn an_entry_line_is_written_once_with_a_tile_line_that_landed() {
+        struct Flaky(Vec<u8>, bool);
+        impl Write for Flaky {
+            fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+                if self.1 {
+                    return Err(std::io::Error::other("disk full"));
+                }
+                self.0.extend_from_slice(bytes);
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Appender::new(Flaky(Vec::new(), true));
+        assert!(sink.append(7, Some("entry"), "a").is_err());
+        assert!(sink.wants_entry(7));
+        sink.file.1 = false;
+        sink.append(7, Some("entry"), "b").unwrap();
+        assert!(!sink.wants_entry(7));
+        sink.append(7, None, "c").unwrap();
+        assert_eq!(sink.file.0, b"entry\nb\nc\n");
     }
 
     #[test]
@@ -506,7 +941,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cardopc-lock-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let run = RunDir::open(&dir).unwrap();
-        assert!(run.lock_path().exists());
+        assert!(dir.join("run.lock").exists());
 
         // A second opener in the same (live) process is refused.
         match RunDir::open(&dir) {
@@ -541,9 +976,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// One `tiles.jsonl` line as the parent commit wrote it (before the
-    /// payload codec was shared with the tile cache): it must still parse,
-    /// and re-encode to the same bytes.
+    /// One standalone record line as the commit before the payload codec
+    /// was shared with the tile cache wrote it: it must still parse, and
+    /// re-encode to the same bytes. No store reads it.
     #[test]
     fn golden_record_line_is_unchanged() {
         let golden = concat!(
@@ -557,5 +992,18 @@ mod tests {
         let parsed = TileRecord::from_json_line(golden).unwrap();
         assert_eq!(parsed, record());
         assert_eq!(parsed.to_json_line(), golden);
+        // A store does not read it: it is neither an entry nor a tile line.
+        assert!(StoreLine::parse(golden).is_err());
+    }
+
+    /// One tile line as this format writes it.
+    #[test]
+    fn golden_tile_line_is_unchanged() {
+        let golden = concat!(
+            r#"{"v":2,"tile":3,"name":"gcd[0]:1x0","hash":"deadbeefcafef00d","#,
+            r#""key":"feedf00ddeadbeef","seconds":1.75,"origin":[1,-2],"ids":[42],"keep":[1]}"#,
+        );
+        assert_eq!(tile_line().to_json_line(), golden);
+        assert_eq!(StoreLine::parse(golden), Ok(StoreLine::Tile(tile_line())));
     }
 }

@@ -13,9 +13,11 @@
 //!    [`LithoEngine`](cardopc_litho::LithoEngine) keyed by the (uniform)
 //!    window extent. Results are merged in tile order, so the outcome is
 //!    deterministic for any scheduler pool size.
-//! 3. **Checkpoint** ([`RunDir`]): finished tiles append self-describing
-//!    JSONL records (input hash, control points, metrics); a resumed run
-//!    skips every tile whose record still matches its input hash.
+//! 3. **Checkpoint** ([`RunDir`]): each tile pattern's correction is
+//!    appended once, as the tile cache's entry line, and each finished
+//!    tile as a short tile line that places it (input hash, cache key,
+//!    [`Placement`]); a resumed run skips every tile whose line still
+//!    matches its input hash.
 //! 4. **Stitch** ([`stitch`]): owner-tile shapes are merged into the
 //!    full-chip mask and a cross-boundary MRC spacing pass runs on the
 //!    seam bands only.
@@ -35,10 +37,10 @@
 //! One implementation per concept underneath: resume, budget, commit and
 //! conclude are one frame ([`run`]) around whichever executor corrects the
 //! tiles — this crate's pool scheduler or the fleet coordinator; a
-//! checkpoint record is a
-//! tile-cache entry plus a tile position, so both stores share one
-//! payload codec and one shape record ([`StitchedShape`], whose frame —
-//! chip or window — belongs to its container; see [`checkpoint`]), one
+//! checkpoint is tile-cache entries plus tile placements, so both stores
+//! share one entry line, one placement path ([`TileLine::place`]) and one
+//! shape record ([`StitchedShape`], whose frame — chip or window — belongs
+//! to its container; see [`checkpoint`]), one
 //! tile hash walk (`hash`: [`tile_input_hash`] and [`tile_cache_key`]
 //! are the same walk with and without the tile's position, and the
 //! configuration reaches it through `OpcConfig::walk`, the single
@@ -65,7 +67,10 @@ pub mod stitch;
 mod store;
 
 pub use cache::{tile_cache_key, CacheConfig, CacheStats, CachedTile, TileCache};
-pub use checkpoint::{tile_input_hash, RunDir, StitchedShape, TileMetrics, TileRecord};
+pub use checkpoint::{
+    tile_input_hash, LineStore, Placement, RunDir, StitchedShape, StoreLine, TileLine, TileMetrics,
+    TileRecord,
+};
 pub use error::RuntimeError;
 pub use gdsout::{stream_mask_gds, write_mask_gds, MaskGdsOptions, MASK_NM_PER_DBU};
 pub use handle::{EngineCache, RunControl, RunHandle, TileEvent};

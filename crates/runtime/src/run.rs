@@ -4,22 +4,27 @@
 //! contract table.
 //!
 //! 1. **open** ([`RunStore::open`]): lock the run directory, load its
-//!    checkpoint records, open `tiles.jsonl` for appending;
+//!    records (tile lines placing entry lines, [`crate::checkpoint`]),
+//!    open `tiles.jsonl` for appending;
 //! 2. **resume / adopt** ([`Run::new`], [`Run::adopt`]): a record whose
 //!    input hash still matches its tile stands for that tile — from the
-//!    run's own checkpoints, or as an encoded line harvested from a fleet
-//!    worker (re-checkpointed verbatim);
+//!    run's own checkpoints, or from a fleet worker's harvested lines
+//!    (re-checkpointed verbatim);
 //! 3. **budget** ([`Run::start`]): resumed tiles are reported first, then
 //!    at most `max_tiles` wanted tiles, lowest index first, go to the
 //!    executor, which owns nothing but its claim policy;
-//! 4. **commit** ([`Run::commit`]): a finished tile's line is appended,
-//!    then the tile is counted and reported; the first failed append stops
-//!    the run ([`Run::stopped`]);
+//! 4. **commit** ([`Run::commit`]): a finished tile's line is appended
+//!    (after its key's entry line, the first time), then the tile is
+//!    placed, counted and reported; the first failed append stops the run
+//!    ([`Run::stopped`]);
 //! 5. **conclude** ([`Run::finish`], [`RunStore::conclude`]): the
 //!    index-sorted [`ScheduleOutcome`], the stitched mask (a complete
 //!    run's shapes move into it), the manifests.
 
-use crate::checkpoint::{tile_input_hash, RunDir, TileRecord};
+use crate::cache::CachedTile;
+use crate::checkpoint::{
+    tile_input_hash, usable, Appender, RunDir, StoreLine, TileLine, TileRecord,
+};
 use crate::handle::{RunControl, TileEvent};
 use crate::manifest::RunManifest;
 use crate::partition::Partition;
@@ -28,6 +33,7 @@ use crate::stitch::{stitch, Stitched};
 use crate::RuntimeError;
 use cardopc_mrc::MrcRules;
 use cardopc_opc::OpcConfig;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::File;
 use std::path::Path;
@@ -110,13 +116,14 @@ impl RunStore {
     ///
     /// A complete run's shapes *move* into the stitched mask: its records
     /// keep index, hash, metrics and histories, and no shapes. An
-    /// incomplete run's records keep theirs.
+    /// incomplete run's records keep theirs. The loaded checkpoints (the
+    /// run copied what it resumed) are freed before the mask is built.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Io`] when a manifest cannot be written.
     pub fn conclude(
-        &self,
+        &mut self,
         design: &str,
         partition: &Partition,
         outcome: &mut ScheduleOutcome,
@@ -124,6 +131,7 @@ impl RunStore {
         workers: usize,
         start: Instant,
     ) -> Result<(RunManifest, Option<Stitched>), RuntimeError> {
+        self.checkpoints = HashMap::new();
         let complete = outcome.remaining == 0;
         let stitched = complete.then(|| {
             let records = outcome.results.iter_mut().map(|r| &mut r.record);
@@ -143,7 +151,7 @@ impl RunStore {
 
 /// What the executor's threads share under one lock.
 struct Ledger<'a> {
-    sink: Option<&'a mut File>,
+    sink: Option<Appender<&'a mut File>>,
     /// Committed tiles, as they came.
     committed: Vec<TileResult>,
     /// The lowest-indexed tile whose correction failed.
@@ -157,7 +165,6 @@ pub struct Run<'a> {
     wanted: Vec<Option<u64>>,
     /// Tiles a checkpointed or adopted record stands for.
     resumed: Vec<TileResult>,
-    checkpointing: bool,
     /// The first failed checkpoint append.
     append_error: OnceLock<RuntimeError>,
     ledger: Mutex<Ledger<'a>>,
@@ -178,10 +185,9 @@ impl<'a> Run<'a> {
             control,
             wanted: Vec::with_capacity(partition.tiles.len()),
             resumed: Vec::new(),
-            checkpointing: sink.is_some(),
             append_error: OnceLock::new(),
             ledger: Mutex::new(Ledger {
-                sink,
+                sink: sink.map(Appender::new),
                 committed: Vec::new(),
                 failure: None,
             }),
@@ -213,18 +219,28 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Adopts an already encoded record line (a fleet worker's checkpoint)
-    /// when it parses and can stand for a wanted tile: the line is
-    /// re-checkpointed verbatim, so the next run resumes from its own
-    /// directory without asking. `Ok(false)` leaves everything untouched.
+    /// Adopts the lines of a fleet worker's `GET /v1/records`: each tile
+    /// line whose entry line came and fits it stands for its wanted tile
+    /// like a checkpoint, and is re-checkpointed verbatim with its entry,
+    /// so the next run resumes without asking. Returns how many tiles it
+    /// adopted; any other line changes nothing.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Io`] when the append fails.
-    pub fn adopt(&mut self, line: &str) -> Result<bool, RuntimeError> {
-        let adopted = TileRecord::from_json_line(line).is_ok_and(|record| self.take(record));
-        if let (true, Some(file)) = (adopted, self.lock().sink.as_mut()) {
-            RunDir::append_line(file, line)?;
+    /// [`RuntimeError::Io`] when an append fails.
+    pub fn adopt(&mut self, lines: &str) -> Result<usize, RuntimeError> {
+        let lines = lines.lines().map(str::trim);
+        let (entries, tiles) = usable(lines.filter_map(|l| Some((StoreLine::parse(l).ok()?, l))));
+        let mut adopted = 0;
+        for (tile, text) in tiles {
+            let (key, (entry, entry_line)) = (tile.key, &entries[&tile.key]);
+            if self.take(tile.place(entry)) {
+                adopted += 1;
+                let ledger = self.ledger.get_mut();
+                if let Some(sink) = &mut ledger.unwrap_or_else(PoisonError::into_inner).sink {
+                    sink.append(key, Some(entry_line), text)?;
+                }
+            }
         }
         Ok(adopted)
     }
@@ -253,30 +269,50 @@ impl<'a> Run<'a> {
         self.control.cancelled() || self.append_error.get().is_some()
     }
 
-    /// Commits a finished tile: appends its line to the checkpoint (`line`
-    /// when the executor holds the encoded form, as the fleet coordinator
-    /// does; otherwise encoded here, on the calling thread, before the
-    /// lock), then counts and reports it. A failed append is latched — the
-    /// tile stays uncommitted and the run [`stopped`](Run::stopped).
-    pub fn commit(&self, record: TileRecord, cached: bool, line: Option<&str>) {
-        let encoded = (line.is_none() && self.checkpointing).then(|| record.to_json_line());
-        let mut ledger = self.lock();
-        if let (Some(file), Some(line)) = (ledger.sink.as_mut(), line.or(encoded.as_deref())) {
-            if let Err(e) = RunDir::append_line(file, line) {
+    /// Commits a finished tile — its `line`, the `entry` it places, whether
+    /// that was a cache replay: appends the tile line (after its key's
+    /// entry line, in one write, while the key is new to this run), then
+    /// places, counts and reports it. `verbatim` holds the `(entry, tile)`
+    /// lines an executor received and verified (the coordinator); else
+    /// they are encoded here, before the lock is taken — the entry only
+    /// while its key looks new. A failed append is latched — the tile stays
+    /// uncommitted and the run [`stopped`](Run::stopped).
+    pub fn commit(
+        &self,
+        line: TileLine,
+        entry: &CachedTile,
+        cached: bool,
+        verbatim: Option<(&str, &str)>,
+    ) {
+        let key = line.key;
+        // Without a sink `None`; else whether the key's entry is still due.
+        let wants_entry = self.lock().sink.as_ref().map(|s| s.wants_entry(key));
+        let lines = match (verbatim, wants_entry) {
+            (Some((entry, text)), _) => Some((Some(Cow::Borrowed(entry)), Cow::Borrowed(text))),
+            (None, Some(wants)) => Some((
+                wants.then(|| Cow::Owned(entry.to_json_line(key))),
+                Cow::Owned(line.to_json_line()),
+            )),
+            (None, None) => None,
+        };
+        let result = TileResult {
+            record: line.place(entry),
+            resumed: false,
+            cached,
+        };
+        let mut guard = self.lock();
+        let ledger = &mut *guard;
+        if let (Some(sink), Some((entry, text))) = (&mut ledger.sink, &lines) {
+            if let Err(e) = sink.append(key, entry.as_deref(), text) {
                 let _ = self.append_error.set(e);
                 return;
             }
         }
-        let result = TileResult {
-            record,
-            resumed: false,
-            cached,
-        };
         let completed = self.resumed.len() + ledger.committed.len() + 1;
         let progress = self.control.progress;
         let report = progress.map(|p| (p, event(&result, completed, self.wanted.len())));
         ledger.committed.push(result);
-        drop(ledger);
+        drop(guard);
         if let Some((progress, event)) = report {
             progress(&event);
         }
@@ -310,7 +346,9 @@ impl<'a> Run<'a> {
         committed.sort_unstable_by_key(by_index);
         let (resumed, executed) = (results.len(), committed.len());
         let cache_hits = committed.iter().filter(|r| r.cached).count();
-        let tile_seconds = committed.iter().map(|r| r.record.seconds).sum();
+        // From +0.0: `f64::sum` of nothing is -0.0, which a fully resumed
+        // run would report as `"tile_seconds":-0`.
+        let tile_seconds = committed.iter().fold(0.0, |sum, r| sum + r.record.seconds);
         results.append(&mut committed);
         results.sort_unstable_by_key(by_index);
         Ok(ScheduleOutcome {

@@ -18,16 +18,18 @@
 //! Everything around the fan-out — which tiles are resumed, the budget,
 //! committing a finished tile to the checkpoint file, progress events, the
 //! outcome — is the [`Run`] frame's (see [`crate::run`]). Line order in the
-//! file is nondeterministic but records are self-describing, so resume does
+//! file is nondeterministic but lines are self-describing, so resume does
 //! not care.
 
 use crate::cache::{tile_cache_key, CachedTile};
-use crate::checkpoint::{tile_input_hash, StitchedShape, TileMetrics, TileRecord};
+use crate::checkpoint::{
+    tile_input_hash, Placement, StitchedShape, TileLine, TileMetrics, TileRecord,
+};
 use crate::handle::{EngineKey, RunControl};
 use crate::partition::{Partition, Tile};
 use crate::run::Run;
 use crate::RuntimeError;
-use cardopc_geometry::{Grid, Point, Polygon};
+use cardopc_geometry::{Grid, Polygon};
 use cardopc_litho::{measure_epe, metal_measure_points, via_measure_points, LithoEngine};
 use cardopc_litho::{ProcessCondition, WorkerPool};
 use cardopc_opc::{engine_for_extent_at, CardOpc, MeasureConvention, EPE_TOLERANCE};
@@ -125,7 +127,7 @@ pub fn run_tiles_controlled(
             };
             let tile = &partition.tiles[index];
             match execute_tile(tile, hash, partition, flow, slot, slot_index, control) {
-                Ok(Some((record, cached))) => run.commit(record, cached, None),
+                Ok(Some((line, entry, cached))) => run.commit(line, &entry, cached, None),
                 // Cancelled while waiting on an in-flight cache key: no
                 // result for this tile, and the loop is about to exit.
                 Ok(None) => {}
@@ -136,15 +138,15 @@ pub fn run_tiles_controlled(
     run.finish()
 }
 
-/// Corrects exactly one tile of `partition` and returns its checkpoint
-/// record — the fleet worker's entry point. Runs through the same
-/// (optionally cached) `correct_tile` → `materialize` path as the full
-/// scheduler, so the record is byte-identical to what a single-process
-/// run produces for that tile. `slot_index` selects the stripe of an
-/// attached [`EngineCache`](crate::EngineCache) (callers with several
-/// executor threads should spread indices to avoid lock contention).
-/// `Ok(None)` means the control's handle was cancelled while the tile
-/// waited on another caller's in-flight correction.
+/// Corrects exactly one tile of `partition` and returns its tile line and
+/// the entry the line places — the fleet worker's entry point. Runs through the same (optionally cached) `correct_tile` →
+/// [`Placement::of`] path as the full scheduler, so the lines are
+/// byte-identical (timing aside) to what a single-process run writes for
+/// that tile. `slot_index` selects the stripe of an attached
+/// [`EngineCache`](crate::EngineCache) (callers with several executor
+/// threads should spread indices to avoid lock contention). `Ok(None)`
+/// means the control's handle was cancelled while the tile waited on
+/// another caller's in-flight correction.
 ///
 /// # Errors
 ///
@@ -156,7 +158,7 @@ pub fn correct_single_tile(
     flow: &CardOpc,
     control: &RunControl<'_>,
     slot_index: usize,
-) -> Result<Option<TileRecord>, RuntimeError> {
+) -> Result<Option<(TileLine, Arc<CachedTile>)>, RuntimeError> {
     // Tiles sit at their own index (the fleet worker relies on it too).
     let tile = partition
         .tiles
@@ -167,16 +169,17 @@ pub fn correct_single_tile(
         ))?;
     let mut slot = Slot::new();
     let hash = tile_input_hash(tile, flow.config());
-    let outcome = execute_tile(tile, hash, partition, flow, &mut slot, slot_index, control)?;
-    Ok(outcome.map(|(record, _cached)| record))
+    let finished = execute_tile(tile, hash, partition, flow, &mut slot, slot_index, control)?;
+    Ok(finished.map(|(line, entry, _cached)| (line, entry)))
 }
 
 /// Runs one tile through the (optionally cached) correction path and
-/// assembles its checkpoint record under `input_hash` (the tile's
-/// [`tile_input_hash`], which every caller has already computed). `Ok(None)`
-/// means the run was cancelled while the tile waited on another caller's
-/// in-flight correction of the same pattern. The boolean is `true` for a
-/// cache replay.
+/// places the entry under `input_hash` (the tile's [`tile_input_hash`],
+/// which every caller has already computed). The cache key is computed
+/// with or without a cache: the tile line names it. The boolean is `true`
+/// for a cache replay. `Ok(None)` means the run was cancelled while the
+/// tile waited on another caller's in-flight correction of the same
+/// pattern.
 fn execute_tile(
     tile: &Tile,
     input_hash: u64,
@@ -185,13 +188,13 @@ fn execute_tile(
     slot: &mut Slot,
     slot_index: usize,
     control: &RunControl<'_>,
-) -> Result<Option<(TileRecord, bool)>, RuntimeError> {
+) -> Result<Option<(TileLine, Arc<CachedTile>, bool)>, RuntimeError> {
     let start = std::time::Instant::now();
     let config = flow.config();
+    let key = tile_cache_key(tile, &partition.config, config);
     let correct = |slot: &mut Slot| correct_tile(tile, flow, config, slot, slot_index, control);
-    let (value, cached) = match control.cache {
+    let (entry, cached) = match control.cache {
         Some(cache) => {
-            let key = tile_cache_key(tile, &partition.config, config);
             let cancelled = || control.cancelled();
             match cache.get_or_correct(key, &cancelled, || correct(slot))? {
                 Some(found) => found,
@@ -201,13 +204,23 @@ fn execute_tile(
         None => (Arc::new(correct(slot)?), false),
     };
     let seconds = start.elapsed().as_secs_f64();
-    let record = materialize(tile, input_hash, partition, &value, seconds);
-    Ok(Some((record, cached)))
+    let placement = Placement::of(tile, partition, &entry).ok_or(RuntimeError::InvalidConfig(
+        "a tile cache entry names a target its tile does not have",
+    ))?;
+    let line = TileLine {
+        index: tile.index,
+        name: tile.clip.name().to_string(),
+        input_hash,
+        key,
+        seconds,
+        placement,
+    };
+    Ok(Some((line, entry, cached)))
 }
 
 /// Corrects one tile — the expensive part: the full OPC flow plus
 /// scoring — producing a *window-relative* [`CachedTile`] that this tile
-/// or any congruent one can replay via [`materialize`].
+/// or any congruent one places by [`Placement::of`].
 fn correct_tile(
     tile: &Tile,
     flow: &CardOpc,
@@ -337,7 +350,7 @@ fn correct_tile(
     // ownership is deliberately NOT decided here — an edge tile and an
     // interior tile can share a pattern yet split halo assists
     // differently (the owner grid clamps at the chip boundary), so the
-    // filter runs per replaying tile in [`materialize`].
+    // filter runs per replaying tile in [`Placement::of`].
     let mut shapes = Vec::new();
     let mut main_index = 0usize;
     for shape in &optimized.shapes {
@@ -378,59 +391,6 @@ fn window_shape(shape: &cardopc_opc::OpcShape, target: Option<usize>) -> Stitche
         is_sraf: target.is_none(),
         tension: shape.spline.tension(),
         control_points: shape.spline.control_points().to_vec(),
-    }
-}
-
-/// Replays a window-relative corrected tile into a concrete tile's
-/// checkpoint record by pure translation: control points gain the tile's
-/// window origin, global target ids come from the tile's own id map, and
-/// assists keep only those whose centre falls in this tile's core under
-/// the partitioner's half-open owner convention (each assist is produced
-/// identically by every tile whose window sees its parents, so core
-/// ownership deduplicates them the same way it deduplicates mains). The
-/// cold path routes through this same function, so a cache replay is
-/// byte-identical to a cold correction by construction.
-fn materialize(
-    tile: &Tile,
-    input_hash: u64,
-    partition: &Partition,
-    value: &CachedTile,
-    seconds: f64,
-) -> TileRecord {
-    let ts = partition.config.tile_size;
-    let owns = |c: Point| -> bool {
-        let ox = ((c.x / ts).floor().max(0.0) as usize).min(partition.nx - 1);
-        let oy = ((c.y / ts).floor().max(0.0) as usize).min(partition.ny - 1);
-        (ox, oy) == (tile.tx, tile.ty)
-    };
-    // Window frame → chip frame: same shape record, control points moved
-    // by the origin and a main's local target index traded for its global
-    // id.
-    let mut shapes = Vec::with_capacity(value.shapes.len());
-    for s in &value.shapes {
-        if s.is_sraf {
-            let window_centre =
-                cardopc_geometry::BBox::from_points(s.control_points.iter().copied()).center();
-            if !owns(window_centre + tile.origin) {
-                continue;
-            }
-        }
-        shapes.push(StitchedShape {
-            global_id: s.global_id.map(|local| tile.global_ids[local]),
-            is_sraf: s.is_sraf,
-            tension: s.tension,
-            control_points: s.control_points.iter().map(|p| *p + tile.origin).collect(),
-        });
-    }
-    TileRecord {
-        index: tile.index,
-        name: tile.clip.name().to_string(),
-        input_hash,
-        owned_epe_history: value.owned_epe_history.clone(),
-        epe_history: value.epe_history.clone(),
-        shapes,
-        metrics: value.metrics.clone(),
-        seconds,
     }
 }
 
@@ -478,6 +438,7 @@ fn core_pvb(
 mod tests {
     use super::*;
     use crate::partition::{partition_clip, TilingConfig};
+    use cardopc_geometry::Point;
     use cardopc_layout::Clip;
     use cardopc_opc::OpcConfig;
 
@@ -727,6 +688,11 @@ mod tests {
         let rerun = rerun.unwrap();
         assert_eq!((rerun.resumed, rerun.executed, rerun.remaining), (0, 16, 0));
         let held = run_dir.load_records().unwrap();
+        // The store gives back what the run committed, seconds included —
+        // without a cache, congruent tiles place the first one's entry.
+        for r in &rerun.results {
+            assert_eq!(held[&r.record.index], r.record, "tile {}", r.record.index);
+        }
         let again = run_tiles_controlled(&partition, &flow, &pool, &held, None, None, &control);
         let again = again.unwrap();
         assert_eq!((again.resumed, again.executed), (16, 0));

@@ -5,7 +5,7 @@
 use crate::RuntimeError;
 use cardopc_litho::WorkerPool;
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// `RuntimeError::Io` in the crate's "<verb> <path>: <cause>" form.
@@ -15,10 +15,11 @@ pub(crate) fn io_error(verb: &str, path: &Path, e: std::io::Error) -> RuntimeErr
 
 /// Reads an append-only JSONL store: every line `parse` accepts, in file
 /// order, each with the bytes it occupies — plus the file's total size.
-/// Lines `parse` rejects (the torn tail of a killed writer) are skipped,
-/// so collecting the result into a map keyed by the line's identity makes
-/// the last line per key win. A missing file is an empty store. Parsing is
-/// spread over the global [`WorkerPool`] (see [`parse_lines`]).
+/// Lines `parse` rejects (the torn tail of a killed writer) or that are not
+/// UTF-8 (a damaged byte) are skipped, so collecting the result into a map
+/// keyed by the line's identity makes the last line per key win. A missing
+/// file is an empty store. Parsing is spread over the global
+/// [`WorkerPool`] (see [`parse_lines`]).
 ///
 /// # Errors
 ///
@@ -27,13 +28,13 @@ pub(crate) fn load_jsonl<T: Send>(
     path: &Path,
     parse: impl Fn(&str) -> Result<T, String> + Sync,
 ) -> Result<(Vec<(T, u64)>, u64), RuntimeError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(io_error("read", path, e)),
     };
-    let parsed = parse_lines(&text, WorkerPool::global(), parse);
-    Ok((parsed, text.len() as u64))
+    let parsed = parse_lines(&bytes, WorkerPool::global(), parse);
+    Ok((parsed, bytes.len() as u64))
 }
 
 /// Below this many lines a store is parsed on the caller's thread: waking
@@ -44,17 +45,22 @@ const PARALLEL_MIN_LINES: usize = 64;
 /// executor, concatenated in file order, so the result is the sequential
 /// loop's for any pool size.
 fn parse_lines<T: Send>(
-    text: &str,
+    text: &[u8],
     pool: &WorkerPool,
     parse: impl Fn(&str) -> Result<T, String> + Sync,
 ) -> Vec<(T, u64)> {
-    let lines: Vec<&str> = text
-        .lines()
-        .map(str::trim)
+    let lines: Vec<&[u8]> = text
+        .split(|&b| b == b'\n')
+        .map(<[u8]>::trim_ascii)
         .filter(|l| !l.is_empty())
         .collect();
-    let parse_chunk = |chunk: &[&str]| -> Vec<(T, u64)> {
-        let keep = |l: &&str| Some((parse(l).ok()?, l.len() as u64 + 1));
+    let parse_chunk = |chunk: &[&[u8]]| -> Vec<(T, u64)> {
+        let keep = |l: &&[u8]| {
+            Some((
+                parse(std::str::from_utf8(l).ok()?).ok()?,
+                l.len() as u64 + 1,
+            ))
+        };
         chunk.iter().filter_map(keep).collect()
     };
     if pool.parallelism() <= 1 || lines.len() < PARALLEL_MIN_LINES {
@@ -81,12 +87,14 @@ pub(crate) fn open_append(path: &Path) -> Result<std::fs::File, RuntimeError> {
     opened.map_err(|e| io_error("open", path, e))
 }
 
-/// Appends `line` plus its newline in one write, then flushes: a killed
-/// writer tears at most the final line.
-pub(crate) fn append_line(file: &mut std::fs::File, line: &str) -> std::io::Result<()> {
-    let mut bytes = Vec::with_capacity(line.len() + 1);
-    bytes.extend_from_slice(line.as_bytes());
-    bytes.push(b'\n');
+/// Appends `lines`, each plus its newline, in one write, then flushes: a
+/// killed writer tears at most the final line.
+pub(crate) fn append_lines(file: &mut impl Write, lines: &[&str]) -> std::io::Result<()> {
+    let mut bytes = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    for line in lines {
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+    }
     file.write_all(&bytes)?;
     file.flush()
 }
@@ -227,15 +235,20 @@ mod tests {
     #[test]
     fn any_pool_size_parses_like_one_thread() {
         let text = store_text();
-        let one = parse_lines(&text, &WorkerPool::new(1), parse);
+        let one = parse_lines(text.as_bytes(), &WorkerPool::new(1), parse);
         assert_eq!(one.len(), 3 * 501);
         assert_eq!(one[0], ((0, 0), 4));
         // Bytes are the trimmed line plus its newline.
         assert_eq!(one[500], ((0, 77), 5));
         for threads in [2, 3, 8] {
-            let many = parse_lines(&text, &WorkerPool::new(threads), parse);
+            let many = parse_lines(text.as_bytes(), &WorkerPool::new(threads), parse);
             assert_eq!(many, one, "{threads} threads");
         }
+        // A line with a byte that is not UTF-8 is skipped, alone.
+        let mut damaged = text.clone().into_bytes();
+        damaged[2] ^= 0x80;
+        let skipped = parse_lines(&damaged, &WorkerPool::new(2), parse);
+        assert_eq!(skipped[..], one[1..]);
         // File order is kept, so the last line per key wins and the torn
         // tail changes nothing.
         let map: HashMap<u32, u32> = one.into_iter().map(|(pair, _)| pair).collect();
@@ -293,10 +306,10 @@ mod tests {
     #[test]
     fn small_empty_and_missing_stores_load() {
         let pool = WorkerPool::new(4);
-        assert!(parse_lines("", &pool, parse).is_empty());
-        assert!(parse_lines("\n\n", &pool, parse).is_empty());
+        assert!(parse_lines(b"", &pool, parse).is_empty());
+        assert!(parse_lines(b"\n\n", &pool, parse).is_empty());
         // A handful of lines stays on the caller's thread — same answer.
-        let few = parse_lines("1 2\n1 3\ntorn", &pool, parse);
+        let few = parse_lines(b"1 2\n1 3\ntorn", &pool, parse);
         assert_eq!(few, vec![((1, 2), 4), ((1, 3), 4)]);
 
         let dir = std::env::temp_dir().join(format!("cardopc-store-test-{}", std::process::id()));
@@ -309,7 +322,10 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         let (loaded, bytes) = load_jsonl(&path, parse).unwrap();
         assert_eq!(bytes, text.len() as u64);
-        assert_eq!(loaded, parse_lines(&text, &WorkerPool::new(1), parse));
+        assert_eq!(
+            loaded,
+            parse_lines(text.as_bytes(), &WorkerPool::new(1), parse)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

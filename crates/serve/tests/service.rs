@@ -10,7 +10,7 @@
 use cardopc_geometry::SplitMix64;
 use cardopc_json::Json;
 use cardopc_litho::WorkerPool;
-use cardopc_runtime::run_clip;
+use cardopc_runtime::{run_clip, StoreLine};
 use cardopc_serve::{client, wire, ServeConfig, Server};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -245,9 +245,10 @@ fn cancel_leaves_a_resumable_checkpoint() {
     let cancelled = wait_terminal(addr, &first);
     assert_eq!(state(&cancelled), "cancelled", "{cancelled:?}");
 
-    // The run directory holds the finished tiles' records.
+    // The run directory holds the finished tiles' lines.
     let records = std::fs::read_to_string(root.join("resume-me").join("tiles.jsonl")).unwrap();
-    let checkpointed = records.lines().count();
+    let tile_line = |l: &&str| matches!(StoreLine::parse(l), Ok(StoreLine::Tile(_)));
+    let checkpointed = records.lines().filter(tile_line).count();
     assert!(checkpointed >= 1, "cancelled run must keep its checkpoints");
 
     // Resubmitting the identical spec resumes those tiles and completes.
