@@ -1,15 +1,15 @@
 //! Criterion benchmark of the evaluation & fitting hot path: full-metric
 //! mask scoring (`evaluate_mask_grid`: nominal + defocused aerial images,
-//! EPE / PVB / L2) and the hybrid flow's contour fitting stage
-//! (`fit_mask_shapes` on a Fig. 7 metal clip).
+//! EPE / PVB / L2), and the hybrid flow's two stages on a Fig. 7 metal
+//! clip: pixel ILT (`pixel_ilt`) and contour fitting (`fit_mask_shapes`).
 //!
 //! Every table and figure of the paper's evaluation is gated on these two
 //! functions, so they are benchmarked at the grid sizes the experiments
 //! use (128² for the via tables, 256²/512² for the metal clips).
 
-use cardopc::ilt::{fit_mask_shapes, HybridConfig};
+use cardopc::ilt::{fit_mask_shapes, pixel_ilt, HybridConfig, IltConfig};
 use cardopc::litho::rasterize;
-use cardopc::opc::{engine_for_extent, evaluate_mask_grid, MeasureConvention};
+use cardopc::opc::{engine_for_extent, evaluate_mask_grid, raster_for_engine, MeasureConvention};
 use cardopc::prelude::*;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -52,8 +52,8 @@ fn bench_evaluate(c: &mut Criterion) {
 fn bench_fit(c: &mut Criterion) {
     // The fitting stage of the hybrid flow on a Fig. 7 metal clip: the
     // rasterised M1 wire pattern, smoothed so the traced contours carry the
-    // curvature a real ILT mask would (pixel ILT itself is benched by the
-    // fig7 binary; here we isolate regularise + trace + Algorithm 1).
+    // curvature a real ILT mask would (pixel ILT is benched on its own by
+    // `bench_ilt`; here we isolate regularise + trace + Algorithm 1).
     let clip = &metal_clips()[0];
     let engine = engine_for_extent(clip.width(), clip.height(), 4.0).unwrap();
     let raster = rasterize(
@@ -73,5 +73,26 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_evaluate, bench_fit);
+fn bench_ilt(c: &mut Criterion) {
+    // The ILT stage of the hybrid flow: ten iterations (each one nominal
+    // aerial image and its adjoint) against the rasterised M1 clip on the
+    // grid `fig7_hybrid` runs (375² at 4 nm).
+    let clip = &metal_clips()[0];
+    let engine = engine_for_extent(clip.width(), clip.height(), 4.0).unwrap();
+    let target = raster_for_engine(&engine, clip.targets()).binarize(0.5);
+    let config = IltConfig {
+        iterations: 10,
+        ..HybridConfig::default().ilt
+    };
+
+    let mut group = c.benchmark_group("pixel_ilt");
+    group.sample_size(10);
+    let name = format!("fig7_metal_{}/10_iterations", engine.width());
+    group.bench_function(name, |b| {
+        b.iter(|| black_box(pixel_ilt(&engine, black_box(&target), &config).unwrap()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_evaluate, bench_fit, bench_ilt);
 criterion_main!(benches);

@@ -155,23 +155,12 @@ pub fn run_hybrid(
     };
     loop {
         let remaining = checker.check(&shapes);
-        if remaining.is_empty() {
-            break;
-        }
-        let mut per_shape = std::collections::HashMap::new();
-        for v in &remaining {
-            *per_shape.entry(v.shape).or_insert(0usize) += 1;
-        }
-        let worst_assist = per_shape
-            .iter()
-            .filter(|&(&i, _)| !is_main(&shapes[i]))
-            .max_by_key(|&(_, &c)| c)
-            .map(|(&i, _)| i);
-        match worst_assist {
+        let offenders = remaining.iter().map(|v| v.shape);
+        match worst_assist(offenders, |i| is_main(&shapes[i])) {
             Some(i) => {
                 shapes.remove(i);
             }
-            None => break, // only mains still violate; keep them
+            None => break, // nothing violates, or only mains do; keep them
         }
     }
     let violations_after = checker.check(&shapes).len();
@@ -214,6 +203,24 @@ pub fn run_hybrid(
         hybrid_eval,
         mean_fit_loss,
     })
+}
+
+/// The assist to prune next, given the shape index of every violation: the
+/// non-main shape with the most violations, ties to the lowest index, so
+/// the pruning order is a function of the violations alone.
+fn worst_assist(
+    offenders: impl Iterator<Item = usize>,
+    is_main: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let mut per_shape = std::collections::BTreeMap::new();
+    for shape in offenders {
+        *per_shape.entry(shape).or_insert(0usize) += 1;
+    }
+    per_shape
+        .into_iter()
+        .filter(|&(i, _)| !is_main(i))
+        .max_by_key(|&(i, count)| (count, std::cmp::Reverse(i)))
+        .map(|(i, _)| i)
 }
 
 /// Fits cardinal-spline shapes to an arbitrary mask image (§III-B/G).
@@ -413,6 +420,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tied_assists_prune_the_lowest_index_first() {
+        // Shapes 5 and 2 tie at two violations each; main shape 0 has more
+        // but is never pruned.
+        let offenders = [5usize, 0, 2, 0, 5, 0, 2, 7];
+        let worst = |v: &[usize]| worst_assist(v.iter().copied(), |i| i == 0);
+        assert_eq!(worst(&offenders), Some(2));
+        let mut reversed = offenders;
+        reversed.reverse();
+        assert_eq!(worst(&reversed), Some(2));
+        assert_eq!(worst(&[0, 0]), None);
+        assert_eq!(worst(&[]), None);
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! * mask relaxation `M = σ(θ_M · P)` over unbounded parameters `P`,
 //! * resist relaxation `Z = σ(θ_Z · (I − I_th))`,
 //! * loss `L = ‖Z − Ẑ‖²` against the binary target `Ẑ`,
-//! * analytic gradient through the Hopkins model:
-//!   `∇_M L = 2·Re Σ_k w_k IFFT(FFT(F ⊙ A_k) ⊙ H_k*)` with
-//!   `A_k = M ⊗ h_k` and `F = 2(Z−Ẑ)·Z(1−Z)·θ_Z`,
+//! * the gradient through the Hopkins model from the engine's own adjoint,
+//!   [`LithoEngine::vjp`] of `F = 2(Z−Ẑ)·Z(1−Z)·θ_Z`, the loss's
+//!   sensitivity to the intensity,
 //! * gradient descent with momentum.
 
 use cardopc_geometry::Grid;
-use cardopc_litho::fft::{FftScratch, Field};
-use cardopc_litho::{LithoEngine, LithoError, Precision, Scalar, SocsKernel, WorkerPool};
+use cardopc_litho::{LithoEngine, LithoError};
 
 /// Configuration of the pixel ILT optimiser.
 #[derive(Clone, Debug, PartialEq)]
@@ -95,36 +94,9 @@ pub fn pixel_ilt(
             got: (target.width(), target.height()),
         });
     }
-    // The gradient loop runs at the engine's simulation precision: the f64
-    // path borrows the reference kernel stack directly, the f32 path
-    // narrows it once per call (pixel ILT runs once per tile — the narrow
-    // is noise next to the iteration loop it feeds).
-    match engine.precision() {
-        Precision::F64 => pixel_ilt_impl(engine, target, config, engine.nominal_kernels()),
-        Precision::F32 => {
-            let kernels: Vec<SocsKernel<f32>> = engine
-                .nominal_kernels()
-                .iter()
-                .map(SocsKernel::to_precision)
-                .collect();
-            pixel_ilt_impl(engine, target, config, &kernels)
-        }
-    }
-}
-
-/// The optimiser loop, generic over the simulation scalar. Parameters,
-/// losses and the returned mask stay `f64`; the Hopkins forward/backward
-/// passes (coherent fields, spectra, accumulator strips and the resist
-/// sensitivity field `F`) run in `T`.
-fn pixel_ilt_impl<T: Scalar>(
-    engine: &LithoEngine,
-    target: &Grid,
-    config: &IltConfig,
-    kernels: &[SocsKernel<T>],
-) -> Result<IltOutcome, LithoError> {
-    let (w, h) = (engine.width(), engine.height());
     let n = w * h;
     let threshold = engine.threshold();
+    let sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
 
     // Parameter initialisation from the target.
     let mut params: Vec<f64> = target
@@ -140,173 +112,50 @@ fn pixel_ilt_impl<T: Scalar>(
         .collect();
     let mut velocity = vec![0.0f64; n];
     let mut loss_history = Vec::with_capacity(config.iterations);
-
-    let sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
-
-    // Hot-loop state, allocated once and reused across all iterations:
-    // per-kernel coherent fields A_k (kept for the backward pass), the mask
-    // spectrum, and one work-slot per pool task. Kernels are statically
-    // chunked in ascending order, each kernel accumulates into its own
-    // strip, and the strips are reduced in ascending kernel order — so
-    // results are byte-identical for any worker count (per dispatch mode).
-    struct IltSlot<T: Scalar> {
-        /// `F ⊙ A_k` and its forward transform.
-        work: Field<T>,
-        /// `FFT(F ⊙ A_k) ⊙ H_k*` and its inverse transform.
-        prod: Field<T>,
-        /// FFT scratch (ping-pong, transpose and column-gather lanes).
-        scratch: FftScratch<T>,
-    }
-    /// Per-task work unit: a slot plus its chunk of coherent fields A_k and
-    /// accumulator strips (fields mutable in the forward pass, read-only in
-    /// the backward pass).
-    type FwdUnit<'a, T> = (&'a mut IltSlot<T>, &'a mut [Field<T>], &'a mut [T]);
-    type BwdUnit<'a, T> = (&'a mut IltSlot<T>, &'a [Field<T>], &'a mut [T]);
-    let pool = WorkerPool::global();
-    let tasks = engine.workers().clamp(1, kernels.len().max(1));
-    let chunk = kernels.len().div_ceil(tasks);
-    // The pruned inverse transforms are unscaled; fold both axes'
-    // normalisations into the accumulation weights instead.
-    let inv_n2 = 1.0 / (n as f64 * n as f64);
-    let mut slots: Vec<IltSlot<T>> = (0..tasks)
-        .map(|_| IltSlot {
-            work: Field::zeros(w, h),
-            prod: Field::zeros(w, h),
-            scratch: FftScratch::new(),
-        })
-        .collect();
-    // One accumulator strip per kernel, shared by forward (w·|z|²) and
-    // backward (w·Re) passes; reduced in ascending kernel order.
-    let mut strips = vec![T::ZERO; kernels.len().max(1) * n];
-    let mut a_fields: Vec<Field<T>> = kernels.iter().map(|_| Field::zeros(w, h)).collect();
-    let mut spectrum: Field<T> = Field::zeros(w, h);
-    let mut fwd_scratch: FftScratch<T> = FftScratch::new();
-    let mut intensity = vec![0.0f64; n];
-    let mut grad_m = vec![0.0f64; n];
-    let mut f_field = vec![T::ZERO; n]; // F = 2(Z-Ẑ)·Z(1-Z)·θ_Z
+    let mut mask = Grid::zeros(w, h, engine.pitch());
+    let mut sensitivity = Grid::zeros(w, h, engine.pitch());
     let mut blur_scratch: Vec<f64> = Vec::new();
 
-    let mut mask_vals = vec![0.0f64; n];
     for iter in 0..config.iterations {
         if config.regularize_every > 0 && iter > 0 && iter % config.regularize_every == 0 {
             crate::cleanup::blur_field(&mut params, w, h, 1, &mut blur_scratch);
         }
-        // Forward: mask, coherent fields, intensity, resist. Each pool task
-        // owns a disjoint chunk of `a_fields`, leaving A_k (unscaled by
-        // `n = w·h`) in place for the backward pass.
-        for (m, &p) in mask_vals.iter_mut().zip(&params) {
+        for (m, &p) in mask.data_mut().iter_mut().zip(&params) {
             *m = sigmoid(config.theta_mask * p);
         }
-        spectrum.fill_forward_real_with(&mask_vals, &mut fwd_scratch);
-        {
-            let spectrum = &spectrum;
-            let mut units: Vec<FwdUnit<T>> = slots
-                .iter_mut()
-                .zip(a_fields.chunks_mut(chunk))
-                .zip(strips.chunks_mut(chunk * n))
-                .map(|((slot, a), s)| (slot, a, s))
-                .collect();
-            pool.run_with_slots(&mut units, |t, (slot, a_chunk, strip_chunk)| {
-                for ((a, kernel), strip) in a_chunk
-                    .iter_mut()
-                    .zip(kernels.iter().skip(t * chunk))
-                    .zip(strip_chunk.chunks_mut(n))
-                {
-                    strip.fill(T::ZERO);
-                    spectrum.mul_pointwise_pruned_into(&kernel.transfer, &kernel.live_rows, a);
-                    a.ifft2_pruned_unscaled(&kernel.live_rows, &mut slot.scratch);
-                    a.accumulate_norm_sq(T::from_f64(kernel.weight * inv_n2), strip);
-                }
-            });
-        }
-        reduce_strips(&strips, kernels.len(), n, &mut intensity);
+        let intensity = engine.aerial_image(&mask)?;
 
-        // Resist and loss.
+        // Resist, loss and its sensitivity F to the intensity.
         let mut loss = 0.0;
-        for i in 0..n {
-            let z = sigmoid(config.theta_resist * (intensity[i] - threshold));
-            let zt = if target.data()[i] > 0.5 { 1.0 } else { 0.0 };
-            let diff = z - zt;
+        let pixels = intensity.data().iter().zip(target.data());
+        for (f, (&i, &t)) in sensitivity.data_mut().iter_mut().zip(pixels) {
+            let z = sigmoid(config.theta_resist * (i - threshold));
+            let diff = z - if t > 0.5 { 1.0 } else { 0.0 };
             loss += diff * diff;
-            f_field[i] = T::from_f64(2.0 * diff * z * (1.0 - z) * config.theta_resist);
+            *f = 2.0 * diff * z * (1.0 - z) * config.theta_resist;
         }
         loss_history.push(loss / n as f64);
 
-        // Backward: grad_M = 2 Re Σ_k w_k IFFT(FFT(F ⊙ A_k) ⊙ conj(H_k)),
-        // reusing the slot work fields. A_k carries a factor of n from its
-        // unscaled inverse and the final pruned inverse another, so the
-        // `inv_n2` in the accumulation weight restores the true scale.
-        {
-            let f_field = &f_field;
-            let mut units: Vec<BwdUnit<T>> = slots
-                .iter_mut()
-                .zip(a_fields.chunks(chunk))
-                .zip(strips.chunks_mut(chunk * n))
-                .map(|((slot, a), s)| (slot, a, s))
-                .collect();
-            pool.run_with_slots(&mut units, |t, (slot, a_chunk, strip_chunk)| {
-                for ((a, kernel), strip) in a_chunk
-                    .iter()
-                    .zip(kernels.iter().skip(t * chunk))
-                    .zip(strip_chunk.chunks_mut(n))
-                {
-                    strip.fill(T::ZERO);
-                    a.mul_real_into(f_field, &mut slot.work);
-                    slot.work.fft2_inplace_with(false, &mut slot.scratch);
-                    slot.work.mul_conj_pointwise_pruned_into(
-                        &kernel.transfer,
-                        &kernel.live_rows,
-                        &mut slot.prod,
-                    );
-                    slot.prod
-                        .ifft2_pruned_unscaled(&kernel.live_rows, &mut slot.scratch);
-                    slot.prod
-                        .accumulate_re(T::from_f64(2.0 * kernel.weight * inv_n2), strip);
-                }
-            });
-        }
-        reduce_strips(&strips, kernels.len(), n, &mut grad_m);
-
-        // Chain rule through the mask sigmoid; momentum update.
-        for i in 0..n {
-            let m = mask_vals[i];
-            let grad_p = grad_m[i] * config.theta_mask * m * (1.0 - m);
-            velocity[i] = config.momentum * velocity[i] - config.step_size * grad_p;
-            params[i] += velocity[i];
+        // Backward through the imaging model, then the mask sigmoid;
+        // momentum update.
+        let grad_m = engine.vjp(&mask, &sensitivity)?;
+        let mask_grad = mask.data().iter().zip(grad_m.data());
+        for ((v, p), (&m, &g)) in velocity.iter_mut().zip(&mut params).zip(mask_grad) {
+            let grad_p = g * config.theta_mask * m * (1.0 - m);
+            *v = config.momentum * *v - config.step_size * grad_p;
+            *p += *v;
         }
     }
 
-    for (m, &p) in mask_vals.iter_mut().zip(&params) {
+    for (m, &p) in mask.data_mut().iter_mut().zip(&params) {
         *m = sigmoid(config.theta_mask * p);
     }
-    let mask = Grid::from_data(w, h, engine.pitch(), mask_vals);
     let binary_mask = mask.binarize(0.5);
     Ok(IltOutcome {
         mask,
         binary_mask,
         loss_history,
     })
-}
-
-/// Left-folds `count` per-kernel strips of `stride` samples into `out`, in
-/// ascending kernel order — a summation tree independent of how the kernels
-/// were chunked across pool tasks. Each strip sample is widened and the
-/// fold accumulates in the `f64` output domain (still a fixed tree, so
-/// still byte-deterministic across worker counts for any `T`).
-fn reduce_strips<T: Scalar>(strips: &[T], count: usize, stride: usize, out: &mut [f64]) {
-    if count == 0 {
-        out.fill(0.0);
-        return;
-    }
-    for (dst, &v) in out.iter_mut().zip(&strips[..stride]) {
-        *dst = v.to_f64();
-    }
-    for k in 1..count {
-        let src = &strips[k * stride..(k + 1) * stride];
-        for (dst, &v) in out.iter_mut().zip(src) {
-            *dst += v.to_f64();
-        }
-    }
 }
 
 /// Recomputes the relaxed ILT loss from raw parameters — used by the
@@ -334,7 +183,7 @@ fn numeric_loss(engine: &LithoEngine, params: &[f64], target: &Grid, config: &Il
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cardopc_litho::OpticsConfig;
+    use cardopc_litho::{OpticsConfig, Precision};
 
     fn small_engine() -> LithoEngine {
         let cfg = OpticsConfig {
@@ -464,6 +313,35 @@ mod tests {
             .map(|(&a, &b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(drift < 5e-2, "max mask drift {drift}");
+    }
+
+    #[test]
+    fn ilt_is_byte_identical_for_any_worker_count() {
+        // Default optics: 8 nominal kernels, so every worker count here
+        // chunks the adjoint's kernel fan-out differently.
+        let cfg = IltConfig {
+            iterations: 10,
+            ..IltConfig::default()
+        };
+        for precision in [Precision::F64, Precision::F32] {
+            let mut engine =
+                LithoEngine::with_precision(OpticsConfig::default(), 64, 64, 8.0, precision)
+                    .unwrap();
+            engine.calibrate_threshold();
+            let target = square_target(&engine, 10);
+            let bits = |out: IltOutcome| {
+                let mask: Vec<u64> = out.mask.data().iter().map(|v| v.to_bits()).collect();
+                let loss: Vec<u64> = out.loss_history.iter().map(|v| v.to_bits()).collect();
+                (mask, loss)
+            };
+            engine.set_workers(1);
+            let reference = bits(pixel_ilt(&engine, &target, &cfg).unwrap());
+            for workers in [2usize, 3, 8] {
+                engine.set_workers(workers);
+                let got = bits(pixel_ilt(&engine, &target, &cfg).unwrap());
+                assert_eq!(got, reference, "{precision} with {workers} workers");
+            }
+        }
     }
 
     #[test]

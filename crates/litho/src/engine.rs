@@ -1,12 +1,13 @@
-//! The lithography simulation engine (Hopkins Eq. 1 via SOCS kernels).
+//! The lithography simulation engine (Hopkins Eq. 1 via SOCS kernels) and
+//! the adjoint of its nominal image, which gradient-based ILT runs on.
 
-use crate::optics::{OpticsConfig, SocsKernel, SocsStacks};
+use crate::optics::{OpticsConfig, SocsStacks};
 use crate::pool::WorkerPool;
 use crate::scalar::{Precision, Scalar};
 use crate::workspace::LithoWorkspace;
 use crate::LithoError;
 use cardopc_geometry::Grid;
-use std::sync::{Arc, Mutex, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, TryLockError};
 
 /// The simulation interior at one precision: the kernel patches at that
 /// precision plus a reusable [`LithoWorkspace`], so repeat calls are
@@ -25,9 +26,17 @@ impl<T: Scalar> Interior<T> {
         }
     }
 
-    /// [`LithoWorkspace::images`] on the engine's workspace — or, when
-    /// another caller on the same engine holds it, on a transient one
-    /// rather than serialising on the lock.
+    /// Runs `job` on the engine's workspace — or, when another caller on
+    /// the same engine holds it, on a transient one rather than serialising
+    /// on the lock.
+    fn with_workspace(&self, job: impl FnOnce(&SocsStacks<T>, &mut LithoWorkspace<T>)) {
+        match self.workspace.try_lock() {
+            Ok(mut ws) => job(&self.stacks, &mut ws),
+            Err(TryLockError::Poisoned(poisoned)) => job(&self.stacks, &mut poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => job(&self.stacks, &mut LithoWorkspace::new()),
+        }
+    }
+
     fn images(
         &self,
         mask: &[f64],
@@ -37,14 +46,14 @@ impl<T: Scalar> Interior<T> {
         outputs: &mut [&mut [f64]],
     ) {
         let pool = WorkerPool::global();
-        let mut run = |ws: &mut LithoWorkspace<T>| {
-            ws.images(&self.stacks, mask, states, cols, pool, workers, outputs)
-        };
-        match self.workspace.try_lock() {
-            Ok(mut ws) => run(&mut ws),
-            Err(TryLockError::Poisoned(poisoned)) => run(&mut poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => run(&mut LithoWorkspace::new()),
-        }
+        self.with_workspace(|stacks, ws| {
+            ws.images(stacks, mask, states, cols, pool, workers, outputs)
+        });
+    }
+
+    fn vjp(&self, mask: &[f64], cotangent: &[f64], workers: usize, gradient: &mut [f64]) {
+        let pool = WorkerPool::global();
+        self.with_workspace(|stacks, ws| ws.vjp(stacks, mask, cotangent, pool, workers, gradient));
     }
 }
 
@@ -55,11 +64,10 @@ impl<T: Scalar> Clone for Interior<T> {
     }
 }
 
-/// The arithmetic the convolution hot loop runs: `F64` shares the engine's
-/// reference stacks by `Arc` (4-lane AVX2); `F32` holds a copy of the
-/// kernel patches — a few hundred KB, never a full-grid field — narrowed
-/// once at construction (8-lane AVX2). Geometry, MRC and spline fitting
-/// never see reduced precision.
+/// The arithmetic the convolution hot loop runs: `F64` runs the kernel
+/// patches as synthesised (4-lane AVX2); `F32` runs a copy narrowed once at
+/// construction — a few hundred KB, never a full-grid field (8-lane AVX2).
+/// Geometry, MRC and spline fitting never see reduced precision.
 #[derive(Clone, Debug)]
 enum Simulation {
     F64(Interior<f64>),
@@ -131,13 +139,6 @@ pub struct LithoEngine {
     height: usize,
     pitch: f64,
     threshold: f64,
-    /// Reference (`f64`) kernel stacks — always synthesised in double
-    /// precision whatever the simulation runs, so gradient-based
-    /// ILT and kernel introspection see one set of physics.
-    stacks: Arc<SocsStacks>,
-    /// Full-grid `[nominal, defocused]` kernels, materialised on first
-    /// request (only pixel ILT asks) and shared across clones.
-    full_kernels: Arc<[OnceLock<Vec<SocsKernel>>; 2]>,
     /// Parallel task-slot count, resolved once at construction from the
     /// shared pool (itself sized from `CARDOPC_THREADS` or the machine's
     /// available parallelism) — never queried per call.
@@ -191,9 +192,9 @@ impl LithoEngine {
         pitch: f64,
         precision: Precision,
     ) -> Result<Self, LithoError> {
-        let stacks = Arc::new(SocsStacks::build(&config, width, height, pitch)?);
+        let stacks = SocsStacks::build(&config, width, height, pitch)?;
         let simulation = match precision {
-            Precision::F64 => Simulation::F64(Interior::new(Arc::clone(&stacks))),
+            Precision::F64 => Simulation::F64(Interior::new(Arc::new(stacks))),
             Precision::F32 => Simulation::F32(Interior::new(Arc::new(stacks.to_precision()))),
         };
         Ok(LithoEngine {
@@ -202,8 +203,6 @@ impl LithoEngine {
             height,
             pitch,
             threshold: Self::DEFAULT_THRESHOLD,
-            stacks,
-            full_kernels: Arc::default(),
             workers: WorkerPool::global().parallelism(),
             simulation,
         })
@@ -240,19 +239,6 @@ impl LithoEngine {
     /// The resist threshold `I_th` used by [`LithoEngine::print`].
     pub fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    /// The nominal-focus SOCS kernel stack on the full grid (used by
-    /// gradient-based ILT to backpropagate through the imaging model).
-    /// Materialised on first call; aerial images never need it.
-    pub fn nominal_kernels(&self) -> &[SocsKernel] {
-        self.full_kernels[0].get_or_init(|| self.stacks.full_kernels(false))
-    }
-
-    /// The defocused SOCS kernel stack on the full grid (materialised on
-    /// first call).
-    pub fn defocused_kernels(&self) -> &[SocsKernel] {
-        self.full_kernels[1].get_or_init(|| self.stacks.full_kernels(true))
     }
 
     /// Overrides the resist threshold.
@@ -340,16 +326,6 @@ impl LithoEngine {
         Ok(self.image(false, mask, Some(cols)))
     }
 
-    /// Aerial image at the defocused condition.
-    ///
-    /// # Errors
-    ///
-    /// [`LithoError::GridMismatch`] when the mask grid has the wrong shape.
-    pub fn aerial_image_defocused(&self, mask: &Grid) -> Result<Grid, LithoError> {
-        self.check_mask(mask)?;
-        Ok(self.image(true, mask, None))
-    }
-
     /// Aerial images at several process conditions from a **single**
     /// forward mask FFT.
     ///
@@ -358,8 +334,8 @@ impl LithoEngine {
     /// one fan-out over the worker pool and duplicated focus states (dose
     /// only changes thresholding, not the image) are served by cloning the
     /// state's image. The returned grids align with `conditions`, and each
-    /// is **bit-identical** to the serial [`LithoEngine::aerial_image`] /
-    /// [`LithoEngine::aerial_image_defocused`] call at any worker count
+    /// is **bit-identical** to the serial [`LithoEngine::aerial_image_at`]
+    /// call at any worker count
     /// ([`crate::LithoWorkspace::images`]).
     ///
     /// # Errors
@@ -405,11 +381,36 @@ impl LithoEngine {
         mask: &Grid,
         condition: ProcessCondition,
     ) -> Result<Grid, LithoError> {
-        if condition.defocused {
-            self.aerial_image_defocused(mask)
-        } else {
-            self.aerial_image(mask)
+        self.check_mask(mask)?;
+        Ok(self.image(condition.defocused, mask, None))
+    }
+
+    /// The vector-Jacobian product of the nominal-focus aerial image: the
+    /// gradient `∂⟨C, I⟩/∂M` of the image's inner product with the
+    /// `cotangent` `C`, at `mask` — what gradient-based ILT backpropagates
+    /// through the imaging model. It is the exact adjoint of
+    /// [`LithoEngine::aerial_image`]'s band-limited pipeline, run in
+    /// transpose on the same kernel patches, at the engine's precision and
+    /// byte-identical for any worker count.
+    ///
+    /// # Errors
+    ///
+    /// [`LithoError::GridMismatch`] when either grid has the wrong shape.
+    pub fn vjp(&self, mask: &Grid, cotangent: &Grid) -> Result<Grid, LithoError> {
+        self.check_mask(mask)?;
+        self.check_mask(cotangent)?;
+        let mut gradient = vec![0.0f64; self.width * self.height];
+        let (mask, cotangent, workers) = (mask.data(), cotangent.data(), self.workers);
+        match &self.simulation {
+            Simulation::F64(sim) => sim.vjp(mask, cotangent, workers, &mut gradient),
+            Simulation::F32(sim) => sim.vjp(mask, cotangent, workers, &mut gradient),
         }
+        Ok(Grid::from_data(
+            self.width,
+            self.height,
+            self.pitch,
+            gradient,
+        ))
     }
 
     /// The effective print threshold at a process condition: dose scales
@@ -548,7 +549,9 @@ mod tests {
         for workers in [1usize, 2, 3, 4, 16] {
             engine.set_workers(workers);
             let nominal = engine.aerial_image(&mask).unwrap();
-            let defocused = engine.aerial_image_defocused(&mask).unwrap();
+            let defocused = engine
+                .aerial_image_at(&mask, ProcessCondition::inner(0.02))
+                .unwrap();
             let multi = engine.aerial_images_multi(&mask, &conditions).unwrap();
             assert_eq!(multi.len(), 3);
             assert_eq!(multi[0].data(), nominal.data(), "nominal @ {workers}");
@@ -644,7 +647,9 @@ mod tests {
         let engine = small_engine();
         let mask = center_square_mask(&engine, 6);
         let focus = engine.aerial_image(&mask).unwrap();
-        let blur = engine.aerial_image_defocused(&mask).unwrap();
+        let blur = engine
+            .aerial_image_at(&mask, ProcessCondition::inner(0.0))
+            .unwrap();
         // Peak intensity drops with defocus.
         assert!(blur.max_value() < focus.max_value() + 1e-12);
         // Total energy is conserved-ish but redistributed; check contrast:
@@ -683,6 +688,45 @@ mod tests {
             engine.aerial_image(&mask),
             Err(LithoError::GridMismatch { .. })
         ));
+        let good = Grid::zeros(64, 64, 8.0);
+        for (mask, cotangent) in [(&mask, &good), (&good, &mask)] {
+            assert!(matches!(
+                engine.vjp(mask, cotangent),
+                Err(LithoError::GridMismatch { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn vjp_matches_the_central_difference_of_the_image() {
+        // `⟨C, I(M)⟩` is quadratic in `M`, so its central difference along
+        // `δ` is the directional derivative `⟨vjp(M, C), δ⟩` up to rounding
+        // whatever the step.
+        let mut rng = cardopc_geometry::SplitMix64::new(82);
+        let mut random = |lo: f64| {
+            let mut grid = Grid::zeros(64, 64, 8.0);
+            for v in grid.data_mut() {
+                *v = rng.range_f64(lo, 1.0);
+            }
+            grid
+        };
+        let (mask, cotangent, direction) = (random(0.0), random(-1.0), random(-1.0));
+        let engine = small_engine();
+        let dot = |a: &Grid, b: &Grid| a.data().iter().zip(b.data()).map(|(x, y)| x * y).sum();
+        let along = |eps: f64| {
+            let mut moved = mask.clone();
+            for (m, &d) in moved.data_mut().iter_mut().zip(direction.data()) {
+                *m += eps * d;
+            }
+            dot(&cotangent, &engine.aerial_image(&moved).unwrap())
+        };
+        let eps = 0.25;
+        let numeric: f64 = (along(eps) - along(-eps)) / (2.0 * eps);
+        let analytic: f64 = dot(&engine.vjp(&mask, &cotangent).unwrap(), &direction);
+        assert!(
+            (analytic - numeric).abs() <= 1e-10 * numeric.abs(),
+            "analytic {analytic} vs central difference {numeric}"
+        );
     }
 
     #[test]
@@ -732,28 +776,19 @@ mod tests {
         assert_eq!(engine.precision(), Precision::F32);
         // Clones keep the simulation precision.
         assert_eq!(engine.clone().precision(), Precision::F32);
-        // Reference kernels stay f64 whatever the simulation runs.
-        assert!(!engine.nominal_kernels().is_empty());
     }
 
     #[test]
-    fn f64_backend_shares_reference_stacks() {
-        // One count for the engine's reference stacks, one inside the f64
-        // simulation; the f32 simulation holds its own narrowed copy.
-        assert_eq!(Arc::strong_count(&small_engine().stacks), 2);
-        assert_eq!(Arc::strong_count(&small_engine_f32().stacks), 1);
-    }
-
-    #[test]
-    fn full_grid_kernels_are_materialised_once_and_shared_by_clones() {
-        let engine = small_engine();
-        let clone = engine.clone();
-        let first = engine.nominal_kernels().as_ptr();
-        assert_eq!(clone.nominal_kernels().as_ptr(), first);
-        assert_eq!(engine.nominal_kernels().len(), 2);
-        assert_eq!(clone.defocused_kernels().len(), 4);
-        let k = &engine.defocused_kernels()[0];
-        assert_eq!((k.transfer.width(), k.transfer.height()), (64, 64));
+    fn clones_share_the_kernel_stacks() {
+        let stacks = |engine: &LithoEngine| match &engine.simulation {
+            Simulation::F64(sim) => Arc::strong_count(&sim.stacks),
+            Simulation::F32(sim) => Arc::strong_count(&sim.stacks),
+        };
+        for engine in [small_engine(), small_engine_f32()] {
+            assert_eq!(stacks(&engine), 1);
+            let clone = engine.clone();
+            assert_eq!((stacks(&engine), stacks(&clone)), (2, 2));
+        }
     }
 
     #[test]

@@ -702,35 +702,6 @@ impl<T: Scalar> Field<T> {
     /// blocked-transpose passes (buffers grow on first use, then are reused
     /// without further allocation).
     pub fn fft2_inplace_with(&mut self, inverse: bool, scratch: &mut FftScratch<T>) {
-        self.fft2_core(inverse, scratch, None, true);
-    }
-
-    /// Inverse 2-D FFT without the `1/(width*height)` normalisation,
-    /// skipping the row-pass transform of rows whose `live_rows` entry is
-    /// `false`.
-    ///
-    /// This is pixel ILT's convolution path: the frequency-domain product
-    /// `FFT(mask) · H_k` is zero on every row outside the (shifted) pupil
-    /// support, so those rows' inverse row transforms are identically zero
-    /// and can be skipped — the caller guarantees dead rows hold zeros (see
-    /// [`Field::mul_pointwise_pruned_into`]). The missing normalisation is
-    /// folded into the caller's accumulation weight (`|z/n|² = |z|²/n²`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `live_rows.len() != height`.
-    pub fn ifft2_pruned_unscaled(&mut self, live_rows: &[bool], scratch: &mut FftScratch<T>) {
-        assert_eq!(live_rows.len(), self.height, "row mask length mismatch");
-        self.fft2_core(true, scratch, Some(live_rows), false);
-    }
-
-    fn fft2_core(
-        &mut self,
-        inverse: bool,
-        scratch: &mut FftScratch<T>,
-        live_rows: Option<&[bool]>,
-        normalize: bool,
-    ) {
         let (w, h) = (self.width, self.height);
         let mode = simd::active_mode();
         let plan_w = FftPlan::<T>::get(w);
@@ -744,28 +715,8 @@ impl<T: Scalar> Field<T> {
             t_im,
             ..
         } = scratch;
-        match live_rows {
-            None => {
-                for (rr, ri) in self.re.chunks_exact_mut(w).zip(self.im.chunks_exact_mut(w)) {
-                    plan_w.execute_split_parts(
-                        mode, rr, ri, pong_re, pong_im, blu_re, blu_im, inverse,
-                    );
-                }
-            }
-            Some(mask) => {
-                for ((rr, ri), &live) in self
-                    .re
-                    .chunks_exact_mut(w)
-                    .zip(self.im.chunks_exact_mut(w))
-                    .zip(mask)
-                {
-                    if live {
-                        plan_w.execute_split_parts(
-                            mode, rr, ri, pong_re, pong_im, blu_re, blu_im, inverse,
-                        );
-                    }
-                }
-            }
+        for (rr, ri) in self.re.chunks_exact_mut(w).zip(self.im.chunks_exact_mut(w)) {
+            plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, blu_re, blu_im, inverse);
         }
 
         // Column pass on the transposed lanes: contiguous butterflies
@@ -792,7 +743,7 @@ impl<T: Scalar> Field<T> {
         transpose_gather(t_re, cs, h, w, &mut self.re);
         transpose_gather(t_im, cs, h, w, &mut self.im);
 
-        if inverse && normalize {
+        if inverse {
             let inv = T::from_f64(1.0 / (w * h) as f64);
             for v in self.re.iter_mut() {
                 *v *= inv;
@@ -966,106 +917,6 @@ impl<T: Scalar> Field<T> {
             &mut dst.re,
             &mut dst.im,
         );
-    }
-
-    /// Row-pruned pointwise multiplication into a preallocated destination:
-    /// rows whose `live_rows` entry is `false` are written as zeros without
-    /// reading the operands (the SOCS transfer functions are zero there).
-    ///
-    /// Pairs with [`Field::ifft2_pruned_unscaled`], which then skips those
-    /// rows' inverse transforms.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension or mask-length mismatch.
-    pub fn mul_pointwise_pruned_into(
-        &self,
-        other: &Field<T>,
-        live_rows: &[bool],
-        dst: &mut Field<T>,
-    ) {
-        self.mul_rows(other, live_rows, dst, false);
-    }
-
-    /// Row-pruned pointwise multiplication by the *conjugate* of `other`
-    /// (`dst = self · conj(other)`), zeroing dead rows — the backward-pass
-    /// twin of [`Field::mul_pointwise_pruned_into`] used by ILT gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension or mask-length mismatch.
-    pub fn mul_conj_pointwise_pruned_into(
-        &self,
-        other: &Field<T>,
-        live_rows: &[bool],
-        dst: &mut Field<T>,
-    ) {
-        self.mul_rows(other, live_rows, dst, true);
-    }
-
-    fn mul_rows(&self, other: &Field<T>, live_rows: &[bool], dst: &mut Field<T>, conj: bool) {
-        self.assert_same_dims(other);
-        self.assert_same_dims(dst);
-        assert_eq!(live_rows.len(), self.height, "row mask length mismatch");
-        let w = self.width;
-        let mode = simd::active_mode();
-        for (y, &live) in live_rows.iter().enumerate() {
-            let row = y * w..(y + 1) * w;
-            if live {
-                let (ar, ai) = (&self.re[row.clone()], &self.im[row.clone()]);
-                let (br, bi) = (&other.re[row.clone()], &other.im[row.clone()]);
-                let (dr, di) = (&mut dst.re[row.clone()], &mut dst.im[row]);
-                if conj {
-                    simd::cmul_conj(mode, ar, ai, br, bi, dr, di);
-                } else {
-                    simd::cmul(mode, ar, ai, br, bi, dr, di);
-                }
-            } else {
-                dst.re[row.clone()].fill(T::ZERO);
-                dst.im[row].fill(T::ZERO);
-            }
-        }
-    }
-
-    /// Pointwise multiplication by a real-valued vector into a preallocated
-    /// destination (`dst[i] = self[i] · real[i]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension or length mismatch.
-    pub fn mul_real_into(&self, real: &[T], dst: &mut Field<T>) {
-        self.assert_same_dims(dst);
-        assert_eq!(real.len(), self.re.len(), "sample count mismatch");
-        simd::mul_real(
-            simd::active_mode(),
-            &self.re,
-            &self.im,
-            real,
-            &mut dst.re,
-            &mut dst.im,
-        );
-    }
-
-    /// Fused `acc[i] += weight · |self[i]|²` accumulation — the reduction
-    /// step of the SOCS sum, performed without materialising `|z|²` vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn accumulate_norm_sq(&self, weight: T, acc: &mut [T]) {
-        assert_eq!(acc.len(), self.re.len(), "sample count mismatch");
-        simd::acc_norm_sq(simd::active_mode(), &self.re, &self.im, weight, acc);
-    }
-
-    /// Fused `acc[i] += weight · Re(self[i])` accumulation (ILT gradient
-    /// reduction).
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn accumulate_re(&self, weight: T, acc: &mut [T]) {
-        assert_eq!(acc.len(), self.re.len(), "sample count mismatch");
-        simd::acc_re(simd::active_mode(), &self.re, weight, acc);
     }
 
     /// The per-sample squared magnitudes as a real `f64` vector.
@@ -1368,36 +1219,6 @@ mod tests {
         let fresh: Field = Field::forward_real(16, 16, &b);
         for (x, y) in field.iter().zip(fresh.iter()) {
             assert!((x - y).norm() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn pruned_inverse_matches_full_inverse() {
-        // A spectrum whose dead rows are zero must invert identically
-        // through the pruned path (up to the folded 1/n scale).
-        let (w, h) = (16, 12);
-        let mut rng = SplitMix64::new(40);
-        let mut spec: Field = Field::zeros(w, h);
-        let live: Vec<bool> = (0..h).map(|y| y < 3 || y >= h - 2).collect();
-        for (y, &is_live) in live.iter().enumerate() {
-            if is_live {
-                for x in 0..w {
-                    spec.set(
-                        x,
-                        y,
-                        Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)),
-                    );
-                }
-            }
-        }
-        let mut full = spec.clone();
-        full.fft2_inplace(true);
-        let mut pruned = spec;
-        let mut scratch = FftScratch::new();
-        pruned.ifft2_pruned_unscaled(&live, &mut scratch);
-        let inv_n = 1.0 / (w * h) as f64;
-        for (a, b) in pruned.iter().zip(full.iter()) {
-            assert!((a.scale(inv_n) - b).norm() < 1e-12);
         }
     }
 
@@ -1717,47 +1538,20 @@ mod tests {
         let (w, h) = (8, 4);
         let a = random_field(w, h, 50);
         let b = random_field(w, h, 51);
-        let mut rng = SplitMix64::new(52);
-        let live = vec![true; h];
-        let real: Vec<f64> = (0..w * h).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-
         let idx = |i: usize| (i % w, i / w);
+        let product = a.mul_pointwise(&b);
         let mut dst: Field = Field::zeros(w, h);
-        a.mul_pointwise_pruned_into(&b, &live, &mut dst);
+        a.mul_pointwise_into(&b, &mut dst);
+        assert_eq!(dst, product);
         for i in 0..w * h {
             let (x, y) = idx(i);
             assert!((dst.at(x, y) - a.at(x, y) * b.at(x, y)).norm() < 1e-12);
         }
-        a.mul_conj_pointwise_pruned_into(&b, &live, &mut dst);
-        for i in 0..w * h {
+        let norms = a.norm_sq_vec();
+        for (i, v) in norms.iter().enumerate() {
             let (x, y) = idx(i);
-            assert!((dst.at(x, y) - a.at(x, y) * b.at(x, y).conj()).norm() < 1e-12);
+            assert!((v - a.at(x, y).norm_sq()).abs() < 1e-12);
         }
-        a.mul_real_into(&real, &mut dst);
-        for (i, &r) in real.iter().enumerate() {
-            let (x, y) = idx(i);
-            assert!((dst.at(x, y) - a.at(x, y).scale(r)).norm() < 1e-12);
-        }
-
-        let mut acc = vec![1.0f64; w * h];
-        a.accumulate_norm_sq(2.0, &mut acc);
-        for (i, v) in acc.iter().enumerate() {
-            let (x, y) = idx(i);
-            assert!((v - (1.0 + 2.0 * a.at(x, y).norm_sq())).abs() < 1e-12);
-        }
-        let mut acc = vec![0.0f64; w * h];
-        a.accumulate_re(3.0, &mut acc);
-        for (i, v) in acc.iter().enumerate() {
-            let (x, y) = idx(i);
-            assert!((v - 3.0 * a.at(x, y).re).abs() < 1e-12);
-        }
-
-        // Dead rows are zeroed by the pruned products.
-        let mut partial = vec![true; h];
-        partial[1] = false;
-        a.mul_pointwise_pruned_into(&b, &partial, &mut dst);
-        for x in 0..w {
-            assert_eq!(dst.at(x, 1), Complex::ZERO);
-        }
+        assert!((a.energy() - norms.iter().sum::<f64>()).abs() < 1e-12);
     }
 }

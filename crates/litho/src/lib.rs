@@ -16,8 +16,9 @@
 //!   compact frequency-domain patches ([`SocsStacks`]),
 //! * [`LithoEngine`] — aerial images at nominal/defocused conditions
 //!   (every kernel convolved on the smallest grid that holds the pupil,
-//!   the intensity Fourier-upsampled once: [`LithoWorkspace`]),
-//!   threshold resist, dose scaling, process corners,
+//!   the intensity Fourier-upsampled once: [`LithoWorkspace`]), the exact
+//!   adjoint of the nominal image ([`LithoEngine::vjp`], the gradient pixel
+//!   ILT descends), threshold resist, dose scaling, process corners,
 //! * [`Precision`] — the per-run simulation precision
 //!   ([`LithoEngine::with_precision`]): kernels are always synthesised in
 //!   `f64`, and the convolution hot loop runs the `f64` reference path or
@@ -65,7 +66,7 @@ pub use metrics::{
     metal_measure_points_into, pvb_area, thresholded_xor_area, via_measure_points,
     via_measure_points_into, EpeReport, MeasurePoint,
 };
-pub use optics::{build_kernels, OpticsConfig, SocsKernel, SocsStacks};
+pub use optics::{OpticsConfig, SocsStacks};
 pub use plan::FftPlan;
 pub use pool::WorkerPool;
 pub use raster::{rasterize, rasterize_into, try_rasterize, RasterCache};

@@ -17,12 +17,12 @@
 //! `I = Σ_s w_s · |M ⊗ h_s|²`, evaluated in the frequency domain.
 //!
 //! `P` is a hard disk, so `H_s` is nonzero on a few dozen bins per axis
-//! whatever the grid. Kernels are therefore synthesised and stored as
+//! whatever the grid. Kernels are therefore synthesised and stored only as
 //! compact patches ([`SocsStacks`]) — the bounding box of the samples
-//! set — and the full-grid [`SocsKernel`] form exists only for pixel ILT,
-//! which differentiates through it.
+//! set. The image and its adjoint ([`crate::LithoEngine::vjp`], what pixel
+//! ILT differentiates through) both run on them.
 
-use crate::fft::{next_five_smooth, wrap, Band, Complex, Field};
+use crate::fft::{next_five_smooth, Band, Complex};
 use crate::scalar::Scalar;
 use crate::LithoError;
 
@@ -124,58 +124,6 @@ impl OpticsConfig {
     }
 }
 
-/// One SOCS kernel on the full simulation grid: a weight and its
-/// frequency-domain transfer function.
-///
-/// This is the form pixel ILT backpropagates through; the aerial-image
-/// pipeline runs on the compact [`KernelPatch`] instead, and
-/// [`crate::LithoEngine`] materialises full-grid kernels only on request.
-#[derive(Clone, Debug)]
-pub struct SocsKernel<T: Scalar = f64> {
-    /// Hopkins weight `w_k`.
-    pub weight: f64,
-    /// Frequency-domain transfer function on the simulation grid.
-    pub transfer: Field<T>,
-    /// Per-row support mask: `live_rows[y]` is `true` when row `y` of
-    /// `transfer` has any nonzero sample. The pupil is band-limited, so on
-    /// production grids most rows are dead and the convolution hot loop
-    /// skips both their pointwise products and their inverse row
-    /// transforms (see [`crate::fft::Field::ifft2_pruned_unscaled`]).
-    pub live_rows: Vec<bool>,
-}
-
-impl<T: Scalar> SocsKernel<T> {
-    /// Builds a kernel from a weight and transfer function, computing the
-    /// row support mask.
-    pub fn new(weight: f64, transfer: Field<T>) -> SocsKernel<T> {
-        let width = transfer.width();
-        let live_rows = transfer
-            .re()
-            .chunks_exact(width)
-            .zip(transfer.im().chunks_exact(width))
-            .map(|(re, im)| re.iter().any(|&v| v != T::ZERO) || im.iter().any(|&v| v != T::ZERO))
-            .collect();
-        SocsKernel {
-            weight,
-            transfer,
-            live_rows,
-        }
-    }
-
-    /// Converts the kernel to another simulation precision. The row support
-    /// mask carries over unchanged: narrowing maps zeros to zeros, and any
-    /// sample small enough to flush to a subnormal-zero still lies on a row
-    /// the mask already marks live (harmless — the row transforms run, they
-    /// just produce zeros).
-    pub fn to_precision<U: Scalar>(&self) -> SocsKernel<U> {
-        SocsKernel {
-            weight: self.weight,
-            transfer: self.transfer.to_precision(),
-            live_rows: self.live_rows.clone(),
-        }
-    }
-}
-
 /// One SOCS kernel in compact form: the weight and the transfer values over
 /// the bounding box of its nonzero samples. The pupil is a hard disk of
 /// radius `NA/λ`, so the box is a few dozen bins wide whatever the grid.
@@ -189,22 +137,6 @@ pub(crate) struct KernelPatch<T: Scalar = f64> {
     pub re: Vec<T>,
     /// Transfer values over the box (im lane).
     pub im: Vec<T>,
-}
-
-impl KernelPatch {
-    /// Scatters the patch onto a `width×height` grid.
-    fn to_kernel(&self, width: usize, height: usize) -> SocsKernel {
-        let mut transfer: Field = Field::zeros(width, height);
-        for b in 0..self.band.h {
-            let ky = wrap(self.band.y0 + b as isize, height);
-            for a in 0..self.band.w {
-                let kx = wrap(self.band.x0 + a as isize, width);
-                let i = b * self.band.w + a;
-                transfer.set(kx, ky, Complex::new(self.re[i], self.im[i]));
-            }
-        }
-        SocsKernel::new(self.weight, transfer)
-    }
 }
 
 /// The nominal and defocused kernel stacks of one engine in compact form,
@@ -238,7 +170,8 @@ impl SocsStacks {
     ///
     /// # Errors
     ///
-    /// As [`build_kernels`].
+    /// Propagates [`OpticsConfig::validate`] failures and rejects empty
+    /// grids and non-positive pitches.
     pub fn build(
         config: &OpticsConfig,
         width: usize,
@@ -281,15 +214,6 @@ impl SocsStacks {
             stacks,
         })
     }
-
-    /// The full-grid form of one stack (what pixel ILT differentiates).
-    pub(crate) fn full_kernels(&self, defocused: bool) -> Vec<SocsKernel> {
-        let (w, h) = self.size;
-        self.stacks[defocused as usize]
-            .iter()
-            .map(|p| p.to_kernel(w, h))
-            .collect()
-    }
 }
 
 impl<T: Scalar> SocsStacks<T> {
@@ -318,39 +242,19 @@ impl<T: Scalar> SocsStacks<T> {
     }
 }
 
-/// Builds the SOCS kernel stack for a simulation grid, on the full grid.
-///
-/// `width`/`height` are the grid dimensions in pixels (any nonzero sizes;
-/// 5-smooth lengths run on the direct mixed-radix path, everything else
-/// falls back to Bluestein), `pitch` the pixel size in nanometres, `defocus`
-/// the defocus distance in nanometres (0 for the nominal-focus stack).
+/// Builds one SOCS kernel stack for a `width×height` grid of `pitch` nm
+/// pixels at `defocus` nm (0 for the nominal-focus stack). Each kernel is
+/// evaluated over the bounding box of its shifted pupil only, then cropped
+/// to the samples actually set (`fc·L` is 13.99 bins on the 500²/4 nm via
+/// grid, so the box cannot be predicted from the cutoff alone). A source
+/// point whose pupil contains no grid frequency contributes nothing and is
+/// dropped.
 ///
 /// Zero-defocus stacks fold antipodal source-point pairs into single
 /// kernels with doubled weights (the transfers are real, so the paired
 /// intensities are equal for any real mask) — on the default annular
 /// source this halves the nominal stack from 16 to 8 kernels without
 /// changing the aerial image.
-///
-/// # Errors
-///
-/// Propagates [`OpticsConfig::validate`] failures and rejects empty
-/// grids.
-pub fn build_kernels(
-    config: &OpticsConfig,
-    width: usize,
-    height: usize,
-    pitch: f64,
-    defocus: f64,
-) -> Result<Vec<SocsKernel>, LithoError> {
-    let patches = build_patches(config, width, height, pitch, defocus)?;
-    Ok(patches.iter().map(|p| p.to_kernel(width, height)).collect())
-}
-
-/// [`build_kernels`] in compact form: each kernel is evaluated over the
-/// bounding box of its shifted pupil only, then cropped to the samples
-/// actually set (`fc·L` is 13.99 bins on the 500²/4 nm via grid, so the box
-/// cannot be predicted from the cutoff alone). A source point whose pupil
-/// contains no grid frequency contributes nothing and is dropped.
 fn build_patches(
     config: &OpticsConfig,
     width: usize,
@@ -457,9 +361,49 @@ fn build_patches(
     Ok(patches)
 }
 
+/// One kernel on the full grid: the form the tests' definitions convolve
+/// with.
+#[cfg(test)]
+pub(crate) struct FullKernel {
+    pub weight: f64,
+    pub transfer: crate::fft::Field,
+}
+
+/// One stack ([`build_patches`]) scattered onto the full grid.
+#[cfg(test)]
+pub(crate) fn build_kernels(
+    config: &OpticsConfig,
+    width: usize,
+    height: usize,
+    pitch: f64,
+    defocus: f64,
+) -> Result<Vec<FullKernel>, LithoError> {
+    use crate::fft::wrap;
+    let patches = build_patches(config, width, height, pitch, defocus)?;
+    Ok(patches
+        .iter()
+        .map(|p| {
+            let mut transfer = crate::fft::Field::zeros(width, height);
+            for b in 0..p.band.h {
+                let ky = wrap(p.band.y0 + b as isize, height);
+                for a in 0..p.band.w {
+                    let kx = wrap(p.band.x0 + a as isize, width);
+                    let i = b * p.band.w + a;
+                    transfer.set(kx, ky, Complex::new(p.re[i], p.im[i]));
+                }
+            }
+            FullKernel {
+                weight: p.weight,
+                transfer,
+            }
+        })
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::Field;
 
     #[test]
     fn default_config_is_valid() {

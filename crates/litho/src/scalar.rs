@@ -150,29 +150,6 @@ pub trait Scalar:
         di: &mut [Self],
     );
 
-    /// AVX2 kernel hook for `d = a · conj(b)`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[doc(hidden)]
-    unsafe fn cmul_conj_avx2(
-        ar: &[Self],
-        ai: &[Self],
-        br: &[Self],
-        bi: &[Self],
-        dr: &mut [Self],
-        di: &mut [Self],
-    );
-
-    /// AVX2 kernel hook for `d = a · r` (complex × real vector).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[doc(hidden)]
-    unsafe fn mul_real_avx2(ar: &[Self], ai: &[Self], r: &[Self], dr: &mut [Self], di: &mut [Self]);
-
     /// AVX2 kernel hook for `acc += w · (re² + im²)`.
     ///
     /// # Safety
@@ -180,14 +157,6 @@ pub trait Scalar:
     /// Caller must have verified AVX2+FMA support at runtime.
     #[doc(hidden)]
     unsafe fn acc_norm_sq_avx2(re: &[Self], im: &[Self], w: Self, acc: &mut [Self]);
-
-    /// AVX2 kernel hook for `acc += w · re`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[doc(hidden)]
-    unsafe fn acc_re_avx2(re: &[Self], w: Self, acc: &mut [Self]);
 
     /// AVX2 kernel hook for the strided blocked transpose
     /// `dst[c·dst_stride + r] = src[r·src_stride + c]`. `seq_dst` selects
@@ -210,12 +179,11 @@ pub trait Scalar:
     );
 }
 
-/// Routes the six kernel hooks of one `Scalar` impl to the matching
+/// Routes the three kernel hooks of one `Scalar` impl to the matching
 /// `crate::simd::avx2` functions (x86-64 builds) or the scalar bodies
 /// (everything else, where `SimdMode::Avx2` is never produced anyway).
 macro_rules! avx2_hooks {
-    ($cmul:ident, $cmul_conj:ident, $mul_real:ident, $acc_norm_sq:ident, $acc_re:ident,
-     $transpose:ident) => {
+    ($cmul:ident, $acc_norm_sq:ident, $transpose:ident) => {
         unsafe fn cmul_avx2(
             ar: &[Self],
             ai: &[Self],
@@ -230,45 +198,11 @@ macro_rules! avx2_hooks {
             crate::simd::cmul_body(ar, ai, br, bi, dr, di);
         }
 
-        unsafe fn cmul_conj_avx2(
-            ar: &[Self],
-            ai: &[Self],
-            br: &[Self],
-            bi: &[Self],
-            dr: &mut [Self],
-            di: &mut [Self],
-        ) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$cmul_conj(ar, ai, br, bi, dr, di);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::cmul_conj_body(ar, ai, br, bi, dr, di);
-        }
-
-        unsafe fn mul_real_avx2(
-            ar: &[Self],
-            ai: &[Self],
-            r: &[Self],
-            dr: &mut [Self],
-            di: &mut [Self],
-        ) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$mul_real(ar, ai, r, dr, di);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::mul_real_body(ar, ai, r, dr, di);
-        }
-
         unsafe fn acc_norm_sq_avx2(re: &[Self], im: &[Self], w: Self, acc: &mut [Self]) {
             #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
             crate::simd::avx2::$acc_norm_sq(re, im, w, acc);
             #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
             crate::simd::acc_norm_sq_body(re, im, w, acc);
-        }
-
-        unsafe fn acc_re_avx2(re: &[Self], w: Self, acc: &mut [Self]) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$acc_re(re, w, acc);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::acc_re_body(re, w, acc);
         }
 
         unsafe fn transpose_avx2(
@@ -309,14 +243,7 @@ impl Scalar for f64 {
         f64::mul_add(self, a, b)
     }
 
-    avx2_hooks!(
-        cmul_pd,
-        cmul_conj_pd,
-        mul_real_pd,
-        acc_norm_sq_pd,
-        acc_re_pd,
-        transpose_pd
-    );
+    avx2_hooks!(cmul_pd, acc_norm_sq_pd, transpose_pd);
 }
 
 impl Scalar for f32 {
@@ -340,14 +267,7 @@ impl Scalar for f32 {
         f32::mul_add(self, a, b)
     }
 
-    avx2_hooks!(
-        cmul_ps,
-        cmul_conj_ps,
-        mul_real_ps,
-        acc_norm_sq_ps,
-        acc_re_ps,
-        transpose_ps
-    );
+    avx2_hooks!(cmul_ps, acc_norm_sq_ps, transpose_ps);
 }
 
 #[cfg(test)]

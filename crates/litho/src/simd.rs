@@ -136,52 +136,12 @@ pub(crate) fn cmul_body<T: Scalar>(
 }
 
 #[inline(always)]
-pub(crate) fn cmul_conj_body<T: Scalar>(
-    ar: &[T],
-    ai: &[T],
-    br: &[T],
-    bi: &[T],
-    dr: &mut [T],
-    di: &mut [T],
-) {
-    let n = ar.len();
-    let (ai, br, bi) = (&ai[..n], &br[..n], &bi[..n]);
-    let (dr, di) = (&mut dr[..n], &mut di[..n]);
-    for k in 0..n {
-        let (xr, xi) = (ar[k], ai[k]);
-        let (yr, yi) = (br[k], bi[k]);
-        dr[k] = xr * yr + xi * yi;
-        di[k] = xi * yr - xr * yi;
-    }
-}
-
-#[inline(always)]
-pub(crate) fn mul_real_body<T: Scalar>(ar: &[T], ai: &[T], r: &[T], dr: &mut [T], di: &mut [T]) {
-    let n = ar.len();
-    let (ai, r) = (&ai[..n], &r[..n]);
-    let (dr, di) = (&mut dr[..n], &mut di[..n]);
-    for k in 0..n {
-        dr[k] = ar[k] * r[k];
-        di[k] = ai[k] * r[k];
-    }
-}
-
-#[inline(always)]
 pub(crate) fn acc_norm_sq_body<T: Scalar>(re: &[T], im: &[T], w: T, acc: &mut [T]) {
     let n = re.len();
     let im = &im[..n];
     let acc = &mut acc[..n];
     for k in 0..n {
         acc[k] += w * (re[k] * re[k] + im[k] * im[k]);
-    }
-}
-
-#[inline(always)]
-pub(crate) fn acc_re_body<T: Scalar>(re: &[T], w: T, acc: &mut [T]) {
-    let n = re.len();
-    let acc = &mut acc[..n];
-    for k in 0..n {
-        acc[k] += w * re[k];
     }
 }
 
@@ -313,88 +273,6 @@ pub(crate) mod avx2 {
     /// # Safety
     /// Caller must have verified AVX2+FMA support at runtime.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cmul_conj_pd(
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-        dr: &mut [f64],
-        di: &mut [f64],
-    ) {
-        let n = ar.len();
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let xr = _mm256_loadu_pd(ar.as_ptr().add(k));
-            let xi = _mm256_loadu_pd(ai.as_ptr().add(k));
-            let yr = _mm256_loadu_pd(br.as_ptr().add(k));
-            let yi = _mm256_loadu_pd(bi.as_ptr().add(k));
-            // d = x·conj(y): re = xr·yr + xi·yi, im = xi·yr − xr·yi.
-            let re = _mm256_fmadd_pd(xr, yr, _mm256_mul_pd(xi, yi));
-            let im = _mm256_fmsub_pd(xi, yr, _mm256_mul_pd(xr, yi));
-            _mm256_storeu_pd(dr.as_mut_ptr().add(k), re);
-            _mm256_storeu_pd(di.as_mut_ptr().add(k), im);
-            k += 4;
-        }
-        while k < n {
-            let (xr, xi) = (ar[k], ai[k]);
-            let (yr, yi) = (br[k], bi[k]);
-            dr[k] = f64::mul_add(xr, yr, xi * yi);
-            di[k] = f64::mul_add(xi, yr, -(xr * yi));
-            k += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cmul_conj_ps(
-        ar: &[f32],
-        ai: &[f32],
-        br: &[f32],
-        bi: &[f32],
-        dr: &mut [f32],
-        di: &mut [f32],
-    ) {
-        let n = ar.len();
-        let mut k = 0usize;
-        while k + 8 <= n {
-            let xr = _mm256_loadu_ps(ar.as_ptr().add(k));
-            let xi = _mm256_loadu_ps(ai.as_ptr().add(k));
-            let yr = _mm256_loadu_ps(br.as_ptr().add(k));
-            let yi = _mm256_loadu_ps(bi.as_ptr().add(k));
-            // d = x·conj(y): re = xr·yr + xi·yi, im = xi·yr − xr·yi.
-            let re = _mm256_fmadd_ps(xr, yr, _mm256_mul_ps(xi, yi));
-            let im = _mm256_fmsub_ps(xi, yr, _mm256_mul_ps(xr, yi));
-            _mm256_storeu_ps(dr.as_mut_ptr().add(k), re);
-            _mm256_storeu_ps(di.as_mut_ptr().add(k), im);
-            k += 8;
-        }
-        while k < n {
-            let (xr, xi) = (ar[k], ai[k]);
-            let (yr, yi) = (br[k], bi[k]);
-            dr[k] = f32::mul_add(xr, yr, xi * yi);
-            di[k] = f32::mul_add(xi, yr, -(xr * yi));
-            k += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn mul_real_pd(ar: &[f64], ai: &[f64], r: &[f64], dr: &mut [f64], di: &mut [f64]) {
-        super::mul_real_body(ar, ai, r, dr, di);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn mul_real_ps(ar: &[f32], ai: &[f32], r: &[f32], dr: &mut [f32], di: &mut [f32]) {
-        super::mul_real_body(ar, ai, r, dr, di);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn acc_norm_sq_pd(re: &[f64], im: &[f64], w: f64, acc: &mut [f64]) {
         let n = re.len();
         let wv = _mm256_set1_pd(w);
@@ -436,44 +314,6 @@ pub(crate) mod avx2 {
         while k < n {
             let n2 = f32::mul_add(im[k], im[k], re[k] * re[k]);
             acc[k] = f32::mul_add(w, n2, acc[k]);
-            k += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn acc_re_pd(re: &[f64], w: f64, acc: &mut [f64]) {
-        let n = re.len();
-        let wv = _mm256_set1_pd(w);
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let r = _mm256_loadu_pd(re.as_ptr().add(k));
-            let a = _mm256_loadu_pd(acc.as_ptr().add(k));
-            _mm256_storeu_pd(acc.as_mut_ptr().add(k), _mm256_fmadd_pd(wv, r, a));
-            k += 4;
-        }
-        while k < n {
-            acc[k] = f64::mul_add(w, re[k], acc[k]);
-            k += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn acc_re_ps(re: &[f32], w: f32, acc: &mut [f32]) {
-        let n = re.len();
-        let wv = _mm256_set1_ps(w);
-        let mut k = 0usize;
-        while k + 8 <= n {
-            let r = _mm256_loadu_ps(re.as_ptr().add(k));
-            let a = _mm256_loadu_ps(acc.as_ptr().add(k));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(k), _mm256_fmadd_ps(wv, r, a));
-            k += 8;
-        }
-        while k < n {
-            acc[k] = f32::mul_add(w, re[k], acc[k]);
             k += 1;
         }
     }
@@ -638,54 +478,12 @@ pub(crate) fn cmul<T: Scalar>(
     }
 }
 
-/// `d = a · conj(b)` pointwise over split-complex slices.
-pub(crate) fn cmul_conj<T: Scalar>(
-    mode: SimdMode,
-    ar: &[T],
-    ai: &[T],
-    br: &[T],
-    bi: &[T],
-    dr: &mut [T],
-    di: &mut [T],
-) {
-    match mode {
-        SimdMode::Scalar => cmul_conj_body(ar, ai, br, bi, dr, di),
-        // SAFETY: `SimdMode::Avx2` implies runtime AVX2+FMA support.
-        SimdMode::Avx2 => unsafe { T::cmul_conj_avx2(ar, ai, br, bi, dr, di) },
-    }
-}
-
-/// `d = a · r` (complex × real vector).
-pub(crate) fn mul_real<T: Scalar>(
-    mode: SimdMode,
-    ar: &[T],
-    ai: &[T],
-    r: &[T],
-    dr: &mut [T],
-    di: &mut [T],
-) {
-    match mode {
-        SimdMode::Scalar => mul_real_body(ar, ai, r, dr, di),
-        // SAFETY: `SimdMode::Avx2` implies runtime AVX2+FMA support.
-        SimdMode::Avx2 => unsafe { T::mul_real_avx2(ar, ai, r, dr, di) },
-    }
-}
-
 /// `acc += w · (re² + im²)` — the SOCS reduction step.
 pub(crate) fn acc_norm_sq<T: Scalar>(mode: SimdMode, re: &[T], im: &[T], w: T, acc: &mut [T]) {
     match mode {
         SimdMode::Scalar => acc_norm_sq_body(re, im, w, acc),
         // SAFETY: `SimdMode::Avx2` implies runtime AVX2+FMA support.
         SimdMode::Avx2 => unsafe { T::acc_norm_sq_avx2(re, im, w, acc) },
-    }
-}
-
-/// `acc += w · re` — the ILT gradient reduction step.
-pub(crate) fn acc_re<T: Scalar>(mode: SimdMode, re: &[T], w: T, acc: &mut [T]) {
-    match mode {
-        SimdMode::Scalar => acc_re_body(re, w, acc),
-        // SAFETY: `SimdMode::Avx2` implies runtime AVX2+FMA support.
-        SimdMode::Avx2 => unsafe { T::acc_re_avx2(re, w, acc) },
     }
 }
 
@@ -741,7 +539,6 @@ mod tests {
             let ai = randv::<T>(n, 2);
             let br = randv::<T>(n, 3);
             let bi = randv::<T>(n, 4);
-            let r = randv::<T>(n, 5);
             for mode in [SimdMode::Scalar, SimdMode::Avx2] {
                 if mode == SimdMode::Avx2 && !avx2_available() {
                     continue;
@@ -754,18 +551,6 @@ mod tests {
                     assert!((dr[k] - er).to_f64().abs() < tol);
                     assert!((di[k] - ei).to_f64().abs() < tol);
                 }
-                cmul_conj(mode, &ar, &ai, &br, &bi, &mut dr, &mut di);
-                for k in 0..n {
-                    let er = ar[k] * br[k] + ai[k] * bi[k];
-                    let ei = ai[k] * br[k] - ar[k] * bi[k];
-                    assert!((dr[k] - er).to_f64().abs() < tol);
-                    assert!((di[k] - ei).to_f64().abs() < tol);
-                }
-                mul_real(mode, &ar, &ai, &r, &mut dr, &mut di);
-                for k in 0..n {
-                    assert_eq!(dr[k], ar[k] * r[k]);
-                    assert_eq!(di[k], ai[k] * r[k]);
-                }
                 let quarter = T::from_f64(0.25);
                 let w = T::from_f64(0.7);
                 let mut acc = vec![quarter; n];
@@ -773,12 +558,6 @@ mod tests {
                 for k in 0..n {
                     let e = quarter + w * (ar[k] * ar[k] + ai[k] * ai[k]);
                     assert!((acc[k] - e).to_f64().abs() < tol);
-                }
-                let w = T::from_f64(1.3);
-                let mut acc = vec![T::HALF; n];
-                acc_re(mode, &ar, w, &mut acc);
-                for k in 0..n {
-                    assert!((acc[k] - (T::HALF + w * ar[k])).to_f64().abs() < tol);
                 }
             }
         }

@@ -27,9 +27,11 @@
 //!    or only the pairs of the requested ones.
 //!
 //! This is exact, not an approximation: the result differs from a full-grid
-//! convolution per kernel by rounding only. After the first call at a given
-//! geometry the pipeline performs no heap allocation beyond the per-call
-//! task lists.
+//! convolution per kernel by rounding only. [`LithoWorkspace::vjp`] is its
+//! adjoint for the nominal stack, built from the same pieces run in
+//! transpose; nothing else in the crate convolves a kernel. After the first
+//! call at a given geometry neither performs heap allocation beyond the
+//! per-call task lists.
 //!
 //! The workspace is generic over the simulation [`Scalar`]: masks enter and
 //! intensities leave as `f64`, everything in between runs at the workspace
@@ -39,11 +41,11 @@
 //! A pixel's bits are a function of (mask, x, y, precision, SIMD mode)
 //! alone, which is three **bitwise** contracts:
 //!
-//! * *Any worker count.* Accumulation granularity is one strip per *kernel*
-//!   (not per task) and strips are reduced in ascending kernel order: the
-//!   per-pixel summation tree is a fixed left fold however the kernels are
-//!   chunked across tasks, and every other stage is a pure function of its
-//!   input.
+//! * *Any worker count* (images and adjoint). Accumulation granularity is
+//!   one strip per *kernel* (not per task) and strips are reduced in
+//!   ascending kernel order: the per-pixel summation tree is a fixed left
+//!   fold however the kernels are chunked across tasks, and every other
+//!   stage is a pure function of its input.
 //! * *Column-restricted ≡ full on the requested columns.* Column `x` always
 //!   shares its transform with the same partner, `x ^ 1` — the canonical
 //!   pair, never "whichever column was requested next" — and each pair is
@@ -63,6 +65,7 @@
 
 use crate::fft::{ensure, fft2_real_band, ifft2_live_rows, wrap, Band, FftScratch};
 use crate::optics::{KernelPatch, SocsStacks};
+use crate::plan::FftPlan;
 use crate::pool::WorkerPool;
 use crate::scalar::Scalar;
 use crate::simd;
@@ -71,13 +74,15 @@ use crate::simd;
 #[derive(Clone, Debug, Default)]
 struct WorkSlot<T: Scalar> {
     /// Live rows of the spectrum being inverted (re lane): a kernel's
-    /// product on the coarse grid, then an image's bins on the full grid.
+    /// product on the coarse grid, then an image's bins on the full grid;
+    /// in the adjoint, also the lane of a forward row transform.
     rows_re: Vec<T>,
     /// Live rows (im lane).
     rows_im: Vec<T>,
-    /// Band of the coarse intensity spectrum (re lane).
+    /// Band of the coarse intensity spectrum (re lane); in the adjoint,
+    /// the cotangent's band, then a kernel's `C̃ ⊙ z̃_k`, column-major.
     band_re: Vec<T>,
-    /// Band of the coarse intensity spectrum (im lane).
+    /// The same, im lane.
     band_im: Vec<T>,
     scratch: FftScratch<T>,
 }
@@ -92,8 +97,11 @@ pub struct LithoWorkspace<T: Scalar = f64> {
     forward_scratch: FftScratch<T>,
     slots: Vec<WorkSlot<T>>,
     /// Per-kernel accumulator strips on the coarse grid, column-major
-    /// (`x·my + y`), one after another in state then kernel order.
+    /// (`x·my + y`), one after another in state then kernel order; in the
+    /// adjoint, each kernel's patch-box gradient (re lane, then im lane).
     strips: Vec<T>,
+    /// The adjoint's coarse cotangent, column-major.
+    coarse: Vec<T>,
 }
 
 impl<T: Scalar> LithoWorkspace<T> {
@@ -201,6 +209,110 @@ impl<T: Scalar> LithoWorkspace<T> {
             }
             upsample(stacks, first, slot, cols, out);
         });
+    }
+
+    /// The adjoint of the nominal-focus image: writes `∂⟨C, I⟩/∂M` at
+    /// `mask` for the real `cotangent` `C` into `gradient`, by transposing
+    /// [`LithoWorkspace::images`] stage by stage:
+    ///
+    /// 1. the mask's band spectrum, as `images` forms it;
+    /// 2. the transpose of the upsample: `C`'s `image_band` bins placed on
+    ///    the coarse spectrum and one real-output coarse inverse, the coarse
+    ///    cotangent `C̃`;
+    /// 3. per kernel: `z̃_k` exactly as the forward pass forms it, then
+    ///    `C̃ ⊙ z̃_k`, a coarse forward transform read over the patch box and
+    ///    multiplied by `2·w_k·conj(patch)`, into that kernel's strip;
+    /// 4. the strips folded onto the band in ascending kernel order, and one
+    ///    real-output full-grid inverse of its Hermitian part.
+    ///
+    /// No stage needs a bigger grid: `C̃` holds `|f| ≤ span` and `z̃_k` holds
+    /// `[0, pw)` with `pw ≤ span + 1`, so two frequencies of `C̃ ⊙ z̃_k` that
+    /// land on one box bin would be at most `2·span` apart, less than the
+    /// coarse size. Bitwise identical for any `parallelism`, as `images` is.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any sample-count mismatch with the stacks' grid.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn vjp(
+        &mut self,
+        stacks: &SocsStacks<T>,
+        mask: &[f64],
+        cotangent: &[f64],
+        pool: &WorkerPool,
+        parallelism: usize,
+        gradient: &mut [f64],
+    ) {
+        let (w, h) = stacks.size;
+        let (mx, my) = stacks.coarse;
+        for len in [mask.len(), cotangent.len(), gradient.len()] {
+            assert_eq!(len, w * h, "sample count mismatch");
+        }
+        let stack = &stacks.stacks[0];
+        let tasks = parallelism.clamp(1, stack.len().max(1));
+        let chunks: Vec<&[KernelPatch<T>]> =
+            stack.chunks(stack.len().div_ceil(tasks).max(1)).collect();
+        if self.slots.len() < chunks.len().max(1) {
+            self.slots
+                .resize_with(chunks.len().max(1), WorkSlot::default);
+        }
+        let area = |p: &KernelPatch<T>| 2 * p.band.w * p.band.h;
+        let total: usize = stack.iter().map(area).sum();
+        ensure(&mut self.strips, total);
+
+        let band = stacks.band;
+        let (spec_re, spec_im) = (
+            ensure(&mut self.spec_re, band.w * band.h),
+            ensure(&mut self.spec_im, band.w * band.h),
+        );
+        fft2_real_band(
+            mask,
+            (w, h),
+            band,
+            &mut self.forward_scratch,
+            (&mut *spec_re, &mut *spec_im),
+            (1, band.w),
+        );
+        let coarse = ensure(&mut self.coarse, mx * my);
+        downsample_adjoint(stacks, cotangent, &mut self.slots[0], coarse);
+
+        let (spectrum, coarse) = ((&*spec_re, &*spec_im), &*coarse);
+        let mut rest = &mut self.strips[..total];
+        let mut units = Vec::new();
+        for (&patches, slot) in chunks.iter().zip(&mut self.slots) {
+            let len = patches.iter().map(area).sum();
+            let (head, tail) = rest.split_at_mut(len);
+            rest = tail;
+            units.push((patches, slot, head));
+        }
+        pool.run_with_slots(&mut units, |_, (patches, slot, strips)| {
+            adjoint_chunk(stacks, spectrum, coarse, patches, slot, strips);
+        });
+
+        // Ascending kernel order onto the band: the canonical summation tree.
+        spec_re.fill(T::ZERO);
+        spec_im.fill(T::ZERO);
+        let mut strips = &self.strips[..total];
+        for patch in stack {
+            let Band {
+                x0,
+                y0,
+                w: pw,
+                h: ph,
+            } = patch.band;
+            let (re, tail) = strips.split_at(pw * ph);
+            let (im, tail) = tail.split_at(pw * ph);
+            strips = tail;
+            let corner = (y0 - band.y0) as usize * band.w + (x0 - band.x0) as usize;
+            for b in 0..ph {
+                let (s, p) = (corner + b * band.w, b * pw);
+                for a in 0..pw {
+                    spec_re[s + a] += re[p + a];
+                    spec_im[s + a] += im[p + a];
+                }
+            }
+        }
+        real_inverse(stacks, (spec_re, spec_im), &mut self.slots[0], gradient);
     }
 }
 
@@ -335,11 +447,223 @@ fn upsample<T: Scalar>(
     );
 }
 
+/// The transpose of [`upsample`]: the `ky ≥ 0` half of the cotangent's
+/// `image_band` bins placed on the coarse spectrum, inverted to the real
+/// coarse cotangent, column-major (`x·my + y`). `image_band` is symmetric,
+/// so its transpose reads the same bins.
+fn downsample_adjoint<T: Scalar>(
+    stacks: &SocsStacks<T>,
+    cotangent: &[f64],
+    slot: &mut WorkSlot<T>,
+    out: &mut [T],
+) {
+    let (mx, my) = stacks.coarse;
+    let ib = stacks.image_band;
+    let half = ib.h / 2 + 1;
+    let band_re = ensure(&mut slot.band_re, ib.w * half);
+    let band_im = ensure(&mut slot.band_im, ib.w * half);
+    let upper = Band {
+        x0: ib.x0,
+        y0: 0,
+        w: ib.w,
+        h: half,
+    };
+    fft2_real_band(
+        cotangent,
+        stacks.size,
+        upper,
+        &mut slot.scratch,
+        (&mut *band_re, &mut *band_im),
+        (1, ib.w),
+    );
+    let rows_re = ensure(&mut slot.rows_re, half * mx);
+    let rows_im = ensure(&mut slot.rows_im, half * mx);
+    rows_re.fill(T::ZERO);
+    rows_im.fill(T::ZERO);
+    for b in 0..half {
+        for a in 0..ib.w {
+            let x = wrap(ib.x0 + a as isize, mx);
+            rows_re[b * mx + x] = band_re[b * ib.w + a];
+            rows_im[b * mx + x] = band_im[b * ib.w + a];
+        }
+    }
+    ifft2_live_rows(
+        (rows_re, rows_im),
+        (mx, my),
+        None,
+        true,
+        &mut slot.scratch,
+        |lanes, re, im, cs| {
+            for (j, &[xa, xb]) in lanes.iter().enumerate() {
+                let col = j * cs..j * cs + my;
+                out[xa * my..(xa + 1) * my].copy_from_slice(&re[col.clone()]);
+                if xb < mx {
+                    out[xb * my..(xb + 1) * my].copy_from_slice(&im[col]);
+                }
+            }
+        },
+    );
+}
+
+/// One task's kernels of the adjoint: `z̃_k` as [`convolve_chunk`] forms
+/// it, `C̃ ⊙ z̃_k`, its coarse forward transform (every column along y, then
+/// only the patch's rows along x) and `2·w_k·conj(patch)` times the patch
+/// box into the kernel's strip (re lane, then im lane).
+fn adjoint_chunk<T: Scalar>(
+    stacks: &SocsStacks<T>,
+    (spec_re, spec_im): (&[T], &[T]),
+    coarse: &[T],
+    patches: &[KernelPatch<T>],
+    slot: &mut WorkSlot<T>,
+    mut strips: &mut [T],
+) {
+    let (w, h) = stacks.size;
+    let (mx, my) = stacks.coarse;
+    let band = stacks.band;
+    let mode = simd::active_mode();
+    let (plan_x, plan_y) = (FftPlan::<T>::get(mx), FftPlan::<T>::get(my));
+    // The forward pass's normalisation (see `convolve_chunk`).
+    let norm = 1.0 / ((w * h) as f64 * (w * h) as f64 * (mx * my) as f64);
+    let WorkSlot {
+        rows_re,
+        rows_im,
+        band_re,
+        band_im,
+        scratch,
+    } = slot;
+    for patch in patches {
+        let Band {
+            x0,
+            y0,
+            w: pw,
+            h: ph,
+        } = patch.band;
+        let (out_re, tail) = std::mem::take(&mut strips).split_at_mut(pw * ph);
+        let (out_im, tail) = tail.split_at_mut(pw * ph);
+        strips = tail;
+        let rows_re = ensure(rows_re, ph * mx);
+        let rows_im = ensure(rows_im, ph * mx);
+        let corner = (y0 - band.y0) as usize * band.w + (x0 - band.x0) as usize;
+        for b in 0..ph {
+            let (s, p, d) = (corner + b * band.w, b * pw, b * mx);
+            simd::cmul(
+                mode,
+                &spec_re[s..s + pw],
+                &spec_im[s..s + pw],
+                &patch.re[p..p + pw],
+                &patch.im[p..p + pw],
+                &mut rows_re[d..d + pw],
+                &mut rows_im[d..d + pw],
+            );
+            rows_re[d + pw..d + mx].fill(T::ZERO);
+            rows_im[d + pw..d + mx].fill(T::ZERO);
+        }
+        let field_re = ensure(band_re, mx * my);
+        let field_im = ensure(band_im, mx * my);
+        ifft2_live_rows(
+            (&mut *rows_re, &mut *rows_im),
+            (mx, my),
+            None,
+            false,
+            scratch,
+            |lanes, re, im, cs| {
+                for (j, &[x, _]) in lanes.iter().enumerate() {
+                    for y in 0..my {
+                        let c = coarse[x * my + y];
+                        field_re[x * my + y] = c * re[j * cs + y];
+                        field_im[x * my + y] = c * im[j * cs + y];
+                    }
+                }
+            },
+        );
+        for (cr, ci) in field_re
+            .chunks_exact_mut(my)
+            .zip(field_im.chunks_exact_mut(my))
+        {
+            plan_y.execute_unscaled_split_with(mode, cr, ci, scratch, false);
+        }
+        let weight = T::from_f64(2.0 * patch.weight * norm);
+        let (lane_re, lane_im) = (&mut rows_re[..mx], &mut rows_im[..mx]);
+        for b in 0..ph {
+            for x in 0..mx {
+                lane_re[x] = field_re[x * my + b];
+                lane_im[x] = field_im[x * my + b];
+            }
+            plan_x.execute_unscaled_split_with(mode, lane_re, lane_im, scratch, false);
+            for a in 0..pw {
+                let (p, gr, gi) = (b * pw + a, lane_re[a], lane_im[a]);
+                let (pr, pi) = (patch.re[p], patch.im[p]);
+                out_re[p] = weight * (gr * pr + gi * pi);
+                out_im[p] = weight * (gi * pr - gr * pi);
+            }
+        }
+    }
+}
+
+/// The real part of the full-grid inverse of a band spectrum, which is the
+/// inverse of its Hermitian part `½(S(f) + conj S(−f))`: only that part's
+/// `ky ≥ 0` rows are formed, and [`ifft2_live_rows`] reads them as a real
+/// image's spectrum.
+fn real_inverse<T: Scalar>(
+    stacks: &SocsStacks<T>,
+    (spec_re, spec_im): (&[T], &[T]),
+    slot: &mut WorkSlot<T>,
+    out: &mut [f64],
+) {
+    let (w, h) = stacks.size;
+    let band = stacks.band;
+    let reach = band
+        .y0
+        .unsigned_abs()
+        .max((band.y0 + band.h as isize - 1).unsigned_abs());
+    let live = reach.min(h / 2) + 1;
+    let rows_re = ensure(&mut slot.rows_re, live * w);
+    let rows_im = ensure(&mut slot.rows_im, live * w);
+    rows_re.fill(T::ZERO);
+    rows_im.fill(T::ZERO);
+    for b in 0..band.h {
+        let ky = band.y0 + b as isize;
+        let (y, ym) = (wrap(ky, h), wrap(-ky, h));
+        for a in 0..band.w {
+            let kx = band.x0 + a as isize;
+            let (re, im) = (
+                T::HALF * spec_re[b * band.w + a],
+                T::HALF * spec_im[b * band.w + a],
+            );
+            if y < live {
+                rows_re[y * w + wrap(kx, w)] += re;
+                rows_im[y * w + wrap(kx, w)] += im;
+            }
+            if ym < live {
+                rows_re[ym * w + wrap(-kx, w)] += re;
+                rows_im[ym * w + wrap(-kx, w)] -= im;
+            }
+        }
+    }
+    ifft2_live_rows(
+        (rows_re, rows_im),
+        (w, h),
+        None,
+        true,
+        &mut slot.scratch,
+        |lanes, re, im, cs| {
+            for (y, row) in out.chunks_exact_mut(w).enumerate() {
+                for (j, &[xa, xb]) in lanes.iter().enumerate() {
+                    row[xa] = re[j * cs + y].to_f64();
+                    if let Some(px) = row.get_mut(xb) {
+                        *px = im[j * cs + y].to_f64();
+                    }
+                }
+            }
+        },
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fft::Field;
-    use crate::optics::{build_kernels, OpticsConfig, SocsKernel};
+    use crate::optics::{build_kernels, FullKernel, OpticsConfig};
     use cardopc_geometry::SplitMix64;
     use proptest::prelude::*;
 
@@ -358,7 +682,7 @@ mod tests {
 
     /// The *definition* of the SOCS intensity, kept here only: every kernel
     /// convolved on the full grid through the plain allocating field API.
-    fn reference_intensity(w: usize, h: usize, mask: &[f64], kernels: &[SocsKernel]) -> Vec<f64> {
+    fn reference_intensity(w: usize, h: usize, mask: &[f64], kernels: &[FullKernel]) -> Vec<f64> {
         let mut spectrum: Field = Field::from_real(w, h, mask);
         spectrum.fft2_inplace(false);
         let mut intensity = vec![0.0; w * h];
@@ -370,6 +694,79 @@ mod tests {
             }
         }
         intensity
+    }
+
+    /// The *definition* of the nominal image's adjoint, kept here only:
+    /// `∇ = 2·Re Σ_k w_k·IFFT(FFT(C ⊙ A_k) ⊙ conj H_k)` with
+    /// `A_k = IFFT(FFT(M) ⊙ H_k)`, every transform on the full grid.
+    fn reference_vjp(
+        (w, h): (usize, usize),
+        mask: &[f64],
+        cotangent: &[f64],
+        kernels: &[FullKernel],
+    ) -> Vec<f64> {
+        let mut spectrum: Field = Field::from_real(w, h, mask);
+        spectrum.fft2_inplace(false);
+        let mut gradient = vec![0.0; w * h];
+        for k in kernels {
+            let mut field = spectrum.mul_pointwise(&k.transfer);
+            field.fft2_inplace(true);
+            let mut back: Field = Field::zeros(w, h);
+            for (i, (&c, z)) in cotangent.iter().zip(field.iter()).enumerate() {
+                back.set(i % w, i / w, z.scale(c));
+            }
+            back.fft2_inplace(false);
+            for (i, t) in k.transfer.iter().enumerate() {
+                let (x, y) = (i % w, i / w);
+                back.set(x, y, back.at(x, y) * t.conj());
+            }
+            back.fft2_inplace(true);
+            for (g, z) in gradient.iter_mut().zip(back.iter()) {
+                *g += 2.0 * k.weight * z.re;
+            }
+        }
+        gradient
+    }
+
+    /// One adjoint call on a fresh workspace.
+    fn run_vjp<T: Scalar>(
+        stacks: &SocsStacks<T>,
+        mask: &[f64],
+        cotangent: &[f64],
+        parallelism: usize,
+    ) -> Vec<f64> {
+        let mut gradient = vec![f64::NAN; mask.len()];
+        LithoWorkspace::<T>::new().vjp(
+            stacks,
+            mask,
+            cotangent,
+            &WorkerPool::new(4),
+            parallelism,
+            &mut gradient,
+        );
+        gradient
+    }
+
+    /// A cotangent of both signs.
+    fn random_cotangent(n: usize, seed: u64) -> Vec<f64> {
+        random_mask(n, seed)
+            .into_iter()
+            .map(|v| 2.0 * v - 1.0)
+            .collect()
+    }
+
+    /// The adjoint at both precisions against the full-grid definition.
+    fn check_vjp_against_reference(cfg: &OpticsConfig, w: usize, h: usize, pitch: f64, seed: u64) {
+        let stacks = SocsStacks::build(cfg, w, h, pitch).unwrap();
+        let mask = random_mask(w * h, seed);
+        let cotangent = random_cotangent(w * h, seed + 1000);
+        let kernels = build_kernels(cfg, w, h, pitch, 0.0).unwrap();
+        let want = reference_vjp((w, h), &mask, &cotangent, &kernels);
+        let what = format!("vjp {w}x{h} @ {pitch} nm");
+        let got64 = run_vjp(&stacks, &mask, &cotangent, 2);
+        assert_close(&got64, &want, 1e-9, &format!("{what}, f64"));
+        let got32 = run_vjp(&stacks.to_precision::<f32>(), &mask, &cotangent, 2);
+        assert_close(&got32, &want, 2e-4, &format!("{what}, f32"));
     }
 
     /// One pipeline call on a fresh workspace.
@@ -396,7 +793,7 @@ mod tests {
     }
 
     fn peak(image: &[f64]) -> f64 {
-        image.iter().cloned().fold(0.0, f64::max)
+        image.iter().fold(0.0, |m, &v| m.max(v.abs()))
     }
 
     fn assert_close(got: &[f64], want: &[f64], tol: f64, what: &str) {
@@ -470,6 +867,60 @@ mod tests {
         let stacks = SocsStacks::build(&cfg, 13, 16, 34.0).unwrap();
         assert_eq!(stacks.coarse, (13, 15));
         check_against_reference(&cfg, 13, 16, 34.0, 7);
+    }
+
+    #[test]
+    fn vjp_matches_full_grid_reference_on_the_oracle_grids() {
+        // The grids the image oracle runs on: production, odd and Bluestein
+        // axes, and coarse grid = grid on both axes or on one.
+        check_vjp_against_reference(&small_source(), 768, 768, 8.0, 11);
+        check_vjp_against_reference(&small_source(), 500, 500, 4.0, 12);
+        for (w, h, pitch, seed) in [
+            (100usize, 60usize, 4.0, 13u64),
+            (77, 64, 8.0, 14),
+            (64, 64, 8.0, 15),
+            (16, 16, 40.0, 16),
+            (13, 16, 34.0, 17),
+        ] {
+            check_vjp_against_reference(&OpticsConfig::default(), w, h, pitch, seed);
+        }
+    }
+
+    #[test]
+    fn vjp_is_bit_identical_for_any_parallelism_and_workspace_history() {
+        fn check<T: Scalar>(stacks: &SocsStacks<T>) {
+            let (w, h) = stacks.size;
+            let (mask, cotangent) = (random_mask(w * h, 43), random_cotangent(w * h, 44));
+            let base = run_vjp(stacks, &mask, &cotangent, 1);
+            for parallelism in [2usize, 3, 4, 16] {
+                let got = run_vjp(stacks, &mask, &cotangent, parallelism);
+                assert_eq!(got, base, "{w}x{h}, parallelism {parallelism}");
+            }
+            // After images on a larger grid, the same workspace agrees.
+            let pool = WorkerPool::new(2);
+            let mut ws = LithoWorkspace::<T>::new();
+            let other = SocsStacks::build(&small_source(), 100, 60, 4.0).unwrap();
+            let other = other.to_precision::<T>();
+            let other_mask = random_mask(100 * 60, 45);
+            let mut image = vec![0.0; other_mask.len()];
+            ws.images(
+                &other,
+                &other_mask,
+                &[true],
+                None,
+                &pool,
+                2,
+                &mut [&mut image],
+            );
+            let mut got = vec![f64::NAN; w * h];
+            ws.vjp(stacks, &mask, &cotangent, &pool, 3, &mut got);
+            assert_eq!(got, base, "{w}x{h}, reused workspace");
+        }
+        for (w, h) in [(64, 64), (45, 40)] {
+            let stacks = SocsStacks::build(&small_source(), w, h, 8.0).unwrap();
+            check(&stacks);
+            check(&stacks.to_precision::<f32>());
+        }
     }
 
     /// The upsample as it was before the pipeline knew its output is real:
@@ -554,6 +1005,7 @@ mod tests {
                 ..OpticsConfig::default()
             };
             check_against_reference(&cfg, w, h, 8.0, seed);
+            check_vjp_against_reference(&cfg, w, h, 8.0, seed);
         }
     }
 
