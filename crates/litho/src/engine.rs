@@ -65,9 +65,9 @@ impl<T: Scalar> Clone for Interior<T> {
 }
 
 /// The arithmetic the convolution hot loop runs: `F64` runs the kernel
-/// patches as synthesised (4-lane AVX2); `F32` runs a copy narrowed once at
-/// construction — a few hundred KB, never a full-grid field (8-lane AVX2).
-/// Geometry, MRC and spline fitting never see reduced precision.
+/// patches as synthesised; `F32` runs a copy narrowed once at construction
+/// — a few hundred KB, never a full-grid field. Both run the same generic
+/// kernels. Geometry, MRC and spline fitting never see reduced precision.
 #[derive(Clone, Debug)]
 enum Simulation {
     F64(Interior<f64>),

@@ -9,8 +9,8 @@
 //! separate `re[]`/`im[]` vectors) rather than interleaved. Every hot loop —
 //! butterflies, twiddle rotation, frequency-domain products, the SOCS
 //! `w·|z|²` reduction — then runs over packed lanes with no shuffles, which
-//! is what lets the scalar bodies autovectorize and the AVX2/FMA kernels in
-//! [`crate::simd`] stream at full width. Fields are generic over the
+//! is what lets every kernel autovectorize, in the plain and the AVX2/FMA
+//! compilation alike ([`crate::simd`]). Fields are generic over the
 //! [`Scalar`] element (`f64` by default, `f32` for the single-precision
 //! simulation backend); the boundary values — mask samples in, intensities
 //! out — stay `f64` and are narrowed/widened at the edges, so for
@@ -231,16 +231,7 @@ pub(crate) fn transpose_scatter<T: Scalar>(
     debug_assert!(dst_stride >= rows);
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert!(dst.len() >= (cols - 1) * dst_stride + rows);
-    crate::simd::transpose_strided(
-        crate::simd::active_mode(),
-        src,
-        cols,
-        rows,
-        cols,
-        dst,
-        dst_stride,
-        false,
-    );
+    crate::simd::transpose_strided(src, cols, rows, cols, dst, dst_stride, false);
 }
 
 /// Cache-blocked strided-source transpose, the inverse access pattern of
@@ -259,16 +250,7 @@ pub(crate) fn transpose_gather<T: Scalar>(
     debug_assert!(src_stride >= rows);
     debug_assert!(src.len() >= (cols - 1) * src_stride + rows);
     debug_assert_eq!(dst.len(), rows * cols);
-    crate::simd::transpose_strided(
-        crate::simd::active_mode(),
-        src,
-        src_stride,
-        cols,
-        rows,
-        dst,
-        cols,
-        true,
-    );
+    crate::simd::transpose_strided(src, src_stride, cols, rows, dst, cols, true);
 }
 
 /// Reusable scratch buffers for FFT execution, one per worker/slot.

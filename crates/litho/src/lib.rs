@@ -8,8 +8,9 @@
 //!
 //! * [`fft`] / [`plan`] / [`simd`] — an in-repo split-complex FFT core
 //!   (mixed-radix Stockham for 5-smooth sizes, Bluestein otherwise; no FFT
-//!   crate is on the approved dependency list) with runtime-dispatched
-//!   AVX2/FMA kernels behind a scalar fallback (`CARDOPC_SIMD=off`),
+//!   crate is on the approved dependency list) whose kernels are each
+//!   written once and compiled plain and under AVX2/FMA, picked at runtime
+//!   (`CARDOPC_SIMD=off` forces the plain compilation),
 //! * [`OpticsConfig`] / SOCS kernel synthesis — an annular partially
 //!   coherent source discretised by Abbe's method into a kernel stack with
 //!   exactly the Hopkins structure `I = Σ w_k |M ⊗ h_k|²`, stored as
@@ -22,8 +23,8 @@
 //! * [`Precision`] — the per-run simulation precision
 //!   ([`LithoEngine::with_precision`]): kernels are always synthesised in
 //!   `f64`, and the convolution hot loop runs the `f64` reference path or
-//!   the narrowed `f32` 8-lane AVX2 path; masks and intensities stay `f64`
-//!   at the API boundary,
+//!   the same kernels instantiated at `f32`; masks and intensities stay
+//!   `f64` at the API boundary,
 //! * [`rasterize`] — anti-aliased polygon rasterisation bridging the
 //!   geometric OPC world and image-space simulation,
 //! * [`metrics`] — EPE (per-site, signed), L2 and PV-band, with the paper's
@@ -55,7 +56,6 @@ pub mod pool;
 mod raster;
 mod scalar;
 pub mod simd;
-mod stage_ps;
 mod workspace;
 
 pub use engine::{LithoEngine, ProcessCondition};

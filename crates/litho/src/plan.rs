@@ -128,32 +128,28 @@ impl<T: Scalar> Stages<T> {
         } else {
             &self.tw_im_fwd
         };
-        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-        if mode == SimdMode::Avx2 {
+        match (mode, inverse) {
             // SAFETY: `SimdMode::Avx2` is only produced after runtime
             // AVX2+FMA detection (crate::simd::active_mode / force_mode).
-            unsafe {
-                if inverse {
-                    stages_avx2::<false, T>(self, tw_im, re, im, pr, pi);
-                } else {
-                    stages_avx2::<true, T>(self, tw_im, re, im, pr, pi);
-                }
-            }
-            return;
-        }
-        let _ = mode;
-        if inverse {
-            stages_body::<false, T>(self, tw_im, re, im, pr, pi);
-        } else {
-            stages_body::<true, T>(self, tw_im, re, im, pr, pi);
+            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+            (SimdMode::Avx2, true) => unsafe {
+                stages_avx2::<false, T>(self, tw_im, re, im, pr, pi)
+            },
+            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+            (SimdMode::Avx2, false) => unsafe {
+                stages_avx2::<true, T>(self, tw_im, re, im, pr, pi)
+            },
+            (_, true) => stages_body::<false, T>(self, tw_im, re, im, pr, pi),
+            (_, false) => stages_body::<true, T>(self, tw_im, re, im, pr, pi),
         }
     }
 }
 
-/// The whole pipeline compiled with AVX2+FMA enabled. The body is the same
-/// as the scalar instantiation — Rust never contracts `a*b+c` into an FMA,
-/// so both instantiations are **bitwise identical**; this one just lets the
-/// autovectorizer use 256-bit lanes (4 `f64` or 8 `f32` per op).
+/// The whole pipeline compiled with AVX2+FMA enabled, at either precision.
+/// The body is the same as the plain instantiation — Rust never contracts
+/// `a*b+c` into an FMA, so both instantiations are **bitwise identical**;
+/// this one just lets the autovectorizer use 256-bit lanes (4 `f64` or 8
+/// `f32` per op).
 ///
 /// # Safety
 /// Caller must have verified AVX2+FMA support at runtime.
@@ -167,62 +163,7 @@ unsafe fn stages_avx2<const FWD: bool, T: Scalar>(
     pr: &mut [T],
     pi: &mut [T],
 ) {
-    if T::PRECISION == crate::scalar::Precision::F32 {
-        // SAFETY: `Scalar` is sealed, so `PRECISION == F32` implies
-        // `T == f32`; the casts below are identity reinterpretations.
-        unsafe {
-            let plan = &*(plan as *const Stages<T> as *const Stages<f32>);
-            let tw_im = &*(tw_im as *const [T] as *const [f32]);
-            let re = &mut *(re as *mut [T] as *mut [f32]);
-            let im = &mut *(im as *mut [T] as *mut [f32]);
-            let pr = &mut *(pr as *mut [T] as *mut [f32]);
-            let pi = &mut *(pi as *mut [T] as *mut [f32]);
-            stages_body_ps::<FWD>(plan, tw_im, re, im, pr, pi);
-        }
-        return;
-    }
     stages_body::<FWD, T>(plan, tw_im, re, im, pr, pi);
-}
-
-/// The `f32` pipeline over the hand-written 8-lane stage kernels in
-/// [`crate::stage_ps`] (bitwise identical to the scalar dispatch — the
-/// kernels use the same per-lane expressions without FMA contraction).
-///
-/// # Safety
-/// Caller must have verified AVX2+FMA support at runtime.
-#[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn stages_body_ps<const FWD: bool>(
-    plan: &Stages<f32>,
-    tw_im: &[f32],
-    re: &mut [f32],
-    im: &mut [f32],
-    pr: &mut [f32],
-    pi: &mut [f32],
-) {
-    use crate::stage_ps::{stage2_ps, stage3_ps, stage4_ps, stage5_ps};
-    let mut in_data = true;
-    for st in &plan.stages {
-        let tw_len = (st.radix as usize - 1) * st.m;
-        let twr = &plan.tw_re[st.tw_off..st.tw_off + tw_len];
-        let twi = &tw_im[st.tw_off..st.tw_off + tw_len];
-        let (xr, xi, yr, yi) = if in_data {
-            (&*re, &*im, &mut *pr, &mut *pi)
-        } else {
-            (&*pr, &*pi, &mut *re, &mut *im)
-        };
-        match st.radix {
-            2 => stage2_ps(st.m, st.s, twr, twi, xr, xi, yr, yi),
-            3 => stage3_ps::<FWD>(st.m, st.s, twr, twi, xr, xi, yr, yi),
-            4 => stage4_ps::<FWD>(st.m, st.s, twr, twi, xr, xi, yr, yi),
-            _ => stage5_ps::<FWD>(st.m, st.s, twr, twi, xr, xi, yr, yi),
-        }
-        in_data = !in_data;
-    }
-    if !in_data {
-        re.copy_from_slice(pr);
-        im.copy_from_slice(pi);
-    }
 }
 
 #[inline(always)]
@@ -280,7 +221,7 @@ fn stage_any<const FWD: bool, T: Scalar>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn stage2_generic<T: Scalar>(
+fn stage2_generic<T: Scalar>(
     m: usize,
     s: usize,
     twr: &[T],
@@ -325,7 +266,7 @@ pub(crate) fn stage2_generic<T: Scalar>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn stage4_generic<const FWD: bool, T: Scalar>(
+fn stage4_generic<const FWD: bool, T: Scalar>(
     m: usize,
     s: usize,
     twr: &[T],
@@ -423,7 +364,7 @@ pub(crate) fn stage4_generic<const FWD: bool, T: Scalar>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn stage3_generic<const FWD: bool, T: Scalar>(
+fn stage3_generic<const FWD: bool, T: Scalar>(
     m: usize,
     s: usize,
     twr: &[T],
@@ -473,7 +414,7 @@ pub(crate) fn stage3_generic<const FWD: bool, T: Scalar>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn stage5_generic<const FWD: bool, T: Scalar>(
+fn stage5_generic<const FWD: bool, T: Scalar>(
     m: usize,
     s: usize,
     twr: &[T],

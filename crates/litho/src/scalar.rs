@@ -4,9 +4,10 @@
 //! Everything downstream of the mask raster — [`crate::fft::Field`], the
 //! FFT plans and twiddles, and the SOCS accumulate kernels — is generic
 //! over [`Scalar`], which is implemented for exactly `f64` and `f32`.
-//! The trait is *sealed*: the SIMD kernels, plan registries, and
-//! tolerance contracts are written against these two types only, and a
-//! third implementation outside this crate could not uphold them.
+//! The trait is *sealed*: the kernels (one generic body each, see
+//! [`crate::simd`]), plan registries, and tolerance contracts are written
+//! against these two types only, and a third implementation outside this
+//! crate could not uphold them.
 //!
 //! Two invariants keep the genericization honest:
 //!
@@ -90,9 +91,8 @@ mod private {
 /// `f64` and `f32`).
 ///
 /// Bounds cover everything the generic FFT/SOCS code needs: plain
-/// arithmetic, conversions to and from the `f64` reference domain, a
-/// fused multiply-add for the SIMD-path scalar tails, and per-type
-/// hooks onto the hand-written AVX2 kernels in [`crate::simd`].
+/// arithmetic, conversions to and from the `f64` reference domain, and a
+/// fused multiply-add for the AVX2 compilation of the pointwise kernels.
 pub trait Scalar:
     private::Sealed
     + Copy
@@ -118,8 +118,6 @@ pub trait Scalar:
     const ONE: Self;
     /// One half (the Hermitian-split and radix-3 butterfly constant).
     const HALF: Self;
-    /// The [`Precision`] this type implements.
-    const PRECISION: Precision;
 
     /// Narrowing (for `f32`) or identity (for `f64`) conversion from the
     /// `f64` reference domain. All derived constants funnel through this
@@ -130,103 +128,16 @@ pub trait Scalar:
     /// the `f64` output domain.
     fn to_f64(self) -> f64;
 
-    /// Fused multiply-add `self * a + b`, used by the scalar tails of
-    /// the AVX2 kernels (same rounding as the vector FMA lanes).
+    /// Fused multiply-add `self * a + b` (one rounding). The only place
+    /// the simulation fuses: the AVX2 compilation of the pointwise kernels
+    /// in [`crate::simd`], where it lowers to vector FMA lanes.
     fn mul_add(self, a: Self, b: Self) -> Self;
-
-    /// AVX2 kernel hook for `d = a · b` (split-complex pointwise).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime (on other
-    /// targets the hook falls back to the scalar body and is safe).
-    #[doc(hidden)]
-    unsafe fn cmul_avx2(
-        ar: &[Self],
-        ai: &[Self],
-        br: &[Self],
-        bi: &[Self],
-        dr: &mut [Self],
-        di: &mut [Self],
-    );
-
-    /// AVX2 kernel hook for `acc += w · (re² + im²)`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[doc(hidden)]
-    unsafe fn acc_norm_sq_avx2(re: &[Self], im: &[Self], w: Self, acc: &mut [Self]);
-
-    /// AVX2 kernel hook for the strided blocked transpose
-    /// `dst[c·dst_stride + r] = src[r·src_stride + c]`. `seq_dst` selects
-    /// the tile walk (see `crate::simd::transpose_body`).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime, and the
-    /// slices must cover `(rows-1)·src_stride + cols` and
-    /// `(cols-1)·dst_stride + rows` elements respectively.
-    #[doc(hidden)]
-    unsafe fn transpose_avx2(
-        src: &[Self],
-        src_stride: usize,
-        rows: usize,
-        cols: usize,
-        dst: &mut [Self],
-        dst_stride: usize,
-        seq_dst: bool,
-    );
-}
-
-/// Routes the three kernel hooks of one `Scalar` impl to the matching
-/// `crate::simd::avx2` functions (x86-64 builds) or the scalar bodies
-/// (everything else, where `SimdMode::Avx2` is never produced anyway).
-macro_rules! avx2_hooks {
-    ($cmul:ident, $acc_norm_sq:ident, $transpose:ident) => {
-        unsafe fn cmul_avx2(
-            ar: &[Self],
-            ai: &[Self],
-            br: &[Self],
-            bi: &[Self],
-            dr: &mut [Self],
-            di: &mut [Self],
-        ) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$cmul(ar, ai, br, bi, dr, di);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::cmul_body(ar, ai, br, bi, dr, di);
-        }
-
-        unsafe fn acc_norm_sq_avx2(re: &[Self], im: &[Self], w: Self, acc: &mut [Self]) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$acc_norm_sq(re, im, w, acc);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::acc_norm_sq_body(re, im, w, acc);
-        }
-
-        unsafe fn transpose_avx2(
-            src: &[Self],
-            src_stride: usize,
-            rows: usize,
-            cols: usize,
-            dst: &mut [Self],
-            dst_stride: usize,
-            seq_dst: bool,
-        ) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$transpose(src, src_stride, rows, cols, dst, dst_stride, seq_dst);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::transpose_body(src, src_stride, rows, cols, dst, dst_stride, seq_dst);
-        }
-    };
 }
 
 impl Scalar for f64 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const HALF: Self = 0.5;
-    const PRECISION: Precision = Precision::F64;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
@@ -242,15 +153,12 @@ impl Scalar for f64 {
     fn mul_add(self, a: Self, b: Self) -> Self {
         f64::mul_add(self, a, b)
     }
-
-    avx2_hooks!(cmul_pd, acc_norm_sq_pd, transpose_pd);
 }
 
 impl Scalar for f32 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const HALF: Self = 0.5;
-    const PRECISION: Precision = Precision::F32;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
@@ -266,8 +174,6 @@ impl Scalar for f32 {
     fn mul_add(self, a: Self, b: Self) -> Self {
         f32::mul_add(self, a, b)
     }
-
-    avx2_hooks!(cmul_ps, acc_norm_sq_ps, transpose_ps);
 }
 
 #[cfg(test)]
@@ -299,7 +205,5 @@ mod tests {
         assert_eq!(f64::from_f64(v).to_bits(), v.to_bits());
         assert_eq!(f32::from_f64(v), v as f32);
         assert_eq!(<f32 as Scalar>::to_f64(0.5f32), 0.5f64);
-        assert_eq!(<f64 as Scalar>::PRECISION, Precision::F64);
-        assert_eq!(<f32 as Scalar>::PRECISION, Precision::F32);
     }
 }

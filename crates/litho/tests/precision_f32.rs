@@ -3,8 +3,9 @@
 //! Mirrors the f64 suite in `properties.rs` at f32-appropriate
 //! tolerances: the same structural invariants (round trip, Parseval,
 //! linearity, real-packed agreement) must hold on the narrowed
-//! twiddle/chirp tables and the 8-lane kernels, across every code path —
-//! 5-smooth sizes run mixed-radix Stockham, everything else Bluestein.
+//! twiddle/chirp tables and the `f32` instantiation of the generic kernels,
+//! across every code path — 5-smooth sizes run mixed-radix Stockham,
+//! everything else Bluestein.
 
 use cardopc_geometry::SplitMix64;
 use cardopc_litho::fft::{fft_inplace, Complex};

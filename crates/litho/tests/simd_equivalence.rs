@@ -1,14 +1,14 @@
 //! Scalar-vs-SIMD equivalence and determinism for the lithography engine.
 //!
-//! The FFT stages are bitwise mode-independent by contract: the `f64`
-//! stages compile from identical Rust source in both dispatch modes (no
-//! FMA contraction), and the hand-written 8-lane `f32` stage kernels
-//! reproduce the scalar expression order exactly (mul/add/sub only, no
-//! FMA). Only the AVX2 pointwise kernels (complex products and the
-//! `w·|z|²` accumulate) differ from scalar, by FMA rounding. These tests
-//! pin the FFT bitwise contract directly, bound the pointwise difference
-//! at ≤1e-9 on the engine's end-to-end paths, and pin the scalar mode to
-//! bitwise determinism across worker counts.
+//! Every kernel is one generic body compiled twice, plain and under
+//! `avx2,fma`. The FFT stages are bitwise mode-independent by contract at
+//! both precisions: the same source in both compilations, and Rust never
+//! contracts `a*b+c` into an FMA. Only the two pointwise kernels (complex
+//! products and the `w·|z|²` accumulate) differ from scalar, by one FMA
+//! rounding through `Scalar::mul_add`. These tests pin the FFT bitwise
+//! contract directly, bound the pointwise difference at ≤1e-9 on the
+//! engine's end-to-end paths, and pin each mode to bitwise determinism
+//! across worker counts.
 //!
 //! All tests mutate the process-global forced dispatch mode, so they
 //! serialise on one mutex and restore the default before releasing it.
@@ -16,7 +16,9 @@
 use cardopc_geometry::{Grid, Point, Polygon, SplitMix64};
 use cardopc_litho::fft::FftScratch;
 use cardopc_litho::simd::{self, SimdMode};
-use cardopc_litho::{rasterize, FftPlan, LithoEngine, OpticsConfig, Precision, ProcessCondition};
+use cardopc_litho::{
+    rasterize, FftPlan, LithoEngine, OpticsConfig, Precision, ProcessCondition, Scalar,
+};
 use std::sync::Mutex;
 
 static MODE_LOCK: Mutex<()> = Mutex::new(());
@@ -62,17 +64,13 @@ fn max_rel_diff(a: &Grid, b: &Grid) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// The hand-written 8-lane `f32` stage kernels must match the scalar
-/// stages bit for bit, at lengths covering every kernel shape: radix-4 at
-/// strides 1/4/≥8 (with and without odd-`m` tails), radix-2 at strides
-/// 1/≥8, radix-3 at the generic fallback (s<8) and vector strides,
-/// radix-5 at vector strides and its non-multiple-of-8 stride fallback
-/// (e.g. 60 = 4·3·5 hits s=12). Bluestein lengths are excluded: their
-/// convolution runs through the pointwise FMA kernels, which differ from
-/// scalar by design (one rounding), so only 5-smooth lengths carry the
-/// bitwise guarantee.
-#[test]
-fn fft_f32_plan_bitwise_scalar_vs_avx2() {
+/// The Stockham stages must match across compilations bit for bit, at
+/// lengths covering every radix at unit and wide strides, with and without
+/// odd-`m` tails (e.g. 60 = 4·3·5 hits s=12). Bluestein lengths are
+/// excluded: their convolution runs through the pointwise FMA kernels,
+/// which differ from scalar by design (one rounding), so only 5-smooth
+/// lengths carry the bitwise guarantee.
+fn check_plan_bitwise_scalar_vs_avx2<T: Scalar>() {
     let _guard = MODE_LOCK.lock().unwrap();
     if !simd::avx2_available() {
         return;
@@ -82,12 +80,16 @@ fn fft_f32_plan_bitwise_scalar_vs_avx2() {
     ] {
         for inverse in [false, true] {
             let mut rng = SplitMix64::new(0x5eed ^ n as u64);
-            let re0: Vec<f32> = (0..n).map(|_| rng.range_f64(-1.0, 1.0) as f32).collect();
-            let im0: Vec<f32> = (0..n).map(|_| rng.range_f64(-1.0, 1.0) as f32).collect();
+            let re0: Vec<T> = (0..n)
+                .map(|_| T::from_f64(rng.range_f64(-1.0, 1.0)))
+                .collect();
+            let im0: Vec<T> = (0..n)
+                .map(|_| T::from_f64(rng.range_f64(-1.0, 1.0)))
+                .collect();
             let run = |mode| {
                 with_mode(mode, || {
-                    let plan = FftPlan::<f32>::get(n);
-                    let mut scratch = FftScratch::<f32>::new();
+                    let plan = FftPlan::<T>::get(n);
+                    let mut scratch = FftScratch::<T>::new();
                     let (mut re, mut im) = (re0.clone(), im0.clone());
                     plan.execute_unscaled_split(&mut re, &mut im, &mut scratch, inverse);
                     (re, im)
@@ -99,6 +101,16 @@ fn fft_f32_plan_bitwise_scalar_vs_avx2() {
             assert_eq!(si, vi, "n={n} inverse={inverse}: im lanes drifted");
         }
     }
+}
+
+#[test]
+fn fft_f32_plan_bitwise_scalar_vs_avx2() {
+    check_plan_bitwise_scalar_vs_avx2::<f32>();
+}
+
+#[test]
+fn fft_f64_plan_bitwise_scalar_vs_avx2() {
+    check_plan_bitwise_scalar_vs_avx2::<f64>();
 }
 
 #[test]

@@ -78,9 +78,9 @@ RUN OPTIONS:
     --tile <NM>                     core tile size [4096]
     --halo <NM>                     halo margin per side [1024]
     --pitch <NM>                    simulation pixel pitch [8]
-    --precision <f64|f32>           simulation arithmetic; f32 runs the
-                                    8-lane SIMD backend (geometry, MRC and
-                                    fitting stay f64) [f64]
+    --precision <f64|f32>           simulation arithmetic; f32 narrows
+                                    only the FFT/SOCS interior (geometry,
+                                    MRC and fitting stay f64) [f64]
     --iterations <N>                OPC iterations [10]
     --threads <N>                   worker pool size (beats --workers and
                                     CARDOPC_THREADS)
