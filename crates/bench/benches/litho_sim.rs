@@ -76,7 +76,8 @@ fn via_like_mask() -> Grid {
 }
 
 /// The columns within 22 px of a via's edge: 37 % of the frame, the share
-/// `CardOpc::roi_columns` requests on the Table I clips.
+/// the correction loop's column restriction requested on the Table I clips
+/// before it sampled its footprint instead.
 fn via_roi_columns() -> Vec<usize> {
     (0..500)
         .filter(|x| {
@@ -87,12 +88,35 @@ fn via_roi_columns() -> Vec<usize> {
         .collect()
 }
 
-/// The two production grids (logic tile, via clip): full frame, the ROI
-/// path at 50 % and at 89 % of the columns (the widest restriction
-/// `CardOpc::roi_columns` still takes — it must not cost more than the full
-/// frame), the three-condition evaluation, and engine construction; then
-/// the via grid under a via-like mask (mostly empty rows, the ROI at its
-/// production share) beside a dense random one (no empty row at all).
+/// Pixels two wide along each via's axes, out to 22 px from its centre:
+/// about the 0.5 % of the frame `epe_footprint` gives a Table I clip.
+fn via_footprint() -> Vec<usize> {
+    let mut pixels: Vec<usize> = VIA_CENTRES
+        .iter()
+        .flat_map(|&(cx, cy)| {
+            (0..44).flat_map(move |d| {
+                let (x, y) = (cx + d - 22, cy + d - 22);
+                [
+                    cy * 500 + x,
+                    (cy + 1) * 500 + x,
+                    y * 500 + cx,
+                    y * 500 + cx + 1,
+                ]
+            })
+        })
+        .collect();
+    pixels.sort_unstable();
+    pixels.dedup();
+    pixels
+}
+
+/// The two production grids (logic tile, via clip): full frame, every pixel
+/// of 50 % and of 89 % of the columns (`aerial_image_cols`, the pixel
+/// sampler over whole columns — dearer than the frame once dense, which is
+/// why the loop picks by `pixels_pay`), the three-condition evaluation, and
+/// engine construction; then the via grid under a via-like mask (mostly
+/// empty rows; the old column share and the loop's footprint) beside a
+/// dense random one (no empty row at all).
 fn bench_socs(c: &mut Criterion) {
     use cardopc::litho::{Precision, ProcessCondition};
     let conditions = [
@@ -135,6 +159,16 @@ fn bench_socs(c: &mut Criterion) {
         });
         group.bench_function("cols_37", |b| {
             b.iter(|| black_box(engine.aerial_image_cols(black_box(&vias), &cols).unwrap()))
+        });
+        let (footprint, mut out) = (via_footprint(), Grid::zeros(500, 500, 4.0));
+        group.bench_function("footprint", |b| {
+            b.iter(|| {
+                let pixels = Some(&footprint[..]);
+                engine
+                    .aerial_image_into(black_box(&vias), pixels, &mut out)
+                    .unwrap();
+                black_box(out.data()[footprint[0]])
+            })
         });
         group.bench_function("multi", |b| {
             b.iter(|| black_box(engine.aerial_images_multi(black_box(&vias), &conditions)))

@@ -4,10 +4,11 @@
 //! The iteration bench exercises the optimised hot path the flow uses:
 //! control points are resampled through a shared [`SamplingPlan`], the
 //! (static) assist layer lives in a [`RasterCache`] base, the aerial image
-//! is restricted to the columns the EPE correction reads, and the
-//! correction itself runs shape-parallel on the worker pool.
+//! is synthesised only at the pixels the EPE correction reads (into a grid
+//! kept across iterations), and the correction itself runs shape-parallel
+//! on the worker pool.
 
-use cardopc::litho::RasterCache;
+use cardopc::litho::{epe_footprint, RasterCache};
 use cardopc::opc::{correct_shapes, engine_for_extent, CorrectionStep};
 use cardopc::prelude::*;
 use cardopc::spline::SamplingPlan;
@@ -34,31 +35,6 @@ fn bench_initialise(c: &mut Criterion) {
     });
 }
 
-/// The pixel columns EPE probes can read: every frozen anchor's x-extent
-/// expanded by the search range plus a bilinear-footprint margin (mirrors
-/// the flow's internal ROI computation).
-fn roi_columns(
-    shapes: &[cardopc::opc::OpcShape],
-    width: usize,
-    pitch: f64,
-    epe_search: f64,
-) -> Vec<usize> {
-    let margin = epe_search + 2.0 * pitch;
-    let mut needed = vec![false; width];
-    for shape in shapes.iter().filter(|s| !s.is_sraf) {
-        for anchor in &shape.anchors {
-            let lo = ((anchor.position.x - margin) / pitch - 0.5)
-                .floor()
-                .max(0.0) as usize;
-            let hi = (((anchor.position.x + margin) / pitch - 0.5).floor() + 1.0).max(0.0) as usize;
-            for flag in &mut needed[lo.min(width - 1)..=hi.min(width - 1)] {
-                *flag = true;
-            }
-        }
-    }
-    (0..width).filter(|&c| needed[c]).collect()
-}
-
 fn bench_iteration(c: &mut Criterion) {
     let clip = small_clip();
     let config = OpcConfig {
@@ -72,7 +48,14 @@ fn bench_iteration(c: &mut Criterion) {
     let shapes = flow.initialize(&clip).unwrap();
 
     let plan = SamplingPlan::get(config.samples_per_segment, config.tension);
-    let cols = roi_columns(&shapes, engine.width(), engine.pitch(), config.epe_search);
+    let grid = (engine.width(), engine.height(), engine.pitch());
+    let anchors = shapes
+        .iter()
+        .filter(|s| !s.is_sraf)
+        .flat_map(|s| &s.anchors);
+    let footprint = epe_footprint(grid, anchors, config.epe_search);
+    let pixels = engine.pixels_pay(footprint.len()).then_some(&footprint[..]);
+    let mut aerial = Grid::zeros(grid.0, grid.1, grid.2);
     let mut cache = RasterCache::new(engine.width(), engine.height(), engine.pitch());
     cache.set_base(&[]);
 
@@ -94,7 +77,7 @@ fn bench_iteration(c: &mut Criterion) {
                 }
             }
             let mask = cache.composite(&main_polys);
-            let aerial = engine.aerial_image_cols(mask, &cols).unwrap();
+            engine.aerial_image_into(mask, pixels, &mut aerial).unwrap();
             let total = correct_shapes(
                 &mut shapes,
                 &aerial,
@@ -102,7 +85,7 @@ fn bench_iteration(c: &mut Criterion) {
                 &CorrectionStep {
                     step_limit: 2.0,
                     smooth_window: 1,
-                    epe_search: 40.0,
+                    epe_search: config.epe_search,
                     spline_normals: true,
                 },
             );

@@ -200,7 +200,17 @@ fn put_element(
 }
 
 fn quantise(nm: f64, nm_per_dbu: f64) -> Result<i32, GdsError> {
-    let dbu = (nm / nm_per_dbu).round();
+    let q = nm / nm_per_dbu;
+    // `f64::round` (half away from zero) without its libm call: truncate,
+    // then step away from zero on a fractional part of at least one half.
+    // The fraction is exact: a multiple of `q`'s ulp below 1 in magnitude.
+    if q.abs() < i32::MAX as f64 {
+        let t = q as i64;
+        let frac = q - t as f64;
+        return Ok((t + (frac >= 0.5) as i64 - (frac <= -0.5) as i64) as i32);
+    }
+    // Out of range, or NaN: the checked path and its error.
+    let dbu = q.round();
     if !dbu.is_finite() || dbu < i32::MIN as f64 || dbu > i32::MAX as f64 {
         return Err(GdsError::CoordinateOverflow(format!(
             "{nm} nm does not fit a 32-bit database unit at {nm_per_dbu} nm/dbu"
@@ -216,6 +226,7 @@ mod tests {
     use crate::model::LayerFilter;
     use crate::read::parse_lib;
     use cardopc_geometry::Point;
+    use proptest::prelude::*;
 
     #[test]
     fn written_library_reparses_identically() {
@@ -343,5 +354,66 @@ mod tests {
         assert!(w.boundary(1, 0, &line).is_err());
         assert!(GdsWriter::new("X", 0.0).is_err());
         assert!(GdsWriter::new("X", f64::NAN).is_err());
+    }
+
+    /// The reference: `f64::round`, then the range check.
+    fn quantise_by_round(nm: f64, nm_per_dbu: f64) -> Option<i32> {
+        let dbu = (nm / nm_per_dbu).round();
+        (dbu.is_finite() && dbu >= i32::MIN as f64 && dbu <= i32::MAX as f64).then_some(dbu as i32)
+    }
+
+    fn check_quantise(nm: f64, nm_per_dbu: f64) {
+        assert_eq!(
+            quantise(nm, nm_per_dbu).ok(),
+            quantise_by_round(nm, nm_per_dbu),
+            "{nm:e} nm at {nm_per_dbu} nm/dbu"
+        );
+    }
+
+    #[test]
+    fn quantise_rounds_exactly_as_f64_round() {
+        let limit = 2f64.powi(31);
+        let mut values = vec![0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for k in [
+            0.0,
+            1.0,
+            2.0,
+            7.0,
+            1e6,
+            4503599627370495.0,
+            limit - 2.0,
+            limit - 1.0,
+        ] {
+            for v in [
+                k + 0.5,
+                k + 0.49999999999999994,
+                (k + 0.5).next_up(),
+                (k + 0.5).next_down(),
+            ] {
+                values.extend([v, -v]);
+            }
+        }
+        for edge in [limit - 1.0, limit, limit + 1.0, limit - 0.5, limit - 1.5] {
+            for v in [edge, edge.next_up(), edge.next_down()] {
+                values.extend([v, -v]);
+            }
+        }
+        for v in values {
+            check_quantise(v, 1.0);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn quantise_matches_f64_round_on_random_doubles(
+            bits in 0u64..u64::MAX,
+            scaled in -3.0e9f64..3.0e9,
+            pick in 0usize..4,
+        ) {
+            let pitch = [1.0, 0.25, 0.001, 3.0][pick];
+            check_quantise(f64::from_bits(bits), 1.0);
+            check_quantise(scaled, 1.0);
+            check_quantise(scaled * pitch, pitch);
+        }
     }
 }

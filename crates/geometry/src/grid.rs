@@ -134,20 +134,37 @@ impl Grid {
     /// Bilinearly interpolated sample at physical coordinates `(x, y)`
     /// nanometres; clamps to the border outside the grid.
     pub fn sample(&self, x: f64, y: f64) -> f64 {
-        let fx = x / self.pitch - 0.5;
-        let fy = y / self.pitch - 0.5;
-        let ix = fx.floor();
-        let iy = fy.floor();
-        let tx = fx - ix;
-        let ty = fy - iy;
-        let (ix, iy) = (ix as isize, iy as isize);
-        let v00 = self.get_clamped(ix, iy);
-        let v10 = self.get_clamped(ix + 1, iy);
-        let v01 = self.get_clamped(ix, iy + 1);
-        let v11 = self.get_clamped(ix + 1, iy + 1);
+        let ([i00, i10, i01, i11], tx, ty) =
+            Grid::sample_cell(self.width, self.height, self.pitch, x, y);
+        let (v00, v10) = (self.data[i00], self.data[i10]);
+        let (v01, v11) = (self.data[i01], self.data[i11]);
         let top = v00 + (v10 - v00) * tx;
         let bot = v01 + (v11 - v01) * tx;
         top + (bot - top) * ty
+    }
+
+    /// The samples [`Grid::sample`] blends at `(x, y)` on a `width×height`
+    /// grid of `pitch` nm pixels: the row-major indices of its 2×2 cell
+    /// (`(ix, iy)`, `(ix + 1, iy)`, `(ix, iy + 1)`, `(ix + 1, iy + 1)`,
+    /// each clamped to the border) and the weights along x and y.
+    #[inline]
+    pub fn sample_cell(
+        width: usize,
+        height: usize,
+        pitch: f64,
+        x: f64,
+        y: f64,
+    ) -> ([usize; 4], f64, f64) {
+        let fx = x / pitch - 0.5;
+        let fy = y / pitch - 0.5;
+        let ix = fx.floor();
+        let iy = fy.floor();
+        let (tx, ty) = (fx - ix, fy - iy);
+        let (ix, iy) = (ix as isize, iy as isize);
+        let cx = |i: isize| i.clamp(0, width as isize - 1) as usize;
+        let row = |i: isize| i.clamp(0, height as isize - 1) as usize * width;
+        let (x0, x1, y0, y1) = (cx(ix), cx(ix + 1), row(iy), row(iy + 1));
+        ([y0 + x0, y0 + x1, y1 + x0, y1 + x1], tx, ty)
     }
 
     /// Sum of all samples.

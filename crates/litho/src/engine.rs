@@ -41,13 +41,13 @@ impl<T: Scalar> Interior<T> {
         &self,
         mask: &[f64],
         states: &[bool],
-        cols: Option<&[usize]>,
+        pixels: Option<&[usize]>,
         workers: usize,
         outputs: &mut [&mut [f64]],
     ) {
         let pool = WorkerPool::global();
         self.with_workspace(|stacks, ws| {
-            ws.images(stacks, mask, states, cols, pool, workers, outputs)
+            ws.images(stacks, mask, states, pixels, pool, workers, outputs)
         });
     }
 
@@ -270,26 +270,21 @@ impl LithoEngine {
         Ok(())
     }
 
-    /// One image per focus state from a single forward mask FFT, optionally
-    /// restricted to pixel columns — the one request every public image
-    /// call is phrased as.
-    fn images(&self, mask: &Grid, states: &[bool], cols: Option<&[usize]>) -> Vec<Grid> {
-        let n = self.width * self.height;
-        let mut buffers: Vec<Vec<f64>> = states.iter().map(|_| vec![0.0f64; n]).collect();
-        let mut outputs: Vec<&mut [f64]> = buffers.iter_mut().map(Vec::as_mut_slice).collect();
+    /// One image per focus state from a single forward mask FFT into `out`
+    /// — the one request every public image call is phrased as.
+    fn images(&self, mask: &Grid, states: &[bool], pixels: Option<&[usize]>, out: &mut [Grid]) {
+        let mut outputs: Vec<&mut [f64]> = out.iter_mut().map(Grid::data_mut).collect();
         let (mask, workers) = (mask.data(), self.workers);
         match &self.simulation {
-            Simulation::F64(sim) => sim.images(mask, states, cols, workers, &mut outputs),
-            Simulation::F32(sim) => sim.images(mask, states, cols, workers, &mut outputs),
+            Simulation::F64(sim) => sim.images(mask, states, pixels, workers, &mut outputs),
+            Simulation::F32(sim) => sim.images(mask, states, pixels, workers, &mut outputs),
         }
-        buffers
-            .into_iter()
-            .map(|b| Grid::from_data(self.width, self.height, self.pitch, b))
-            .collect()
     }
 
-    fn image(&self, defocused: bool, mask: &Grid, cols: Option<&[usize]>) -> Grid {
-        self.images(mask, &[defocused], cols).remove(0)
+    fn image(&self, defocused: bool, mask: &Grid) -> Grid {
+        let mut out = Grid::zeros(self.width, self.height, self.pitch);
+        self.images(mask, &[defocused], None, std::slice::from_mut(&mut out));
+        out
     }
 
     /// Computes the aerial image `I = Σ_k w_k |M ⊗ h_k|²` at nominal focus.
@@ -299,20 +294,46 @@ impl LithoEngine {
     /// [`LithoError::GridMismatch`] when the mask grid has the wrong shape.
     pub fn aerial_image(&self, mask: &Grid) -> Result<Grid, LithoError> {
         self.check_mask(mask)?;
-        Ok(self.image(false, mask, None))
+        Ok(self.image(false, mask))
+    }
+
+    /// [`LithoEngine::aerial_image`] into `out` — or, for `Some(pixels)`
+    /// (row-major, ascending), only those, each a direct sum whose bits
+    /// depend on the mask and its position alone (the frame's to rounding).
+    ///
+    /// # Errors
+    ///
+    /// [`LithoError::GridMismatch`] when `mask` or `out` has the wrong shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range pixel index.
+    pub fn aerial_image_into(
+        &self,
+        mask: &Grid,
+        pixels: Option<&[usize]>,
+        out: &mut Grid,
+    ) -> Result<(), LithoError> {
+        self.check_mask(mask)?;
+        self.check_mask(out)?;
+        self.images(mask, &[false], pixels, std::slice::from_mut(out));
+        Ok(())
+    }
+
+    /// Whether `pixels` pixels cost less than the whole frame: a pixel sums
+    /// the image band's `ky ≥ 0` rows, the frame runs a column FFT per pair.
+    pub fn pixels_pay(&self, pixels: usize) -> bool {
+        let live = match &self.simulation {
+            Simulation::F64(sim) => sim.stacks.image_band.h / 2 + 1,
+            Simulation::F32(sim) => sim.stacks.image_band.h / 2 + 1,
+        };
+        let log2_h = (usize::BITS - self.height.leading_zeros()) as usize;
+        pixels * live < self.width.div_ceil(2) * self.height * log2_h
     }
 
     /// Nominal-focus aerial image restricted to the given pixel columns
-    /// (x indices); every other pixel of the result is zero.
-    ///
-    /// Computed columns are bit-identical to [`LithoEngine::aerial_image`]
-    /// whatever else is requested, in any order and with repeats: the final
-    /// upsample transforms real columns in canonical pairs `(2p, 2p + 1)`,
-    /// runs the pair of every requested column and writes only the
-    /// requested ones. Off-ROI pairs are skipped, so this never costs more
-    /// than the full image — the OPC correction loop uses it because EPE
-    /// evaluation only samples the image near the frozen measurement
-    /// anchors.
+    /// (x indices, any order, repeats allowed), zero elsewhere: those
+    /// columns' pixels through [`LithoEngine::aerial_image_into`].
     ///
     /// # Errors
     ///
@@ -322,8 +343,13 @@ impl LithoEngine {
     ///
     /// Panics when a column index is out of range.
     pub fn aerial_image_cols(&self, mask: &Grid, cols: &[usize]) -> Result<Grid, LithoError> {
-        self.check_mask(mask)?;
-        Ok(self.image(false, mask, Some(cols)))
+        let mut wanted = vec![false; self.width];
+        cols.iter().for_each(|&x| wanted[x] = true);
+        let n = self.width * self.height;
+        let pixels: Vec<usize> = (0..n).filter(|i| wanted[i % self.width]).collect();
+        let mut out = Grid::zeros(self.width, self.height, self.pitch);
+        self.aerial_image_into(mask, Some(&pixels), &mut out)
+            .map(|()| out)
     }
 
     /// Aerial images at several process conditions from a **single**
@@ -357,7 +383,9 @@ impl LithoEngine {
                 states.push(c.defocused);
             }
         }
-        let state_grids = self.images(mask, &states, None);
+        let zeros = |_| Grid::zeros(self.width, self.height, self.pitch);
+        let mut state_grids: Vec<Grid> = states.iter().map(zeros).collect();
+        self.images(mask, &states, None, &mut state_grids);
         Ok(conditions
             .iter()
             .map(|c| {
@@ -382,7 +410,7 @@ impl LithoEngine {
         condition: ProcessCondition,
     ) -> Result<Grid, LithoError> {
         self.check_mask(mask)?;
-        Ok(self.image(condition.defocused, mask, None))
+        Ok(self.image(condition.defocused, mask))
     }
 
     /// The vector-Jacobian product of the nominal-focus aerial image: the
@@ -441,7 +469,7 @@ impl LithoEngine {
                 mask[(ix, iy)] = 1.0;
             }
         }
-        let aerial = self.image(false, &mask, None);
+        let aerial = self.image(false, &mask);
         // Intensity exactly at the edge (x = width/2 · pitch), mid-height.
         let edge_x = (self.width / 2) as f64 * self.pitch;
         let mid_y = self.height as f64 * self.pitch * 0.5;
@@ -601,6 +629,7 @@ mod tests {
 
     #[test]
     fn aerial_image_cols_matches_full_image() {
+        // Bitwise against the pixel path, to rounding against the frame.
         let mut rng = cardopc_geometry::SplitMix64::new(78);
         let mut mask = Grid::zeros(64, 64, 8.0);
         for v in mask.data_mut() {
@@ -610,16 +639,34 @@ mod tests {
         let full = engine.aerial_image(&mask).unwrap();
         let cols: Vec<usize> = (10..30).chain(40..45).collect();
         let roi = engine.aerial_image_cols(&mask, &cols).unwrap();
+        let mut pixels = Grid::filled(64, 64, 8.0, f64::NAN);
+        let listed: Vec<usize> = (0..64 * 64)
+            .filter(|i| i % 64 == 41 || i % 5 == 0)
+            .collect();
+        engine
+            .aerial_image_into(&mask, Some(&listed), &mut pixels)
+            .unwrap();
+        let bound = 1e-12 * full.max_value();
         for iy in 0..64 {
             for ix in 0..64 {
+                let (got, want) = (roi[(ix, iy)], full[(ix, iy)]);
                 if cols.contains(&ix) {
-                    assert_eq!(
-                        roi[(ix, iy)],
-                        full[(ix, iy)],
-                        "pixel ({ix},{iy}) not bit-identical"
+                    assert!(
+                        (got - want).abs() <= bound,
+                        "pixel ({ix},{iy}): {got} vs {want}"
                     );
                 } else {
-                    assert_eq!(roi[(ix, iy)], 0.0);
+                    assert_eq!(got, 0.0);
+                }
+                let i = iy * 64 + ix;
+                if listed.contains(&i) && cols.contains(&ix) {
+                    assert_eq!(
+                        pixels[(ix, iy)].to_bits(),
+                        got.to_bits(),
+                        "pixel ({ix},{iy})"
+                    );
+                } else if !listed.contains(&i) {
+                    assert!(pixels[(ix, iy)].is_nan(), "pixel ({ix},{iy}) written");
                 }
             }
         }

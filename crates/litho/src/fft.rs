@@ -276,7 +276,7 @@ pub struct FftScratch<T: Scalar = f64> {
     /// Blocked-transpose buffer for 2-D column passes (im lane).
     pub(crate) t_im: Vec<T>,
     /// Column gather lanes of [`ifft2_live_rows`], row lane of
-    /// [`fft2_real_band`] (re lane).
+    /// [`fft2_real_band`], twiddles of [`sample_live_rows`] (re lane).
     pub(crate) col_re: Vec<T>,
     /// Column gather / row lane (im lane).
     pub(crate) col_im: Vec<T>,
@@ -453,27 +453,16 @@ pub(crate) fn fft2_real_band<S: Scalar, T: Scalar>(
 ///   read as a sign flip in the gather — at `wrap(−ky, h)`, and rows 0 and
 ///   (even `h`) `h/2`, their own mirror, contribute their real part. Two
 ///   real columns share one transform: lane `j` carries
-///   `Z = R(xa, ·) + i·R(xb, ·)` for the **canonical pair**
-///   `(xa, xb) = (2p, 2p + 1)` (the last column of an odd width is paired
-///   with nothing), and comes out with column `xa` in its re lane and `xb`
-///   in its im lane. `lanes[j]` names the *requested* ones of the two,
-///   `usize::MAX` standing for "not this one".
+///   `Z = R(xa, ·) + i·R(xb, ·)` for `(xa, xb) = lanes[j]`, a column pair
+///   `(2p, 2p + 1)` (`xb == w` past the last column of an odd width), and
+///   comes out with column `xa` in its re lane and `xb` in its im lane.
 ///
-/// The requested columns (`None` = all) are gathered up to eight lanes at a
-/// time into zero-padded column lanes, transformed, and handed to
-/// `emit(lanes, re, im, stride)`: lane `j` occupies `[j·stride, j·stride +
-/// h)` of both. Every lane is transformed independently and a real column
-/// always rides with its canonical partner, so a column's values do not
-/// depend on which other columns were requested, in what order or how
-/// often.
-///
-/// # Panics
-///
-/// Panics on an out-of-range column index.
+/// Columns are gathered up to eight lanes at a time into zero-padded
+/// column lanes, transformed, and handed to `emit(lanes, re, im, stride)`:
+/// lane `j` occupies `[j·stride, j·stride + h)` of both.
 pub(crate) fn ifft2_live_rows<T: Scalar>(
     (rows_re, rows_im): (&mut [T], &mut [T]),
     (w, h): (usize, usize),
-    cols: Option<&[usize]>,
     real: bool,
     scratch: &mut FftScratch<T>,
     mut emit: impl FnMut(&[[usize; 2]], &[T], &[T], usize),
@@ -500,33 +489,19 @@ pub(crate) fn ifft2_live_rows<T: Scalar>(
     let cs = padded_stride::<T>(h);
     let col_re = ensure(col_re, LANES * cs);
     let col_im = ensure(col_im, LANES * cs);
-    let count = cols.map_or(w, <[usize]>::len);
-    // Per lane: the first column it gathers, and the columns to emit.
-    let (mut src, mut lanes) = ([0usize; LANES], [[usize::MAX; 2]; LANES]);
-    let mut next = 0;
-    while next < count {
-        let mut n = 0;
-        while next < count {
-            let x = cols.map_or(next, |c| c[next]);
-            assert!(x < w, "column index out of range");
-            // A real column joins its partner when that is the lane before.
-            let (first, half) = if real { (x & !1, x & 1) } else { (x, 0) };
-            if real && n > 0 && src[n - 1] == first {
-                lanes[n - 1][half] = x;
-            } else if n == LANES {
-                break;
-            } else {
-                (src[n], lanes[n]) = (first, [usize::MAX; 2]);
-                lanes[n][half] = x;
-                n += 1;
-            }
-            next += 1;
+    let per_lane = if real { 2 } else { 1 };
+    let mut lanes = [[0usize; 2]; LANES];
+    for first in (0..w).step_by(LANES * per_lane) {
+        let n = (w - first).div_ceil(per_lane).min(LANES);
+        for (j, lane) in lanes[..n].iter_mut().enumerate() {
+            let x = first + j * per_lane;
+            *lane = [x, x + 1];
         }
         col_re.fill(T::ZERO);
         col_im.fill(T::ZERO);
         for y in 0..live {
             let (row, ym) = (y * w, (h - y) % h);
-            for (j, &x) in src[..n].iter().enumerate() {
+            for (j, &[x, _]) in lanes[..n].iter().enumerate() {
                 let (ar, ai) = (rows_re[row + x], rows_im[row + x]);
                 let (zr, zi) = (&mut col_re[j * cs..], &mut col_im[j * cs..]);
                 if !real {
@@ -554,6 +529,58 @@ pub(crate) fn ifft2_live_rows<T: Scalar>(
             plan_h.execute_split_parts(mode, cr, ci, pong_re, pong_im, blu_re, blu_im, true);
         }
         emit(&lanes[..n], col_re, col_im, cs);
+    }
+}
+
+/// [`ifft2_live_rows`]' real reading at single pixels, no column pass:
+/// after the row pass, pixel `y·w + x` of `pixels` (ascending) is `Re R(x,
+/// 0) + 2·Σ_{0<ky<h/2} Re(R(x, ky)·roots[ky·y mod h])` in ascending `ky`
+/// (+ `Re R(x, h/2)·(−1)^y` at an even `h`'s Nyquist row), `roots[k] =
+/// e^{2πi·k/h}` — its bits a function of the rows and `(x, y)` alone.
+pub(crate) fn sample_live_rows<T: Scalar>(
+    (rows_re, rows_im): (&mut [T], &mut [T]),
+    (w, h): (usize, usize),
+    (roots_re, roots_im): (&[T], &[T]),
+    pixels: &[usize],
+    scratch: &mut FftScratch<T>,
+    out: &mut [f64],
+) {
+    let plan_w = FftPlan::<T>::get(w);
+    for (rr, ri) in rows_re.chunks_exact_mut(w).zip(rows_im.chunks_exact_mut(w)) {
+        plan_w.execute_unscaled_split(rr, ri, scratch, true);
+    }
+    let live = rows_re.len() / w;
+    let nyquist = h % 2 == 0 && live == h / 2 + 1;
+    let pairs = live - nyquist as usize;
+    let cols_re = ensure(&mut scratch.t_re, w * live);
+    let cols_im = ensure(&mut scratch.t_im, w * live);
+    simd::transpose_strided(rows_re, w, live, w, cols_re, live, true);
+    simd::transpose_strided(rows_im, w, live, w, cols_im, live, true);
+    let tw_re = ensure(&mut scratch.col_re, live);
+    let tw_im = ensure(&mut scratch.col_im, live);
+    let mut row = 0..0; // the pixel indices of the image row in hand
+    for &i in pixels {
+        if !row.contains(&i) {
+            let y = i / w;
+            row = y * w..y * w + w;
+            // `tw[ky] = roots[ky·y mod h]`, stepped.
+            let mut k = 0;
+            for ky in 1..live {
+                k = if k + y >= h { k + y - h } else { k + y };
+                (tw_re[ky], tw_im[ky]) = (roots_re[k], roots_im[k]);
+            }
+        }
+        let x = i - row.start;
+        let (cr, ci) = (&cols_re[x * live..][..live], &cols_im[x * live..][..live]);
+        let mut acc = T::ZERO;
+        for ky in 1..pairs {
+            acc += cr[ky] * tw_re[ky] - ci[ky] * tw_im[ky];
+        }
+        let mut v = cr[0] + (acc + acc);
+        if nyquist {
+            v += cr[pairs] * tw_re[pairs];
+        }
+        out[i] = v.to_f64();
     }
 }
 
@@ -1394,54 +1421,42 @@ mod tests {
     }
 
     #[test]
-    fn live_rows_inverse_matches_full_inverse_on_requested_columns() {
+    fn live_rows_inverse_matches_full_inverse() {
         let (w, h, live) = (12usize, 10usize, 5usize);
-        let mut rng = SplitMix64::new(90);
         let rows = random_signal(live * w, 91);
         let mut spec: Field = Field::zeros(w, h);
         for (i, &z) in rows.iter().enumerate() {
             spec.set(i % w, i / w, z);
         }
         spec.fft2_inplace(true);
-        let cols: Vec<usize> = (0..w).filter(|_| rng.range_f64(0.0, 1.0) < 0.6).collect();
-        let run = |cols: Option<&[usize]>| {
-            let mut out = vec![Complex::ZERO; w * h];
-            let mut re: Vec<f64> = rows.iter().map(|z| z.re).collect();
-            let mut im: Vec<f64> = rows.iter().map(|z| z.im).collect();
-            let emit = |lanes: &[[usize; 2]], cr: &[f64], ci: &[f64], cs: usize| {
-                for (j, &[x, _]) in lanes.iter().enumerate() {
-                    for y in 0..h {
-                        out[y * w + x] = Complex::new(cr[j * cs + y], ci[j * cs + y]);
-                    }
+        let mut out = vec![Complex::ZERO; w * h];
+        let mut re: Vec<f64> = rows.iter().map(|z| z.re).collect();
+        let mut im: Vec<f64> = rows.iter().map(|z| z.im).collect();
+        let emit = |lanes: &[[usize; 2]], cr: &[f64], ci: &[f64], cs: usize| {
+            for (j, &[x, _]) in lanes.iter().enumerate() {
+                for y in 0..h {
+                    out[y * w + x] = Complex::new(cr[j * cs + y], ci[j * cs + y]);
                 }
-            };
-            let mut scratch = FftScratch::new();
-            ifft2_live_rows((&mut re, &mut im), (w, h), cols, false, &mut scratch, emit);
-            out
+            }
         };
-        let (full, roi) = (run(None), run(Some(&cols)));
-        for i in 0..w * h {
-            // Unscaled, and bit-identical whatever else was asked for.
+        let mut scratch = FftScratch::new();
+        ifft2_live_rows((&mut re, &mut im), (w, h), false, &mut scratch, emit);
+        for (i, &got) in out.iter().enumerate() {
+            // Unscaled.
             let want = spec.at(i % w, i / w).scale((w * h) as f64);
-            assert!((full[i] - want).norm() < 1e-12, "pixel {i}");
-            let asked = cols.contains(&(i % w));
-            assert_eq!(
-                roi[i],
-                if asked { full[i] } else { Complex::ZERO },
-                "pixel {i}"
-            );
+            assert!((got - want).norm() < 1e-12, "pixel {i}");
         }
     }
 
     /// The real-output pass over the `ky ≥ 0` rows of a spectrum, as an
-    /// image (row-major; zero where nothing was emitted).
-    fn real_pass(rows: &[Complex], (w, h): (usize, usize), cols: Option<&[usize]>) -> Vec<f64> {
-        let mut out = vec![0.0; w * h];
+    /// image (row-major).
+    fn real_pass(rows: &[Complex], (w, h): (usize, usize)) -> Vec<f64> {
+        let mut out = vec![f64::NAN; w * h];
         let mut re: Vec<f64> = rows.iter().map(|z| z.re).collect();
         let mut im: Vec<f64> = rows.iter().map(|z| z.im).collect();
         let emit = |lanes: &[[usize; 2]], cr: &[f64], ci: &[f64], cs: usize| {
             for (j, lane) in lanes.iter().enumerate() {
-                // `usize::MAX` marks the column that was not asked for.
+                // Past the last column of an odd width: nothing to write.
                 for (&x, values) in lane.iter().zip([cr, ci]) {
                     if x < w {
                         for y in 0..h {
@@ -1452,16 +1467,38 @@ mod tests {
             }
         };
         let mut scratch = FftScratch::new();
-        ifft2_live_rows((&mut re, &mut im), (w, h), cols, true, &mut scratch, emit);
+        ifft2_live_rows((&mut re, &mut im), (w, h), true, &mut scratch, emit);
+        out
+    }
+
+    /// The same rows read by the pixel sampler at `pixels` (NaN elsewhere).
+    fn sampled(rows: &[Complex], (w, h): (usize, usize), pixels: &[usize]) -> Vec<f64> {
+        let mut re: Vec<f64> = rows.iter().map(|z| z.re).collect();
+        let mut im: Vec<f64> = rows.iter().map(|z| z.im).collect();
+        let roots: Vec<Complex> = (0..h)
+            .map(|k| Complex::from_angle(std::f64::consts::TAU * k as f64 / h as f64))
+            .collect();
+        let roots_re: Vec<f64> = roots.iter().map(|z| z.re).collect();
+        let roots_im: Vec<f64> = roots.iter().map(|z| z.im).collect();
+        let mut out = vec![f64::NAN; w * h];
+        let (roots, mut scratch) = ((&roots_re[..], &roots_im[..]), FftScratch::new());
+        sample_live_rows(
+            (&mut re, &mut im),
+            (w, h),
+            roots,
+            pixels,
+            &mut scratch,
+            &mut out,
+        );
         out
     }
 
     proptest! {
         /// Random sizes (odd and non-5-smooth included), random real images
-        /// band-limited along y, random column requests (any order, with
-        /// repeats): the real-output pass equals the complex pass over the
-        /// whole spectrum within rounding, and a pixel's bits do not depend
-        /// on what was requested with it.
+        /// band-limited along y, random pixel requests: the real-output
+        /// pass and the pixel sampler equal the complex pass over the whole
+        /// spectrum within rounding, and a sampled pixel's bits do not
+        /// depend on what was requested with it.
         #[test]
         fn real_output_pass_matches_complex_pass_and_roi_is_bitwise(
             seed in 0u64..100_000,
@@ -1492,25 +1529,34 @@ mod tests {
                 }
             };
             let mut scratch = FftScratch::new();
-            ifft2_live_rows((&mut re, &mut im), (w, h), None, false, &mut scratch, emit);
+            ifft2_live_rows((&mut re, &mut im), (w, h), false, &mut scratch, emit);
 
             let half = &rows[..(span + 1) * w];
-            let full = real_pass(half, (w, h), None);
+            let full = real_pass(half, (w, h));
+            let all: Vec<usize> = (0..w * h).collect();
+            let every = sampled(half, (w, h), &all);
             let bound = 1e-12 * complex.iter().map(|z| z.norm()).fold(0.0, f64::max);
-            for (i, (&got, want)) in full.iter().zip(&complex).enumerate() {
-                prop_assert!(
-                    (got - want.re).abs() <= bound && want.im.abs() <= bound,
-                    "{}x{} span {}, pixel {}: {} vs {}", w, h, span, i, got, want
-                );
+            for (i, want) in complex.iter().enumerate() {
+                for got in [full[i], every[i]] {
+                    prop_assert!(
+                        (got - want.re).abs() <= bound && want.im.abs() <= bound,
+                        "{}x{} span {}, pixel {}: {} vs {}", w, h, span, i, got, want
+                    );
+                }
             }
 
-            let request: Vec<usize> = (0..rng.range_usize(0, 2 * w))
-                .map(|_| rng.range_usize(0, w))
+            let mut request: Vec<usize> = (0..rng.range_usize(0, 2 * w))
+                .map(|_| rng.range_usize(0, w * h))
                 .collect();
-            let roi = real_pass(half, (w, h), Some(&request));
-            for (i, (&got, &all)) in roi.iter().zip(&full).enumerate() {
-                let want = if request.contains(&(i % w)) { all } else { 0.0 };
-                prop_assert_eq!(got.to_bits(), want.to_bits(), "{}x{}, pixel {}", w, h, i);
+            request.sort_unstable();
+            request.dedup();
+            let roi = sampled(half, (w, h), &request);
+            for (i, (&got, &all)) in roi.iter().zip(&every).enumerate() {
+                if request.binary_search(&i).is_ok() {
+                    prop_assert_eq!(got.to_bits(), all.to_bits(), "{}x{}, pixel {}", w, h, i);
+                } else {
+                    prop_assert!(got.is_nan(), "{}x{}, pixel {} written", w, h, i);
+                }
             }
         }
     }

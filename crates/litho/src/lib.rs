@@ -62,13 +62,13 @@ pub use engine::{LithoEngine, ProcessCondition};
 pub use error::LithoError;
 pub use fft::{next_five_smooth, FftScratch, Field};
 pub use metrics::{
-    epe_at, l2_error, measure_epe, measure_epe_into, metal_measure_points,
+    epe_at, epe_footprint, l2_error, measure_epe, measure_epe_into, metal_measure_points,
     metal_measure_points_into, pvb_area, thresholded_xor_area, via_measure_points,
     via_measure_points_into, EpeReport, MeasurePoint,
 };
 pub use optics::{OpticsConfig, SocsStacks};
 pub use plan::FftPlan;
-pub use pool::WorkerPool;
+pub use pool::{CachePadded, WorkerPool};
 pub use raster::{rasterize, rasterize_into, try_rasterize, RasterCache};
 pub use scalar::{Precision, Scalar};
 pub use simd::SimdMode;

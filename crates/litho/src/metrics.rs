@@ -75,8 +75,7 @@ pub fn epe_at(aerial: &Grid, threshold: f64, site: &MeasurePoint, search_range: 
     let dir = if here >= 0.0 { 1.0 } else { -1.0 };
     let mut prev = here;
     let mut d = 0.0;
-    while d < search_range {
-        let next_d = d + step;
+    for next_d in probe_distances(step, search_range) {
         let cur = at(dir * next_d);
         if (prev >= 0.0) != (cur >= 0.0) {
             // Crossing between d and next_d: linear interpolation.
@@ -91,6 +90,34 @@ pub fn epe_at(aerial: &Grid, threshold: f64, site: &MeasurePoint, search_range: 
         d = next_d;
     }
     dir * search_range
+}
+
+/// The distances [`epe_at`] steps through past the site: `step`, then
+/// `step` more each time, up to the first at or beyond `search_range`.
+fn probe_distances(step: f64, search_range: f64) -> impl Iterator<Item = f64> {
+    std::iter::successors(Some(0.0), move |&d| (d < search_range).then_some(d + step)).skip(1)
+}
+
+/// The pixels [`epe_at`] can read at any of `sites` on a `width×height`
+/// grid of `pitch` nm pixels, ascending row-major: the bilinear cell of
+/// every probe both ways. Whatever the image, EPE there reads no other.
+pub fn epe_footprint<'a>(
+    (width, height, pitch): (usize, usize, f64),
+    sites: impl IntoIterator<Item = &'a MeasurePoint>,
+    search_range: f64,
+) -> Vec<usize> {
+    let mut read = vec![false; width * height];
+    for site in sites {
+        // `epe_at`'s probes, in its own arithmetic, both ways.
+        let both_ways = probe_distances(0.5 * pitch, search_range).flat_map(|d| [d, -d]);
+        for d in std::iter::once(0.0).chain(both_ways) {
+            let p = site.position + site.normal * d;
+            for i in Grid::sample_cell(width, height, pitch, p.x, p.y).0 {
+                read[i] = true;
+            }
+        }
+    }
+    (0..width * height).filter(|&i| read[i]).collect()
 }
 
 /// Evaluates EPE at every measure point into a caller-owned buffer
@@ -335,6 +362,60 @@ mod tests {
         };
         let e = epe_at(&g, 0.5, &site, 8.0);
         assert_eq!(e.abs(), 8.0);
+    }
+
+    /// `image` with every pixel outside `footprint` set to NaN, which
+    /// poisons even a bilinear read of weight zero.
+    fn poisoned_off(image: &Grid, footprint: &[usize]) -> Grid {
+        let mut poisoned = Grid::filled(image.width(), image.height(), image.pitch(), f64::NAN);
+        for &i in footprint {
+            poisoned.data_mut()[i] = image.data()[i];
+        }
+        poisoned
+    }
+
+    #[test]
+    fn epe_reads_nothing_outside_its_footprint() {
+        let mut rng = cardopc_geometry::SplitMix64::new(5);
+        for (w, h, pitch) in [
+            (13usize, 16usize, 34.0),
+            (16, 13, 7.0),
+            (17, 23, 4.0),
+            (64, 48, 8.0),
+        ] {
+            let extent = Point::new(w as f64 * pitch, h as f64 * pitch);
+            // Sites inside, on and beyond the border, any direction.
+            let sites: Vec<MeasurePoint> = (0..60)
+                .map(|_| {
+                    let angle = rng.range_f64(0.0, std::f64::consts::TAU);
+                    MeasurePoint {
+                        position: Point::new(
+                            rng.range_f64(-pitch, extent.x + pitch),
+                            rng.range_f64(-pitch, extent.y + pitch),
+                        ),
+                        normal: Point::new(angle.cos(), angle.sin()),
+                    }
+                })
+                .collect();
+            let centre = Point::new(w as f64, h as f64) * 0.5;
+            let smooth = disc_field(w, h, centre, w.min(h) as f64 * 0.3);
+            let mut noise = Grid::zeros(w, h, pitch);
+            noise.map_inplace(|_| rng.range_f64(0.0, 1.0));
+            let mut smooth_at_pitch = Grid::zeros(w, h, pitch);
+            smooth_at_pitch.data_mut().copy_from_slice(smooth.data());
+            for search in [0.0, 1.5 * pitch, 3.7 * pitch, 2.0 * extent.x] {
+                let footprint = epe_footprint((w, h, pitch), &sites, search);
+                assert!(footprint.windows(2).all(|p| p[0] < p[1]), "ascending");
+                for image in [&noise, &smooth_at_pitch] {
+                    let poisoned = poisoned_off(image, &footprint);
+                    for site in &sites {
+                        let want = epe_at(image, 0.5, site, search);
+                        let got = epe_at(&poisoned, 0.5, site, search);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{w}x{h}, {site:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

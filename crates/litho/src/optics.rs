@@ -162,6 +162,9 @@ pub struct SocsStacks<T: Scalar = f64> {
     pub(crate) image_band: Band,
     /// `[nominal, defocused]`.
     pub(crate) stacks: [Vec<KernelPatch<T>>; 2],
+    /// `e^{2πi·k/H}` for `k < H` (re lane, im lane): the pixel sampler's
+    /// twiddles.
+    pub(crate) y_roots: (Vec<T>, Vec<T>),
 }
 
 impl SocsStacks {
@@ -212,6 +215,10 @@ impl SocsStacks {
                 h: ih,
             },
             stacks,
+            y_roots: (0..height)
+                .map(|k| (std::f64::consts::TAU * k as f64 / height as f64).sin_cos())
+                .map(|(sin, cos)| (cos, sin))
+                .unzip(),
         })
     }
 }
@@ -238,6 +245,7 @@ impl<T: Scalar> SocsStacks<T> {
             band: self.band,
             image_band: self.image_band,
             stacks: [stack(&self.stacks[0]), stack(&self.stacks[1])],
+            y_roots: (convert(&self.y_roots.0), convert(&self.y_roots.1)),
         }
     }
 }

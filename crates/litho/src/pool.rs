@@ -90,6 +90,12 @@ impl Shared {
     }
 }
 
+/// A value on cache lines of its own, so slots that different executors
+/// write never share one (128 bytes: x86 prefetches lines in pairs).
+#[derive(Clone, Copy, Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
+
 /// A fixed-size persistent worker pool.
 pub struct WorkerPool {
     shared: Arc<Shared>,

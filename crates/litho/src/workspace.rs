@@ -23,8 +23,10 @@
 //!    spectrum (trigonometric interpolation), and one inverse
 //!    ([`ifft2_live_rows`]) that never forms rows `ky < 0` — after the row
 //!    pass they are the conjugates of the rows it has — and transforms real
-//!    columns two at a time, `R(2p, ·) + i·R(2p + 1, ·)`, over every column
-//!    or only the pairs of the requested ones.
+//!    columns two at a time, `R(2p, ·) + i·R(2p + 1, ·)`. When only some
+//!    pixels are asked for, the column pass is skipped: each is a direct
+//!    Hermitian sum over the live rows ([`sample_live_rows`]), 28 terms on
+//!    a via clip.
 //!
 //! This is exact, not an approximation: the result differs from a full-grid
 //! convolution per kernel by rounding only. [`LithoWorkspace::vjp`] is its
@@ -38,32 +40,31 @@
 //! precision, and each kernel weight (with every transform normalisation
 //! folded in) is narrowed from the `f64` reference at the point of use.
 //!
-//! A pixel's bits are a function of (mask, x, y, precision, SIMD mode)
-//! alone, which is three **bitwise** contracts:
+//! A pixel's bits are a function of (mask, x, y, frame or pixel list,
+//! precision, SIMD mode) alone, which is three **bitwise** contracts:
 //!
 //! * *Any worker count* (images and adjoint). Accumulation granularity is
 //!   one strip per *kernel* (not per task) and strips are reduced in
 //!   ascending kernel order: the per-pixel summation tree is a fixed left
 //!   fold however the kernels are chunked across tasks, and every other
 //!   stage is a pure function of its input.
-//! * *Column-restricted ≡ full on the requested columns.* Column `x` always
-//!   shares its transform with the same partner, `x ^ 1` — the canonical
-//!   pair, never "whichever column was requested next" — and each pair is
-//!   transformed independently of the others; a restricted call computes
-//!   the pair of every requested column and writes only what was asked for.
+//! * *A listed pixel does not depend on what else is listed* (so
+//!   [`crate::LithoEngine::aerial_image_cols`], every pixel of its columns,
+//!   matches the correction loop's footprint bit for bit). A list and the
+//!   frame agree to rounding only (≤ 1e-12 of the peak in `f64`): a column
+//!   FFT and a direct sum round differently.
 //! * *Multi-state ≡ single-state.* The mask spectrum is shared but not
 //!   altered.
 //!
-//! Measured in scratch when this was designed (ISSUE 19) and left out, so
-//! nobody repeats them: running a batch of columns as one interleaved
-//! Stockham pipeline (stride × B; no gather, bit identical) is *slower* — an
-//! 8-column block is 98 KB and leaves L1 where one 768-point column is
-//! 12 KB (upsample inverse 4.1 → 4.9–5.6 ms at B = 8/16/32); evaluating the
-//! image only at the pixels the correction loop reads (0.4–0.5 % of a via
-//! frame, 20 % of a logic tile) waits for a benchmark whose replay does not
-//! demand `aerial_image_cols` bit for bit.
+//! Measured when this was designed and left out, so nobody repeats it:
+//! running a batch of columns as one interleaved Stockham pipeline
+//! (stride × B; no gather, bit identical) is *slower* — an 8-column block
+//! is 98 KB and leaves L1 where one 768-point column is 12 KB (upsample
+//! inverse 4.1 → 4.9–5.6 ms at B = 8/16/32).
 
-use crate::fft::{ensure, fft2_real_band, ifft2_live_rows, wrap, Band, FftScratch};
+use crate::fft::{
+    ensure, fft2_real_band, ifft2_live_rows, sample_live_rows, wrap, Band, FftScratch,
+};
 use crate::optics::{KernelPatch, SocsStacks};
 use crate::plan::FftPlan;
 use crate::pool::WorkerPool;
@@ -114,23 +115,21 @@ impl<T: Scalar> LithoWorkspace<T> {
     /// `mask` raster per entry of `states` (`true` = defocused stack) into
     /// the matching entry of `outputs`, from a single forward mask FFT.
     ///
-    /// With `cols = Some(xs)` (any order, repeats allowed) only those pixel
-    /// columns are written — each computed with its canonical partner
-    /// `x ^ 1`, as in the unrestricted image, so the written pixels are
-    /// bit-identical to it — and every other pixel is zero. `parallelism`
+    /// With `pixels = Some(list)` (row-major, ascending) only those are
+    /// written, each a direct sum over the live spectrum rows. `parallelism`
     /// bounds the tasks per stage and never changes a bit of the result.
     ///
     /// # Panics
     ///
     /// Panics when `outputs.len() != states.len()`, on any sample-count
-    /// mismatch with the stacks' grid, or on an out-of-range column index.
+    /// mismatch with the stacks' grid, or on an out-of-range pixel index.
     #[allow(clippy::too_many_arguments)]
     pub fn images(
         &mut self,
         stacks: &SocsStacks<T>,
         mask: &[f64],
         states: &[bool],
-        cols: Option<&[usize]>,
+        pixels: Option<&[usize]>,
         pool: &WorkerPool,
         parallelism: usize,
         outputs: &mut [&mut [f64]],
@@ -194,10 +193,11 @@ impl<T: Scalar> LithoWorkspace<T> {
             units.push((slot, head, &mut **out));
         }
         pool.run_with_slots(&mut units, |_, (slot, strips, out)| {
-            if cols.is_some() || strips.is_empty() {
-                out.fill(0.0);
-            }
             if strips.is_empty() {
+                match pixels {
+                    None => out.fill(0.0),
+                    Some(p) => p.iter().for_each(|&i| out[i] = 0.0),
+                }
                 return;
             }
             // Ascending kernel order: the canonical summation tree.
@@ -207,7 +207,7 @@ impl<T: Scalar> LithoWorkspace<T> {
                     *dst += v;
                 }
             }
-            upsample(stacks, first, slot, cols, out);
+            upsample(stacks, first, slot, pixels, out);
         });
     }
 
@@ -362,7 +362,6 @@ fn convolve_chunk<T: Scalar>(
         ifft2_live_rows(
             (rows_re, rows_im),
             (mx, my),
-            None,
             false,
             &mut slot.scratch,
             |lanes, re, im, cs| {
@@ -380,12 +379,13 @@ fn convolve_chunk<T: Scalar>(
 /// the full grid: its spectrum's `image_band` bins become the live rows of
 /// the full-grid spectrum, whose inverse is the image. The image is real,
 /// so only the `ky ≥ 0` half of the band is computed, scattered and
-/// inverted ([`ifft2_live_rows`] reads the other half as its mirror).
+/// inverted ([`ifft2_live_rows`] reads the other half as its mirror) —
+/// or, for `pixels`, each summed over the rows ([`sample_live_rows`]).
 fn upsample<T: Scalar>(
     stacks: &SocsStacks<T>,
     coarse: &[T],
     slot: &mut WorkSlot<T>,
-    cols: Option<&[usize]>,
+    pixels: Option<&[usize]>,
     out: &mut [f64],
 ) {
     let (w, h) = stacks.size;
@@ -425,19 +425,21 @@ fn upsample<T: Scalar>(
             rows_im[b * w + x] = band_im[b * ib.w + a];
         }
     }
+    if let Some(pixels) = pixels {
+        let roots = (&stacks.y_roots.0[..], &stacks.y_roots.1[..]);
+        let scratch = &mut slot.scratch;
+        sample_live_rows((rows_re, rows_im), (w, h), roots, pixels, scratch, out);
+        return;
+    }
     ifft2_live_rows(
         (rows_re, rows_im),
         (w, h),
-        cols,
         true,
         &mut slot.scratch,
         |lanes, re, im, cs| {
             for (y, row) in out.chunks_exact_mut(w).enumerate() {
                 for (j, &[xa, xb]) in lanes.iter().enumerate() {
-                    // An unrequested column is `usize::MAX`: out of range.
-                    if let Some(px) = row.get_mut(xa) {
-                        *px = re[j * cs + y].to_f64();
-                    }
+                    row[xa] = re[j * cs + y].to_f64();
                     if let Some(px) = row.get_mut(xb) {
                         *px = im[j * cs + y].to_f64();
                     }
@@ -490,7 +492,6 @@ fn downsample_adjoint<T: Scalar>(
     ifft2_live_rows(
         (rows_re, rows_im),
         (mx, my),
-        None,
         true,
         &mut slot.scratch,
         |lanes, re, im, cs| {
@@ -563,7 +564,6 @@ fn adjoint_chunk<T: Scalar>(
         ifft2_live_rows(
             (&mut *rows_re, &mut *rows_im),
             (mx, my),
-            None,
             false,
             scratch,
             |lanes, re, im, cs| {
@@ -643,7 +643,6 @@ fn real_inverse<T: Scalar>(
     ifft2_live_rows(
         (rows_re, rows_im),
         (w, h),
-        None,
         true,
         &mut slot.scratch,
         |lanes, re, im, cs| {
@@ -774,7 +773,7 @@ mod tests {
         stacks: &SocsStacks<T>,
         mask: &[f64],
         states: &[bool],
-        cols: Option<&[usize]>,
+        pixels: Option<&[usize]>,
         parallelism: usize,
     ) -> Vec<Vec<f64>> {
         let pool = WorkerPool::new(4);
@@ -784,7 +783,7 @@ mod tests {
             stacks,
             mask,
             states,
-            cols,
+            pixels,
             &pool,
             parallelism,
             &mut outputs,
@@ -1010,21 +1009,10 @@ mod tests {
     }
 
     #[test]
-    fn output_is_bit_identical_for_any_parallelism_cols_and_state_set() {
+    fn output_is_bit_identical_for_any_parallelism_and_state_set() {
         fn check<T: Scalar>(stacks: &SocsStacks<T>) {
             let (w, h) = stacks.size;
             let mask = random_mask(w * h, 42);
-            // Sorted across pairs, a lone odd and a lone even column, any
-            // order, repeats, nothing at all; the last column of an odd
-            // width has no partner.
-            let requests: [&[usize]; 6] = [
-                &[0, 5, 9, 31, w - 1],
-                &[7],
-                &[8],
-                &[31, 4, 5, 30, w - 1, 9],
-                &[5, 5, 4, w - 1, 5],
-                &[],
-            ];
             let base = run(stacks, &mask, &[false, true], None, 1);
             for parallelism in [1usize, 2, 3, 4, 16] {
                 let both = run(stacks, &mask, &[false, true], None, parallelism);
@@ -1033,18 +1021,6 @@ mod tests {
                     // Multi-state ≡ single-state.
                     let alone = run(stacks, &mask, &[defocused], None, parallelism);
                     assert_eq!(alone[0], base[state], "state {state} alone");
-                    // Column-restricted ≡ full on the columns, zero elsewhere.
-                    for cols in requests {
-                        let roi = run(stacks, &mask, &[defocused], Some(cols), parallelism);
-                        for (i, (&got, &full)) in roi[0].iter().zip(&base[state]).enumerate() {
-                            let want = if cols.contains(&(i % w)) { full } else { 0.0 };
-                            assert_eq!(
-                                got.to_bits(),
-                                want.to_bits(),
-                                "{w}x{h} state {state}, columns {cols:?}, pixel {i}"
-                            );
-                        }
-                    }
                 }
             }
         }
@@ -1052,6 +1028,67 @@ mod tests {
             let stacks = SocsStacks::build(&small_source(), w, h, 8.0).unwrap();
             check(&stacks);
             check(&stacks.to_precision::<f32>());
+        }
+    }
+
+    #[test]
+    fn pixel_region_is_bitwise_whatever_is_requested_and_tracks_the_frame() {
+        fn check<T: Scalar>(stacks: &SocsStacks<T>, tol: f64, what: &str) {
+            let (w, h) = stacks.size;
+            let mask = random_mask(w * h, 46);
+            let frame = run(stacks, &mask, &[false, true], None, 2);
+            let all: Vec<usize> = (0..w * h).collect();
+            let every = run(stacks, &mask, &[false, true], Some(&all), 1);
+            for state in 0..2 {
+                assert_close(
+                    &every[state],
+                    &frame[state],
+                    tol,
+                    &format!("{what} {state}"),
+                );
+            }
+            // A sparse set, one column, the last pixel alone, nothing.
+            let mut rng = SplitMix64::new(47);
+            let sparse: Vec<usize> = all
+                .iter()
+                .copied()
+                .filter(|_| rng.next_u64().is_multiple_of(7))
+                .collect();
+            let column: Vec<usize> = (0..h).map(|y| y * w + w / 3).collect();
+            let requests: [&[usize]; 4] = [&sparse, &column, &[w * h - 1], &[]];
+            for parallelism in [1usize, 2, 3, 16] {
+                for pixels in requests {
+                    let region = Some(pixels);
+                    let both = run(stacks, &mask, &[false, true], region, parallelism);
+                    for (state, defocused) in [false, true].into_iter().enumerate() {
+                        let alone = run(stacks, &mask, &[defocused], region, parallelism);
+                        for (i, (&got, &want)) in both[state].iter().zip(&every[state]).enumerate()
+                        {
+                            let asked = pixels.binary_search(&i).is_ok();
+                            let want = if asked {
+                                want.to_bits()
+                            } else {
+                                f64::NAN.to_bits()
+                            };
+                            assert_eq!(got.to_bits(), want, "{what} state {state}, pixel {i}");
+                            assert_eq!(alone[0][i].to_bits(), want, "{what} alone, pixel {i}");
+                        }
+                    }
+                }
+            }
+        }
+        // Sampler rows with and without a Nyquist row, odd and even axes.
+        for (w, h, pitch) in [
+            (64usize, 64usize, 8.0),
+            (45, 40, 8.0),
+            (16, 16, 40.0),
+            (13, 16, 34.0),
+            (16, 13, 34.0),
+        ] {
+            let stacks = SocsStacks::build(&small_source(), w, h, pitch).unwrap();
+            let what = format!("{w}x{h} @ {pitch} nm");
+            check(&stacks, 1e-12, &format!("{what}, f64"));
+            check(&stacks.to_precision::<f32>(), 1e-5, &format!("{what}, f32"));
         }
     }
 

@@ -187,6 +187,11 @@ fn every_image_call_is_bitwise_deterministic_across_worker_counts_in_both_modes(
     let _guard = MODE_LOCK.lock().unwrap();
     let mask = test_mask(96, 80, 4.0);
     let cols: Vec<usize> = (10..70).collect();
+    // A sparse pixel list inside those columns: the correction loop's path,
+    // bit for bit the columns' pixels.
+    let pixels: Vec<usize> = (0..96 * 80)
+        .filter(|i| (10..70).contains(&(i % 96)) && i % 3 == 0)
+        .collect();
     let conditions = [ProcessCondition::NOMINAL, ProcessCondition::inner(0.02)];
     for mode in [SimdMode::Scalar, SimdMode::Avx2] {
         for precision in [Precision::F64, Precision::F32] {
@@ -200,6 +205,16 @@ fn every_image_call_is_bitwise_deterministic_across_worker_counts_in_both_modes(
                     let mut images = e.aerial_images_multi(&mask, &conditions).unwrap();
                     images.push(e.aerial_image(&mask).unwrap());
                     images.push(e.aerial_image_cols(&mask, &cols).unwrap());
+                    let mut sparse = Grid::filled(96, 80, 4.0, -1.0);
+                    e.aerial_image_into(&mask, Some(&pixels), &mut sparse)
+                        .unwrap();
+                    for (i, &v) in sparse.data().iter().enumerate() {
+                        let want = match pixels.binary_search(&i) {
+                            Ok(_) => images[3].data()[i],
+                            Err(_) => -1.0,
+                        };
+                        assert_eq!(v.to_bits(), want.to_bits(), "{mode:?} {precision:?} {i}");
+                    }
                     let reference = reference.get_or_insert_with(|| images.clone());
                     for (i, (got, want)) in images.iter().zip(reference.iter()).enumerate() {
                         assert_eq!(

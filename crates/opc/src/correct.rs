@@ -9,7 +9,7 @@
 
 use crate::control::OpcShape;
 use cardopc_geometry::{Grid, Point};
-use cardopc_litho::{epe_at, WorkerPool};
+use cardopc_litho::{epe_at, CachePadded, WorkerPool};
 
 /// Parameters of one correction sweep.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -118,24 +118,27 @@ fn correct_into(
     let tasks = pool.parallelism().clamp(1, n);
     let chunk = n.div_ceil(tasks);
 
+    // Padded: each slot's scratch is refilled for every shape it corrects.
     struct Slot<'a> {
         work: Vec<(&'a mut OpcShape, &'a mut f64)>,
         scratch: CorrectScratch,
     }
-    let mut slots: Vec<Slot> = (0..tasks)
-        .map(|_| Slot {
-            work: Vec::new(),
-            scratch: CorrectScratch::default(),
+    let mut slots: Vec<CachePadded<Slot>> = (0..tasks)
+        .map(|_| {
+            CachePadded(Slot {
+                work: Vec::new(),
+                scratch: CorrectScratch::default(),
+            })
         })
         .collect();
     for t in totals.iter_mut() {
         *t = 0.0;
     }
     for (i, pair) in shapes.iter_mut().zip(totals.iter_mut()).enumerate() {
-        slots[i / chunk].work.push(pair);
+        slots[i / chunk].0.work.push(pair);
     }
 
-    pool.run_with_slots(&mut slots, |_t, slot| {
+    pool.run_with_slots(&mut slots, |_t, CachePadded(slot)| {
         for (shape, total) in slot.work.iter_mut() {
             if shape.is_sraf {
                 continue;

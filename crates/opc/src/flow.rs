@@ -12,9 +12,9 @@ use crate::dissect::dissect_polygon;
 use crate::eval::{engine_for_extent, evaluate_mask, Evaluation, MeasureConvention};
 use crate::sraf::insert_srafs;
 use crate::OpcError;
-use cardopc_geometry::{BBox, Point, Polygon};
+use cardopc_geometry::{BBox, Grid, Point, Polygon};
 use cardopc_layout::Clip;
-use cardopc_litho::{LithoEngine, RasterCache};
+use cardopc_litho::{epe_footprint, LithoEngine, RasterCache};
 use cardopc_mrc::{AreaPolicy, MrcResolver, ResolveConfig};
 use cardopc_spline::SamplingPlan;
 use std::sync::{Arc, Mutex};
@@ -256,9 +256,9 @@ impl CardOpc {
         // Per-iteration simulation state, set up once. SRAFs are frozen
         // after initialisation, so their raster layer is cached; the main
         // shapes are re-sampled through the shared sampling plan into
-        // reused polygon buffers; and the aerial image is restricted to
-        // the pixel columns the EPE correction actually reads (the frozen
-        // anchors' bilinear search footprints).
+        // reused polygon buffers; the aerial image goes into one grid kept
+        // across iterations, and where it is the cheaper path only at the
+        // pixels the EPE correction reads (the frozen anchors' footprint).
         let per = self.config.samples_per_segment;
         let plan = SamplingPlan::get(per, self.config.tension);
         let sraf_polys: Vec<Polygon> = shapes
@@ -266,9 +266,14 @@ impl CardOpc {
             .filter(|s| s.is_sraf)
             .map(|s| s.spline.to_polygon(per))
             .collect();
-        let mut cache = RasterCache::new(engine.width(), engine.height(), engine.pitch());
+        let (w, h, pitch) = (engine.width(), engine.height(), engine.pitch());
+        let mut cache = RasterCache::new(w, h, pitch);
         cache.set_base(&sraf_polys);
-        let roi = self.roi_columns(&shapes, engine);
+        // SRAFs have no anchors.
+        let anchors = shapes.iter().flat_map(|s| &s.anchors);
+        let footprint = epe_footprint((w, h, pitch), anchors, self.config.epe_search);
+        let pixels = engine.pixels_pay(footprint.len()).then_some(&footprint[..]);
+        let mut aerial = Grid::zeros(w, h, pitch);
         let mut main_polys: Vec<Polygon> = Vec::new();
         let mut samples: Vec<Point> = Vec::new();
 
@@ -295,12 +300,10 @@ impl CardOpc {
                     None => main_polys.push(Polygon::new(samples.clone())),
                 }
             }
-            // ④ simulate on the cached composite, restricted to the ROI.
+            // ④ simulate on the cached composite, at the footprint only
+            // where that pays.
             let mask = cache.composite(&main_polys);
-            let aerial = match &roi {
-                Some(cols) => engine.aerial_image_cols(mask, cols)?,
-                None => engine.aerial_image(mask)?,
-            };
+            engine.aerial_image_into(mask, pixels, &mut aerial)?;
             // ⑤ EPE feedback (shape-parallel on the shared pool).
             let mut per_shape = Vec::new();
             let total = correct_shapes_recording(
@@ -318,6 +321,8 @@ impl CardOpc {
             epe_history.push(total);
             per_shape_epe.push(per_shape);
         }
+        // Not held through MRC: two tile workers would each keep a frame.
+        drop((aerial, footprint));
 
         // ⑥ MRC check and resolve.
         let (mrc_initial, mrc_remaining) = if let Some(rules) = self.config.mrc {
@@ -351,49 +356,6 @@ impl CardOpc {
     /// The configured EPE measure point convention.
     pub fn measure_convention(&self) -> MeasureConvention {
         self.config.convention
-    }
-
-    /// The pixel columns the EPE feedback can read, or `None` when the
-    /// restriction would not pay off.
-    ///
-    /// [`correct_shapes`] probes the aerial image only via [`epe_at`],
-    /// which walks at most `epe_search + pitch/2` along each frozen
-    /// anchor's normal and reads the grid bilinearly (one extra column on
-    /// each side). Expanding every anchor's x-extent by
-    /// `epe_search + 2·pitch` therefore covers every pixel the loop can
-    /// touch, with margin.
-    ///
-    /// [`epe_at`]: cardopc_litho::epe_at
-    fn roi_columns(&self, shapes: &[OpcShape], engine: &LithoEngine) -> Option<Vec<usize>> {
-        let width = engine.width();
-        let pitch = engine.pitch();
-        if width == 0 {
-            return None;
-        }
-        let margin = self.config.epe_search + 2.0 * pitch;
-        let mut needed = vec![false; width];
-        for shape in shapes.iter().filter(|s| !s.is_sraf) {
-            for anchor in &shape.anchors {
-                // `Grid::sample` reads columns floor(x/pitch - 0.5) and the
-                // next one, clamped to the grid.
-                let lo = ((anchor.position.x - margin) / pitch - 0.5)
-                    .floor()
-                    .max(0.0) as usize;
-                let hi =
-                    (((anchor.position.x + margin) / pitch - 0.5).floor() + 1.0).max(0.0) as usize;
-                for flag in &mut needed[lo.min(width - 1)..=hi.min(width - 1)] {
-                    *flag = true;
-                }
-            }
-        }
-        let cols: Vec<usize> = (0..width).filter(|&c| needed[c]).collect();
-        // Near-full coverage: the pruned column pass would save nothing
-        // over the fused full transform, so keep the simple path.
-        if cols.len() * 10 >= width * 9 {
-            None
-        } else {
-            Some(cols)
-        }
     }
 }
 
@@ -549,10 +511,10 @@ mod tests {
 
     #[test]
     fn optimized_loop_matches_reference_flow() {
-        // The cached-raster + ROI-column + shape-parallel iteration loop
-        // must reproduce the plain pipeline (full rasterisation and full
-        // aerial image every iteration, written against public APIs only)
-        // to within 1e-9, with identical MRC accounting.
+        // The cached-raster + pixel-footprint + shape-parallel iteration
+        // loop must reproduce the plain pipeline (full rasterisation and
+        // full aerial image every iteration, written against public APIs
+        // only) to within 1e-9, with identical MRC accounting.
         let clip = small_clip();
         let mut cfg = fast_config();
         cfg.sraf = Some(crate::config::SrafConfig::default());
@@ -562,6 +524,18 @@ mod tests {
         let engine = engine_for_extent(clip.width(), clip.height(), cfg.pitch).unwrap();
 
         let mut shapes = flow.initialize(&clip).unwrap();
+        // The clip is sparse: the loop synthesises the footprint only.
+        let anchors = shapes
+            .iter()
+            .filter(|s| !s.is_sraf)
+            .flat_map(|s| &s.anchors);
+        let grid = (engine.width(), engine.height(), engine.pitch());
+        let footprint = epe_footprint(grid, anchors, cfg.epe_search);
+        assert!(
+            engine.pixels_pay(footprint.len()),
+            "{} pixels",
+            footprint.len()
+        );
         let mut step_limit = cfg.move_step;
         let mut reference_history = Vec::new();
         for iter in 0..cfg.iterations {
@@ -617,6 +591,58 @@ mod tests {
             reference_report.initial_violations
         );
         assert_eq!(outcome.mrc_remaining, reference_report.remaining.len());
+    }
+
+    #[test]
+    fn epe_footprint_covers_every_read_on_a_via_clip_and_an_array_tile() {
+        // The array job's tile: 70 nm wire pairs on a 1024 nm step, a
+        // 1024 nm core with a 512 nm halo.
+        let mut wires = Vec::new();
+        for (i, j) in (0..3).flat_map(|i| (0..3).map(move |j| (i, j))) {
+            let o = Point::new(i as f64 * 1024.0 - 512.0, j as f64 * 1024.0 - 512.0);
+            for (x0, y0, x1, y1) in [(160.0, 256.0, 864.0, 326.0), (160.0, 640.0, 640.0, 710.0)] {
+                wires.push(Polygon::rect(
+                    o + Point::new(x0, y0),
+                    o + Point::new(x1, y1),
+                ));
+            }
+        }
+        let array = Clip::new("array", 2048.0, 2048.0, wires).crop_intersecting(
+            Point::new(0.0, 0.0),
+            2048.0,
+            2048.0,
+            "array tile",
+        );
+        let via = cardopc_layout::via_clips().remove(0);
+        for (clip, cfg) in [(via, OpcConfig::via()), (array, OpcConfig::large_scale())] {
+            let engine = engine_for_extent(clip.width(), clip.height(), cfg.pitch).unwrap();
+            let grid = (engine.width(), engine.height(), engine.pitch());
+            let shapes = CardOpc::new(cfg.clone()).initialize(&clip).unwrap();
+            let anchors: Vec<_> = shapes
+                .iter()
+                .filter(|s| !s.is_sraf)
+                .flat_map(|s| &s.anchors)
+                .collect();
+            let footprint = epe_footprint(grid, anchors.iter().copied(), cfg.epe_search);
+            assert!(engine.pixels_pay(footprint.len()), "{}", clip.name());
+            let polys: Vec<Polygon> = shapes
+                .iter()
+                .map(|s| s.spline.to_polygon(cfg.samples_per_segment))
+                .collect();
+            let mask = cardopc_litho::rasterize(&polys, grid.0, grid.1, grid.2);
+            let full = engine.aerial_image(&mask).unwrap();
+            // NaN poisons even a bilinear read of weight zero.
+            let mut poisoned = Grid::filled(grid.0, grid.1, grid.2, f64::NAN);
+            for &i in &footprint {
+                poisoned.data_mut()[i] = full.data()[i];
+            }
+            let threshold = engine.threshold();
+            for &a in &anchors {
+                let want = cardopc_litho::epe_at(&full, threshold, a, cfg.epe_search);
+                let got = cardopc_litho::epe_at(&poisoned, threshold, a, cfg.epe_search);
+                assert_eq!(got.to_bits(), want.to_bits(), "{}: {a:?}", clip.name());
+            }
+        }
     }
 
     #[test]

@@ -1004,10 +1004,10 @@ mod tests {
     /// Hashes of one fixed tile. The input hashes were captured at the
     /// commit *before* the config walk, the geometry walk and the payload
     /// codec were unified; the cache keys are those same walks under
-    /// `KEY_VERSION` 3 (bumped to 2 when the band-limited SOCS pipeline,
-    /// and to 3 when the Hermitian-aware image passes, moved every tile's
-    /// numerics in the last bits, so stores written by older binaries
-    /// cannot replay). They pin hash input order and float
+    /// `KEY_VERSION` 4 (bumped to 2 when the band-limited SOCS pipeline,
+    /// to 3 when the Hermitian-aware image passes, and to 4 when sampling
+    /// sparse tiles' images pixel by pixel moved tile numerics in the last
+    /// bits, so stores written by older binaries cannot replay). They pin hash input order and float
     /// canonicalisation: a moved byte here silently orphans every existing
     /// `tiles.jsonl` / `cache.jsonl`.
     #[test]
@@ -1024,37 +1024,37 @@ mod tests {
                 OpcConfig::via(),
                 F64,
                 0x787b2f0e0ea2a2b7,
-                0xa448233e1d99de09,
+                0x3f3a3f12ad6fb6a6,
             ),
             (
                 OpcConfig::via(),
                 F32,
                 0x787b2e0e0ea2a104,
-                0xa448223e1d99dc56,
+                0x3f3a4012ad6fb859,
             ),
             (
                 OpcConfig::metal(),
                 F64,
                 0xc27c675ec289f7e2,
-                0xe0be52d6eeaa39f4,
+                0xdd5b3f44581113e3,
             ),
             (
                 OpcConfig::metal(),
                 F32,
                 0xc27c685ec289f995,
-                0xe0be53d6eeaa3ba7,
+                0xdd5b3e4458111230,
             ),
             (
                 OpcConfig::large_scale(),
                 F64,
                 0x551ff00f14209f36,
-                0x396d4d7ce4eaeb3c,
+                0xf84d616ec820247b,
             ),
             (
                 OpcConfig::large_scale(),
                 F32,
                 0x551ff10f1420a0e9,
-                0x396d4e7ce4eaecef,
+                0xf84d606ec82022c8,
             ),
         ];
         for (mut config, precision, input_hash, cache_key) in golden {

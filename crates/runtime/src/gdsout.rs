@@ -26,7 +26,7 @@ use crate::checkpoint::StitchedShape;
 use crate::stitch::Stitched;
 use cardopc_gds::{put_boundary, GdsError, GdsWriter};
 use cardopc_geometry::Polygon;
-use cardopc_litho::WorkerPool;
+use cardopc_litho::{CachePadded, WorkerPool};
 use cardopc_spline::{CardinalSpline, SamplingPlan, SplineError};
 use std::io::Write;
 use std::sync::Arc;
@@ -132,14 +132,17 @@ fn stream_on(
     put(&lib.drain())?;
     let chunks = stitched.len().div_ceil(CHUNK_SHAPES);
     let wave = CHUNKS_PER_EXECUTOR * pool.parallelism();
-    // One buffer per chunk of a wave, reused by every wave.
-    let mut slots: Vec<(Vec<u8>, Result<(), GdsError>)> = Vec::new();
+    // One buffer per chunk of a wave, reused by every wave; padded, since
+    // executors append to neighbouring slots at once.
+    let mut slots = Vec::new();
     for first in (0..chunks).step_by(wave) {
-        slots.resize_with(wave.min(chunks - first), || (Vec::new(), Ok(())));
-        pool.run_with_slots(&mut slots, |k, (bytes, result)| {
+        slots.resize_with(wave.min(chunks - first), || {
+            CachePadded((Vec::new(), Ok(())))
+        });
+        pool.run_with_slots(&mut slots, |k, CachePadded((bytes, result))| {
             *result = encode_chunk(stitched, first + k, options, bytes);
         });
-        for (bytes, result) in &mut slots {
+        for CachePadded((bytes, result)) in &mut slots {
             std::mem::replace(result, Ok(()))?;
             put(bytes)?;
         }
