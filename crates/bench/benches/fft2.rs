@@ -1,7 +1,7 @@
-//! Criterion benchmark of the 2-D FFT kernels in isolation: forward vs
-//! inverse, complex vs real-packed input, across the grid sizes the OPC
-//! flows actually use — pow2 sizes plus the 5-smooth sizes (192, 320, 640)
-//! the mixed-radix core now runs directly instead of padding to pow2.
+//! Criterion benchmark of the FFT kernels in isolation: 2-D forward vs
+//! inverse across the grid sizes the OPC flows actually use — pow2 sizes
+//! plus the 5-smooth sizes (192, 320, 640) the mixed-radix core runs
+//! directly instead of padding to pow2 — and batched 1-D row transforms.
 //!
 //! ```sh
 //! cargo bench -p cardopc-bench --bench fft2
@@ -18,11 +18,6 @@ use std::hint::black_box;
 
 /// Pow2 edges plus the 5-smooth non-pow2 edges of interest.
 const EDGES: [usize; 8] = [128, 192, 256, 320, 512, 640, 1024, 2048];
-
-fn real_samples(n: usize) -> Vec<f64> {
-    // Deterministic, non-trivial content (no RNG needed for throughput).
-    (0..n).map(|i| ((i % 13) as f64 - 6.0) / 6.0).collect()
-}
 
 fn complex_field(edge: usize) -> Field {
     let mut f = Field::zeros(edge, edge);
@@ -70,28 +65,6 @@ fn bench_inverse_complex(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_forward_real_t<T: cardopc::litho::Scalar>(c: &mut Criterion, name: &str) {
-    let mut group = c.benchmark_group(name);
-    group.sample_size(10);
-    for edge in EDGES {
-        let real = real_samples(edge * edge);
-        let mut field: Field<T> = Field::zeros(edge, edge);
-        let mut scratch: FftScratch<T> = FftScratch::new();
-        group.bench_function(format!("{edge}x{edge}"), |b| {
-            b.iter(|| {
-                field.fill_forward_real_with(black_box(&real), &mut scratch);
-                black_box(&field);
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_forward_real(c: &mut Criterion) {
-    bench_forward_real_t::<f64>(c, "fft2_forward_real");
-    bench_forward_real_t::<f32>(c, "fft2_forward_real_f32");
-}
-
 /// Batched 1-D transforms in isolation (no transposes, no packing): the
 /// pure Stockham stage cost, the piece that should scale with SIMD width.
 fn bench_fft1d_batch_t<T: cardopc::litho::Scalar>(c: &mut Criterion, name: &str) {
@@ -128,32 +101,10 @@ fn bench_fft1d_batch(c: &mut Criterion) {
     bench_fft1d_batch_t::<f32>(c, "fft1d_batch_f32");
 }
 
-/// Row-set transforms: the shape the engine's row pass and the pruned
-/// inverse actually execute — many length-`edge` transforms back to back.
-fn bench_forward_real_rows(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fft2_forward_real_rows");
-    group.sample_size(10);
-    for edge in [192usize, 320, 512, 640] {
-        let rows = 64usize;
-        let real = real_samples(edge * rows);
-        let mut field: Field = Field::zeros(edge, rows);
-        let mut scratch = FftScratch::new();
-        group.bench_function(format!("{rows}x{edge}"), |b| {
-            b.iter(|| {
-                field.fill_forward_real_with(black_box(&real), &mut scratch);
-                black_box(&field);
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_forward_complex,
     bench_inverse_complex,
-    bench_forward_real,
-    bench_fft1d_batch,
-    bench_forward_real_rows
+    bench_fft1d_batch
 );
 criterion_main!(benches);

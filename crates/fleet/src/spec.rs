@@ -745,7 +745,17 @@ mod tests {
             let to = format!(r#""relax_strength":{bad}"#);
             reject(r#""relax_strength":0.3"#, &to, "relax_strength");
         }
-        // `1e999` parses to +inf: no real-valued field may carry it.
+        // No real-valued field may carry ±∞. JSON text cannot spell it
+        // (`Json::parse` rejects the overflowing `1e999`), so the value is
+        // put into the parsed tree in place of a sentinel.
+        fn infinite(v: &mut Json, sign: f64) {
+            match v {
+                Json::Num(x) if *x == 7e300 => *x = sign * f64::INFINITY,
+                Json::Arr(items) => items.iter_mut().for_each(|v| infinite(v, sign)),
+                Json::Obj(members) => members.iter_mut().for_each(|(_, v)| infinite(v, sign)),
+                _ => {}
+            }
+        }
         for (from, key) in [
             (r#""l_c":20"#, "l_c"),
             (r#""tension":0.6"#, "tension"),
@@ -757,8 +767,18 @@ mod tests {
             (r#""metal_spacing":60"#, "convention.metal_spacing"),
         ] {
             let name = key.rsplit('.').next().unwrap();
-            reject(from, &format!(r#""{name}":1e999"#), key);
-            reject(from, &format!(r#""{name}":-1e999"#), key);
+            assert!(good.contains(from), "fixture lost {from}");
+            for sign in [1.0, -1.0] {
+                let mut spec = parse(&good.replacen(from, &format!(r#""{name}":7e300"#), 1));
+                infinite(&mut spec, sign);
+                let err = WorkSpec::from_json(&spec).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("'opc.{key}' must ")),
+                    "{key}: {err}"
+                );
+            }
+            let overflow = good.replacen(from, &format!(r#""{name}":1e999"#), 1);
+            assert!(Json::parse(&overflow).is_err(), "{key}: 1e999 parsed");
         }
     }
 

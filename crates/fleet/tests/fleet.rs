@@ -445,8 +445,9 @@ fn hostile_dispatch_is_a_400_and_the_worker_stays_healthy() {
     let w = worker();
     let good = cardopc_fleet::proto::dispatch_body(&spec(), &[0]);
     // Values that used to get past parsing: a zero measure spacing (an
-    // unbounded loop in the tile scorer) and a negative mask rule (a
-    // panic inside the handler thread).
+    // unbounded loop in the tile scorer), a negative mask rule (a panic
+    // inside the handler thread) and a pitch that overflows to +∞ (now a
+    // JSON error: no number may be infinite).
     for (from, to, field) in [
         (
             r#""convention":{"metal_spacing":60}"#,
@@ -458,7 +459,11 @@ fn hostile_dispatch_is_a_400_and_the_worker_stays_healthy() {
             r#""min_space":-1"#,
             "'opc.mrc.min_space'",
         ),
-        (r#""pitch":16"#, r#""pitch":1e999"#, "'opc.pitch'"),
+        (
+            r#""pitch":16"#,
+            r#""pitch":1e999"#,
+            "invalid number '1e999'",
+        ),
     ] {
         assert!(good.contains(from), "fixture lost {from}");
         let r =

@@ -326,9 +326,13 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("invalid number at byte {start}"))?;
+        // `parse` rounds an overflowing literal (`1e999`) to ±∞, which no
+        // `Num` may hold; underflow to zero is an ordinary rounding.
         text.parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite())
             .map(Json::Num)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+            .ok_or_else(|| format!("invalid number '{text}' at byte {start}"))
     }
 
     /// Enters one container level; errors past [`MAX_PARSE_DEPTH`] so a
@@ -467,6 +471,18 @@ mod tests {
             "{\"a\":}",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn overflowing_numbers_rejected_underflow_rounds_to_zero() {
+        for bad in ["1e999", "-1e999", "[1, 1e999]", "{\"cps\":[0.5,-1E+400]}"] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.contains("invalid number"), "{bad:?}: {err}");
+        }
+        for (tiny, zero) in [("1e-999", 0.0f64), ("-1e-999", -0.0)] {
+            let v = Json::parse(tiny).unwrap().as_f64().unwrap();
+            assert_eq!(v.to_bits(), zero.to_bits(), "{tiny}");
         }
     }
 

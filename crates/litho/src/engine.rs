@@ -160,9 +160,8 @@ impl LithoEngine {
     ///
     /// # Errors
     ///
-    /// * [`LithoError::EmptyGrid`] for zero-sized dimensions (any nonzero
-    ///   grid is FFT-compatible: 5-smooth sizes run on the direct
-    ///   mixed-radix path, everything else via Bluestein),
+    /// * [`LithoError::InvalidGrid`] unless both dimensions are 5-smooth
+    ///   (`2^a·3^b·5^c`; size grids with [`crate::next_five_smooth`]),
     /// * [`LithoError::InvalidOptics`] for bad physical parameters.
     pub fn new(
         config: OpticsConfig,
@@ -360,9 +359,8 @@ impl LithoEngine {
     /// one fan-out over the worker pool and duplicated focus states (dose
     /// only changes thresholding, not the image) are served by cloning the
     /// state's image. The returned grids align with `conditions`, and each
-    /// is **bit-identical** to the serial [`LithoEngine::aerial_image_at`]
-    /// call at any worker count
-    /// ([`crate::LithoWorkspace::images`]).
+    /// is **bit-identical** to the one condition's image alone, at any
+    /// worker count ([`crate::LithoWorkspace::images`]).
     ///
     /// # Errors
     ///
@@ -396,21 +394,6 @@ impl LithoEngine {
                 state_grids[idx].clone()
             })
             .collect())
-    }
-
-    /// Aerial image at an arbitrary process condition (focus part only —
-    /// dose affects thresholding, not the image).
-    ///
-    /// # Errors
-    ///
-    /// [`LithoError::GridMismatch`] when the mask grid has the wrong shape.
-    pub fn aerial_image_at(
-        &self,
-        mask: &Grid,
-        condition: ProcessCondition,
-    ) -> Result<Grid, LithoError> {
-        self.check_mask(mask)?;
-        Ok(self.image(condition.defocused, mask))
     }
 
     /// The vector-Jacobian product of the nominal-focus aerial image: the
@@ -454,7 +437,8 @@ impl LithoEngine {
     ///
     /// [`LithoError::GridMismatch`] when the mask grid has the wrong shape.
     pub fn print(&self, mask: &Grid, condition: ProcessCondition) -> Result<Grid, LithoError> {
-        let aerial = self.aerial_image_at(mask, condition)?;
+        self.check_mask(mask)?;
+        let aerial = self.image(condition.defocused, mask);
         Ok(aerial.binarize(self.effective_threshold(condition)))
     }
 
@@ -578,8 +562,9 @@ mod tests {
             engine.set_workers(workers);
             let nominal = engine.aerial_image(&mask).unwrap();
             let defocused = engine
-                .aerial_image_at(&mask, ProcessCondition::inner(0.02))
-                .unwrap();
+                .aerial_images_multi(&mask, &[ProcessCondition::inner(0.02)])
+                .unwrap()
+                .remove(0);
             let multi = engine.aerial_images_multi(&mask, &conditions).unwrap();
             assert_eq!(multi.len(), 3);
             assert_eq!(multi[0].data(), nominal.data(), "nominal @ {workers}");
@@ -614,7 +599,8 @@ mod tests {
             let multi = engine.aerial_images_multi(&mask, &conditions).unwrap();
             assert_eq!(multi.len(), conditions.len());
             for (got, &condition) in multi.iter().zip(&conditions) {
-                let want = engine.aerial_image_at(&mask, condition).unwrap();
+                let want = engine.aerial_images_multi(&mask, &[condition]).unwrap();
+                let want = &want[0];
                 assert_eq!(got.data(), want.data(), "{condition:?} of {conditions:?}");
             }
         }
@@ -695,8 +681,9 @@ mod tests {
         let mask = center_square_mask(&engine, 6);
         let focus = engine.aerial_image(&mask).unwrap();
         let blur = engine
-            .aerial_image_at(&mask, ProcessCondition::inner(0.0))
-            .unwrap();
+            .aerial_images_multi(&mask, &[ProcessCondition::inner(0.0)])
+            .unwrap()
+            .remove(0);
         // Peak intensity drops with defocus.
         assert!(blur.max_value() < focus.max_value() + 1e-12);
         // Total energy is conserved-ish but redistributed; check contrast:
@@ -742,6 +729,29 @@ mod tests {
                 Err(LithoError::GridMismatch { .. })
             ));
         }
+    }
+
+    #[test]
+    fn grids_that_are_not_five_smooth_are_rejected() {
+        for precision in [Precision::F64, Precision::F32] {
+            let err = LithoEngine::with_precision(OpticsConfig::default(), 13, 16, 8.0, precision)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                LithoError::InvalidGrid {
+                    width: 13,
+                    height: 16
+                }
+            );
+            assert!(
+                err.to_string().contains("next 5-smooth grid is 15x16"),
+                "{err}"
+            );
+        }
+        assert!(matches!(
+            LithoEngine::new(OpticsConfig::default(), 64, 0, 8.0),
+            Err(LithoError::InvalidGrid { .. })
+        ));
     }
 
     #[test]

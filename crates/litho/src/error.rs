@@ -1,5 +1,6 @@
 //! Error type for the lithography engine.
 
+use crate::fft::next_five_smooth;
 use std::error::Error;
 use std::fmt;
 
@@ -7,10 +8,9 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LithoError {
-    /// Simulation grid dimensions must be nonzero. (Any nonzero size is
-    /// transformable: 5-smooth lengths on the direct mixed-radix path,
-    /// everything else via Bluestein.)
-    EmptyGrid {
+    /// Both simulation grid dimensions must be 5-smooth (`2^a·3^b·5^c`,
+    /// nonzero): the only lengths the FFT transforms.
+    InvalidGrid {
         /// Offending width.
         width: usize,
         /// Offending height.
@@ -34,9 +34,12 @@ pub enum LithoError {
 impl fmt::Display for LithoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LithoError::EmptyGrid { width, height } => write!(
+            LithoError::InvalidGrid { width, height } => write!(
                 f,
-                "simulation grid must have nonzero dimensions, got {width}x{height}"
+                "simulation grid must be 5-smooth (2^a·3^b·5^c) on both axes, got \
+                 {width}x{height}; the next 5-smooth grid is {}x{}",
+                next_five_smooth(*width),
+                next_five_smooth(*height)
             ),
             LithoError::InvalidOptics(what) => write!(f, "invalid optics parameter: {what}"),
             LithoError::GridMismatch { expected, got } => write!(
@@ -58,11 +61,13 @@ mod tests {
 
     #[test]
     fn messages_nonempty() {
-        let e = LithoError::EmptyGrid {
-            width: 100,
-            height: 64,
+        let e = LithoError::InvalidGrid {
+            width: 13,
+            height: 0,
         };
-        assert!(e.to_string().contains("100x64"));
+        assert!(e
+            .to_string()
+            .contains("got 13x0; the next 5-smooth grid is 15x1"));
         assert!(!LithoError::InvalidOptics("na").to_string().is_empty());
         let g = LithoError::GridMismatch {
             expected: (64, 64),

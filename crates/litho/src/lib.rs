@@ -7,10 +7,10 @@
 //! this crate implements the full imaging chain from scratch:
 //!
 //! * [`fft`] / [`plan`] / [`simd`] — an in-repo split-complex FFT core
-//!   (mixed-radix Stockham for 5-smooth sizes, Bluestein otherwise; no FFT
-//!   crate is on the approved dependency list) whose kernels are each
-//!   written once and compiled plain and under AVX2/FMA, picked at runtime
-//!   (`CARDOPC_SIMD=off` forces the plain compilation),
+//!   (mixed-radix Stockham on 5-smooth sizes, the only grids the engine
+//!   accepts; no FFT crate is on the approved dependency list) whose
+//!   kernels are each written once and compiled plain and under AVX2/FMA,
+//!   picked at runtime (`CARDOPC_SIMD=off` forces the plain compilation),
 //! * [`OpticsConfig`] / SOCS kernel synthesis — an annular partially
 //!   coherent source discretised by Abbe's method into a kernel stack with
 //!   exactly the Hopkins structure `I = Σ w_k |M ⊗ h_k|²`, stored as

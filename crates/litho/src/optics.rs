@@ -22,7 +22,7 @@
 //! set. The image and its adjoint ([`crate::LithoEngine::vjp`], what pixel
 //! ILT differentiates through) both run on them.
 
-use crate::fft::{next_five_smooth, Band, Complex};
+use crate::fft::{is_five_smooth, next_five_smooth, Band, Complex};
 use crate::scalar::Scalar;
 use crate::LithoError;
 
@@ -173,8 +173,9 @@ impl SocsStacks {
     ///
     /// # Errors
     ///
-    /// Propagates [`OpticsConfig::validate`] failures and rejects empty
-    /// grids and non-positive pitches.
+    /// Propagates [`OpticsConfig::validate`] failures and rejects grids
+    /// that are not 5-smooth on both axes ([`LithoError::InvalidGrid`]) and
+    /// non-positive pitches.
     pub fn build(
         config: &OpticsConfig,
         width: usize,
@@ -271,8 +272,8 @@ fn build_patches(
     defocus: f64,
 ) -> Result<Vec<KernelPatch>, LithoError> {
     config.validate()?;
-    if width == 0 || height == 0 {
-        return Err(LithoError::EmptyGrid { width, height });
+    if !is_five_smooth(width) || !is_five_smooth(height) {
+        return Err(LithoError::InvalidGrid { width, height });
     }
     if !(pitch > 0.0 && pitch.is_finite()) {
         return Err(LithoError::InvalidOptics("pitch must be positive"));
@@ -580,7 +581,7 @@ mod tests {
         let cfg = OpticsConfig::default();
         assert!(matches!(
             build_kernels(&cfg, 0, 64, 1.0, 0.0),
-            Err(LithoError::EmptyGrid { .. })
+            Err(LithoError::InvalidGrid { .. })
         ));
     }
 

@@ -1,4 +1,4 @@
-//! Cached FFT execution plans: mixed-radix Stockham autosort + Bluestein.
+//! Cached FFT execution plans: a mixed-radix Stockham autosort pipeline.
 //!
 //! Every transform size used by the engine gets one [`FftPlan`], built once
 //! and shared process-wide through a registry behind a `OnceLock`. Plans
@@ -9,31 +9,27 @@
 //! Plans are generic over the [`Scalar`] element type: one registry entry
 //! per `(precision, size)` pair, so the `f32` backend gets its own narrowed
 //! twiddle tables without touching the `f64` reference plans. All twiddles
-//! and chirps are *computed* in `f64` and narrowed through
-//! [`Scalar::from_f64`] — for `T = f64` the tables (and the executed
-//! arithmetic) are bit-identical to the pre-generic implementation.
+//! are *computed* in `f64` and narrowed through [`Scalar::from_f64`] — for
+//! `T = f64` the tables (and the executed arithmetic) are bit-identical to
+//! the pre-generic implementation.
 //!
-//! 5-smooth lengths (`2^a·3^b·5^c`, which covers every size the litho
-//! engine schedules) run a **Stockham autosort** decimation-in-frequency
-//! pipeline: radix-4 stages are peeled greedily, then one radix-2, then
-//! radix-3/5 — so the large-stride stages that dominate runtime are radix-4
-//! and the inner `q` loops are contiguous and autovectorize. Stockham
-//! ping-pongs between the data and a scratch buffer instead of performing a
-//! bit-reversal permutation, which is what makes the split layout pay: no
-//! index shuffling, just streaming passes.
-//!
-//! All other lengths fall back to **Bluestein's chirp-z** algorithm: the
-//! size-`n` DFT becomes a cyclic convolution of length `M = next 5-smooth
-//! ≥ 2n−1`, evaluated with the Stockham pipeline above. Any `n ≥ 1` is
-//! therefore accepted; 5-smooth sizes are simply faster (and are what
-//! [`crate::fft::next_five_smooth`] rounds grids to).
+//! Lengths must be 5-smooth (`2^a·3^b·5^c`): the engine sizes every grid
+//! with [`crate::fft::next_five_smooth`], and padding beats any algorithm
+//! for other lengths (a 500² transform is ≈ 4× faster than a 499² one
+//! through a chirp-z convolution). The pipeline is a decimation-in-frequency
+//! **Stockham autosort**: radix-4 stages are peeled greedily, then one
+//! radix-2, then radix-3/5 — so the large-stride stages that dominate
+//! runtime are radix-4 and the inner `q` loops are contiguous and
+//! autovectorize. Stockham ping-pongs between the data and a scratch buffer
+//! instead of performing a bit-reversal permutation, which is what makes
+//! the split layout pay: no index shuffling, just streaming passes.
 //!
 //! Twiddles are precomputed per stage at plan build (`exp(∓2πi·pj/n_cur)`
 //! with the inverse table stored as the conjugate), replacing the seed's
 //! per-call `sin_cos` recurrence that accumulated rounding error along each
 //! stage.
 
-use crate::fft::{Complex, FftScratch};
+use crate::fft::FftScratch;
 use crate::scalar::Scalar;
 use crate::simd::{self, SimdMode};
 use std::any::{Any, TypeId};
@@ -489,173 +485,12 @@ fn stage5_generic<const FWD: bool, T: Scalar>(
     }
 }
 
-/// Bluestein chirp-z fallback: DFT of arbitrary `n` as a length-`m` cyclic
-/// convolution with a chirp, `m` 5-smooth and ≥ `2n−1`.
-#[derive(Debug)]
-struct Bluestein<T: Scalar> {
-    n: usize,
-    m: usize,
-    /// The (always-Direct) plan for the convolution length.
-    plan_m: Arc<FftPlan<T>>,
-    /// `exp(−iπk²/n)` for `k in 0..n` (angles reduced with `k² mod 2n`).
-    chirp_re: Vec<T>,
-    chirp_im: Vec<T>,
-    /// Forward FFT of the conjugate-chirp filter, pre-scaled by `1/m` so the
-    /// unscaled inverse convolution comes out exactly normalised.
-    bf_re: Vec<T>,
-    bf_im: Vec<T>,
-}
-
-impl<T: Scalar> Bluestein<T> {
-    fn build(n: usize) -> Bluestein<T> {
-        let m = crate::fft::next_five_smooth(2 * n - 1);
-        let plan_m = FftPlan::<T>::get(m);
-        let two_n = 2 * n as u128;
-        let mut chirp_re = Vec::with_capacity(n);
-        let mut chirp_im = Vec::with_capacity(n);
-        for k in 0..n as u128 {
-            let sq = ((k * k) % two_n) as f64;
-            let ang = -std::f64::consts::PI * sq / n as f64;
-            let (si, co) = ang.sin_cos();
-            chirp_re.push(T::from_f64(co));
-            chirp_im.push(T::from_f64(si));
-        }
-        let mut bf_re = vec![T::ZERO; m];
-        let mut bf_im = vec![T::ZERO; m];
-        for k in 0..n {
-            bf_re[k] = chirp_re[k];
-            bf_im[k] = -chirp_im[k];
-            if k > 0 {
-                bf_re[m - k] = chirp_re[k];
-                bf_im[m - k] = -chirp_im[k];
-            }
-        }
-        // One-time build cost: the scalar path keeps the filter spectrum
-        // independent of the runtime dispatch decision (the Stockham stages
-        // are bitwise mode-identical anyway; this just makes it obvious).
-        let mut scratch = FftScratch::new();
-        plan_m.execute_unscaled_split_with(
-            SimdMode::Scalar,
-            &mut bf_re,
-            &mut bf_im,
-            &mut scratch,
-            false,
-        );
-        let inv_m = T::from_f64(1.0 / m as f64);
-        for v in bf_re.iter_mut().chain(bf_im.iter_mut()) {
-            *v *= inv_m;
-        }
-        Bluestein {
-            n,
-            m,
-            plan_m,
-            chirp_re,
-            chirp_im,
-            bf_re,
-            bf_im,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        &self,
-        mode: SimdMode,
-        re: &mut [T],
-        im: &mut [T],
-        pong_re: &mut Vec<T>,
-        pong_im: &mut Vec<T>,
-        blu_re: &mut Vec<T>,
-        blu_im: &mut Vec<T>,
-        inverse: bool,
-    ) {
-        let (n, m) = (self.n, self.m);
-        // Unscaled IDFT via conjugation: conj(DFT(conj(x))).
-        if inverse {
-            for v in im.iter_mut() {
-                *v = -*v;
-            }
-        }
-        let stages = self.plan_m.direct_stages();
-        if pong_re.len() < m {
-            pong_re.resize(m, T::ZERO);
-        }
-        if pong_im.len() < m {
-            pong_im.resize(m, T::ZERO);
-        }
-        if blu_re.len() < m {
-            blu_re.resize(m, T::ZERO);
-        }
-        if blu_im.len() < m {
-            blu_im.resize(m, T::ZERO);
-        }
-        // a = x·chirp, zero-padded to m.
-        simd::cmul(
-            mode,
-            re,
-            im,
-            &self.chirp_re,
-            &self.chirp_im,
-            &mut blu_re[..n],
-            &mut blu_im[..n],
-        );
-        blu_re[n..m].fill(T::ZERO);
-        blu_im[n..m].fill(T::ZERO);
-        // A = FFT_m(a), C = A·(B/m), c = unscaled IFFT_m(C).
-        stages.run(
-            mode,
-            false,
-            &mut blu_re[..m],
-            &mut blu_im[..m],
-            &mut pong_re[..m],
-            &mut pong_im[..m],
-        );
-        simd::cmul(
-            mode,
-            &blu_re[..m],
-            &blu_im[..m],
-            &self.bf_re,
-            &self.bf_im,
-            &mut pong_re[..m],
-            &mut pong_im[..m],
-        );
-        stages.run(
-            mode,
-            true,
-            &mut pong_re[..m],
-            &mut pong_im[..m],
-            &mut blu_re[..m],
-            &mut blu_im[..m],
-        );
-        // y = c·chirp (first n samples).
-        simd::cmul(
-            mode,
-            &pong_re[..n],
-            &pong_im[..n],
-            &self.chirp_re,
-            &self.chirp_im,
-            re,
-            im,
-        );
-        if inverse {
-            for v in im.iter_mut() {
-                *v = -*v;
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-enum PlanKind<T: Scalar> {
-    Direct(Stages<T>),
-    Bluestein(Box<Bluestein<T>>),
-}
-
-/// A reusable execution plan for one transform size (any `n ≥ 1`) at one
+/// A reusable execution plan for one 5-smooth transform size at one
 /// [`Scalar`] precision (defaulting to the `f64` reference).
 #[derive(Debug)]
 pub struct FftPlan<T: Scalar = f64> {
     n: usize,
-    kind: PlanKind<T>,
+    stages: Stages<T>,
 }
 
 impl<T: Scalar> FftPlan<T> {
@@ -665,38 +500,26 @@ impl<T: Scalar> FftPlan<T> {
         self.n
     }
 
-    /// `true` for the degenerate size-0 plan (never constructed in practice).
+    /// Always `false`: 0 is not 5-smooth, so no size-0 plan exists.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
 
-    fn build(n: usize) -> FftPlan<T> {
-        assert!(n >= 1, "FFT length must be at least 1");
-        let kind = if crate::fft::is_five_smooth(n) {
-            PlanKind::Direct(Stages::build(n))
-        } else {
-            PlanKind::Bluestein(Box::new(Bluestein::build(n)))
-        };
-        FftPlan { n, kind }
-    }
-
-    fn direct_stages(&self) -> &Stages<T> {
-        match &self.kind {
-            PlanKind::Direct(s) => s,
-            PlanKind::Bluestein(_) => unreachable!("convolution length is always 5-smooth"),
-        }
-    }
-
     /// Fetches (building on first use) the shared plan for size `n` at this
     /// precision. `f64` and `f32` plans are distinct registry entries —
-    /// each precision carries its own narrowed twiddle/chirp tables.
+    /// each precision carries its own narrowed twiddle tables.
     ///
     /// # Panics
     ///
-    /// Panics when `n == 0`.
+    /// Panics when `n` is not 5-smooth (`0` included): grids are sized with
+    /// [`crate::fft::next_five_smooth`].
     pub fn get(n: usize) -> Arc<FftPlan<T>> {
-        assert!(n >= 1, "FFT length must be at least 1");
+        assert!(
+            crate::fft::is_five_smooth(n),
+            "FFT length {n} is not 5-smooth; pad it to next_five_smooth({n}) = {}",
+            crate::fft::next_five_smooth(n)
+        );
         // One registry for both precisions, keyed by the scalar's TypeId;
         // entries are type-erased and downcast on the way out (infallible
         // by construction of the key).
@@ -704,31 +527,30 @@ impl<T: Scalar> FftPlan<T> {
         static REGISTRY: OnceLock<Registry> = OnceLock::new();
         let registry = REGISTRY.get_or_init(|| RwLock::new(HashMap::new()));
         let key = (TypeId::of::<T>(), n);
+        let downcast = |plan: &Arc<dyn Any + Send + Sync>| match Arc::clone(plan).downcast() {
+            Ok(p) => p,
+            Err(_) => unreachable!("registry entry matches its TypeId key"),
+        };
         // A poisoned registry only means some unrelated thread panicked
         // while inserting; the map itself is still consistent.
         if let Some(plan) = registry.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            return match Arc::clone(plan).downcast::<FftPlan<T>>() {
-                Ok(p) => p,
-                Err(_) => unreachable!("registry entry matches its TypeId key"),
-            };
+            return downcast(plan);
         }
-        // Build outside the lock: a Bluestein plan recursively fetches its
-        // convolution-length plan, which must not re-enter a held write
-        // lock. A racing duplicate build is harmless (one Arc wins).
-        let plan: Arc<dyn Any + Send + Sync> = Arc::new(FftPlan::<T>::build(n));
         let mut map = registry.write().unwrap_or_else(|e| e.into_inner());
-        match Arc::clone(map.entry(key).or_insert(plan)).downcast::<FftPlan<T>>() {
-            Ok(p) => p,
-            Err(_) => unreachable!("registry entry matches its TypeId key"),
-        }
+        downcast(map.entry(key).or_insert_with(|| {
+            Arc::new(FftPlan::<T> {
+                n,
+                stages: Stages::build(n),
+            })
+        }))
     }
 
     /// Executes the transform on split-complex data without the inverse
     /// `1/n` normalisation, using the process-wide dispatch mode.
     ///
-    /// The 2-D paths use this to fold both axes' normalisations into a
-    /// single pass (or into the SOCS accumulation weight) instead of
-    /// re-scaling the whole field after every 1-D transform.
+    /// The 2-D paths fold both axes' normalisations into a single pass (or
+    /// into the SOCS accumulation weight) instead of re-scaling the whole
+    /// field after every 1-D transform.
     ///
     /// # Panics
     ///
@@ -741,41 +563,19 @@ impl<T: Scalar> FftPlan<T> {
         scratch: &mut FftScratch<T>,
         inverse: bool,
     ) {
-        self.execute_unscaled_split_with(simd::active_mode(), re, im, scratch, inverse);
-    }
-
-    /// [`FftPlan::execute_unscaled_split`] with an explicit dispatch mode
-    /// (equivalence tests and benchmarks compare both paths in-process).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `re`/`im` lengths differ from the plan size.
-    pub fn execute_unscaled_split_with(
-        &self,
-        mode: SimdMode,
-        re: &mut [T],
-        im: &mut [T],
-        scratch: &mut FftScratch<T>,
-        inverse: bool,
-    ) {
         let FftScratch {
-            pong_re,
-            pong_im,
-            blu_re,
-            blu_im,
-            ..
+            pong_re, pong_im, ..
         } = scratch;
-        self.execute_split_parts(mode, re, im, pong_re, pong_im, blu_re, blu_im, inverse);
+        self.execute_split_parts(simd::active_mode(), re, im, pong_re, pong_im, inverse);
     }
 
-    /// Split execution with the scratch vectors passed individually, so 2-D
+    /// Split execution with the ping-pong lanes passed individually, so 2-D
     /// drivers holding other parts of an [`FftScratch`] (transpose/gather
     /// lanes) can run row and column transforms without borrow conflicts.
     ///
     /// # Panics
     ///
     /// Panics when `re`/`im` lengths differ from the plan size.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn execute_split_parts(
         &self,
@@ -784,8 +584,6 @@ impl<T: Scalar> FftPlan<T> {
         im: &mut [T],
         pong_re: &mut Vec<T>,
         pong_im: &mut Vec<T>,
-        blu_re: &mut Vec<T>,
-        blu_im: &mut Vec<T>,
         inverse: bool,
     ) {
         assert_eq!(re.len(), self.n, "re length does not match plan size");
@@ -793,79 +591,35 @@ impl<T: Scalar> FftPlan<T> {
         if self.n <= 1 {
             return;
         }
-        match &self.kind {
-            PlanKind::Direct(stages) => {
-                if pong_re.len() < self.n {
-                    pong_re.resize(self.n, T::ZERO);
-                }
-                if pong_im.len() < self.n {
-                    pong_im.resize(self.n, T::ZERO);
-                }
-                stages.run(
-                    mode,
-                    inverse,
-                    re,
-                    im,
-                    &mut pong_re[..self.n],
-                    &mut pong_im[..self.n],
-                );
-            }
-            PlanKind::Bluestein(b) => {
-                b.execute(mode, re, im, pong_re, pong_im, blu_re, blu_im, inverse)
-            }
+        if pong_re.len() < self.n {
+            pong_re.resize(self.n, T::ZERO);
         }
-    }
-}
-
-impl FftPlan<f64> {
-    /// Executes the transform in place on interleaved [`Complex`] samples,
-    /// including the `1/n` normalisation on the inverse so
-    /// `ifft(fft(x)) == x`.
-    ///
-    /// Compatibility wrapper: splits into a transient SoA pair per call.
-    /// Hot paths hold a [`crate::Field`] / [`FftScratch`] and use
-    /// [`FftPlan::execute_unscaled_split`] instead. [`Complex`] is `f64`,
-    /// so the interleaved surface exists on the reference-precision plan
-    /// only.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `data.len()` differs from the plan size.
-    #[inline]
-    pub fn execute(&self, data: &mut [Complex], inverse: bool) {
-        self.execute_unscaled(data, inverse);
-        if inverse && self.n > 1 {
-            let inv = 1.0 / self.n as f64;
-            for z in data.iter_mut() {
-                *z = z.scale(inv);
-            }
+        if pong_im.len() < self.n {
+            pong_im.resize(self.n, T::ZERO);
         }
-    }
-
-    /// Executes the transform on interleaved samples without the inverse
-    /// `1/n` normalisation (compatibility wrapper, see [`FftPlan::execute`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `data.len()` differs from the plan size.
-    pub fn execute_unscaled(&self, data: &mut [Complex], inverse: bool) {
-        assert_eq!(data.len(), self.n, "data length does not match plan size");
-        if self.n <= 1 {
-            return;
-        }
-        let mut re: Vec<f64> = data.iter().map(|z| z.re).collect();
-        let mut im: Vec<f64> = data.iter().map(|z| z.im).collect();
-        let mut scratch = FftScratch::new();
-        self.execute_unscaled_split(&mut re, &mut im, &mut scratch, inverse);
-        for (z, (r, i)) in data.iter_mut().zip(re.iter().zip(&im)) {
-            *z = Complex::new(*r, *i);
-        }
+        self.stages.run(
+            mode,
+            inverse,
+            re,
+            im,
+            &mut pong_re[..self.n],
+            &mut pong_im[..self.n],
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::{fft_inplace, Complex};
+    use cardopc_geometry::SplitMix64;
+
+    fn random_signal(n: usize, seed: u64) -> Vec<Complex> {
+        let mut rng = SplitMix64::new(seed);
+        (0..n)
+            .map(|_| Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)))
+            .collect()
+    }
 
     /// Naive O(n²) DFT used as the ground truth.
     fn dft(input: &[Complex], inverse: bool) -> Vec<Complex> {
@@ -887,15 +641,11 @@ mod tests {
     }
 
     fn check_against_dft(n: usize) {
-        use cardopc_geometry::SplitMix64;
-        let mut rng = SplitMix64::new(n as u64 + 7);
-        let input: Vec<Complex> = (0..n)
-            .map(|_| Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)))
-            .collect();
+        let input = random_signal(n, n as u64 + 7);
         for inverse in [false, true] {
             let expected = dft(&input, inverse);
             let mut got = input.clone();
-            FftPlan::<f64>::get(n).execute(&mut got, inverse);
+            fft_inplace(&mut got, inverse);
             let scale = (n as f64).max(1.0);
             for (a, b) in got.iter().zip(&expected) {
                 assert!(
@@ -908,30 +658,26 @@ mod tests {
 
     #[test]
     fn plan_matches_naive_dft_for_all_small_sizes() {
-        // Every length 1..=36 — exercises all radix butterflies, every
-        // greedy factoring order, and the Bluestein fallback (7, 11, 13,
-        // 14, 17, 19, 21, 22, 23, 26, 28, 29, 31, 33, 34, 35 are not
-        // 5-smooth).
-        for n in 1..=36 {
+        // Every 5-smooth length up to 36 — exercises all radix butterflies
+        // and every greedy factoring order.
+        for n in (1..=36).filter(|&n| crate::fft::is_five_smooth(n)) {
             check_against_dft(n);
         }
     }
 
     #[test]
     fn plan_matches_naive_dft_for_structured_sizes() {
-        // Pure powers of each radix, mixed 5-smooth composites, a prime,
-        // and a prime power.
-        for n in [64, 81, 125, 120, 135, 192, 243, 320, 360, 500, 512, 97, 121] {
+        // Pure powers of each radix and mixed 5-smooth composites.
+        for n in [64, 81, 125, 120, 135, 192, 243, 320, 360, 500, 512] {
             check_against_dft(n);
         }
     }
 
     #[test]
     fn f32_plan_matches_f64_reference_within_tolerance() {
-        use cardopc_geometry::SplitMix64;
-        // Direct (5-smooth) and Bluestein sizes through the f32 plan, with
-        // the f64 plan of the same size as the reference.
-        for n in [16usize, 60, 97, 125] {
+        // Pow2, mixed and odd sizes through the f32 plan, with the f64 plan
+        // of the same size as the reference.
+        for n in [16usize, 60, 75, 125] {
             let mut rng = SplitMix64::new(n as u64 + 3);
             let re64: Vec<f64> = (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect();
             let im64: Vec<f64> = (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect();
@@ -959,22 +705,35 @@ mod tests {
 
     #[test]
     fn split_path_matches_interleaved_path_bitwise() {
-        use cardopc_geometry::SplitMix64;
-        for n in [16usize, 15, 13] {
-            let mut rng = SplitMix64::new(n as u64);
-            let input: Vec<Complex> = (0..n)
-                .map(|_| Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)))
-                .collect();
-            let plan = FftPlan::<f64>::get(n);
+        for n in [16usize, 15, 45] {
+            let input = random_signal(n, n as u64);
             let mut interleaved = input.clone();
-            plan.execute_unscaled(&mut interleaved, false);
+            fft_inplace(&mut interleaved, false);
             let mut re: Vec<f64> = input.iter().map(|z| z.re).collect();
             let mut im: Vec<f64> = input.iter().map(|z| z.im).collect();
             let mut scratch = FftScratch::new();
-            plan.execute_unscaled_split(&mut re, &mut im, &mut scratch, false);
+            FftPlan::<f64>::get(n).execute_unscaled_split(&mut re, &mut im, &mut scratch, false);
             for (k, z) in interleaved.iter().enumerate() {
                 assert_eq!(z.re, re[k], "n {n} sample {k}");
                 assert_eq!(z.im, im[k], "n {n} sample {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn unscaled_inverse_differs_by_n() {
+        for n in [8usize, 12, 15] {
+            let input: Vec<Complex> = (0..n)
+                .map(|i| Complex::new(i as f64, -(i as f64)))
+                .collect();
+            let mut scaled = input.clone();
+            fft_inplace(&mut scaled, true);
+            let mut re: Vec<f64> = input.iter().map(|z| z.re).collect();
+            let mut im: Vec<f64> = input.iter().map(|z| z.im).collect();
+            let mut scratch = FftScratch::new();
+            FftPlan::<f64>::get(n).execute_unscaled_split(&mut re, &mut im, &mut scratch, true);
+            for (s, (r, i)) in scaled.iter().zip(re.into_iter().zip(im)) {
+                assert!((Complex::new(r, i).scale(1.0 / n as f64) - *s).norm() < 1e-12);
             }
         }
     }
@@ -995,43 +754,16 @@ mod tests {
     }
 
     #[test]
-    fn unscaled_inverse_differs_by_n() {
-        for n in [8usize, 12, 11] {
-            let plan = FftPlan::<f64>::get(n);
-            let input: Vec<Complex> = (0..n)
-                .map(|i| Complex::new(i as f64, -(i as f64)))
-                .collect();
-            let mut scaled = input.clone();
-            plan.execute(&mut scaled, true);
-            let mut unscaled = input;
-            plan.execute_unscaled(&mut unscaled, true);
-            for (s, u) in scaled.iter().zip(&unscaled) {
-                assert!((u.scale(1.0 / n as f64) - *s).norm() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn non_five_smooth_sizes_roundtrip() {
-        use cardopc_geometry::SplitMix64;
-        // Bluestein path: prime, prime-squared, and 2·prime lengths.
-        for n in [7usize, 49, 14, 97] {
-            let mut rng = SplitMix64::new(n as u64);
-            let input: Vec<Complex> = (0..n)
-                .map(|_| Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)))
-                .collect();
-            let plan = FftPlan::<f64>::get(n);
-            let mut x = input.clone();
-            plan.execute(&mut x, false);
-            plan.execute(&mut x, true);
-            for (a, b) in x.iter().zip(&input) {
-                assert!((*a - *b).norm() < 1e-10, "n {n}");
-            }
-        }
-    }
-
-    #[test]
     fn zero_length_plan_rejected() {
         assert!(std::panic::catch_unwind(|| FftPlan::<f64>::get(0)).is_err());
+    }
+
+    #[test]
+    fn non_five_smooth_length_rejected() {
+        let message = std::panic::catch_unwind(|| FftPlan::<f32>::get(13))
+            .expect_err("13 is not 5-smooth")
+            .downcast::<String>()
+            .expect("formatted panic message");
+        assert!(message.contains("next_five_smooth(13) = 15"), "{message}");
     }
 }

@@ -12,7 +12,7 @@
 //! Two invariants keep the genericization honest:
 //!
 //! * **`f64` is the reference.** All derived constants (twiddle factors,
-//!   chirps, butterfly constants, normalisations) are computed in `f64`
+//!   butterfly constants, normalisations) are computed in `f64`
 //!   and narrowed through [`Scalar::from_f64`] — for `T = f64` that is
 //!   the identity, so the double-precision path stays bit-identical to
 //!   the pre-generic implementation.

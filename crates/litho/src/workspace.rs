@@ -580,7 +580,7 @@ fn adjoint_chunk<T: Scalar>(
             .chunks_exact_mut(my)
             .zip(field_im.chunks_exact_mut(my))
         {
-            plan_y.execute_unscaled_split_with(mode, cr, ci, scratch, false);
+            plan_y.execute_unscaled_split(cr, ci, scratch, false);
         }
         let weight = T::from_f64(2.0 * patch.weight * norm);
         let (lane_re, lane_im) = (&mut rows_re[..mx], &mut rows_im[..mx]);
@@ -589,7 +589,7 @@ fn adjoint_chunk<T: Scalar>(
                 lane_re[x] = field_re[x * my + b];
                 lane_im[x] = field_im[x * my + b];
             }
-            plan_x.execute_unscaled_split_with(mode, lane_re, lane_im, scratch, false);
+            plan_x.execute_unscaled_split(lane_re, lane_im, scratch, false);
             for a in 0..pw {
                 let (p, gr, gi) = (b * pw + a, lane_re[a], lane_im[a]);
                 let (pr, pi) = (patch.re[p], patch.im[p]);
@@ -661,6 +661,7 @@ fn real_inverse<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::tests::five_smooth;
     use crate::fft::Field;
     use crate::optics::{build_kernels, FullKernel, OpticsConfig};
     use cardopc_geometry::SplitMix64;
@@ -845,9 +846,9 @@ mod tests {
 
     #[test]
     fn images_match_full_grid_reference_on_odd_grids() {
-        // Non-square 5-smooth, then odd × pow2 with a Bluestein axis.
+        // Non-square 5-smooth, then odd × pow2.
         check_against_reference(&OpticsConfig::default(), 100, 60, 4.0, 3);
-        check_against_reference(&OpticsConfig::default(), 77, 64, 8.0, 4);
+        check_against_reference(&OpticsConfig::default(), 75, 64, 8.0, 4);
         check_against_reference(&OpticsConfig::default(), 64, 64, 8.0, 5);
     }
 
@@ -861,25 +862,25 @@ mod tests {
         assert_eq!(stacks.coarse, (16, 16));
         assert_eq!(stacks.stacks[0].len(), cfg.source_points().len());
         check_against_reference(&cfg, 16, 16, 40.0, 6);
-        // One axis only: at 34 nm `2·span + 1` fills a 13-point axis but
-        // fits a 16-point one.
-        let stacks = SocsStacks::build(&cfg, 13, 16, 34.0).unwrap();
-        assert_eq!(stacks.coarse, (13, 15));
-        check_against_reference(&cfg, 13, 16, 34.0, 7);
+        // One axis only: at 34 nm `2·span + 1` rounds up to 15, which fills
+        // a 15-point axis but fits a 16-point one.
+        let stacks = SocsStacks::build(&cfg, 15, 16, 34.0).unwrap();
+        assert_eq!(stacks.coarse, (15, 15));
+        check_against_reference(&cfg, 15, 16, 34.0, 7);
     }
 
     #[test]
     fn vjp_matches_full_grid_reference_on_the_oracle_grids() {
-        // The grids the image oracle runs on: production, odd and Bluestein
-        // axes, and coarse grid = grid on both axes or on one.
+        // The grids the image oracle runs on: production, odd axes, and
+        // coarse grid = grid on both axes or on one.
         check_vjp_against_reference(&small_source(), 768, 768, 8.0, 11);
         check_vjp_against_reference(&small_source(), 500, 500, 4.0, 12);
         for (w, h, pitch, seed) in [
             (100usize, 60usize, 4.0, 13u64),
-            (77, 64, 8.0, 14),
+            (75, 64, 8.0, 14),
             (64, 64, 8.0, 15),
             (16, 16, 40.0, 16),
-            (13, 16, 34.0, 17),
+            (15, 16, 34.0, 17),
         ] {
             check_vjp_against_reference(&OpticsConfig::default(), w, h, pitch, seed);
         }
@@ -962,17 +963,17 @@ mod tests {
             upsample(stacks, &coarse, &mut WorkSlot::default(), None, &mut got);
             assert_close(&got, &upsample_reference(stacks, &coarse), tol, what);
         }
-        // The production grids, odd and Bluestein axes, and the two grids
+        // The production grids, odd axes, and the two grids
         // whose coarse grid is the grid itself (`image_band` from 0, Nyquist
         // row included) on both axes or on one.
         for (w, h, pitch) in [
             (768usize, 768usize, 8.0),
             (500, 500, 4.0),
             (100, 60, 4.0),
-            (77, 64, 8.0),
+            (75, 64, 8.0),
             (64, 64, 8.0),
             (16, 16, 40.0),
-            (13, 16, 34.0),
+            (15, 16, 34.0),
         ] {
             let stacks = SocsStacks::build(&OpticsConfig::default(), w, h, pitch).unwrap();
             let what = format!("{w}x{h} @ {pitch} nm");
@@ -992,8 +993,8 @@ mod tests {
             sigma_inner in 0.0f64..0.6,
             sigma_width in 0.0f64..0.4,
             defocus in -120.0f64..120.0,
-            w in 20usize..72,
-            h in 20usize..72,
+            w in five_smooth(20..72),
+            h in five_smooth(20..72),
         ) {
             let cfg = OpticsConfig {
                 source_rings: rings,
@@ -1082,8 +1083,8 @@ mod tests {
             (64usize, 64usize, 8.0),
             (45, 40, 8.0),
             (16, 16, 40.0),
-            (13, 16, 34.0),
-            (16, 13, 34.0),
+            (15, 16, 34.0),
+            (16, 15, 34.0),
         ] {
             let stacks = SocsStacks::build(&small_source(), w, h, pitch).unwrap();
             let what = format!("{w}x{h} @ {pitch} nm");

@@ -2,16 +2,23 @@
 //!
 //! Mirrors the f64 suite in `properties.rs` at f32-appropriate
 //! tolerances: the same structural invariants (round trip, Parseval,
-//! linearity, real-packed agreement) must hold on the narrowed
-//! twiddle/chirp tables and the `f32` instantiation of the generic kernels,
-//! across every code path — 5-smooth sizes run mixed-radix Stockham,
-//! everything else Bluestein.
+//! linearity, agreement with `f64`) must hold on the narrowed twiddle
+//! tables and the `f32` instantiation of the generic kernels, at every
+//! 5-smooth length.
 
 use cardopc_geometry::SplitMix64;
-use cardopc_litho::fft::{fft_inplace, Complex};
+use cardopc_litho::fft::{fft_inplace, is_five_smooth, Complex};
 use cardopc_litho::{FftPlan, FftScratch, Field, Scalar};
 use proptest::prelude::*;
+use std::ops::Range;
 use std::sync::Arc;
+
+/// The 5-smooth integers of `range` (the only lengths the FFT transforms),
+/// drawn uniformly.
+fn five_smooth(range: Range<usize>) -> impl Strategy<Value = usize> {
+    let sizes: Vec<usize> = range.filter(|&n| is_five_smooth(n)).collect();
+    (0..sizes.len()).prop_map(move |i| sizes[i])
+}
 
 /// Forward or inverse f32 transform on split buffers, including the
 /// inverse `1/n` normalisation (the split entry point leaves scaling to
@@ -34,7 +41,7 @@ fn fft32(re: &mut [f32], im: &mut [f32], scratch: &mut FftScratch<f32>, inverse:
 proptest! {
     /// FFT round trip is the identity at any length in single precision.
     #[test]
-    fn f32_fft_roundtrip(seed in 0u64..1000, n in 1usize..300) {
+    fn f32_fft_roundtrip(seed in 0u64..1000, n in five_smooth(1..300)) {
         let mut rng = SplitMix64::new(seed);
         let orig_re: Vec<f32> = (0..n).map(|_| rng.range_f64(-1.0, 1.0) as f32).collect();
         let orig_im: Vec<f32> = (0..n).map(|_| rng.range_f64(-1.0, 1.0) as f32).collect();
@@ -50,7 +57,7 @@ proptest! {
 
     /// Parseval in f32: time- and frequency-domain energies agree.
     #[test]
-    fn f32_fft_parseval(seed in 0u64..1000, n in 1usize..300) {
+    fn f32_fft_parseval(seed in 0u64..1000, n in five_smooth(1..300)) {
         let mut rng = SplitMix64::new(seed);
         let mut re: Vec<f32> = (0..n).map(|_| rng.range_f64(-1.0, 1.0) as f32).collect();
         let mut im: Vec<f32> = (0..n).map(|_| rng.range_f64(-1.0, 1.0) as f32).collect();
@@ -71,7 +78,7 @@ proptest! {
 
     /// Linearity in f32: FFT(αx + βy) == α·FFT(x) + β·FFT(y).
     #[test]
-    fn f32_fft_linearity(seed in 0u64..500, n in 1usize..200,
+    fn f32_fft_linearity(seed in 0u64..500, n in five_smooth(1..200),
                          alpha in -3.0..3.0f64, beta in -3.0..3.0f64) {
         let (alpha, beta) = (alpha as f32, beta as f32);
         let mut rng = SplitMix64::new(seed);
@@ -95,7 +102,7 @@ proptest! {
 
     /// The f32 transform tracks the f64 reference bin by bin.
     #[test]
-    fn f32_fft_tracks_f64(seed in 0u64..500, n in 1usize..300) {
+    fn f32_fft_tracks_f64(seed in 0u64..500, n in five_smooth(1..300)) {
         let mut rng = SplitMix64::new(seed);
         let signal: Vec<Complex> = (0..n)
             .map(|_| Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)))
@@ -118,7 +125,7 @@ proptest! {
 
     /// 2-D f32 round trip on Fields of arbitrary dimensions.
     #[test]
-    fn f32_field_roundtrip(seed in 0u64..200, w in 1usize..40, h in 1usize..40) {
+    fn f32_field_roundtrip(seed in 0u64..200, w in five_smooth(1..40), h in five_smooth(1..40)) {
         let mut rng = SplitMix64::new(seed);
         let real: Vec<f64> = (0..w * h).map(|_| rng.range_f64(-1.0, 1.0)).collect();
         let orig: Field<f32> = Field::from_real(w, h, &real);
@@ -127,20 +134,6 @@ proptest! {
         f.fft2_inplace(true);
         for (a, b) in f.iter().zip(orig.iter()) {
             prop_assert!((a - b).norm() < 2e-3);
-        }
-    }
-
-    /// Real-packed f32 forward transform agrees with the complex f32 path
-    /// at arbitrary dimensions (both parities of height).
-    #[test]
-    fn f32_forward_real_matches_complex(seed in 0u64..200, w in 1usize..24, h in 1usize..24) {
-        let mut rng = SplitMix64::new(seed);
-        let real: Vec<f64> = (0..w * h).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-        let packed: Field<f32> = Field::forward_real(w, h, &real);
-        let mut full: Field<f32> = Field::from_real(w, h, &real);
-        full.fft2_inplace(false);
-        for (a, b) in packed.iter().zip(full.iter()) {
-            prop_assert!((a - b).norm() < 5e-4 * (1.0 + b.norm()));
         }
     }
 }

@@ -1,16 +1,23 @@
 //! Property-based tests for the lithography substrate.
 
 use cardopc_geometry::{Grid, Point, Polygon, SplitMix64};
-use cardopc_litho::fft::{fft_inplace, Complex, Field};
+use cardopc_litho::fft::{fft_inplace, is_five_smooth, Complex, Field};
 use cardopc_litho::{epe_at, l2_error, pvb_area, rasterize, thresholded_xor_area, MeasurePoint};
 use proptest::prelude::*;
+use std::ops::Range;
+
+/// The 5-smooth integers of `range` (the only lengths the FFT transforms),
+/// drawn uniformly.
+fn five_smooth(range: Range<usize>) -> impl Strategy<Value = usize> {
+    let sizes: Vec<usize> = range.filter(|&n| is_five_smooth(n)).collect();
+    (0..sizes.len()).prop_map(move |i| sizes[i])
+}
 
 proptest! {
-    /// FFT round trip is the identity for arbitrary signals of *any*
-    /// length — 5-smooth sizes exercise the mixed-radix Stockham path,
-    /// everything else (primes, 7-smooth, …) the Bluestein fallback.
+    /// FFT round trip is the identity for arbitrary signals of any
+    /// 5-smooth length, odd ones included.
     #[test]
-    fn fft_roundtrip(seed in 0u64..1000, n in 1usize..300) {
+    fn fft_roundtrip(seed in 0u64..1000, n in five_smooth(1..300)) {
         let mut rng = SplitMix64::new(seed);
         let orig: Vec<Complex> = (0..n)
             .map(|_| Complex::new(rng.range_f64(-10.0, 10.0), rng.range_f64(-10.0, 10.0)))
@@ -26,7 +33,7 @@ proptest! {
     /// Parseval: time-domain and (normalised) frequency-domain energies
     /// agree at any transform length.
     #[test]
-    fn fft_parseval(seed in 0u64..1000, n in 1usize..300) {
+    fn fft_parseval(seed in 0u64..1000, n in five_smooth(1..300)) {
         let mut rng = SplitMix64::new(seed);
         let sig: Vec<Complex> = (0..n)
             .map(|_| Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)))
@@ -41,7 +48,7 @@ proptest! {
     /// 2-D FFT round trip on Fields of arbitrary (non-pow2 included)
     /// dimensions.
     #[test]
-    fn field_roundtrip(seed in 0u64..200, w in 1usize..40, h in 1usize..40) {
+    fn field_roundtrip(seed in 0u64..200, w in five_smooth(1..40), h in five_smooth(1..40)) {
         let mut rng = SplitMix64::new(seed);
         let real: Vec<f64> = (0..w * h).map(|_| rng.range_f64(-1.0, 1.0)).collect();
         let orig: Field = Field::from_real(w, h, &real);
@@ -55,7 +62,7 @@ proptest! {
 
     /// Linearity: FFT(αx + βy) == α·FFT(x) + β·FFT(y), any length.
     #[test]
-    fn fft_linearity(seed in 0u64..500, n in 1usize..200,
+    fn fft_linearity(seed in 0u64..500, n in five_smooth(1..200),
                      alpha in -3.0..3.0f64, beta in -3.0..3.0f64) {
         let mut rng = SplitMix64::new(seed);
         let gen = |rng: &mut SplitMix64| -> Vec<Complex> {
@@ -77,20 +84,6 @@ proptest! {
         for ((c, a), b) in combo.iter().zip(&fx).zip(&fy) {
             let want = Complex::new(alpha * a.re + beta * b.re, alpha * a.im + beta * b.im);
             prop_assert!((*c - want).norm() < 1e-7 * (1.0 + want.norm()));
-        }
-    }
-
-    /// Real-packed forward transform agrees with the complex path at
-    /// arbitrary dimensions (both parities of height).
-    #[test]
-    fn forward_real_matches_complex(seed in 0u64..200, w in 1usize..24, h in 1usize..24) {
-        let mut rng = SplitMix64::new(seed);
-        let real: Vec<f64> = (0..w * h).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-        let packed: Field = Field::forward_real(w, h, &real);
-        let mut full: Field = Field::from_real(w, h, &real);
-        full.fft2_inplace(false);
-        for (a, b) in packed.iter().zip(full.iter()) {
-            prop_assert!((a - b).norm() < 1e-9 * (1.0 + b.norm()));
         }
     }
 

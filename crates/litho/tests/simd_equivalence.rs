@@ -66,10 +66,7 @@ fn max_rel_diff(a: &Grid, b: &Grid) -> f64 {
 
 /// The Stockham stages must match across compilations bit for bit, at
 /// lengths covering every radix at unit and wide strides, with and without
-/// odd-`m` tails (e.g. 60 = 4·3·5 hits s=12). Bluestein lengths are
-/// excluded: their convolution runs through the pointwise FMA kernels,
-/// which differ from scalar by design (one rounding), so only 5-smooth
-/// lengths carry the bitwise guarantee.
+/// odd-`m` tails (e.g. 60 = 4·3·5 hits s=12).
 fn check_plan_bitwise_scalar_vs_avx2<T: Scalar>() {
     let _guard = MODE_LOCK.lock().unwrap();
     if !simd::avx2_available() {

@@ -94,8 +94,8 @@ impl EvalScratch {
 /// Both aerial images (nominal + defocused) come from a single forward
 /// mask FFT ([`LithoEngine::aerial_images_multi`]), and the L2/PVB terms
 /// fuse thresholding with the XOR count instead of materialising binarized
-/// grids — the scores are identical to the serial per-condition
-/// [`LithoEngine::aerial_image_at`] + `binarize` formulation.
+/// grids — the scores are identical to imaging each condition on its own
+/// and binarising ([`LithoEngine::print`]).
 ///
 /// # Errors
 ///

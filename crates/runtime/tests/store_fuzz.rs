@@ -1,6 +1,7 @@
 //! Hostile inputs for the run directory's store: a seeded harness damages
 //! the `tiles.jsonl` of a finished array run — truncation at many offsets,
-//! single-byte flips, a deleted entry line, duplicated and reordered lines,
+//! single-byte flips, a deleted entry line, an entry line whose control
+//! point overflows to infinity, duplicated and reordered lines,
 //! tile lines whose placement does not fit their entry — and checks every
 //! case three ways: `load_records` does not panic; a resume re-executes
 //! exactly the damaged tiles (the count is known because every damaged
@@ -254,6 +255,22 @@ fn damaged_checkpoints_re_execute_exactly_the_damaged_tiles() {
             h.check(&format!("entry line {at} deleted"), &deleted);
         }
     }
+
+    // An entry whose first control point overflows to ±∞ does not parse,
+    // so it is lost like a deleted one and its class re-executes.
+    let (at, key) = (h.lines.iter().enumerate())
+        .find_map(|(at, (_, line))| match line {
+            StoreLine::Entry(key, _) => Some((at, *key)),
+            StoreLine::Tile(_) => None,
+        })
+        .unwrap();
+    let line = &h.lines[at].0;
+    let first = line.find(r#""cps":["#).unwrap() + r#""cps":["#.len();
+    let end = first + line[first..].find([',', ']']).unwrap();
+    let overflowed = h.with_line(at, &format!("{}1e999{}", &line[..first], &line[end..]));
+    let size = classes.iter().find(|(k, _)| *k == key).unwrap().1;
+    assert_eq!(h.damaged_tiles(&overflowed), size);
+    h.check("entry control point 1e999", &overflowed);
 
     // Duplicated and reordered lines lose nothing: entries and tiles may
     // come in any order, and any number of times.
