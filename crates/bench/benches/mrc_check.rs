@@ -37,14 +37,6 @@ fn bench_check(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_curvature_only(c: &mut Criterion) {
-    let shapes = shape_field(8);
-    let checker = MrcChecker::new(MrcRules::default());
-    c.bench_function("mrc_curvature_64_shapes", |b| {
-        b.iter(|| black_box(checker.check_curvature(black_box(&shapes))))
-    });
-}
-
 fn bench_resolve(c: &mut Criterion) {
     // Two shapes with a fixable spacing violation.
     let mk = |x0: f64| {
@@ -195,7 +187,6 @@ fn bench_seam_bands(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_check,
-    bench_curvature_only,
     bench_resolve,
     bench_logic_tiles,
     bench_seam_bands

@@ -11,7 +11,7 @@
 //! control_points compare parent.txt change.txt
 //! ```
 //!
-//! Run the dump for `f64` and `f32`, with and without `CARDOPC_SIMD=off`.
+//! Run the dump for `f64` and `f32`.
 //! The file only uses public API that predates it, so it builds when copied
 //! into a checkout of the parent commit.
 

@@ -1,15 +1,14 @@
 //! A tiny blocking HTTP client for the coordinator, tests, smoke
 //! scripts, and CI.
 //!
-//! Two flavours share one wire parser:
-//!
-//! - the free functions ([`request`], [`get`], ...) open a fresh
-//!   connection per request (`Connection: close`, read to EOF) — fine
-//!   for tests and one-shot admin calls;
-//! - [`Connection`] keeps one TCP connection alive across requests
-//!   (`Connection: keep-alive`, `Content-Length`-framed reads) — the
-//!   coordinator holds one per dispatch lane so the dispatch path pays
-//!   no connect/teardown tax.
+//! [`Connection`] keeps one TCP connection alive across requests
+//! (`Connection: keep-alive`, `Content-Length`-framed reads capped at
+//! [`MAX_RESPONSE_BYTES`]) — the coordinator holds one per dispatch lane
+//! so the dispatch path pays no connect/teardown tax. The free functions
+//! ([`request`], [`get`], ...) are one request on a fresh [`Connection`],
+//! so one-shot admin calls and the coordinator's harvest get the same
+//! framing, size cap and timeouts. [`send_raw`] alone reads to EOF, for
+//! the fuzz corpora.
 
 use crate::proto::MAX_BATCH;
 use cardopc_json::Json;
@@ -74,7 +73,8 @@ pub fn request(
 /// # Errors
 ///
 /// See [`request`]; additionally `TimedOut`/`WouldBlock` when the deadline
-/// passes mid-read.
+/// passes mid-read, and `InvalidData` when the response declares more than
+/// [`MAX_RESPONSE_BYTES`].
 pub fn request_with_timeout(
     addr: SocketAddr,
     method: &str,
@@ -82,13 +82,7 @@ pub fn request_with_timeout(
     body: Option<&str>,
     timeout: Duration,
 ) -> io::Result<HttpResponse> {
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    );
-    let raw = send_raw_with_timeout(addr, format!("{head}{body}").as_bytes(), timeout)?;
-    parse_response(&raw)
+    Connection::new(addr).request_with_timeout(method, path, body, timeout)
 }
 
 /// `GET path`.
@@ -290,26 +284,14 @@ fn read_framed_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
 }
 
 /// Writes arbitrary bytes to the server and reads until the connection
-/// closes. The fuzz tests use this to deliver malformed requests that
-/// [`request`] could never produce.
+/// closes (or a read fails or times out, after 30 s). The fuzz tests use
+/// this to deliver malformed requests that [`request`] could never produce.
 ///
 /// # Errors
 ///
-/// Connection/IO failures.
+/// Connection and write failures.
 pub fn send_raw(addr: SocketAddr, bytes: &[u8]) -> io::Result<Vec<u8>> {
-    send_raw_with_timeout(addr, bytes, Duration::from_secs(30))
-}
-
-/// [`send_raw`] with an explicit connect/read/write timeout.
-///
-/// # Errors
-///
-/// Connection/IO failures.
-pub fn send_raw_with_timeout(
-    addr: SocketAddr,
-    bytes: &[u8],
-    timeout: Duration,
-) -> io::Result<Vec<u8>> {
+    let timeout = Duration::from_secs(30);
     let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
@@ -319,14 +301,7 @@ pub fn send_raw_with_timeout(
     // timeout when `bytes` is a truncated request.
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut response = Vec::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => response.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
-    }
+    let _ = stream.read_to_end(&mut response);
     Ok(response)
 }
 
@@ -356,4 +331,54 @@ fn parse_response(raw: &[u8]) -> io::Result<HttpResponse> {
         headers,
         body: raw[head_end + 4..].to_vec(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A peer that accepts one connection, reads the request, writes
+    /// `answer` and then sends nothing more until the client hangs up.
+    fn stalling_peer(answer: Vec<u8>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = [0u8; 1024];
+            let _ = stream.read(&mut request);
+            stream.write_all(&answer).unwrap();
+            // Returns once the client closes its end.
+            let _ = stream.read_to_end(&mut Vec::new());
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn a_body_cut_short_by_the_deadline_is_an_error_not_a_truncated_ok() {
+        let (addr, peer) =
+            stalling_peer(b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nabc".to_vec());
+        let err = request_with_timeout(addr, "GET", "/", None, Duration::from_millis(200))
+            .expect_err("a 3-byte body of a declared 10 was accepted");
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+            ),
+            "{err:?}"
+        );
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn an_oversized_declared_length_is_refused_before_the_body() {
+        let declared = MAX_RESPONSE_BYTES + 1;
+        let (addr, peer) = stalling_peer(
+            format!("HTTP/1.1 200 OK\r\ncontent-length: {declared}\r\n\r\n").into_bytes(),
+        );
+        // Waiting for a body byte would run into the 30 s deadline instead.
+        let err = get(addr, "/v1/records").expect_err("an oversized answer was accepted");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err:?}");
+        peer.join().unwrap();
+    }
 }

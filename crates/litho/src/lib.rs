@@ -10,7 +10,8 @@
 //!   (mixed-radix Stockham on 5-smooth sizes, the only grids the engine
 //!   accepts; no FFT crate is on the approved dependency list) whose
 //!   kernels are each written once and compiled plain and under AVX2/FMA,
-//!   picked at runtime (`CARDOPC_SIMD=off` forces the plain compilation),
+//!   picked at runtime; the two compilations round identically, so
+//!   outputs do not depend on the host,
 //! * [`OpticsConfig`] / SOCS kernel synthesis — an annular partially
 //!   coherent source discretised by Abbe's method into a kernel stack with
 //!   exactly the Hopkins structure `I = Σ w_k |M ⊗ h_k|²`, stored as
@@ -62,9 +63,8 @@ pub use engine::{LithoEngine, ProcessCondition};
 pub use error::LithoError;
 pub use fft::{next_five_smooth, FftScratch, Field};
 pub use metrics::{
-    epe_at, epe_footprint, l2_error, measure_epe, measure_epe_into, metal_measure_points,
-    metal_measure_points_into, pvb_area, thresholded_xor_area, via_measure_points,
-    via_measure_points_into, EpeReport, MeasurePoint,
+    epe_at, epe_footprint, l2_error, measure_epe, metal_measure_points, pvb_area,
+    thresholded_xor_area, via_measure_points, EpeReport, MeasurePoint,
 };
 pub use optics::{OpticsConfig, SocsStacks};
 pub use plan::FftPlan;

@@ -1,11 +1,7 @@
 //! OPC quality metrics: EPE, L2 and the process variation band (§II-B).
 //!
-//! Every metric has a zero-allocation form for scoring loops: site
-//! generation and EPE evaluation write into caller-owned buffers
-//! ([`via_measure_points_into`], [`metal_measure_points_into`],
-//! [`measure_epe_into`]), and the binary-image comparisons fuse the
-//! thresholding with the XOR count ([`thresholded_xor_area`]) instead of
-//! materialising binarized grids.
+//! The binary-image comparisons fuse the thresholding with the XOR count
+//! ([`thresholded_xor_area`]) instead of materialising binarized grids.
 
 use cardopc_geometry::{Grid, Orientation, Point, Polygon, Segment};
 
@@ -120,23 +116,6 @@ pub fn epe_footprint<'a>(
     (0..width * height).filter(|&i| read[i]).collect()
 }
 
-/// Evaluates EPE at every measure point into a caller-owned buffer
-/// (cleared first) — the zero-allocation form of [`measure_epe`].
-pub fn measure_epe_into(
-    aerial: &Grid,
-    threshold: f64,
-    sites: &[MeasurePoint],
-    search_range: f64,
-    values: &mut Vec<f64>,
-) {
-    values.clear();
-    values.extend(
-        sites
-            .iter()
-            .map(|s| epe_at(aerial, threshold, s, search_range)),
-    );
-}
-
 /// Evaluates EPE at every measure point.
 pub fn measure_epe(
     aerial: &Grid,
@@ -144,10 +123,11 @@ pub fn measure_epe(
     sites: &[MeasurePoint],
     search_range: f64,
 ) -> EpeReport {
-    let mut values = Vec::with_capacity(sites.len());
-    measure_epe_into(aerial, threshold, sites, search_range, &mut values);
     EpeReport {
-        values,
+        values: sites
+            .iter()
+            .map(|s| epe_at(aerial, threshold, s, search_range))
+            .collect(),
         search_range,
     }
 }
@@ -173,10 +153,10 @@ fn for_each_ccw_edge(poly: &Polygon, mut f: impl FnMut(Segment)) {
     }
 }
 
-/// Generates via-layer measure points into a caller-owned buffer (cleared
-/// first) — the zero-allocation form of [`via_measure_points`].
-pub fn via_measure_points_into(targets: &[Polygon], out: &mut Vec<MeasurePoint>) {
-    out.clear();
+/// Generates via-layer measure points: the centre of every polygon edge
+/// (the paper's convention for via clips).
+pub fn via_measure_points(targets: &[Polygon]) -> Vec<MeasurePoint> {
+    let mut out = Vec::new();
     for poly in targets {
         for_each_ccw_edge(poly, |e| {
             if let Some(dir) = e.delta().normalized() {
@@ -188,20 +168,14 @@ pub fn via_measure_points_into(targets: &[Polygon], out: &mut Vec<MeasurePoint>)
             }
         });
     }
-}
-
-/// Generates via-layer measure points: the centre of every polygon edge
-/// (the paper's convention for via clips).
-pub fn via_measure_points(targets: &[Polygon]) -> Vec<MeasurePoint> {
-    let mut out = Vec::new();
-    via_measure_points_into(targets, &mut out);
     out
 }
 
-/// Generates metal-layer measure points into a caller-owned buffer
-/// (cleared first) — the zero-allocation form of [`metal_measure_points`].
-pub fn metal_measure_points_into(targets: &[Polygon], spacing: f64, out: &mut Vec<MeasurePoint>) {
-    out.clear();
+/// Generates metal-layer measure points: sites every `spacing` nanometres
+/// along each edge (plus the edge midpoint for short edges), matching the
+/// paper's 60 nm-pitch convention.
+pub fn metal_measure_points(targets: &[Polygon], spacing: f64) -> Vec<MeasurePoint> {
+    let mut out = Vec::new();
     for poly in targets {
         for_each_ccw_edge(poly, |e| {
             let len = e.length();
@@ -227,14 +201,6 @@ pub fn metal_measure_points_into(targets: &[Polygon], spacing: f64, out: &mut Ve
             }
         });
     }
-}
-
-/// Generates metal-layer measure points: sites every `spacing` nanometres
-/// along each edge (plus the edge midpoint for short edges), matching the
-/// paper's 60 nm-pitch convention.
-pub fn metal_measure_points(targets: &[Polygon], spacing: f64) -> Vec<MeasurePoint> {
-    let mut out = Vec::new();
-    metal_measure_points_into(targets, spacing, &mut out);
     out
 }
 

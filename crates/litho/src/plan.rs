@@ -127,11 +127,11 @@ impl<T: Scalar> Stages<T> {
         match (mode, inverse) {
             // SAFETY: `SimdMode::Avx2` is only produced after runtime
             // AVX2+FMA detection (crate::simd::active_mode / force_mode).
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+            #[cfg(target_arch = "x86_64")]
             (SimdMode::Avx2, true) => unsafe {
                 stages_avx2::<false, T>(self, tw_im, re, im, pr, pi)
             },
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+            #[cfg(target_arch = "x86_64")]
             (SimdMode::Avx2, false) => unsafe {
                 stages_avx2::<true, T>(self, tw_im, re, im, pr, pi)
             },
@@ -149,7 +149,7 @@ impl<T: Scalar> Stages<T> {
 ///
 /// # Safety
 /// Caller must have verified AVX2+FMA support at runtime.
-#[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn stages_avx2<const FWD: bool, T: Scalar>(
     plan: &Stages<T>,

@@ -91,8 +91,7 @@ mod private {
 /// `f64` and `f32`).
 ///
 /// Bounds cover everything the generic FFT/SOCS code needs: plain
-/// arithmetic, conversions to and from the `f64` reference domain, and a
-/// fused multiply-add for the AVX2 compilation of the pointwise kernels.
+/// arithmetic and conversions to and from the `f64` reference domain.
 pub trait Scalar:
     private::Sealed
     + Copy
@@ -127,11 +126,6 @@ pub trait Scalar:
     /// Widening (for `f32`) or identity (for `f64`) conversion back to
     /// the `f64` output domain.
     fn to_f64(self) -> f64;
-
-    /// Fused multiply-add `self * a + b` (one rounding). The only place
-    /// the simulation fuses: the AVX2 compilation of the pointwise kernels
-    /// in [`crate::simd`], where it lowers to vector FMA lanes.
-    fn mul_add(self, a: Self, b: Self) -> Self;
 }
 
 impl Scalar for f64 {
@@ -148,11 +142,6 @@ impl Scalar for f64 {
     fn to_f64(self) -> f64 {
         self
     }
-
-    #[inline(always)]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        f64::mul_add(self, a, b)
-    }
 }
 
 impl Scalar for f32 {
@@ -168,11 +157,6 @@ impl Scalar for f32 {
     #[inline(always)]
     fn to_f64(self) -> f64 {
         f64::from(self)
-    }
-
-    #[inline(always)]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        f32::mul_add(self, a, b)
     }
 }
 

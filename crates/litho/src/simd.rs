@@ -11,25 +11,18 @@
 //! Each kernel is **one generic Rust body** over [`Scalar`] (`f64` and
 //! `f32`), compiled twice:
 //!
-//! * **plain** — baseline SSE2 on x86-64, no FMA contraction (Rust never
-//!   fuses `a*b + c`), so results are bit-reproducible across machines;
+//! * **plain** — baseline SSE2 on x86-64;
 //! * inside a `#[target_feature(enable = "avx2,fma")]` wrapper, behind
 //!   runtime detection — the autovectorizer then uses 256-bit lanes (4
 //!   `f64` or 8 `f32` per operation).
 //!
-//! The FFT stages (`crate::plan`) are the same arithmetic in both
-//! compilations, so they are **bitwise identical** across modes. The two
-//! pointwise kernels, [`cmul`] and [`acc_norm_sq`], take a `const FUSED:
-//! bool`: the AVX2 compilation rounds through [`Scalar::mul_add`] where the
-//! plain one evaluates `a*b + c`, so the modes differ there by one FMA
-//! rounding per operation — consumer paths are guarded by equivalence
-//! tests at each precision's tolerance.
+//! Rust never contracts `a*b + c` into an FMA, and every body spells out
+//! the same expressions, so the two compilations are **bitwise identical**:
+//! the dispatch mode is a speed choice only, and a run's outputs do not
+//! depend on the host's instruction set.
 //!
-//! Dispatch is resolved once per process from, in priority order: the
-//! `scalar-only` compile feature, the `CARDOPC_SIMD` environment variable
-//! (`off`/`0`/`scalar` forces the scalar path; anything else auto-detects),
-//! and CPUID. [`force_mode`] overrides the cached decision for equivalence
-//! tests and benchmarks.
+//! Dispatch is resolved once per process from CPUID. [`force_mode`]
+//! overrides the cached decision for equivalence tests and benchmarks.
 
 use crate::scalar::Scalar;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -38,35 +31,25 @@ use std::sync::OnceLock;
 /// Which compilation of the kernels the process is executing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdMode {
-    /// The plain compilation (no FMA contraction; bit-reproducible).
+    /// The plain compilation.
     Scalar,
     /// The `avx2,fma` compilation (x86-64 only, runtime-detected).
     Avx2,
 }
 
-/// `true` when the running CPU supports the AVX2/FMA compilation (and it
-/// was not compiled out via the `scalar-only` feature).
+/// `true` when the running CPU supports the AVX2/FMA compilation.
 pub fn avx2_available() -> bool {
-    #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+    #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
 }
 
 fn detect() -> SimdMode {
-    if cfg!(feature = "scalar-only") {
-        return SimdMode::Scalar;
-    }
-    if let Ok(v) = std::env::var("CARDOPC_SIMD") {
-        let v = v.to_ascii_lowercase();
-        if v == "off" || v == "0" || v == "scalar" {
-            return SimdMode::Scalar;
-        }
-    }
     if avx2_available() {
         SimdMode::Avx2
     } else {
@@ -92,13 +75,13 @@ pub fn active_mode() -> SimdMode {
     }
 }
 
-/// Overrides the process-wide dispatch mode (`None` restores env/CPUID
+/// Overrides the process-wide dispatch mode (`None` restores CPUID
 /// resolution).
 ///
 /// Intended for equivalence tests and benchmarks that compare both paths in
 /// one process; such tests must serialise themselves (the override is
-/// global). Forcing [`SimdMode::Avx2`] on a machine without AVX2/FMA (or
-/// under the `scalar-only` feature) silently stays scalar.
+/// global). Forcing [`SimdMode::Avx2`] on a machine without AVX2/FMA
+/// silently stays scalar.
 pub fn force_mode(mode: Option<SimdMode>) {
     let v = match mode {
         None => 0,
@@ -117,58 +100,42 @@ pub fn force_mode(mode: Option<SimdMode>) {
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
-fn cmul_body<const FUSED: bool, T: Scalar>(
-    ar: &[T],
-    ai: &[T],
-    br: &[T],
-    bi: &[T],
-    dr: &mut [T],
-    di: &mut [T],
-) {
+fn cmul_body<T: Scalar>(ar: &[T], ai: &[T], br: &[T], bi: &[T], dr: &mut [T], di: &mut [T]) {
     let n = ar.len();
     let (ai, br, bi) = (&ai[..n], &br[..n], &bi[..n]);
     let (dr, di) = (&mut dr[..n], &mut di[..n]);
     for k in 0..n {
         let (xr, xi) = (ar[k], ai[k]);
         let (yr, yi) = (br[k], bi[k]);
-        if FUSED {
-            dr[k] = xr.mul_add(yr, -(xi * yi));
-            di[k] = xr.mul_add(yi, xi * yr);
-        } else {
-            dr[k] = xr * yr - xi * yi;
-            di[k] = xr * yi + xi * yr;
-        }
+        dr[k] = xr * yr - xi * yi;
+        di[k] = xr * yi + xi * yr;
     }
 }
 
 #[inline(always)]
-fn acc_norm_sq_body<const FUSED: bool, T: Scalar>(re: &[T], im: &[T], w: T, acc: &mut [T]) {
+fn acc_norm_sq_body<T: Scalar>(re: &[T], im: &[T], w: T, acc: &mut [T]) {
     let n = re.len();
     let im = &im[..n];
     let acc = &mut acc[..n];
     for k in 0..n {
-        if FUSED {
-            acc[k] = w.mul_add(im[k].mul_add(im[k], re[k] * re[k]), acc[k]);
-        } else {
-            acc[k] += w * (re[k] * re[k] + im[k] * im[k]);
-        }
+        acc[k] += w * (re[k] * re[k] + im[k] * im[k]);
     }
 }
 
 /// # Safety
 /// Caller must have verified AVX2+FMA support at runtime.
-#[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn cmul_avx2<T: Scalar>(ar: &[T], ai: &[T], br: &[T], bi: &[T], dr: &mut [T], di: &mut [T]) {
-    cmul_body::<true, T>(ar, ai, br, bi, dr, di);
+    cmul_body(ar, ai, br, bi, dr, di);
 }
 
 /// # Safety
 /// Caller must have verified AVX2+FMA support at runtime.
-#[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn acc_norm_sq_avx2<T: Scalar>(re: &[T], im: &[T], w: T, acc: &mut [T]) {
-    acc_norm_sq_body::<true, T>(re, im, w, acc);
+    acc_norm_sq_body(re, im, w, acc);
 }
 
 // ---------------------------------------------------------------------------
@@ -192,9 +159,9 @@ pub(crate) fn cmul<T: Scalar>(
     match mode {
         // SAFETY: `SimdMode::Avx2` is only ever produced after runtime
         // AVX2+FMA detection (see `active_mode` / `force_mode`).
-        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+        #[cfg(target_arch = "x86_64")]
         SimdMode::Avx2 => unsafe { cmul_avx2(ar, ai, br, bi, dr, di) },
-        _ => cmul_body::<false, T>(ar, ai, br, bi, dr, di),
+        _ => cmul_body(ar, ai, br, bi, dr, di),
     }
 }
 
@@ -207,9 +174,9 @@ pub(crate) fn cmul<T: Scalar>(
 pub(crate) fn acc_norm_sq<T: Scalar>(mode: SimdMode, re: &[T], im: &[T], w: T, acc: &mut [T]) {
     match mode {
         // SAFETY: `SimdMode::Avx2` implies runtime AVX2+FMA support.
-        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+        #[cfg(target_arch = "x86_64")]
         SimdMode::Avx2 => unsafe { acc_norm_sq_avx2(re, im, w, acc) },
-        _ => acc_norm_sq_body::<false, T>(re, im, w, acc),
+        _ => acc_norm_sq_body(re, im, w, acc),
     }
 }
 
@@ -272,11 +239,9 @@ mod tests {
     }
 
     /// Both dispatch modes of both pointwise kernels, at every length
-    /// straddling the 4-lane (`f64`) and 8-lane (`f32`) widths, bit for bit:
-    /// the plain compilation against the plain expressions, the AVX2 one
-    /// against the same expressions through per-element `mul_add` (and
-    /// within `tol`, one FMA rounding, of the plain result).
-    fn check_modes_agree<T: Scalar>(tol: f64) {
+    /// straddling the 4-lane (`f64`) and 8-lane (`f32`) widths, bit for bit
+    /// against the plain expressions.
+    fn check_modes_bitwise<T: Scalar>() {
         for n in [1usize, 3, 4, 5, 7, 8, 9, 17, 64] {
             let ar = randv::<T>(n, 1);
             let ai = randv::<T>(n, 2);
@@ -288,7 +253,6 @@ mod tests {
                 if mode == SimdMode::Avx2 && !avx2_available() {
                     continue;
                 }
-                let fused = mode == SimdMode::Avx2;
                 let (mut dr, mut di) = (vec![T::ZERO; n], vec![T::ZERO; n]);
                 cmul(mode, &ar, &ai, &br, &bi, &mut dr, &mut di);
                 let mut acc = vec![quarter; n];
@@ -297,17 +261,12 @@ mod tests {
                     let er = ar[k] * br[k] - ai[k] * bi[k];
                     let ei = ar[k] * bi[k] + ai[k] * br[k];
                     let ea = quarter + w * (ar[k] * ar[k] + ai[k] * ai[k]);
-                    if fused {
-                        let fr = ar[k].mul_add(br[k], -(ai[k] * bi[k]));
-                        let fi = ar[k].mul_add(bi[k], ai[k] * br[k]);
-                        let fa = w.mul_add(ai[k].mul_add(ai[k], ar[k] * ar[k]), quarter);
-                        assert_eq!((dr[k], di[k], acc[k]), (fr, fi, fa), "n {n} k {k}");
-                        assert!((dr[k] - er).to_f64().abs() < tol);
-                        assert!((di[k] - ei).to_f64().abs() < tol);
-                        assert!((acc[k] - ea).to_f64().abs() < tol);
-                    } else {
-                        assert_eq!((dr[k], di[k], acc[k]), (er, ei, ea), "n {n} k {k}");
-                    }
+                    let bits = |v: T| v.to_f64().to_bits();
+                    assert_eq!(
+                        [bits(dr[k]), bits(di[k]), bits(acc[k])],
+                        [bits(er), bits(ei), bits(ea)],
+                        "{mode:?} n {n} k {k}"
+                    );
                 }
             }
         }
@@ -315,12 +274,12 @@ mod tests {
 
     #[test]
     fn dispatch_modes_agree_within_fma_rounding_f64() {
-        check_modes_agree::<f64>(1e-12);
+        check_modes_bitwise::<f64>();
     }
 
     #[test]
     fn dispatch_modes_agree_within_fma_rounding_f32() {
-        check_modes_agree::<f32>(1e-5);
+        check_modes_bitwise::<f32>();
     }
 
     fn panics(f: impl FnOnce()) -> bool {

@@ -1,14 +1,10 @@
 //! Scalar-vs-SIMD equivalence and determinism for the lithography engine.
 //!
 //! Every kernel is one generic body compiled twice, plain and under
-//! `avx2,fma`. The FFT stages are bitwise mode-independent by contract at
-//! both precisions: the same source in both compilations, and Rust never
-//! contracts `a*b+c` into an FMA. Only the two pointwise kernels (complex
-//! products and the `w·|z|²` accumulate) differ from scalar, by one FMA
-//! rounding through `Scalar::mul_add`. These tests pin the FFT bitwise
-//! contract directly, bound the pointwise difference at ≤1e-9 on the
-//! engine's end-to-end paths, and pin each mode to bitwise determinism
-//! across worker counts.
+//! `avx2,fma`, and Rust never contracts `a*b+c` into an FMA, so the two
+//! compilations are bitwise identical at both precisions. These tests pin
+//! that contract on the FFT stages and on the engine's end-to-end image
+//! paths, and pin each mode to bitwise determinism across worker counts.
 //!
 //! All tests mutate the process-global forced dispatch mode, so they
 //! serialise on one mutex and restore the default before releasing it.
@@ -56,12 +52,8 @@ fn engine(w: usize, h: usize, pitch: f64) -> LithoEngine {
     e
 }
 
-fn max_rel_diff(a: &Grid, b: &Grid) -> f64 {
-    a.data()
-        .iter()
-        .zip(b.data())
-        .map(|(x, y)| (x - y).abs() / (1.0 + x.abs()))
-        .fold(0.0, f64::max)
+fn bits(g: &Grid) -> Vec<u64> {
+    g.data().iter().map(|v| v.to_bits()).collect()
 }
 
 /// The Stockham stages must match across compilations bit for bit, at
@@ -121,8 +113,7 @@ fn aerial_image_scalar_vs_simd_within_1e9() {
         let mask = test_mask(w, h, 4.0);
         let scalar = with_mode(SimdMode::Scalar, || e.aerial_image(&mask).unwrap());
         let vector = with_mode(SimdMode::Avx2, || e.aerial_image(&mask).unwrap());
-        let d = max_rel_diff(&scalar, &vector);
-        assert!(d <= 1e-9, "{w}x{h}: scalar/SIMD aerial diff {d}");
+        assert_eq!(bits(&scalar), bits(&vector), "{w}x{h}: scalar/SIMD aerial");
     }
 }
 
@@ -146,8 +137,7 @@ fn multi_condition_scalar_vs_simd_within_1e9() {
         e.aerial_images_multi(&mask, &conditions).unwrap()
     });
     for (i, (a, b)) in scalar.iter().zip(&vector).enumerate() {
-        let d = max_rel_diff(a, b);
-        assert!(d <= 1e-9, "condition {i}: scalar/SIMD diff {d}");
+        assert_eq!(bits(a), bits(b), "condition {i}: scalar/SIMD");
     }
 }
 

@@ -669,29 +669,6 @@ impl MrcChecker {
         kept.own_runs.clear();
     }
 
-    /// Spacing-rule check only.
-    pub fn check_spacing(&self, shapes: &[CardinalSpline]) -> Vec<Violation> {
-        self.check_probes(ViolationKind::Spacing, shapes)
-    }
-
-    /// Width-rule check only.
-    pub fn check_width(&self, shapes: &[CardinalSpline]) -> Vec<Violation> {
-        self.check_probes(ViolationKind::Width, shapes)
-    }
-
-    fn check_probes(&self, kind: ViolationKind, shapes: &[CardinalSpline]) -> Vec<Violation> {
-        let world = MrcWorld::build(shapes, self.samples_per_segment);
-        let tree = shape_tree(&world.shapes);
-        let (mut stack, mut out) = (Vec::new(), Vec::new());
-        for (si, cache) in world.shapes.iter().enumerate() {
-            for j in 0..cache.sampled.positions.len() {
-                let hit = self.launch(kind, &world.shapes, &tree, si, j, &mut stack);
-                out.extend(hit.map(|d| self.probe_violation(kind, cache, si, j, d)));
-            }
-        }
-        out
-    }
-
     /// Spacing-rule check restricted to a set of rectangular bands:
     /// probes are launched only from boundary samples inside one of the
     /// `bands`, and shapes out of reach of every band
@@ -775,29 +752,6 @@ impl MrcChecker {
             }
         }
         near
-    }
-
-    /// Area-rule check only.
-    pub fn check_area(&self, shapes: &[CardinalSpline]) -> Vec<Violation> {
-        let world = MrcWorld::build(shapes, self.samples_per_segment);
-        let mut out = Vec::new();
-        for (si, cache) in world.shapes.iter().enumerate() {
-            self.area_violation(cache, si, &mut out);
-        }
-        out
-    }
-
-    /// Curvature-rule check only (fully analytic, no sampling of probes;
-    /// the loop orientation comes from a direct shoelace pass).
-    pub fn check_curvature(&self, shapes: &[CardinalSpline]) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for (si, spline) in shapes.iter().enumerate() {
-            let ccw = loop_signed_area(&sampled_loop(spline, self.samples_per_segment)) > 0.0;
-            for seg in 0..spline.segment_count() {
-                self.segment_curvature(spline, ccw, si, seg, &mut out);
-            }
-        }
-        out
     }
 
     /// Launches the `kind` probe of sample `j` of shape `si` and returns the
@@ -1009,6 +963,17 @@ mod tests {
         vs.iter().filter(|v| v.kind == kind).count()
     }
 
+    /// [`MrcChecker::check`]'s violations of one rule, in its order.
+    fn check_kind(
+        checker: &MrcChecker,
+        shapes: &[CardinalSpline],
+        kind: ViolationKind,
+    ) -> Vec<Violation> {
+        let mut vs = checker.check(shapes);
+        vs.retain(|v| v.kind == kind);
+        vs
+    }
+
     #[test]
     fn clean_layout_no_violations() {
         let shapes = [
@@ -1028,7 +993,7 @@ mod tests {
             square(110.0, 0.0, 100.0, 100.0),
         ];
         let checker = MrcChecker::new(MrcRules::default());
-        let vs = checker.check_spacing(&shapes);
+        let vs = check_kind(&checker, &shapes, ViolationKind::Spacing);
         assert!(!vs.is_empty());
         // Violations reported from both shapes, facing each other.
         assert!(vs.iter().any(|v| v.shape == 0));
@@ -1047,7 +1012,7 @@ mod tests {
             square(130.0, 0.0, 100.0, 100.0),
         ];
         let checker = MrcChecker::new(MrcRules::default());
-        assert!(checker.check_spacing(&shapes).is_empty());
+        assert!(check_kind(&checker, &shapes, ViolationKind::Spacing).is_empty());
     }
 
     #[test]
@@ -1055,7 +1020,7 @@ mod tests {
         // 20 nm-wide bar < 40 nm limit.
         let shapes = [square(0.0, 0.0, 300.0, 20.0)];
         let checker = MrcChecker::new(MrcRules::default());
-        let vs = checker.check_width(&shapes);
+        let vs = check_kind(&checker, &shapes, ViolationKind::Width);
         assert!(!vs.is_empty());
         for v in &vs {
             assert_eq!(v.kind, ViolationKind::Width);
@@ -1067,7 +1032,7 @@ mod tests {
     fn wide_shape_passes_width() {
         let shapes = [square(0.0, 0.0, 300.0, 100.0)];
         let checker = MrcChecker::new(MrcRules::default());
-        assert!(checker.check_width(&shapes).is_empty());
+        assert!(check_kind(&checker, &shapes, ViolationKind::Width).is_empty());
     }
 
     #[test]
@@ -1075,7 +1040,7 @@ mod tests {
         // 30x30 = 900 nm² < 1500 nm².
         let shapes = [square(0.0, 0.0, 30.0, 30.0)];
         let checker = MrcChecker::new(MrcRules::default());
-        let vs = checker.check_area(&shapes);
+        let vs = check_kind(&checker, &shapes, ViolationKind::Area);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].kind, ViolationKind::Area);
         assert!(vs[0].value < 1500.0);
@@ -1086,7 +1051,7 @@ mod tests {
         // Radius 8 nm -> curvature 0.125 > 1/15.
         let shapes = [circle(100.0, 100.0, 8.0, 12)];
         let checker = MrcChecker::new(MrcRules::default());
-        let vs = checker.check_curvature(&shapes);
+        let vs = check_kind(&checker, &shapes, ViolationKind::Curvature);
         assert!(!vs.is_empty());
         for v in &vs {
             assert_eq!(v.kind, ViolationKind::Curvature);
@@ -1099,7 +1064,7 @@ mod tests {
         // Radius 100 nm -> curvature 0.01 << 1/15.
         let shapes = [circle(300.0, 300.0, 100.0, 24)];
         let checker = MrcChecker::new(MrcRules::default());
-        assert!(checker.check_curvature(&shapes).is_empty());
+        assert!(check_kind(&checker, &shapes, ViolationKind::Curvature).is_empty());
     }
 
     #[test]
@@ -1148,7 +1113,7 @@ mod tests {
         let banded = checker.check_spacing_in_bands(&shapes, &[band]);
         assert!(!banded.is_empty());
         assert!(banded.iter().all(|v| v.shape <= 1), "far pair leaked in");
-        let full = checker.check_spacing(&shapes);
+        let full = check_kind(&checker, &shapes, ViolationKind::Spacing);
         let expected: Vec<_> = full
             .iter()
             .filter(|v| band.contains(v.location))
@@ -1185,8 +1150,7 @@ mod tests {
         }
         let checker = MrcChecker::new(MrcRules::default());
         let banded = checker.check_spacing_in_bands(&shapes, &bands);
-        let expected: Vec<_> = checker
-            .check_spacing(&shapes)
+        let expected: Vec<_> = check_kind(&checker, &shapes, ViolationKind::Spacing)
             .into_iter()
             .filter(|v| bands.iter().any(|b| b.contains(v.location)))
             .collect();

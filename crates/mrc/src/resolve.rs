@@ -595,7 +595,11 @@ mod tests {
                     },
                 );
                 let checker = MrcChecker::new(MrcRules::default());
-                let specks = checker.check_area(&shapes).len();
+                let specks = checker
+                    .check(&shapes)
+                    .iter()
+                    .filter(|v| v.kind == ViolationKind::Area)
+                    .count();
                 let report = resolver.resolve(&mut shapes);
                 assert!(report.initial_violations > 0, "seed {seed}");
                 assert_eq!(report.remaining, checker.check(&shapes), "seed {seed}");

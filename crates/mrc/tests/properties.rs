@@ -1,7 +1,9 @@
 //! Property-based tests for mask rule checking.
 
 use cardopc_geometry::Point;
-use cardopc_mrc::{AreaPolicy, MrcChecker, MrcResolver, MrcRules, ResolveConfig, ViolationKind};
+use cardopc_mrc::{
+    AreaPolicy, MrcChecker, MrcResolver, MrcRules, ResolveConfig, Violation, ViolationKind,
+};
 use cardopc_spline::CardinalSpline;
 use proptest::prelude::*;
 
@@ -28,6 +30,17 @@ fn square(x0: f64, y0: f64, w: f64, h: f64) -> CardinalSpline {
     .expect("valid square")
 }
 
+/// [`MrcChecker::check`]'s violations of one rule, in its order.
+fn check_kind(
+    checker: &MrcChecker,
+    shapes: &[CardinalSpline],
+    kind: ViolationKind,
+) -> Vec<Violation> {
+    let mut vs = checker.check(shapes);
+    vs.retain(|v| v.kind == kind);
+    vs
+}
+
 proptest! {
     /// The spacing verdict between two squares agrees with their true gap:
     /// gap < limit ⟹ violation, gap comfortably above ⟹ clean.
@@ -39,7 +52,7 @@ proptest! {
             square(120.0 + gap, 0.0, 120.0, 120.0),
         ];
         let checker = MrcChecker::new(rules);
-        let spacing = checker.check_spacing(&shapes);
+        let spacing = check_kind(&checker, &shapes, ViolationKind::Spacing);
         if gap < rules.min_space - 1.0 {
             prop_assert!(!spacing.is_empty(), "gap {} should violate", gap);
         } else if gap > rules.min_space + 1.0 {
@@ -58,7 +71,7 @@ proptest! {
         let rules = MrcRules::default();
         let shapes = [square(0.0, 0.0, 400.0, thickness)];
         let checker = MrcChecker::new(rules);
-        let width = checker.check_width(&shapes);
+        let width = check_kind(&checker, &shapes, ViolationKind::Width);
         if thickness < rules.min_width - 1.0 {
             prop_assert!(!width.is_empty(), "thickness {} should violate", thickness);
         } else if thickness > rules.min_width + 1.0 {
@@ -72,7 +85,7 @@ proptest! {
         let rules = MrcRules::default();
         let checker = MrcChecker::new(rules);
         let shapes = [circle(300.0, 300.0, r, 24)];
-        let vs = checker.check_curvature(&shapes);
+        let vs = check_kind(&checker, &shapes, ViolationKind::Curvature);
         let kappa = 1.0 / r;
         if kappa > rules.max_curvature * 1.2 {
             prop_assert!(!vs.is_empty(), "radius {} should violate curvature", r);
@@ -87,7 +100,7 @@ proptest! {
         let rules = MrcRules::default();
         let checker = MrcChecker::new(rules);
         let shapes = [circle(300.0, 300.0, r, 32)];
-        let vs = checker.check_area(&shapes);
+        let vs = check_kind(&checker, &shapes, ViolationKind::Area);
         let area = std::f64::consts::PI * r * r;
         if area < rules.min_area * 0.9 {
             prop_assert!(!vs.is_empty());

@@ -8,8 +8,8 @@
 use crate::OpcError;
 use cardopc_geometry::{Grid, Polygon};
 use cardopc_litho::{
-    measure_epe, metal_measure_points_into, rasterize, thresholded_xor_area,
-    via_measure_points_into, EpeReport, LithoEngine, MeasurePoint, ProcessCondition,
+    measure_epe, metal_measure_points, rasterize, thresholded_xor_area, via_measure_points,
+    EpeReport, LithoEngine, ProcessCondition,
 };
 
 /// Which measure point convention to evaluate EPE with.
@@ -73,21 +73,6 @@ pub fn evaluate_mask(
     )
 }
 
-/// Reusable buffers for repeated mask scoring (the ILT/hybrid inner loops
-/// and the runtime's per-tile scoring evaluate thousands of masks against
-/// the same handful of targets).
-#[derive(Clone, Debug, Default)]
-pub struct EvalScratch {
-    sites: Vec<MeasurePoint>,
-}
-
-impl EvalScratch {
-    /// An empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> EvalScratch {
-        EvalScratch::default()
-    }
-}
-
 /// Scores a rasterised mask (e.g. a pixel ILT output) against target
 /// patterns; same metrics as [`evaluate_mask`].
 ///
@@ -108,33 +93,6 @@ pub fn evaluate_mask_grid(
     dose_delta: f64,
     epe_search: f64,
 ) -> Result<Evaluation, OpcError> {
-    let mut scratch = EvalScratch::new();
-    evaluate_mask_grid_with(
-        engine,
-        mask_raster,
-        targets,
-        convention,
-        dose_delta,
-        epe_search,
-        &mut scratch,
-    )
-}
-
-/// [`evaluate_mask_grid`] with caller-owned scratch buffers — the form the
-/// scoring loops use to avoid re-allocating measure sites per candidate.
-///
-/// # Errors
-///
-/// Propagates [`OpcError::Litho`] on engine/grid mismatches.
-pub fn evaluate_mask_grid_with(
-    engine: &LithoEngine,
-    mask_raster: &Grid,
-    targets: &[Polygon],
-    convention: MeasureConvention,
-    dose_delta: f64,
-    epe_search: f64,
-    scratch: &mut EvalScratch,
-) -> Result<Evaluation, OpcError> {
     let (w, h, pitch) = (engine.width(), engine.height(), engine.pitch());
 
     // One shared-spectrum litho pass for both focus states.
@@ -147,13 +105,11 @@ pub fn evaluate_mask_grid_with(
     )?;
     let (aerial, inner_aerial) = (&images[0], &images[1]);
 
-    match convention {
-        MeasureConvention::ViaEdgeCenters => via_measure_points_into(targets, &mut scratch.sites),
-        MeasureConvention::MetalSpacing(s) => {
-            metal_measure_points_into(targets, s, &mut scratch.sites)
-        }
-    }
-    let epe = measure_epe(aerial, engine.threshold(), &scratch.sites, epe_search);
+    let sites = match convention {
+        MeasureConvention::ViaEdgeCenters => via_measure_points(targets),
+        MeasureConvention::MetalSpacing(s) => metal_measure_points(targets, s),
+    };
+    let epe = measure_epe(aerial, engine.threshold(), &sites, epe_search);
 
     // Fused threshold + XOR counts on the raw aerials: `binarize` maps
     // `v >= t` to 1.0, so comparing `v >= t` directly is exact.

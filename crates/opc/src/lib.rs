@@ -55,9 +55,8 @@ pub use correct::{
 pub use dissect::{dissect_polygon, DissectedSegment};
 pub use error::OpcError;
 pub use eval::{
-    engine_for_extent, engine_for_extent_at, evaluate_mask, evaluate_mask_grid,
-    evaluate_mask_grid_with, raster_for_engine, EvalScratch, Evaluation, MeasureConvention,
-    EPE_TOLERANCE,
+    engine_for_extent, engine_for_extent_at, evaluate_mask, evaluate_mask_grid, raster_for_engine,
+    Evaluation, MeasureConvention, EPE_TOLERANCE,
 };
 pub use flow::{CardOpc, OpcOutcome, OptimizedShapes};
 pub use sraf::insert_srafs;

@@ -111,9 +111,6 @@ pub struct CacheConfig {
     pub max_entries: usize,
     /// Maximum live bytes (serialised-line accounting) before eviction.
     pub max_bytes: u64,
-    /// Consult the store but never write the backing file. Corrections
-    /// are still kept in memory for the life of the process.
-    pub read_only: bool,
 }
 
 impl Default for CacheConfig {
@@ -122,7 +119,6 @@ impl Default for CacheConfig {
             dir: None,
             max_entries: 65_536,
             max_bytes: 256 * 1024 * 1024,
-            read_only: false,
         }
     }
 }
@@ -220,7 +216,7 @@ impl TileCache {
             writer: None,
             dir: None,
             lock: None,
-            read_only: config.read_only,
+            read_only: false,
             max_entries: (config.max_entries.max(1)) as u64,
             max_bytes: config.max_bytes.max(1),
             tick: AtomicU64::new(0),
@@ -236,18 +232,16 @@ impl TileCache {
         };
         std::fs::create_dir_all(dir)
             .map_err(|e| RuntimeError::Io(format!("create {}: {e}", dir.display())))?;
-        if !cache.read_only {
-            match acquire_pid_lock(dir, "cache.lock") {
-                Ok(path) => cache.lock = Some(path),
-                Err(RuntimeError::Locked { path, pid }) => {
-                    eprintln!(
-                        "cardopc: tile cache {path} is held by live process {pid}; \
-                         opening read-only"
-                    );
-                    cache.read_only = true;
-                }
-                Err(e) => return Err(e),
+        match acquire_pid_lock(dir, "cache.lock") {
+            Ok(path) => cache.lock = Some(path),
+            Err(RuntimeError::Locked { path, pid }) => {
+                eprintln!(
+                    "cardopc: tile cache {path} is held by live process {pid}; \
+                     opening read-only"
+                );
+                cache.read_only = true;
             }
+            Err(e) => return Err(e),
         }
 
         // Load the backing file: last parseable line per key wins, keyed
@@ -285,8 +279,9 @@ impl TileCache {
         Ok(cache)
     }
 
-    /// Whether the backing store is write-protected (explicitly, or by
-    /// falling back when another process held the lock).
+    /// Whether the backing store is write-protected: another live process
+    /// held `cache.lock` when this cache opened, so it serves the file's
+    /// entries and keeps new ones in memory only.
     pub fn is_read_only(&self) -> bool {
         self.read_only
     }
@@ -947,12 +942,12 @@ mod tests {
             cache.get_or_correct(1, &never, || ok_sample(1.0)).unwrap();
         }
         let before = std::fs::read_to_string(dir.join("cache.jsonl")).unwrap();
+        // A directory locked by this (live) process degrades to read-only.
+        let holder = TileCache::open(&rw).unwrap();
+        assert!(!holder.is_read_only());
+        let lock = std::fs::read_to_string(dir.join("cache.lock")).unwrap();
         {
-            let cache = TileCache::open(&CacheConfig {
-                read_only: true,
-                ..rw.clone()
-            })
-            .unwrap();
+            let cache = TileCache::open(&rw).unwrap();
             assert!(cache.is_read_only());
             // Persisted entry hits; a new correction stays in memory.
             let (_, hit) = cache
@@ -972,20 +967,17 @@ mod tests {
                 .unwrap()
                 .unwrap();
             assert!(hit);
-            assert!(!dir.join("cache.lock").exists(), "read-only takes no lock");
         }
+        assert_eq!(
+            std::fs::read_to_string(dir.join("cache.lock")).unwrap(),
+            lock,
+            "read-only takes no lock and leaves the holder's alone"
+        );
         assert_eq!(
             before,
             std::fs::read_to_string(dir.join("cache.jsonl")).unwrap(),
             "read-only must not touch the file"
         );
-
-        // A directory locked by this (live) process degrades to read-only.
-        let holder = TileCache::open(&rw).unwrap();
-        let fallback = TileCache::open(&rw).unwrap();
-        assert!(!holder.is_read_only());
-        assert!(fallback.is_read_only());
-        drop(fallback);
         drop(holder);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1004,10 +996,11 @@ mod tests {
     /// Hashes of one fixed tile. The input hashes were captured at the
     /// commit *before* the config walk, the geometry walk and the payload
     /// codec were unified; the cache keys are those same walks under
-    /// `KEY_VERSION` 4 (bumped to 2 when the band-limited SOCS pipeline,
-    /// to 3 when the Hermitian-aware image passes, and to 4 when sampling
-    /// sparse tiles' images pixel by pixel moved tile numerics in the last
-    /// bits, so stores written by older binaries cannot replay). They pin hash input order and float
+    /// `KEY_VERSION` 5 (bumped to 2 when the band-limited SOCS pipeline,
+    /// to 3 when the Hermitian-aware image passes, to 4 when sampling
+    /// sparse tiles' images pixel by pixel, and to 5 when the AVX2 kernels
+    /// stopped fusing `a*b + c` moved tile numerics in the last bits, so
+    /// stores written by older binaries cannot replay). They pin hash input order and float
     /// canonicalisation: a moved byte here silently orphans every existing
     /// `tiles.jsonl` / `cache.jsonl`.
     #[test]
@@ -1024,37 +1017,37 @@ mod tests {
                 OpcConfig::via(),
                 F64,
                 0x787b2f0e0ea2a2b7,
-                0x3f3a3f12ad6fb6a6,
+                0x49f45946791d264b,
             ),
             (
                 OpcConfig::via(),
                 F32,
                 0x787b2e0e0ea2a104,
-                0x3f3a4012ad6fb859,
+                0x49f45846791d2498,
             ),
             (
                 OpcConfig::metal(),
                 F64,
                 0xc27c675ec289f7e2,
-                0xdd5b3f44581113e3,
+                0xca95877995b6281e,
             ),
             (
                 OpcConfig::metal(),
                 F32,
                 0xc27c685ec289f995,
-                0xdd5b3e4458111230,
+                0xca95887995b629d1,
             ),
             (
                 OpcConfig::large_scale(),
                 F64,
                 0x551ff00f14209f36,
-                0xf84d616ec820247b,
+                0xad7dbd2cae9fb30a,
             ),
             (
                 OpcConfig::large_scale(),
                 F32,
                 0x551ff10f1420a0e9,
-                0xf84d606ec82022c8,
+                0xad7dbe2cae9fb4bd,
             ),
         ];
         for (mut config, precision, input_hash, cache_key) in golden {
@@ -1072,19 +1065,26 @@ mod tests {
         }
     }
 
-    /// The cache keys of that tile under `KEY_VERSION` 2, in the golden's
-    /// order: a store holding them was written with pre-Hermitian numerics
+    /// The cache keys of that tile under `KEY_VERSION` 2 and 4, in the
+    /// golden's order: a store holding them was written with pre-Hermitian
+    /// numerics (2) or by a build whose AVX2 kernels fused `a*b + c` (4),
     /// and must not serve the tile any more.
     #[test]
     fn keys_written_under_version_2_miss() {
         use cardopc_litho::Precision::{F32, F64};
-        let retired: [u64; 6] = [
+        let retired: [u64; 12] = [
             0x2fb3ecd6f93e2fe4,
             0x2fb3edd6f93e3197,
             0x733cc5bff25d93e1,
             0x733cc4bff25d922e,
             0x8002893e1a915ca5,
             0x8002883e1a915af2,
+            0x3f3a3f12ad6fb6a6,
+            0x3f3a4012ad6fb859,
+            0xdd5b3f44581113e3,
+            0xdd5b3e4458111230,
+            0xf84d616ec820247b,
+            0xf84d606ec82022c8,
         ];
         let tiling = TilingConfig {
             tile_size: 1000.0,
@@ -1111,7 +1111,7 @@ mod tests {
                     .get_or_correct(key, &never, || ok_sample(1.0))
                     .unwrap()
                     .unwrap();
-                assert!(!hit, "{precision}: a version-2 entry replayed");
+                assert!(!hit, "{precision}: a retired entry replayed");
             }
         }
         assert_eq!(cache.stats().hits, 0);

@@ -146,6 +146,7 @@ mod tests {
     use crate::partition::{partition_clip, TilingConfig};
     use cardopc_geometry::Polygon;
     use cardopc_layout::Clip;
+    use cardopc_mrc::ViolationKind;
 
     /// Square control polygon with subdivided edges: colinear control
     /// points keep the cardinal spline on the drawn edge (a bare 4-corner
@@ -269,8 +270,10 @@ mod tests {
         assert_eq!(splines.len(), merged.len());
         let all = checker.check_spacing_in_bands(&splines, &bands);
         assert_eq!(merged.seam_violations, all);
-        let full = checker.check_spacing(&splines);
-        let in_bands = |v: &&Violation| bands.iter().any(|b| b.contains(v.location));
+        let full = checker.check(&splines);
+        let in_bands = |v: &&Violation| {
+            v.kind == ViolationKind::Spacing && bands.iter().any(|b| b.contains(v.location))
+        };
         let expected: Vec<Violation> = full.iter().filter(in_bands).cloned().collect();
         assert_eq!(merged.seam_violations, expected);
         merged

@@ -31,9 +31,9 @@
 //!     worker --addr 127.0.0.1:9100
 //! ```
 //!
-//! Worker-thread precedence (run/serve modes): `--threads` beats
-//! `--workers` (run-mode legacy alias), which beats the `CARDOPC_THREADS`
-//! environment variable, which beats the auto-detected CPU count.
+//! Worker-thread precedence (run/serve modes): `--threads` beats the
+//! `CARDOPC_THREADS` environment variable, which beats the auto-detected
+//! CPU count.
 
 use cardopc_fleet::spec::DesignSpec;
 use cardopc_fleet::worker::{WorkerConfig, WorkerServer};
@@ -82,9 +82,7 @@ RUN OPTIONS:
                                     only the FFT/SOCS interior (geometry,
                                     MRC and fitting stay f64) [f64]
     --iterations <N>                OPC iterations [10]
-    --threads <N>                   worker pool size (beats --workers and
-                                    CARDOPC_THREADS)
-    --workers <N>                   legacy alias for --threads
+    --threads <N>                   worker pool size (beats CARDOPC_THREADS)
     --run-dir <PATH>                checkpoint + manifest directory
     --max-tiles <N>                 execute at most N tiles, then stop
     --cache-dir <PATH>              persistent content-addressed tile cache;
@@ -96,9 +94,9 @@ RUN OPTIONS:
                                     1024 nm tiles, 512 nm halo, 4 iterations
     --workers-local <N>             shard across N spawned worker processes
                                     (fleet mode: --no-cache is forwarded to
-                                    them; --threads, --workers and
-                                    --cache-dir are refused, workers size
-                                    their pools from CARDOPC_THREADS)
+                                    them; --threads and --cache-dir are
+                                    refused, workers size their pools
+                                    from CARDOPC_THREADS)
     --worker-addr <HOST:PORT>       shard across an already-running
                                     `cardopc worker` (repeatable; combines
                                     with --workers-local)
@@ -134,7 +132,7 @@ SERVE OPTIONS:
     --no-cache                      disable the cross-job tile cache
 
 THREADS:
-    --threads > --workers > CARDOPC_THREADS > auto-detected CPUs
+    --threads > CARDOPC_THREADS > auto-detected CPUs
 ";
 
 /// What `--design` named: a synthetic generator or a GDSII file path.
@@ -170,7 +168,6 @@ struct RunArgs {
     precision: Precision,
     iterations: usize,
     threads: Option<usize>,
-    workers: Option<usize>,
     run_dir: Option<PathBuf>,
     max_tiles: Option<usize>,
     cache_dir: Option<PathBuf>,
@@ -200,7 +197,6 @@ impl RunArgs {
             precision: Precision::F64,
             iterations: 10,
             threads: None,
-            workers: None,
             run_dir: None,
             max_tiles: None,
             cache_dir: None,
@@ -257,7 +253,6 @@ impl RunArgs {
                 }
                 "--iterations" => args.iterations = parse_num(&flag, &value()?)?,
                 "--threads" => args.threads = Some(parse_num(&flag, &value()?)?),
-                "--workers" => args.workers = Some(parse_num(&flag, &value()?)?),
                 "--run-dir" => args.run_dir = Some(value()?.into()),
                 "--max-tiles" => args.max_tiles = Some(parse_num(&flag, &value()?)?),
                 "--cache-dir" => args.cache_dir = Some(value()?.into()),
@@ -293,7 +288,6 @@ impl RunArgs {
         let fleet = self.workers_local > 0 || !self.worker_addrs.is_empty();
         let local_only = [
             ("--threads", self.threads.is_some()),
-            ("--workers", self.workers.is_some()),
             ("--cache-dir", self.cache_dir.is_some()),
         ];
         match local_only.iter().find(|(_, given)| fleet && *given) {
@@ -629,8 +623,8 @@ fn run_on_fleet(args: &RunArgs, spec: &WorkSpec) -> Result<Ran, AnyError> {
 /// Local mode: correct the tiles on this process's worker pool.
 fn run_local(args: &RunArgs, clip: &Clip, spec: WorkSpec) -> Result<Ran, AnyError> {
     let local_pool;
-    // --threads beats --workers beats CARDOPC_THREADS (inside global()).
-    let pool = match args.threads.or(args.workers) {
+    // --threads beats CARDOPC_THREADS (inside global()).
+    let pool = match args.threads {
         Some(n) => {
             local_pool = WorkerPool::new(n.max(1));
             &local_pool

@@ -160,9 +160,24 @@ fn fleet_mode_refuses_threads() {
     assert_fleet_mode_refuses("--threads", "2");
 }
 
+/// `--workers`, once a second spelling of `--threads`, is gone: an unknown
+/// flag in local and in fleet mode alike.
 #[test]
 fn fleet_mode_refuses_workers() {
-    assert_fleet_mode_refuses("--workers", "2");
+    let dir = tempdir("workersflag");
+    for args in [
+        &["--quick", "--workers", "2"][..],
+        &["--quick", "--workers", "2", "--workers-local", "2"][..],
+    ] {
+        let out = cardopc(args, &dir);
+        assert!(!out.status.success(), "{args:?} should fail");
+        let text = stderr(&out);
+        assert!(
+            text.contains("unknown flag '--workers'"),
+            "{args:?}: {text}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -171,24 +171,26 @@ fn read_only_and_memory_caches_degrade_gracefully() {
     let cfg = run_config();
     let baseline = run_clip(&clip, &cfg, &WorkerPool::new(2)).unwrap();
 
-    // A read-only cache over an empty directory: nothing to serve from
-    // disk, nothing written to disk, results unchanged.
+    // A read-only cache over an empty store — opened while another cache
+    // holds the directory's lock: nothing to serve from disk, nothing
+    // written to disk, results unchanged.
     let dir = temp_dir("readonly");
-    std::fs::create_dir_all(&dir).unwrap();
-    let ro = TileCache::open(&CacheConfig {
+    let config = CacheConfig {
         dir: Some(dir.clone()),
-        read_only: true,
         ..CacheConfig::default()
-    })
-    .unwrap();
+    };
+    let holder = TileCache::open(&config).unwrap();
+    let ro = TileCache::open(&config).unwrap();
     assert!(ro.is_read_only());
     let outcome = run_cached(&clip, &cfg, 2, &ro);
     assert_same_output(&outcome, &baseline);
     drop(ro);
-    assert!(
-        !dir.join("cache.jsonl").exists(),
-        "read-only caches must not create a store file"
+    assert_eq!(
+        std::fs::read_to_string(dir.join("cache.jsonl")).unwrap(),
+        "",
+        "read-only caches must not write the store file"
     );
+    drop(holder);
     std::fs::remove_dir_all(&dir).unwrap();
 
     // A purely in-memory cache behaves the same within one run.

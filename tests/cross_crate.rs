@@ -3,6 +3,7 @@
 
 use cardopc::geometry::trace_contours;
 use cardopc::litho::rasterize;
+use cardopc::mrc::ViolationKind;
 use cardopc::prelude::*;
 
 /// Raster -> contour -> spline-fit -> raster round trip approximately
@@ -93,8 +94,11 @@ fn mrc_spacing_predicts_print_bridging_risk() {
     )
     .unwrap();
     let checker = MrcChecker::new(MrcRules::default());
-    let violations = checker.check_spacing(&[a.clone(), b.clone()]);
-    assert!(!violations.is_empty(), "expected spacing violations");
+    let violations = checker.check(&[a.clone(), b.clone()]);
+    assert!(
+        violations.iter().any(|v| v.kind == ViolationKind::Spacing),
+        "expected spacing violations"
+    );
 
     // Resolve and confirm the mask separates.
     let mut shapes = vec![a, b];

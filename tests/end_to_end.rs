@@ -143,6 +143,64 @@ fn large_tiles_initialise_with_large_config() {
     assert_eq!(shapes.len(), window.targets().len());
 }
 
+/// (shapes, control points), (initial, remaining) violations, hash.
+type GoldenTile = ((usize, usize), (usize, usize), u64);
+
+/// Shape and control-point counts, the resolver's (initial, remaining)
+/// violations and the FNV-1a hash of every control point's bits (shape
+/// order) for the logic tiles of `cardopc --design gcd --crop 8192` from
+/// `first` on, at the CLI defaults, through `optimize_with_engine`, once
+/// under each forced SIMD dispatch mode: the two compilations round
+/// identically, so both must give the same bits.
+fn assert_logic_tile_goldens(first: usize, golden: &[GoldenTile]) {
+    use cardopc::layout::generated_clip;
+    use cardopc::litho::{simd, SimdMode};
+    use cardopc::runtime::{partition_clip, TilingConfig};
+    use std::sync::Mutex;
+
+    // Both golden tests force the process-wide dispatch mode.
+    static MODE_LOCK: Mutex<()> = Mutex::new(());
+
+    let clip = generated_clip(DesignKind::Gcd, 1, Some(8192.0));
+    let tiling = TilingConfig {
+        tile_size: 4096.0,
+        halo: 1024.0,
+    };
+    let all = partition_clip(&clip, &tiling).unwrap().tiles;
+    assert_eq!(all.len(), 4);
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for mode in [SimdMode::Scalar, SimdMode::Avx2] {
+        simd::force_mode(Some(mode));
+        for (tile, &(sizes, violations, want)) in all[first..].iter().zip(golden) {
+            let config = OpcConfig::large_scale();
+            let engine =
+                engine_for_extent(tile.clip.width(), tile.clip.height(), config.pitch).unwrap();
+            let out = CardOpc::new(config)
+                .optimize_with_engine(&tile.clip, &engine)
+                .unwrap();
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut control_points = 0usize;
+            for p in out.shapes.iter().flat_map(|s| s.spline.control_points()) {
+                for byte in [p.x, p.y]
+                    .into_iter()
+                    .flat_map(|c| c.to_bits().to_le_bytes())
+                {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                control_points += 1;
+            }
+            assert_eq!((out.shapes.len(), control_points), sizes, "{mode:?}");
+            assert_eq!(
+                (out.mrc_initial_violations, out.mrc_remaining),
+                violations,
+                "{mode:?}"
+            );
+            assert_eq!(hash, want, "{mode:?}: control points moved: {hash:#018x}");
+        }
+    }
+    simd::force_mode(None);
+}
+
 /// Golden of the correction + MRC stages on a real logic tile: tile 0 of
 /// `cardopc --design gcd --crop 8192` at the CLI defaults, through
 /// `optimize_with_engine`. The shape, control-point and violation counts
@@ -154,47 +212,13 @@ fn large_tiles_initialise_with_large_config() {
 /// image in the last bits (~1e-16) and the counts did not move. PR 19's
 /// hashes were re-pinned only after every control point of the parent
 /// build had been dumped and compared: max |Δ| 2.5e-10 nm on this tile
-/// (AVX2; 1.5e-10 scalar). Stages may get faster; every control point bit
-/// and both violation counts must stay where they are.
+/// (AVX2; 1.5e-10 scalar). The AVX2 compilation has since been made to
+/// round like the plain one, so the plain hash is the only one left and
+/// holds in both dispatch modes. Stages may get faster; every control
+/// point bit and both violation counts must stay where they are.
 #[test]
 fn logic_tile_mrc_outcome_matches_pre_incremental_golden() {
-    use cardopc::layout::generated_clip;
-    use cardopc::litho::{simd, SimdMode};
-    use cardopc::runtime::{partition_clip, TilingConfig};
-
-    let clip = generated_clip(DesignKind::Gcd, 1, Some(8192.0));
-    let tiling = TilingConfig {
-        tile_size: 4096.0,
-        halo: 1024.0,
-    };
-    let tile = &partition_clip(&clip, &tiling).unwrap().tiles[0];
-    let config = OpcConfig::large_scale();
-    let engine = engine_for_extent(tile.clip.width(), tile.clip.height(), config.pitch).unwrap();
-    let out = CardOpc::new(config)
-        .optimize_with_engine(&tile.clip, &engine)
-        .unwrap();
-
-    // FNV-1a over the bit patterns of every control point, shape order.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut control_points = 0usize;
-    for p in out.shapes.iter().flat_map(|s| s.spline.control_points()) {
-        for byte in [p.x, p.y]
-            .into_iter()
-            .flat_map(|c| c.to_bits().to_le_bytes())
-        {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        control_points += 1;
-    }
-    assert_eq!((out.shapes.len(), control_points), (90, 6788));
-    assert_eq!((out.mrc_initial_violations, out.mrc_remaining), (281, 76));
-    // The aerial images behind the correction loop differ in the last bits
-    // between the FMA and the scalar kernels, so the points do too.
-    let golden = match simd::active_mode() {
-        SimdMode::Avx2 => 0xa768_abb2_1233_9982,
-        SimdMode::Scalar => 0xd705_8f9b_69e1_8a35,
-    };
-    assert_eq!(hash, golden, "control points moved: {hash:#018x}");
+    assert_logic_tile_goldens(0, &[((90, 6788), (281, 76), 0xd705_8f9b_69e1_8a35)]);
 }
 
 /// The same golden for the other three tiles of the clip: the counts were
@@ -202,68 +226,17 @@ fn logic_tile_mrc_outcome_matches_pre_incremental_golden() {
 /// (PR 18), the hashes re-pinned for PR 19's image numerics after the
 /// parent comparison (max |Δ control point| 1.6e-10 / 1.4e-10 / 5.2e-11 nm
 /// on tiles 1–3 under AVX2, 3.9e-10 / 2.1e-10 / 4.8e-11 nm scalar; every
-/// count identical). Tile 1 starts with 4× tile 0's violations, so far
-/// more trials, reverts and carried-over probe results stand behind its
-/// control points.
+/// count identical); the scalar hashes now hold in both modes. Tile 1
+/// starts with 4× tile 0's violations, so far more trials, reverts and
+/// carried-over probe results stand behind its control points.
 #[test]
 fn logic_tiles_1_to_3_mrc_outcome_matches_pre_sample_granular_golden() {
-    use cardopc::layout::generated_clip;
-    use cardopc::litho::{simd, SimdMode};
-    use cardopc::runtime::{partition_clip, TilingConfig};
-
-    let clip = generated_clip(DesignKind::Gcd, 1, Some(8192.0));
-    let tiling = TilingConfig {
-        tile_size: 4096.0,
-        halo: 1024.0,
-    };
-    let tiles = partition_clip(&clip, &tiling).unwrap().tiles;
-    assert_eq!(tiles.len(), 4);
-    // (shapes, control points), (initial, remaining), AVX2 hash, scalar hash.
-    let golden = [
-        (
-            (93, 6934),
-            (1215, 383),
-            0xccc5_2183_9089_0c69_u64,
-            0xb7d0_93e3_cba9_7883_u64,
-        ),
-        (
-            (94, 6714),
-            (156, 95),
-            0x5e67_28ea_06f3_8415,
-            0x6d96_9ce0_9c5e_83ba,
-        ),
-        (
-            (90, 6532),
-            (522, 85),
-            0xf04e_05ec_65ce_17a8,
-            0x5ddf_f24b_2769_f4bc,
-        ),
-    ];
-    for (tile, (sizes, violations, avx2, scalar)) in tiles[1..].iter().zip(golden) {
-        let config = OpcConfig::large_scale();
-        let engine =
-            engine_for_extent(tile.clip.width(), tile.clip.height(), config.pitch).unwrap();
-        let out = CardOpc::new(config)
-            .optimize_with_engine(&tile.clip, &engine)
-            .unwrap();
-        // FNV-1a over the bit patterns of every control point, shape order.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut control_points = 0usize;
-        for p in out.shapes.iter().flat_map(|s| s.spline.control_points()) {
-            for byte in [p.x, p.y]
-                .into_iter()
-                .flat_map(|c| c.to_bits().to_le_bytes())
-            {
-                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            control_points += 1;
-        }
-        let want = match simd::active_mode() {
-            SimdMode::Avx2 => avx2,
-            SimdMode::Scalar => scalar,
-        };
-        assert_eq!((out.shapes.len(), control_points), sizes);
-        assert_eq!((out.mrc_initial_violations, out.mrc_remaining), violations);
-        assert_eq!(hash, want, "control points moved: {hash:#018x}");
-    }
+    assert_logic_tile_goldens(
+        1,
+        &[
+            ((93, 6934), (1215, 383), 0xb7d0_93e3_cba9_7883),
+            ((94, 6714), (156, 95), 0x6d96_9ce0_9c5e_83ba),
+            ((90, 6532), (522, 85), 0x5ddf_f24b_2769_f4bc),
+        ],
+    );
 }
