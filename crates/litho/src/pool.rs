@@ -11,9 +11,10 @@
 //! is busy with an outer job (nested `run` calls therefore cannot deadlock —
 //! they degrade to the submitter draining its own tasks).
 //!
-//! Worker count resolution for the shared pool: the `CARDOPC_THREADS`
+//! Worker count resolution for the shared pool: an explicit
+//! [`WorkerPool::init_global`] before first use, else the `CARDOPC_THREADS`
 //! environment variable when set, otherwise `std::thread::available_
-//! parallelism()` — queried exactly once, never per call.
+//! parallelism()` — resolved exactly once, never per call.
 
 use crate::error::LithoError;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -171,26 +172,27 @@ impl WorkerPool {
         (pool, err)
     }
 
-    /// The process-wide pool shared by the litho engine, pixel ILT and the
-    /// benchmark harness. Sized once from `CARDOPC_THREADS` (when set to a
-    /// positive integer) or `std::thread::available_parallelism()`.
+    /// The process-wide pool shared by the litho engine, pixel ILT, the
+    /// runtime and the benchmark harness. Sized once: by
+    /// [`WorkerPool::init_global`] when that ran first, otherwise from
+    /// `CARDOPC_THREADS` (when set to a positive integer) or
+    /// `std::thread::available_parallelism()`.
     pub fn global() -> &'static WorkerPool {
-        static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| WorkerPool::new(configured_parallelism()))
+    }
+
+    /// Sizes the process-wide pool to `parallelism` executors, so an
+    /// explicit thread count (the CLI's `--threads`) governs every stage
+    /// that runs on [`WorkerPool::global`] instead of adding a second pool
+    /// beside it. Must run before anything touches the global pool: once
+    /// it exists its size is fixed, and the existing pool is returned.
+    pub fn init_global(parallelism: usize) -> &'static WorkerPool {
+        GLOBAL.get_or_init(|| WorkerPool::new(parallelism))
     }
 
     /// Total executors (worker threads + the participating submitter).
     pub fn parallelism(&self) -> usize {
         self.parallelism
-    }
-
-    /// The parallelism [`WorkerPool::global`] resolves to:
-    /// `CARDOPC_THREADS` when set to a positive integer, otherwise the
-    /// machine's available parallelism. Exposed so embedders (the
-    /// `cardopc` CLI and `cardopc-serve`) can document and implement
-    /// thread-count precedence against the same source of truth.
-    pub fn configured_parallelism() -> usize {
-        configured_parallelism()
     }
 
     /// Runs `f(0..tasks)` across the pool, returning when every task has
@@ -326,6 +328,9 @@ fn worker_loop(shared: &Shared) {
         }
     }
 }
+
+/// The process-wide pool behind [`WorkerPool::global`].
+static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
 /// Resolves the shared pool's parallelism from `CARDOPC_THREADS` or the
 /// machine's available parallelism (queried once, at pool construction).

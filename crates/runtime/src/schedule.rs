@@ -9,11 +9,10 @@
 //! balanced), but results are merged and sorted by tile index afterwards,
 //! so the outcome is **deterministic for any scheduler pool size**: each
 //! tile's correction is a pure function of its input clip, and the
-//! per-tile outputs are order-independent. (The litho engine separately
-//! snapshots the *global* pool's parallelism for SOCS chunking, so
-//! `CARDOPC_THREADS` can shift raw sums within the litho layer's
-//! documented < 1e-12 reassociation rounding — the same effect it has on
-//! a monolithic run.)
+//! per-tile outputs are order-independent. The litho engine's SOCS
+//! fan-out folds its kernel strips in ascending kernel order whatever the
+//! pool size, so `CARDOPC_THREADS` (or `--threads`) moves no bit of an
+//! image either (`aerial_image_is_identical_across_worker_counts`).
 //!
 //! Everything around the fan-out — which tiles are resumed, the budget,
 //! committing a finished tile to the checkpoint file, progress events, the

@@ -33,7 +33,9 @@
 //!
 //! Worker-thread precedence (run/serve modes): `--threads` beats the
 //! `CARDOPC_THREADS` environment variable, which beats the auto-detected
-//! CPU count.
+//! CPU count. Whichever wins sizes the one process-wide
+//! [`WorkerPool::global`] before anything uses it, so tiles, the litho
+//! fan-out, shape correction and mask export share N executors in all.
 
 use cardopc_fleet::spec::DesignSpec;
 use cardopc_fleet::worker::{WorkerConfig, WorkerServer};
@@ -419,7 +421,7 @@ fn worker_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
 /// Serve mode: start the service, print the bound address, block until a
 /// drain completes, exit 0.
 fn serve_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
-    let config = match parse_serve(it) {
+    let mut config = match parse_serve(it) {
         Ok(Some(config)) => config,
         Ok(None) => return ExitCode::SUCCESS,
         Err(msg) => {
@@ -427,9 +429,10 @@ fn serve_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let threads = config
-        .threads
-        .unwrap_or_else(WorkerPool::configured_parallelism);
+    if let Some(n) = config.threads.take() {
+        WorkerPool::init_global(n);
+    }
+    let threads = WorkerPool::global().parallelism();
     let mut server = match Server::start(config) {
         Ok(server) => server,
         Err(e) => {
@@ -622,15 +625,7 @@ fn run_on_fleet(args: &RunArgs, spec: &WorkSpec) -> Result<Ran, AnyError> {
 
 /// Local mode: correct the tiles on this process's worker pool.
 fn run_local(args: &RunArgs, clip: &Clip, spec: WorkSpec) -> Result<Ran, AnyError> {
-    let local_pool;
-    // --threads beats CARDOPC_THREADS (inside global()).
-    let pool = match args.threads {
-        Some(n) => {
-            local_pool = WorkerPool::new(n.max(1));
-            &local_pool
-        }
-        None => WorkerPool::global(),
-    };
+    let pool = WorkerPool::global();
     eprintln!(
         "cardopc: {} ({} targets), tile {} nm + halo {} nm, pitch {} nm, {} sim, {} workers",
         clip.name(),
@@ -727,6 +722,10 @@ fn run_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // --threads beats CARDOPC_THREADS (inside global()).
+    if let Some(n) = args.threads {
+        WorkerPool::init_global(n);
+    }
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -69,8 +69,11 @@ pub struct ServeConfig {
     /// older ones are evicted so memory does not grow with every job
     /// ever served. `DELETE /v1/jobs/{id}` frees a result sooner.
     pub retain_terminal: usize,
-    /// Worker pool size override; `None` uses the process-global pool
-    /// (sized by `CARDOPC_THREADS`, falling back to the CPU count).
+    /// Worker pool size override for embedders and tests; `None` uses the
+    /// process-global pool (sized by `WorkerPool::init_global` when that
+    /// ran first, else `CARDOPC_THREADS`, else the CPU count). The
+    /// `cardopc serve` binary sizes the global pool from `--threads` and
+    /// leaves this `None`, so the process runs one pool.
     pub threads: Option<usize>,
     /// Directory under which job `run_dir` names are resolved.
     pub run_root: PathBuf,

@@ -370,3 +370,56 @@ fn local_workers_are_reaped_on_success_and_on_failure() {
     assert!(stderr(&out).contains("missing.gds"), "{}", stderr(&out));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs `cardopc args` with `CARDOPC_THREADS` set to `env_threads` and
+/// returns its exit status with the most worker-pool threads
+/// (`cardopc-litho-*`) seen alive at once, polling `/proc/<pid>/task`.
+#[cfg(target_os = "linux")]
+fn peak_pool_threads(args: &[&str], env_threads: &str, dir: &Path) -> (bool, usize) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cardopc"))
+        .args(args)
+        .current_dir(dir)
+        .env("CARDOPC_THREADS", env_threads)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let tasks = format!("/proc/{}/task", child.id());
+    let mut peak = 0;
+    loop {
+        let alive = std::fs::read_dir(&tasks)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter(|task| {
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|comm| comm.starts_with("cardopc-litho"))
+            })
+            .count();
+        peak = peak.max(alive);
+        if let Some(status) = child.try_wait().expect("wait") {
+            return (status.success(), peak);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// `--threads N` means N executors in the whole process: the submitting
+/// thread plus N − 1 pool workers, whatever `CARDOPC_THREADS` says — not a
+/// tile pool of N beside a global pool sized from the environment.
+#[cfg(target_os = "linux")]
+#[test]
+fn threads_flag_sizes_the_one_process_pool() {
+    let dir = tempdir("threads");
+    for (flag, env, workers) in [("1", "3", 0), ("2", "1", 1)] {
+        let run_dir = format!("t{flag}");
+        let args = ["--quick", "--threads", flag, "--run-dir", &run_dir];
+        let (ok, peak) = peak_pool_threads(&args, env, &dir);
+        assert!(ok, "--threads {flag} run failed");
+        assert_eq!(
+            peak, workers,
+            "--threads {flag} with CARDOPC_THREADS={env}: pool workers alive"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
