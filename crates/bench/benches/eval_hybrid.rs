@@ -53,7 +53,8 @@ fn bench_fit(c: &mut Criterion) {
     // The fitting stage of the hybrid flow on a Fig. 7 metal clip: the
     // rasterised M1 wire pattern, smoothed so the traced contours carry the
     // curvature a real ILT mask would (pixel ILT is benched on its own by
-    // `bench_ilt`; here we isolate regularise + trace + Algorithm 1).
+    // `bench_ilt`; here we isolate regularise + trace + Algorithm 1's
+    // banded solve, all on the calling thread).
     let clip = &metal_clips()[0];
     let engine = engine_for_extent(clip.width(), clip.height(), 4.0).unwrap();
     let raster = rasterize(

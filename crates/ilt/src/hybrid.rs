@@ -13,12 +13,12 @@
 use crate::cleanup::{open_binary, remove_small_components};
 use crate::pixel::{pixel_ilt, IltConfig, IltOutcome};
 use cardopc_geometry::{trace_contours, Polygon};
-use cardopc_litho::{LithoEngine, WorkerPool};
+use cardopc_litho::LithoEngine;
 use cardopc_mrc::{AreaPolicy, MrcChecker, MrcResolver, MrcRules, ResolveConfig};
 use cardopc_opc::{
     evaluate_mask, evaluate_mask_grid, raster_for_engine, Evaluation, MeasureConvention, OpcError,
 };
-use cardopc_spline::{fit_contour_with, CardinalSpline, FitConfig, FitScratch};
+use cardopc_spline::{fit_contour, CardinalSpline, FitConfig};
 
 /// Configuration of the hybrid flow.
 #[derive(Clone, Debug)]
@@ -231,72 +231,27 @@ fn worst_assist(
 /// Use it to convert masks produced by *external* ILT tools into the
 /// uniform spline representation — e.g. CTM-style SRAF generation.
 ///
-/// Returns the fitted shapes and the per-shape final fitting losses (nm²).
-///
-/// Contours are fitted in parallel on the shared global [`WorkerPool`];
-/// see [`fit_mask_shapes_with_pool`] for the determinism guarantee.
+/// Returns the fitted shapes and the per-shape fitting losses (nm²).
 pub fn fit_mask_shapes(
     mask: &cardopc_geometry::Grid,
     config: &HybridConfig,
 ) -> (Vec<CardinalSpline>, Vec<f64>) {
-    fit_mask_shapes_with_pool(mask, config, WorkerPool::global())
-}
-
-/// [`fit_mask_shapes`] on an explicit pool.
-///
-/// The filtered contours are split into contiguous chunks, one per pool
-/// slot, each fitted with its own reusable [`FitScratch`]; results are
-/// merged back in contour order. Every Adam run is fully re-initialised
-/// per contour, so the output is bitwise independent of the worker count.
-pub fn fit_mask_shapes_with_pool(
-    mask: &cardopc_geometry::Grid,
-    config: &HybridConfig,
-    pool: &WorkerPool,
-) -> (Vec<CardinalSpline>, Vec<f64>) {
     let opened = open_binary(mask, 0.5, config.opening_radius);
     let (regularised, _removed) = remove_small_components(&opened, 0.5, config.min_component_area);
 
-    // Holes (clockwise) in ILT masks are rare and tiny; skipping them
-    // keeps the uniform outer-loop shape representation of §III-B.
-    let contours: Vec<Polygon> = trace_contours(&regularised, 0.5)
-        .into_iter()
-        .filter(|c| !(c.signed_area() <= 0.0 || c.len() < config.min_contour_points))
-        .collect();
-
-    let n = contours.len();
-    let mut results: Vec<Option<(CardinalSpline, f64)>> = (0..n).map(|_| None).collect();
-    if n > 0 {
-        struct Slot<'a> {
-            scratch: FitScratch,
-            work: &'a [Polygon],
-            out: &'a mut [Option<(CardinalSpline, f64)>],
+    let mut fitted_shapes = Vec::new();
+    let mut fit_losses = Vec::new();
+    for contour in trace_contours(&regularised, 0.5) {
+        // Holes (clockwise) in ILT masks are rare and tiny; skipping them
+        // keeps the uniform outer-loop shape representation of §III-B.
+        if contour.signed_area() <= 0.0 || contour.len() < config.min_contour_points {
+            continue;
         }
-        let tasks = pool.parallelism().clamp(1, n);
-        let chunk = n.div_ceil(tasks);
-        let mut slots: Vec<Slot<'_>> = contours
-            .chunks(chunk)
-            .zip(results.chunks_mut(chunk))
-            .map(|(work, out)| Slot {
-                scratch: FitScratch::new(),
-                work,
-                out,
-            })
-            .collect();
-        pool.run_with_slots(&mut slots, |_slot_index, slot| {
-            for (contour, out) in slot.work.iter().zip(slot.out.iter_mut()) {
-                // Fit failures are degenerate specks; leave their slot None.
-                if let Ok(fit) = fit_contour_with(contour, &config.fit, &mut slot.scratch) {
-                    *out = Some((fit.spline, fit.final_loss));
-                }
-            }
-        });
-    }
-
-    let mut fitted_shapes = Vec::with_capacity(n);
-    let mut fit_losses = Vec::with_capacity(n);
-    for (spline, loss) in results.into_iter().flatten() {
-        fitted_shapes.push(spline);
-        fit_losses.push(loss);
+        // Fit failures are degenerate specks; skip them.
+        if let Ok(fit) = fit_contour(&contour, &config.fit) {
+            fitted_shapes.push(fit.spline);
+            fit_losses.push(fit.final_loss);
+        }
     }
     (fitted_shapes, fit_losses)
 }
@@ -323,10 +278,6 @@ mod tests {
             ilt: IltConfig {
                 iterations: 12,
                 ..IltConfig::default()
-            },
-            fit: FitConfig {
-                iterations: 60,
-                ..FitConfig::default()
             },
             convention: MeasureConvention::ViaEdgeCenters,
             ..HybridConfig::default()
@@ -378,48 +329,6 @@ mod tests {
             (fit_area - ilt_area).abs() < 0.35 * ilt_area.max(1.0),
             "fit area {fit_area} vs ILT area {ilt_area}"
         );
-    }
-
-    #[test]
-    fn fit_mask_shapes_independent_of_worker_count() {
-        use cardopc_geometry::Grid;
-        // Several disjoint blobs so the contour fan-out actually splits.
-        let mut mask = Grid::zeros(64, 64, 8.0);
-        let blocks = [
-            (8usize, 8usize, 20usize, 20usize),
-            (36, 8, 56, 24),
-            (10, 40, 28, 56),
-        ];
-        for &(x0, y0, x1, y1) in &blocks {
-            for iy in y0..y1 {
-                for ix in x0..x1 {
-                    mask[(ix, iy)] = 1.0;
-                }
-            }
-        }
-        let config = HybridConfig {
-            fit: FitConfig {
-                iterations: 40,
-                ..FitConfig::default()
-            },
-            ..HybridConfig::default()
-        };
-        let (ref_shapes, ref_losses) =
-            fit_mask_shapes_with_pool(&mask, &config, &WorkerPool::new(1));
-        assert!(ref_shapes.len() >= 2, "expected several fitted shapes");
-        for workers in [2usize, 3, 4, 16] {
-            let pool = WorkerPool::new(workers);
-            let (shapes, losses) = fit_mask_shapes_with_pool(&mask, &config, &pool);
-            assert_eq!(losses, ref_losses, "losses @ {workers} workers");
-            assert_eq!(shapes.len(), ref_shapes.len());
-            for (a, b) in shapes.iter().zip(&ref_shapes) {
-                assert_eq!(
-                    a.control_points(),
-                    b.control_points(),
-                    "control points @ {workers} workers"
-                );
-            }
-        }
     }
 
     #[test]

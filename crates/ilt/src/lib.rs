@@ -29,7 +29,5 @@ pub mod cleanup;
 mod hybrid;
 mod pixel;
 
-pub use hybrid::{
-    fit_mask_shapes, fit_mask_shapes_with_pool, run_hybrid, HybridConfig, HybridOutcome,
-};
+pub use hybrid::{fit_mask_shapes, run_hybrid, HybridConfig, HybridOutcome};
 pub use pixel::{pixel_ilt, IltConfig, IltOutcome};

@@ -115,11 +115,7 @@ fn loop_centroid(points: &[Point], signed_area: f64) -> Point {
 /// [`SamplingPlan`] registry.
 fn sampled_loop(spline: &CardinalSpline, per_segment: usize) -> Vec<Point> {
     let plan = SamplingPlan::get(per_segment, spline.tension());
-    let mut pts = spline.sample_with_plan(&plan);
-    // Open splines append their final endpoint; the rule checks work on
-    // the plain seg-major loop.
-    pts.truncate(spline.segment_count() * per_segment);
-    pts
+    spline.sample_with_plan(&plan)
 }
 
 fn sample_shape(spline: &CardinalSpline, per_segment: usize) -> SampledShape {
@@ -831,8 +827,8 @@ impl MrcChecker {
 
     /// Brings the kept curvature violations of one shape up to date: a
     /// segment is evaluated again when one of its four control points (or
-    /// the loop's orientation, tension or closure) differs from what the
-    /// kept list was evaluated on.
+    /// the loop's orientation or tension) differs from what the kept list
+    /// was evaluated on.
     fn update_curvature(
         &self,
         spline: &CardinalSpline,
@@ -845,10 +841,7 @@ impl MrcChecker {
             k.ccw == ccw
                 && k.spline.control_points().len() == n
                 && k.spline.tension().to_bits() == spline.tension().to_bits()
-                && k.spline.is_closed() == spline.is_closed()
         });
-        // Wrapped neighbours: a superset of the clamped ones of an open
-        // spline's end segments.
         let moved = |seg: usize| match was {
             Some(k) => (0..4).any(|d| {
                 let c = (seg + n - 1 + d) % n;

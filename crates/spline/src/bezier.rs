@@ -10,6 +10,7 @@
 //! operations such as vector rotation" the paper attributes to the Bézier
 //! flow.
 
+use crate::cardinal::{neighbor, validate};
 use crate::SplineError;
 use cardopc_geometry::{Point, Polygon};
 
@@ -35,7 +36,6 @@ pub struct BezierChain {
     /// Generated handles per segment: `(p'_i, p'_{i+1})`.
     handles: Vec<(Point, Point)>,
     tension: f64,
-    closed: bool,
 }
 
 impl BezierChain {
@@ -46,46 +46,8 @@ impl BezierChain {
     ///
     /// Same conditions as [`crate::CardinalSpline::closed`].
     pub fn closed(points: Vec<Point>, tension: f64) -> Result<Self, SplineError> {
-        Self::build(points, tension, true, 3)
-    }
-
-    /// Builds an open chain (end tangents clamped).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::CardinalSpline::open`].
-    pub fn open(points: Vec<Point>, tension: f64) -> Result<Self, SplineError> {
-        Self::build(points, tension, false, 2)
-    }
-
-    fn build(
-        points: Vec<Point>,
-        tension: f64,
-        closed: bool,
-        need: usize,
-    ) -> Result<Self, SplineError> {
-        if points.len() < need {
-            return Err(SplineError::TooFewPoints {
-                got: points.len(),
-                need,
-            });
-        }
-        if !tension.is_finite() {
-            return Err(SplineError::InvalidTension);
-        }
-        if points.iter().any(|p| !p.is_finite()) {
-            return Err(SplineError::NonFinitePoint);
-        }
-
-        let n = points.len() as isize;
-        let at = |i: isize| -> Point {
-            let idx = if closed {
-                i.rem_euclid(n)
-            } else {
-                i.clamp(0, n - 1)
-            };
-            points[idx as usize]
-        };
+        validate(&points, tension)?;
+        let at = |i: isize| neighbor(&points, i);
 
         // Tangent at control point i, cardinal-style: m_i = s(p_{i+1} - p_{i-1}).
         //
@@ -101,13 +63,8 @@ impl BezierChain {
             base + Point::new(sign * len / 3.0, 0.0).rotated(angle)
         };
 
-        let seg_count = if closed {
-            points.len()
-        } else {
-            points.len() - 1
-        };
-        let mut handles = Vec::with_capacity(seg_count);
-        for i in 0..seg_count as isize {
+        let mut handles = Vec::with_capacity(points.len());
+        for i in 0..points.len() as isize {
             let m0 = (at(i + 1) - at(i - 1)) * tension;
             let m1 = (at(i + 2) - at(i)) * tension;
             let h0 = handle_from(at(i), m0, 1.0);
@@ -119,7 +76,6 @@ impl BezierChain {
             points,
             handles,
             tension,
-            closed,
         })
     }
 
@@ -139,12 +95,6 @@ impl BezierChain {
     #[inline]
     pub fn tension(&self) -> f64 {
         self.tension
-    }
-
-    /// `true` for a closed loop.
-    #[inline]
-    pub fn is_closed(&self) -> bool {
-        self.closed
     }
 
     /// Number of cubic segments.
@@ -187,14 +137,11 @@ impl BezierChain {
     /// Panics when `per_segment == 0`.
     pub fn sample(&self, per_segment: usize) -> Vec<Point> {
         assert!(per_segment > 0, "need at least one sample per segment");
-        let mut out = Vec::with_capacity(self.segment_count() * per_segment + 1);
+        let mut out = Vec::with_capacity(self.segment_count() * per_segment);
         for seg in 0..self.segment_count() {
             for k in 0..per_segment {
                 out.push(self.point(seg, k as f64 / per_segment as f64));
             }
-        }
-        if !self.closed {
-            out.push(*self.points.last().expect("validated non-empty"));
         }
         out
     }
@@ -284,10 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn open_chain_segment_count() {
-        let chain = BezierChain::open(square(), 0.6).unwrap();
-        assert_eq!(chain.segment_count(), 3);
-        assert_eq!(chain.sample(4).len(), 13);
+    fn segment_and_sample_counts() {
+        let chain = BezierChain::closed(square(), 0.6).unwrap();
+        assert_eq!(chain.segment_count(), 4);
+        assert_eq!(chain.sample(4).len(), 16);
     }
 
     #[test]

@@ -58,14 +58,11 @@ impl Coeffs {
     }
 }
 
-/// An interpolating cardinal spline through a sequence of control points.
-///
-/// Closed splines (mask shape boundaries) wrap their index arithmetic; open
-/// splines clamp the end neighbourhoods by repeating the terminal points.
+/// An interpolating cardinal spline through a closed loop of control points
+/// (a mask shape boundary); its index arithmetic wraps around the loop.
 ///
 /// Segment `i` spans control points `p_i` (at local parameter `t = 0`) to
-/// `p_{i+1}` (`t = 1`). A closed spline over `n` points has `n` segments, an
-/// open spline `n - 1`.
+/// `p_{(i+1) mod n}` (`t = 1`), so a loop over `n` points has `n` segments.
 ///
 /// ```
 /// use cardopc_geometry::Point;
@@ -87,7 +84,6 @@ impl Coeffs {
 pub struct CardinalSpline {
     points: Vec<Point>,
     tension: f64,
-    closed: bool,
 }
 
 impl CardinalSpline {
@@ -99,43 +95,8 @@ impl CardinalSpline {
     /// [`SplineError::InvalidTension`] for non-finite tension,
     /// [`SplineError::NonFinitePoint`] when a coordinate is NaN/infinite.
     pub fn closed(points: Vec<Point>, tension: f64) -> Result<Self, SplineError> {
-        Self::validate(&points, tension, 3)?;
-        Ok(CardinalSpline {
-            points,
-            tension,
-            closed: true,
-        })
-    }
-
-    /// Creates an open spline (end tangents clamped).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CardinalSpline::closed`], but at least 2 points are
-    /// required.
-    pub fn open(points: Vec<Point>, tension: f64) -> Result<Self, SplineError> {
-        Self::validate(&points, tension, 2)?;
-        Ok(CardinalSpline {
-            points,
-            tension,
-            closed: false,
-        })
-    }
-
-    fn validate(points: &[Point], tension: f64, need: usize) -> Result<(), SplineError> {
-        if points.len() < need {
-            return Err(SplineError::TooFewPoints {
-                got: points.len(),
-                need,
-            });
-        }
-        if !tension.is_finite() {
-            return Err(SplineError::InvalidTension);
-        }
-        if points.iter().any(|p| !p.is_finite()) {
-            return Err(SplineError::NonFinitePoint);
-        }
-        Ok(())
+        validate(&points, tension)?;
+        Ok(CardinalSpline { points, tension })
     }
 
     /// The control points.
@@ -157,26 +118,16 @@ impl CardinalSpline {
         self.tension
     }
 
-    /// `true` for a closed loop.
-    #[inline]
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    /// Number of cubic segments.
+    /// Number of cubic segments (one per control point).
     #[inline]
     pub fn segment_count(&self) -> usize {
-        if self.closed {
-            self.points.len()
-        } else {
-            self.points.len() - 1
-        }
+        self.points.len()
     }
 
-    /// Control point by wrapped/clamped signed index.
+    /// Control point by wrapped signed index.
     #[inline]
     fn neighbor(&self, i: isize) -> Point {
-        neighbor(&self.points, self.closed, i)
+        neighbor(&self.points, i)
     }
 
     fn coeffs(&self, segment: usize) -> Coeffs {
@@ -243,11 +194,8 @@ impl CardinalSpline {
     }
 
     /// Samples the whole curve with `per_segment` points per segment
-    /// (uniform in `t`), in curve order.
-    ///
-    /// For a closed spline the result traverses the full loop exactly once
-    /// (no duplicated closing point); for an open spline the final control
-    /// point is appended so the polyline reaches the end.
+    /// (uniform in `t`), in curve order: the loop exactly once, with no
+    /// duplicated closing point.
     ///
     /// This is the "connect the control points" step of the OPC flow — the
     /// operation the §IV-D ablation times against Bézier splines.
@@ -283,7 +231,7 @@ impl CardinalSpline {
             plan.tension(),
             self.tension
         );
-        sample_points(&self.points, self.closed, plan, out);
+        sample_points(&self.points, plan, out);
     }
 
     /// Samples the closed loop through `points` at `plan`'s tension into
@@ -301,8 +249,8 @@ impl CardinalSpline {
         plan: &SamplingPlan,
         out: &mut Vec<Point>,
     ) -> Result<(), SplineError> {
-        Self::validate(points, plan.tension(), 3)?;
-        sample_points(points, true, plan, out);
+        validate(points, plan.tension())?;
+        sample_points(points, plan, out);
         Ok(())
     }
 
@@ -318,39 +266,22 @@ impl CardinalSpline {
         let n = points.len() as isize;
         let arm = tension / 3.0;
         (0..n).fold(BBox::EMPTY, |hull, i| {
-            let p = neighbor(points, true, i);
-            let handle = (neighbor(points, true, i + 1) - neighbor(points, true, i - 1)) * arm;
+            let p = neighbor(points, i);
+            let handle = (neighbor(points, i + 1) - neighbor(points, i - 1)) * arm;
             hull.union(BBox::new(p - handle, p + handle))
         })
     }
 
-    /// Samples the loop into a [`Polygon`] (closed splines only make sense
-    /// here, but open splines simply produce the open polyline closed by a
-    /// straight edge).
+    /// Samples the loop into a [`Polygon`].
     pub fn to_polygon(&self, per_segment: usize) -> Polygon {
         Polygon::new(self.sample(per_segment))
-    }
-
-    /// Approximate total arc length using `per_segment` linear subdivisions.
-    pub fn arc_length(&self, per_segment: usize) -> f64 {
-        let pts = self.sample(per_segment.max(1));
-        let mut len = 0.0;
-        for w in pts.windows(2) {
-            len += w[0].distance(w[1]);
-        }
-        if self.closed {
-            if let (Some(&last), Some(&first)) = (pts.last(), pts.first()) {
-                len += last.distance(first);
-            }
-        }
-        len
     }
 
     /// The sampling weights of Eq. 2: the contribution of the 4-point
     /// neighbourhood `[p_{i-1}, p_i, p_{i+1}, p_{i+2}]` to `p(t)` is linear
     /// with these 4 scalar weights.
     ///
-    /// The ILT-fitting gradient (Algorithm 1) relies on this linearity.
+    /// Algorithm 1's least-squares fit relies on this linearity.
     pub fn basis_weights(tension: f64, t: f64) -> [f64; 4] {
         let s = tension;
         let t2 = t * t;
@@ -364,41 +295,45 @@ impl CardinalSpline {
     }
 }
 
-/// Control point of `points` by wrapped (`closed`) or clamped signed index.
-#[inline]
-fn neighbor(points: &[Point], closed: bool, i: isize) -> Point {
-    let n = points.len() as isize;
-    let idx = if closed {
-        i.rem_euclid(n)
-    } else {
-        i.clamp(0, n - 1)
-    };
-    points[idx as usize]
+/// Checks a closed loop's control points and tension: the errors of
+/// [`CardinalSpline::closed`], which [`BezierChain`](crate::BezierChain)
+/// shares.
+pub(crate) fn validate(points: &[Point], tension: f64) -> Result<(), SplineError> {
+    if points.len() < 3 {
+        return Err(SplineError::TooFewPoints {
+            got: points.len(),
+            need: 3,
+        });
+    }
+    if !tension.is_finite() {
+        return Err(SplineError::InvalidTension);
+    }
+    if points.iter().any(|p| !p.is_finite()) {
+        return Err(SplineError::NonFinitePoint);
+    }
+    Ok(())
 }
 
-/// Samples the spline through `points` with `plan`'s weights into `out`
+/// Control point of the loop `points` by wrapped signed index.
+#[inline]
+pub(crate) fn neighbor(points: &[Point], i: isize) -> Point {
+    points[i.rem_euclid(points.len() as isize) as usize]
+}
+
+/// Samples the loop through `points` with `plan`'s weights into `out`
 /// (cleared first): [`CardinalSpline::sample_into`]'s loop, on borrowed
 /// control points.
-fn sample_points(points: &[Point], closed: bool, plan: &SamplingPlan, out: &mut Vec<Point>) {
+fn sample_points(points: &[Point], plan: &SamplingPlan, out: &mut Vec<Point>) {
     out.clear();
-    let segs = if closed {
-        points.len()
-    } else {
-        points.len() - 1
-    };
-    out.reserve(segs * plan.per_segment() + 1);
-    for seg in 0..segs {
-        let i = seg as isize;
-        let pm1 = neighbor(points, closed, i - 1);
-        let p0 = neighbor(points, closed, i);
-        let p1 = neighbor(points, closed, i + 1);
-        let p2 = neighbor(points, closed, i + 2);
+    out.reserve(points.len() * plan.per_segment());
+    for i in 0..points.len() as isize {
+        let pm1 = neighbor(points, i - 1);
+        let p0 = neighbor(points, i);
+        let p1 = neighbor(points, i + 1);
+        let p2 = neighbor(points, i + 2);
         for w in plan.weights() {
             out.push(pm1 * w[0] + p0 * w[1] + p1 * w[2] + p2 * w[3]);
         }
-    }
-    if !closed {
-        out.push(*points.last().expect("validated non-empty"));
     }
 }
 
@@ -435,7 +370,6 @@ mod tests {
             ),
             Err(SplineError::NonFinitePoint)
         );
-        assert!(CardinalSpline::open(vec![Point::ZERO, Point::new(1.0, 0.0)], 0.6).is_ok());
     }
 
     #[test]
@@ -467,35 +401,35 @@ mod tests {
     #[test]
     fn zero_tension_gives_straight_segments() {
         // With s = 0 the cubic degenerates: c1 = 0, and the curve becomes a
-        // Hermite blend with zero end tangents — still passing through the
-        // endpoints but flat. Verify midpoint is the chord midpoint for a
-        // straight-line configuration.
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(2.0, 0.0),
-            Point::new(3.0, 0.0),
-        ];
-        let sp = CardinalSpline::open(pts, 0.0).unwrap();
-        let m = sp.point(1, 0.5);
-        assert!((m.y).abs() < 1e-12);
-        assert!(m.x > 1.0 && m.x < 2.0);
+        // Hermite blend with zero end tangents, p_i + (p_{i+1} − p_i)(3t² −
+        // 2t³) — every segment runs along its chord, whatever its
+        // neighbours, and the square loop stays a square.
+        let sp = CardinalSpline::closed(square(), 0.0).unwrap();
+        for seg in 0..4 {
+            let (a, b) = (square()[seg], square()[(seg + 1) % 4]);
+            for k in 0..=10 {
+                let p = sp.point(seg, k as f64 / 10.0);
+                assert!((p - a).cross(b - a).abs() < 1e-12, "seg {seg}: {p}");
+                assert!((p - a).dot(b - a) >= 0.0 && (p - b).dot(a - b) >= 0.0);
+            }
+        }
+    }
+
+    /// A loop whose first four control points lie on one line (`y = x` when
+    /// `diagonal`, else `y = 5`), so segment 1 — between the middle two —
+    /// has a collinear neighbourhood.
+    fn loop_with_straight_run(diagonal: bool) -> CardinalSpline {
+        let run = [0.0, 2.0, 5.0, 9.0].map(|x| Point::new(x, if diagonal { x } else { 5.0 }));
+        let far = [Point::new(9.0, 20.0), Point::new(0.0, 20.0)];
+        CardinalSpline::closed(run.into_iter().chain(far).collect(), 0.6).unwrap()
     }
 
     #[test]
     fn collinear_points_stay_collinear() {
-        let pts = vec![
-            Point::new(0.0, 5.0),
-            Point::new(2.0, 5.0),
-            Point::new(5.0, 5.0),
-            Point::new(9.0, 5.0),
-        ];
-        let sp = CardinalSpline::open(pts, 0.6).unwrap();
-        for seg in 0..sp.segment_count() {
-            for k in 0..=10 {
-                let t = k as f64 / 10.0;
-                assert!((sp.point(seg, t).y - 5.0).abs() < 1e-9);
-            }
+        let sp = loop_with_straight_run(false);
+        for k in 0..=10 {
+            let t = k as f64 / 10.0;
+            assert!((sp.point(1, t).y - 5.0).abs() < 1e-9);
         }
     }
 
@@ -572,22 +506,16 @@ mod tests {
 
     #[test]
     fn straight_line_zero_curvature() {
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(2.0, 2.0),
-            Point::new(3.0, 3.0),
-        ];
-        let sp = CardinalSpline::open(pts, 0.6).unwrap();
-        assert!(sp.curvature(1, 0.5).abs() < 1e-9);
+        let sp = loop_with_straight_run(true);
+        for k in 0..=10 {
+            assert!(sp.curvature(1, k as f64 / 10.0).abs() < 1e-9);
+        }
     }
 
     #[test]
     fn sample_counts() {
         let sp = CardinalSpline::closed(square(), 0.6).unwrap();
         assert_eq!(sp.sample(8).len(), 32);
-        let open = CardinalSpline::open(square(), 0.6).unwrap();
-        assert_eq!(open.sample(8).len(), 3 * 8 + 1);
     }
 
     #[test]
@@ -602,22 +530,6 @@ mod tests {
             "area {}",
             poly.area()
         );
-    }
-
-    #[test]
-    fn arc_length_of_circle() {
-        let n = 32;
-        let r = 10.0;
-        let pts: Vec<Point> = (0..n)
-            .map(|i| {
-                let th = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
-                Point::new(r * th.cos(), r * th.sin())
-            })
-            .collect();
-        let sp = CardinalSpline::closed(pts, 0.5).unwrap();
-        let len = sp.arc_length(16);
-        let expected = 2.0 * std::f64::consts::PI * r;
-        assert!((len - expected).abs() < 0.05 * expected, "len {len}");
     }
 
     #[test]
@@ -662,15 +574,6 @@ mod tests {
                 assert!((sum - 1.0).abs() < 1e-12, "s {s} t {t} sum {sum}");
             }
         }
-    }
-
-    #[test]
-    fn open_spline_clamps_ends() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(5.0, 5.0)];
-        let sp = CardinalSpline::open(pts, 0.6).unwrap();
-        assert_eq!(sp.segment_count(), 1);
-        assert_eq!(sp.point(0, 0.0), Point::new(0.0, 0.0));
-        assert!(sp.point(0, 1.0).distance(Point::new(5.0, 5.0)) < 1e-12);
     }
 
     #[test]

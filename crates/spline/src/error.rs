@@ -20,6 +20,8 @@ pub enum SplineError {
     NonFinitePoint,
     /// A fitting ratio is outside `(0, 1]`.
     InvalidRatio,
+    /// The fit's normal matrix has a pivot that is not positive.
+    SingularFit,
 }
 
 impl fmt::Display for SplineError {
@@ -31,6 +33,7 @@ impl fmt::Display for SplineError {
             SplineError::InvalidTension => write!(f, "tension parameter must be finite"),
             SplineError::NonFinitePoint => write!(f, "control point coordinates must be finite"),
             SplineError::InvalidRatio => write!(f, "sampling ratio must be in (0, 1]"),
+            SplineError::SingularFit => write!(f, "fit normal matrix is not positive definite"),
         }
     }
 }
@@ -51,6 +54,7 @@ mod tests {
         assert!(!SplineError::InvalidTension.to_string().is_empty());
         assert!(!SplineError::NonFinitePoint.to_string().is_empty());
         assert!(!SplineError::InvalidRatio.to_string().is_empty());
+        assert!(!SplineError::SingularFit.to_string().is_empty());
     }
 
     #[test]

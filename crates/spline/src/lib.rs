@@ -7,13 +7,14 @@
 //!
 //! * [`CardinalSpline`] — evaluation `p(t)`, first and second derivatives
 //!   (Eq. 8a, Eq. 10), unit tangents/normals (Eq. 8b–8c) and analytic
-//!   curvature (Eq. 9), for open and closed control polygons,
+//!   curvature (Eq. 9) of a closed loop of control points (every mask
+//!   shape is one),
 //! * [`BezierChain`] — the cubic Bézier baseline of Zhang et al. (Fig. 4 and
 //!   the §IV-D ablation), which must *generate* two inner handle points per
 //!   connected pair before it can interpolate,
-//! * [`fit`] — Algorithm 1: fitting a cardinal spline's control points to a
-//!   sampled reference contour with Adam gradient descent, the heart of the
-//!   ILT-OPC hybrid flow.
+//! * [`fit`] — Algorithm 1: the control points whose spline best fits a
+//!   sampled reference contour in the least-squares sense, found by one
+//!   banded Cholesky solve — the heart of the ILT-OPC hybrid flow.
 //!
 //! ```
 //! use cardopc_geometry::Point;
@@ -42,8 +43,5 @@ mod plan;
 pub use bezier::BezierChain;
 pub use cardinal::CardinalSpline;
 pub use error::SplineError;
-pub use fit::{
-    fit_contour, fit_contour_with, resample_closed, resample_closed_into, FitConfig, FitResult,
-    FitScratch,
-};
+pub use fit::{fit_contour, resample_closed, FitConfig, FitResult};
 pub use plan::SamplingPlan;
