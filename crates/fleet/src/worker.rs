@@ -9,8 +9,9 @@
 //! - a **prepared-state cache** keyed by the spec's canonical JSON: the
 //!   expanded clip + partition + flow are built once per distinct spec
 //!   and shared across requests;
-//! - a shared [`EngineCache`] so concurrent dispatch lanes reuse litho
-//!   engines across tiles and specs;
+//! - an [`EngineCache`] holding one litho engine per window extent, pitch
+//!   and precision, which every request thread shares across tiles and
+//!   specs;
 //! - an optional in-memory tile cache (repeated patterns replay);
 //! - the runtime's **line store** ([`LineStore`]) of finished tiles — each
 //!   pattern's entry line by cache key, each tile's line by input hash —
@@ -42,10 +43,6 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// Engine-cache stripes: dispatch lanes are spread round-robin across
-/// these to keep lock contention off the per-tile hot path.
-const ENGINE_SLOTS: usize = 4;
 
 /// Worker configuration.
 #[derive(Clone, Debug)]
@@ -86,7 +83,6 @@ struct WorkerState {
     prepared: Mutex<HashMap<String, Arc<Prepared>>>,
     engines: EngineCache,
     cache: Option<TileCache>,
-    lane_counter: AtomicUsize,
     tiles_done: AtomicUsize,
     server: http::StopHandle,
 }
@@ -123,9 +119,8 @@ impl WorkerServer {
                 store: Mutex::new(store),
                 _run_dir: run_dir,
                 prepared: Mutex::new(HashMap::new()),
-                engines: EngineCache::new(ENGINE_SLOTS),
+                engines: EngineCache::default(),
                 cache,
-                lane_counter: AtomicUsize::new(0),
                 tiles_done: AtomicUsize::new(0),
                 server,
             })
@@ -239,10 +234,9 @@ fn dispatch(request: &Request, state: &WorkerState) -> Response {
             ),
         );
     }
-    let lane = state.lane_counter.fetch_add(1, Ordering::Relaxed);
     let (mut keys, mut tile_lines) = (Vec::new(), String::new());
     for tile_index in tiles {
-        match answer_tile(state, &prepared, tile_index, lane) {
+        match answer_tile(state, &prepared, tile_index) {
             Ok((key, line)) => {
                 if !keys.contains(&key) {
                     keys.push(key);
@@ -279,7 +273,6 @@ fn answer_tile(
     state: &WorkerState,
     prepared: &Prepared,
     tile_index: usize,
-    lane: usize,
 ) -> Result<(u64, String), String> {
     let tile = &prepared.partition.tiles[tile_index];
     let hash = tile_input_hash(tile, prepared.flow.config());
@@ -297,13 +290,8 @@ fn answer_tile(
         cache: state.cache.as_ref(),
         ..RunControl::default()
     };
-    let corrected = correct_single_tile(
-        &prepared.partition,
-        tile_index,
-        &prepared.flow,
-        &control,
-        lane,
-    );
+    let corrected =
+        correct_single_tile(&prepared.partition, tile_index, &prepared.flow, &control, 0);
     let (line, entry) = match corrected {
         Ok(Some(finished)) => finished,
         // No cancellation handle is attached, so `None` cannot happen;

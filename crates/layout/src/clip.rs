@@ -55,11 +55,6 @@ impl Clip {
         &self.targets
     }
 
-    /// Consumes the clip, returning its target patterns.
-    pub fn into_targets(self) -> Vec<Polygon> {
-        self.targets
-    }
-
     /// The window as a bounding box anchored at the origin.
     pub fn bbox(&self) -> BBox {
         BBox::new(Point::ZERO, Point::new(self.width, self.height))

@@ -7,34 +7,41 @@ use crate::scalar::{Precision, Scalar};
 use crate::workspace::LithoWorkspace;
 use crate::LithoError;
 use cardopc_geometry::Grid;
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The simulation interior at one precision: the kernel patches at that
-/// precision plus a reusable [`LithoWorkspace`], so repeat calls are
-/// allocation-free. Masks enter and intensities leave as `f64`.
+/// precision plus a pool of reusable [`LithoWorkspace`]s, so repeat calls
+/// are allocation-free however many threads share the engine. Masks enter
+/// and intensities leave as `f64`.
 #[derive(Debug)]
 struct Interior<T: Scalar> {
-    stacks: Arc<SocsStacks<T>>,
-    workspace: Mutex<LithoWorkspace<T>>,
+    stacks: SocsStacks<T>,
+    workspaces: Mutex<Vec<LithoWorkspace<T>>>,
 }
 
 impl<T: Scalar> Interior<T> {
-    fn new(stacks: Arc<SocsStacks<T>>) -> Interior<T> {
+    fn new(stacks: SocsStacks<T>) -> Interior<T> {
         Interior {
             stacks,
-            workspace: Mutex::new(LithoWorkspace::new()),
+            workspaces: Mutex::default(),
         }
     }
 
-    /// Runs `job` on the engine's workspace — or, when another caller on
-    /// the same engine holds it, on a transient one rather than serialising
-    /// on the lock.
+    fn pool(&self) -> MutexGuard<'_, Vec<LithoWorkspace<T>>> {
+        self.workspaces
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `job` on a workspace checked out of the pool — a new one when
+    /// every pooled workspace is in use — and returns it afterwards, so
+    /// concurrent callers never share scratch and the pool grows to the
+    /// peak number of concurrent calls. Every result is a function of its
+    /// inputs alone, whichever workspace ran it.
     fn with_workspace(&self, job: impl FnOnce(&SocsStacks<T>, &mut LithoWorkspace<T>)) {
-        match self.workspace.try_lock() {
-            Ok(mut ws) => job(&self.stacks, &mut ws),
-            Err(TryLockError::Poisoned(poisoned)) => job(&self.stacks, &mut poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => job(&self.stacks, &mut LithoWorkspace::new()),
-        }
+        let mut ws = self.pool().pop().unwrap_or_default();
+        job(&self.stacks, &mut ws);
+        self.pool().push(ws);
     }
 
     fn images(
@@ -57,18 +64,11 @@ impl<T: Scalar> Interior<T> {
     }
 }
 
-impl<T: Scalar> Clone for Interior<T> {
-    /// Kernel stacks are shared; scratch is not — it refills lazily.
-    fn clone(&self) -> Interior<T> {
-        Interior::new(Arc::clone(&self.stacks))
-    }
-}
-
 /// The arithmetic the convolution hot loop runs: `F64` runs the kernel
 /// patches as synthesised; `F32` runs a copy narrowed once at construction
 /// — a few hundred KB, never a full-grid field. Both run the same generic
 /// kernels. Geometry, MRC and spline fitting never see reduced precision.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Simulation {
     F64(Interior<f64>),
     F32(Interior<f32>),
@@ -132,7 +132,11 @@ impl ProcessCondition {
 /// assert_eq!(aerial.width(), 256);
 /// # Ok::<(), cardopc_litho::LithoError>(())
 /// ```
-#[derive(Clone, Debug)]
+///
+/// One engine serves any number of threads at once (share it behind an
+/// [`Arc`](std::sync::Arc)); each call checks a workspace out of the
+/// engine's pool.
+#[derive(Debug)]
 pub struct LithoEngine {
     config: OpticsConfig,
     width: usize,
@@ -193,8 +197,8 @@ impl LithoEngine {
     ) -> Result<Self, LithoError> {
         let stacks = SocsStacks::build(&config, width, height, pitch)?;
         let simulation = match precision {
-            Precision::F64 => Simulation::F64(Interior::new(Arc::new(stacks))),
-            Precision::F32 => Simulation::F32(Interior::new(Arc::new(stacks.to_precision()))),
+            Precision::F64 => Simulation::F64(Interior::new(stacks)),
+            Precision::F32 => Simulation::F32(Interior::new(stacks.to_precision())),
         };
         Ok(LithoEngine {
             config,
@@ -205,6 +209,16 @@ impl LithoEngine {
             workers: WorkerPool::global().parallelism(),
             simulation,
         })
+    }
+
+    /// Frees the workspaces earlier calls left in the engine's pool; later
+    /// calls allocate afresh. For a holder that keeps the engine between
+    /// bursts of work and wants the scratch memory back in between.
+    pub fn release_workspaces(&self) {
+        match &self.simulation {
+            Simulation::F64(sim) => sim.pool().clear(),
+            Simulation::F32(sim) => sim.pool().clear(),
+        }
     }
 
     /// The interior arithmetic of the simulation.
@@ -831,20 +845,73 @@ mod tests {
         assert_eq!(small_engine().precision(), Precision::F64);
         let engine = small_engine_f32();
         assert_eq!(engine.precision(), Precision::F32);
-        // Clones keep the simulation precision.
-        assert_eq!(engine.clone().precision(), Precision::F32);
     }
 
     #[test]
-    fn clones_share_the_kernel_stacks() {
-        let stacks = |engine: &LithoEngine| match &engine.simulation {
-            Simulation::F64(sim) => Arc::strong_count(&sim.stacks),
-            Simulation::F32(sim) => Arc::strong_count(&sim.stacks),
+    fn shared_engine_workspace_pool_serves_concurrent_callers_bitwise() {
+        // Threads share one engine; every image, pixel list and gradient
+        // matches a serial call on a fresh engine bit for bit, whichever
+        // pooled workspace ran it, and the pool stops at one workspace per
+        // concurrent caller.
+        const THREADS: usize = 4;
+        let random = |seed: u64, lo: f64| {
+            let mut rng = cardopc_geometry::SplitMix64::new(seed);
+            let mut grid = Grid::zeros(64, 64, 8.0);
+            for v in grid.data_mut() {
+                *v = rng.range_f64(lo, 1.0);
+            }
+            grid
+        };
+        let conditions = [ProcessCondition::NOMINAL, ProcessCondition::inner(0.02)];
+        let pixels: Vec<usize> = (0..64 * 64).filter(|i| i % 7 == 3).collect();
+        // Full frame, listed pixels, both focus states, gradient.
+        let run = |engine: &LithoEngine, mask: &Grid, cotangent: &Grid| {
+            let mut full = Grid::zeros(64, 64, 8.0);
+            engine.aerial_image_into(mask, None, &mut full).unwrap();
+            let mut listed = Grid::zeros(64, 64, 8.0);
+            engine
+                .aerial_image_into(mask, Some(&pixels), &mut listed)
+                .unwrap();
+            let mut grids = vec![full, listed];
+            grids.extend(engine.aerial_images_multi(mask, &conditions).unwrap());
+            grids.push(engine.vjp(mask, cotangent).unwrap());
+            grids
+                .iter()
+                .flat_map(|g| g.data().iter().map(|v| v.to_bits()))
+                .collect::<Vec<u64>>()
+        };
+        let pooled = |engine: &LithoEngine| match &engine.simulation {
+            Simulation::F64(sim) => sim.pool().len(),
+            Simulation::F32(sim) => sim.pool().len(),
         };
         for engine in [small_engine(), small_engine_f32()] {
-            assert_eq!(stacks(&engine), 1);
-            let clone = engine.clone();
-            assert_eq!((stacks(&engine), stacks(&clone)), (2, 2));
+            let (config, precision) = (engine.config().clone(), engine.precision());
+            let fresh = LithoEngine::with_precision(config, 64, 64, 8.0, precision).unwrap();
+            let inputs: Vec<(Grid, Grid)> = (0..THREADS as u64)
+                .map(|t| (random(90 + t, 0.0), random(190 + t, -1.0)))
+                .collect();
+            let want: Vec<Vec<u64>> = inputs.iter().map(|(m, c)| run(&fresh, m, c)).collect();
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for (t, (mask, cotangent)) in inputs.iter().enumerate() {
+                    let (engine, start, run, want) = (&engine, &start, &run, &want);
+                    scope.spawn(move || {
+                        start.wait();
+                        for round in 0..3 {
+                            let same = run(engine, mask, cotangent) == want[t];
+                            assert!(same, "{precision:?} thread {t} round {round}");
+                        }
+                    });
+                }
+            });
+            let warm = pooled(&engine);
+            assert!((1..=THREADS).contains(&warm), "{warm} pooled workspaces");
+            // A warm pool serves a serial caller without growing.
+            run(&engine, &inputs[0].0, &inputs[0].1);
+            assert_eq!(pooled(&engine), warm);
+            engine.release_workspaces();
+            assert_eq!(pooled(&engine), 0);
+            assert!(run(&engine, &inputs[1].0, &inputs[1].1) == want[1]);
         }
     }
 

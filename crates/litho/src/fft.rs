@@ -652,18 +652,6 @@ impl<T: Scalar> Field<T> {
         &self.im
     }
 
-    /// Mutable real lane, row-major.
-    #[inline]
-    pub fn re_mut(&mut self) -> &mut [T] {
-        &mut self.re
-    }
-
-    /// Mutable imaginary lane, row-major.
-    #[inline]
-    pub fn im_mut(&mut self) -> &mut [T] {
-        &mut self.im
-    }
-
     /// Sample accessor (widened to the `f64` [`Complex`] domain).
     #[inline]
     pub fn at(&self, ix: usize, iy: usize) -> Complex {

@@ -72,12 +72,6 @@ pub fn try_rasterize(
     Ok(grid)
 }
 
-/// Adds one polygon's coverage into an existing grid (no clamping — callers
-/// that union multiple shapes clamp once at the end).
-pub fn rasterize_into(grid: &mut Grid, poly: &Polygon) {
-    ScanScratch::default().add(grid, poly);
-}
-
 /// Pixel-rectangle dirty region, `(ix0, ix1, iy0, iy1)` half-open.
 type PixelRect = (usize, usize, usize, usize);
 

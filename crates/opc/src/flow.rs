@@ -17,7 +17,7 @@ use cardopc_layout::Clip;
 use cardopc_litho::{epe_footprint, LithoEngine, RasterCache};
 use cardopc_mrc::{AreaPolicy, MrcResolver, ResolveConfig};
 use cardopc_spline::SamplingPlan;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Result of a CardOPC run on one clip.
 #[derive(Clone, Debug)]
@@ -84,10 +84,12 @@ pub struct OptimizedShapes {
 pub struct CardOpc {
     config: OpcConfig,
     /// The engine [`CardOpc::run`] calibrated last and the extent (bits of
-    /// the longer clip edge, nm) it was sized for: one slot, so a batch of
-    /// clips of one extent (the 13 Table I clips) builds it once.
-    last_engine: Arc<Mutex<Option<(u64, LithoEngine)>>>,
+    /// the longer clip edge, nm) it was sized for, so a batch of clips of
+    /// one extent (the 13 Table I clips) builds it once.
+    last_engine: Arc<Mutex<Option<(u64, SharedEngine)>>>,
 }
+
+type SharedEngine = Arc<LithoEngine>;
 
 impl CardOpc {
     /// Creates the flow.
@@ -176,21 +178,29 @@ impl CardOpc {
     /// Any [`OpcError`]; see [`CardOpc::run_with_engine`].
     pub fn run(&self, clip: &Clip) -> Result<OpcOutcome, OpcError> {
         // The engine is a function of the extent it is sized for: this
-        // flow's pitch is fixed and `run` always simulates in f64. A clone
-        // shares the kernel stacks and the calibrated threshold and starts
-        // with an empty workspace.
+        // flow's pitch is fixed and `run` always simulates in f64.
         let extent = clip.width().max(clip.height()).to_bits();
-        let slot = || self.last_engine.lock().expect("no panic holds the memo");
-        let reused = slot().as_ref().filter(|(e, _)| *e == extent).cloned();
-        let engine = match reused {
-            Some((_, engine)) => engine,
-            None => {
-                let engine = engine_for_extent(clip.width(), clip.height(), self.config.pitch)?;
-                *slot() = Some((extent, engine.clone()));
-                engine
+        let engine = {
+            // Held through a build, so clips run concurrently build once.
+            let mut memo = self
+                .last_engine
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            match &*memo {
+                Some((e, engine)) if *e == extent => Arc::clone(engine),
+                _ => {
+                    let (width, height) = (clip.width(), clip.height());
+                    let engine = Arc::new(engine_for_extent(width, height, self.config.pitch)?);
+                    *memo = Some((extent, Arc::clone(&engine)));
+                    engine
+                }
             }
         };
-        self.run_with_engine(clip, &engine)
+        let outcome = self.run_with_engine(clip, &engine);
+        // The memo keeps the kernels between clips, not the scratch, so a
+        // batch peaks at the scratch of the clips in flight.
+        engine.release_workspaces();
+        outcome
     }
 
     /// Runs the full flow against a caller-provided engine (reuse across

@@ -17,18 +17,20 @@
 //! * [`TileEvent`] is emitted once per finished tile (resumed or
 //!   executed), mirroring the checkpoint record stream 1:1 — a progress
 //!   observer sees exactly what `tiles.jsonl` receives.
-//! * [`EngineCache`] lets *different* runs share calibrated
-//!   [`LithoEngine`]s. Engines are immutable after calibration (every
-//!   litho entry point takes `&self`), so sharing cannot perturb results:
-//!   a tile corrected against a cached engine is bit-identical to one
-//!   corrected against a freshly built engine of the same extent.
+//! * [`EngineCache`] holds one calibrated [`LithoEngine`] per
+//!   [`EngineKey`] for every tile, thread and run that shares it. Engines
+//!   are immutable after calibration (every litho entry point takes
+//!   `&self`, and each call checks scratch out of the engine's own pool),
+//!   so sharing cannot perturb results: a tile corrected against a cached
+//!   engine is bit-identical to one corrected against a freshly built
+//!   engine of the same extent.
 
 use crate::cache::TileCache;
 use cardopc_litho::LithoEngine;
 use cardopc_opc::OpcError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Engine identity: `(width nm bits, height nm bits, pitch nm bits,
 /// precision tag)` of the window the engine was calibrated for. The
@@ -84,38 +86,34 @@ impl RunHandle {
     }
 }
 
-/// A calibrated-engine cache shared across runs.
+/// A calibrated-engine cache shared across runs and threads: one engine
+/// per [`EngineKey`], built by the first caller that asks for it.
 ///
-/// The scheduler keys engines per pool *slot* so that, within one run,
-/// each executor finds its engine without touching a lock on the hot
-/// path; the cache preserves that sharding (one mutexed map per slot) so
+/// An engine serves any number of concurrent callers (it pools its own
+/// scratch), so every run, tile and thread of a process uses the same one;
 /// a server running jobs back to back — or two jobs concurrently — reuses
 /// kernels instead of re-deriving them per job. Engines are handed out as
 /// [`Arc`]s and never mutated, so sharing is invisible to results.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EngineCache {
-    slots: Vec<Mutex<HashMap<EngineKey, Arc<LithoEngine>>>>,
+    engines: Mutex<HashMap<EngineKey, Arc<Built>>>,
 }
 
+/// One key's engine, once built. Callers of the key queue on its lock.
+type Built = Mutex<Option<Arc<LithoEngine>>>;
+
 impl EngineCache {
-    /// A cache with `slots` independent shards (use the worker pool's
-    /// parallelism; a smaller count still works — slots wrap around).
-    pub fn new(slots: usize) -> EngineCache {
-        EngineCache {
-            slots: (0..slots.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
+    /// An empty cache.
+    ///
+    /// `_slots`: ignored; removed with ROADMAP 14-II.
+    pub fn new(_slots: usize) -> EngineCache {
+        EngineCache::default()
     }
 
-    /// Number of shards.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total engines currently cached across all shards.
+    /// Engines built so far (waits for builds in progress).
     pub fn len(&self) -> usize {
-        self.slots.iter().map(|s| self.lock(s).len()).sum()
+        let keys: Vec<Arc<Built>> = lock(&self.engines).values().cloned().collect();
+        keys.iter().filter(|built| lock(built).is_some()).count()
     }
 
     /// Whether no engine is cached.
@@ -123,38 +121,34 @@ impl EngineCache {
         self.len() == 0
     }
 
-    /// Returns the engine for `key` in shard `slot`, building (and
-    /// caching) it with `build` on a miss.
+    /// Returns the engine for `key`, building (and caching) it with `build`
+    /// on a miss. Concurrent callers of one key wait for the first one's
+    /// build rather than building their own; callers of other keys do not
+    /// wait.
+    ///
+    /// `_slot`: ignored; removed with ROADMAP 14-II.
     ///
     /// # Errors
     ///
-    /// Whatever `build` returns; failures are not cached.
+    /// Whatever `build` returns; failures (and panics) are not cached —
+    /// the next caller builds.
     pub fn get_or_build(
         &self,
-        slot: usize,
+        _slot: usize,
         key: EngineKey,
         build: impl FnOnce() -> Result<LithoEngine, OpcError>,
     ) -> Result<Arc<LithoEngine>, OpcError> {
-        let shard = &self.slots[slot % self.slots.len()];
-        // Fast path: already built.
-        if let Some(engine) = self.lock(shard).get(&key) {
+        let built = Arc::clone(lock(&self.engines).entry(key).or_default());
+        let mut built = lock(&built);
+        if let Some(engine) = &*built {
             return Ok(Arc::clone(engine));
         }
-        // Build outside the lock (kernel derivation is the expensive
-        // part); a concurrent builder of the same key may win the insert,
-        // in which case its engine is kept and ours dropped — both are
-        // deterministic functions of `key`, so either is correct.
-        let engine = Arc::new(build()?);
-        let mut map = self.lock(shard);
-        Ok(Arc::clone(map.entry(key).or_insert(engine)))
+        Ok(Arc::clone(built.insert(Arc::new(build()?))))
     }
+}
 
-    fn lock<'a>(
-        &self,
-        shard: &'a Mutex<HashMap<EngineKey, Arc<LithoEngine>>>,
-    ) -> std::sync::MutexGuard<'a, HashMap<EngineKey, Arc<LithoEngine>>> {
-        shard.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Optional hooks threaded through a controlled run.
@@ -214,14 +208,18 @@ mod tests {
         assert!(!RunControl::default().cancelled());
     }
 
+    fn key(extent: f64) -> EngineKey {
+        (extent.to_bits(), extent.to_bits(), 16f64.to_bits(), 0u8)
+    }
+
     #[test]
-    fn engine_cache_builds_once_per_slot_and_key() {
+    fn engine_cache_builds_once_per_key() {
         let cache = EngineCache::new(2);
         let mut builds = 0;
-        let key = (1024f64.to_bits(), 1024f64.to_bits(), 16f64.to_bits(), 0u8);
-        for _ in 0..3 {
+        // The ignored slot argument does not pick a separate shard.
+        for slot in 0..3 {
             let engine = cache
-                .get_or_build(0, key, || {
+                .get_or_build(slot, key(1024.0), || {
                     builds += 1;
                     cardopc_opc::engine_for_extent(1024.0, 1024.0, 16.0)
                 })
@@ -230,18 +228,42 @@ mod tests {
         }
         assert_eq!(builds, 1);
         assert_eq!(cache.len(), 1);
-        // A different slot is an independent shard.
-        cache
-            .get_or_build(1, key, || {
-                cardopc_opc::engine_for_extent(1024.0, 1024.0, 16.0)
+        // Another key is another engine.
+        let other = cache
+            .get_or_build(0, key(512.0), || {
+                cardopc_opc::engine_for_extent(512.0, 512.0, 16.0)
             })
             .unwrap();
+        assert_eq!(other.width(), 32);
         assert_eq!(cache.len(), 2);
-        // Slot indices wrap.
-        cache
-            .get_or_build(2, key, || panic!("slot 2 wraps onto slot 0's shard"))
-            .unwrap();
-        assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn engine_cache_racing_first_callers_build_once() {
+        const THREADS: usize = 4;
+        let cache = EngineCache::new(THREADS);
+        let builds = std::sync::atomic::AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(THREADS);
+        let engines: Vec<Arc<LithoEngine>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..THREADS)
+                .map(|slot| {
+                    let (cache, builds, start) = (&cache, &builds, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        cache
+                            .get_or_build(slot, key(1024.0), || {
+                                builds.fetch_add(1, Ordering::Relaxed);
+                                cardopc_opc::engine_for_extent(1024.0, 1024.0, 16.0)
+                            })
+                            .unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert!(engines.iter().all(|e| Arc::ptr_eq(e, &engines[0])));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

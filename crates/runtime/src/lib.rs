@@ -9,9 +9,9 @@
 //!    tile (bbox-centre rule over an R-tree), and halo copies give each
 //!    tile the optical context a monolithic run would see.
 //! 2. **Schedule** ([`run_tiles_controlled`]): tiles fan out over the shared
-//!    [`WorkerPool`], each slot holding its own calibrated
-//!    [`LithoEngine`](cardopc_litho::LithoEngine) keyed by the (uniform)
-//!    window extent. Results are merged in tile order, so the outcome is
+//!    [`WorkerPool`], every task sharing one calibrated
+//!    [`LithoEngine`](cardopc_litho::LithoEngine) per (uniform) window
+//!    extent. Results are merged in tile order, so the outcome is
 //!    deterministic for any scheduler pool size.
 //! 3. **Checkpoint** ([`RunDir`]): each tile pattern's correction is
 //!    appended once, as the tile cache's entry line, and each finished

@@ -80,13 +80,6 @@ pub struct Tile {
     pub owned: Vec<bool>,
 }
 
-impl Tile {
-    /// Number of targets this tile owns.
-    pub fn owned_count(&self) -> usize {
-        self.owned.iter().filter(|&&o| o).count()
-    }
-}
-
 /// A clip partitioned into halo tiles.
 #[derive(Clone, Debug)]
 pub struct Partition {

@@ -1,11 +1,13 @@
 //! Tile job scheduling over the shared worker pool.
 //!
-//! Tiles are fanned over [`WorkerPool`] slots: each slot (one worker
+//! Tiles are fanned over [`WorkerPool`] tasks: each task (one worker
 //! thread, plus the participating submitter) claims tiles from a shared
-//! atomic counter and runs the full OPC flow on them with a per-slot
-//! [`LithoEngine`] cache keyed by window extent — tile windows are
-//! uniform, so in practice each slot builds exactly one engine and reuses
-//! it for every tile it claims. The claim order is dynamic (load
+//! atomic counter and runs the full OPC flow on them. Every task takes its
+//! [`LithoEngine`](cardopc_litho::LithoEngine) from one [`EngineCache`]
+//! (the attached one, or a run-local one), which holds one engine per
+//! window extent, pitch and precision; the engine pools its own scratch,
+//! so tasks share it. Tile windows are uniform, so a run builds exactly
+//! one engine. The claim order is dynamic (load
 //! balanced), but results are merged and sorted by tile index afterwards,
 //! so the outcome is **deterministic for any scheduler pool size**: each
 //! tile's correction is a pure function of its input clip, and the
@@ -24,12 +26,12 @@ use crate::cache::{tile_cache_key, CachedTile};
 use crate::checkpoint::{
     tile_input_hash, Placement, StitchedShape, TileLine, TileMetrics, TileRecord,
 };
-use crate::handle::{EngineKey, RunControl};
+use crate::handle::{EngineCache, EngineKey, RunControl};
 use crate::partition::{Partition, Tile};
 use crate::run::Run;
 use crate::RuntimeError;
 use cardopc_geometry::{Grid, Polygon};
-use cardopc_litho::{measure_epe, metal_measure_points, via_measure_points, LithoEngine};
+use cardopc_litho::{measure_epe, metal_measure_points, via_measure_points};
 use cardopc_litho::{ProcessCondition, WorkerPool};
 use cardopc_opc::{engine_for_extent_at, CardOpc, MeasureConvention, EPE_TOLERANCE};
 use std::collections::HashMap;
@@ -76,14 +78,6 @@ pub struct ScheduleOutcome {
     pub cancelled: bool,
 }
 
-/// Per-slot state: an engine memo keyed by `(width, height, pitch bits)`.
-/// Windows are uniform per run, so this holds one engine per slot, but the
-/// key keeps correctness if a future caller mixes extents. When a shared
-/// [`EngineCache`](crate::EngineCache) is attached the memo holds `Arc`s
-/// into it (no lock on the per-tile hot path); otherwise the engines are
-/// run-local.
-type Slot = HashMap<EngineKey, Arc<LithoEngine>>;
-
 /// Runs every not-yet-checkpointed tile of `partition` over `pool`: the
 /// [`Run`] frame around a pool fan-out.
 ///
@@ -115,17 +109,18 @@ pub fn run_tiles_controlled(
     let mut run = Run::new(partition, flow.config(), checkpoints, sink, control);
     let todo = run.start(max_tiles);
 
-    // Each slot claims tiles from the shared cursor until the list is
+    // Each task claims tiles from the shared cursor until the list is
     // drained or the run is stopped.
     let cursor = AtomicUsize::new(0);
-    let mut slots = vec![Slot::new(); pool.parallelism().max(1)];
-    pool.run_with_slots(&mut slots, |slot_index, slot| {
+    let local = EngineCache::default();
+    let engines = control.engines.unwrap_or(&local);
+    pool.run(pool.parallelism().max(1), |_| {
         while !run.stopped() {
             let Some(&(index, hash)) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
                 return;
             };
             let tile = &partition.tiles[index];
-            match execute_tile(tile, hash, partition, flow, slot, slot_index, control) {
+            match execute_tile(tile, hash, partition, flow, engines, control) {
                 Ok(Some((line, entry, cached))) => run.commit(line, &entry, cached, None),
                 // Cancelled while waiting on an in-flight cache key: no
                 // result for this tile, and the loop is about to exit.
@@ -141,9 +136,8 @@ pub fn run_tiles_controlled(
 /// the entry the line places — the fleet worker's entry point. Runs through the same (optionally cached) `correct_tile` →
 /// [`Placement::of`] path as the full scheduler, so the lines are
 /// byte-identical (timing aside) to what a single-process run writes for
-/// that tile. `slot_index` selects the stripe of an attached
-/// [`EngineCache`](crate::EngineCache) (callers with several executor
-/// threads should spread indices to avoid lock contention). `Ok(None)`
+/// that tile. `_slot_index`: ignored; removed with ROADMAP 14-II. Without an
+/// attached [`EngineCache`] the call builds its own engine. `Ok(None)`
 /// means the control's handle was cancelled while the tile waited on
 /// another caller's in-flight correction.
 ///
@@ -156,7 +150,7 @@ pub fn correct_single_tile(
     tile_index: usize,
     flow: &CardOpc,
     control: &RunControl<'_>,
-    slot_index: usize,
+    _slot_index: usize,
 ) -> Result<Option<(TileLine, Arc<CachedTile>)>, RuntimeError> {
     // Tiles sit at their own index (the fleet worker relies on it too).
     let tile = partition
@@ -166,9 +160,10 @@ pub fn correct_single_tile(
         .ok_or(RuntimeError::InvalidConfig(
             "tile index outside the partition",
         ))?;
-    let mut slot = Slot::new();
+    let local = EngineCache::default();
+    let engines = control.engines.unwrap_or(&local);
     let hash = tile_input_hash(tile, flow.config());
-    let finished = execute_tile(tile, hash, partition, flow, &mut slot, slot_index, control)?;
+    let finished = execute_tile(tile, hash, partition, flow, engines, control)?;
     Ok(finished.map(|(line, entry, _cached)| (line, entry)))
 }
 
@@ -184,23 +179,22 @@ fn execute_tile(
     input_hash: u64,
     partition: &Partition,
     flow: &CardOpc,
-    slot: &mut Slot,
-    slot_index: usize,
+    engines: &EngineCache,
     control: &RunControl<'_>,
 ) -> Result<Option<(TileLine, Arc<CachedTile>, bool)>, RuntimeError> {
     let start = std::time::Instant::now();
     let config = flow.config();
     let key = tile_cache_key(tile, &partition.config, config);
-    let correct = |slot: &mut Slot| correct_tile(tile, flow, config, slot, slot_index, control);
+    let correct = || correct_tile(tile, flow, config, engines);
     let (entry, cached) = match control.cache {
         Some(cache) => {
             let cancelled = || control.cancelled();
-            match cache.get_or_correct(key, &cancelled, || correct(slot))? {
+            match cache.get_or_correct(key, &cancelled, correct)? {
                 Some(found) => found,
                 None => return Ok(None),
             }
         }
-        None => (Arc::new(correct(slot)?), false),
+        None => (Arc::new(correct()?), false),
     };
     let seconds = start.elapsed().as_secs_f64();
     let placement = Placement::of(tile, partition, &entry).ok_or(RuntimeError::InvalidConfig(
@@ -224,12 +218,9 @@ fn correct_tile(
     tile: &Tile,
     flow: &CardOpc,
     config: &cardopc_opc::OpcConfig,
-    slot: &mut Slot,
-    slot_index: usize,
-    control: &RunControl<'_>,
+    engines: &EngineCache,
 ) -> Result<CachedTile, RuntimeError> {
     let start = std::time::Instant::now();
-    let cache = control.engines;
     let iterations = config.iterations;
 
     // Empty tiles (no targets anywhere in the halo window) produce an
@@ -251,31 +242,19 @@ fn correct_tile(
         config.pitch.to_bits(),
         config.precision.tag(),
     );
-    let engine: &LithoEngine = match slot.entry(key) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(v) => {
-            let build = || {
-                engine_for_extent_at(
-                    tile.clip.width(),
-                    tile.clip.height(),
-                    config.pitch,
-                    config.precision,
-                )
-            };
-            let engine = match cache {
-                Some(cache) => cache.get_or_build(slot_index, key, build),
-                None => build().map(Arc::new),
-            }
-            .map_err(|source| RuntimeError::Tile {
-                tile: tile.index,
-                source,
-            })?;
-            v.insert(engine)
-        }
+    let build = || {
+        let (width, height) = (tile.clip.width(), tile.clip.height());
+        engine_for_extent_at(width, height, config.pitch, config.precision)
     };
+    let engine = engines
+        .get_or_build(0, key, build)
+        .map_err(|source| RuntimeError::Tile {
+            tile: tile.index,
+            source,
+        })?;
 
     let optimized = flow
-        .optimize_with_engine(&tile.clip, engine)
+        .optimize_with_engine(&tile.clip, &engine)
         .map_err(|source| RuntimeError::Tile {
             tile: tile.index,
             source,
@@ -484,6 +463,8 @@ mod tests {
             &RunControl::default(),
         )
         .unwrap();
+        // Four tasks share one engine from the attached cache.
+        let engines = EngineCache::new(4);
         let four = run_tiles_controlled(
             &partition,
             &flow,
@@ -491,9 +472,13 @@ mod tests {
             &none,
             None,
             None,
-            &RunControl::default(),
+            &RunControl {
+                engines: Some(&engines),
+                ..RunControl::default()
+            },
         )
         .unwrap();
+        assert_eq!(engines.len(), 1);
         assert_eq!(one.results.len(), 4);
         assert_eq!(one.executed, 4);
         for (a, b) in one.results.iter().zip(&four.results) {

@@ -176,8 +176,8 @@ struct RunArgs {
     no_cache: bool,
     workers_local: usize,
     worker_addrs: Vec<std::net::SocketAddr>,
-    lease_secs: f64,
-    steal_secs: f64,
+    lease: Duration,
+    steal_after: Duration,
 }
 
 impl RunArgs {
@@ -205,8 +205,8 @@ impl RunArgs {
             no_cache: false,
             workers_local: 0,
             worker_addrs: Vec::new(),
-            lease_secs: 120.0,
-            steal_secs: 20.0,
+            lease: Duration::from_secs(120),
+            steal_after: Duration::from_secs(20),
         };
         while let Some(flag) = it.next() {
             let mut value = || {
@@ -267,8 +267,8 @@ impl RunArgs {
                             .map_err(|_| format!("--worker-addr: cannot parse '{raw}'"))?,
                     );
                 }
-                "--lease-secs" => args.lease_secs = parse_num(&flag, &value()?)?,
-                "--steal-secs" => args.steal_secs = parse_num(&flag, &value()?)?,
+                "--lease-secs" => args.lease = parse_secs(&flag, &value()?)?,
+                "--steal-secs" => args.steal_after = parse_secs(&flag, &value()?)?,
                 "--quick" => {
                     args.design = DesignChoice::Kind(DesignKind::Gcd);
                     args.design_tiles = 1;
@@ -351,6 +351,14 @@ fn parse_serve(it: &mut std::vec::IntoIter<String>) -> Result<Option<ServeConfig
 fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
     raw.parse()
         .map_err(|_| format!("{flag}: cannot parse '{raw}'"))
+}
+
+/// Seconds as a [`Duration`], floored at 0.1 s; a value no `Duration`
+/// holds (infinite, or beyond ≈ 5.8e11 years) is a usage error.
+fn parse_secs(flag: &str, raw: &str) -> Result<Duration, String> {
+    let secs: f64 = parse_num(flag, raw)?;
+    Duration::try_from_secs_f64(secs.max(0.1))
+        .map_err(|_| format!("{flag}: '{raw}' seconds is out of range"))
 }
 
 fn main() -> ExitCode {
@@ -594,8 +602,8 @@ fn run_on_fleet(args: &RunArgs, spec: &WorkSpec) -> Result<Ran, AnyError> {
     let spawned = locals.0.iter().map(|w| w.addr);
     let config = FleetConfig {
         workers: spawned.chain(args.worker_addrs.iter().copied()).collect(),
-        lease: Duration::from_secs_f64(args.lease_secs.max(0.1)),
-        steal_after: Duration::from_secs_f64(args.steal_secs.max(0.1)),
+        lease: args.lease,
+        steal_after: args.steal_after,
         run_dir: args.run_dir.clone(),
         max_tiles: args.max_tiles,
         ..FleetConfig::default()

@@ -6,9 +6,10 @@
 //! draining; correction work happens on dedicated executor threads (one
 //! per `max_inflight` slot) that share the process-wide
 //! [`WorkerPool`](cardopc_litho::WorkerPool) and a cross-job
-//! [`EngineCache`]. Because each tile's correction is a pure function of
-//! its input and results are merged in tile order, jobs running
-//! concurrently produce byte-identical manifests to jobs run alone.
+//! [`EngineCache`] (one engine per window extent, pitch and precision,
+//! shared by every executor). Because each tile's correction is a pure
+//! function of its input and results are merged in tile order, jobs
+//! running concurrently produce byte-identical manifests to jobs run alone.
 //!
 //! Retention is bounded too: only the newest `retain_terminal` finished
 //! jobs (and their result documents) are kept — older ones are evicted,
@@ -196,7 +197,6 @@ impl JobStore {
         pool: PoolRef,
         workers: Arc<WorkerRegistry>,
     ) -> JobStore {
-        let slots = pool.get().parallelism();
         JobStore {
             inner: Mutex::new(Inner {
                 jobs: HashMap::new(),
@@ -210,7 +210,7 @@ impl JobStore {
             max_queued: max_queued.max(1),
             retain_terminal: retain_terminal.max(1),
             metrics,
-            engines: EngineCache::new(slots),
+            engines: EngineCache::default(),
             cache,
             pool,
             workers,

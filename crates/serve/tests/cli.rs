@@ -137,6 +137,25 @@ fn invalid_opc_flags_exit_1_with_the_validation_message() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fleet timeout no `Duration` holds is a usage error (exit 1, before
+/// any worker is contacted), not a panic.
+#[test]
+fn unrepresentable_fleet_timeouts_exit_1() {
+    let dir = tempdir("fleetsecs");
+    for (flag, value) in [
+        ("--lease-secs", "inf"),
+        ("--lease-secs", "1e30"),
+        ("--steal-secs", "inf"),
+    ] {
+        let args = ["--quick", "--worker-addr", "127.0.0.1:9", flag, value];
+        let out = cardopc(&args, &dir);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        let want = format!("{flag}: '{value}' seconds is out of range\n");
+        assert_eq!(stderr(&out), want, "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A flag that only sizes or feeds this process's pool, combined with
 /// fleet mode, is refused by name rather than silently dropped.
 fn assert_fleet_mode_refuses(flag: &str, value: &str) {
