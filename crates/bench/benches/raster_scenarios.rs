@@ -11,7 +11,7 @@
 //!   vias composited over a frozen SRAF base, a 500² grid at 4 nm.
 //!
 //! `composite` is [`RasterCache::composite`] as the loop calls it (restore
-//! the dirty rectangle, add the moving layer, clamp); `rasterize` is the
+//! the row spans written last time, add the moving layer, clamp); `rasterize` is the
 //! from-scratch union raster the scoring paths use. Snapshot:
 //! `bench_results/BENCH_raster.json`.
 

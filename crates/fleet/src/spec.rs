@@ -146,6 +146,7 @@ pub fn parse_design_with_root(
             .map_err(|e| format!("'design.layer': {e}"))?,
         };
         let crop = parse_crop(design)?;
+        check_design(None, crop)?;
         return Ok(DesignSpec::gds(path, layer, crop));
     }
     reject_unknown(design, &["kind", "tiles", "crop"])?;
@@ -164,24 +165,34 @@ pub fn parse_design_with_root(
         None => 1,
         Some(v) => v.as_usize().ok_or("'design.tiles' must be an integer")?,
     };
-    if tiles == 0 || tiles > MAX_DESIGN_TILES {
-        return Err(format!("'design.tiles' must be in 1..={MAX_DESIGN_TILES}"));
-    }
     let crop = parse_crop(design)?;
+    check_design(Some(tiles), crop)?;
     Ok(DesignSpec::generated(kind, tiles, crop))
 }
 
 fn parse_crop(design: &Json) -> Result<Option<f64>, BadRequest> {
     match design.get("crop") {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => {
-            let nm = v.as_f64().ok_or("'design.crop' must be a number")?;
-            if !nm.is_finite() || nm <= 0.0 {
-                return Err("'design.crop' must be positive".into());
-            }
-            Ok(Some(nm))
-        }
+        Some(v) => Ok(Some(v.as_f64().ok_or("'design.crop' must be a number")?)),
     }
+}
+
+/// The tile-count and crop rules of a design recipe, one check for the
+/// wire parser and the CLI's `--design-tiles` / `--crop`: a synthetic
+/// design (`tiles` is `None` for a GDS one) has `1..=MAX_DESIGN_TILES`
+/// tiles, and a crop window is a positive, finite width in nm.
+///
+/// # Errors
+///
+/// The rule broken, naming the wire field.
+pub fn check_design(tiles: Option<usize>, crop: Option<f64>) -> Result<(), BadRequest> {
+    if tiles.is_some_and(|n| n == 0 || n > MAX_DESIGN_TILES) {
+        return Err(format!("'design.tiles' must be in 1..={MAX_DESIGN_TILES}"));
+    }
+    if crop.is_some_and(|nm| !(nm.is_finite() && nm > 0.0)) {
+        return Err("'design.crop' must be positive and finite".into());
+    }
+    Ok(())
 }
 
 /// Builds the synthetic input clip: `count` design tiles side by side,

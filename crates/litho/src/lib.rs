@@ -69,7 +69,7 @@ pub use metrics::{
 pub use optics::{OpticsConfig, SocsStacks};
 pub use plan::FftPlan;
 pub use pool::{CachePadded, WorkerPool};
-pub use raster::{rasterize, try_rasterize, RasterCache};
+pub use raster::{rasterize, try_rasterize, MaskRef, RasterCache};
 pub use scalar::{Precision, Scalar};
 pub use simd::SimdMode;
 pub use workspace::LithoWorkspace;

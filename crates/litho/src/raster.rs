@@ -19,6 +19,7 @@
 //! the oracle.
 
 use crate::error::LithoError;
+use crate::fft::{span_union, Span, NO_SPAN};
 use cardopc_geometry::{Grid, Polygon};
 
 /// Number of sub-scanlines per pixel row (vertical anti-aliasing quality).
@@ -68,20 +69,19 @@ pub fn try_rasterize(
 ) -> Result<Grid, LithoError> {
     validate_raster(pitch)?;
     let mut grid = Grid::zeros(width, height, pitch);
-    ScanScratch::default().union_into(&mut grid, polygons);
+    let mut spans = vec![NO_SPAN; height];
+    ScanScratch::default().union_into(&mut grid, polygons, &mut spans);
     Ok(grid)
 }
 
-/// Pixel-rectangle dirty region, `(ix0, ix1, iy0, iy1)` half-open.
-type PixelRect = (usize, usize, usize, usize);
-
-/// The rectangle without pixels, identity of [`union`]; its row range
-/// `usize::MAX..0` is empty, so loops over it need no special case.
-const NO_PIXELS: PixelRect = (usize::MAX, 0, usize::MAX, 0);
-
-/// Smallest rectangle holding both.
-fn union(a: PixelRect, b: PixelRect) -> PixelRect {
-    (a.0.min(b.0), a.1.max(b.1), a.2.min(b.2), a.3.max(b.3))
+/// Clamps coverage to 1 inside each row's span.
+fn clamp_spans(grid: &mut Grid, spans: &[Span]) {
+    let w = grid.width();
+    for (row, &(start, end)) in grid.data_mut().chunks_exact_mut(w).zip(spans) {
+        for v in row.get_mut(start..end).unwrap_or_default() {
+            *v = v.min(1.0);
+        }
+    }
 }
 
 /// Buffers of the edge-bucketed scan conversion, kept between polygons so
@@ -103,19 +103,20 @@ struct ScanScratch {
 
 impl ScanScratch {
     /// Rasterises the clamped union coverage of `polygons` into a zeroed
-    /// grid.
-    fn union_into(&mut self, grid: &mut Grid, polygons: &[Polygon]) {
+    /// grid, widening `spans` (one per row) by the pixels written.
+    fn union_into(&mut self, grid: &mut Grid, polygons: &[Polygon], spans: &mut [Span]) {
         for poly in polygons {
-            self.add(grid, poly);
+            self.add(grid, poly, spans);
         }
-        grid.map_inplace(|v| v.min(1.0));
+        clamp_spans(grid, spans);
     }
 
-    /// Adds one polygon's coverage into `grid`, unclamped, and returns the
-    /// pixel rectangle written: the bounding box says where the *vertices*
-    /// are, but a crossing `lo.x + t·(hi.x − lo.x)` can round an ulp past
-    /// both of its endpoints, and on a pixel boundary that ulp is a pixel.
-    fn add(&mut self, grid: &mut Grid, poly: &Polygon) -> PixelRect {
+    /// Adds one polygon's coverage into `grid`, unclamped, widening each
+    /// row's entry of `spans` by the pixels it wrote there: the bounding
+    /// box says where the *vertices* are, but a crossing
+    /// `lo.x + t·(hi.x − lo.x)` can round an ulp past both of its
+    /// endpoints, and on a pixel boundary that ulp is a pixel.
+    fn add(&mut self, grid: &mut Grid, poly: &Polygon, spans: &mut [Span]) {
         let verts = poly.vertices();
         let n = verts.len();
         let pitch = grid.pitch();
@@ -124,7 +125,7 @@ impl ScanScratch {
         let iy0 = ((bbox.min.y / pitch).floor().max(0.0)) as usize;
         let iy1 = (((bbox.max.y / pitch).ceil()) as usize).min(h);
         if n < 3 || w == 0 || iy0 >= iy1 {
-            return NO_PIXELS;
+            return;
         }
         let ScanScratch { ys, cuts, ends, xs } = self;
         ys.clear();
@@ -194,7 +195,6 @@ impl ScanScratch {
         // `total_cmp` calls two values equal only when their bits are, so
         // any sorting algorithm yields the same sequence.
         let weight = 1.0 / SUBSAMPLES as f64;
-        let mut written = NO_PIXELS;
         let mut start = 0;
         for (s, &end) in ends[..nsub].iter().enumerate() {
             let crossings = &mut xs[start..end];
@@ -211,14 +211,11 @@ impl ScanScratch {
             let iy = iy0 + s / SUBSAMPLES;
             let row = &mut grid.data_mut()[iy * w..(iy + 1) * w];
             for pair in crossings.chunks_exact(2) {
-                if let Some((first, last)) =
-                    fill_span(row, pair[0] / pitch, pair[1] / pitch, weight)
-                {
-                    written = union(written, (first, last, iy, iy + 1));
+                if let Some(filled) = fill_span(row, pair[0] / pitch, pair[1] / pitch, weight) {
+                    spans[iy] = span_union(spans[iy], filled);
                 }
             }
         }
-        written
     }
 }
 
@@ -253,21 +250,28 @@ fn fill_span(row: &mut [f64], x0: f64, x1: f64, weight: f64) -> Option<(usize, u
 /// The flow's shape set splits into a *frozen* layer (SRAFs, fixed after
 /// initialisation) and a *moving* layer (the main shapes the correction loop
 /// updates). The frozen layer is rasterised once into `base`; each iteration
-/// then restores only the previously dirtied pixel rectangle of the working
-/// grid from `base`, re-rasterises the moving polygons on top, and clamps
-/// coverage inside the freshly dirtied rectangle — no per-iteration
-/// allocation and no full-grid re-rasterisation of frozen geometry. The
-/// dirty rectangle is the union of the pixel runs the scan conversion wrote,
-/// not an inference from the polygons' bounding boxes.
+/// then restores only the pixels the previous moving layer wrote, row by
+/// row, from `base`, re-rasterises the moving polygons on top, and clamps
+/// coverage inside the freshly written spans — no per-iteration allocation
+/// and no full-grid re-rasterisation of frozen geometry. Each row's span is
+/// the hull of the pixel runs the scan conversion wrote into it, not an
+/// inference from the polygons' bounding boxes.
 ///
 /// The composite equals `rasterize(frozen ∪ moving)` because clamped union
 /// coverage satisfies `min(1, min(1, s) + m) == min(1, s + m)` for `m ≥ 0`
 /// (differences stay within reassociation rounding where layers overlap).
+/// Every nonzero pixel of a row lies in the union of the two layers' spans,
+/// its *lit extent*, which [`RasterCache::mask`] hands on to the image.
 #[derive(Clone, Debug)]
 pub struct RasterCache {
     base: Grid,
     work: Grid,
-    dirty: PixelRect,
+    /// Per row, the span the frozen layer wrote.
+    base_spans: Vec<Span>,
+    /// Per row, the span the moving layer wrote at the last composite.
+    spans: Vec<Span>,
+    /// Per row, `base_spans ∪ spans`: the lit extent.
+    lit: Vec<Span>,
     scan: ScanScratch,
 }
 
@@ -289,7 +293,9 @@ impl RasterCache {
         Ok(RasterCache {
             work: base.clone(),
             base,
-            dirty: NO_PIXELS,
+            base_spans: vec![NO_SPAN; height],
+            spans: vec![NO_SPAN; height],
+            lit: vec![NO_SPAN; height],
             scan: ScanScratch::default(),
         })
     }
@@ -298,30 +304,32 @@ impl RasterCache {
     /// base and resets the working grid to it.
     pub fn set_base(&mut self, polygons: &[Polygon]) {
         self.base.data_mut().fill(0.0);
-        self.scan.union_into(&mut self.base, polygons);
+        self.base_spans.fill(NO_SPAN);
+        self.scan
+            .union_into(&mut self.base, polygons, &mut self.base_spans);
         self.work.data_mut().copy_from_slice(self.base.data());
-        self.dirty = NO_PIXELS;
+        self.spans.fill(NO_SPAN);
+        self.lit.copy_from_slice(&self.base_spans);
     }
 
     /// Composites the moving polygons over the cached base layer and
     /// returns the full mask grid (coverage clamped to 1).
     pub fn composite(&mut self, polygons: &[Polygon]) -> &Grid {
         let w = self.base.width();
-        let (ix0, ix1, iy0, iy1) = self.dirty;
-        for iy in iy0..iy1 {
-            let row = iy * w + ix0..iy * w + ix1;
-            self.work.data_mut()[row.clone()].copy_from_slice(&self.base.data()[row]);
-        }
-        self.dirty = NO_PIXELS;
-        for poly in polygons {
-            self.dirty = union(self.dirty, self.scan.add(&mut self.work, poly));
-        }
-        let (ix0, ix1, iy0, iy1) = self.dirty;
-        let data = self.work.data_mut();
-        for iy in iy0..iy1 {
-            for v in &mut data[iy * w + ix0..iy * w + ix1] {
-                *v = v.min(1.0);
+        let (work, base) = (self.work.data_mut(), self.base.data());
+        for (y, span) in self.spans.iter_mut().enumerate() {
+            if span.0 < span.1 {
+                let row = y * w + span.0..y * w + span.1;
+                work[row.clone()].copy_from_slice(&base[row]);
             }
+            *span = NO_SPAN;
+        }
+        for poly in polygons {
+            self.scan.add(&mut self.work, poly, &mut self.spans);
+        }
+        clamp_spans(&mut self.work, &self.spans);
+        for ((lit, &base), &moving) in self.lit.iter_mut().zip(&self.base_spans).zip(&self.spans) {
+            *lit = span_union(base, moving);
         }
         &self.work
     }
@@ -330,6 +338,32 @@ impl RasterCache {
     /// not run yet).
     pub fn grid(&self) -> &Grid {
         &self.work
+    }
+
+    /// The current composite with its lit extents.
+    pub fn mask(&self) -> MaskRef<'_> {
+        MaskRef {
+            grid: &self.work,
+            extents: Some(&self.lit),
+        }
+    }
+}
+
+/// A mask for [`crate::LithoEngine::aerial_image_into`]: any `&Grid`, or a
+/// [`RasterCache`]'s composite with its lit extents (only the cache builds
+/// those, so they always bound the grid's nonzero pixels).
+#[derive(Clone, Copy, Debug)]
+pub struct MaskRef<'a> {
+    pub(crate) grid: &'a Grid,
+    pub(crate) extents: Option<&'a [Span]>,
+}
+
+impl<'a> From<&'a Grid> for MaskRef<'a> {
+    fn from(grid: &'a Grid) -> MaskRef<'a> {
+        MaskRef {
+            grid,
+            extents: None,
+        }
     }
 }
 
@@ -408,8 +442,56 @@ mod tests {
         grid.data().iter().map(|v| v.to_bits()).collect()
     }
 
-    fn in_rect((ix0, ix1, iy0, iy1): PixelRect, ix: usize, iy: usize) -> bool {
-        (ix0..ix1).contains(&ix) && (iy0..iy1).contains(&iy)
+    fn in_spans(spans: &[Span], ix: usize, iy: usize) -> bool {
+        let (start, end) = spans[iy];
+        (start..end).contains(&ix)
+    }
+
+    /// The cache as it was before it recorded spans: one dirty rectangle,
+    /// the bounding box of every span written, restored and clamped whole.
+    /// Kept as the oracle of [`RasterCache::composite`].
+    struct RectCache {
+        base: Grid,
+        work: Grid,
+        dirty: (usize, usize, usize, usize),
+        scan: ScanScratch,
+    }
+
+    impl RectCache {
+        fn new(base: &Grid) -> RectCache {
+            RectCache {
+                base: base.clone(),
+                work: base.clone(),
+                dirty: (usize::MAX, 0, usize::MAX, 0),
+                scan: ScanScratch::default(),
+            }
+        }
+
+        fn composite(&mut self, polygons: &[Polygon]) -> &Grid {
+            let w = self.base.width();
+            let (ix0, ix1, iy0, iy1) = self.dirty;
+            for iy in iy0..iy1 {
+                let row = iy * w + ix0..iy * w + ix1;
+                self.work.data_mut()[row.clone()].copy_from_slice(&self.base.data()[row]);
+            }
+            let mut spans = vec![NO_SPAN; self.base.height()];
+            for poly in polygons {
+                self.scan.add(&mut self.work, poly, &mut spans);
+            }
+            self.dirty = (usize::MAX, 0, usize::MAX, 0);
+            for (iy, &(start, end)) in spans.iter().enumerate().filter(|(_, s)| s.0 < s.1) {
+                let (a, b, c, d) = self.dirty;
+                self.dirty = (a.min(start), b.max(end), c.min(iy), d.max(iy + 1));
+            }
+            let (ix0, ix1, iy0, iy1) = self.dirty;
+            let data = self.work.data_mut();
+            for iy in iy0..iy1 {
+                for v in &mut data[iy * w + ix0..iy * w + ix1] {
+                    *v = v.min(1.0);
+                }
+            }
+            &self.work
+        }
     }
 
     /// A polygon with exactly these vertices. `Polygon::new` would drop
@@ -433,15 +515,15 @@ mod tests {
     /// Adds `polys` one after another into the same noise grid through the
     /// oracle and through the production core (one scratch, as `composite`
     /// uses it) and requires identical bits in every pixel; outside the
-    /// rectangle the core reports, the grid must not have changed.
+    /// row spans the core reports, the grid must not have changed.
     fn assert_matches_oracle(polys: &[Polygon], width: usize, height: usize, pitch: f64) {
         let start = noise_grid(width, height, pitch, 0x5eed);
         let (mut expected, mut actual) = (start.clone(), start.clone());
         let mut scan = ScanScratch::default();
-        let mut written = NO_PIXELS;
+        let mut written = vec![NO_SPAN; height];
         for poly in polys {
             oracle_rasterize_into(&mut expected, poly);
-            written = union(written, scan.add(&mut actual, poly));
+            scan.add(&mut actual, poly, &mut written);
         }
         let first_diff = bits(&expected)
             .iter()
@@ -455,8 +537,9 @@ mod tests {
         for (i, (a, b)) in start.data().iter().zip(actual.data()).enumerate() {
             let (ix, iy) = (i % width, i / width);
             assert!(
-                in_rect(written, ix, iy) || a.to_bits() == b.to_bits(),
-                "pixel ({ix}, {iy}) written outside the reported {written:?}"
+                in_spans(&written, ix, iy) || a.to_bits() == b.to_bits(),
+                "pixel ({ix}, {iy}) written outside the reported {:?}",
+                written[iy]
             );
         }
     }
@@ -685,14 +768,21 @@ mod tests {
     }
 
     /// Shapes that move, vanish, reappear and leave the grid over a frozen
-    /// layer: after every step the composite equals the from-scratch union
-    /// raster (bit for bit where the layers do not overlap), nothing
-    /// outside the recorded dirty rectangle differs from the base, and the
-    /// scratch stops growing once it has seen the largest polygon.
+    /// layer: after every step the composite equals the rectangle cache's
+    /// bit for bit and the from-scratch union raster (bit for bit where the
+    /// layers do not overlap), nothing outside the recorded row spans
+    /// differs from the base, and every nonzero pixel lies in its row's lit
+    /// extent.
     #[test]
     fn raster_cache_matches_from_scratch_over_random_steps() {
-        let (width, height, pitch) = (40, 36, 0.7);
-        let mut rng = SplitMix64::new(99);
+        for (width, height, pitch, seed) in [(40, 36, 0.7, 99), (13, 16, 0.7, 7), (16, 13, 1.3, 8)]
+        {
+            check_random_steps(width, height, pitch, seed);
+        }
+    }
+
+    fn check_random_steps(width: usize, height: usize, pitch: f64, seed: u64) {
+        let mut rng = SplitMix64::new(seed);
         let frozen: Vec<Polygon> = (0..3)
             .map(|_| wild_polygon(rng.next_u64(), 12, width / 2, height / 2, pitch))
             .collect();
@@ -705,6 +795,7 @@ mod tests {
         cache.set_base(&frozen);
         let base = rasterize(&frozen, width, height, pitch);
         assert_eq!(bits(&cache.base), bits(&base));
+        let mut oracle = RectCache::new(&base);
         for step in 0..50 {
             for shape in &mut shapes[..5] {
                 let shift = match rng.next_u64() % 8 {
@@ -720,9 +811,17 @@ mod tests {
             // A random subset is present this step.
             let moving: Vec<Polygon> = shapes.iter().filter(|_| rng.chance(0.7)).cloned().collect();
             let cached = cache.composite(&moving).clone();
+            assert_eq!(
+                bits(&cached),
+                bits(oracle.composite(&moving)),
+                "step {step}"
+            );
             let moving_only = rasterize(&moving, width, height, pitch);
             let all: Vec<Polygon> = frozen.iter().chain(&moving).cloned().collect();
             let scratch = rasterize(&all, width, height, pitch);
+            let mask = cache.mask();
+            let extents = mask.extents.expect("the cache reports extents");
+            assert!(std::ptr::eq(mask.grid, cache.grid()));
             for i in 0..width * height {
                 let (ix, iy) = (i % width, i / width);
                 let (a, b) = (cached.data()[i], scratch.data()[i]);
@@ -735,13 +834,19 @@ mod tests {
                     );
                 }
                 assert!(
-                    in_rect(cache.dirty, ix, iy) || a.to_bits() == base.data()[i].to_bits(),
+                    in_spans(&cache.spans, ix, iy) || a.to_bits() == base.data()[i].to_bits(),
                     "step {step}: pixel ({ix}, {iy}) left dirty outside {:?}",
-                    cache.dirty
+                    cache.spans[iy]
+                );
+                assert!(
+                    a == 0.0 || in_spans(extents, ix, iy),
+                    "step {step}: lit pixel ({ix}, {iy}) outside its extent {:?}",
+                    extents[iy]
                 );
             }
         }
         assert_eq!(bits(cache.composite(&[])), bits(&base));
+        assert_eq!(cache.mask().extents, Some(&cache.base_spans[..]));
     }
 
     #[test]

@@ -310,10 +310,10 @@ impl CardOpc {
                     None => main_polys.push(Polygon::new(samples.clone())),
                 }
             }
-            // ④ simulate on the cached composite, at the footprint only
-            // where that pays.
-            let mask = cache.composite(&main_polys);
-            engine.aerial_image_into(mask, pixels, &mut aerial)?;
+            // ④ simulate on the cached composite (with its row spans), at
+            // the footprint only where that pays.
+            cache.composite(&main_polys);
+            engine.aerial_image_into(cache.mask(), pixels, &mut aerial)?;
             // ⑤ EPE feedback (shape-parallel on the shared pool).
             let mut per_shape = Vec::new();
             let total = correct_shapes_recording(

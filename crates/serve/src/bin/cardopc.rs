@@ -37,7 +37,7 @@
 //! [`WorkerPool::global`] before anything uses it, so tiles, the litho
 //! fan-out, shape correction and mask export share N executors in all.
 
-use cardopc_fleet::spec::DesignSpec;
+use cardopc_fleet::spec::{check_design, DesignSpec};
 use cardopc_fleet::worker::{WorkerConfig, WorkerServer};
 use cardopc_fleet::{client, run_fleet, FleetConfig, WorkSpec};
 use cardopc_layout::{write_clip_gds, Clip, DesignKind, LayerFilter, TARGET_LAYER};
@@ -302,7 +302,8 @@ impl RunArgs {
     }
 
     /// The design recipe these flags describe, validated for
-    /// kind-specific flags used with the wrong kind.
+    /// kind-specific flags used with the wrong kind and by the wire
+    /// format's tile-count and crop rules.
     fn design_spec(&self) -> Result<DesignSpec, String> {
         match &self.design {
             DesignChoice::Kind(kind) => {
@@ -311,12 +312,14 @@ impl RunArgs {
                          target layer 1"
                         .into());
                 }
+                check_design(Some(self.design_tiles), self.crop)?;
                 Ok(DesignSpec::generated(*kind, self.design_tiles, self.crop))
             }
             DesignChoice::Gds(path) => {
                 if self.design_tiles != 1 {
                     return Err("--design-tiles applies to synthetic designs only".into());
                 }
+                check_design(None, self.crop)?;
                 let layer = self.layer.unwrap_or(LayerFilter::Layer(TARGET_LAYER));
                 Ok(DesignSpec::gds(path.clone(), layer, self.crop))
             }

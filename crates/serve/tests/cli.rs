@@ -137,6 +137,35 @@ fn invalid_opc_flags_exit_1_with_the_validation_message() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crop window or synthetic tile count the service would refuse is
+/// refused by the CLI with the service's message and exit 1 — not a panic
+/// in `Clip::new` (0, negative, NaN), a run that never ends (`inf`) or a
+/// silently clamped tile count.
+#[test]
+fn out_of_range_crop_and_design_tiles_exit_1() {
+    let dir = tempdir("badcrop");
+    let crop = "'design.crop' must be positive and finite";
+    let tiles = "'design.tiles' must be in 1..=16";
+    for (args, needle) in [
+        (&["--quick", "--crop", "0"][..], crop),
+        (&["--quick", "--crop", "-100"][..], crop),
+        (&["--quick", "--crop", "nan"][..], crop),
+        (&["--quick", "--crop", "inf"][..], crop),
+        (
+            &["--quick", "--crop", "0", "--workers-local", "2"][..],
+            crop,
+        ),
+        (&["--quick", "--design-tiles", "0"][..], tiles),
+        (&["--quick", "--design-tiles", "17"][..], tiles),
+    ] {
+        let out = cardopc(args, &dir);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        let want = format!("cardopc: error: {needle}\n");
+        assert_eq!(stderr(&out), want, "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A fleet timeout no `Duration` holds is a usage error (exit 1, before
 /// any worker is contacted), not a panic.
 #[test]
