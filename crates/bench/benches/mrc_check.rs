@@ -64,8 +64,9 @@ fn bench_resolve(c: &mut Criterion) {
 /// The post-correction logic tiles, as the resolver meets them in a tiled
 /// run: the four tiles of `cardopc --design gcd --crop 8192` at the CLI
 /// defaults after their 10 correction iterations, MRC stage not yet run
-/// (tile 0: 90 shapes, ~54 k boundary samples, 281 violations; tile 1 is
-/// the heaviest with 1 215).
+/// (tile 0: 90 shapes, ~54 k boundary samples, 281 violations, 23 left
+/// after the resolver's three projection rounds; tile 1 is the heaviest
+/// with 1 215).
 fn corrected_logic_tiles() -> Vec<Vec<CardinalSpline>> {
     use cardopc::layout::generated_clip;
     use cardopc::runtime::partition_clip;
@@ -100,7 +101,8 @@ fn bench_logic_tiles(c: &mut Criterion) {
     c.bench_function("mrc_check_logic_tile", |b| {
         b.iter(|| black_box(checker.check(black_box(&tiles[0]))))
     });
-    // The resolver exactly as `optimize_with_engine` configures it.
+    // The resolver exactly as `optimize_with_engine` configures it: three
+    // projection rounds, each re-checking the shapes a move can reach.
     let resolver = MrcResolver::new(rules, ResolveConfig::default());
     let names = [
         "mrc_resolve_logic_tile",

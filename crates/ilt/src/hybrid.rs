@@ -127,13 +127,14 @@ pub fn run_hybrid(
 
     // 4. MRC check and resolve.
     //
-    // The resolver fixes what trial moves can fix *without* deleting
-    // shapes (Keep policy — deformations are bounded by the step
-    // schedule). Assist features that still violate afterwards are then
-    // pruned greedily, worst offender first: assists exist only to
-    // support the mains' process window, so a rule-breaking assist is
-    // expendable (§III-F's post-fit removal, applied shape-wise). Mains
-    // (shapes overlapping a target) are never deleted.
+    // The resolver fixes what its projection rounds can fix *without*
+    // deleting shapes (Keep policy — a few rounds of min-norm moves, so
+    // deformations stay small). Assist features that still violate
+    // afterwards are then pruned greedily, worst offender first: assists
+    // exist only to support the mains' process window, so a
+    // rule-breaking assist is expendable (§III-F's post-fit removal,
+    // applied shape-wise). Mains (shapes overlapping a target) are never
+    // deleted.
     let checker = MrcChecker::with_sampling(config.mrc, config.samples_per_segment);
     let violations_before = checker.check(&fitted_shapes).len();
     let mut shapes = fitted_shapes.clone();
@@ -142,8 +143,6 @@ pub fn run_hybrid(
         ResolveConfig {
             area_policy: AreaPolicy::Keep,
             samples_per_segment: config.samples_per_segment,
-            max_rounds: 24,
-            ..ResolveConfig::default()
         },
     );
     let _report = resolver.resolve(&mut shapes);

@@ -93,17 +93,18 @@ pub fn generated_clip(kind: DesignKind, count: usize, crop: Option<f64>) -> Clip
     apply_crop(clip, crop)
 }
 
+/// Crops `clip` to a centred `size`×`size` window, clamped to the design
+/// on each axis: a window no smaller than the design is the whole design,
+/// so a huge crop never makes a window (and a tile grid) of empty space.
 fn apply_crop(clip: Clip, crop: Option<f64>) -> Clip {
     match crop {
-        Some(size) => {
-            let origin = Point::new(
-                ((clip.width() - size) * 0.5).max(0.0),
-                ((clip.height() - size) * 0.5).max(0.0),
-            );
+        Some(size) if size < clip.width() || size < clip.height() => {
+            let (w, h) = (size.min(clip.width()), size.min(clip.height()));
+            let origin = Point::new((clip.width() - w) * 0.5, (clip.height() - h) * 0.5);
             let name = format!("{}@{}", clip.name(), size);
-            clip.crop_intersecting(origin, size, size, name)
+            clip.crop_intersecting(origin, w, h, name)
         }
-        None => clip,
+        _ => clip,
     }
 }
 
@@ -247,6 +248,23 @@ mod tests {
         let cropped = generated_clip(DesignKind::Gcd, 1, Some(2048.0));
         assert_eq!(cropped.name(), "gcdx1@2048");
         assert_eq!(cropped.width(), 2048.0);
+    }
+
+    #[test]
+    fn a_crop_no_smaller_than_the_design_is_the_whole_design() {
+        let one = generated_clip(DesignKind::Gcd, 1, None);
+        for crop in [one.width(), 40_000.0, 1e12, 1e30, f64::MAX] {
+            assert_eq!(
+                generated_clip(DesignKind::Gcd, 1, Some(crop)),
+                one,
+                "{crop}"
+            );
+        }
+        // Wider than one axis only: clamped on that axis, centred on the other.
+        let two = generated_clip(DesignKind::Gcd, 2, None);
+        let band = generated_clip(DesignKind::Gcd, 2, Some(40_000.0));
+        assert_eq!((band.width(), band.height()), (40_000.0, two.height()));
+        assert_eq!(band.name(), "gcdx2@40000");
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //!
 //! A shape's edges are indexed in loop order ([`LoopIndex`]: one pass, no
 //! sort); an R-tree over the shape bboxes offers a spacing probe its
-//! candidate shapes. A [`MrcWorld`] keeps one width and one spacing result
-//! per sample, so after a control point moved — a cardinal segment depends
-//! on four control points only (Eq. 2) — [`MrcChecker::recheck`] probes
-//! again just the samples that changed and those that can see a changed
-//! edge (DESIGN.md §6 item 9).
+//! candidate shapes. A [`MrcWorld`] keeps each shape's sampling, index and
+//! violation lists, so after a resolver round [`MrcChecker::recheck`]
+//! probes again only the shapes that moved and those within probe reach of
+//! them (DESIGN.md §6 item 9).
 
 use crate::{MrcRules, Violation, ViolationKind};
 use cardopc_geometry::{BBox, Point, RTree, Segment};
@@ -56,19 +55,6 @@ impl SampledShape {
         let (p, n) = (self.positions[j], self.outward[j]);
         Segment::new(p + n * PROBE_LIFT.copysign(along), p + n * along)
     }
-
-    /// `true` when sample `j` has the same position and normal, bit for
-    /// bit, in both samplings (a probe launched from it is the same probe).
-    #[inline]
-    fn same_sample(&self, other: &SampledShape, j: usize) -> bool {
-        same_bits(self.positions[j], other.positions[j])
-            && same_bits(self.outward[j], other.outward[j])
-    }
-}
-
-#[inline]
-fn same_bits(a: Point, b: Point) -> bool {
-    a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
 /// Near-zero area threshold, matching `Polygon`'s internal epsilon.
@@ -159,8 +145,8 @@ const FAN: usize = 1 << FAN_BITS;
 /// Consecutive edges are neighbours in space, so a range of edge indices
 /// already is a tight box: level 0 holds one box per `FAN` consecutive
 /// edges, every level above one box per `FAN` boxes below, up to a single
-/// root. One linear pass, no sort, one allocation — what a resolver trial
-/// pays to re-index the shape it bent. Edges are read from the samples.
+/// root. One linear pass, no sort, one allocation — what re-indexing a
+/// shape the resolver moved costs. Edges are read from the samples.
 #[derive(Clone, Debug, Default)]
 struct LoopIndex {
     /// Level 0 first, the root last.
@@ -241,74 +227,16 @@ impl LoopIndex {
     }
 }
 
-/// What the last probe launched from a boundary sample found.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Probe {
-    /// Not probed yet, or the sample or an edge in its sight has changed.
-    Stale,
-    /// No edge within the rule distance.
-    Clean,
-    /// Distance to the nearest edge the probe touches.
-    Hit(f64),
-}
-
-/// The curvature violations of one shape, with what they were evaluated
-/// on: a segment is evaluated again only when that differs for it.
-#[derive(Clone, Debug)]
-struct KeptCurvature {
-    spline: CardinalSpline,
-    ccw: bool,
-    /// In segment order; `shape` is filled in when the report is assembled.
-    found: Vec<Violation>,
-}
-
-/// Rule results kept with a shape's cache between rechecks. They travel
-/// with the cache, so a snapshot put back brings them along as of when it
-/// was taken. Empty (no allocation) until the first recheck: the seam
-/// pass builds thousands of caches it never rechecks.
-#[derive(Clone, Debug, Default)]
-struct Kept {
-    /// One result per boundary sample, once sized by a recheck.
-    width: Vec<Probe>,
-    spacing: Vec<Probe>,
-    /// Dirty runs of this shape's own re-samplings that `width` has not
-    /// been tested against yet.
-    own_runs: Vec<BBox>,
-    /// Length of the world's change log when `spacing` was last brought
-    /// up to date. A restored snapshot carries an old mark, so the runs of
-    /// neighbours whose change stood meanwhile still reach it.
-    seen: usize,
-    curvature: Option<KeptCurvature>,
-}
-
-impl Kept {
-    /// The results that survive re-sampling `old` into `new`, whose dirty
-    /// runs are `runs`: those of samples that kept every bit. Which of them
-    /// can *see* a run is left to the next recheck (it knows the rules).
-    fn carried(&self, old: &SampledShape, new: &SampledShape, runs: &[(usize, BBox)]) -> Kept {
-        let mut kept = self.clone();
-        if new.positions.len() != old.positions.len() {
-            (kept.width, kept.spacing) = (Vec::new(), Vec::new());
-        }
-        for results in [&mut kept.width, &mut kept.spacing] {
-            for (j, r) in results.iter_mut().enumerate() {
-                if !old.same_sample(new, j) {
-                    *r = Probe::Stale;
-                }
-            }
-        }
-        kept.own_runs.extend(runs.iter().map(|r| r.1));
-        kept
-    }
-}
-
-/// Per-shape sampling and edge index, plus the rule results that depend
-/// on it.
+/// Per-shape sampling and edge index, plus the violations the last check
+/// of the shape found (area is read off the sampling when reported).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ShapeCache {
     sampled: SampledShape,
     index: LoopIndex,
-    kept: Kept,
+    /// Spacing and width in sample order, curvature in segment order.
+    spacing: Vec<Violation>,
+    width: Vec<Violation>,
+    curvature: Vec<Violation>,
 }
 
 impl ShapeCache {
@@ -317,8 +245,18 @@ impl ShapeCache {
         ShapeCache {
             index: LoopIndex::build(&sampled),
             sampled,
-            kept: Kept::default(),
+            ..ShapeCache::default()
         }
+    }
+
+    /// Absolute area of the sampled loop.
+    pub(crate) fn area(&self) -> f64 {
+        self.sampled.area
+    }
+
+    /// Sample `j` of the loop.
+    pub(crate) fn position(&self, j: usize) -> Point {
+        self.sampled.positions[j]
     }
 
     /// Bounding box of the outline: the index's root box, empty (and so
@@ -346,38 +284,6 @@ impl ShapeCache {
     }
 }
 
-/// Calls `emit` with the box of every *dirty run* between two samplings of
-/// one shape: a maximal run of consecutive edges each of which has an
-/// endpoint whose position or normal differs in a bit, boxed over its old
-/// **and** its new extent. A probe whose box meets no run's box touches the
-/// same edges at the same distances before and after. A changed sample
-/// count, or no unchanged edge at all, makes the whole outline one run.
-fn dirty_runs(old: &ShapeCache, new: &ShapeCache, mut emit: impl FnMut(BBox)) {
-    let (was, now) = (&old.sampled, &new.sampled);
-    let m = was.positions.len();
-    let next = |j: usize| if j + 1 == m { 0 } else { j + 1 };
-    let kept = |j: usize| was.same_sample(now, j) && was.same_sample(now, next(j));
-    let comparable = now.positions.len() == m;
-    let Some(anchor) = (0..m).find(|&j| comparable && kept(j)) else {
-        let all = old.bbox().union(new.bbox());
-        if !all.is_empty() {
-            emit(all);
-        }
-        return;
-    };
-    // Once around the loop, ending on the anchor, which closes the last run.
-    let mut run = BBox::EMPTY;
-    let mut j = anchor;
-    for _ in 0..m {
-        j = next(j);
-        if !kept(j) {
-            run = run.union(was.edge(j).bbox()).union(now.edge(j).bbox());
-        } else if !run.is_empty() {
-            emit(std::mem::replace(&mut run, BBox::EMPTY));
-        }
-    }
-}
-
 /// Slack added to `min_space` when deciding which shapes a changed edge
 /// can affect: a probe's far end is `position + outward * min_space` with
 /// `outward` normalised only to rounding, so it may overshoot the launch
@@ -388,30 +294,18 @@ const REACH_SLACK: f64 = 1e-6;
 /// points (a few ulps of the largest coordinate; this is ~10⁷ of them).
 const HULL_ROUNDING: f64 = 1e-9;
 
-/// Cached per-shape sampling, edge indices and per-sample rule results,
-/// reusable across resolver rounds: a shape that moved is re-sampled and
-/// re-indexed, and [`MrcChecker::recheck`] probes again only the samples
-/// that changed and those that can see a changed edge.
-#[derive(Clone, Debug, Default)]
+/// Cached per-shape sampling, edge indices and violation lists, reusable
+/// across resolver rounds: a shape that moved is re-sampled and re-indexed,
+/// and [`MrcChecker::recheck`] probes again only the shapes a move can
+/// affect.
+#[derive(Debug)]
 pub(crate) struct MrcWorld {
     per_segment: usize,
     shapes: Vec<ShapeCache>,
-    /// Every dirty run of every replacement so far, with the index of the
-    /// shape it belongs to. Append-only while indices are stable; each
-    /// cache remembers how much of it its spacing results have seen.
-    log: Vec<(usize, BBox)>,
-    /// Rechecks that launched a spacing probe from every shape.
-    pub(crate) full_probes: usize,
-    /// Shapes the other rechecks launched a spacing probe from.
-    pub(crate) incremental_probes: usize,
-    /// Width probes launched by all rechecks.
-    pub(crate) width_probes: usize,
-    /// Spacing probes launched by all rechecks.
-    pub(crate) spacing_probes: usize,
 }
 
 impl MrcWorld {
-    /// Samples and indexes every shape; every result starts stale.
+    /// Samples and indexes every shape; nothing is probed yet.
     pub(crate) fn build(shapes: &[CardinalSpline], per_segment: usize) -> MrcWorld {
         MrcWorld {
             per_segment,
@@ -419,53 +313,25 @@ impl MrcWorld {
                 .iter()
                 .map(|s| ShapeCache::build(s, per_segment))
                 .collect(),
-            ..MrcWorld::default()
         }
     }
 
-    /// Re-samples one shape after its control points changed, carries the
-    /// results of its unchanged samples over, and returns the cache it
-    /// replaced (the undo record of a trial move).
-    pub(crate) fn refresh(&mut self, idx: usize, spline: &CardinalSpline) -> ShapeCache {
-        let logged = self.log.len();
-        let old = self.replace(idx, ShapeCache::build(spline, self.per_segment));
-        let new = &mut self.shapes[idx];
-        new.kept = old
-            .kept
-            .carried(&old.sampled, &new.sampled, &self.log[logged..]);
-        old
+    /// Samples and indexes `spline` at the world's density, for
+    /// [`MrcWorld::set`].
+    pub(crate) fn sample(&self, spline: &CardinalSpline) -> ShapeCache {
+        ShapeCache::build(spline, self.per_segment)
     }
 
-    /// Swaps in a cache for shape `idx` — a fresh one, or a snapshot with
-    /// the results it was taken with — and returns the previous one. The
-    /// dirty runs between the two go to the change log: a neighbour whose
-    /// probes reached the old outline may lose violations, one that reaches
-    /// the new outline may gain them.
-    pub(crate) fn replace(&mut self, idx: usize, cache: ShapeCache) -> ShapeCache {
-        let log = &mut self.log;
-        dirty_runs(&self.shapes[idx], &cache, |run| log.push((idx, run)));
-        std::mem::replace(&mut self.shapes[idx], cache)
+    /// Puts in `cache` for shape `idx` and returns the bbox of the outline
+    /// it replaced: the pair `(idx, bbox)` names a moved shape to the next
+    /// [`MrcChecker::recheck`].
+    pub(crate) fn set(&mut self, idx: usize, cache: ShapeCache) -> BBox {
+        std::mem::replace(&mut self.shapes[idx], cache).bbox()
     }
 
-    /// Drops one shape, shifting later indices down (mirrors
-    /// `Vec::remove` on the shape list). The change log and the caches'
-    /// marks name shapes by index, so every spacing result goes stale —
-    /// and undo records taken before the removal must not be put back.
-    /// Width and curvature depend on the shape alone and stay.
-    pub(crate) fn remove(&mut self, idx: usize) {
-        self.shapes.remove(idx);
-        let spacing = self.shapes.iter_mut().map(|c| &mut c.kept.spacing);
-        spacing.for_each(|results| results.fill(Probe::Stale));
-    }
-
-    /// Absolute sampled-loop area of one shape.
-    pub(crate) fn area(&self, idx: usize) -> f64 {
-        self.shapes[idx].sampled.area
-    }
-
-    /// `true` when the shape's sampled loop winds counter-clockwise.
-    pub(crate) fn ccw(&self, idx: usize) -> bool {
-        self.shapes[idx].sampled.signed_area > 0.0
+    /// The cache of shape `idx`.
+    pub(crate) fn shape(&self, idx: usize) -> &ShapeCache {
+        &self.shapes[idx]
     }
 }
 
@@ -543,126 +409,79 @@ impl MrcChecker {
 
     /// Runs all four rule checks over a set of closed spline shapes.
     pub fn check(&self, shapes: &[CardinalSpline]) -> Vec<Violation> {
-        self.recheck(
-            shapes,
-            &mut MrcWorld::build(shapes, self.samples_per_segment),
-        )
+        let mut world = MrcWorld::build(shapes, self.samples_per_segment);
+        let every: Vec<_> = (0..shapes.len()).map(|i| (i, BBox::EMPTY)).collect();
+        self.recheck(shapes, &mut world, &every)
     }
 
-    /// Brings the world's results up to date and returns the violations in
-    /// report order: spacing for all shapes in sample order, then width,
-    /// area, curvature. `world` must describe exactly the shapes in
-    /// `shapes`, in order.
+    /// Brings the world's violation lists up to date after the shapes that
+    /// `moved` names were replaced, each with the bbox of its outline
+    /// before, and returns the violations in report order: spacing for all
+    /// shapes in sample order, then width, area, curvature. `world` must
+    /// describe exactly the shapes in `shapes`, in order.
     ///
-    /// A sample is probed again when it has no result yet, when its
-    /// position or normal changed, or when its probe's box meets a dirty
-    /// run (of its own shape for width, of another for spacing); curvature
-    /// is evaluated again on segments one of whose control points moved.
-    /// A fresh world has no results, which makes this the full check.
+    /// A moved shape is checked again under every rule. A shape whose bbox,
+    /// grown by the probe reach, meets a moved shape's old or new bbox has
+    /// its spacing probes launched again. No other probe can reach an edge
+    /// that changed, so every other list stands. With every shape moved,
+    /// this is the full check.
     pub(crate) fn recheck(
         &self,
         shapes: &[CardinalSpline],
         world: &mut MrcWorld,
+        moved: &[(usize, BBox)],
     ) -> Vec<Violation> {
         use ViolationKind::{Spacing, Width};
         debug_assert_eq!(shapes.len(), world.shapes.len(), "world out of sync");
+        let mut all_rules = vec![false; shapes.len()];
+        moved.iter().for_each(|&(i, _)| all_rules[i] = true);
+        let changed: Vec<BBox> = moved
+            .iter()
+            .flat_map(|&(i, was)| [was, world.shapes[i].bbox()])
+            .filter(|b| !b.is_empty())
+            .collect();
+        let reach = self.rules.min_space + REACH_SLACK;
         let tree = shape_tree(&world.shapes);
-        let (mut stack, mut near) = (Vec::new(), Vec::new());
-        let mut probed = 0;
+        let mut stack = Vec::new();
         for (si, spline) in shapes.iter().enumerate() {
-            // Taken out so a probe can read every cache while its result
-            // is written.
-            let mut kept = std::mem::take(&mut world.shapes[si].kept);
-            let cache = &world.shapes[si];
-            self.expire(cache, si, &world.log, &mut near, &mut kept);
-            let before = world.spacing_probes;
-            for (kind, results, launched) in [
-                (Width, &mut kept.width, &mut world.width_probes),
-                (Spacing, &mut kept.spacing, &mut world.spacing_probes),
-            ] {
-                let stale = results.iter_mut().enumerate();
-                for (j, result) in stale.filter(|(_, r)| **r == Probe::Stale) {
-                    let hit = self.launch(kind, &world.shapes, &tree, si, j, &mut stack);
-                    *result = hit.map_or(Probe::Clean, Probe::Hit);
-                    *launched += 1;
-                }
-            }
-            probed += usize::from(world.spacing_probes > before);
-            self.update_curvature(spline, world.ccw(si), &mut kept.curvature);
-            kept.seen = world.log.len();
-            world.shapes[si].kept = kept;
-        }
-        if probed == shapes.len() {
-            world.full_probes += 1;
-        } else {
-            world.incremental_probes += probed;
-        }
-
-        let mut out = Vec::new();
-        for kind in [Spacing, Width] {
-            for (si, cache) in world.shapes.iter().enumerate() {
-                let results = match kind {
-                    Spacing => &cache.kept.spacing,
-                    _ => &cache.kept.width,
-                };
-                for (j, result) in results.iter().enumerate() {
-                    if let Probe::Hit(dist) = *result {
-                        out.push(self.probe_violation(kind, cache, si, j, dist));
-                    }
-                }
-            }
-        }
-        for (si, cache) in world.shapes.iter().enumerate() {
-            self.area_violation(cache, si, &mut out);
-        }
-        for (si, cache) in world.shapes.iter().enumerate() {
-            let found = cache.kept.curvature.iter().flat_map(|c| &c.found);
-            out.extend(found.map(|v| Violation { shape: si, ..*v }));
-        }
-        out
-    }
-
-    /// Sizes the result arrays on first use and marks stale the kept
-    /// results a change may have moved: width results whose probe box meets
-    /// one of the shape's own pending runs, spacing results whose probe box
-    /// meets a run another shape logged since this cache last looked.
-    fn expire(
-        &self,
-        cache: &ShapeCache,
-        si: usize,
-        log: &[(usize, BBox)],
-        near: &mut Vec<BBox>,
-        kept: &mut Kept,
-    ) {
-        let shape = &cache.sampled;
-        let m = shape.positions.len();
-        for results in [&mut kept.width, &mut kept.spacing] {
-            if results.len() != m {
-                *results = vec![Probe::Stale; m];
-            }
-        }
-        let reach = cache.bbox().expanded(self.rules.min_space + REACH_SLACK);
-        let unseen = log[kept.seen..].iter();
-        let in_reach = unseen.filter(|(owner, run)| *owner != si && reach.intersects(run));
-        near.clear();
-        near.extend(in_reach.map(|r| r.1));
-        let rules = [
-            (&mut kept.width, &kept.own_runs, -self.rules.min_width),
-            (&mut kept.spacing, &*near, self.rules.min_space),
-        ];
-        for (results, runs, along) in rules {
-            if runs.is_empty() {
+            let near = world.shapes[si].bbox().expanded(reach);
+            if !all_rules[si] && !changed.iter().any(|b| b.intersects(&near)) {
                 continue;
             }
-            let live = results.iter_mut().enumerate();
-            for (j, result) in live.filter(|(_, r)| **r != Probe::Stale) {
-                let probe_box = shape.probe(j, along).bbox();
-                if runs.iter().any(|run| run.intersects(&probe_box)) {
-                    *result = Probe::Stale;
+            // Taken out so a probe can read every cache while it is written.
+            let mut spacing = std::mem::take(&mut world.shapes[si].spacing);
+            let mut width = std::mem::take(&mut world.shapes[si].width);
+            let rules = [
+                (Spacing, &mut spacing, true),
+                (Width, &mut width, all_rules[si]),
+            ];
+            for (kind, found, _) in rules.into_iter().filter(|r| r.2) {
+                found.clear();
+                for j in 0..world.shapes[si].sampled.positions.len() {
+                    let hit = self.launch(kind, &world.shapes, &tree, si, j, &mut stack);
+                    let cache = &world.shapes[si];
+                    found.extend(hit.map(|d| self.probe_violation(kind, cache, si, j, d)));
+                }
+            }
+            let cache = &mut world.shapes[si];
+            (cache.spacing, cache.width) = (spacing, width);
+            if all_rules[si] {
+                let ccw = cache.sampled.signed_area > 0.0;
+                cache.curvature.clear();
+                for seg in 0..spline.segment_count() {
+                    self.segment_curvature(spline, ccw, si, seg, &mut cache.curvature);
                 }
             }
         }
-        kept.own_runs.clear();
+
+        let caches = &world.shapes;
+        let mut out: Vec<Violation> = caches.iter().flat_map(|c| &c.spacing).copied().collect();
+        out.extend(caches.iter().flat_map(|c| &c.width));
+        for (si, cache) in caches.iter().enumerate() {
+            self.area_violation(cache, si, &mut out);
+        }
+        out.extend(caches.iter().flat_map(|c| &c.curvature));
+        out
     }
 
     /// Spacing-rule check restricted to a set of rectangular bands:
@@ -825,48 +644,6 @@ impl MrcChecker {
         }
     }
 
-    /// Brings the kept curvature violations of one shape up to date: a
-    /// segment is evaluated again when one of its four control points (or
-    /// the loop's orientation or tension) differs from what the kept list
-    /// was evaluated on.
-    fn update_curvature(
-        &self,
-        spline: &CardinalSpline,
-        ccw: bool,
-        kept: &mut Option<KeptCurvature>,
-    ) {
-        let now = spline.control_points();
-        let n = now.len();
-        let was = kept.as_ref().filter(|k| {
-            k.ccw == ccw
-                && k.spline.control_points().len() == n
-                && k.spline.tension().to_bits() == spline.tension().to_bits()
-        });
-        let moved = |seg: usize| match was {
-            Some(k) => (0..4).any(|d| {
-                let c = (seg + n - 1 + d) % n;
-                !same_bits(k.spline.control_points()[c], now[c])
-            }),
-            None => true,
-        };
-        let segments = 0..spline.segment_count();
-        if !segments.clone().any(moved) {
-            return;
-        }
-        let unmoved = was.map_or(&[][..], |k| &k.found[..]).iter();
-        let mut found: Vec<Violation> = unmoved.filter(|v| !moved(v.segment)).copied().collect();
-        for seg in segments.filter(|&seg| moved(seg)) {
-            self.segment_curvature(spline, ccw, 0, seg, &mut found);
-        }
-        // Stable: a segment's violations are all kept or all new.
-        found.sort_by_key(|v| v.segment);
-        *kept = Some(KeptCurvature {
-            spline: spline.clone(),
-            ccw,
-            found,
-        });
-    }
-
     /// Curvature violations on one spline segment (Eq. 9 at the sample
     /// parameters).
     fn segment_curvature(
@@ -913,19 +690,6 @@ fn circular_distance(a: usize, b: usize, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl MrcChecker {
-        /// [`MrcChecker::check`] on a maintained world's sampling and
-        /// edge indices, with every kept result treated as stale.
-        fn check_with_world(&self, shapes: &[CardinalSpline], world: &MrcWorld) -> Vec<Violation> {
-            let mut stale = world.clone();
-            stale
-                .shapes
-                .iter_mut()
-                .for_each(|c| c.kept = Kept::default());
-            self.recheck(shapes, &mut stale)
-        }
-    }
 
     fn square(x0: f64, y0: f64, w: f64, h: f64) -> CardinalSpline {
         // Tension 0 keeps the loop close to the polygon for predictable
@@ -1162,86 +926,42 @@ mod tests {
             .any(|v| v.kind == ViolationKind::Spacing && v.shape == shape)
     }
 
-    #[test]
-    fn recheck_follows_moves_reverts_and_removals() {
-        let mut shapes = vec![
-            square(0.0, 0.0, 100.0, 100.0),
-            square(110.0, 0.0, 100.0, 100.0), // 10 nm from shape 0
-            square(400.0, 0.0, 100.0, 100.0),
-            square(0.0, 300.0, 300.0, 20.0), // thin bar, far from all
-        ];
-        let checker = MrcChecker::new(MrcRules::default());
-        let mut world = MrcWorld::build(&shapes, 8);
-        let vs = checker.recheck(&shapes, &mut world);
-        assert_eq!(vs, checker.check(&shapes));
-        assert!(has_spacing(&vs, 0) && has_spacing(&vs, 1) && !has_spacing(&vs, 2));
-        assert_eq!((world.full_probes, world.incremental_probes), (1, 0));
-
-        // Shape 1 jumps away: its new outline is out of reach of shape 0,
-        // so only the *old* bbox says shape 0 must lose its violations.
-        shift(&mut shapes[1], Point::new(140.0, 0.0));
-        world.refresh(1, &shapes[1]);
-        let vs = checker.recheck(&shapes, &mut world);
-        assert_eq!(vs, checker.check(&shapes));
-        assert!(!has_spacing(&vs, 0) && !has_spacing(&vs, 1));
-        assert_eq!(world.incremental_probes, 2, "shapes 0 and 1 only");
-
-        // Shape 1 closes in on shape 2, which is clean before, violating
-        // after, and never moved itself (the *new* bbox case).
-        let snapshot = shapes[1].clone();
-        shift(&mut shapes[1], Point::new(35.0, 0.0));
-        let before = world.refresh(1, &shapes[1]);
-        let vs = checker.recheck(&shapes, &mut world);
-        assert_eq!(vs, checker.check(&shapes));
-        assert!(has_spacing(&vs, 2));
-        assert_eq!(world.incremental_probes, 4, "shapes 1 and 2 only");
-
-        // Revert by putting the cache back: no re-sampling, same answer.
-        shapes[1] = snapshot;
-        world.replace(1, before);
-        let vs = checker.recheck(&shapes, &mut world);
-        assert_eq!(vs, checker.check(&shapes));
-        assert!(!has_spacing(&vs, 2));
-
-        // Nothing changed: nothing is probed, the lists are served as is.
-        let probes = world.incremental_probes;
-        assert_eq!(checker.recheck(&shapes, &mut world), vs);
-        assert_eq!(world.incremental_probes, probes);
-
-        // A removal shifts indices, so everything is probed again.
-        shapes.remove(0);
-        world.remove(0);
-        assert_eq!(checker.recheck(&shapes, &mut world), checker.check(&shapes));
-        assert_eq!(world.full_probes, 2);
+    /// The violations of a maintained world after the shapes `moved` names
+    /// were edited: `world` is brought up to date in place.
+    fn sync(
+        checker: &MrcChecker,
+        shapes: &[CardinalSpline],
+        world: &mut MrcWorld,
+        moved: &[usize],
+    ) -> Vec<Violation> {
+        let moved: Vec<_> = moved
+            .iter()
+            .map(|&i| (i, world.set(i, world.sample(&shapes[i]))))
+            .collect();
+        checker.recheck(shapes, world, &moved)
     }
 
     #[test]
     fn recheck_matches_full_check_over_random_edits() {
         // Differential oracle at the world level: random layouts, then
-        // random deformations, translations, reverts and removals, each
-        // followed by an incremental recheck compared with a fresh check.
+        // random deformations, translations and put-backs, each followed
+        // by a shape-level recheck compared with a fresh check.
         use cardopc_geometry::SplitMix64;
         let checker = MrcChecker::new(MrcRules::default());
         for seed in 0..6 {
             let mut rng = SplitMix64::new(seed);
-            let mut shapes: Vec<CardinalSpline> = (0..14)
-                .map(|_| {
-                    let (x, y) = (rng.range_f64(0.0, 600.0), rng.range_f64(0.0, 600.0));
-                    let (w, h) = (rng.range_f64(15.0, 160.0), rng.range_f64(15.0, 160.0));
-                    if rng.chance(0.3) {
-                        circle(x, y, 0.25 * (w + h), 10)
-                    } else {
-                        square(x, y, w, h)
-                    }
-                })
-                .collect();
+            let mut shapes = crowded_layout(seed, 14);
             let mut world = MrcWorld::build(&shapes, 8);
-            assert_eq!(checker.recheck(&shapes, &mut world), checker.check(&shapes));
+            let every: Vec<_> = (0..shapes.len()).collect();
+            assert_eq!(
+                sync(&checker, &shapes, &mut world, &every),
+                checker.check(&shapes)
+            );
             for step in 0..40 {
                 let mut undo = Vec::new();
                 for _ in 0..rng.range_usize(1, 4) {
                     let i = rng.range_usize(0, shapes.len());
-                    let snapshot = shapes[i].clone();
+                    undo.push((i, shapes[i].clone()));
                     if rng.chance(0.5) {
                         let by = Point::new(rng.range_f64(-60.0, 60.0), rng.range_f64(-60.0, 60.0));
                         shift(&mut shapes[i], by);
@@ -1250,40 +970,27 @@ mod tests {
                             *p += Point::new(rng.range_f64(-6.0, 6.0), rng.range_f64(-6.0, 6.0));
                         }
                     }
-                    undo.push((i, snapshot, world.refresh(i, &shapes[i])));
                 }
-                let vs = checker.recheck(&shapes, &mut world);
+                let moved: Vec<usize> = undo.iter().map(|u| u.0).collect();
+                let vs = sync(&checker, &shapes, &mut world, &moved);
                 assert_eq!(vs, checker.check(&shapes), "seed {seed} step {step}");
                 if rng.chance(0.4) {
-                    // Undo in reverse so a shape edited twice ends at its
-                    // first snapshot.
-                    for (i, snapshot, cache) in undo.into_iter().rev() {
+                    // Put back in reverse so a shape edited twice ends at
+                    // its first snapshot.
+                    for (i, snapshot) in undo.into_iter().rev() {
                         shapes[i] = snapshot;
-                        world.replace(i, cache);
                     }
-                    let vs = checker.recheck(&shapes, &mut world);
+                    let vs = sync(&checker, &shapes, &mut world, &moved);
                     assert_eq!(vs, checker.check(&shapes), "seed {seed} step {step} undo");
                 }
-                if shapes.len() > 4 && rng.chance(0.1) {
-                    let i = rng.range_usize(0, shapes.len());
-                    shapes.remove(i);
-                    world.remove(i);
-                    let vs = checker.recheck(&shapes, &mut world);
-                    assert_eq!(
-                        vs,
-                        checker.check(&shapes),
-                        "seed {seed} step {step} removal"
-                    );
-                }
             }
-            assert!(world.incremental_probes > 0);
         }
     }
 
     #[test]
     fn incremental_world_matches_fresh_check() {
-        // Maintain a world through a move and a removal; the incremental
-        // check must equal a from-scratch check bit for bit.
+        // Maintain a world through a move and its undo; the shape-level
+        // recheck must equal a from-scratch check bit for bit.
         let mut shapes = vec![
             square(0.0, 0.0, 100.0, 100.0),
             square(140.0, 0.0, 100.0, 100.0),
@@ -1292,28 +999,23 @@ mod tests {
         ];
         let checker = MrcChecker::new(MrcRules::default());
         let mut world = MrcWorld::build(&shapes, 8);
-        assert_eq!(
-            checker.check_with_world(&shapes, &world),
-            checker.check(&shapes)
-        );
+        let vs = sync(&checker, &shapes, &mut world, &[0, 1, 2, 3]);
+        assert_eq!(vs, checker.check(&shapes));
+        assert!(!has_spacing(&vs, 0));
 
-        // Slide shape 1 toward shape 0, creating a spacing violation.
-        for p in shapes[1].control_points_mut() {
-            *p += Point::new(-30.0, 0.0);
-        }
-        world.refresh(1, &shapes[1]);
-        assert_eq!(
-            checker.check_with_world(&shapes, &world),
-            checker.check(&shapes)
-        );
+        // Slide shape 1 toward shape 0, creating a spacing violation on
+        // shape 0, which did not move.
+        shift(&mut shapes[1], Point::new(-30.0, 0.0));
+        let vs = sync(&checker, &shapes, &mut world, &[1]);
+        assert_eq!(vs, checker.check(&shapes));
+        assert!(has_spacing(&vs, 0) && has_spacing(&vs, 1));
 
-        // Remove shape 0; later indices shift down.
-        shapes.remove(0);
-        world.remove(0);
-        assert_eq!(
-            checker.check_with_world(&shapes, &world),
-            checker.check(&shapes)
-        );
+        // Shape 1 jumps away: only its *old* bbox says shape 0 must lose
+        // its violations.
+        shift(&mut shapes[1], Point::new(300.0, 0.0));
+        let vs = sync(&checker, &shapes, &mut world, &[1]);
+        assert_eq!(vs, checker.check(&shapes));
+        assert!(!has_spacing(&vs, 0));
     }
 
     // ---- Oracles that share neither the index nor the carry-over ----
@@ -1326,7 +1028,7 @@ mod tests {
         from: Point,
         targets: &[&SampledShape],
         skip: impl Fn(usize) -> bool,
-    ) -> Probe {
+    ) -> Option<f64> {
         let probe_box = probe.bbox();
         let mut nearest: Option<f64> = None;
         for shape in targets {
@@ -1339,17 +1041,18 @@ mod tests {
                 }
             }
         }
-        nearest.map_or(Probe::Clean, Probe::Hit)
+        nearest
     }
 
-    /// Checks `shapes` and compares the kept result of every `stride`-th
-    /// sample with the brute-force prober (probes written out as
-    /// `spacing_probes` / `width_probes` always built them).
+    /// Checks `shapes` and compares the probe of every `stride`-th sample
+    /// with the brute-force prober (probes written out as `spacing_probes`
+    /// / `width_probes` always built them); every probe that hits is a
+    /// violation of the check.
     fn assert_matches_brute_force(checker: &MrcChecker, shapes: &[CardinalSpline], stride: usize) {
-        let mut world = MrcWorld::build(shapes, checker.samples_per_segment);
-        checker.recheck(shapes, &mut world);
+        let world = MrcWorld::build(shapes, checker.samples_per_segment);
+        let tree = shape_tree(&world.shapes);
         let sampled: Vec<&SampledShape> = world.shapes.iter().map(|c| &c.sampled).collect();
-        let mut n = 0;
+        let (mut n, mut hits) = (0, [0, 0]);
         for (si, shape) in sampled.iter().enumerate() {
             let m = shape.positions.len();
             let others: Vec<&SampledShape> = (0..sampled.len())
@@ -1357,6 +1060,13 @@ mod tests {
                 .map(|sj| sampled[sj])
                 .collect();
             for j in 0..m {
+                let mut stack = Vec::new();
+                let mut launch =
+                    |kind| checker.launch(kind, &world.shapes, &tree, si, j, &mut stack);
+                let (spacing, width) =
+                    (launch(ViolationKind::Spacing), launch(ViolationKind::Width));
+                hits[0] += usize::from(spacing.is_some());
+                hits[1] += usize::from(width.is_some());
                 n += 1;
                 if n % stride != 0 {
                     continue;
@@ -1364,21 +1074,18 @@ mod tests {
                 let (p, out) = (shape.positions[j], shape.outward[j]);
                 let c = checker.rules.min_space;
                 let probe = Segment::new(p + out * PROBE_LIFT, p + out * c);
-                let spacing = brute_probe(probe, p, &others, |_| false);
-                assert_eq!(
-                    world.shapes[si].kept.spacing[j], spacing,
-                    "shape {si} sample {j}"
-                );
+                let brute = brute_probe(probe, p, &others, |_| false);
+                assert_eq!(spacing, brute, "shape {si} sample {j}");
                 let c = checker.rules.min_width;
                 let probe = Segment::new(p - out * PROBE_LIFT, p - out * c);
                 let adjacent = |e: usize| circular_distance(e, j, m) <= WIDTH_ADJACENCY;
-                let width = brute_probe(probe, p, &[shape], adjacent);
-                assert_eq!(
-                    world.shapes[si].kept.width[j], width,
-                    "shape {si} sample {j}"
-                );
+                let brute = brute_probe(probe, p, &[shape], adjacent);
+                assert_eq!(width, brute, "shape {si} sample {j}");
             }
         }
+        let vs = checker.check(shapes);
+        assert_eq!(count_kind(&vs, ViolationKind::Spacing), hits[0]);
+        assert_eq!(count_kind(&vs, ViolationKind::Width), hits[1]);
     }
 
     /// Squares and circles dropped at random, crowded enough for spacing,
@@ -1448,7 +1155,7 @@ mod tests {
     }
 
     #[test]
-    fn logic_tile_matches_brute_force_and_pins_the_resolvers_probe_counts() {
+    fn logic_tile_matches_brute_force_and_pins_the_resolvers_outcome() {
         let (rules, mut shapes) = corrected_logic_tile();
         let samples: usize = shapes.iter().map(|s| 8 * s.segment_count()).sum();
         assert_eq!((shapes.len(), samples), (90, 54_304));
@@ -1456,22 +1163,13 @@ mod tests {
         // sample phase within a segment.
         assert_matches_brute_force(&MrcChecker::new(rules), &shapes, 23);
 
-        // The resolver as `optimize_with_engine` configures it. A whole-shape
-        // re-probe per trial (the design before the per-sample results)
-        // launches 181 536 width and 305 184 spacing probes here.
+        // The resolver as `optimize_with_engine` configures it.
         let report =
             crate::MrcResolver::new(rules, crate::ResolveConfig::default()).resolve(&mut shapes);
         assert_eq!(
             (report.initial_violations, report.remaining.len()),
-            (281, 76)
+            (281, 23)
         );
-        // Exact and machine-independent; the bounds are ≤ 80 000 and
-        // ≤ 90 000, i.e. both below two whole-tile checks.
-        assert_eq!(
-            (report.width_samples_probed, report.spacing_samples_probed),
-            (73_619, 81_759)
-        );
-        assert_eq!((report.full_probes, report.incremental_probes), (1, 352));
     }
 
     #[test]
@@ -1566,27 +1264,8 @@ mod tests {
         cps[(cp + n - 1) % n] += delta * 0.5;
     }
 
-    /// The sampling of a maintained cache must equal a from-scratch build,
-    /// field by field and bit by bit.
-    fn assert_same_sampling(cache: &ShapeCache, spline: &CardinalSpline) {
-        let fresh = ShapeCache::build(spline, 8);
-        let bits = |pts: &[Point]| -> Vec<(u64, u64)> {
-            pts.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
-        };
-        let (a, b) = (&cache.sampled, &fresh.sampled);
-        assert_eq!(bits(&a.positions), bits(&b.positions));
-        assert_eq!(bits(&a.outward), bits(&b.outward));
-        assert_eq!(a.signed_area.to_bits(), b.signed_area.to_bits());
-        assert_eq!(a.area.to_bits(), b.area.to_bits());
-        assert_eq!(bits(&[a.centroid]), bits(&[b.centroid]));
-        assert_eq!(cache.bbox(), fresh.bbox());
-        assert_eq!(cache.index.boxes, fresh.index.boxes);
-        assert_eq!(cache.index.root_bits, fresh.index.root_bits);
-    }
-
     /// Five stacked wires of 60–120 control points around the spacing and
-    /// width limits, so a pull dirties a few percent of a loop and most
-    /// results are carried over.
+    /// width limits, so a pull bends a few percent of a loop.
     fn wire_stack(rng: &mut cardopc_geometry::SplitMix64) -> Vec<CardinalSpline> {
         let mut y = 0.0;
         (0..5)
@@ -1605,140 +1284,109 @@ mod tests {
             .collect()
     }
 
-    /// One edit of shape `i`: two pulls half a loop apart (two separate
-    /// dirty runs), re-sampled into the world. Returns the undo record.
-    fn edit(
-        rng: &mut cardopc_geometry::SplitMix64,
-        shapes: &mut [CardinalSpline],
-        world: &mut MrcWorld,
-        i: usize,
-    ) -> (usize, CardinalSpline, ShapeCache) {
-        let snapshot = shapes[i].clone();
+    /// One edit of shape `i`: two pulls half a loop apart.
+    fn edit(rng: &mut cardopc_geometry::SplitMix64, shapes: &mut [CardinalSpline], i: usize) {
         let n = shapes[i].control_points().len();
         let cp = rng.range_usize(0, n);
         for cp in [cp, cp + n / 2] {
             let delta = Point::new(rng.range_f64(-8.0, 8.0), rng.range_f64(-8.0, 8.0));
             pull(&mut shapes[i], cp, delta);
         }
-        let before = world.refresh(i, &shapes[i]);
-        assert_same_sampling(&world.shapes[i], &shapes[i]);
-        (i, snapshot, before)
-    }
-
-    fn revert(
-        shapes: &mut [CardinalSpline],
-        world: &mut MrcWorld,
-        (i, snapshot, cache): (usize, CardinalSpline, ShapeCache),
-    ) {
-        shapes[i] = snapshot;
-        world.replace(i, cache);
-        assert_same_sampling(&world.shapes[i], &shapes[i]);
     }
 
     proptest::proptest! {
-        /// `recheck == check` after every step of a random edit sequence
-        /// on long shapes: edits of a shape and its neighbour in one round,
-        /// a revert of one while the other stands, a double edit before a
-        /// recheck, a cancelled edit, removals.
+        /// The shape-level recheck equals a full check after every step of
+        /// a random edit sequence on long shapes: a shape and its
+        /// neighbour in one round, two edits of one shape, a translation
+        /// out of or into reach, an edit put back before the recheck.
         #[test]
         fn recheck_matches_check_over_edit_sequences_on_long_shapes(seed in 0u64..u64::MAX) {
             let mut rng = cardopc_geometry::SplitMix64::new(seed);
             let checker = MrcChecker::new(MrcRules::default());
             let mut shapes = wire_stack(&mut rng);
             let mut world = MrcWorld::build(&shapes, 8);
-            proptest::prop_assert_eq!(checker.recheck(&shapes, &mut world), checker.check(&shapes));
+            let every: Vec<_> = (0..shapes.len()).collect();
+            let vs = sync(&checker, &shapes, &mut world, &every);
+            proptest::prop_assert_eq!(vs, checker.check(&shapes));
             for step in 0..8 {
                 let i = rng.range_usize(0, shapes.len() - 1);
-                match rng.range_usize(0, 5) {
-                    // A shape and its neighbour in one round; then one of
-                    // the two is put back while the other stands.
+                let moved = match rng.range_usize(0, 4) {
                     0 => {
-                        let first = edit(&mut rng, &mut shapes, &mut world, i);
-                        let second = edit(&mut rng, &mut shapes, &mut world, i + 1);
-                        let vs = checker.recheck(&shapes, &mut world);
-                        proptest::prop_assert_eq!(vs, checker.check(&shapes), "step {}", step);
-                        let back = if rng.chance(0.5) { first } else { second };
-                        revert(&mut shapes, &mut world, back);
+                        edit(&mut rng, &mut shapes, i);
+                        edit(&mut rng, &mut shapes, i + 1);
+                        vec![i, i + 1]
                     }
-                    // Two edits of one shape before a recheck, undone in
-                    // reverse half of the time.
                     1 => {
-                        let first = edit(&mut rng, &mut shapes, &mut world, i);
-                        let second = edit(&mut rng, &mut shapes, &mut world, i);
-                        if rng.chance(0.5) {
-                            let vs = checker.recheck(&shapes, &mut world);
-                            proptest::prop_assert_eq!(vs, checker.check(&shapes), "step {}", step);
-                            revert(&mut shapes, &mut world, second);
-                            revert(&mut shapes, &mut world, first);
-                        }
+                        edit(&mut rng, &mut shapes, i);
+                        edit(&mut rng, &mut shapes, i);
+                        vec![i]
                     }
-                    // The Keep policy's cancel: put back before any recheck,
-                    // while a neighbour's edit stands.
                     2 => {
-                        edit(&mut rng, &mut shapes, &mut world, i + 1);
-                        let cancelled = edit(&mut rng, &mut shapes, &mut world, i);
-                        revert(&mut shapes, &mut world, cancelled);
-                    }
-                    3 if shapes.len() > 3 => {
-                        edit(&mut rng, &mut shapes, &mut world, i);
-                        shapes.remove(i + 1);
-                        world.remove(i + 1);
+                        let by = Point::new(rng.range_f64(-60.0, 60.0), rng.range_f64(-60.0, 60.0));
+                        shift(&mut shapes[i], by);
+                        vec![i]
                     }
                     _ => {
-                        edit(&mut rng, &mut shapes, &mut world, i);
+                        let snapshot = shapes[i].clone();
+                        edit(&mut rng, &mut shapes, i);
+                        edit(&mut rng, &mut shapes, i + 1);
+                        shapes[i] = snapshot;
+                        vec![i, i + 1]
                     }
-                }
-                let vs = checker.recheck(&shapes, &mut world);
+                };
+                let vs = sync(&checker, &shapes, &mut world, &moved);
                 proptest::prop_assert_eq!(vs, checker.check(&shapes), "step {}", step);
             }
-            // Most of every loop was carried over, not probed again.
-            let samples: usize = world.shapes.iter().map(|c| c.sampled.positions.len()).sum();
-            proptest::prop_assert!(world.width_probes < 4 * samples);
         }
     }
 
     #[test]
-    fn a_pull_reprobes_the_bent_segments_and_what_faces_them() {
-        // Two 100-point wires 30 nm apart (no spacing or width violation).
-        // Pulling three control points of the lower one 8 nm up bends six
-        // of its 100 segments.
+    fn a_move_reprobes_the_moved_shape_and_what_faces_it() {
+        // Two 100-point wires 30 nm apart (no spacing or width violation)
+        // and a third out of everyone's reach. Pulling three control
+        // points of the lower one 8 nm up creates spacing violations on
+        // both near wires; the far one keeps its lists untouched.
         let mut shapes = vec![
             long_wire(0.0, 0.0, 2000.0, 60.0, 100),
             long_wire(0.0, 90.0, 2000.0, 60.0, 100),
-            long_wire(0.0, 500.0, 2000.0, 60.0, 100), // out of everyone's reach
+            long_wire(0.0, 500.0, 2000.0, 60.0, 100),
         ];
         let checker = MrcChecker::new(MrcRules::default());
         let mut world = MrcWorld::build(&shapes, 8);
-        let vs = checker.recheck(&shapes, &mut world);
+        let vs = sync(&checker, &shapes, &mut world, &[0, 1, 2]);
         assert!(vs.iter().all(|v| v.kind == ViolationKind::Curvature));
-        assert_eq!((world.width_probes, world.spacing_probes), (2400, 2400));
 
+        // A planted record shows which lists a recheck rebuilt.
+        let planted = Violation {
+            kind: ViolationKind::Spacing,
+            shape: 0,
+            segment: 0,
+            location: Point::ZERO,
+            normal: Point::ZERO,
+            value: 0.0,
+            limit: 0.0,
+        };
+        for (i, cache) in world.shapes.iter_mut().enumerate() {
+            cache.spacing.push(Violation {
+                shape: i,
+                ..planted
+            });
+        }
         // Control point 70 sits on the lower wire's top edge.
-        let snapshot = shapes[0].clone();
         pull(&mut shapes[0], 70, Point::new(0.0, 8.0));
-        let before = world.refresh(0, &shapes[0]);
-        let vs = checker.recheck(&shapes, &mut world);
-        assert_eq!(vs, checker.check(&shapes));
+        let vs = sync(&checker, &shapes, &mut world, &[0]);
         assert!(has_spacing(&vs, 0) && has_spacing(&vs, 1));
-        let (width, spacing) = (world.width_probes - 2400, world.spacing_probes - 2400);
-        // Six segments of eight samples, plus the neighbours whose central
-        // difference moved, plus whatever faces them within reach.
-        assert!((48..120).contains(&width), "{width} width probes");
-        assert!((48..200).contains(&spacing), "{spacing} spacing probes");
-        assert_eq!(world.incremental_probes, 2);
-
-        // The upper wire answers with a pull of its own, which stands ...
-        pull(&mut shapes[1], 30, Point::new(0.0, -8.0));
-        world.refresh(1, &shapes[1]);
-        assert_eq!(checker.recheck(&shapes, &mut world), checker.check(&shapes));
-        // ... while the lower wire is put back with the results it had
-        // *before* either pull: those that look at the upper wire's bend
-        // are out of date, and only the cache's log mark says so.
-        shapes[0] = snapshot;
-        world.replace(0, before);
-        let vs = checker.recheck(&shapes, &mut world);
-        assert_eq!(vs, checker.check(&shapes));
-        assert!(has_spacing(&vs, 0), "the restored samples were clean");
+        let kept: Vec<usize> = vs
+            .iter()
+            .filter(|v| v.limit == 0.0)
+            .map(|v| v.shape)
+            .collect();
+        assert_eq!(kept, [2], "only the far wire keeps its list");
+        world.shapes[2].spacing.pop();
+        assert_eq!(
+            checker.recheck(&shapes, &mut world, &[]),
+            checker.check(&shapes)
+        );
     }
 
     #[test]
@@ -1760,16 +1408,27 @@ mod tests {
         let mut shapes = vec![eight(3.0), square(300.0, 150.0, 100.0, 100.0)];
         let checker = MrcChecker::new(MrcRules::default());
         let mut world = MrcWorld::build(&shapes, 8);
-        let vs = checker.recheck(&shapes, &mut world);
-        assert_eq!(vs, checker.check(&shapes));
-        assert!(count_kind(&vs, ViolationKind::Curvature) > 8);
-        let ccw = world.ccw(0);
+        let before = sync(&checker, &shapes, &mut world, &[0, 1]);
+        assert_eq!(before, checker.check(&shapes));
+        assert!(count_kind(&before, ViolationKind::Curvature) > 8);
+        let ccw = world.shapes[0].sampled.signed_area > 0.0;
 
         shapes[0] = eight(-3.0);
-        world.refresh(0, &shapes[0]);
-        assert_ne!(world.ccw(0), ccw);
-        assert_eq!(checker.recheck(&shapes, &mut world), checker.check(&shapes));
-        assert_eq!(world.width_probes, 2 * 128 + 32);
+        let after = sync(&checker, &shapes, &mut world, &[0]);
+        assert_ne!(world.shapes[0].sampled.signed_area > 0.0, ccw);
+        assert_eq!(after, checker.check(&shapes));
+        // A far segment's curvature violation now points the other way.
+        let normal = |vs: &[Violation], seg| {
+            let mut on = vs.iter().filter(|v| v.kind == ViolationKind::Curvature);
+            on.find(|v| v.segment == seg).map(|v| v.normal)
+        };
+        let seg = before
+            .iter()
+            .rev()
+            .find(|v| v.kind == ViolationKind::Curvature)
+            .unwrap()
+            .segment;
+        assert_eq!(normal(&after, seg).unwrap(), -normal(&before, seg).unwrap());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   mask edges (an R-tree over the shapes, a loop-order box hierarchy over
 //!   each shape's edges), shoelace area checks, and fully analytic spline
 //!   curvature checks,
-//! * [`MrcResolver`] — trial-move violation resolving: control points slide
-//!   along/against their normals with escalating steps until the mask is
-//!   clean (Fig. 5).
+//! * [`MrcResolver`] — violation resolving by projection (Fig. 5): each of
+//!   a few rounds solves for the smallest control-point move that meets
+//!   the linearised space, width and curvature rules, then re-checks only
+//!   the shapes a move can reach.
 //!
 //! ```
 //! use cardopc_geometry::Point;

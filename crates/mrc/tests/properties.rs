@@ -1,9 +1,7 @@
 //! Property-based tests for mask rule checking.
 
 use cardopc_geometry::Point;
-use cardopc_mrc::{
-    AreaPolicy, MrcChecker, MrcResolver, MrcRules, ResolveConfig, Violation, ViolationKind,
-};
+use cardopc_mrc::{MrcChecker, MrcResolver, MrcRules, ResolveConfig, Violation, ViolationKind};
 use cardopc_spline::CardinalSpline;
 use proptest::prelude::*;
 
@@ -28,6 +26,12 @@ fn square(x0: f64, y0: f64, w: f64, h: f64) -> CardinalSpline {
         0.0,
     )
     .expect("valid square")
+}
+
+/// Every control-point coordinate's bits, in order.
+fn bits(spline: &CardinalSpline) -> Vec<u64> {
+    let coords = spline.control_points().iter().flat_map(|p| [p.x, p.y]);
+    coords.map(f64::to_bits).collect()
 }
 
 /// [`MrcChecker::check`]'s violations of one rule, in its order.
@@ -109,8 +113,7 @@ proptest! {
         }
     }
 
-    /// Resolving never increases the violation count, and removed shapes
-    /// only occur under the RemoveShape policy.
+    /// Resolving never increases the violation count and keeps every shape.
     #[test]
     fn resolve_never_increases_violations(gap in 5.0..20.0f64) {
         let rules = MrcRules::default();
@@ -121,28 +124,40 @@ proptest! {
         let resolver = MrcResolver::new(rules, ResolveConfig::default());
         let report = resolver.resolve(&mut shapes);
         prop_assert!(report.remaining.len() <= report.initial_violations);
-        prop_assert_eq!(report.shapes_removed, 0);
         prop_assert_eq!(shapes.len(), 2);
     }
 
-    /// RemoveShape policy drops exactly the shapes below the area limit.
+    /// A violation-free mask leaves the resolver bit for bit as it came:
+    /// zero violations, zero moves.
     #[test]
-    fn remove_policy_drops_only_specks(n_specks in 0usize..4, n_big in 1usize..4) {
+    fn resolve_leaves_a_clean_mask_bit_identical(
+        seed in 0u64..u64::MAX,
+        tension in 0.0..1.0f64,
+        n_cps in 4usize..24,
+    ) {
+        let mut rng = cardopc_geometry::SplitMix64::new(seed);
         let rules = MrcRules::default();
         let mut shapes = Vec::new();
-        for i in 0..n_big {
-            shapes.push(square(i as f64 * 400.0, 0.0, 200.0, 200.0));
+        for gy in 0..3 {
+            for gx in 0..3 {
+                let r = rng.range_f64(60.0, 110.0);
+                let (cx, cy) = (gx as f64 * 300.0, gy as f64 * 300.0);
+                let pts = (0..n_cps)
+                    .map(|i| {
+                        let th = std::f64::consts::TAU * i as f64 / n_cps as f64;
+                        let rr = r * rng.range_f64(0.97, 1.03);
+                        Point::new(cx + rr * th.cos(), cy + rr * th.sin())
+                    })
+                    .collect();
+                shapes.push(CardinalSpline::closed(pts, tension).expect("valid loop"));
+            }
         }
-        for i in 0..n_specks {
-            shapes.push(square(i as f64 * 400.0, 600.0, 25.0, 25.0));
-        }
-        let resolver = MrcResolver::new(
-            rules,
-            ResolveConfig { area_policy: AreaPolicy::RemoveShape, ..ResolveConfig::default() },
-        );
-        let report = resolver.resolve(&mut shapes);
-        prop_assert_eq!(report.shapes_removed, n_specks);
-        prop_assert_eq!(shapes.len(), n_big);
+        prop_assume!(MrcChecker::new(rules).check(&shapes).is_empty());
+        let before: Vec<Vec<u64>> = shapes.iter().map(bits).collect();
+        let report = MrcResolver::new(rules, ResolveConfig::default()).resolve(&mut shapes);
+        prop_assert!(report.is_clean());
+        prop_assert_eq!((report.initial_violations, report.rounds), (0, 0));
+        prop_assert_eq!(before, shapes.iter().map(bits).collect::<Vec<_>>());
     }
 
     /// Violations always carry a unit (or zero) normal and a value below

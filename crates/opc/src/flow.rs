@@ -342,7 +342,6 @@ impl CardOpc {
                 ResolveConfig {
                     area_policy: AreaPolicy::Keep,
                     samples_per_segment: self.config.samples_per_segment,
-                    ..ResolveConfig::default()
                 },
             );
             let report = resolver.resolve(&mut splines);
@@ -583,7 +582,6 @@ mod tests {
             ResolveConfig {
                 area_policy: AreaPolicy::Keep,
                 samples_per_segment: cfg.samples_per_segment,
-                ..ResolveConfig::default()
             },
         );
         let reference_report = resolver.resolve(&mut splines);

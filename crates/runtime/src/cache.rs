@@ -996,11 +996,13 @@ mod tests {
     /// Hashes of one fixed tile. The input hashes were captured at the
     /// commit *before* the config walk, the geometry walk and the payload
     /// codec were unified; the cache keys are those same walks under
-    /// `KEY_VERSION` 5 (bumped to 2 when the band-limited SOCS pipeline,
+    /// `KEY_VERSION` 6 (bumped to 2 when the band-limited SOCS pipeline,
     /// to 3 when the Hermitian-aware image passes, to 4 when sampling
     /// sparse tiles' images pixel by pixel, and to 5 when the AVX2 kernels
-    /// stopped fusing `a*b + c` moved tile numerics in the last bits, so
-    /// stores written by older binaries cannot replay). They pin hash input order and float
+    /// stopped fusing `a*b + c` moved tile numerics in the last bits, and
+    /// to 6 when the MRC resolver became a projection and moved corrected
+    /// masks, so stores written by older binaries cannot replay). They pin
+    /// hash input order and float
     /// canonicalisation: a moved byte here silently orphans every existing
     /// `tiles.jsonl` / `cache.jsonl`.
     #[test]
@@ -1017,37 +1019,37 @@ mod tests {
                 OpcConfig::via(),
                 F64,
                 0x787b2f0e0ea2a2b7,
-                0x49f45946791d264b,
+                0x199255cfb57754d0,
             ),
             (
                 OpcConfig::via(),
                 F32,
                 0x787b2e0e0ea2a104,
-                0x49f45846791d2498,
+                0x199256cfb5775683,
             ),
             (
                 OpcConfig::metal(),
                 F64,
                 0xc27c675ec289f7e2,
-                0xca95877995b6281e,
+                0x1d3a02387f712845,
             ),
             (
                 OpcConfig::metal(),
                 F32,
                 0xc27c685ec289f995,
-                0xca95887995b629d1,
+                0x1d3a01387f712692,
             ),
             (
                 OpcConfig::large_scale(),
                 F64,
                 0x551ff00f14209f36,
-                0xad7dbd2cae9fb30a,
+                0x087b4be52e1ec621,
             ),
             (
                 OpcConfig::large_scale(),
                 F32,
                 0x551ff10f1420a0e9,
-                0xad7dbe2cae9fb4bd,
+                0x087b4ae52e1ec46e,
             ),
         ];
         for (mut config, precision, input_hash, cache_key) in golden {
@@ -1065,14 +1067,15 @@ mod tests {
         }
     }
 
-    /// The cache keys of that tile under `KEY_VERSION` 2 and 4, in the
+    /// The cache keys of that tile under `KEY_VERSION` 2, 4 and 5, in the
     /// golden's order: a store holding them was written with pre-Hermitian
-    /// numerics (2) or by a build whose AVX2 kernels fused `a*b + c` (4),
-    /// and must not serve the tile any more.
+    /// numerics (2), by a build whose AVX2 kernels fused `a*b + c` (4) or
+    /// by the trial-move MRC resolver (5), and must not serve the tile any
+    /// more.
     #[test]
     fn keys_written_under_version_2_miss() {
         use cardopc_litho::Precision::{F32, F64};
-        let retired: [u64; 12] = [
+        let retired: [u64; 18] = [
             0x2fb3ecd6f93e2fe4,
             0x2fb3edd6f93e3197,
             0x733cc5bff25d93e1,
@@ -1085,6 +1088,12 @@ mod tests {
             0xdd5b3e4458111230,
             0xf84d616ec820247b,
             0xf84d606ec82022c8,
+            0x49f45946791d264b,
+            0x49f45846791d2498,
+            0xca95877995b6281e,
+            0xca95887995b629d1,
+            0xad7dbd2cae9fb30a,
+            0xad7dbe2cae9fb4bd,
         ];
         let tiling = TilingConfig {
             tile_size: 1000.0,

@@ -13,7 +13,7 @@ use std::convert::Infallible;
 
 /// Bumped whenever the cache key's composition or the stored-value
 /// semantics change, so stale stores from older builds can never replay.
-const KEY_VERSION: u8 = 5;
+const KEY_VERSION: u8 = 6;
 
 /// Canonical bit pattern of an `f64` for hashing: `-0.0` folds onto `0.0`
 /// (they compare equal, and geometry that differs only in signed zeros is

@@ -186,6 +186,18 @@ mod tests {
     }
 
     #[test]
+    fn a_crop_wider_than_the_design_is_the_whole_design() {
+        // The whole 30 µm tile (8×8 tiles of 4096 nm), not a window of
+        // empty space whose tile count is over the cap.
+        let whole = parse_job(r#"{"design": {"kind": "gcd"}}"#, &root()).unwrap();
+        for crop in ["40000", "1e12", "1e30"] {
+            let body = format!(r#"{{"design": {{"kind": "gcd", "crop": {crop}}}}}"#);
+            let spec = parse_job(&body, &root()).unwrap();
+            assert_eq!(spec.clip, whole.clip, "{crop}");
+        }
+    }
+
+    #[test]
     fn cache_opt_out_parses() {
         let spec = parse_job(r#"{"design": {"kind": "gcd"}, "cache": false}"#, &root()).unwrap();
         assert!(!spec.cache);

@@ -166,6 +166,23 @@ fn out_of_range_crop_and_design_tiles_exit_1() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crop no smaller than the design is the whole design: the 30 µm `gcd`
+/// tile's 8×8 grid of 4096 nm tiles, as with no crop at all — not a panic
+/// sizing the grid of a 1e12 nm window, nor a 10×10 grid whose outer ring
+/// holds nothing to correct.
+#[test]
+fn a_crop_wider_than_the_design_runs_the_whole_design() {
+    let dir = tempdir("widecrop");
+    for crop in ["1e12", "40000"] {
+        let args = ["--crop", crop, "--iterations", "1", "--max-tiles", "1"];
+        let out = cardopc(&args, &dir);
+        assert!(out.status.success(), "{crop}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(text.contains("run: gcdx1  grid 8x8 "), "{crop}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A fleet timeout no `Duration` holds is a usage error (exit 1, before
 /// any worker is contacted), not a panic.
 #[test]

@@ -214,11 +214,14 @@ fn assert_logic_tile_goldens(first: usize, golden: &[GoldenTile]) {
 /// build had been dumped and compared: max |Δ| 2.5e-10 nm on this tile
 /// (AVX2; 1.5e-10 scalar). The AVX2 compilation has since been made to
 /// round like the plain one, so the plain hash is the only one left and
-/// holds in both dispatch modes. Stages may get faster; every control
-/// point bit and both violation counts must stay where they are.
+/// holds in both dispatch modes. The MRC resolver's move from trial moves
+/// to projection rounds re-pinned the remaining count (76 → 23) and the
+/// hash; the shape, control-point and initial-violation counts did not
+/// move. Stages may get faster; every control point bit and both
+/// violation counts must stay where they are.
 #[test]
 fn logic_tile_mrc_outcome_matches_pre_incremental_golden() {
-    assert_logic_tile_goldens(0, &[((90, 6788), (281, 76), 0xd705_8f9b_69e1_8a35)]);
+    assert_logic_tile_goldens(0, &[((90, 6788), (281, 23), 0xa7b2_552c_be7f_f067)]);
 }
 
 /// The same golden for the other three tiles of the clip: the counts were
@@ -226,17 +229,18 @@ fn logic_tile_mrc_outcome_matches_pre_incremental_golden() {
 /// (PR 18), the hashes re-pinned for PR 19's image numerics after the
 /// parent comparison (max |Δ control point| 1.6e-10 / 1.4e-10 / 5.2e-11 nm
 /// on tiles 1–3 under AVX2, 3.9e-10 / 2.1e-10 / 4.8e-11 nm scalar; every
-/// count identical); the scalar hashes now hold in both modes. Tile 1
-/// starts with 4× tile 0's violations, so far more trials, reverts and
-/// carried-over probe results stand behind its control points.
+/// count identical); the scalar hashes now hold in both modes. The
+/// projection resolver re-pinned the remaining counts (383 → 39, 95 → 72,
+/// 85 → 37) and the hashes. Tile 1 starts with 4× tile 0's violations, so
+/// far more projection rounds' moves stand behind its control points.
 #[test]
 fn logic_tiles_1_to_3_mrc_outcome_matches_pre_sample_granular_golden() {
     assert_logic_tile_goldens(
         1,
         &[
-            ((93, 6934), (1215, 383), 0xb7d0_93e3_cba9_7883),
-            ((94, 6714), (156, 95), 0x6d96_9ce0_9c5e_83ba),
-            ((90, 6532), (522, 85), 0x5ddf_f24b_2769_f4bc),
+            ((93, 6934), (1215, 39), 0x4068_523c_dc87_910b),
+            ((94, 6714), (156, 72), 0x7538_07e4_665f_e8b6),
+            ((90, 6532), (522, 37), 0x9cdb_f3c4_4666_8b82),
         ],
     );
 }
