@@ -76,6 +76,7 @@
 use crate::client::{self, HttpResponse};
 use crate::proto::{self, MAX_BATCH};
 use crate::spec::WorkSpec;
+use cardopc_litho::span::span;
 use cardopc_runtime::{
     partition_clip, tile_cache_key, CachedTile, Partition, Placement, Run, RunControl, RunManifest,
     RunOutcome, RunStore, RuntimeError, ScheduleOutcome, Stitched, StoreLine, TileLine,
@@ -310,7 +311,10 @@ pub fn run_fleet(
         return Err(FleetError::NoWorkers);
     }
     let clip = spec.build_clip().map_err(FleetError::Spec)?;
-    let partition = partition_clip(&clip, &spec.tiling)?;
+    let partition = {
+        let _span = span("partition");
+        partition_clip(&clip, &spec.tiling)?
+    };
     let mut store = RunStore::open(config.run_dir.as_deref())?;
     // The coordinator corrects nothing itself: no engine or tile cache.
     let control = RunControl {
@@ -318,8 +322,9 @@ pub fn run_fleet(
         handle: control.handle,
         ..RunControl::default()
     };
+    let checkpoints = std::mem::take(&mut store.checkpoints);
     let sink = store.sink.as_mut();
-    let mut run = Run::new(&partition, &spec.opc, &store.checkpoints, sink, &control);
+    let mut run = Run::resume(&partition, &spec.opc, checkpoints, sink, &control);
 
     // Recovery: adopt matching records from the workers' checkpoints.
     // A fresh or unreachable worker simply contributes nothing here.
@@ -387,6 +392,7 @@ pub fn run_fleet(
         config,
     };
 
+    let dispatch = span("run_tiles");
     std::thread::scope(|scope| {
         for worker_id in 0..config.workers.len() {
             for _ in 0..config.window.max(1) {
@@ -398,6 +404,7 @@ pub fn run_fleet(
         }
     });
 
+    drop(dispatch);
     let Shared { state, run, .. } = shared;
     let state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut outcome = run.finish()?;

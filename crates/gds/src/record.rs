@@ -327,13 +327,23 @@ pub fn put_record(out: &mut Vec<u8>, rtype: u8, dtype: u8, data: &[u8]) {
 /// Panics when `len` exceeds [`MAX_PAYLOAD`] or is odd, as
 /// [`put_record`].
 pub fn put_header(out: &mut Vec<u8>, rtype: u8, dtype: u8, len: usize) {
+    out.extend_from_slice(&header(rtype, dtype, len));
+}
+
+/// The 4 header bytes of a record of `len` payload bytes — for writers
+/// that fill a pre-sized slice rather than append.
+///
+/// # Panics
+///
+/// Panics when `len` exceeds [`MAX_PAYLOAD`] or is odd, as
+/// [`put_record`].
+pub fn header(rtype: u8, dtype: u8, len: usize) -> [u8; 4] {
     assert!(
         len <= MAX_PAYLOAD && len.is_multiple_of(2),
         "record payload of {len} bytes is unencodable"
     );
-    out.extend_from_slice(&((len + 4) as u16).to_be_bytes());
-    out.push(rtype);
-    out.push(dtype);
+    let [hi, lo] = ((len + 4) as u16).to_be_bytes();
+    [hi, lo, rtype, dtype]
 }
 
 /// Appends a no-payload record.
@@ -343,20 +353,18 @@ pub fn put_empty(out: &mut Vec<u8>, rtype: u8) {
 
 /// Appends an `i16` record.
 pub fn put_i16s(out: &mut Vec<u8>, rtype: u8, values: &[i16]) {
-    let mut data = Vec::with_capacity(values.len() * 2);
+    put_header(out, rtype, dtype::I16, values.len() * 2);
     for v in values {
-        data.extend_from_slice(&v.to_be_bytes());
+        out.extend_from_slice(&v.to_be_bytes());
     }
-    put_record(out, rtype, dtype::I16, &data);
 }
 
 /// Appends an `i32` record.
 pub fn put_i32s(out: &mut Vec<u8>, rtype: u8, values: &[i32]) {
-    let mut data = Vec::with_capacity(values.len() * 4);
+    put_header(out, rtype, dtype::I32, values.len() * 4);
     for v in values {
-        data.extend_from_slice(&v.to_be_bytes());
+        out.extend_from_slice(&v.to_be_bytes());
     }
-    put_record(out, rtype, dtype::I32, &data);
 }
 
 /// Appends an ASCII record, NUL-padded to even length.

@@ -3,9 +3,11 @@
 //! Timestamps are fixed at zero so the same geometry always serialises
 //! to the same bytes — the round-trip determinism tests `cmp` whole
 //! files across worker counts and cache states. Coordinates are given in
-//! nanometres and quantised to the library's database unit with a single
-//! `round()` (ties away from zero, the deterministic IEEE mode);
-//! anything outside `i32` after quantisation is a typed overflow error.
+//! nanometres and quantised to the library's database unit as
+//! `(nm / dbu).round()` (ties away from zero, the deterministic IEEE
+//! mode) — computed as `nm · (1/dbu)` wherever that provably rounds
+//! alike, by the division elsewhere; anything outside `i32` after
+//! quantisation is a typed overflow error.
 //! Polygons beyond the 8191-point XY record limit are bisected by
 //! [`crate::split::split_polygon`] before encoding.
 
@@ -15,7 +17,7 @@ use cardopc_geometry::{Point, Polygon};
 
 use crate::error::GdsError;
 use crate::record::{
-    dtype, put_ascii, put_empty, put_header, put_i16s, put_real8s, rtype, MAX_XY_POINTS,
+    dtype, header, put_ascii, put_empty, put_i16s, put_real8s, rtype, MAX_XY_POINTS,
 };
 use crate::split::split_polygon;
 
@@ -160,21 +162,29 @@ pub fn put_boundary(
         });
     }
     let start = out.len();
+    let element =
+        |out: &mut Vec<u8>, ring: &[Point]| put_element(out, nm_per_dbu, layer, datatype, ring);
     // The closing point is written explicitly, so a record fits
     // MAX_XY_POINTS - 1 distinct vertices.
-    let encoded = split_polygon(polygon, MAX_XY_POINTS - 1).and_then(|pieces| {
-        let put = |piece: &Cow<'_, Polygon>| {
-            put_element(out, nm_per_dbu, layer, datatype, piece.vertices())
-        };
-        pieces.iter().try_for_each(put)
-    });
+    let encoded = match polygon.len() < MAX_XY_POINTS {
+        true => element(out, polygon.vertices()),
+        false => split_polygon(polygon, MAX_XY_POINTS - 1).and_then(|pieces| {
+            let put = |piece: &Cow<'_, Polygon>| element(out, piece.vertices());
+            pieces.iter().try_for_each(put)
+        }),
+    };
     if encoded.is_err() {
         out.truncate(start);
     }
     encoded
 }
 
-/// One BOUNDARY element whose ring fits one XY record.
+/// Bytes of the records of one BOUNDARY element other than its XY payload:
+/// BOUNDARY, LAYER, DATATYPE, the XY header and ENDEL.
+const ELEMENT_FRAME: usize = 4 + 6 + 6 + 4 + 4;
+
+/// One BOUNDARY element whose ring fits one XY record, written into one
+/// pre-sized slice at the end of `out` (the caller truncates on error).
 fn put_element(
     out: &mut Vec<u8>,
     nm_per_dbu: f64,
@@ -182,21 +192,73 @@ fn put_element(
     datatype: i16,
     ring: &[Point],
 ) -> Result<(), GdsError> {
-    put_empty(out, rtype::BOUNDARY);
-    put_i16s(out, rtype::LAYER, &[layer]);
-    put_i16s(out, rtype::DATATYPE, &[datatype]);
     // XY: every vertex, then the first again to close the ring.
     let payload = (ring.len() + 1) * 8;
-    out.reserve(payload + 8);
-    put_header(out, rtype::XY, dtype::I32, payload);
-    let first = out.len();
-    for v in ring {
-        out.extend_from_slice(&quantise(v.x, nm_per_dbu)?.to_be_bytes());
-        out.extend_from_slice(&quantise(v.y, nm_per_dbu)?.to_be_bytes());
+    let start = out.len();
+    out.resize(start + ELEMENT_FRAME + payload, 0);
+    let bytes = &mut out[start..];
+    bytes[0..4].copy_from_slice(&header(rtype::BOUNDARY, dtype::NONE, 0));
+    bytes[4..8].copy_from_slice(&header(rtype::LAYER, dtype::I16, 2));
+    bytes[8..10].copy_from_slice(&layer.to_be_bytes());
+    bytes[10..14].copy_from_slice(&header(rtype::DATATYPE, dtype::I16, 2));
+    bytes[14..16].copy_from_slice(&datatype.to_be_bytes());
+    bytes[16..20].copy_from_slice(&header(rtype::XY, dtype::I32, payload));
+    let (xy, end) = bytes[20..].split_at_mut(payload);
+    let per_dbu = 1.0 / nm_per_dbu;
+    let (points, close) = xy.split_at_mut(payload - 8);
+    for (v, at) in ring.iter().zip(points.chunks_exact_mut(8)) {
+        let x = quantise_scaled(v.x, nm_per_dbu, per_dbu)?;
+        let y = quantise_scaled(v.y, nm_per_dbu, per_dbu)?;
+        at[..4].copy_from_slice(&x.to_be_bytes());
+        at[4..].copy_from_slice(&y.to_be_bytes());
     }
-    out.extend_from_within(first..first + 8);
-    put_empty(out, rtype::ENDEL);
+    close.copy_from_slice(&points[..8]);
+    end.copy_from_slice(&header(rtype::ENDEL, dtype::NONE, 0));
     Ok(())
+}
+
+/// Largest |nm / nm_per_dbu| the multiply path takes: below 2^30 the
+/// product and the quotient differ by at most 3·2^-53 relative, under
+/// 4e-7 dbu — far inside [`HALF_MARGIN`].
+const SCALED_LIMIT: f64 = (1u32 << 30) as f64;
+
+/// How far from a half the product must lie for its rounding to be the
+/// quotient's: `nm · (1/dbu)` and `nm / dbu` lie within it of each other,
+/// so they round alike unless the product sits within it of a half.
+/// There, and for large or non-finite values, [`quantise_scaled`] falls
+/// back to the exact division ([`quantise`]).
+const HALF_MARGIN: f64 = 1e-6;
+
+/// [`quantise`] by multiplying with `per_dbu` (`1 / nm_per_dbu`): the
+/// product's rounding, or the exact division where that is not to be
+/// trusted. Spline samples at `t = 0` are the control points, which often
+/// sit on a binary grid whose halves are exact ties, so the fallback is
+/// per coordinate.
+#[inline]
+fn quantise_scaled(nm: f64, nm_per_dbu: f64, per_dbu: f64) -> Result<i32, GdsError> {
+    match round_scaled(nm * per_dbu) {
+        (dbu, false) => Ok(dbu),
+        (_, true) => quantise(nm, nm_per_dbu),
+    }
+}
+
+/// Rounds the product `q` to the nearest integer, and says whether that
+/// cannot be trusted to be the quotient's rounding (then the value is
+/// meaningless): `q` is not finite, not below [`SCALED_LIMIT`], or within
+/// [`HALF_MARGIN`] of a half — the only place where "nearest" has to be
+/// told apart from `f64::round`'s half away from zero, and where the
+/// product and the quotient may round apart. Branch-free, so a ring's
+/// loop stays tight.
+#[inline]
+fn round_scaled(q: f64) -> (i32, bool) {
+    // Adding 1.5·2^52 leaves ulp 1: the sum is `q` rounded to the nearest
+    // integer, whose low 32 bits hold that integer (two's complement) for
+    // |q| < 2^31. Subtracting it back is exact, and so is `q - nearest`.
+    const ROUNDER: f64 = 6_755_399_441_055_744.0;
+    let sum = q + ROUNDER;
+    let nearest = sum - ROUNDER;
+    let trusted = (q.abs() < SCALED_LIMIT) & ((q - nearest).abs() < 0.5 - HALF_MARGIN);
+    (sum.to_bits() as u32 as i32, !trusted)
 }
 
 fn quantise(nm: f64, nm_per_dbu: f64) -> Result<i32, GdsError> {
@@ -403,7 +465,147 @@ mod tests {
         }
     }
 
+    /// The multiply path against the division it stands for.
+    fn check_scaled(nm: f64, nm_per_dbu: f64) {
+        assert_eq!(
+            quantise_scaled(nm, nm_per_dbu, 1.0 / nm_per_dbu).ok(),
+            quantise(nm, nm_per_dbu).ok(),
+            "{nm:e} nm ({:#x}) at {nm_per_dbu} nm/dbu",
+            nm.to_bits()
+        );
+    }
+
+    /// Grids the exactness tests sweep: the mask's, the target layout's
+    /// and a few that are not powers of ten.
+    const GRIDS: [f64; 7] = [MASK_GRID, 1.0, 0.25, 0.001, 3.0, 0.1, 0.3];
+    const MASK_GRID: f64 = 0.01;
+
+    #[test]
+    fn scaled_quantise_is_the_division_at_exact_halves() {
+        for nm_per_dbu in GRIDS {
+            for k in [
+                0i64,
+                1,
+                2,
+                7,
+                123_456,
+                1 << 20,
+                (1 << 29) + 3,
+                (1 << 30) - 1,
+                1 << 30,
+            ] {
+                for sign in [1.0, -1.0] {
+                    let half = sign * (k as f64 + 0.5) * nm_per_dbu;
+                    let (mut up, mut down) = (half, half);
+                    for _ in 0..8 {
+                        check_scaled(up, nm_per_dbu);
+                        check_scaled(down, nm_per_dbu);
+                        (up, down) = (up.next_up(), down.next_down());
+                    }
+                    check_scaled(sign * k as f64 * nm_per_dbu, nm_per_dbu);
+                }
+            }
+        }
+        for v in [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e12,
+            -1e12,
+        ] {
+            check_scaled(v, MASK_GRID);
+        }
+    }
+
+    /// The element encoder the direct writer replaced: one record helper
+    /// per record, every coordinate divided.
+    fn element_by_records(
+        out: &mut Vec<u8>,
+        nm_per_dbu: f64,
+        layer: i16,
+        ring: &[Point],
+    ) -> Result<(), GdsError> {
+        use crate::record::{put_header, put_i32s};
+        put_empty(out, rtype::BOUNDARY);
+        put_i16s(out, rtype::LAYER, &[layer]);
+        put_i16s(out, rtype::DATATYPE, &[0]);
+        let mut xy = Vec::new();
+        for v in ring.iter().chain(&ring[..1]) {
+            xy.extend([quantise(v.x, nm_per_dbu)?, quantise(v.y, nm_per_dbu)?]);
+        }
+        put_i32s(out, rtype::XY, &xy);
+        put_header(out, rtype::ENDEL, dtype::NONE, 0);
+        Ok(())
+    }
+
     proptest! {
+        /// Whole elements: rings of random, near-half and far-out vertices
+        /// encode to the record-by-record, divide-every-coordinate bytes,
+        /// and fail (appending nothing) exactly when those fail.
+        #[test]
+        fn direct_element_writer_is_the_record_writer(
+            seed in 0u64..u64::MAX,
+            pick in 0usize..7,
+        ) {
+            let mut rng = cardopc_geometry::SplitMix64::new(seed);
+            let nm_per_dbu = GRIDS[pick];
+            let ring: Vec<Point> = (0..rng.range_usize(3, 40))
+                .map(|_| {
+                    let mut coordinate = || match rng.range_usize(0, 4) {
+                        0 => rng.range_f64(-5e5, 5e5),
+                        1 => {
+                            let k = rng.range_f64(-1e6, 1e6).round();
+                            let mut v = (k + 0.5) * nm_per_dbu;
+                            for _ in 0..rng.range_usize(0, 4) {
+                                v = if rng.chance(0.5) { v.next_up() } else { v.next_down() };
+                            }
+                            v
+                        }
+                        2 => rng.range_f64(-1e4, 1e4).round() * nm_per_dbu,
+                        _ if rng.chance(0.1) => 1e12,
+                        _ => rng.range_f64(-1.0, 1.0),
+                    };
+                    Point::new(coordinate(), coordinate())
+                })
+                .collect();
+            let polygon = Polygon::new(ring);
+            prop_assume!(polygon.len() >= 3);
+            let mut want = vec![7u8];
+            let expected = element_by_records(&mut want, nm_per_dbu, 2, polygon.vertices());
+            let mut got = vec![7u8];
+            let result = put_boundary(&mut got, nm_per_dbu, 2, 0, &polygon);
+            prop_assert_eq!(result.is_ok(), expected.is_ok());
+            if expected.is_ok() {
+                prop_assert_eq!(got, want);
+            } else {
+                prop_assert_eq!(got, vec![7u8]);
+            }
+        }
+
+        #[test]
+        fn scaled_quantise_is_the_division_on_random_values(
+            bits in 0u64..u64::MAX,
+            nm in -3.0e7f64..3.0e7,
+            k in -(1i64 << 31)..(1i64 << 31),
+            ulps in 0usize..6,
+            pick in 0usize..7,
+        ) {
+            let nm_per_dbu = GRIDS[pick];
+            check_scaled(f64::from_bits(bits), nm_per_dbu);
+            check_scaled(nm, nm_per_dbu);
+            // Large (past the multiply path's range) and near-half values.
+            check_scaled(nm * 1e3, nm_per_dbu);
+            let mut half = (k as f64 + 0.5) * nm_per_dbu;
+            let mut other = half;
+            for _ in 0..ulps {
+                (half, other) = (half.next_up(), other.next_down());
+            }
+            check_scaled(half, nm_per_dbu);
+            check_scaled(other, nm_per_dbu);
+        }
+
         #[test]
         fn quantise_matches_f64_round_on_random_doubles(
             bits in 0u64..u64::MAX,

@@ -98,14 +98,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(s, out),
+            Json::Num(v) => write_num(out, *v),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -122,7 +116,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -176,22 +170,109 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Appends `v` as [`Json::Num`] writes it: the shortest decimal that
+/// parses back to the same bits (Rust's `f64` `Display`), `null` when `v`
+/// is not finite. The one number writer, behind the tree encoder and the
+/// direct writers of manifests and tile lines.
+pub fn write_num(out: &mut String, v: f64) {
+    // An integer below 2^53 has no shorter decimal than its digits, so
+    // `Display` prints exactly them: write them without the float
+    // formatter. (-0 keeps the formatter's "-0"; NaN fails the range test.)
+    if v.abs() < EXACT_INT {
+        let int = v as i64;
+        if int as f64 == v && (int != 0 || v.is_sign_positive()) {
+            return write_digits(out, int.unsigned_abs(), int < 0);
         }
     }
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// A count as [`Json::num_usize`] holds it (`v as f64`), written by
+/// [`write_num`] — below 2^53, where that is exact, straight from the
+/// integer.
+pub fn write_count(out: &mut String, v: usize) {
+    match (v as u64) < EXACT_INT as u64 {
+        true => write_digits(out, v as u64, false),
+        false => write_num(out, v as f64),
+    }
+}
+
+/// 2^53: every integer below it is an exact `f64`.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+fn write_digits(out: &mut String, mut n: u64, negative: bool) {
+    let mut buf = [0u8; 21];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if negative {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a JSON string literal, quoted and escaped as
+/// [`Json::Str`] writes it. The one string writer, like [`write_num`].
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
+    // Runs that need no escape are copied whole.
+    let mut plain = 0;
+    for (i, c) in s.char_indices() {
+        let escape = match c {
+            '"' => "\\\"",
+            '\\' => "\\\\",
+            '\n' => "\\n",
+            '\r' => "\\r",
+            '\t' => "\\t",
+            c if (c as u32) < 0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        plain = i + c.len_utf8();
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{:04x}", c as u32);
+        } else {
+            out.push_str(escape);
+        }
+    }
+    out.push_str(&s[plain..]);
+    out.push('"');
+}
+
+/// Reads the number token at the start of `bytes` as [`Json::parse`]
+/// does: an optional `-`, then every byte of `0-9 . e E + -`, parsed as
+/// an `f64`. Returns the value — `None` when the token is not a number or
+/// overflows to ±∞ — and the token's length. The one number reader,
+/// behind the tree parser and the direct tile-line reader.
+pub fn read_num(bytes: &[u8]) -> (Option<f64>, usize) {
+    let sign = usize::from(bytes.first() == Some(&b'-'));
+    let digits = bytes[sign..]
+        .iter()
+        .take_while(|&&b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
+        .count();
+    let len = sign + digits;
+    // The token is ASCII. `parse` rounds an overflowing literal (`1e999`)
+    // to ±∞, which no `Num` may hold; underflow to zero is an ordinary
+    // rounding.
+    let text = std::str::from_utf8(&bytes[..len]).expect("ASCII token");
+    let value = text.parse::<f64>().ok().filter(|v| v.is_finite());
+    (value, len)
 }
 
 /// Maximum container nesting the parser accepts. Recursion depth is
@@ -314,25 +395,12 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid number at byte {start}"))?;
-        // `parse` rounds an overflowing literal (`1e999`) to ±∞, which no
-        // `Num` may hold; underflow to zero is an ordinary rounding.
-        text.parse::<f64>()
-            .ok()
-            .filter(|v| v.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| format!("invalid number '{text}' at byte {start}"))
+        let (value, len) = read_num(&self.bytes[start..]);
+        self.pos += len;
+        value.map(Json::Num).ok_or_else(|| {
+            let text = String::from_utf8_lossy(&self.bytes[start..self.pos]);
+            format!("invalid number '{text}' at byte {start}")
+        })
     }
 
     /// Enters one container level; errors past [`MAX_PARSE_DEPTH`] so a
@@ -512,6 +580,116 @@ mod tests {
         // document is fine because siblings re-use the same level.
         let flat = format!("[{}]", vec!["[1]"; 10_000].join(","));
         assert!(Json::parse(&flat).is_ok());
+    }
+
+    /// The char-by-char escaper `write_str` replaced.
+    fn escaped_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Tiny xorshift, so the oracles need no dependency.
+    fn draws(seed: u64) -> impl Iterator<Item = u64> {
+        let mut x = seed;
+        std::iter::repeat_with(move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        })
+    }
+
+    /// Test-time case count: `PROPTEST_CASES` (as the proptest suites), else
+    /// `default`.
+    fn cases(default: usize) -> usize {
+        let set = std::env::var("PROPTEST_CASES").ok();
+        set.and_then(|v| v.parse().ok()).unwrap_or(default)
+    }
+
+    #[test]
+    fn number_writer_is_the_display_formatter() {
+        let formatted = |v: f64| {
+            let mut out = String::new();
+            write_num(&mut out, v);
+            out
+        };
+        let display = |v: f64| match v.is_finite() {
+            true => format!("{v}"),
+            false => "null".to_string(),
+        };
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            EXACT_INT,
+            -EXACT_INT,
+            EXACT_INT.next_down(),
+            -EXACT_INT.next_down(),
+            1e21,
+            4096.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        let mut draw = draws(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..cases(256) * 16 {
+            let bits = draw.next().unwrap();
+            values.push(f64::from_bits(bits));
+            // Integers of every size, both signs, and counts.
+            let int = (bits >> (bits % 64)) as i64 as f64;
+            values.extend([int, -int, (bits % 100_000) as f64]);
+        }
+        for v in values {
+            assert_eq!(formatted(v), display(v), "{v:e} ({:#x})", v.to_bits());
+        }
+        let mut counts = vec![0, 1, 9, 10, 4096, 1 << 53, (1 << 53) + 1, usize::MAX];
+        for _ in 0..cases(256) * 16 {
+            let bits = draw.next().unwrap() as usize;
+            counts.extend([bits, bits >> (bits % 64), bits % 100_000]);
+        }
+        for v in counts {
+            let mut out = String::new();
+            write_count(&mut out, v);
+            assert_eq!(out, Json::num_usize(v).to_string_compact(), "{v}");
+        }
+    }
+
+    #[test]
+    fn string_writer_escapes_as_the_char_loop() {
+        let alphabet = [
+            'a', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', ' ', 'é', '✓', '😀',
+        ];
+        let mut draw = draws(0x2545_f491_4f6c_dd1d);
+        let mut samples = vec![String::new(), "plain".into(), "gcd[0]:1x0".into()];
+        for _ in 0..cases(256) * 4 {
+            let len = draw.next().unwrap() % 12;
+            let pick = |_| alphabet[(draw.next().unwrap() % alphabet.len() as u64) as usize];
+            samples.push((0..len).map(pick).collect());
+        }
+        for s in samples {
+            let mut out = String::new();
+            write_str(&mut out, &s);
+            assert_eq!(out, escaped_by_char(&s), "{s:?}");
+            assert_eq!(Json::parse(&out).unwrap(), Json::Str(s));
+        }
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub mod pool;
 mod raster;
 mod scalar;
 pub mod simd;
+pub mod span;
 mod workspace;
 
 pub use engine::{LithoEngine, ProcessCondition};

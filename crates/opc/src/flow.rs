@@ -336,6 +336,7 @@ impl CardOpc {
 
         // ⑥ MRC check and resolve.
         let (mrc_initial, mrc_remaining) = if let Some(rules) = self.config.mrc {
+            let _span = cardopc_litho::span::span("mrc_resolve");
             let mut splines: Vec<_> = shapes.iter().map(|s| s.spline.clone()).collect();
             let resolver = MrcResolver::new(
                 rules,

@@ -20,13 +20,14 @@
 //! [`TileRecord::from_json_line`] are a standalone codec no store uses.
 
 use crate::cache::CachedTile;
-use crate::json::Json;
+use crate::json::{Json, Object};
 use crate::partition::{Partition, Tile};
 use crate::store::{
     acquire_pid_lock, append_lines, io_error, load_jsonl, open_append, write_atomic,
 };
-use crate::RuntimeError;
+use crate::{map_on_pool, RuntimeError};
 use cardopc_geometry::{BBox, Point};
+use cardopc_litho::WorkerPool;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io::Write;
@@ -369,22 +370,68 @@ impl CachedTile {
 }
 
 impl TileLine {
-    /// Serialises the line as one compact JSON line (no newline).
+    /// Serialises the line as one compact JSON line (no newline), written
+    /// straight into one string: the bytes of the tree encoder the tests
+    /// keep as its oracle.
     pub fn to_json_line(&self) -> String {
         let p = &self.placement;
-        let counts = |v: &[usize]| Json::Arr(v.iter().map(|&n| Json::num_usize(n)).collect());
-        Json::obj(vec![
-            ("v", Json::Num(RECORD_VERSION)),
-            ("tile", Json::num_usize(self.index)),
-            ("name", Json::Str(self.name.clone())),
-            ("hash", hex(self.input_hash)),
-            ("key", hex(self.key)),
-            ("seconds", Json::Num(self.seconds)),
-            ("origin", Json::num_arr(&[p.origin.x, p.origin.y])),
-            ("ids", counts(&p.ids)),
-            ("keep", counts(&p.keep)),
-        ])
-        .to_string_compact()
+        let ids = 8 * (p.ids.len() + p.keep.len());
+        let mut out = String::with_capacity(160 + self.name.len() + ids);
+        let mut o = Object::open(&mut out);
+        o.num("v", RECORD_VERSION)
+            .count("tile", self.index)
+            .str("name", &self.name)
+            .str("hash", &format!("{:016x}", self.input_hash))
+            .str("key", &format!("{:016x}", self.key))
+            .num("seconds", self.seconds)
+            .nums("origin", &[p.origin.x, p.origin.y])
+            .counts("ids", &p.ids)
+            .counts("keep", &p.keep);
+        o.close();
+        out
+    }
+
+    /// Reads a tile line written exactly as [`TileLine::to_json_line`]
+    /// writes one — members in its order, no whitespace, no escapes —
+    /// without building a tree. `None` for anything else, which the tree
+    /// parser then decides. Where it reads a line, the line is JSON whose
+    /// tree parse gives the same `TileLine`: the numbers go through the
+    /// json crate's own reader and the same count and hex rules.
+    fn read_written(line: &str) -> Option<TileLine> {
+        let mut r = Reader(line.as_bytes());
+        r.lit(b"{\"v\":")?;
+        (r.num()? == RECORD_VERSION).then_some(())?;
+        r.lit(b",\"tile\":")?;
+        let index = r.count()?;
+        r.lit(b",\"name\":")?;
+        let name = r.plain_str()?.to_string();
+        r.lit(b",\"hash\":")?;
+        let input_hash = u64::from_str_radix(r.plain_str()?, 16).ok()?;
+        r.lit(b",\"key\":")?;
+        let key = u64::from_str_radix(r.plain_str()?, 16).ok()?;
+        r.lit(b",\"seconds\":")?;
+        let seconds = r.num()?;
+        r.lit(b",\"origin\":[")?;
+        let x = r.num()?;
+        r.lit(b",")?;
+        let y = r.num()?;
+        r.lit(b"],\"ids\":")?;
+        let ids = r.counts()?;
+        r.lit(b",\"keep\":")?;
+        let keep = r.counts()?;
+        r.lit(b"}")?;
+        r.0.is_empty().then_some(TileLine {
+            index,
+            name,
+            input_hash,
+            key,
+            seconds,
+            placement: Placement {
+                origin: Point::new(x, y),
+                ids,
+                keep,
+            },
+        })
     }
 
     fn from_json(v: &Json) -> Result<TileLine, String> {
@@ -406,6 +453,63 @@ impl TileLine {
     }
 }
 
+/// The unread rest of a line, for [`TileLine::read_written`].
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn lit(&mut self, text: &[u8]) -> Option<()> {
+        self.0 = self.0.strip_prefix(text)?;
+        Some(())
+    }
+
+    /// A number as `Json::parse` reads one (it starts with `-` or a digit).
+    fn num(&mut self) -> Option<f64> {
+        self.0
+            .first()
+            .filter(|b| **b == b'-' || b.is_ascii_digit())?;
+        let (value, len) = cardopc_json::read_num(self.0);
+        self.0 = &self.0[len..];
+        value
+    }
+
+    /// A count, under `Json::as_usize`'s rule.
+    fn count(&mut self) -> Option<usize> {
+        Json::Num(self.num()?).as_usize()
+    }
+
+    /// `[` counts `]`.
+    fn counts(&mut self) -> Option<Vec<usize>> {
+        self.lit(b"[")?;
+        let mut out = Vec::new();
+        if self.lit(b"]").is_some() {
+            return Some(out);
+        }
+        loop {
+            out.push(self.count()?);
+            match self.0.first()? {
+                b',' => self.0 = &self.0[1..],
+                b']' => {
+                    self.0 = &self.0[1..];
+                    return Some(out);
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    /// A string with no escape in it (the writer escapes none of the
+    /// strings this reads but names, and a name that needed one falls back
+    /// to the tree).
+    fn plain_str(&mut self) -> Option<&'a str> {
+        self.lit(b"\"")?;
+        let end = self.0.iter().position(|&b| b == b'"' || b == b'\\')?;
+        (self.0[end] == b'"').then_some(())?;
+        let text = std::str::from_utf8(&self.0[..end]).ok()?;
+        self.0 = &self.0[end + 1..];
+        Some(text)
+    }
+}
+
 /// One line of `tiles.jsonl` or of a fleet answer.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StoreLine {
@@ -422,6 +526,14 @@ impl StoreLine {
     ///
     /// A message describing the malformed line ("no line" to callers).
     pub fn parse(line: &str) -> Result<StoreLine, String> {
+        match TileLine::read_written(line) {
+            Some(tile) => Ok(StoreLine::Tile(tile)),
+            None => StoreLine::parse_tree(line),
+        }
+    }
+
+    /// [`StoreLine::parse`] through the JSON tree: any line, any spelling.
+    fn parse_tree(line: &str) -> Result<StoreLine, String> {
         let v = Json::parse(line)?;
         match v.get("v").and_then(Json::as_f64) {
             Some(RECORD_VERSION) => TileLine::from_json(&v).map(StoreLine::Tile),
@@ -579,7 +691,7 @@ impl RunDir {
 
     /// Loads the records the checkpoint stands for: each tile line whose
     /// entry is there and fits it, placed — the last such line per tile.
-    /// Lines are parsed over the pool, in any order. Hash validation
+    /// Lines are parsed, and records placed, over the pool. Hash validation
     /// against the current partition happens in the run frame (it knows
     /// the tiles). A missing file is an empty map; dropped lines (see the
     /// module docs) simply re-execute their tiles.
@@ -593,7 +705,8 @@ impl RunDir {
             let entry = &entries[&t.key].0;
             (t.index, t.place(entry))
         };
-        Ok(tiles.into_iter().map(place).collect())
+        let records = map_on_pool(WorkerPool::global(), tiles, place);
+        Ok(records.into_iter().collect())
     }
 
     /// Opens the checkpoint file for appending.
@@ -994,6 +1107,104 @@ mod tests {
         assert_eq!(parsed.to_json_line(), golden);
         // A store does not read it: it is neither an entry nor a tile line.
         assert!(StoreLine::parse(golden).is_err());
+    }
+
+    /// The tree encoder `TileLine::to_json_line` replaced, kept as its
+    /// oracle.
+    fn tile_line_by_tree(t: &TileLine) -> String {
+        let p = &t.placement;
+        let counts = |v: &[usize]| Json::Arr(v.iter().map(|&n| Json::num_usize(n)).collect());
+        Json::obj(vec![
+            ("v", Json::Num(RECORD_VERSION)),
+            ("tile", Json::num_usize(t.index)),
+            ("name", Json::Str(t.name.clone())),
+            ("hash", Json::Str(format!("{:016x}", t.input_hash))),
+            ("key", Json::Str(format!("{:016x}", t.key))),
+            ("seconds", Json::Num(t.seconds)),
+            ("origin", Json::num_arr(&[p.origin.x, p.origin.y])),
+            ("ids", counts(&p.ids)),
+            ("keep", counts(&p.keep)),
+        ])
+        .to_string_compact()
+    }
+
+    /// Where the direct tile-line reader reads `text` — or any truncation
+    /// or byte-damaged copy of it — the tree parser reads the same line;
+    /// it reads the writer's own line unless the line has an escape.
+    fn assert_direct_read_is_the_tree_read(text: &str, draw: &mut impl FnMut() -> u64) {
+        // Lines with escaped names are left to the tree.
+        let direct = StoreLine::parse_tree(text).is_ok() && !text.contains('\\');
+        assert_eq!(TileLine::read_written(text).is_some(), direct, "{text}");
+        let bytes = text.as_bytes();
+        let noise = b"0123456789.eE+-\"\\ ,:[]{}a\xc3";
+        for _ in 0..8 {
+            let mut damaged = bytes.to_vec();
+            let byte = noise[draw() as usize % noise.len()];
+            match draw() % 4 {
+                0 => damaged.truncate(draw() as usize % bytes.len()),
+                1 => damaged[draw() as usize % bytes.len()] = byte,
+                2 => damaged.insert(draw() as usize % bytes.len(), byte),
+                _ => damaged.push(byte),
+            }
+            let Ok(damaged) = String::from_utf8(damaged) else {
+                continue;
+            };
+            if let Some(read) = TileLine::read_written(&damaged) {
+                let tree = StoreLine::parse_tree(&damaged);
+                assert_eq!(tree, Ok(StoreLine::Tile(read)), "{damaged}");
+            }
+        }
+    }
+
+    /// The direct tile-line writer against the tree encoder, on lines with
+    /// escaped names, extreme hashes, awkward and non-finite numbers; every
+    /// finite line parses back to itself, and the direct reader agrees
+    /// with the tree parser on it and on damaged copies.
+    #[test]
+    fn direct_tile_line_writer_is_the_tree_encoder() {
+        let mut lines = vec![tile_line()];
+        let mut seed = 0x853c_49e6_748f_ea9bu64;
+        let mut draw = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let names = ["gcd[0]:63x63", "q\"uote\\", "tab\tnl\n\u{1}", "é✓😀", ""];
+        let reals = [0.0, -0.0, 0.1 + 0.2, -1536.0, 1e-7, 6.02e23, -512.5];
+        let cases = std::env::var("PROPTEST_CASES").ok();
+        let cases = cases.and_then(|v| v.parse().ok()).unwrap_or(256usize);
+        for n in 0..cases {
+            let mut line = tile_line();
+            // Indices below 2^53: a count is an f64 on disk.
+            line.index = (draw() >> 11 >> (n % 53)) as usize;
+            line.name = names[n % names.len()].to_string();
+            (line.input_hash, line.key) = (draw(), [0, u64::MAX, draw()][n % 3]);
+            line.seconds = f64::from_bits(draw() >> 2);
+            let real = |k: u64| reals[k as usize % reals.len()];
+            line.placement.origin = Point::new(real(draw()), f64::from_bits(draw()));
+            line.placement.ids = (0..draw() % 5).map(|_| draw() as usize % 100_000).collect();
+            line.placement.keep = (0..draw() % 3).map(|k| k as usize).collect();
+            lines.push(line);
+        }
+        let mut odd = tile_line();
+        (odd.seconds, odd.placement.origin) = (f64::NAN, Point::new(f64::INFINITY, -0.0));
+        lines.push(odd);
+        for line in lines {
+            let text = line.to_json_line();
+            assert_eq!(text, tile_line_by_tree(&line), "{line:?}");
+            assert_direct_read_is_the_tree_read(&text, &mut draw);
+            let finite = [
+                line.seconds,
+                line.placement.origin.x,
+                line.placement.origin.y,
+            ];
+            if finite.iter().all(|v| v.is_finite()) {
+                assert_eq!(StoreLine::parse(&text), Ok(StoreLine::Tile(line)));
+            } else {
+                assert!(StoreLine::parse(&text).is_err());
+            }
+        }
     }
 
     /// One tile line as this format writes it.

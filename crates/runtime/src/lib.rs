@@ -6,8 +6,9 @@
 //!
 //! 1. **Partition** ([`partition_clip`]): the clip is split into core
 //!    windows with a halo margin; every target is owned by exactly one
-//!    tile (bbox-centre rule over an R-tree), and halo copies give each
-//!    tile the optical context a monolithic run would see.
+//!    tile (bbox-centre rule; membership binned by each target's bbox),
+//!    and halo copies give each tile the optical context a monolithic run
+//!    would see.
 //! 2. **Schedule** ([`run_tiles_controlled`]): tiles fan out over the shared
 //!    [`WorkerPool`], every task sharing one calibrated
 //!    [`LithoEngine`](cardopc_litho::LithoEngine) per (uniform) window
@@ -82,6 +83,7 @@ pub use stitch::{seam_bands, stitch, Stitched};
 pub use store::write_file_atomic;
 
 use cardopc_layout::Clip;
+use cardopc_litho::span::span;
 use cardopc_litho::WorkerPool;
 use cardopc_opc::{CardOpc, OpcConfig};
 use std::path::PathBuf;
@@ -158,13 +160,16 @@ pub fn run_clip_controlled(
 ) -> Result<RunOutcome, RuntimeError> {
     let start = std::time::Instant::now();
     let flow = CardOpc::new(config.opc.clone());
-    let partition = partition_clip(clip, &config.tiling)?;
+    let partition = {
+        let _span = span("partition");
+        partition_clip(clip, &config.tiling)?
+    };
     let mut store = RunStore::open(config.run_dir.as_deref())?;
-    let mut outcome = run_tiles_controlled(
+    let mut outcome = schedule::run_tiles_owned(
         &partition,
         &flow,
         pool,
-        &store.checkpoints,
+        std::mem::take(&mut store.checkpoints),
         config.max_tiles,
         store.sink.as_mut(),
         control,
@@ -179,4 +184,36 @@ pub fn run_clip_controlled(
         start,
     )?;
     Ok(RunOutcome::new(manifest, stitched, outcome))
+}
+
+/// Below this many items a [`map_on_pool`] runs on the caller's thread:
+/// waking the pool costs more than a handful of items.
+const PARALLEL_MIN_ITEMS: usize = 64;
+
+/// `items` mapped through `f`, in order: one contiguous chunk per executor
+/// of `pool`, so the result is the sequential map's for any pool size.
+pub(crate) fn map_on_pool<T: Send, U: Send>(
+    pool: &WorkerPool,
+    items: Vec<T>,
+    f: impl Fn(T) -> U + Sync,
+) -> Vec<U> {
+    let total = items.len();
+    if pool.parallelism() <= 1 || total < PARALLEL_MIN_ITEMS {
+        return items.into_iter().map(f).collect();
+    }
+    let per_task = total.div_ceil(pool.parallelism());
+    let mut items = items.into_iter();
+    let mut chunks: Vec<(Vec<T>, Vec<U>)> = std::iter::from_fn(|| {
+        let chunk: Vec<T> = items.by_ref().take(per_task).collect();
+        (!chunk.is_empty()).then_some((chunk, Vec::new()))
+    })
+    .collect();
+    pool.run_with_slots(&mut chunks, |_, (input, output)| {
+        *output = std::mem::take(input).into_iter().map(&f).collect();
+    });
+    let mut mapped = Vec::with_capacity(total);
+    for (_, output) in chunks {
+        mapped.extend(output);
+    }
+    mapped
 }

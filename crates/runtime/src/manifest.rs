@@ -9,7 +9,7 @@
 //! time,
 //! or whether tiles were resumed from a checkpoint.
 
-use crate::json::Json;
+use crate::json::{array, Object};
 use crate::schedule::{ScheduleOutcome, TileResult};
 use crate::stitch::Stitched;
 use std::fmt::Write as _;
@@ -174,66 +174,62 @@ impl RunManifest {
     /// input-determined quantities and is **byte-identical** across
     /// reruns, scheduler pool sizes, and checkpoint resumes of the same
     /// input — the form tests and CI compare.
+    ///
+    /// Written straight into one string (no tree): the bytes are the tree
+    /// encoder's, which the tests keep as the oracle.
     pub fn to_json(&self, include_timing: bool) -> String {
-        let tiles = Json::Arr(
-            self.tiles
-                .iter()
-                .map(|t| {
-                    let mut fields = vec![
-                        ("tile", Json::num_usize(t.index)),
-                        ("name", Json::Str(t.name.clone())),
-                        ("shapes", Json::num_usize(t.shapes)),
-                        ("owned", Json::num_usize(t.owned)),
-                        ("epe_sum_nm", Json::Num(t.epe_sum_nm)),
-                        ("epe_violations", Json::num_usize(t.epe_violations)),
-                        ("pvb_nm2", Json::Num(t.pvb_nm2)),
-                        ("mrc_initial", Json::num_usize(t.mrc_initial)),
-                        ("mrc_remaining", Json::num_usize(t.mrc_remaining)),
-                    ];
-                    if include_timing {
-                        fields.push(("seconds", Json::Num(t.seconds)));
-                        fields.push(("resumed", Json::Bool(t.resumed)));
-                        fields.push(("cached", Json::Bool(t.cached)));
-                    }
-                    Json::obj(fields)
-                })
-                .collect(),
-        );
-        let total = Json::obj(vec![
-            ("shapes", Json::num_usize(self.total.shapes)),
-            ("epe_sum_nm", Json::Num(self.total.epe_sum_nm)),
-            ("epe_violations", Json::num_usize(self.total.epe_violations)),
-            ("pvb_nm2", Json::Num(self.total.pvb_nm2)),
-            ("mrc_initial", Json::num_usize(self.total.mrc_initial)),
-            ("mrc_remaining", Json::num_usize(self.total.mrc_remaining)),
-            (
-                "seam_violations",
-                Json::num_usize(self.total.seam_violations),
-            ),
-        ]);
-        let mut fields = vec![
-            ("design", Json::Str(self.design.clone())),
-            ("nx", Json::num_usize(self.nx)),
-            ("ny", Json::num_usize(self.ny)),
-            ("tile_size", Json::Num(self.tile_size)),
-            ("halo", Json::Num(self.halo)),
-            ("complete", Json::Bool(self.complete)),
-            ("tiles", tiles),
-            ("total", total),
-            ("epe_history", Json::num_arr(&self.epe_history)),
-        ];
+        let per_tile = if include_timing { 240 } else { 190 };
+        let history = 24 * self.epe_history.len();
+        let mut out = String::with_capacity(512 + per_tile * self.tiles.len() + history);
+        let mut o = Object::open(&mut out);
+        o.str("design", &self.design)
+            .count("nx", self.nx)
+            .count("ny", self.ny)
+            .num("tile_size", self.tile_size)
+            .num("halo", self.halo)
+            .bool("complete", self.complete);
+        array(o.member("tiles"), &self.tiles, |out, t| {
+            let mut tile = Object::open(out);
+            tile.count("tile", t.index)
+                .str("name", &t.name)
+                .count("shapes", t.shapes)
+                .count("owned", t.owned)
+                .num("epe_sum_nm", t.epe_sum_nm)
+                .count("epe_violations", t.epe_violations)
+                .num("pvb_nm2", t.pvb_nm2)
+                .count("mrc_initial", t.mrc_initial)
+                .count("mrc_remaining", t.mrc_remaining);
+            if include_timing {
+                tile.num("seconds", t.seconds)
+                    .bool("resumed", t.resumed)
+                    .bool("cached", t.cached);
+            }
+            tile.close();
+        });
+        let total = &self.total;
+        let mut t = Object::open(o.member("total"));
+        t.count("shapes", total.shapes)
+            .num("epe_sum_nm", total.epe_sum_nm)
+            .count("epe_violations", total.epe_violations)
+            .num("pvb_nm2", total.pvb_nm2)
+            .count("mrc_initial", total.mrc_initial)
+            .count("mrc_remaining", total.mrc_remaining)
+            .count("seam_violations", total.seam_violations);
+        t.close();
+        o.nums("epe_history", &self.epe_history);
         if include_timing {
-            fields.push(("executed", Json::num_usize(self.executed)));
-            fields.push(("resumed", Json::num_usize(self.resumed)));
-            fields.push(("remaining", Json::num_usize(self.remaining)));
-            fields.push(("workers", Json::num_usize(self.workers)));
-            fields.push(("cache_hits", Json::num_usize(self.cache_hits)));
-            fields.push(("cache_misses", Json::num_usize(self.cache_misses)));
-            fields.push(("wall_seconds", Json::Num(self.wall_seconds)));
-            fields.push(("tile_seconds", Json::Num(self.tile_seconds)));
-            fields.push(("utilization", Json::Num(self.utilization())));
+            o.count("executed", self.executed)
+                .count("resumed", self.resumed)
+                .count("remaining", self.remaining)
+                .count("workers", self.workers)
+                .count("cache_hits", self.cache_hits)
+                .count("cache_misses", self.cache_misses)
+                .num("wall_seconds", self.wall_seconds)
+                .num("tile_seconds", self.tile_seconds)
+                .num("utilization", self.utilization());
         }
-        Json::obj(fields).to_string_compact()
+        o.close();
+        out
     }
 
     /// Renders the manifest as a fixed-width table for the terminal.
@@ -317,6 +313,7 @@ fn summarize(t: &TileResult) -> TileSummary {
 mod tests {
     use super::*;
     use crate::checkpoint::{TileMetrics, TileRecord};
+    use crate::json::Json;
     use crate::partition::{partition_clip, TilingConfig};
     use cardopc_geometry::{Point, Polygon};
     use cardopc_layout::Clip;
@@ -381,6 +378,71 @@ mod tests {
         (partition, sched)
     }
 
+    impl RunManifest {
+        /// The tree encoder `to_json` replaced, kept as its oracle.
+        fn to_json_tree(&self, include_timing: bool) -> String {
+            let tiles = Json::Arr(
+                self.tiles
+                    .iter()
+                    .map(|t| {
+                        let mut fields = vec![
+                            ("tile", Json::num_usize(t.index)),
+                            ("name", Json::Str(t.name.clone())),
+                            ("shapes", Json::num_usize(t.shapes)),
+                            ("owned", Json::num_usize(t.owned)),
+                            ("epe_sum_nm", Json::Num(t.epe_sum_nm)),
+                            ("epe_violations", Json::num_usize(t.epe_violations)),
+                            ("pvb_nm2", Json::Num(t.pvb_nm2)),
+                            ("mrc_initial", Json::num_usize(t.mrc_initial)),
+                            ("mrc_remaining", Json::num_usize(t.mrc_remaining)),
+                        ];
+                        if include_timing {
+                            fields.push(("seconds", Json::Num(t.seconds)));
+                            fields.push(("resumed", Json::Bool(t.resumed)));
+                            fields.push(("cached", Json::Bool(t.cached)));
+                        }
+                        Json::obj(fields)
+                    })
+                    .collect(),
+            );
+            let total = Json::obj(vec![
+                ("shapes", Json::num_usize(self.total.shapes)),
+                ("epe_sum_nm", Json::Num(self.total.epe_sum_nm)),
+                ("epe_violations", Json::num_usize(self.total.epe_violations)),
+                ("pvb_nm2", Json::Num(self.total.pvb_nm2)),
+                ("mrc_initial", Json::num_usize(self.total.mrc_initial)),
+                ("mrc_remaining", Json::num_usize(self.total.mrc_remaining)),
+                (
+                    "seam_violations",
+                    Json::num_usize(self.total.seam_violations),
+                ),
+            ]);
+            let mut fields = vec![
+                ("design", Json::Str(self.design.clone())),
+                ("nx", Json::num_usize(self.nx)),
+                ("ny", Json::num_usize(self.ny)),
+                ("tile_size", Json::Num(self.tile_size)),
+                ("halo", Json::Num(self.halo)),
+                ("complete", Json::Bool(self.complete)),
+                ("tiles", tiles),
+                ("total", total),
+                ("epe_history", Json::num_arr(&self.epe_history)),
+            ];
+            if include_timing {
+                fields.push(("executed", Json::num_usize(self.executed)));
+                fields.push(("resumed", Json::num_usize(self.resumed)));
+                fields.push(("remaining", Json::num_usize(self.remaining)));
+                fields.push(("workers", Json::num_usize(self.workers)));
+                fields.push(("cache_hits", Json::num_usize(self.cache_hits)));
+                fields.push(("cache_misses", Json::num_usize(self.cache_misses)));
+                fields.push(("wall_seconds", Json::Num(self.wall_seconds)));
+                fields.push(("tile_seconds", Json::Num(self.tile_seconds)));
+                fields.push(("utilization", Json::Num(self.utilization())));
+            }
+            Json::obj(fields).to_string_compact()
+        }
+    }
+
     #[test]
     fn aggregates_and_history_sum_over_tiles() {
         let (p, sched) = outcome();
@@ -406,7 +468,35 @@ mod tests {
         assert_eq!(m1.to_json(false), m2.to_json(false));
         assert_ne!(m1.to_json(true), m2.to_json(true));
         // Parseable by our own reader.
-        assert!(crate::json::Json::parse(&m1.to_json(true)).is_ok());
+        assert!(Json::parse(&m1.to_json(true)).is_ok());
+    }
+
+    /// The direct writer against the tree encoder, timed and timing-free,
+    /// with names that need escapes and numbers that are not finite.
+    #[test]
+    fn direct_writer_is_the_tree_encoder() {
+        let (p, mut sched) = outcome();
+        let mut manifests = vec![RunManifest::build("man-test", &p, &sched, None, 2, 0.5)];
+        sched.results[0].record.name = "q\"uote\\back\nline\t\u{1}é✓".into();
+        sched.results[0].record.metrics.epe_sum_nm = f64::NAN;
+        sched.results[1].record.metrics.pvb_nm2 = f64::INFINITY;
+        sched.results[1].record.seconds = -0.0;
+        sched.results[1].record.owned_epe_history = vec![f64::NEG_INFINITY, 0.1 + 0.2, 1e300];
+        sched.tile_seconds = f64::NAN;
+        let odd = RunManifest::build("de\"sign\u{7f}\r", &p, &sched, None, 0, -0.0);
+        manifests.push(odd);
+        let empty = ScheduleOutcome {
+            results: Vec::new(),
+            remaining: 2,
+            tile_seconds: -0.0,
+            ..ScheduleOutcome::default()
+        };
+        manifests.push(RunManifest::build("", &p, &empty, None, usize::MAX, 1e-310));
+        for m in &manifests {
+            for timing in [false, true] {
+                assert_eq!(m.to_json(timing), m.to_json_tree(timing), "timing {timing}");
+            }
+        }
     }
 
     #[test]

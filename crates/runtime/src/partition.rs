@@ -16,9 +16,10 @@
 //! are multiples of the simulation pitch, every tile's raster is
 //! pixel-aligned with the monolithic raster.
 
-use crate::RuntimeError;
-use cardopc_geometry::{BBox, Point, RTree};
+use crate::{map_on_pool, RuntimeError};
+use cardopc_geometry::{BBox, Point, Polygon};
 use cardopc_layout::Clip;
+use cardopc_litho::WorkerPool;
 
 /// Tiling parameters, in nanometres.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -102,83 +103,150 @@ pub struct Partition {
 /// # Errors
 ///
 /// [`RuntimeError::InvalidConfig`] when the tiling parameters are
-/// unusable.
+/// unusable, or when the tile grid is too large to allocate.
 pub fn partition_clip(clip: &Clip, config: &TilingConfig) -> Result<Partition, RuntimeError> {
-    config.validate()?;
-    let ts = config.tile_size;
-    let halo = config.halo;
-    let nx = (clip.width() / ts).ceil().max(1.0) as usize;
-    let ny = (clip.height() / ts).ceil().max(1.0) as usize;
-    let window = Point::new(ts + 2.0 * halo, ts + 2.0 * halo);
+    let grid = Grid::of(clip, config)?;
+    let (nx, ny) = (grid.nx, grid.ny);
+    let count = nx.checked_mul(ny).ok_or(TOO_MANY_TILES)?;
+    // A grid too large to allocate is a config error, not an abort: try
+    // the tile list's allocation before building anything.
+    Vec::<Tile>::new()
+        .try_reserve_exact(count)
+        .map_err(|_| TOO_MANY_TILES)?;
+    let mut starts = Vec::new();
+    starts
+        .try_reserve_exact(count + 1)
+        .map_err(|_| TOO_MANY_TILES)?;
 
-    // Shape membership via an R-tree over target bboxes: one bulk load,
-    // then one window query per tile instead of nx·ny full scans.
-    let tree = RTree::bulk_load(
-        clip.targets()
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.bbox(), i))
-            .collect(),
-    );
-
-    // Owner tile of a point: the core grid cell containing it, clamped so
-    // shapes centred exactly on the clip's far edge stay owned.
-    let owner_of = |c: Point| -> (usize, usize) {
-        let ox = ((c.x / ts).floor().max(0.0) as usize).min(nx - 1);
-        let oy = ((c.y / ts).floor().max(0.0) as usize).min(ny - 1);
-        (ox, oy)
-    };
-
-    let mut tiles = Vec::with_capacity(nx * ny);
-    for ty in 0..ny {
-        for tx in 0..nx {
-            let index = ty * nx + tx;
-            let core_min = Point::new(tx as f64 * ts, ty as f64 * ts);
-            let core = BBox::new(core_min, core_min + Point::new(ts, ts));
-            let origin = core_min - Point::new(halo, halo);
-            let window_box = BBox::new(origin, origin + window);
-
-            // Deterministic membership order: sort the query hits by
-            // global index (R-tree traversal order is structural).
-            let mut ids = tree.query_indices(&window_box);
-            ids.sort_unstable();
-            let mut global_ids = Vec::with_capacity(ids.len());
-            let mut owned = Vec::with_capacity(ids.len());
-            let mut targets = Vec::with_capacity(ids.len());
-            for id in ids {
-                let gid = tree.item(id).1;
-                let target = &clip.targets()[gid];
-                global_ids.push(gid);
-                owned.push(owner_of(target.bbox().center()) == (tx, ty));
-                targets.push(target.translated(-origin));
-            }
-
-            tiles.push(Tile {
-                index,
-                tx,
-                ty,
-                origin,
-                core,
-                clip: Clip::new(
-                    format!("{}:{}x{}", clip.name(), tx, ty),
-                    window.x,
-                    window.y,
-                    targets,
-                ),
-                global_ids,
-                owned,
-            });
-        }
+    // Membership by binning: each target, in target order, goes to every
+    // tile whose window its bbox meets, so each tile's members come out
+    // sorted by global index. Two passes over the same candidates: count
+    // per tile, then fill one flat array (CSR).
+    let boxes: Vec<BBox> = clip.targets().iter().map(Polygon::bbox).collect();
+    starts.resize(count + 1, 0);
+    grid.for_each_member(&boxes, |tile, _| starts[tile + 1] += 1);
+    for i in 0..count {
+        starts[i + 1] += starts[i];
     }
+    let mut members = vec![0; starts[count]];
+    let mut next = starts.clone();
+    grid.for_each_member(&boxes, |tile, gid| {
+        members[next[tile]] = gid;
+        next[tile] += 1;
+    });
 
+    // Owner tile of each target: the core grid cell containing its bbox
+    // centre, clamped so shapes centred exactly on the clip's far edge
+    // stay owned.
+    let ts = config.tile_size;
+    let owners: Vec<(usize, usize)> = boxes
+        .iter()
+        .map(|b| {
+            let c = b.center();
+            let ox = ((c.x / ts).floor().max(0.0) as usize).min(nx - 1);
+            let oy = ((c.y / ts).floor().max(0.0) as usize).min(ny - 1);
+            (ox, oy)
+        })
+        .collect();
+
+    // Each tile's window-frame copies, over the pool, in index order.
+    let tile = |index: usize| {
+        let (tx, ty) = (index % nx, index / nx);
+        let (core, origin, _) = grid.boxes(tx, ty);
+        let ids = &members[starts[index]..starts[index + 1]];
+        let owned = ids.iter().map(|&gid| owners[gid] == (tx, ty)).collect();
+        let targets = ids
+            .iter()
+            .map(|&gid| clip.targets()[gid].translated(-origin));
+        Tile {
+            index,
+            tx,
+            ty,
+            origin,
+            core,
+            clip: Clip::new(
+                format!("{}:{}x{}", clip.name(), tx, ty),
+                grid.window.x,
+                grid.window.y,
+                targets.collect(),
+            ),
+            global_ids: ids.to_vec(),
+            owned,
+        }
+    };
     Ok(Partition {
-        tiles,
+        tiles: map_on_pool(WorkerPool::global(), (0..count).collect(), tile),
         nx,
         ny,
-        window,
+        window: grid.window,
         clip_size: Point::new(clip.width(), clip.height()),
         config: *config,
     })
+}
+
+const TOO_MANY_TILES: RuntimeError =
+    RuntimeError::InvalidConfig("the tile grid is too large to allocate");
+
+/// The tile grid of a clip under a tiling: its size and each tile's boxes.
+struct Grid {
+    nx: usize,
+    ny: usize,
+    tile_size: f64,
+    halo: f64,
+    /// Uniform working-window size.
+    window: Point,
+}
+
+impl Grid {
+    fn of(clip: &Clip, config: &TilingConfig) -> Result<Grid, RuntimeError> {
+        config.validate()?;
+        let ts = config.tile_size;
+        let halo = config.halo;
+        Ok(Grid {
+            nx: (clip.width() / ts).ceil().max(1.0) as usize,
+            ny: (clip.height() / ts).ceil().max(1.0) as usize,
+            tile_size: ts,
+            halo,
+            window: Point::new(ts + 2.0 * halo, ts + 2.0 * halo),
+        })
+    }
+
+    /// Tile `(tx, ty)`'s core, window origin and window box.
+    fn boxes(&self, tx: usize, ty: usize) -> (BBox, Point, BBox) {
+        let ts = self.tile_size;
+        let core_min = Point::new(tx as f64 * ts, ty as f64 * ts);
+        let core = BBox::new(core_min, core_min + Point::new(ts, ts));
+        let origin = core_min - Point::new(self.halo, self.halo);
+        (core, origin, BBox::new(origin, origin + self.window))
+    }
+
+    /// Calls `visit(tile index, target index)` for every target bbox of
+    /// `boxes`, in target order, and every tile whose window box it meets
+    /// (the closed [`BBox::intersects`] test). Only tiles in a range one
+    /// wider than the bbox's reach on each side are tested, so rounding in
+    /// the range cannot drop a member; a bbox that is not finite tests
+    /// them all.
+    fn for_each_member(&self, boxes: &[BBox], mut visit: impl FnMut(usize, usize)) {
+        let (ts, halo) = (self.tile_size, self.halo);
+        let span = |lo: f64, hi: f64, n: usize| {
+            if !(lo.is_finite() && hi.is_finite()) {
+                return 0..n;
+            }
+            let first = ((lo - halo) / ts).floor() - 1.0;
+            let last = ((hi + halo) / ts).floor() + 1.0;
+            first.max(0.0) as usize..(last.max(-1.0) + 1.0).min(n as f64) as usize
+        };
+        for (gid, b) in boxes.iter().enumerate() {
+            let cols = span(b.min.x, b.max.x, self.nx);
+            for ty in span(b.min.y, b.max.y, self.ny) {
+                for tx in cols.clone() {
+                    if self.boxes(tx, ty).2.intersects(b) {
+                        visit(ty * self.nx + tx, gid);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -280,6 +348,85 @@ mod tests {
         assert_eq!(t.clip.targets().len(), clip.targets().len());
         assert!(t.owned.iter().all(|&o| o));
         assert_eq!(t.origin, Point::ZERO);
+    }
+
+    /// Membership as the R-tree query gave it before binning: per tile,
+    /// the global ids whose bbox meets the window, sorted.
+    fn members_by_rtree(clip: &Clip, p: &Partition) -> Vec<Vec<usize>> {
+        use cardopc_geometry::RTree;
+        let boxes = clip.targets().iter().enumerate();
+        let tree = RTree::bulk_load(boxes.map(|(i, t)| (t.bbox(), i)).collect());
+        let windows = p
+            .tiles
+            .iter()
+            .map(|t| BBox::new(t.origin, t.origin + p.window));
+        let query = |w: BBox| {
+            let mut ids: Vec<usize> = tree
+                .query_indices(&w)
+                .into_iter()
+                .map(|i| tree.item(i).1)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        windows.map(query).collect()
+    }
+
+    proptest::proptest! {
+        /// Random clips of rects on a grid that puts many edges exactly on
+        /// tile and window edges, some straddling tiles, some past the
+        /// clip (negative too), under halos from 0 up: the binned
+        /// partition has the R-tree's members in the same order, and each
+        /// member's ownership and window-frame copy.
+        #[test]
+        fn binned_partition_is_the_rtree_partition(seed in 0u64..u64::MAX) {
+            let mut rng = cardopc_geometry::SplitMix64::new(seed);
+            let ts = [256.0, 500.0, 1024.0][rng.range_usize(0, 3)];
+            let halo = [0.0, 64.0, ts / 2.0, 1.5 * ts, 37.25][rng.range_usize(0, 5)];
+            let (w, h) = (ts * rng.range_usize(1, 6) as f64 - 3.0, ts * rng.range_usize(1, 5) as f64);
+            let snap = |v: f64| (v / 32.0).round() * 32.0;
+            let mut rects = Vec::new();
+            for _ in 0..rng.range_usize(0, 40) {
+                let x = snap(rng.range_f64(-ts, w + ts));
+                let y = snap(rng.range_f64(-ts, h + ts));
+                let (dx, dy) = (rng.range_f64(0.0, 1.5 * ts), rng.range_f64(0.0, 300.0));
+                let (dx, dy) = if rng.chance(0.5) { (snap(dx), snap(dy)) } else { (dx, dy) };
+                rects.push(Polygon::rect(Point::new(x, y), Point::new(x + dx.max(1.0), y + dy.max(1.0))));
+            }
+            let clip = Clip::new("prop", w, h, rects);
+            let p = partition_clip(&clip, &TilingConfig { tile_size: ts, halo }).unwrap();
+            let want = members_by_rtree(&clip, &p);
+            let mut owners = vec![0; clip.targets().len()];
+            for (tile, ids) in p.tiles.iter().zip(&want) {
+                proptest::prop_assert_eq!(&tile.global_ids, ids);
+                for (k, &gid) in ids.iter().enumerate() {
+                    let target = &clip.targets()[gid];
+                    proptest::prop_assert_eq!(&tile.clip.targets()[k], &target.translated(-tile.origin));
+                    let c = target.bbox().center();
+                    let ox = ((c.x / ts).floor().max(0.0) as usize).min(p.nx - 1);
+                    let oy = ((c.y / ts).floor().max(0.0) as usize).min(p.ny - 1);
+                    proptest::prop_assert_eq!(tile.owned[k], (ox, oy) == (tile.tx, tile.ty));
+                    owners[gid] += usize::from(tile.owned[k]);
+                }
+            }
+            // Every target whose owner window holds it is owned once.
+            proptest::prop_assert!(owners.iter().all(|&n| n <= 1));
+        }
+    }
+
+    #[test]
+    fn an_unallocatable_grid_is_a_config_error() {
+        let clip = test_clip();
+        for tile_size in [1e-6, 1e-300, f64::MIN_POSITIVE] {
+            let cfg = TilingConfig {
+                tile_size,
+                halo: 0.0,
+            };
+            assert!(matches!(
+                partition_clip(&clip, &cfg),
+                Err(RuntimeError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! 1. **open** ([`RunStore::open`]): lock the run directory, load its
 //!    records (tile lines placing entry lines, [`crate::checkpoint`]),
 //!    open `tiles.jsonl` for appending;
-//! 2. **resume / adopt** ([`Run::new`], [`Run::adopt`]): a record whose
+//! 2. **resume / adopt** ([`Run::resume`], [`Run::adopt`]): a record whose
 //!    input hash still matches its tile stands for that tile — from the
-//!    run's own checkpoints, or from a fleet worker's harvested lines
-//!    (re-checkpointed verbatim);
+//!    run's own checkpoints (moved in, so each is placed once), or from a
+//!    fleet worker's harvested lines (re-checkpointed verbatim);
 //! 3. **budget** ([`Run::start`]): resumed tiles are reported first, then
 //!    at most `max_tiles` wanted tiles, lowest index first, go to the
 //!    executor, which owns nothing but its claim policy;
@@ -27,10 +27,12 @@ use crate::checkpoint::{
 };
 use crate::handle::{RunControl, TileEvent};
 use crate::manifest::RunManifest;
-use crate::partition::Partition;
+use crate::partition::{Partition, Tile};
 use crate::schedule::{ScheduleOutcome, TileResult};
 use crate::stitch::{stitch, Stitched};
-use crate::RuntimeError;
+use crate::{map_on_pool, RuntimeError};
+use cardopc_litho::span::{span, tile_span};
+use cardopc_litho::WorkerPool;
 use cardopc_mrc::MrcRules;
 use cardopc_opc::OpcConfig;
 use std::borrow::Cow;
@@ -83,7 +85,8 @@ impl RunOutcome {
 #[derive(Debug)]
 pub struct RunStore {
     dir: Option<RunDir>,
-    /// The last parseable record per tile index (hashes not yet checked).
+    /// The last parseable record per tile index (hashes not yet checked);
+    /// a run takes them by value ([`Run::resume`]).
     pub checkpoints: HashMap<usize, TileRecord>,
     /// `tiles.jsonl`, open for appending.
     pub sink: Option<File>,
@@ -99,7 +102,10 @@ impl RunStore {
     pub fn open(run_dir: Option<&Path>) -> Result<RunStore, RuntimeError> {
         let dir = run_dir.map(RunDir::open).transpose()?;
         let (checkpoints, sink) = match &dir {
-            Some(dir) => (dir.load_records()?, Some(dir.append_handle()?)),
+            Some(dir) => {
+                let _span = span("checkpoint_load");
+                (dir.load_records()?, Some(dir.append_handle()?))
+            }
             None => Default::default(),
         };
         Ok(RunStore {
@@ -116,8 +122,9 @@ impl RunStore {
     ///
     /// A complete run's shapes *move* into the stitched mask: its records
     /// keep index, hash, metrics and histories, and no shapes. An
-    /// incomplete run's records keep theirs. The loaded checkpoints (the
-    /// run copied what it resumed) are freed before the mask is built.
+    /// incomplete run's records keep theirs. Checkpoints still loaded (a
+    /// run that borrowed them, [`Run::new`], copied what it resumed) are
+    /// freed before the mask is built.
     ///
     /// # Errors
     ///
@@ -134,10 +141,12 @@ impl RunStore {
         self.checkpoints = HashMap::new();
         let complete = outcome.remaining == 0;
         let stitched = complete.then(|| {
+            let _span = span("stitch");
             let records = outcome.results.iter_mut().map(|r| &mut r.record);
             let shapes = records.flat_map(|r| std::mem::take(&mut r.shapes));
             stitch(partition, shapes, rules)
         });
+        let _span = span("manifest");
         let wall = start.elapsed().as_secs_f64();
         let manifest =
             RunManifest::build(design, partition, outcome, stitched.as_ref(), workers, wall);
@@ -172,8 +181,21 @@ pub struct Run<'a> {
 
 impl<'a> Run<'a> {
     /// Hashes every tile of `partition` under `opc` and resumes those
-    /// whose record in `checkpoints` still carries that hash. Finished
-    /// tiles are appended to `sink` when one is given.
+    /// whose record in `checkpoints` still carries that hash, by value:
+    /// each resumed record moves into the run (the store's copy, placed
+    /// once). Finished tiles are appended to `sink` when one is given.
+    pub fn resume(
+        partition: &Partition,
+        opc: &OpcConfig,
+        mut checkpoints: HashMap<usize, TileRecord>,
+        sink: Option<&'a mut File>,
+        control: &'a RunControl<'a>,
+    ) -> Run<'a> {
+        let record = |index| checkpoints.remove(&index).map(Cow::Owned);
+        Run::with_records(partition, opc, record, sink, control)
+    }
+
+    /// [`Run::resume`] from borrowed records: a resumed record is cloned.
     pub fn new(
         partition: &Partition,
         opc: &OpcConfig,
@@ -181,9 +203,25 @@ impl<'a> Run<'a> {
         sink: Option<&'a mut File>,
         control: &'a RunControl<'a>,
     ) -> Run<'a> {
+        let record = |index| checkpoints.get(&index).map(Cow::Borrowed);
+        Run::with_records(partition, opc, record, sink, control)
+    }
+
+    /// The one resume: hashes every tile, then offers each tile, in index
+    /// order, the record `record` holds under its index.
+    fn with_records<'r>(
+        partition: &Partition,
+        opc: &OpcConfig,
+        mut record: impl FnMut(usize) -> Option<Cow<'r, TileRecord>>,
+        sink: Option<&'a mut File>,
+        control: &'a RunControl<'a>,
+    ) -> Run<'a> {
         let mut run = Run {
             control,
-            wanted: Vec::with_capacity(partition.tiles.len()),
+            wanted: {
+                let _span = span("tile_hash");
+                input_hashes(partition, opc)
+            },
             resumed: Vec::new(),
             append_error: OnceLock::new(),
             ledger: Mutex::new(Ledger {
@@ -193,23 +231,21 @@ impl<'a> Run<'a> {
             }),
         };
         for tile in &partition.tiles {
-            // Tiles sit at their own index.
-            run.wanted.push(Some(tile_input_hash(tile, opc)));
-            if let Some(record) = checkpoints.get(&tile.index) {
-                run.take(record.clone());
+            if let Some(record) = record(tile.index) {
+                run.take(record);
             }
         }
         run
     }
 
     /// Lets `record` stand for its tile when the tile is still wanted and
-    /// was hashed from the same input.
-    fn take(&mut self, record: TileRecord) -> bool {
+    /// was hashed from the same input; a borrowed record is cloned then.
+    fn take(&mut self, record: Cow<'_, TileRecord>) -> bool {
         match self.wanted.get_mut(record.index) {
             Some(slot) if slot.is_some_and(|hash| record.input_hash == hash) => {
                 *slot = None;
                 self.resumed.push(TileResult {
-                    record,
+                    record: record.into_owned(),
                     resumed: true,
                     cached: false,
                 });
@@ -234,7 +270,7 @@ impl<'a> Run<'a> {
         let mut adopted = 0;
         for (tile, text) in tiles {
             let (key, (entry, entry_line)) = (tile.key, &entries[&tile.key]);
-            if self.take(tile.place(entry)) {
+            if self.take(Cow::Owned(tile.place(entry))) {
                 adopted += 1;
                 let ledger = self.ledger.get_mut();
                 if let Some(sink) = &mut ledger.unwrap_or_else(PoisonError::into_inner).sink {
@@ -284,6 +320,7 @@ impl<'a> Run<'a> {
         cached: bool,
         verbatim: Option<(&str, &str)>,
     ) {
+        let _span = tile_span("commit", line.index);
         let key = line.key;
         // Without a sink `None`; else whether the key's entry is still due.
         let wants_entry = self.lock().sink.as_ref().map(|s| s.wants_entry(key));
@@ -371,6 +408,14 @@ impl<'a> Run<'a> {
     }
 }
 
+/// Every tile's input hash, by tile index (tiles sit at their own index),
+/// computed over the global pool.
+fn input_hashes(partition: &Partition, opc: &OpcConfig) -> Vec<Option<u64>> {
+    let tiles = partition.tiles.iter().collect();
+    let hash = |tile: &Tile| Some(tile_input_hash(tile, opc));
+    map_on_pool(WorkerPool::global(), tiles, hash)
+}
+
 /// The progress event of a finished tile, the `completed`-th of `total`.
 fn event(result: &TileResult, completed: usize, total: usize) -> TileEvent {
     TileEvent {
@@ -394,9 +439,9 @@ mod tests {
     use cardopc_litho::WorkerPool;
     use cardopc_opc::CardOpc;
 
-    #[test]
-    fn a_complete_run_moves_its_shapes_into_the_mask_and_a_partial_one_keeps_them() {
-        // One wire per 512 nm tile, the middle pair facing across a seam.
+    /// One wire per 512 nm tile of a 2×2 grid, the middle pair facing
+    /// across a seam, and a cheap OPC configuration.
+    fn four_wires() -> (Clip, TilingConfig, OpcConfig) {
         let wire =
             |x: f64, y: f64| Polygon::rect(Point::new(x, y), Point::new(x + 260.0, y + 70.0));
         let targets = vec![
@@ -413,6 +458,75 @@ mod tests {
         let mut opc = OpcConfig::large_scale();
         opc.iterations = 2;
         opc.pitch = 16.0;
+        (clip, tiling, opc)
+    }
+
+    /// Resuming from records the run owns gives what resuming from
+    /// borrowed ones does: the same tiles resumed (a stale record's and a
+    /// missing one's re-executed), the same records, the same budget cut.
+    #[test]
+    fn an_owned_resume_is_the_borrowed_resume() {
+        let (clip, tiling, opc) = four_wires();
+        let partition = partition_clip(&clip, &tiling).unwrap();
+        let (pool, flow) = (WorkerPool::new(2), CardOpc::new(opc));
+        let control = RunControl::default();
+        let run = |checkpoints: Option<HashMap<usize, TileRecord>>, borrowed: bool, budget| {
+            let checkpoints = checkpoints.unwrap_or_default();
+            let outcome = match borrowed {
+                true => run_tiles_controlled(
+                    &partition,
+                    &flow,
+                    &pool,
+                    &checkpoints,
+                    budget,
+                    None,
+                    &control,
+                ),
+                false => crate::schedule::run_tiles_owned(
+                    &partition,
+                    &flow,
+                    &pool,
+                    checkpoints,
+                    budget,
+                    None,
+                    &control,
+                ),
+            };
+            outcome.unwrap()
+        };
+        let cold = run(None, true, None);
+        let mut checkpoints: HashMap<usize, TileRecord> = cold
+            .results
+            .iter()
+            .map(|r| (r.record.index, r.record.clone()))
+            .collect();
+        checkpoints.get_mut(&1).unwrap().input_hash ^= 1;
+        checkpoints.remove(&2);
+        for budget in [None, Some(1), Some(0)] {
+            let borrowed = run(Some(checkpoints.clone()), true, budget);
+            let owned = run(Some(checkpoints.clone()), false, budget);
+            let counts = |o: &ScheduleOutcome| (o.executed, o.resumed, o.remaining);
+            assert_eq!(counts(&owned), counts(&borrowed), "{budget:?}");
+            assert_eq!(owned.resumed, 2);
+            let tiles = |o: &ScheduleOutcome| {
+                let tile = |r: &TileResult| {
+                    // Executed tiles' seconds are this run's own.
+                    let seconds = if r.resumed { r.record.seconds } else { 0.0 };
+                    let record = TileRecord {
+                        seconds,
+                        ..r.record.clone()
+                    };
+                    (record, r.resumed, r.cached)
+                };
+                o.results.iter().map(tile).collect::<Vec<_>>()
+            };
+            assert_eq!(tiles(&owned), tiles(&borrowed), "{budget:?}");
+        }
+    }
+
+    #[test]
+    fn a_complete_run_moves_its_shapes_into_the_mask_and_a_partial_one_keeps_them() {
+        let (clip, tiling, opc) = four_wires();
         assert!(opc.mrc.is_some(), "the seam pass must run");
         let pool = WorkerPool::new(2);
         let config = RunConfig::new(opc.clone(), tiling);

@@ -31,6 +31,7 @@ use crate::partition::{Partition, Tile};
 use crate::run::Run;
 use crate::RuntimeError;
 use cardopc_geometry::{Grid, Polygon};
+use cardopc_litho::span::{span, tile_span};
 use cardopc_litho::{measure_epe, metal_measure_points, via_measure_points};
 use cardopc_litho::{ProcessCondition, WorkerPool};
 use cardopc_opc::{engine_for_extent_at, CardOpc, MeasureConvention, EPE_TOLERANCE};
@@ -106,7 +107,37 @@ pub fn run_tiles_controlled(
     sink: Option<&mut std::fs::File>,
     control: &RunControl<'_>,
 ) -> Result<ScheduleOutcome, RuntimeError> {
-    let mut run = Run::new(partition, flow.config(), checkpoints, sink, control);
+    let run = Run::new(partition, flow.config(), checkpoints, sink, control);
+    fan_out(run, partition, flow, pool, max_tiles, control)
+}
+
+/// [`run_tiles_controlled`] over records it owns: each resumed record
+/// moves into the outcome instead of being cloned from `checkpoints` —
+/// what a run that loaded them from its own store does.
+pub(crate) fn run_tiles_owned(
+    partition: &Partition,
+    flow: &CardOpc,
+    pool: &WorkerPool,
+    checkpoints: HashMap<usize, TileRecord>,
+    max_tiles: Option<usize>,
+    sink: Option<&mut std::fs::File>,
+    control: &RunControl<'_>,
+) -> Result<ScheduleOutcome, RuntimeError> {
+    let run = Run::resume(partition, flow.config(), checkpoints, sink, control);
+    fan_out(run, partition, flow, pool, max_tiles, control)
+}
+
+/// The pool fan-out inside a resumed [`Run`]: at most `max_tiles` wanted
+/// tiles, claimed from a shared cursor.
+fn fan_out(
+    mut run: Run<'_>,
+    partition: &Partition,
+    flow: &CardOpc,
+    pool: &WorkerPool,
+    max_tiles: Option<usize>,
+    control: &RunControl<'_>,
+) -> Result<ScheduleOutcome, RuntimeError> {
+    let _span = span("run_tiles");
     let todo = run.start(max_tiles);
 
     // Each task claims tiles from the shared cursor until the list is
@@ -182,6 +213,7 @@ fn execute_tile(
     engines: &EngineCache,
     control: &RunControl<'_>,
 ) -> Result<Option<(TileLine, Arc<CachedTile>, bool)>, RuntimeError> {
+    let _span = tile_span("correct", tile.index);
     let start = std::time::Instant::now();
     let config = flow.config();
     let key = tile_cache_key(tile, &partition.config, config);
@@ -276,6 +308,7 @@ fn correct_tile(
 
     // Score the tile: simulate the whole halo window once, then measure
     // EPE only at the owned targets' sites and PVB only over the core.
+    let score = span("score");
     let mask_polys: Vec<Polygon> = optimized
         .shapes
         .iter()
@@ -322,6 +355,7 @@ fn correct_tile(
         engine.effective_threshold(ProcessCondition::inner(config.dose_delta)),
         tile,
     );
+    drop(score);
 
     // Window-relative output shapes: every *owned* main tagged with its
     // local target index, then every assist of the window. Assist seam

@@ -109,6 +109,7 @@ pub fn stitch(
     if let Some(rules) = rules {
         let bands = seam_bands(partition, rules);
         if !bands.is_empty() && !out.is_empty() {
+            let _span = cardopc_litho::span::span("seam_check");
             out.seam_violations = seam_check(&out, &bands, rules);
         }
     }

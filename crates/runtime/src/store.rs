@@ -2,7 +2,7 @@
 //! append-only JSONL stores that survive a killed writer, atomic
 //! replacement of whole files, and PID lock files with stale-lock reclaim.
 
-use crate::RuntimeError;
+use crate::{map_on_pool, RuntimeError};
 use cardopc_litho::WorkerPool;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -37,13 +37,9 @@ pub(crate) fn load_jsonl<T: Send>(
     Ok((parsed, bytes.len() as u64))
 }
 
-/// Below this many lines a store is parsed on the caller's thread: waking
-/// the pool costs more than a handful of records.
-const PARALLEL_MIN_LINES: usize = 64;
-
-/// Parses the non-empty lines of `text`: one contiguous chunk per pool
-/// executor, concatenated in file order, so the result is the sequential
-/// loop's for any pool size.
+/// Parses the non-empty lines of `text` over `pool` ([`map_on_pool`]:
+/// contiguous chunks, concatenated in file order), so the result is the
+/// sequential loop's for any pool size.
 fn parse_lines<T: Send>(
     text: &[u8],
     pool: &WorkerPool,
@@ -54,26 +50,16 @@ fn parse_lines<T: Send>(
         .map(<[u8]>::trim_ascii)
         .filter(|l| !l.is_empty())
         .collect();
-    let parse_chunk = |chunk: &[&[u8]]| -> Vec<(T, u64)> {
-        let keep = |l: &&[u8]| {
-            Some((
-                parse(std::str::from_utf8(l).ok()?).ok()?,
-                l.len() as u64 + 1,
-            ))
-        };
-        chunk.iter().filter_map(keep).collect()
+    let keep = |l: &[u8]| {
+        Some((
+            parse(std::str::from_utf8(l).ok()?).ok()?,
+            l.len() as u64 + 1,
+        ))
     };
-    if pool.parallelism() <= 1 || lines.len() < PARALLEL_MIN_LINES {
-        return parse_chunk(&lines);
-    }
-    let mut chunks: Vec<_> = lines
-        .chunks(lines.len().div_ceil(pool.parallelism()))
-        .map(|chunk| (chunk, Vec::new()))
-        .collect();
-    pool.run_with_slots(&mut chunks, |_, (chunk, parsed)| {
-        *parsed = parse_chunk(chunk)
-    });
-    chunks.into_iter().flat_map(|(_, parsed)| parsed).collect()
+    map_on_pool(pool, lines, keep)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Opens a JSONL store for appending, creating it if needed.

@@ -40,7 +40,9 @@
 use cardopc_fleet::spec::{check_design, DesignSpec};
 use cardopc_fleet::worker::{WorkerConfig, WorkerServer};
 use cardopc_fleet::{client, run_fleet, FleetConfig, WorkSpec};
+use cardopc_json::Json;
 use cardopc_layout::{write_clip_gds, Clip, DesignKind, LayerFilter, TARGET_LAYER};
+use cardopc_litho::span::span;
 use cardopc_litho::{Precision, WorkerPool};
 use cardopc_opc::OpcConfig;
 use cardopc_runtime::{
@@ -107,6 +109,11 @@ RUN OPTIONS:
     --steal-secs <S>                fleet steal threshold: idle workers
                                     duplicate-dispatch tiles leased longer
                                     than this [20]
+    --trace <FILE>                  write the run's stage spans (partition,
+                                    checkpoint load, tile hash, tiles,
+                                    stitch, manifest, export, ...) to FILE
+                                    as JSONL, one span per line with its
+                                    tile and thread
     --help                          print this help
     --version                       print the version and exit
 
@@ -178,6 +185,7 @@ struct RunArgs {
     worker_addrs: Vec<std::net::SocketAddr>,
     lease: Duration,
     steal_after: Duration,
+    trace: Option<PathBuf>,
 }
 
 impl RunArgs {
@@ -207,6 +215,7 @@ impl RunArgs {
             worker_addrs: Vec::new(),
             lease: Duration::from_secs(120),
             steal_after: Duration::from_secs(20),
+            trace: None,
         };
         while let Some(flag) = it.next() {
             let mut value = || {
@@ -256,6 +265,7 @@ impl RunArgs {
                 "--iterations" => args.iterations = parse_num(&flag, &value()?)?,
                 "--threads" => args.threads = Some(parse_num(&flag, &value()?)?),
                 "--run-dir" => args.run_dir = Some(value()?.into()),
+                "--trace" => args.trace = Some(value()?.into()),
                 "--max-tiles" => args.max_tiles = Some(parse_num(&flag, &value()?)?),
                 "--cache-dir" => args.cache_dir = Some(value()?.into()),
                 "--no-cache" => args.no_cache = true,
@@ -682,7 +692,10 @@ fn run(args: &RunArgs) -> Result<(), AnyError> {
     opc.validate()?;
     let fleet = args.fleet_mode()?;
     let design = args.design_spec()?;
-    let clip = design.build_clip()?;
+    let clip = {
+        let _span = span("ingest");
+        design.build_clip()?
+    };
     if let Some(path) = &args.write_target_gds {
         export_target_gds(&clip, path)?;
     }
@@ -700,7 +713,11 @@ fn run(args: &RunArgs) -> Result<(), AnyError> {
         false => run_local(args, &clip, spec)?,
     };
 
-    export_mask_gds(outcome.stitched.as_ref(), clip.name(), args, samples)?;
+    {
+        let _span = span("export");
+        export_mask_gds(outcome.stitched.as_ref(), clip.name(), args, samples)?;
+    }
+    let _span = span("table");
     let manifest = &outcome.manifest;
     print!("{}", manifest.render_table());
     println!(
@@ -737,11 +754,38 @@ fn run_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
     if let Some(n) = args.threads {
         WorkerPool::init_global(n);
     }
-    match run(&args) {
+    if args.trace.is_some() {
+        cardopc_litho::span::enable();
+    }
+    let ran = run(&args);
+    let traced = match &args.trace {
+        Some(path) => write_trace(path),
+        None => Ok(()),
+    };
+    match ran.map_err(|e| e.to_string()).and(traced) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("cardopc: error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Writes the recorded spans to `path` as JSONL: `name`, `tile` (null
+/// outside a tile), `thread`, `start_ns` and `end_ns` since recording
+/// began, in start order.
+fn write_trace(path: &Path) -> Result<(), String> {
+    let mut text = String::new();
+    for r in cardopc_litho::span::drain() {
+        let line = Json::obj(vec![
+            ("name", Json::Str(r.name.to_string())),
+            ("tile", r.tile.map_or(Json::Null, Json::num_usize)),
+            ("thread", Json::num_usize(r.thread)),
+            ("start_ns", Json::Num(r.start_ns as f64)),
+            ("end_ns", Json::Num(r.end_ns as f64)),
+        ]);
+        text.push_str(&line.to_string_compact());
+        text.push('\n');
+    }
+    write_creating_parents(path, |out| out.write_all(text.as_bytes()))
 }

@@ -166,6 +166,118 @@ fn out_of_range_crop_and_design_tiles_exit_1() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A tile grid too large to allocate (`--tile 0.001` on the 30 µm `gcd`
+/// tile: 3·10⁷ × 3·10⁷ tiles) is a one-line config error and exit 1, in
+/// local and fleet mode — not an abort on a failed allocation. Only grids
+/// whose allocation exceeds the address space are tried here: a smaller
+/// one could be granted under overcommit and then fill memory.
+#[test]
+fn an_unallocatable_tile_grid_exits_1() {
+    let dir = tempdir("hugegrid");
+    let needle = "the tile grid is too large to allocate";
+    for args in [
+        &["--design", "gcd", "--tile", "0.001", "--iterations", "1"][..],
+        &["--design", "gcd", "--tile", "1e-300", "--iterations", "1"][..],
+        &["--design", "gcd", "--tile", "0.001", "--workers-local", "1"][..],
+    ] {
+        let out = cardopc(args, &dir);
+        let said = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {said}");
+        let last = said.lines().last().unwrap_or_default();
+        assert!(last.starts_with("cardopc: error: "), "{args:?}: {said}");
+        assert!(last.contains(needle), "{args:?}: {said}");
+        assert!(!said.contains("panicked"), "{args:?}: {said}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--trace FILE` writes one JSONL span per line — every stage of the run,
+/// per-tile spans with their tile — and moves no output byte: the traced
+/// run's stable manifest and mask equal the untraced run's.
+#[test]
+fn trace_writes_stage_spans_and_moves_no_output_byte() {
+    let dir = tempdir("trace");
+    let params = [
+        "--design",
+        "gcd",
+        "--crop",
+        "1024",
+        "--tile",
+        "512",
+        "--halo",
+        "256",
+        "--pitch",
+        "16",
+        "--iterations",
+        "1",
+        "--threads",
+        "2",
+    ];
+    let run = |name: &str, trace: bool| {
+        let mask = format!("{name}/mask.gds");
+        let mut args = vec!["--run-dir", name, "--out-gds", &mask];
+        args.extend_from_slice(&params);
+        if trace {
+            args.extend_from_slice(&["--trace", "spans.jsonl"]);
+        }
+        let out = cardopc(&args, &dir);
+        assert!(out.status.success(), "{name}: {}", stderr(&out));
+    };
+    run("plain", false);
+    run("traced", true);
+    for file in ["manifest.stable.json", "mask.gds"] {
+        let read = |name: &str| std::fs::read(dir.join(name).join(file)).unwrap();
+        assert!(
+            read("plain") == read("traced"),
+            "{file} moved under --trace"
+        );
+    }
+    let text = std::fs::read_to_string(dir.join("spans.jsonl")).unwrap();
+    let spans: Vec<cardopc_json::Json> = text
+        .lines()
+        .map(|l| cardopc_json::Json::parse(l).unwrap())
+        .collect();
+    let named = |name: &str| -> Vec<&cardopc_json::Json> {
+        let is = |s: &&cardopc_json::Json| s.get("name").and_then(|n| n.as_str()) == Some(name);
+        spans.iter().filter(is).collect()
+    };
+    for stage in [
+        "ingest",
+        "partition",
+        "checkpoint_load",
+        "tile_hash",
+        "run_tiles",
+        "stitch",
+        "seam_check",
+        "manifest",
+        "export",
+        "table",
+        "correct",
+        "commit",
+        "score",
+        "mrc_resolve",
+    ] {
+        assert!(!named(stage).is_empty(), "no {stage} span in {text}");
+    }
+    // Per-tile spans carry their tile (2×2 tiles), others none.
+    let tiles: std::collections::BTreeSet<usize> = named("correct")
+        .into_iter()
+        .map(|s| s.get("tile").and_then(|t| t.as_usize()).unwrap())
+        .collect();
+    assert_eq!(tiles.into_iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+    assert!(named("mrc_resolve")
+        .iter()
+        .all(|s| s.get("tile").and_then(|t| t.as_usize()).is_some()));
+    assert!(named("partition")
+        .iter()
+        .all(|s| s.get("tile") == Some(&cardopc_json::Json::Null)));
+    for s in &spans {
+        let at = |k: &str| s.get(k).and_then(|v| v.as_f64()).unwrap();
+        assert!(at("start_ns") <= at("end_ns"), "{s:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A crop no smaller than the design is the whole design: the 30 µm `gcd`
 /// tile's 8×8 grid of 4096 nm tiles, as with no crop at all — not a panic
 /// sizing the grid of a 1e12 nm window, nor a 10×10 grid whose outer ring
