@@ -9,7 +9,7 @@
 //! on the worker pool.
 
 use cardopc::litho::{epe_footprint, RasterCache};
-use cardopc::opc::{correct_shapes, engine_for_extent, CorrectionStep};
+use cardopc::opc::{correct_shapes_recording, engine_for_extent, CorrectionStep};
 use cardopc::prelude::*;
 use cardopc::spline::SamplingPlan;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -64,6 +64,7 @@ fn bench_iteration(c: &mut Criterion) {
     group.bench_function("connect_simulate_correct_128", |b| {
         let mut samples: Vec<Point> = Vec::new();
         let mut main_polys: Vec<Polygon> = Vec::new();
+        let mut per_shape: Vec<f64> = Vec::new();
         b.iter(|| {
             let mut shapes = shapes.clone();
             for (i, shape) in shapes.iter().filter(|s| !s.is_sraf).enumerate() {
@@ -78,7 +79,7 @@ fn bench_iteration(c: &mut Criterion) {
             }
             let mask = cache.composite(&main_polys);
             engine.aerial_image_into(mask, pixels, &mut aerial).unwrap();
-            let total = correct_shapes(
+            let total = correct_shapes_recording(
                 &mut shapes,
                 &aerial,
                 engine.threshold(),
@@ -88,6 +89,7 @@ fn bench_iteration(c: &mut Criterion) {
                     epe_search: config.epe_search,
                     spline_normals: true,
                 },
+                &mut per_shape,
             );
             black_box(total)
         })

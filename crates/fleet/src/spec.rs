@@ -195,14 +195,6 @@ pub fn check_design(tiles: Option<usize>, crop: Option<f64>) -> Result<(), BadRe
     Ok(())
 }
 
-/// Builds the synthetic input clip: `count` design tiles side by side,
-/// optionally cropped to a centred window. Thin alias for
-/// [`cardopc_layout::generated_clip`], kept so existing CLI/serve callers
-/// keep compiling.
-pub fn build_clip(kind: DesignKind, count: usize, crop: Option<f64>) -> Clip {
-    cardopc_layout::generated_clip(kind, count, crop)
-}
-
 /// Parses a `tiling` object (strict; defaults 4096/1024 nm).
 ///
 /// # Errors

@@ -105,11 +105,7 @@ impl WorkerServer {
         let run_dir = run_dir.transpose().map_err(other)?;
         let store = LineStore::open(run_dir.as_ref()).map_err(other)?;
         let cache = if config.cache {
-            let cache_config = CacheConfig {
-                dir: None,
-                ..CacheConfig::default()
-            };
-            Some(TileCache::open(&cache_config).map_err(other)?)
+            Some(TileCache::open(&CacheConfig::default()).map_err(other)?)
         } else {
             None
         };
@@ -290,15 +286,9 @@ fn answer_tile(
         cache: state.cache.as_ref(),
         ..RunControl::default()
     };
-    let corrected =
-        correct_single_tile(&prepared.partition, tile_index, &prepared.flow, &control, 0);
-    let (line, entry) = match corrected {
-        Ok(Some(finished)) => finished,
-        // No cancellation handle is attached, so `None` cannot happen;
-        // answer defensively rather than panicking the handler.
-        Ok(None) => return Err("correction cancelled".into()),
-        Err(e) => return Err(format!("tile {tile_index} failed: {e}")),
-    };
+    let (line, entry) =
+        correct_single_tile(&prepared.partition, tile_index, &prepared.flow, &control, 0)
+            .map_err(|e| format!("tile {tile_index} failed: {e}"))?;
     // Encoded once, before the lock: the tile line, and the entry line if
     // the store lacks it. They are the answer, the checkpoint and the
     // `/v1/records` lines.

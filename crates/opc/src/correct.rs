@@ -27,7 +27,7 @@ pub struct CorrectionStep {
     pub spline_normals: bool,
 }
 
-/// Reusable per-worker scratch for [`correct_shapes_with_pool`]: after the
+/// Reusable per-worker scratch for [`correct_shapes_recording`]: after the
 /// first sweep the correction loop performs no per-shape allocations.
 #[derive(Clone, Debug, Default)]
 pub struct CorrectScratch {
@@ -40,25 +40,20 @@ pub struct CorrectScratch {
 }
 
 /// Applies one correction sweep to every non-SRAF shape; returns the sum
-/// of |EPE| over all anchors (the convergence signal).
+/// of |EPE| over all anchors (the convergence signal), and records each
+/// shape's |EPE| sum for this sweep into `per_shape` (resized to
+/// `shapes.len()`; SRAF entries stay `0.0`). The returned total is the
+/// sum of `per_shape` in shape order. Tiled runtimes use the per-shape
+/// totals to aggregate convergence signals over owner-tile shapes only.
 ///
-/// Shapes are corrected in parallel on the shared global [`WorkerPool`];
-/// see [`correct_shapes_with_pool`] for the determinism guarantee.
-pub fn correct_shapes(
-    shapes: &mut [OpcShape],
-    aerial: &Grid,
-    threshold: f64,
-    step: &CorrectionStep,
-) -> f64 {
-    correct_shapes_with_pool(shapes, aerial, threshold, step, WorkerPool::global())
-}
-
-/// [`correct_shapes`], additionally recording each shape's |EPE| sum for
-/// this sweep into `per_shape` (resized to `shapes.len()`; SRAF entries
-/// stay `0.0`). The returned total is the sum of `per_shape` in shape
-/// order, so it is bit-identical to [`correct_shapes`] for the same
-/// inputs. Tiled runtimes use the per-shape totals to aggregate
-/// convergence signals over owner-tile shapes only.
+/// Each shape's correction only reads the (shared) aerial image and writes
+/// its own control points, so shapes are statically chunked across the
+/// global [`WorkerPool`]'s task slots, each slot reusing one
+/// [`CorrectScratch`]. Per-shape totals land in the slot-independent,
+/// shape-indexed `per_shape` and are reduced in shape order afterwards,
+/// so the returned total and every control point are **bit-identical for
+/// any worker count** (the same guarantee the litho engine gives for
+/// `aerial_image`).
 pub fn correct_shapes_recording(
     shapes: &mut [OpcShape],
     aerial: &Grid,
@@ -76,26 +71,6 @@ pub fn correct_shapes_recording(
         WorkerPool::global(),
         per_shape,
     )
-}
-
-/// One correction sweep with an explicit worker pool.
-///
-/// Each shape's correction only reads the (shared) aerial image and writes
-/// its own control points, so shapes are statically chunked across the
-/// pool's task slots, each slot reusing one [`CorrectScratch`]. Per-shape
-/// |EPE| totals are written into a slot-independent, shape-indexed buffer
-/// and reduced in shape order afterwards, so the returned total and every
-/// control point are **bit-identical for any worker count** (the same
-/// guarantee the litho engine gives for `aerial_image`).
-pub fn correct_shapes_with_pool(
-    shapes: &mut [OpcShape],
-    aerial: &Grid,
-    threshold: f64,
-    step: &CorrectionStep,
-    pool: &WorkerPool,
-) -> f64 {
-    let mut totals = vec![0.0f64; shapes.len()];
-    correct_into(shapes, aerial, threshold, step, pool, &mut totals)
 }
 
 /// The shared sweep body: writes per-shape |EPE| totals into the
@@ -293,6 +268,23 @@ mod tests {
     use crate::{dissect_polygon, OpcShape as Shape};
     use cardopc_geometry::Polygon as Poly;
 
+    /// One sweep on the global pool, discarding the per-shape totals.
+    fn sweep(shapes: &mut [Shape], aerial: &Grid, threshold: f64, step: &CorrectionStep) -> f64 {
+        correct_shapes_recording(shapes, aerial, threshold, step, &mut Vec::new())
+    }
+
+    /// One sweep on an explicit pool.
+    fn correct_shapes_with_pool(
+        shapes: &mut [Shape],
+        aerial: &Grid,
+        threshold: f64,
+        step: &CorrectionStep,
+        pool: &WorkerPool,
+    ) -> f64 {
+        let mut totals = vec![0.0f64; shapes.len()];
+        correct_into(shapes, aerial, threshold, step, pool, &mut totals)
+    }
+
     /// A synthetic aerial image printing a disc of radius `r`: level-0.3
     /// contour at the circle.
     fn disc_field(w: usize, h: usize, pitch: f64, c: Point, r: f64) -> Grid {
@@ -352,7 +344,7 @@ mod tests {
             epe_search: 40.0,
             spline_normals: true,
         };
-        let total = correct_shapes(std::slice::from_mut(&mut shape), &aerial, 0.3, &step);
+        let total = sweep(std::slice::from_mut(&mut shape), &aerial, 0.3, &step);
         assert!(total > 0.0);
         let after = shape.spline.to_polygon(8).area();
         assert!(after < before, "area {before} -> {after} should shrink");
@@ -370,7 +362,7 @@ mod tests {
             epe_search: 40.0,
             spline_normals: true,
         };
-        correct_shapes(std::slice::from_mut(&mut shape), &aerial, 0.3, &step);
+        sweep(std::slice::from_mut(&mut shape), &aerial, 0.3, &step);
         let after = shape.spline.to_polygon(8).area();
         assert!(after > before, "area {before} -> {after} should grow");
     }
@@ -386,7 +378,7 @@ mod tests {
             epe_search: 40.0,
             spline_normals: true,
         };
-        correct_shapes(std::slice::from_mut(&mut shape), &aerial, 0.3, &step);
+        sweep(std::slice::from_mut(&mut shape), &aerial, 0.3, &step);
         for (b, a) in before.iter().zip(shape.spline.control_points()) {
             assert!(b.distance(*a) <= 2.0 + 1e-9, "move exceeded step limit");
         }
@@ -438,7 +430,7 @@ mod tests {
             epe_search: 40.0,
             spline_normals: false,
         };
-        correct_shapes(std::slice::from_mut(&mut shape), &aerial, 0.3, &step);
+        sweep(std::slice::from_mut(&mut shape), &aerial, 0.3, &step);
         for ((b, a), anchor) in before
             .iter()
             .zip(shape.spline.control_points())
@@ -525,7 +517,7 @@ mod tests {
             epe_search: 40.0,
             spline_normals: true,
         };
-        let total = correct_shapes(std::slice::from_mut(&mut sraf), &aerial, 0.3, &step);
+        let total = sweep(std::slice::from_mut(&mut sraf), &aerial, 0.3, &step);
         assert_eq!(total, 0.0);
         assert_eq!(sraf.spline.control_points(), &before[..]);
     }
@@ -546,7 +538,7 @@ mod tests {
             epe_search: 40.0,
             spline_normals: true,
         };
-        let e0 = correct_shapes(std::slice::from_mut(&mut shape), &aerial, 0.3, &step);
+        let e0 = sweep(std::slice::from_mut(&mut shape), &aerial, 0.3, &step);
         // EPE at frozen anchors doesn't change (field is fixed), but the
         // mask keeps moving; just verify the sweep is deterministic and
         // finite.

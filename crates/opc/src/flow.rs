@@ -372,7 +372,7 @@ impl CardOpc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correct::correct_shapes;
+    use crate::correct::correct_shapes_recording;
     use cardopc_geometry::Point;
 
     /// A small clip with one 120 nm square, cheap enough for debug-mode
@@ -548,6 +548,7 @@ mod tests {
         );
         let mut step_limit = cfg.move_step;
         let mut reference_history = Vec::new();
+        let mut per_shape = Vec::new();
         for iter in 0..cfg.iterations {
             if iter == cfg.decay_at {
                 step_limit *= cfg.decay_factor;
@@ -564,7 +565,7 @@ mod tests {
             let mask =
                 cardopc_litho::rasterize(&polys, engine.width(), engine.height(), engine.pitch());
             let aerial = engine.aerial_image(&mask).unwrap();
-            let total = correct_shapes(
+            let total = correct_shapes_recording(
                 &mut shapes,
                 &aerial,
                 engine.threshold(),
@@ -574,6 +575,7 @@ mod tests {
                     epe_search: cfg.epe_search,
                     spline_normals: cfg.spline_normals,
                 },
+                &mut per_shape,
             );
             reference_history.push(total);
         }

@@ -49,8 +49,7 @@ pub use baseline::{RectOpc, RectOpcConfig, RectOutcome};
 pub use config::{FieldVisitor, OpcConfig, Rule, SrafConfig, Value};
 pub use control::OpcShape;
 pub use correct::{
-    correct_shapes, correct_shapes_recording, correct_shapes_with_pool, outward_normals,
-    relax_shape, CorrectScratch, CorrectionStep,
+    correct_shapes_recording, outward_normals, relax_shape, CorrectScratch, CorrectionStep,
 };
 pub use dissect::{dissect_polygon, DissectedSegment};
 pub use error::OpcError;

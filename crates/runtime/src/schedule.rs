@@ -152,10 +152,7 @@ fn fan_out(
             };
             let tile = &partition.tiles[index];
             match execute_tile(tile, hash, partition, flow, engines, control) {
-                Ok(Some((line, entry, cached))) => run.commit(line, &entry, cached, None),
-                // Cancelled while waiting on an in-flight cache key: no
-                // result for this tile, and the loop is about to exit.
-                Ok(None) => {}
+                Ok((line, entry, cached)) => run.commit(line, &entry, cached, None),
                 Err(e) => run.fail(index, e),
             }
         }
@@ -168,9 +165,7 @@ fn fan_out(
 /// [`Placement::of`] path as the full scheduler, so the lines are
 /// byte-identical (timing aside) to what a single-process run writes for
 /// that tile. `_slot_index`: ignored; removed with ROADMAP 14-II. Without an
-/// attached [`EngineCache`] the call builds its own engine. `Ok(None)`
-/// means the control's handle was cancelled while the tile waited on
-/// another caller's in-flight correction.
+/// attached [`EngineCache`] the call builds its own engine.
 ///
 /// # Errors
 ///
@@ -182,7 +177,7 @@ pub fn correct_single_tile(
     flow: &CardOpc,
     control: &RunControl<'_>,
     _slot_index: usize,
-) -> Result<Option<(TileLine, Arc<CachedTile>)>, RuntimeError> {
+) -> Result<(TileLine, Arc<CachedTile>), RuntimeError> {
     // Tiles sit at their own index (the fleet worker relies on it too).
     let tile = partition
         .tiles
@@ -194,17 +189,15 @@ pub fn correct_single_tile(
     let local = EngineCache::default();
     let engines = control.engines.unwrap_or(&local);
     let hash = tile_input_hash(tile, flow.config());
-    let finished = execute_tile(tile, hash, partition, flow, engines, control)?;
-    Ok(finished.map(|(line, entry, _cached)| (line, entry)))
+    let (line, entry, _cached) = execute_tile(tile, hash, partition, flow, engines, control)?;
+    Ok((line, entry))
 }
 
 /// Runs one tile through the (optionally cached) correction path and
 /// places the entry under `input_hash` (the tile's [`tile_input_hash`],
 /// which every caller has already computed). The cache key is computed
 /// with or without a cache: the tile line names it. The boolean is `true`
-/// for a cache replay. `Ok(None)` means the run was cancelled while the
-/// tile waited on another caller's in-flight correction of the same
-/// pattern.
+/// for a cache replay.
 fn execute_tile(
     tile: &Tile,
     input_hash: u64,
@@ -212,20 +205,14 @@ fn execute_tile(
     flow: &CardOpc,
     engines: &EngineCache,
     control: &RunControl<'_>,
-) -> Result<Option<(TileLine, Arc<CachedTile>, bool)>, RuntimeError> {
+) -> Result<(TileLine, Arc<CachedTile>, bool), RuntimeError> {
     let _span = tile_span("correct", tile.index);
     let start = std::time::Instant::now();
     let config = flow.config();
     let key = tile_cache_key(tile, &partition.config, config);
     let correct = || correct_tile(tile, flow, config, engines);
     let (entry, cached) = match control.cache {
-        Some(cache) => {
-            let cancelled = || control.cancelled();
-            match cache.get_or_correct(key, &cancelled, correct)? {
-                Some(found) => found,
-                None => return Ok(None),
-            }
-        }
+        Some(cache) => cache.get_or_correct(key, correct)?,
         None => (Arc::new(correct()?), false),
     };
     let seconds = start.elapsed().as_secs_f64();
@@ -240,7 +227,7 @@ fn execute_tile(
         seconds,
         placement,
     };
-    Ok(Some((line, entry, cached)))
+    Ok((line, entry, cached))
 }
 
 /// Corrects one tile — the expensive part: the full OPC flow plus

@@ -83,7 +83,6 @@ fn mask_bytes_are_identical_across_workers_cache_and_resume() {
     // Cache cold, then fully warm, against the same store.
     let cache = TileCache::open(&CacheConfig {
         dir: Some(dir.join("cache")),
-        ..CacheConfig::default()
     })
     .unwrap();
     let control = RunControl {

@@ -662,7 +662,6 @@ fn run_local(args: &RunArgs, clip: &Clip, spec: WorkSpec) -> Result<Ran, AnyErro
     // repeated-cell design still collapses to its unique tile patterns).
     let cache_config = CacheConfig {
         dir: args.cache_dir.clone(),
-        ..CacheConfig::default()
     };
     let cache = (!args.no_cache).then(|| TileCache::open(&cache_config));
     let cache = cache.transpose()?;

@@ -133,7 +133,6 @@ impl Server {
         let cache = if config.cache {
             let cache_config = cardopc_runtime::CacheConfig {
                 dir: config.cache_dir.clone(),
-                ..cardopc_runtime::CacheConfig::default()
             };
             Some(Arc::new(
                 cardopc_runtime::TileCache::open(&cache_config)

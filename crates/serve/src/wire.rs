@@ -35,10 +35,10 @@
 //! same character set and confinement rules as `run_dir`), so a request
 //! can never read a file outside the server's directory.
 
-pub use cardopc_fleet::spec::{build_clip, validate, BadRequest, MAX_DESIGN_TILES};
 use cardopc_fleet::spec::{
     parse_design_with_root, parse_opc, parse_tiling, reject_unknown, sanitize_run_dir,
 };
+pub use cardopc_fleet::spec::{validate, BadRequest, MAX_DESIGN_TILES};
 use cardopc_fleet::WorkSpec;
 use cardopc_json::Json;
 use cardopc_layout::Clip;

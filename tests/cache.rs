@@ -101,7 +101,6 @@ fn cached_runs_are_byte_identical_across_cache_states_and_workers() {
     let dir = temp_dir("identity");
     let cache_cfg = CacheConfig {
         dir: Some(dir.clone()),
-        ..CacheConfig::default()
     };
 
     // Cold run: the two congruent interior tiles collapse to one
@@ -139,7 +138,6 @@ fn cached_resume_reproduces_uninterrupted_run() {
     let dir = temp_dir("resume");
     let cache = TileCache::open(&CacheConfig {
         dir: Some(dir.join("cache")),
-        ..CacheConfig::default()
     })
     .unwrap();
 
@@ -177,7 +175,6 @@ fn read_only_and_memory_caches_degrade_gracefully() {
     let dir = temp_dir("readonly");
     let config = CacheConfig {
         dir: Some(dir.clone()),
-        ..CacheConfig::default()
     };
     let holder = TileCache::open(&config).unwrap();
     let ro = TileCache::open(&config).unwrap();
