@@ -5,7 +5,8 @@
 //! # What a claim is
 //!
 //! The to-run tiles are ordered by pattern: classes (tiles sharing a
-//! [`tile_cache_key`]) in first-seen order, tile index within a class. A
+//! [`tile_cache_key`](cardopc_runtime::tile_cache_key)) in first-seen
+//! order, tile index within a class. A
 //! lane's **claim** takes the head of the pending queue plus the pending
 //! tiles that follow it *with the same key*, up to [`MAX_BATCH`], and
 //! sends them as one `POST /v1/tiles`. Nothing selects this: unique tiles
@@ -76,10 +77,12 @@
 use crate::client::{self, HttpResponse};
 use crate::proto::{self, MAX_BATCH};
 use crate::spec::WorkSpec;
+use cardopc_layout::Clip;
 use cardopc_litho::span::span;
 use cardopc_runtime::{
-    partition_clip, tile_cache_key, CachedTile, Partition, Placement, Run, RunControl, RunManifest,
-    RunOutcome, RunStore, RuntimeError, ScheduleOutcome, Stitched, StoreLine, TileLine,
+    partition_clip, tile_cache_keys, CachedTile, Partition, Placement, Run, RunControl,
+    RunManifest, RunOutcome, RunStore, RuntimeError, ScheduleOutcome, Stitched, StoreLine, Tile,
+    TileLine,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -226,8 +229,8 @@ impl From<RuntimeError> for FleetError {
 struct TileInfo {
     index: usize,
     hash: u64,
-    /// [`tile_cache_key`]: tiles sharing it are congruent and travel
-    /// together.
+    /// [`tile_cache_key`](cardopc_runtime::tile_cache_key): tiles sharing
+    /// it are congruent and travel together.
     key: u64,
 }
 
@@ -306,14 +309,37 @@ pub fn run_fleet(
     config: &FleetConfig,
     control: &RunControl<'_>,
 ) -> Result<FleetOutcome, FleetError> {
-    let start = Instant::now();
     if config.workers.is_empty() {
         return Err(FleetError::NoWorkers);
     }
     let clip = spec.build_clip().map_err(FleetError::Spec)?;
+    run_fleet_clip(spec, &clip, config, control)
+}
+
+/// [`run_fleet`] on `clip`, the design `spec.design` builds, already
+/// built by the caller (the CLI reads its design once, before any worker
+/// spawns). The workers still build it from the spec.
+///
+/// # Errors
+///
+/// As [`run_fleet`], less the design's own errors.
+///
+/// # Panics
+///
+/// As [`run_fleet`].
+pub fn run_fleet_clip(
+    spec: &WorkSpec,
+    clip: &Clip,
+    config: &FleetConfig,
+    control: &RunControl<'_>,
+) -> Result<FleetOutcome, FleetError> {
+    let start = Instant::now();
+    if config.workers.is_empty() {
+        return Err(FleetError::NoWorkers);
+    }
     let partition = {
         let _span = span("partition");
-        partition_clip(&clip, &spec.tiling)?
+        partition_clip(clip, &spec.tiling)?
     };
     let mut store = RunStore::open(config.run_dir.as_deref())?;
     // The coordinator corrects nothing itself: no engine or tile cache.
@@ -340,14 +366,16 @@ pub fn run_fleet(
     // To-dispatch tiles: budget-truncated in index order (a budget takes
     // the lowest indices), then ordered by pattern — classes in first-seen
     // order, index order within a class (the sort is stable).
-    let mut todo: Vec<TileInfo> = run
-        .start(config.max_tiles)
+    let wanted = run.start(config.max_tiles);
+    let tiles: Vec<&Tile> = wanted
+        .iter()
+        .map(|&(index, _)| &partition.tiles[index])
+        .collect();
+    let keys = tile_cache_keys(&tiles, &partition.config, &spec.opc);
+    let mut todo: Vec<TileInfo> = wanted
         .into_iter()
-        .map(|(index, hash)| TileInfo {
-            index,
-            hash,
-            key: tile_cache_key(&partition.tiles[index], &partition.config, &spec.opc),
-        })
+        .zip(keys)
+        .map(|((index, hash), key)| TileInfo { index, hash, key })
         .collect();
     let mut class_rank: HashMap<u64, usize> = HashMap::new();
     for tile in &todo {

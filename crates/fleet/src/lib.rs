@@ -37,6 +37,6 @@ pub mod proto;
 pub mod spec;
 pub mod worker;
 
-pub use coord::{run_fleet, FleetConfig, FleetError, FleetOutcome, FleetStats};
+pub use coord::{run_fleet, run_fleet_clip, FleetConfig, FleetError, FleetOutcome, FleetStats};
 pub use spec::{DesignSpec, WorkSpec};
 pub use worker::{WorkerConfig, WorkerServer};

@@ -8,7 +8,8 @@
 //!
 //! - a **prepared-state cache** keyed by the spec's canonical JSON: the
 //!   expanded clip + partition + flow are built once per distinct spec
-//!   and shared across requests;
+//!   and shared across requests — concurrent first requests of one spec
+//!   wait for one build, other specs never wait;
 //! - an [`EngineCache`] holding one litho engine per window extent, pitch
 //!   and precision, which every request thread shares across tiles and
 //!   specs;
@@ -74,13 +75,54 @@ struct Prepared {
     flow: CardOpc,
 }
 
+/// One slot per spec key: the map's lock is held only to find the slot,
+/// the slot's lock for the build, so a spec's concurrent first requests
+/// build it once and other specs never wait. A failed build leaves the
+/// slot empty for the next request to retry.
+#[derive(Default)]
+struct Preparations(Mutex<HashMap<String, PreparedSlot>>);
+
+/// A spec's prepared state, once built.
+type PreparedSlot = Arc<Mutex<Option<Arc<Prepared>>>>;
+
+impl Preparations {
+    fn get_or_build(
+        &self,
+        key: String,
+        build: impl FnOnce() -> Result<Prepared, String>,
+    ) -> Result<Arc<Prepared>, String> {
+        let slot = {
+            let mut slots = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(slots.entry(key).or_default())
+        };
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(prepared) = slot.as_ref() {
+            return Ok(Arc::clone(prepared));
+        }
+        let prepared = Arc::new(build()?);
+        *slot = Some(Arc::clone(&prepared));
+        Ok(prepared)
+    }
+}
+
+/// Expands `spec` into its partition and flow.
+fn prepare(spec: &crate::WorkSpec) -> Result<Prepared, String> {
+    #[cfg(test)]
+    tests::built(spec);
+    let unusable = |e: &dyn std::fmt::Display| format!("unusable spec: {e}");
+    let clip = spec.build_clip().map_err(|e| unusable(&e))?;
+    let partition = partition_clip(&clip, &spec.tiling).map_err(|e| unusable(&e))?;
+    let flow = CardOpc::new(spec.opc.clone());
+    Ok(Prepared { partition, flow })
+}
+
 struct WorkerState {
     /// Finished tiles as lines (multi-spec by nature: different specs
     /// produce different hashes and keys), mirrored into `run_dir`.
     store: Mutex<LineStore>,
     /// Held for its PID lock.
     _run_dir: Option<RunDir>,
-    prepared: Mutex<HashMap<String, Arc<Prepared>>>,
+    prepared: Preparations,
     engines: EngineCache,
     cache: Option<TileCache>,
     tiles_done: AtomicUsize,
@@ -114,7 +156,7 @@ impl WorkerServer {
             Arc::new(WorkerState {
                 store: Mutex::new(store),
                 _run_dir: run_dir,
-                prepared: Mutex::new(HashMap::new()),
+                prepared: Preparations::default(),
                 engines: EngineCache::default(),
                 cache,
                 tiles_done: AtomicUsize::new(0),
@@ -188,36 +230,9 @@ fn dispatch(request: &Request, state: &WorkerState) -> Response {
 
     // Expand the spec (once per distinct spec; canonical JSON is the key).
     let spec_key = spec.to_json().to_string_compact();
-    let prepared = {
-        let guard = state
-            .prepared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.get(&spec_key).cloned()
-    };
-    let prepared = match prepared {
-        Some(p) => p,
-        None => {
-            // Built outside the lock: preparation rasterises nothing but
-            // partitioning a big clip is not free, and a concurrent
-            // duplicate build is harmless (both produce identical state).
-            let clip = match spec.build_clip() {
-                Ok(c) => c,
-                Err(e) => return Response::error(400, &format!("unusable spec: {e}")),
-            };
-            let partition = match partition_clip(&clip, &spec.tiling) {
-                Ok(p) => p,
-                Err(e) => return Response::error(400, &format!("unusable spec: {e}")),
-            };
-            let flow = CardOpc::new(spec.opc.clone());
-            let built = Arc::new(Prepared { partition, flow });
-            let mut guard = state
-                .prepared
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            guard.entry(spec_key).or_insert_with(|| Arc::clone(&built));
-            built
-        }
+    let prepared = match state.prepared.get_or_build(spec_key, || prepare(&spec)) {
+        Ok(prepared) => prepared,
+        Err(message) => return Response::error(400, &message),
     };
 
     let partition = &prepared.partition;
@@ -310,4 +325,153 @@ fn answer_tile(
 fn records_jsonl(state: &WorkerState) -> Response {
     let store = state.store.lock().unwrap_or_else(PoisonError::into_inner);
     Response::text(200, store.to_jsonl())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DesignSpec, WorkSpec};
+    use cardopc_layout::DesignKind;
+    use cardopc_opc::OpcConfig;
+    use cardopc_runtime::TilingConfig;
+    use std::sync::Barrier;
+
+    /// The key of every spec [`prepare`] built, across the tests of this
+    /// module (they run side by side; each counts its own spec's builds).
+    static BUILDS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+    pub(super) fn built(spec: &WorkSpec) {
+        let key = spec.to_json().to_string_compact();
+        BUILDS.lock().unwrap().push(key);
+    }
+
+    fn builds_of(spec: &WorkSpec) -> usize {
+        let key = spec.to_json().to_string_compact();
+        BUILDS.lock().unwrap().iter().filter(|k| **k == key).count()
+    }
+
+    fn spec(crop: f64) -> WorkSpec {
+        WorkSpec {
+            design: DesignSpec::generated(DesignKind::Gcd, 1, Some(crop)),
+            tiling: TilingConfig {
+                tile_size: 1024.0,
+                halo: 512.0,
+            },
+            opc: OpcConfig::large_scale(),
+        }
+    }
+
+    #[test]
+    fn concurrent_first_dispatches_of_a_spec_build_it_once() {
+        let preparations = Preparations::default();
+        let spec = spec(2048.0);
+        let key = spec.to_json().to_string_compact();
+        let (builds, arrived) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let barrier = Barrier::new(4);
+        let prepared: Vec<Arc<Prepared>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        let build = || {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            // The build finishes only once every racer has
+                            // asked for the spec.
+                            while arrived.load(Ordering::SeqCst) < 4 {
+                                std::thread::yield_now();
+                            }
+                            prepare(&spec)
+                        };
+                        preparations.get_or_build(key.clone(), build).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert!(prepared.iter().all(|p| Arc::ptr_eq(p, &prepared[0])));
+        assert_eq!(prepared[0].partition.tiles.len(), 4);
+    }
+
+    #[test]
+    fn a_failed_build_is_retried_and_other_specs_do_not_wait() {
+        let preparations = Preparations::default();
+        let failed = preparations.get_or_build("k".into(), || Err("unusable spec: no".into()));
+        assert_eq!(failed.err().as_deref(), Some("unusable spec: no"));
+        let retried = preparations.get_or_build("k".into(), || prepare(&spec(1024.0)));
+        assert_eq!(retried.unwrap().partition.tiles.len(), 1);
+        // A build of one spec in flight holds up no other spec.
+        let (started, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            let slow = scope.spawn(|| {
+                preparations.get_or_build("slow".into(), || {
+                    started.wait();
+                    release.wait();
+                    prepare(&spec(1024.0))
+                })
+            });
+            started.wait();
+            let other = preparations.get_or_build("other".into(), || prepare(&spec(2048.0)));
+            assert_eq!(other.unwrap().partition.tiles.len(), 4);
+            release.wait();
+            assert!(slow.join().unwrap().is_ok());
+        });
+    }
+
+    #[test]
+    fn concurrent_first_dispatches_build_the_spec_once() {
+        // Through the server: four concurrent first requests of one spec
+        // (its own crop, so no other test builds it). They name a tile
+        // past the partition, so each is answered right after preparation.
+        let worker = WorkerServer::start(WorkerConfig::default()).unwrap();
+        let addr = worker.local_addr();
+        let spec = spec(3072.0);
+        let body = crate::proto::dispatch_body(&spec, &[99]);
+        std::thread::scope(|scope| {
+            let sends: Vec<_> = (0..4)
+                .map(|_| {
+                    let body = &body;
+                    scope.spawn(move || {
+                        crate::client::request_with_timeout(
+                            addr,
+                            "POST",
+                            "/v1/tiles",
+                            Some(body),
+                            std::time::Duration::from_secs(60),
+                        )
+                        .unwrap()
+                    })
+                })
+                .collect();
+            for send in sends {
+                let answer = send.join().unwrap();
+                assert_eq!(answer.status, 400);
+                assert!(answer
+                    .body_str()
+                    .contains("outside the partition (9 tiles)"));
+            }
+        });
+        assert_eq!(builds_of(&spec), 1);
+        // A design that cannot be read is a 400 every time, never cached.
+        let missing = std::env::temp_dir().join("cardopc-worker-test-no-such-design.gds");
+        let bad = WorkSpec {
+            design: DesignSpec::gds(missing, cardopc_layout::LayerFilter::Layer(1), None),
+            ..spec.clone()
+        };
+        let body = crate::proto::dispatch_body(&bad, &[0]);
+        for _ in 0..2 {
+            let answer = crate::client::request_with_timeout(
+                addr,
+                "POST",
+                "/v1/tiles",
+                Some(&body),
+                std::time::Duration::from_secs(60),
+            )
+            .unwrap();
+            assert_eq!(answer.status, 400, "{}", answer.body_str());
+            assert!(answer.body_str().contains("unusable spec"));
+        }
+        assert_eq!(builds_of(&bad), 2);
+    }
 }

@@ -57,7 +57,7 @@ pub use model::{GdsElement, GdsLib, GdsRef, GdsStruct, LayerFilter, Strans};
 pub use read::parse_lib;
 pub use real::{decode_real8, encode_real8};
 pub use split::split_polygon;
-pub use write::{put_boundary, GdsWriter};
+pub use write::{put_boundary, GdsWriter, RingEncoder};
 
 /// Reads and parses a GDSII file from disk.
 ///

@@ -13,7 +13,7 @@
 
 use std::borrow::Cow;
 
-use cardopc_geometry::{Point, Polygon};
+use cardopc_geometry::{Point, Polygon, EPS};
 
 use crate::error::GdsError;
 use crate::record::{
@@ -197,11 +197,7 @@ fn put_element(
     let start = out.len();
     out.resize(start + ELEMENT_FRAME + payload, 0);
     let bytes = &mut out[start..];
-    bytes[0..4].copy_from_slice(&header(rtype::BOUNDARY, dtype::NONE, 0));
-    bytes[4..8].copy_from_slice(&header(rtype::LAYER, dtype::I16, 2));
-    bytes[8..10].copy_from_slice(&layer.to_be_bytes());
-    bytes[10..14].copy_from_slice(&header(rtype::DATATYPE, dtype::I16, 2));
-    bytes[14..16].copy_from_slice(&datatype.to_be_bytes());
+    bytes[0..16].copy_from_slice(&element_head(layer, datatype));
     bytes[16..20].copy_from_slice(&header(rtype::XY, dtype::I32, payload));
     let (xy, end) = bytes[20..].split_at_mut(payload);
     let per_dbu = 1.0 / nm_per_dbu;
@@ -215,6 +211,242 @@ fn put_element(
     close.copy_from_slice(&points[..8]);
     end.copy_from_slice(&header(rtype::ENDEL, dtype::NONE, 0));
     Ok(())
+}
+
+/// The BOUNDARY, LAYER and DATATYPE records that open an element.
+fn element_head(layer: i16, datatype: i16) -> [u8; 16] {
+    let mut head = [0; 16];
+    head[0..4].copy_from_slice(&header(rtype::BOUNDARY, dtype::NONE, 0));
+    head[4..8].copy_from_slice(&header(rtype::LAYER, dtype::I16, 2));
+    head[8..10].copy_from_slice(&layer.to_be_bytes());
+    head[10..14].copy_from_slice(&header(rtype::DATATYPE, dtype::I16, 2));
+    head[14..16].copy_from_slice(&datatype.to_be_bytes());
+    head
+}
+
+/// One BOUNDARY element written while its ring is still being produced,
+/// block by block, straight into the caller's buffer: the bytes
+/// [`put_boundary`] appends for `Polygon::new(ring)` whenever those are
+/// one element, in one pass over the raw ring.
+///
+/// Each block is deduplicated as [`Polygon::new`] does it (a vertex within
+/// [`EPS`] of the last kept one is dropped; the ring's last vertex is
+/// dropped when within [`EPS`] of its first), quantised by the
+/// multiply-and-round test with the exact division where that test cannot
+/// be trusted, and written as big-endian pairs. Both tests run over the
+/// whole block without branches: a block whose every x moves by more than
+/// 2·[`EPS`] holds no duplicate, and only a block where one does not, or
+/// with an untrusted coordinate, takes a per-vertex path.
+///
+/// [`RingEncoder::finish`] says whether the element was written. It was
+/// not — and the buffer is back to where it was, as it is when the encoder
+/// is dropped unfinished — when the ring has fewer than 3 vertices or more
+/// than one XY record holds, or a coordinate does not fit the grid: then
+/// [`put_boundary`] on the polygon splits it or reports the error.
+pub struct RingEncoder<'o> {
+    out: &'o mut Vec<u8>,
+    start: usize,
+    nm_per_dbu: f64,
+    per_dbu: f64,
+    /// Vertices kept (and written) so far.
+    count: usize,
+    first: Point,
+    last: Point,
+    /// Cleared when a coordinate cannot be encoded or the ring outgrows a
+    /// record: nothing more is written, and `finish` fails.
+    usable: bool,
+    finished: bool,
+}
+
+impl<'o> RingEncoder<'o> {
+    /// Opens an element on `layer:datatype` at the end of `out`.
+    pub fn begin(out: &'o mut Vec<u8>, nm_per_dbu: f64, layer: i16, datatype: i16) -> Self {
+        let start = out.len();
+        out.extend_from_slice(&element_head(layer, datatype));
+        // The XY header, written once the vertex count is known.
+        out.extend_from_slice(&[0; 4]);
+        RingEncoder {
+            out,
+            start,
+            nm_per_dbu,
+            per_dbu: 1.0 / nm_per_dbu,
+            count: 0,
+            first: Point::ZERO,
+            last: Point::ZERO,
+            usable: true,
+            finished: false,
+        }
+    }
+
+    /// Appends the ring's next `n` vertices, lanes `..n` of `xs` and `ys`
+    /// (nm).
+    #[inline]
+    pub fn push<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], n: usize) {
+        if n < B {
+            return self.push_partial(xs, ys, n);
+        }
+        if !self.usable {
+            return;
+        }
+        // A vertex within EPS of its predecessor (the last kept vertex for
+        // lane 0; none, infinitely far, for the ring's first) has |dx| ≤
+        // EPS, so a block whose every x moves by more than twice that has
+        // no duplicate whatever the rounding of the squared distance. Any
+        // other block takes the exact test.
+        let before = match self.count {
+            0 => f64::NEG_INFINITY,
+            _ => self.last.x,
+        };
+        let mut apart = true;
+        for l in 0..B {
+            let dx = xs[l] - if l == 0 { before } else { xs[l - 1] };
+            apart &= dx.abs() > 2.0 * EPS;
+        }
+        if !apart {
+            self.push_kept_of(xs, ys, B);
+        } else {
+            self.push_kept(xs, ys, B);
+        }
+    }
+
+    /// [`RingEncoder::push`] of a block whose lanes past `n` are padding:
+    /// those become zeros, which neither count as vertices nor fail the
+    /// rounding test.
+    #[cold]
+    fn push_partial<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], n: usize) {
+        let n = n.min(B);
+        if !self.usable || n == 0 {
+            return;
+        }
+        let (mut kx, mut ky) = ([0.0; B], [0.0; B]);
+        kx[..n].copy_from_slice(&xs[..n]);
+        ky[..n].copy_from_slice(&ys[..n]);
+        self.push_kept_of(&kx, &ky, n);
+    }
+
+    /// The per-vertex path of [`RingEncoder::push`]: keeps the vertices
+    /// not within [`EPS`] of the last kept one, then writes those.
+    #[cold]
+    fn push_kept_of<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], n: usize) {
+        let (mut kx, mut ky, mut k) = ([0.0; B], [0.0; B], 0);
+        let mut last = (self.count > 0).then_some(self.last);
+        for l in 0..n {
+            let v = Point::new(xs[l], ys[l]);
+            if last.is_none_or(|last| !same_vertex(v, last)) {
+                (kx[k], ky[k], k) = (v.x, v.y, k + 1);
+                last = Some(v);
+            }
+        }
+        self.push_kept(&kx, &ky, k);
+    }
+
+    /// Writes lanes `..k` of `xs` and `ys`, all kept; lanes past `k` are
+    /// zeros.
+    #[inline]
+    fn push_kept<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], k: usize) {
+        if k == 0 {
+            return;
+        }
+        if self.count + k > MAX_XY_POINTS {
+            // Past what one record holds even if the closing vertex goes.
+            self.usable = false;
+            return;
+        }
+        let (mut x, x_untrusted) = round_block(xs, self.per_dbu);
+        let (mut y, y_untrusted) = round_block(ys, self.per_dbu);
+        if x_untrusted && !self.divide(xs, k, &mut x) || y_untrusted && !self.divide(ys, k, &mut y)
+        {
+            self.usable = false;
+            return;
+        }
+        let mut pairs = [[0u8; 8]; B];
+        for l in 0..B {
+            pairs[l] = be_pair(x[l], y[l]);
+        }
+        if self.count == 0 {
+            self.first = Point::new(xs[0], ys[0]);
+        }
+        self.last = Point::new(xs[k - 1], ys[k - 1]);
+        self.count += k;
+        // The whole block (a fixed-size copy), less its padding.
+        self.out.extend_from_slice(pairs.as_flattened());
+        self.out.truncate(self.out.len() - (B - k) * 8);
+    }
+
+    /// Replaces each of lanes `..k` of `dbu` whose product rounding
+    /// [`round_scaled`] does not trust by the exact division's, as
+    /// [`quantise_scaled`] does; `false` when a coordinate does not fit.
+    #[cold]
+    fn divide<const B: usize>(&self, vs: &[f64; B], k: usize, dbu: &mut [i32; B]) -> bool {
+        for l in 0..k {
+            if round_scaled(vs[l] * self.per_dbu).1 {
+                match divided(vs[l], self.nm_per_dbu) {
+                    Some(exact) => dbu[l] = exact,
+                    None => return false,
+                }
+            }
+        }
+        true
+    }
+
+    /// Closes the ring and completes the element; `false` (nothing
+    /// appended) when [`put_boundary`] must write this ring instead.
+    pub fn finish(mut self) -> bool {
+        if !self.usable {
+            return false;
+        }
+        if self.count > 1 && same_vertex(self.last, self.first) {
+            self.count -= 1;
+            self.out.truncate(self.out.len() - 8);
+        }
+        if self.count < 3 || self.count >= MAX_XY_POINTS {
+            return false;
+        }
+        let payload = (self.count + 1) * 8;
+        let xy = self.start + 16;
+        let closing: [u8; 8] = self.out[xy + 4..xy + 12]
+            .try_into()
+            .expect("a first vertex");
+        self.out.extend_from_slice(&closing);
+        self.out
+            .extend_from_slice(&header(rtype::ENDEL, dtype::NONE, 0));
+        self.out[xy..xy + 4].copy_from_slice(&header(rtype::XY, dtype::I32, payload));
+        self.finished = true;
+        true
+    }
+}
+
+/// [`round_scaled`] of every `v · per_dbu` of a block, and whether any of
+/// them cannot be trusted.
+#[inline]
+fn round_block<const B: usize>(vs: &[f64; B], per_dbu: f64) -> ([i32; B], bool) {
+    let mut dbu = [0; B];
+    let mut untrusted = false;
+    for l in 0..B {
+        let (rounded, bad) = round_scaled(vs[l] * per_dbu);
+        dbu[l] = rounded;
+        untrusted |= bad;
+    }
+    (dbu, untrusted)
+}
+
+/// A vertex's XY bytes: `x` then `y`, big-endian.
+#[inline]
+fn be_pair(x: i32, y: i32) -> [u8; 8] {
+    ((x as u32 as u64) << 32 | y as u32 as u64).to_be_bytes()
+}
+
+/// [`Polygon::new`]'s duplicate test: `v` within [`EPS`] of `kept`.
+fn same_vertex(v: Point, kept: Point) -> bool {
+    v.distance_sq(kept) <= EPS * EPS
+}
+
+impl Drop for RingEncoder<'_> {
+    fn drop(&mut self) {
+        if !self.finished {
+            self.out.truncate(self.start);
+        }
+    }
 }
 
 /// Largest |nm / nm_per_dbu| the multiply path takes: below 2^30 the
@@ -262,6 +494,16 @@ fn round_scaled(q: f64) -> (i32, bool) {
 }
 
 fn quantise(nm: f64, nm_per_dbu: f64) -> Result<i32, GdsError> {
+    divided(nm, nm_per_dbu).ok_or_else(|| {
+        GdsError::CoordinateOverflow(format!(
+            "{nm} nm does not fit a 32-bit database unit at {nm_per_dbu} nm/dbu"
+        ))
+    })
+}
+
+/// [`quantise`]'s value, `None` where it is an error.
+#[inline]
+fn divided(nm: f64, nm_per_dbu: f64) -> Option<i32> {
     let q = nm / nm_per_dbu;
     // `f64::round` (half away from zero) without its libm call: truncate,
     // then step away from zero on a fractional part of at least one half.
@@ -269,16 +511,11 @@ fn quantise(nm: f64, nm_per_dbu: f64) -> Result<i32, GdsError> {
     if q.abs() < i32::MAX as f64 {
         let t = q as i64;
         let frac = q - t as f64;
-        return Ok((t + (frac >= 0.5) as i64 - (frac <= -0.5) as i64) as i32);
+        return Some((t + (frac >= 0.5) as i64 - (frac <= -0.5) as i64) as i32);
     }
-    // Out of range, or NaN: the checked path and its error.
+    // Out of range, or NaN: the checked path.
     let dbu = q.round();
-    if !dbu.is_finite() || dbu < i32::MIN as f64 || dbu > i32::MAX as f64 {
-        return Err(GdsError::CoordinateOverflow(format!(
-            "{nm} nm does not fit a 32-bit database unit at {nm_per_dbu} nm/dbu"
-        )));
-    }
-    Ok(dbu as i32)
+    (dbu.is_finite() && dbu >= i32::MIN as f64 && dbu <= i32::MAX as f64).then_some(dbu as i32)
 }
 
 #[cfg(test)]
@@ -538,6 +775,101 @@ mod tests {
         put_i32s(out, rtype::XY, &xy);
         put_header(out, rtype::ENDEL, dtype::NONE, 0);
         Ok(())
+    }
+
+    /// `ring` through a [`RingEncoder`] in blocks of `B` (the last one
+    /// partial, `n`s of `sizes` cycled), against [`put_boundary`] on
+    /// `Polygon::new(ring)` when the encoder declines: the bytes the
+    /// polygon path writes, and no byte when the encoder declines.
+    fn check_ring<const B: usize>(ring: &[Point], nm_per_dbu: f64, sizes: &[usize]) {
+        let mut want = vec![1u8, 2];
+        let expected = put_boundary(&mut want, nm_per_dbu, 5, 0, &Polygon::new(ring.to_vec()));
+        let mut got = vec![1u8, 2];
+        let mut encoder = RingEncoder::begin(&mut got, nm_per_dbu, 5, 0);
+        let (mut at, mut size) = (0, sizes.iter().cycle());
+        while at < ring.len() {
+            let n = (*size.next().unwrap()).min(B).min(ring.len() - at).max(1);
+            let (mut xs, mut ys) = ([f64::NAN; B], [-7.0; B]);
+            for (l, v) in ring[at..at + n].iter().enumerate() {
+                (xs[l], ys[l]) = (v.x, v.y);
+            }
+            encoder.push(&xs, &ys, n);
+            at += n;
+        }
+        let written = encoder.finish();
+        if written {
+            assert!(expected.is_ok(), "{} vertices", ring.len());
+            assert!(got == want, "{} vertices: bytes differ", ring.len());
+        } else {
+            assert_eq!(got, vec![1u8, 2], "a declined ring left bytes");
+            let fits = Polygon::new(ring.to_vec()).len() < MAX_XY_POINTS;
+            assert!(
+                expected.is_err() || !fits,
+                "declined a ring one element holds"
+            );
+        }
+    }
+
+    #[test]
+    fn ring_encoder_is_put_boundary_of_the_deduplicated_ring() {
+        let mut rng = cardopc_geometry::SplitMix64::new(45);
+        let circle = |n: usize, r: f64| -> Vec<Point> {
+            (0..n)
+                .map(|k| {
+                    let a = std::f64::consts::TAU * k as f64 / n as f64;
+                    Point::new(r * a.cos() + 7.125, r * a.sin() - 3.875)
+                })
+                .collect()
+        };
+        // Around the one-record limit, with and without a closing
+        // duplicate (which brings 8 191 vertices down to 8 190).
+        for n in [
+            MAX_XY_POINTS - 2,
+            MAX_XY_POINTS - 1,
+            MAX_XY_POINTS,
+            MAX_XY_POINTS + 1,
+        ] {
+            let mut ring = circle(n, 40_000.0);
+            check_ring::<8>(&ring, 0.01, &[8]);
+            ring.push(ring[0] + Point::new(1e-10, 0.0));
+            check_ring::<8>(&ring, 0.01, &[8, 3]);
+        }
+        for _ in 0..400 {
+            let grid = GRIDS[rng.range_usize(0, GRIDS.len())];
+            let mut ring = circle(rng.range_usize(1, 60), rng.range_f64(0.01, 5e4));
+            // Repeats (exact and within EPS), near-halves of the grid,
+            // values past the grid, NaN.
+            for _ in 0..rng.range_usize(0, 6) {
+                let at = rng.range_usize(0, ring.len());
+                let v = ring[at];
+                let moved = match rng.range_usize(0, 6) {
+                    0 => v,
+                    1 => v + Point::new(4e-10, -3e-10),
+                    2 => Point::new((v.x / grid).round() * grid + 0.5 * grid, v.y),
+                    3 => Point::new(v.x, 1e12),
+                    4 if rng.chance(0.2) => Point::new(f64::NAN, v.y),
+                    _ => v + Point::new(3e-9, 0.0),
+                };
+                ring.insert(at, moved);
+            }
+            if rng.chance(0.3) {
+                ring.push(ring[0]);
+            }
+            check_ring::<8>(&ring, grid, &[8]);
+            check_ring::<8>(
+                &ring,
+                grid,
+                &[rng.range_usize(1, 9), 8, rng.range_usize(1, 9)],
+            );
+            check_ring::<4>(&ring, grid, &[4, 1]);
+        }
+        // Every vertex the same, or two: fewer than 3 after the duplicates.
+        for ring in [
+            vec![Point::new(1.0, 2.0); 17],
+            vec![Point::ZERO, Point::new(1.0, 0.0)],
+        ] {
+            check_ring::<8>(&ring, 0.01, &[8]);
+        }
     }
 
     proptest! {

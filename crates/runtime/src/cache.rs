@@ -73,7 +73,7 @@ const MAX_ENTRIES: u64 = 65_536;
 /// Live bytes (serialised-line accounting) kept before LRU eviction.
 const MAX_BYTES: u64 = 256 * 1024 * 1024;
 
-pub use crate::hash::tile_cache_key;
+pub use crate::hash::{tile_cache_key, tile_cache_keys};
 
 // ---------------------------------------------------------------- values
 

@@ -24,7 +24,7 @@
 
 use crate::checkpoint::StitchedShape;
 use crate::stitch::Stitched;
-use cardopc_gds::{put_boundary, GdsError, GdsWriter};
+use cardopc_gds::{put_boundary, GdsError, GdsWriter, RingEncoder};
 use cardopc_geometry::Polygon;
 use cardopc_litho::{CachePadded, WorkerPool};
 use cardopc_spline::{CardinalSpline, SamplingPlan, SplineError};
@@ -154,6 +154,15 @@ fn stream_on(
 
 /// Encodes chunk `chunk` of the mask (shapes in mask order: mains, then
 /// SRAFs) into `out`, cleared first.
+///
+/// A shape is one pass: its spline's samples come a block at a time
+/// ([`CardinalSpline::sample_closed_blocks`]) and go straight into the
+/// chunk as one BOUNDARY element ([`RingEncoder`]: deduplicated as
+/// [`Polygon::new`] does, quantised, written). A ring that one element
+/// cannot hold — too many vertices (split), fewer than 3 after the
+/// duplicates go, or a coordinate past the grid — is written again the
+/// long way, sampled into a [`Polygon`] and handed to [`put_boundary`],
+/// which splits it or reports the error.
 fn encode_chunk(
     stitched: &Stitched,
     chunk: usize,
@@ -163,7 +172,7 @@ fn encode_chunk(
     out.clear();
     let per_segment = options.samples_per_segment.max(1);
     let mains = stitched.mains.len();
-    let (mut plan, mut ring): (Option<Arc<SamplingPlan>>, _) = (None, Vec::new());
+    let mut plan: Option<Arc<SamplingPlan>> = None;
     let end = ((chunk + 1) * CHUNK_SHAPES).min(stitched.len());
     for i in chunk * CHUNK_SHAPES..end {
         let (shape, layer) = match i.checked_sub(mains) {
@@ -171,11 +180,15 @@ fn encode_chunk(
             Some(j) => (&stitched.srafs[j], options.sraf_layer),
         };
         let plan = plan_for(&mut plan, per_segment, shape)?;
-        CardinalSpline::sample_closed_into(&shape.control_points, plan, &mut ring)
+        let points = &shape.control_points;
+        let mut ring = RingEncoder::begin(out, MASK_NM_PER_DBU, layer, 0);
+        CardinalSpline::sample_closed_blocks(points, plan, |xs, ys, n| ring.push(xs, ys, n))
             .map_err(not_a_spline)?;
-        let polygon = Polygon::new(std::mem::take(&mut ring));
-        put_boundary(out, MASK_NM_PER_DBU, layer, 0, &polygon)?;
-        ring = polygon.into_vertices();
+        if !ring.finish() {
+            let mut samples = Vec::new();
+            CardinalSpline::sample_closed_into(points, plan, &mut samples).map_err(not_a_spline)?;
+            put_boundary(out, MASK_NM_PER_DBU, layer, 0, &Polygon::new(samples))?;
+        }
     }
     Ok(())
 }
@@ -208,7 +221,7 @@ fn not_a_spline(e: SplineError) -> GdsError {
 mod tests {
     use super::*;
     use cardopc_gds::{flatten, FlattenLimits, LayerFilter};
-    use cardopc_geometry::Point;
+    use cardopc_geometry::{Point, SplitMix64};
 
     fn square_shape(x0: f64, y0: f64, size: f64, is_sraf: bool) -> StitchedShape {
         StitchedShape {
@@ -452,5 +465,145 @@ mod tests {
         assert!(!path.exists(), "a partial mask appeared");
         assert!(!dir.join("mask.gds.tmp").exists(), "temporary left behind");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The per-shape path the one-pass writer replaced, kept as its
+    /// oracle: sample into a ring, deduplicate it into a [`Polygon`], encode
+    /// that with [`put_boundary`].
+    fn chunk_by_polygons(
+        stitched: &Stitched,
+        chunk: usize,
+        options: &MaskGdsOptions,
+    ) -> Result<Vec<u8>, GdsError> {
+        let mut out = Vec::new();
+        let per_segment = options.samples_per_segment.max(1);
+        let mains = stitched.mains.len();
+        let end = ((chunk + 1) * CHUNK_SHAPES).min(stitched.len());
+        for i in chunk * CHUNK_SHAPES..end {
+            let (shape, layer) = match i.checked_sub(mains) {
+                None => (&stitched.mains[i], options.mask_layer),
+                Some(j) => (&stitched.srafs[j], options.sraf_layer),
+            };
+            if !shape.tension.is_finite() {
+                return Err(not_a_spline(SplineError::InvalidTension));
+            }
+            let plan = SamplingPlan::get(per_segment, shape.tension);
+            let mut ring = Vec::new();
+            CardinalSpline::sample_closed_into(&shape.control_points, &plan, &mut ring)
+                .map_err(not_a_spline)?;
+            put_boundary(&mut out, MASK_NM_PER_DBU, layer, 0, &Polygon::new(ring))?;
+        }
+        Ok(out)
+    }
+
+    /// Every chunk of `mask` through `encode_chunk` and the oracle: the same
+    /// bytes, or the same error.
+    fn check_chunks(mask: &Stitched, options: &MaskGdsOptions, what: &str) {
+        let mut out = vec![0xa5; 3];
+        for chunk in 0..mask.len().div_ceil(CHUNK_SHAPES) {
+            let got = encode_chunk(mask, chunk, options, &mut out);
+            match (got, chunk_by_polygons(mask, chunk, options)) {
+                (Ok(()), Ok(want)) => assert!(out == want, "{what}: chunk {chunk} bytes differ"),
+                (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string(), "{what}"),
+                (got, want) => panic!("{what}: chunk {chunk}: {got:?} vs {:?}", want.map(drop)),
+            }
+        }
+    }
+
+    /// A seeded shape: a wobbly loop of `n` control points, snapped to the
+    /// k/8 nm grid (exact halves of the 0.01 nm mask grid) when `snap`.
+    fn seeded_shape(rng: &mut SplitMix64, n: usize, snap: bool, sraf: bool) -> StitchedShape {
+        let c = Point::new(rng.range_f64(-3e4, 3e4), rng.range_f64(-3e4, 3e4));
+        let r = rng.range_f64(5.0, 400.0);
+        let control_points = (0..n)
+            .map(|k| {
+                let a = std::f64::consts::TAU * k as f64 / n as f64;
+                let wobble = r * rng.range_f64(0.7, 1.3);
+                let p = c + Point::new(wobble * a.cos(), 0.4 * wobble * a.sin());
+                match snap {
+                    true => Point::new((p.x * 8.0).round() / 8.0, (p.y * 8.0).round() / 8.0),
+                    false => p,
+                }
+            })
+            .collect();
+        StitchedShape {
+            global_id: (!sraf).then_some(0),
+            is_sraf: sraf,
+            tension: [0.0, 0.5, 0.6, rng.range_f64(0.0, 1.0)][rng.range_usize(0, 4)],
+            control_points,
+        }
+    }
+
+    #[test]
+    fn one_pass_writer_is_the_polygon_writer() {
+        let mut rng = SplitMix64::new(45);
+        for round in 0..6 {
+            let mut mask = Stitched::default();
+            for i in 0..(CHUNK_SHAPES + 17) {
+                let n = rng.range_usize(3, 40);
+                mask.mains
+                    .push(seeded_shape(&mut rng, n, i % 3 == 0, false));
+            }
+            for i in 0..CHUNK_SHAPES / 2 {
+                let n = rng.range_usize(3, 9);
+                mask.srafs.push(seeded_shape(&mut rng, n, i % 2 == 0, true));
+            }
+            // Tension-0 squares: straight edges whose samples repeat
+            // coordinates exactly, corners on the k/8 nm ties.
+            mask.mains[1] = square_shape(-12.125, 7.375, 60.5, false);
+            mask.srafs[2] = square_shape(200.25, 100.5, 20.0, true);
+            // Four equal control points across the wrap: the last segment's
+            // samples collapse onto the first vertex, which closes the ring
+            // (the closing duplicate), and neighbours repeat inside blocks.
+            let x = Point::new(1000.375, -250.625);
+            let mut wrap = vec![x, x, Point::new(1100.0, -250.0), Point::new(1100.0, -150.0)];
+            wrap.extend([Point::new(1000.0, -150.0), x, x]);
+            mask.mains[2].control_points = wrap;
+            mask.mains[2].tension = [0.5, 0.0][round % 2];
+            // Past one XY record: 1 100 segments × 8 samples, split.
+            mask.mains[CHUNK_SHAPES - 1] = ring_shape(Point::ZERO, 50_000.0, 1100, 0.5, Some(0));
+            for samples_per_segment in [8, 1, 5, 12] {
+                let options = MaskGdsOptions {
+                    mask_layer: 7,
+                    sraf_layer: 9,
+                    samples_per_segment,
+                };
+                check_chunks(
+                    &mask,
+                    &options,
+                    &format!("round {round}, {samples_per_segment}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_writer_fails_where_the_polygon_writer_fails() {
+        let options = MaskGdsOptions::default();
+        let mut rng = SplitMix64::new(7);
+        let ok = |rng: &mut SplitMix64| seeded_shape(rng, 12, false, false);
+        // A ring that dedups below 3 vertices (every control point the
+        // same): a grammar error at the same offset.
+        let mut mask = Stitched {
+            mains: (0..5).map(|_| ok(&mut rng)).collect(),
+            ..Stitched::default()
+        };
+        let p = Point::new(3.0, 4.0);
+        mask.mains[3].control_points = vec![p; 5];
+        check_chunks(&mask, &options, "collapsed ring");
+        // A coordinate past the 32-bit grid.
+        mask.mains[3] = ok(&mut rng);
+        mask.mains[3].control_points[4].x = 3e9;
+        check_chunks(&mask, &options, "overflow");
+        // Not a spline: too few points, a NaN, an infinite tension.
+        mask.mains[3] = ok(&mut rng);
+        mask.mains[3].control_points.truncate(2);
+        check_chunks(&mask, &options, "two points");
+        mask.mains[3] = ok(&mut rng);
+        mask.mains[3].control_points[1].y = f64::NAN;
+        check_chunks(&mask, &options, "nan");
+        mask.mains[3] = ok(&mut rng);
+        mask.mains[3].tension = f64::INFINITY;
+        check_chunks(&mask, &options, "tension");
     }
 }

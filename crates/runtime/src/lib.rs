@@ -67,7 +67,7 @@ pub mod schedule;
 pub mod stitch;
 mod store;
 
-pub use cache::{tile_cache_key, CacheConfig, CacheStats, CachedTile, TileCache};
+pub use cache::{tile_cache_key, tile_cache_keys, CacheConfig, CacheStats, CachedTile, TileCache};
 pub use checkpoint::{
     tile_input_hash, LineStore, Placement, RunDir, StitchedShape, StoreLine, TileLine, TileMetrics,
     TileRecord,

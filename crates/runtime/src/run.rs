@@ -22,15 +22,14 @@
 //!    run's shapes move into it), the manifests.
 
 use crate::cache::CachedTile;
-use crate::checkpoint::{
-    tile_input_hash, usable, Appender, RunDir, StoreLine, TileLine, TileRecord,
-};
+use crate::checkpoint::{usable, Appender, RunDir, StoreLine, TileLine, TileRecord};
 use crate::handle::{RunControl, TileEvent};
+use crate::hash::TileHasher;
 use crate::manifest::RunManifest;
 use crate::partition::{Partition, Tile};
 use crate::schedule::{ScheduleOutcome, TileResult};
 use crate::stitch::{stitch, Stitched};
-use crate::{map_on_pool, RuntimeError};
+use crate::RuntimeError;
 use cardopc_litho::span::{span, tile_span};
 use cardopc_litho::WorkerPool;
 use cardopc_mrc::MrcRules;
@@ -409,11 +408,11 @@ impl<'a> Run<'a> {
 }
 
 /// Every tile's input hash, by tile index (tiles sit at their own index),
-/// computed over the global pool.
+/// hashed in lanes over the global pool.
 fn input_hashes(partition: &Partition, opc: &OpcConfig) -> Vec<Option<u64>> {
-    let tiles = partition.tiles.iter().collect();
-    let hash = |tile: &Tile| Some(tile_input_hash(tile, opc));
-    map_on_pool(WorkerPool::global(), tiles, hash)
+    let tiles: Vec<&Tile> = partition.tiles.iter().collect();
+    let hashes = TileHasher::input(opc).hash_on(WorkerPool::global(), &tiles);
+    hashes.into_iter().map(Some).collect()
 }
 
 /// The progress event of a finished tile, the `completed`-th of `total`.

@@ -27,6 +27,7 @@ use crate::checkpoint::{
     tile_input_hash, Placement, StitchedShape, TileLine, TileMetrics, TileRecord,
 };
 use crate::handle::{EngineCache, EngineKey, RunControl};
+use crate::hash::TileHasher;
 use crate::partition::{Partition, Tile};
 use crate::run::Run;
 use crate::RuntimeError;
@@ -139,6 +140,13 @@ fn fan_out(
 ) -> Result<ScheduleOutcome, RuntimeError> {
     let _span = span("run_tiles");
     let todo = run.start(max_tiles);
+    let keys = {
+        let tiles: Vec<&Tile> = todo
+            .iter()
+            .map(|&(index, _)| &partition.tiles[index])
+            .collect();
+        TileHasher::key(&partition.config, flow.config()).hash_on(pool, &tiles)
+    };
 
     // Each task claims tiles from the shared cursor until the list is
     // drained or the run is stopped.
@@ -147,11 +155,13 @@ fn fan_out(
     let engines = control.engines.unwrap_or(&local);
     pool.run(pool.parallelism().max(1), |_| {
         while !run.stopped() {
-            let Some(&(index, hash)) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+            let claim = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(index, hash)) = todo.get(claim) else {
                 return;
             };
             let tile = &partition.tiles[index];
-            match execute_tile(tile, hash, partition, flow, engines, control) {
+            let key = keys[claim];
+            match execute_tile(tile, hash, key, partition, flow, engines, control) {
                 Ok((line, entry, cached)) => run.commit(line, &entry, cached, None),
                 Err(e) => run.fail(index, e),
             }
@@ -189,18 +199,20 @@ pub fn correct_single_tile(
     let local = EngineCache::default();
     let engines = control.engines.unwrap_or(&local);
     let hash = tile_input_hash(tile, flow.config());
-    let (line, entry, _cached) = execute_tile(tile, hash, partition, flow, engines, control)?;
+    let key = tile_cache_key(tile, &partition.config, flow.config());
+    let (line, entry, _cached) = execute_tile(tile, hash, key, partition, flow, engines, control)?;
     Ok((line, entry))
 }
 
 /// Runs one tile through the (optionally cached) correction path and
-/// places the entry under `input_hash` (the tile's [`tile_input_hash`],
-/// which every caller has already computed). The cache key is computed
-/// with or without a cache: the tile line names it. The boolean is `true`
-/// for a cache replay.
+/// places the entry under `input_hash` (the tile's [`tile_input_hash`])
+/// and `key` (its [`tile_cache_key`], which the tile line names with or
+/// without a cache); every caller has already computed both. The boolean
+/// is `true` for a cache replay.
 fn execute_tile(
     tile: &Tile,
     input_hash: u64,
+    key: u64,
     partition: &Partition,
     flow: &CardOpc,
     engines: &EngineCache,
@@ -209,7 +221,6 @@ fn execute_tile(
     let _span = tile_span("correct", tile.index);
     let start = std::time::Instant::now();
     let config = flow.config();
-    let key = tile_cache_key(tile, &partition.config, config);
     let correct = || correct_tile(tile, flow, config, engines);
     let (entry, cached) = match control.cache {
         Some(cache) => cache.get_or_correct(key, correct)?,

@@ -39,7 +39,7 @@
 
 use cardopc_fleet::spec::{check_design, DesignSpec};
 use cardopc_fleet::worker::{WorkerConfig, WorkerServer};
-use cardopc_fleet::{client, run_fleet, FleetConfig, WorkSpec};
+use cardopc_fleet::{client, run_fleet_clip, FleetConfig, WorkSpec};
 use cardopc_json::Json;
 use cardopc_layout::{write_clip_gds, Clip, DesignKind, LayerFilter, TARGET_LAYER};
 use cardopc_litho::span::span;
@@ -477,14 +477,23 @@ struct LocalWorker {
     addr: std::net::SocketAddr,
 }
 
-/// The spawned local workers; shut down (politely, then by force) on drop
-/// so an aborted coordinator does not leak children.
-struct LocalWorkers(Vec<LocalWorker>);
+/// The spawned local workers: asked to stop as soon as dispatch ends
+/// ([`LocalWorkers::stop`]), reaped (politely, then by force) on drop, so
+/// no path leaks a child and none waits for one before it must.
+#[derive(Default)]
+struct LocalWorkers {
+    workers: Vec<LocalWorker>,
+    stopping: bool,
+}
 
-impl Drop for LocalWorkers {
-    fn drop(&mut self) {
-        // Ask everyone first, then reap: the workers exit side by side.
-        for worker in &self.0 {
+impl LocalWorkers {
+    /// Asks every worker to shut down, once, without waiting for any to
+    /// exit: they wind down while the coordinator writes its outputs.
+    fn stop(&mut self) {
+        if std::mem::replace(&mut self.stopping, true) {
+            return;
+        }
+        for worker in &self.workers {
             let _ = client::request_with_timeout(
                 worker.addr,
                 "POST",
@@ -493,10 +502,18 @@ impl Drop for LocalWorkers {
                 Duration::from_secs(2),
             );
         }
+    }
+}
+
+impl Drop for LocalWorkers {
+    fn drop(&mut self) {
+        // Ask everyone first (unless dispatch already did), then reap: the
+        // workers exit side by side.
+        self.stop();
         // A worker is gone a few ms after the request; give the polite
         // path about a second in all, then make sure.
         let deadline = std::time::Instant::now() + Duration::from_secs(1);
-        for worker in &mut self.0 {
+        for worker in &mut self.workers {
             while matches!(worker.child.try_wait(), Ok(None))
                 && std::time::Instant::now() < deadline
             {
@@ -605,14 +622,20 @@ fn export_mask_gds(
 type Ran = (RunOutcome, Option<String>);
 type AnyError = Box<dyn std::error::Error>;
 
-/// Fleet mode: shard the run across worker processes (spawned locally
-/// and/or already running remotely); the workers are shut down on return.
-fn run_on_fleet(args: &RunArgs, spec: &WorkSpec) -> Result<Ran, AnyError> {
-    let mut locals = LocalWorkers(Vec::new());
+/// Fleet mode: shard the run on `clip` across worker processes (spawned
+/// locally into `locals` and/or already running remotely); the spawned
+/// workers are asked to stop when dispatch ends, and the caller reaps them
+/// by dropping `locals` after its outputs are written.
+fn run_on_fleet(
+    args: &RunArgs,
+    clip: &Clip,
+    spec: &WorkSpec,
+    locals: &mut LocalWorkers,
+) -> Result<Ran, AnyError> {
     for _ in 0..args.workers_local {
-        locals.0.push(spawn_local_worker(args.no_cache)?);
+        locals.workers.push(spawn_local_worker(args.no_cache)?);
     }
-    let spawned = locals.0.iter().map(|w| w.addr);
+    let spawned = locals.workers.iter().map(|w| w.addr);
     let config = FleetConfig {
         workers: spawned.chain(args.worker_addrs.iter().copied()).collect(),
         lease: args.lease,
@@ -624,11 +647,13 @@ fn run_on_fleet(args: &RunArgs, spec: &WorkSpec) -> Result<Ran, AnyError> {
     eprintln!(
         "cardopc: fleet of {} workers ({} spawned local), lease {:.0}s, steal after {:.0}s",
         config.workers.len(),
-        locals.0.len(),
+        locals.workers.len(),
         config.lease.as_secs_f64(),
         config.steal_after.as_secs_f64(),
     );
-    let outcome = run_fleet(spec, &config, &RunControl::default())?;
+    let outcome = run_fleet_clip(spec, clip, &config, &RunControl::default());
+    locals.stop();
+    let outcome = outcome?;
     let stats = outcome.stats;
     let line = format!(
         "fleet dispatched {} stolen {} duplicates {} redispatched {} retired {} recovered {} \
@@ -707,8 +732,10 @@ fn run(args: &RunArgs) -> Result<(), AnyError> {
         },
         opc,
     };
+    // Dropped last: fleet workers are reaped after the export and table.
+    let mut locals = LocalWorkers::default();
     let (outcome, mode_line) = match fleet {
-        true => run_on_fleet(args, &spec)?,
+        true => run_on_fleet(args, &clip, &spec, &mut locals)?,
         false => run_local(args, &clip, spec)?,
     };
 

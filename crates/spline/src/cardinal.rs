@@ -18,7 +18,7 @@
 //! analytic curvature (Eq. 9) cheap to evaluate — the property that makes
 //! curvilinear MRC tractable.
 
-use crate::{SamplingPlan, SplineError};
+use crate::{SamplingPlan, SplineError, SAMPLE_BLOCK};
 use cardopc_geometry::{BBox, Point, Polygon};
 
 /// The per-segment cubic coefficients `p(t) = c0 + c1·t + c2·t² + c3·t³`.
@@ -251,6 +251,48 @@ impl CardinalSpline {
     ) -> Result<(), SplineError> {
         validate(points, plan.tension())?;
         sample_points(points, plan, out);
+        Ok(())
+    }
+
+    /// [`CardinalSpline::sample_closed_into`]'s samples, a block at a time:
+    /// `emit(xs, ys, n)` receives the next `n` samples in ring order in
+    /// the first `n` lanes of `xs` and `ys` (the rest is padding), each
+    /// segment's samples in blocks of up to [`SAMPLE_BLOCK`]. The same
+    /// expression in the same order per coordinate, so the same bits; the
+    /// block form lets the compiler vectorise it.
+    ///
+    /// # Errors
+    ///
+    /// As [`CardinalSpline::sample_closed_into`]; `emit` is not called.
+    pub fn sample_closed_blocks(
+        points: &[Point],
+        plan: &SamplingPlan,
+        mut emit: impl FnMut(&[f64; SAMPLE_BLOCK], &[f64; SAMPLE_BLOCK], usize),
+    ) -> Result<(), SplineError> {
+        validate(points, plan.tension())?;
+        let columns: [_; 4] = std::array::from_fn(|j| plan.blocks(j));
+        // The four-point window slides one control point per segment; at
+        // least 3 points, so `i + 2` wraps at most once.
+        let n = points.len();
+        let (mut pm1, mut p0, mut p1) = (points[n - 1], points[0], points[1]);
+        for i in 0..n {
+            let p2 = points[if i + 2 < n { i + 2 } else { i + 2 - n }];
+            let mut left = plan.per_segment();
+            for b in 0..columns[0].len() {
+                let [w0, w1, w2, w3] = columns.map(|column| &column[b]);
+                let lane = |c: [f64; 4]| -> [f64; SAMPLE_BLOCK] {
+                    std::array::from_fn(|l| {
+                        c[0] * w0[l] + c[1] * w1[l] + c[2] * w2[l] + c[3] * w3[l]
+                    })
+                };
+                let xs = lane([pm1.x, p0.x, p1.x, p2.x]);
+                let ys = lane([pm1.y, p0.y, p1.y, p2.y]);
+                let count = left.min(SAMPLE_BLOCK);
+                emit(&xs, &ys, count);
+                left -= count;
+            }
+            (pm1, p0, p1) = (p0, p1, p2);
+        }
         Ok(())
     }
 
@@ -600,6 +642,17 @@ mod tests {
             CardinalSpline::sample_closed_into(&nan, &plan, &mut borrowed),
             Err(SplineError::NonFinitePoint)
         );
+        // The block sampler validates alike, before emitting anything.
+        let emitted = |points: &[Point]| {
+            let mut calls = 0;
+            let result = CardinalSpline::sample_closed_blocks(points, &plan, |_, _, _| calls += 1);
+            (result, calls)
+        };
+        assert_eq!(
+            emitted(&two),
+            (Err(SplineError::TooFewPoints { got: 2, need: 3 }), 0)
+        );
+        assert_eq!(emitted(&nan), (Err(SplineError::NonFinitePoint), 0));
     }
 
     /// A closed loop of `n` random points in a 200 nm box around a random
@@ -632,6 +685,14 @@ mod tests {
             let plan = SamplingPlan::get(per_segment, s);
             CardinalSpline::sample_closed_into(&points, &plan, &mut samples).unwrap();
             prop_assert_eq!(samples.len(), n * per_segment);
+            // The block sampler's lanes are these samples, bit for bit.
+            let mut blocks = Vec::new();
+            CardinalSpline::sample_closed_blocks(&points, &plan, |xs, ys, count| {
+                blocks.extend((0..count).map(|l| Point::new(xs[l], ys[l])));
+            })
+            .unwrap();
+            let bits = |v: &[Point]| v.iter().map(|p| [p.x.to_bits(), p.y.to_bits()]).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&blocks), bits(&samples));
             for p in &samples {
                 prop_assert!(hull.expanded(tol).contains(*p), "{:?} outside {:?}", p, hull);
             }

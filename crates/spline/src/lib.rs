@@ -44,4 +44,4 @@ pub use bezier::BezierChain;
 pub use cardinal::CardinalSpline;
 pub use error::SplineError;
 pub use fit::{fit_contour, resample_closed, FitConfig, FitResult};
-pub use plan::SamplingPlan;
+pub use plan::{SamplingPlan, SAMPLE_BLOCK};

@@ -8,6 +8,12 @@
 //! same `OnceLock` registry idiom as the litho crate's FFT plans, so the OPC
 //! loop's per-iteration "connect" step reduces to four fused
 //! multiply-accumulates per sample with zero per-point polynomial work.
+//!
+//! The weights are also kept by column, padded with zeros to whole
+//! [`SAMPLE_BLOCK`]s, so a block of a segment's samples is four
+//! element-wise multiply-adds over fixed-length arrays — a loop the
+//! compiler vectorises at the baseline instruction set
+//! ([`CardinalSpline::sample_closed_blocks`]).
 
 use crate::CardinalSpline;
 use std::collections::HashMap;
@@ -26,7 +32,13 @@ pub struct SamplingPlan {
     weights: Vec<[f64; 4]>,
     /// The local parameters `k / per_segment`.
     ts: Vec<f64>,
+    /// `columns[j][k] = weights[k][j]`, zero past `per_segment` up to a
+    /// whole number of [`SAMPLE_BLOCK`]s.
+    columns: [Vec<f64>; 4],
 }
+
+/// Samples per block of [`CardinalSpline::sample_closed_blocks`].
+pub const SAMPLE_BLOCK: usize = 8;
 
 /// Registry key: `per_segment` plus the exact bit pattern of the tension
 /// (tensions are configuration constants, so bit-exact matching is right —
@@ -61,16 +73,31 @@ impl SamplingPlan {
         let ts: Vec<f64> = (0..per_segment)
             .map(|k| k as f64 / per_segment as f64)
             .collect();
-        let weights = ts
+        let weights: Vec<[f64; 4]> = ts
             .iter()
             .map(|&t| CardinalSpline::basis_weights(tension, t))
             .collect();
+        let padded = per_segment.next_multiple_of(SAMPLE_BLOCK);
+        let columns = std::array::from_fn(|j| {
+            let column = weights.iter().map(|w| w[j]);
+            column.chain(std::iter::repeat(0.0)).take(padded).collect()
+        });
         SamplingPlan {
             per_segment,
             tension,
             weights,
             ts,
+            columns,
         }
+    }
+
+    /// Column `j` of the weights, in blocks: `blocks(j)[b][l]` is weight
+    /// `j` of sample `b·SAMPLE_BLOCK + l`, zero past `per_segment`.
+    #[inline]
+    pub(crate) fn blocks(&self, j: usize) -> &[[f64; SAMPLE_BLOCK]] {
+        let (blocks, rest) = self.columns[j].as_chunks::<SAMPLE_BLOCK>();
+        debug_assert!(rest.is_empty());
+        blocks
     }
 
     /// Samples per segment this plan was built for.
@@ -113,6 +140,17 @@ mod tests {
             let t = k as f64 / 8.0;
             assert_eq!(*w, CardinalSpline::basis_weights(0.6, t));
             assert_eq!(plan.ts()[k], t);
+        }
+        for per_segment in [1, 7, 8, 9, 16, 20] {
+            let plan = SamplingPlan::get(per_segment, 0.5);
+            for j in 0..4 {
+                let blocks = plan.blocks(j);
+                assert_eq!(blocks.len(), per_segment.div_ceil(SAMPLE_BLOCK));
+                for (k, w) in blocks.iter().flatten().enumerate() {
+                    let want = plan.weights().get(k).map_or(0.0, |row| row[j]);
+                    assert_eq!(w.to_bits(), want.to_bits(), "{per_segment}: {j} {k}");
+                }
+            }
         }
     }
 
