@@ -21,9 +21,9 @@
 //! Writing: [`write::GdsWriter`] emits byte-stable libraries (fixed
 //! zero timestamps) of BOUNDARY records, splitting polygons that exceed
 //! the 8191-point XY record limit via [`split::split_polygon`]. Its one
-//! BOUNDARY encoder, [`write::put_boundary`], also encodes elements apart
-//! from the library, so a large library can be encoded in parallel and
-//! streamed out in order ([`GdsWriter::drain`]).
+//! BOUNDARY encoder, [`write::RingEncoder`], also encodes elements apart
+//! from the library ([`write::put_boundary`]), so a large library can be
+//! encoded in parallel and streamed out in order ([`GdsWriter::drain`]).
 //!
 //! ```
 //! use cardopc_gds::{flatten, parse_lib, FlattenLimits, GdsWriter, LayerFilter};

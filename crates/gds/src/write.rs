@@ -138,10 +138,13 @@ impl GdsWriter {
 
 /// Appends `polygon` (vertices in nm) to `out` as one or more BOUNDARY
 /// elements on `layer:datatype` at `nm_per_dbu`, splitting to honour the
-/// XY record limit — the one BOUNDARY encoder, behind
-/// [`GdsWriter::boundary`] and any writer that encodes elements apart
-/// from the library (the parallel mask export). On error nothing is
-/// appended.
+/// XY record limit: each piece through the one element encoder,
+/// [`RingEncoder`], behind [`GdsWriter::boundary`] and the parallel mask
+/// export. The encoder deduplicates, so the ring written is `polygon`'s
+/// as [`Polygon::new`] leaves it: the ring itself for a polygon that
+/// constructor built (sampled rings, split pieces, targets, windows),
+/// unless a second closing vertex lies within [`EPS`] of the first, which
+/// one pass of `Polygon::new` keeps. On error nothing is appended.
 ///
 /// # Errors
 ///
@@ -155,15 +158,18 @@ pub fn put_boundary(
     datatype: i16,
     polygon: &Polygon,
 ) -> Result<(), GdsError> {
-    if polygon.len() < 3 {
-        return Err(GdsError::Grammar {
-            offset: out.len(),
-            reason: format!("polygon with {} vertices cannot be written", polygon.len()),
-        });
-    }
     let start = out.len();
-    let element =
-        |out: &mut Vec<u8>, ring: &[Point]| put_element(out, nm_per_dbu, layer, datatype, ring);
+    let element = |out: &mut Vec<u8>, ring: &[Point]| {
+        let mut encoder = RingEncoder::begin(out, nm_per_dbu, layer, datatype);
+        for block in ring.chunks(8) {
+            let (mut xs, mut ys) = ([0.0; 8], [0.0; 8]);
+            for (l, v) in block.iter().enumerate() {
+                (xs[l], ys[l]) = (v.x, v.y);
+            }
+            encoder.push(&xs, &ys, block.len());
+        }
+        encoder.finish()
+    };
     // The closing point is written explicitly, so a record fits
     // MAX_XY_POINTS - 1 distinct vertices.
     let encoded = match polygon.len() < MAX_XY_POINTS {
@@ -179,40 +185,6 @@ pub fn put_boundary(
     encoded
 }
 
-/// Bytes of the records of one BOUNDARY element other than its XY payload:
-/// BOUNDARY, LAYER, DATATYPE, the XY header and ENDEL.
-const ELEMENT_FRAME: usize = 4 + 6 + 6 + 4 + 4;
-
-/// One BOUNDARY element whose ring fits one XY record, written into one
-/// pre-sized slice at the end of `out` (the caller truncates on error).
-fn put_element(
-    out: &mut Vec<u8>,
-    nm_per_dbu: f64,
-    layer: i16,
-    datatype: i16,
-    ring: &[Point],
-) -> Result<(), GdsError> {
-    // XY: every vertex, then the first again to close the ring.
-    let payload = (ring.len() + 1) * 8;
-    let start = out.len();
-    out.resize(start + ELEMENT_FRAME + payload, 0);
-    let bytes = &mut out[start..];
-    bytes[0..16].copy_from_slice(&element_head(layer, datatype));
-    bytes[16..20].copy_from_slice(&header(rtype::XY, dtype::I32, payload));
-    let (xy, end) = bytes[20..].split_at_mut(payload);
-    let per_dbu = 1.0 / nm_per_dbu;
-    let (points, close) = xy.split_at_mut(payload - 8);
-    for (v, at) in ring.iter().zip(points.chunks_exact_mut(8)) {
-        let x = quantise_scaled(v.x, nm_per_dbu, per_dbu)?;
-        let y = quantise_scaled(v.y, nm_per_dbu, per_dbu)?;
-        at[..4].copy_from_slice(&x.to_be_bytes());
-        at[4..].copy_from_slice(&y.to_be_bytes());
-    }
-    close.copy_from_slice(&points[..8]);
-    end.copy_from_slice(&header(rtype::ENDEL, dtype::NONE, 0));
-    Ok(())
-}
-
 /// The BOUNDARY, LAYER and DATATYPE records that open an element.
 fn element_head(layer: i16, datatype: i16) -> [u8; 16] {
     let mut head = [0; 16];
@@ -225,9 +197,9 @@ fn element_head(layer: i16, datatype: i16) -> [u8; 16] {
 }
 
 /// One BOUNDARY element written while its ring is still being produced,
-/// block by block, straight into the caller's buffer: the bytes
-/// [`put_boundary`] appends for `Polygon::new(ring)` whenever those are
-/// one element, in one pass over the raw ring.
+/// block by block, straight into the caller's buffer — the one BOUNDARY
+/// element encoder: [`put_boundary`] feeds it each (split) polygon, the
+/// mask export each spline's samples.
 ///
 /// Each block is deduplicated as [`Polygon::new`] does it (a vertex within
 /// [`EPS`] of the last kept one is dropped; the ring's last vertex is
@@ -238,23 +210,20 @@ fn element_head(layer: i16, datatype: i16) -> [u8; 16] {
 /// 2·[`EPS`] holds no duplicate, and only a block where one does not, or
 /// with an untrusted coordinate, takes a per-vertex path.
 ///
-/// [`RingEncoder::finish`] says whether the element was written. It was
-/// not — and the buffer is back to where it was, as it is when the encoder
-/// is dropped unfinished — when the ring has fewer than 3 vertices or more
-/// than one XY record holds, or a coordinate does not fit the grid: then
-/// [`put_boundary`] on the polygon splits it or reports the error.
+/// [`RingEncoder::finish`] completes the element or says why it cannot;
+/// then — and when the encoder is dropped unfinished — the buffer is back
+/// to where it was.
 pub struct RingEncoder<'o> {
     out: &'o mut Vec<u8>,
     start: usize,
     nm_per_dbu: f64,
     per_dbu: f64,
-    /// Vertices kept (and written) so far.
+    /// Vertices kept so far; written while one record holds them.
     count: usize,
     first: Point,
     last: Point,
-    /// Cleared when a coordinate cannot be encoded or the ring outgrows a
-    /// record: nothing more is written, and `finish` fails.
-    usable: bool,
+    /// The first coordinate found not to fit the grid.
+    overflow: Option<GdsError>,
     finished: bool,
 }
 
@@ -273,7 +242,7 @@ impl<'o> RingEncoder<'o> {
             count: 0,
             first: Point::ZERO,
             last: Point::ZERO,
-            usable: true,
+            overflow: None,
             finished: false,
         }
     }
@@ -284,9 +253,6 @@ impl<'o> RingEncoder<'o> {
     pub fn push<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], n: usize) {
         if n < B {
             return self.push_partial(xs, ys, n);
-        }
-        if !self.usable {
-            return;
         }
         // A vertex within EPS of its predecessor (the last kept vertex for
         // lane 0; none, infinitely far, for the ring's first) has |dx| ≤
@@ -315,7 +281,7 @@ impl<'o> RingEncoder<'o> {
     #[cold]
     fn push_partial<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], n: usize) {
         let n = n.min(B);
-        if !self.usable || n == 0 {
+        if n == 0 {
             return;
         }
         let (mut kx, mut ky) = ([0.0; B], [0.0; B]);
@@ -340,42 +306,41 @@ impl<'o> RingEncoder<'o> {
         self.push_kept(&kx, &ky, k);
     }
 
-    /// Writes lanes `..k` of `xs` and `ys`, all kept; lanes past `k` are
-    /// zeros.
+    /// Counts lanes `..k` of `xs` and `ys`, all kept, and writes them
+    /// while one record holds the ring; lanes past `k` are zeros.
     #[inline]
     fn push_kept<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], k: usize) {
         if k == 0 {
             return;
-        }
-        if self.count + k > MAX_XY_POINTS {
-            // Past what one record holds even if the closing vertex goes.
-            self.usable = false;
-            return;
-        }
-        let (mut x, x_untrusted) = round_block(xs, self.per_dbu);
-        let (mut y, y_untrusted) = round_block(ys, self.per_dbu);
-        if x_untrusted && !self.divide(xs, k, &mut x) || y_untrusted && !self.divide(ys, k, &mut y)
-        {
-            self.usable = false;
-            return;
-        }
-        let mut pairs = [[0u8; 8]; B];
-        for l in 0..B {
-            pairs[l] = be_pair(x[l], y[l]);
         }
         if self.count == 0 {
             self.first = Point::new(xs[0], ys[0]);
         }
         self.last = Point::new(xs[k - 1], ys[k - 1]);
         self.count += k;
+        if self.count > MAX_XY_POINTS {
+            // Past what one record holds even if the closing vertex goes.
+            return;
+        }
+        let (mut x, x_untrusted) = round_block(xs, self.per_dbu);
+        let (mut y, y_untrusted) = round_block(ys, self.per_dbu);
+        let fits = (!x_untrusted || self.divide(xs, k, &mut x))
+            && (!y_untrusted || self.divide(ys, k, &mut y));
+        if !fits {
+            self.overflowed(xs, ys, k);
+        }
+        let mut pairs = [[0u8; 8]; B];
+        for l in 0..B {
+            pairs[l] = be_pair(x[l], y[l]);
+        }
         // The whole block (a fixed-size copy), less its padding.
         self.out.extend_from_slice(pairs.as_flattened());
         self.out.truncate(self.out.len() - (B - k) * 8);
     }
 
     /// Replaces each of lanes `..k` of `dbu` whose product rounding
-    /// [`round_scaled`] does not trust by the exact division's, as
-    /// [`quantise_scaled`] does; `false` when a coordinate does not fit.
+    /// [`round_scaled`] does not trust by the exact division's
+    /// ([`divided`]); `false` when a coordinate does not fit.
     #[cold]
     fn divide<const B: usize>(&self, vs: &[f64; B], k: usize, dbu: &mut [i32; B]) -> bool {
         for l in 0..k {
@@ -389,18 +354,47 @@ impl<'o> RingEncoder<'o> {
         true
     }
 
-    /// Closes the ring and completes the element; `false` (nothing
-    /// appended) when [`put_boundary`] must write this ring instead.
-    pub fn finish(mut self) -> bool {
-        if !self.usable {
-            return false;
-        }
+    /// Notes the block's first coordinate, in vertex order, that does not
+    /// fit the grid, unless an earlier block had one.
+    #[cold]
+    fn overflowed<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], k: usize) {
+        let (nm_per_dbu, per_dbu) = (self.nm_per_dbu, self.per_dbu);
+        let fits = |nm: f64| !round_scaled(nm * per_dbu).1 || divided(nm, nm_per_dbu).is_some();
+        let first = (0..k).flat_map(|l| [xs[l], ys[l]]).find(|&nm| !fits(nm));
+        self.overflow = self.overflow.take().or(first.map(|nm| {
+            GdsError::CoordinateOverflow(format!(
+                "{nm} nm does not fit a 32-bit database unit at {nm_per_dbu} nm/dbu"
+            ))
+        }));
+    }
+
+    /// Closes the ring and completes the element.
+    ///
+    /// # Errors
+    ///
+    /// Nothing is appended, and the error is, in this order:
+    /// [`GdsError::Grammar`] (offset: where the element began) when fewer
+    /// than 3 vertices remain after deduplication,
+    /// [`GdsError::TooManyVertices`] when more remain than one XY record
+    /// holds (8 190; [`put_boundary`] splits such a ring), and
+    /// [`GdsError::CoordinateOverflow`] when a coordinate does not fit the
+    /// grid.
+    pub fn finish(mut self) -> Result<(), GdsError> {
         if self.count > 1 && same_vertex(self.last, self.first) {
             self.count -= 1;
             self.out.truncate(self.out.len() - 8);
         }
-        if self.count < 3 || self.count >= MAX_XY_POINTS {
-            return false;
+        if self.count < 3 {
+            return Err(GdsError::Grammar {
+                offset: self.start,
+                reason: format!("polygon with {} vertices cannot be written", self.count),
+            });
+        }
+        if self.count >= MAX_XY_POINTS {
+            return Err(GdsError::TooManyVertices(self.count));
+        }
+        if let Some(overflow) = self.overflow.take() {
+            return Err(overflow);
         }
         let payload = (self.count + 1) * 8;
         let xy = self.start + 16;
@@ -412,7 +406,7 @@ impl<'o> RingEncoder<'o> {
             .extend_from_slice(&header(rtype::ENDEL, dtype::NONE, 0));
         self.out[xy..xy + 4].copy_from_slice(&header(rtype::XY, dtype::I32, payload));
         self.finished = true;
-        true
+        Ok(())
     }
 }
 
@@ -457,22 +451,11 @@ const SCALED_LIMIT: f64 = (1u32 << 30) as f64;
 /// How far from a half the product must lie for its rounding to be the
 /// quotient's: `nm · (1/dbu)` and `nm / dbu` lie within it of each other,
 /// so they round alike unless the product sits within it of a half.
-/// There, and for large or non-finite values, [`quantise_scaled`] falls
-/// back to the exact division ([`quantise`]).
+/// There, and for large or non-finite values, the encoder falls back to
+/// the exact division ([`divided`]) — per coordinate: spline samples at
+/// `t = 0` are the control points, which often sit on a binary grid whose
+/// halves are exact ties.
 const HALF_MARGIN: f64 = 1e-6;
-
-/// [`quantise`] by multiplying with `per_dbu` (`1 / nm_per_dbu`): the
-/// product's rounding, or the exact division where that is not to be
-/// trusted. Spline samples at `t = 0` are the control points, which often
-/// sit on a binary grid whose halves are exact ties, so the fallback is
-/// per coordinate.
-#[inline]
-fn quantise_scaled(nm: f64, nm_per_dbu: f64, per_dbu: f64) -> Result<i32, GdsError> {
-    match round_scaled(nm * per_dbu) {
-        (dbu, false) => Ok(dbu),
-        (_, true) => quantise(nm, nm_per_dbu),
-    }
-}
 
 /// Rounds the product `q` to the nearest integer, and says whether that
 /// cannot be trusted to be the quotient's rounding (then the value is
@@ -493,15 +476,8 @@ fn round_scaled(q: f64) -> (i32, bool) {
     (sum.to_bits() as u32 as i32, !trusted)
 }
 
-fn quantise(nm: f64, nm_per_dbu: f64) -> Result<i32, GdsError> {
-    divided(nm, nm_per_dbu).ok_or_else(|| {
-        GdsError::CoordinateOverflow(format!(
-            "{nm} nm does not fit a 32-bit database unit at {nm_per_dbu} nm/dbu"
-        ))
-    })
-}
-
-/// [`quantise`]'s value, `None` where it is an error.
+/// `(nm / nm_per_dbu).round()` (half away from zero) as an `i32`, `None`
+/// where it does not fit.
 #[inline]
 fn divided(nm: f64, nm_per_dbu: f64) -> Option<i32> {
     let q = nm / nm_per_dbu;
@@ -655,6 +631,25 @@ mod tests {
         assert!(GdsWriter::new("X", f64::NAN).is_err());
     }
 
+    /// The exact division with its error: the encoder's rule for a
+    /// coordinate [`round_scaled`] does not trust.
+    fn quantise(nm: f64, nm_per_dbu: f64) -> Result<i32, GdsError> {
+        divided(nm, nm_per_dbu).ok_or_else(|| {
+            GdsError::CoordinateOverflow(format!(
+                "{nm} nm does not fit a 32-bit database unit at {nm_per_dbu} nm/dbu"
+            ))
+        })
+    }
+
+    /// The encoder's rule for one coordinate: the product's rounding, or
+    /// the exact division where [`round_scaled`] does not trust it.
+    fn quantise_scaled(nm: f64, nm_per_dbu: f64, per_dbu: f64) -> Result<i32, GdsError> {
+        match round_scaled(nm * per_dbu) {
+            (dbu, false) => Ok(dbu),
+            (_, true) => quantise(nm, nm_per_dbu),
+        }
+    }
+
     /// The reference: `f64::round`, then the range check.
     fn quantise_by_round(nm: f64, nm_per_dbu: f64) -> Option<i32> {
         let dbu = (nm / nm_per_dbu).round();
@@ -779,8 +774,8 @@ mod tests {
 
     /// `ring` through a [`RingEncoder`] in blocks of `B` (the last one
     /// partial, `n`s of `sizes` cycled), against [`put_boundary`] on
-    /// `Polygon::new(ring)` when the encoder declines: the bytes the
-    /// polygon path writes, and no byte when the encoder declines.
+    /// `Polygon::new(ring)`: the bytes the polygon path writes, or its
+    /// error and no byte; a ring past one record is declined whole.
     fn check_ring<const B: usize>(ring: &[Point], nm_per_dbu: f64, sizes: &[usize]) {
         let mut want = vec![1u8, 2];
         let expected = put_boundary(&mut want, nm_per_dbu, 5, 0, &Polygon::new(ring.to_vec()));
@@ -796,17 +791,20 @@ mod tests {
             encoder.push(&xs, &ys, n);
             at += n;
         }
-        let written = encoder.finish();
-        if written {
-            assert!(expected.is_ok(), "{} vertices", ring.len());
-            assert!(got == want, "{} vertices: bytes differ", ring.len());
-        } else {
-            assert_eq!(got, vec![1u8, 2], "a declined ring left bytes");
-            let fits = Polygon::new(ring.to_vec()).len() < MAX_XY_POINTS;
-            assert!(
-                expected.is_err() || !fits,
-                "declined a ring one element holds"
-            );
+        match encoder.finish() {
+            Ok(()) => {
+                assert!(expected.is_ok(), "{} vertices", ring.len());
+                assert!(got == want, "{} vertices: bytes differ", ring.len());
+            }
+            Err(GdsError::TooManyVertices(n)) => {
+                assert_eq!(got, vec![1u8, 2], "a declined ring left bytes");
+                assert_eq!(n, Polygon::new(ring.to_vec()).len());
+                assert!(n >= MAX_XY_POINTS, "declined a ring one element holds");
+            }
+            Err(e) => {
+                assert_eq!(got, vec![1u8, 2], "a failed ring left bytes");
+                assert_eq!(Err(e), expected, "{} vertices", ring.len());
+            }
         }
     }
 
@@ -870,6 +868,75 @@ mod tests {
         ] {
             check_ring::<8>(&ring, 0.01, &[8]);
         }
+    }
+
+    #[test]
+    fn ring_encoder_finish_errors_are_typed_and_put_boundary_splits() {
+        let encode = |ring: &[Point]| {
+            let mut out = vec![9u8];
+            let mut encoder = RingEncoder::begin(&mut out, 0.01, 1, 0);
+            for v in ring {
+                encoder.push(&[v.x], &[v.y], 1);
+            }
+            let result = encoder.finish();
+            assert!(result.is_ok() || out == [9], "a failed ring left bytes");
+            result
+        };
+        let circle = |n: usize| -> Vec<Point> {
+            (0..n)
+                .map(|k| {
+                    let a = std::f64::consts::TAU * k as f64 / n as f64;
+                    Point::new(40_000.0 * a.cos(), 40_000.0 * a.sin())
+                })
+                .collect()
+        };
+        let (a, b) = (Point::new(1.0, 2.0), Point::new(5.0, 2.0));
+        let far = Point::new(1e12, 0.0);
+        // Fewer than 3 vertices after the duplicates (and the closing one)
+        // go; before an overflow.
+        let short = [a, a + Point::new(1e-10, 0.0), b, b, a];
+        let grammar = |n: usize| GdsError::Grammar {
+            offset: 1,
+            reason: format!("polygon with {n} vertices cannot be written"),
+        };
+        assert_eq!(encode(&short), Err(grammar(2)));
+        assert_eq!(encode(&[a, far, a]), Err(grammar(2)));
+        // A coordinate past the grid, the first one in vertex order.
+        let overflow = encode(&[a, Point::new(3.0, -1e12), far, b]);
+        assert!(
+            matches!(&overflow, Err(GdsError::CoordinateOverflow(m)) if m.starts_with("-1000000000000 nm")),
+            "{overflow:?}"
+        );
+        // Longer than one record, counted after deduplication and before
+        // an overflow.
+        let mut long = circle(MAX_XY_POINTS + 1);
+        long.push(long[0]);
+        assert_eq!(
+            encode(&long),
+            Err(GdsError::TooManyVertices(MAX_XY_POINTS + 1))
+        );
+        let mut long = circle(9000);
+        long[4] = far;
+        assert_eq!(encode(&long), Err(GdsError::TooManyVertices(9000)));
+        assert_eq!(
+            encode(&circle(MAX_XY_POINTS)),
+            Err(GdsError::TooManyVertices(MAX_XY_POINTS))
+        );
+        assert!(encode(&circle(MAX_XY_POINTS - 1)).is_ok());
+        // put_boundary splits such a ring into elements that each fit.
+        let mut out = Vec::new();
+        put_boundary(&mut out, 0.01, 1, 0, &Polygon::new(circle(9000))).unwrap();
+        let (mut elements, mut at) = (0, 0);
+        while at < out.len() {
+            let len = u16::from_be_bytes([out[at], out[at + 1]]) as usize;
+            elements += usize::from(out[at + 2] == rtype::BOUNDARY);
+            at += len;
+        }
+        assert!(elements >= 2, "{elements} elements");
+        assert!(matches!(
+            put_boundary(&mut out, 0.01, 1, 0, &Polygon::new(long)),
+            Err(GdsError::CoordinateOverflow(_))
+        ));
     }
 
     proptest! {

@@ -77,12 +77,6 @@ impl Polygon {
         &mut self.vertices
     }
 
-    /// Consumes the polygon, returning its vertex ring.
-    #[inline]
-    pub fn into_vertices(self) -> Vec<Point> {
-        self.vertices
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn len(&self) -> usize {

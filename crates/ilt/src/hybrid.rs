@@ -94,16 +94,6 @@ pub struct HybridOutcome {
     pub mean_fit_loss: f64,
 }
 
-impl HybridOutcome {
-    /// Final mask polygons.
-    pub fn mask_polygons(&self, samples_per_segment: usize) -> Vec<Polygon> {
-        self.shapes
-            .iter()
-            .map(|s| s.to_polygon(samples_per_segment))
-            .collect()
-    }
-}
-
 /// Runs the full ILT-OPC hybrid flow against target patterns.
 ///
 /// # Errors

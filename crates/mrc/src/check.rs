@@ -15,7 +15,7 @@
 
 use crate::{MrcRules, Violation, ViolationKind};
 use cardopc_geometry::{BBox, Point, RTree, Segment};
-use cardopc_spline::{CardinalSpline, SamplingPlan};
+use cardopc_spline::CardinalSpline;
 
 /// Offset applied to probe start points so a probe never grazes the very
 /// boundary point it was launched from.
@@ -96,16 +96,8 @@ fn loop_centroid(points: &[Point], signed_area: f64) -> Point {
     Point::new(cx / (6.0 * signed_area), cy / (6.0 * signed_area))
 }
 
-/// The dense sample loop of one shape (`segment_count * per_segment`
-/// points in segment-major order), evaluated through the shared
-/// [`SamplingPlan`] registry.
-fn sampled_loop(spline: &CardinalSpline, per_segment: usize) -> Vec<Point> {
-    let plan = SamplingPlan::get(per_segment, spline.tension());
-    spline.sample_with_plan(&plan)
-}
-
 fn sample_shape(spline: &CardinalSpline, per_segment: usize) -> SampledShape {
-    let positions = sampled_loop(spline, per_segment);
+    let positions = spline.sample(per_segment);
     let signed = loop_signed_area(&positions);
     // `perp` of the travel direction points inward on CCW loops.
     let flip = if signed > 0.0 { -1.0 } else { 1.0 };
@@ -1439,7 +1431,7 @@ mod tests {
             square(10.0, -20.0, 130.0, 70.0),
             circle(50.0, 80.0, 35.0, 17),
         ] {
-            let pts = sampled_loop(&spline, 8);
+            let pts = spline.sample(8);
             let poly = cardopc_geometry::Polygon::new(pts.clone());
             let signed = loop_signed_area(&pts);
             assert!((signed - poly.signed_area()).abs() < 1e-9);

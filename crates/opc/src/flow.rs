@@ -36,17 +36,6 @@ pub struct OpcOutcome {
     pub threshold: f64,
 }
 
-impl OpcOutcome {
-    /// The final mask as sampled polygons (e.g. for rasterisation or
-    /// export).
-    pub fn mask_polygons(&self, samples_per_segment: usize) -> Vec<Polygon> {
-        self.shapes
-            .iter()
-            .map(|s| s.spline.to_polygon(samples_per_segment))
-            .collect()
-    }
-}
-
 /// Output of the optimisation loop alone (steps ①–⑥ minus the final
 /// scoring pass): what a tiled runtime needs when it evaluates the mask
 /// itself over a sub-window.

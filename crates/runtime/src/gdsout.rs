@@ -25,7 +25,6 @@
 use crate::checkpoint::StitchedShape;
 use crate::stitch::Stitched;
 use cardopc_gds::{put_boundary, GdsError, GdsWriter, RingEncoder};
-use cardopc_geometry::Polygon;
 use cardopc_litho::{CachePadded, WorkerPool};
 use cardopc_spline::{CardinalSpline, SamplingPlan, SplineError};
 use std::io::Write;
@@ -158,11 +157,9 @@ fn stream_on(
 /// A shape is one pass: its spline's samples come a block at a time
 /// ([`CardinalSpline::sample_closed_blocks`]) and go straight into the
 /// chunk as one BOUNDARY element ([`RingEncoder`]: deduplicated as
-/// [`Polygon::new`] does, quantised, written). A ring that one element
-/// cannot hold — too many vertices (split), fewer than 3 after the
-/// duplicates go, or a coordinate past the grid — is written again the
-/// long way, sampled into a [`Polygon`] and handed to [`put_boundary`],
-/// which splits it or reports the error.
+/// `Polygon::new` does, quantised, written). Only a ring longer than one
+/// element holds is sampled again, into a polygon that [`put_boundary`]
+/// splits; every other failure is the encoder's error.
 fn encode_chunk(
     stitched: &Stitched,
     chunk: usize,
@@ -184,10 +181,13 @@ fn encode_chunk(
         let mut ring = RingEncoder::begin(out, MASK_NM_PER_DBU, layer, 0);
         CardinalSpline::sample_closed_blocks(points, plan, |xs, ys, n| ring.push(xs, ys, n))
             .map_err(not_a_spline)?;
-        if !ring.finish() {
-            let mut samples = Vec::new();
-            CardinalSpline::sample_closed_into(points, plan, &mut samples).map_err(not_a_spline)?;
-            put_boundary(out, MASK_NM_PER_DBU, layer, 0, &Polygon::new(samples))?;
+        match ring.finish() {
+            Err(GdsError::TooManyVertices(_)) => {
+                let spline = CardinalSpline::closed(points.to_vec(), shape.tension);
+                let polygon = spline.map_err(not_a_spline)?.to_polygon(per_segment);
+                put_boundary(out, MASK_NM_PER_DBU, layer, 0, &polygon)?;
+            }
+            finished => finished?,
         }
     }
     Ok(())
@@ -221,7 +221,7 @@ fn not_a_spline(e: SplineError) -> GdsError {
 mod tests {
     use super::*;
     use cardopc_gds::{flatten, FlattenLimits, LayerFilter};
-    use cardopc_geometry::{Point, SplitMix64};
+    use cardopc_geometry::{Point, Polygon, SplitMix64};
 
     fn square_shape(x0: f64, y0: f64, size: f64, is_sraf: bool) -> StitchedShape {
         StitchedShape {
@@ -487,10 +487,8 @@ mod tests {
             if !shape.tension.is_finite() {
                 return Err(not_a_spline(SplineError::InvalidTension));
             }
-            let plan = SamplingPlan::get(per_segment, shape.tension);
-            let mut ring = Vec::new();
-            CardinalSpline::sample_closed_into(&shape.control_points, &plan, &mut ring)
-                .map_err(not_a_spline)?;
+            let spline = CardinalSpline::closed(shape.control_points.clone(), shape.tension);
+            let ring = spline.map_err(not_a_spline)?.sample(per_segment);
             put_boundary(&mut out, MASK_NM_PER_DBU, layer, 0, &Polygon::new(ring))?;
         }
         Ok(out)

@@ -204,22 +204,14 @@ impl CardinalSpline {
     ///
     /// Panics when `per_segment == 0`.
     pub fn sample(&self, per_segment: usize) -> Vec<Point> {
-        let plan = SamplingPlan::get(per_segment, self.tension);
-        self.sample_with_plan(&plan)
-    }
-
-    /// Samples the whole curve through a precomputed [`SamplingPlan`]
-    /// (uniform-grid basis weights, shared across all splines with the same
-    /// tension). Equivalent to [`CardinalSpline::sample`] with the plan's
-    /// `per_segment`, but with zero per-point polynomial work.
-    pub fn sample_with_plan(&self, plan: &SamplingPlan) -> Vec<Point> {
         let mut out = Vec::new();
-        self.sample_into(plan, &mut out);
+        self.sample_into(&SamplingPlan::get(per_segment, self.tension), &mut out);
         out
     }
 
-    /// Samples through `plan` into a reused buffer (cleared first) — the
-    /// zero-allocation variant the OPC iteration loop uses.
+    /// [`CardinalSpline::sample`] through `plan` into a reused buffer
+    /// (cleared first) — the zero-allocation variant the OPC iteration
+    /// loop uses.
     ///
     /// # Panics
     ///
@@ -231,68 +223,33 @@ impl CardinalSpline {
             plan.tension(),
             self.tension
         );
-        sample_points(&self.points, plan, out);
+        out.clear();
+        out.reserve(self.points.len() * plan.per_segment());
+        sample_blocks(&self.points, plan, |xs, ys, n| {
+            let lanes = xs[..n].iter().zip(&ys[..n]);
+            out.extend(lanes.map(|(&x, &y)| Point::new(x, y)));
+        });
     }
 
-    /// Samples the closed loop through `points` at `plan`'s tension into
-    /// `out` (cleared first), reading the control points where they lie:
-    /// bit for bit what `CardinalSpline::closed(points.to_vec(),
-    /// plan.tension())?.sample_into(plan, out)` gives, without the copy.
+    /// Samples the closed loop through `points` at `plan`'s tension, a
+    /// block at a time, reading the control points where they lie:
+    /// `emit(xs, ys, n)` receives the next `n` samples in ring order in
+    /// the first `n` lanes of `xs` and `ys` (the rest is padding), each
+    /// segment's samples in blocks of up to [`SAMPLE_BLOCK`]. The one
+    /// sampling loop: every other sampler collects its blocks.
     ///
     /// # Errors
     ///
     /// [`SplineError::TooFewPoints`] with fewer than 3 points,
-    /// [`SplineError::NonFinitePoint`] when a coordinate is NaN/infinite
-    /// (`out` is left untouched).
-    pub fn sample_closed_into(
-        points: &[Point],
-        plan: &SamplingPlan,
-        out: &mut Vec<Point>,
-    ) -> Result<(), SplineError> {
-        validate(points, plan.tension())?;
-        sample_points(points, plan, out);
-        Ok(())
-    }
-
-    /// [`CardinalSpline::sample_closed_into`]'s samples, a block at a time:
-    /// `emit(xs, ys, n)` receives the next `n` samples in ring order in
-    /// the first `n` lanes of `xs` and `ys` (the rest is padding), each
-    /// segment's samples in blocks of up to [`SAMPLE_BLOCK`]. The same
-    /// expression in the same order per coordinate, so the same bits; the
-    /// block form lets the compiler vectorise it.
-    ///
-    /// # Errors
-    ///
-    /// As [`CardinalSpline::sample_closed_into`]; `emit` is not called.
+    /// [`SplineError::NonFinitePoint`] when a coordinate is NaN/infinite;
+    /// `emit` is not called.
     pub fn sample_closed_blocks(
         points: &[Point],
         plan: &SamplingPlan,
-        mut emit: impl FnMut(&[f64; SAMPLE_BLOCK], &[f64; SAMPLE_BLOCK], usize),
+        emit: impl FnMut(&[f64; SAMPLE_BLOCK], &[f64; SAMPLE_BLOCK], usize),
     ) -> Result<(), SplineError> {
         validate(points, plan.tension())?;
-        let columns: [_; 4] = std::array::from_fn(|j| plan.blocks(j));
-        // The four-point window slides one control point per segment; at
-        // least 3 points, so `i + 2` wraps at most once.
-        let n = points.len();
-        let (mut pm1, mut p0, mut p1) = (points[n - 1], points[0], points[1]);
-        for i in 0..n {
-            let p2 = points[if i + 2 < n { i + 2 } else { i + 2 - n }];
-            let mut left = plan.per_segment();
-            for b in 0..columns[0].len() {
-                let [w0, w1, w2, w3] = columns.map(|column| &column[b]);
-                let lane = |c: [f64; 4]| -> [f64; SAMPLE_BLOCK] {
-                    std::array::from_fn(|l| {
-                        c[0] * w0[l] + c[1] * w1[l] + c[2] * w2[l] + c[3] * w3[l]
-                    })
-                };
-                let xs = lane([pm1.x, p0.x, p1.x, p2.x]);
-                let ys = lane([pm1.y, p0.y, p1.y, p2.y]);
-                let count = left.min(SAMPLE_BLOCK);
-                emit(&xs, &ys, count);
-                left -= count;
-            }
-            (pm1, p0, p1) = (p0, p1, p2);
-        }
+        sample_blocks(points, plan, emit);
         Ok(())
     }
 
@@ -362,20 +319,36 @@ pub(crate) fn neighbor(points: &[Point], i: isize) -> Point {
     points[i.rem_euclid(points.len() as isize) as usize]
 }
 
-/// Samples the loop through `points` with `plan`'s weights into `out`
-/// (cleared first): [`CardinalSpline::sample_into`]'s loop, on borrowed
-/// control points.
-fn sample_points(points: &[Point], plan: &SamplingPlan, out: &mut Vec<Point>) {
-    out.clear();
-    out.reserve(points.len() * plan.per_segment());
-    for i in 0..points.len() as isize {
-        let pm1 = neighbor(points, i - 1);
-        let p0 = neighbor(points, i);
-        let p1 = neighbor(points, i + 1);
-        let p2 = neighbor(points, i + 2);
-        for w in plan.weights() {
-            out.push(pm1 * w[0] + p0 * w[1] + p1 * w[2] + p2 * w[3]);
+/// [`CardinalSpline::sample_closed_blocks`]'s loop on at least 3 control
+/// points, unchecked: a spline's own points may have gone non-finite under
+/// the correction loop, and then its samples do too. Each lane is
+/// `pm1·w0 + p0·w1 + p1·w2 + p2·w3` over the plan's weight columns —
+/// element-wise over fixed-length arrays, so it vectorises.
+fn sample_blocks(
+    points: &[Point],
+    plan: &SamplingPlan,
+    mut emit: impl FnMut(&[f64; SAMPLE_BLOCK], &[f64; SAMPLE_BLOCK], usize),
+) {
+    let columns: [_; 4] = std::array::from_fn(|j| plan.blocks(j));
+    // The four-point window slides one control point per segment; at
+    // least 3 points, so `i + 2` wraps at most once.
+    let n = points.len();
+    let (mut pm1, mut p0, mut p1) = (points[n - 1], points[0], points[1]);
+    for i in 0..n {
+        let p2 = points[if i + 2 < n { i + 2 } else { i + 2 - n }];
+        let mut left = plan.per_segment();
+        for b in 0..columns[0].len() {
+            let [w0, w1, w2, w3] = columns.map(|column| &column[b]);
+            let lane = |c: [f64; 4]| -> [f64; SAMPLE_BLOCK] {
+                std::array::from_fn(|l| c[0] * w0[l] + c[1] * w1[l] + c[2] * w2[l] + c[3] * w3[l])
+            };
+            let xs = lane([pm1.x, p0.x, p1.x, p2.x]);
+            let ys = lane([pm1.y, p0.y, p1.y, p2.y]);
+            let count = left.min(SAMPLE_BLOCK);
+            emit(&xs, &ys, count);
+            left -= count;
         }
+        (pm1, p0, p1) = (p0, p1, p2);
     }
 }
 
@@ -628,31 +601,53 @@ mod tests {
     #[test]
     fn borrowed_sampling_matches_the_owned_spline_and_validates() {
         let plan = SamplingPlan::get(8, 0.6);
-        let mut borrowed = vec![Point::new(1.0, 2.0)];
-        CardinalSpline::sample_closed_into(&square(), &plan, &mut borrowed).unwrap();
+        let mut borrowed = Vec::new();
+        CardinalSpline::sample_closed_blocks(&square(), &plan, |xs, ys, n| {
+            borrowed.extend((0..n).map(|l| Point::new(xs[l], ys[l])));
+        })
+        .unwrap();
         let owned = CardinalSpline::closed(square(), 0.6).unwrap();
         assert_eq!(borrowed, owned.sample(8));
-        let two = [Point::ZERO, Point::new(1.0, 0.0)];
-        assert_eq!(
-            CardinalSpline::sample_closed_into(&two, &plan, &mut borrowed),
-            Err(SplineError::TooFewPoints { got: 2, need: 3 })
-        );
-        let nan = [Point::ZERO, Point::new(f64::NAN, 0.0), Point::new(1.0, 1.0)];
-        assert_eq!(
-            CardinalSpline::sample_closed_into(&nan, &plan, &mut borrowed),
-            Err(SplineError::NonFinitePoint)
-        );
-        // The block sampler validates alike, before emitting anything.
+        let mut reused = vec![Point::new(1.0, 2.0)];
+        owned.sample_into(&plan, &mut reused);
+        assert_eq!(reused, borrowed);
+        // The block sampler validates before emitting anything.
         let emitted = |points: &[Point]| {
             let mut calls = 0;
             let result = CardinalSpline::sample_closed_blocks(points, &plan, |_, _, _| calls += 1);
             (result, calls)
         };
+        let two = [Point::ZERO, Point::new(1.0, 0.0)];
         assert_eq!(
             emitted(&two),
             (Err(SplineError::TooFewPoints { got: 2, need: 3 }), 0)
         );
+        let nan = [Point::ZERO, Point::new(f64::NAN, 0.0), Point::new(1.0, 1.0)];
         assert_eq!(emitted(&nan), (Err(SplineError::NonFinitePoint), 0));
+    }
+
+    /// The row loop the block sampler replaced, kept as its oracle: one
+    /// `[w_{i-1}, w_i, w_{i+1}, w_{i+2}]` row of Eq. 2's weights per local
+    /// parameter `k / per_segment`, applied to each segment's window.
+    fn sample_by_rows(points: &[Point], tension: f64, per_segment: usize) -> Vec<Point> {
+        let rows: Vec<[f64; 4]> = (0..per_segment)
+            .map(|k| CardinalSpline::basis_weights(tension, k as f64 / per_segment as f64))
+            .collect();
+        let mut out = Vec::with_capacity(points.len() * per_segment);
+        for i in 0..points.len() as isize {
+            let pm1 = neighbor(points, i - 1);
+            let p0 = neighbor(points, i);
+            let p1 = neighbor(points, i + 1);
+            let p2 = neighbor(points, i + 2);
+            for w in &rows {
+                out.push(pm1 * w[0] + p0 * w[1] + p1 * w[2] + p2 * w[3]);
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[Point]) -> Vec<[u64; 2]> {
+        v.iter().map(|p| [p.x.to_bits(), p.y.to_bits()]).collect()
     }
 
     /// A closed loop of `n` random points in a 200 nm box around a random
@@ -681,18 +676,9 @@ mod tests {
                 .iter()
                 .fold(1.0f64, |m, c| m.max(c.abs()));
             let tol = 1e-9 * extent;
-            let mut samples = Vec::new();
-            let plan = SamplingPlan::get(per_segment, s);
-            CardinalSpline::sample_closed_into(&points, &plan, &mut samples).unwrap();
+            let samples = CardinalSpline::closed(points.clone(), s).unwrap().sample(per_segment);
             prop_assert_eq!(samples.len(), n * per_segment);
-            // The block sampler's lanes are these samples, bit for bit.
-            let mut blocks = Vec::new();
-            CardinalSpline::sample_closed_blocks(&points, &plan, |xs, ys, count| {
-                blocks.extend((0..count).map(|l| Point::new(xs[l], ys[l])));
-            })
-            .unwrap();
-            let bits = |v: &[Point]| v.iter().map(|p| [p.x.to_bits(), p.y.to_bits()]).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&blocks), bits(&samples));
+            prop_assert_eq!(bits(&samples), bits(&sample_by_rows(&points, s, per_segment)));
             for p in &samples {
                 prop_assert!(hull.expanded(tol).contains(*p), "{:?} outside {:?}", p, hull);
             }
@@ -705,6 +691,49 @@ mod tests {
             for (a, b) in [(hull.min, bezier.min), (hull.max, bezier.max)] {
                 prop_assert!(a.distance(b) <= 1e-9, "hull {:?} vs Bézier box {:?}", hull, bezier);
             }
+        }
+
+        /// Every sampler is the row loop, bit for bit: the block sampler's
+        /// lanes, `sample`, `sample_into` and `to_polygon` (the row loop's
+        /// samples through `Polygon::new`), at per-segment counts below,
+        /// at and past a block, at tension 0 and on rings whose control
+        /// points coincide (neighbours, and across the wrap).
+        #[test]
+        fn every_sampler_is_the_row_loop(
+            seed in 0u64..u64::MAX,
+            n in 3usize..=30,
+            pick in 0usize..6,
+            s in -0.5..1.5f64,
+            zero_tension in 0usize..3,
+            repeats in 0usize..4,
+        ) {
+            let per_segment = [1, 2, 7, 8, 9, 17][pick];
+            let s = if zero_tension == 0 { 0.0 } else { s };
+            let mut points = random_loop(seed, n);
+            let mut rng = SplitMix64::new(!seed);
+            for _ in 0..repeats {
+                let at = rng.range_usize(0, points.len());
+                points.insert(at, points[at]);
+            }
+            if repeats % 2 == 1 {
+                points.push(points[0]);
+            }
+            let rows = sample_by_rows(&points, s, per_segment);
+            let plan = SamplingPlan::get(per_segment, s);
+            let mut blocks = Vec::new();
+            CardinalSpline::sample_closed_blocks(&points, &plan, |xs, ys, count| {
+                assert!(count <= SAMPLE_BLOCK);
+                blocks.extend((0..count).map(|l| Point::new(xs[l], ys[l])));
+            })
+            .unwrap();
+            prop_assert_eq!(bits(&blocks), bits(&rows));
+            let spline = CardinalSpline::closed(points, s).unwrap();
+            prop_assert_eq!(bits(&spline.sample(per_segment)), bits(&rows));
+            let mut reused = vec![Point::ZERO; 3];
+            spline.sample_into(&plan, &mut reused);
+            prop_assert_eq!(bits(&reused), bits(&rows));
+            let polygon = spline.to_polygon(per_segment);
+            prop_assert_eq!(bits(polygon.vertices()), bits(Polygon::new(rows).vertices()));
         }
     }
 }

@@ -6,14 +6,14 @@
 //! control points. A [`SamplingPlan`] precomputes those weights once per
 //! `(per_segment, tension)` pair and shares them process-wide through the
 //! same `OnceLock` registry idiom as the litho crate's FFT plans, so the OPC
-//! loop's per-iteration "connect" step reduces to four fused
-//! multiply-accumulates per sample with zero per-point polynomial work.
+//! loop's per-iteration "connect" step reduces to four multiply-adds per
+//! sample with zero per-point polynomial work.
 //!
-//! The weights are also kept by column, padded with zeros to whole
+//! The weights are kept by column, padded with zeros to whole
 //! [`SAMPLE_BLOCK`]s, so a block of a segment's samples is four
 //! element-wise multiply-adds over fixed-length arrays — a loop the
 //! compiler vectorises at the baseline instruction set
-//! ([`CardinalSpline::sample_closed_blocks`]).
+//! ([`CardinalSpline::sample_closed_blocks`], the one sampling loop).
 
 use crate::CardinalSpline;
 use std::collections::HashMap;
@@ -28,12 +28,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 pub struct SamplingPlan {
     per_segment: usize,
     tension: f64,
-    /// `weights[k] = CardinalSpline::basis_weights(tension, ts[k])`.
-    weights: Vec<[f64; 4]>,
-    /// The local parameters `k / per_segment`.
-    ts: Vec<f64>,
-    /// `columns[j][k] = weights[k][j]`, zero past `per_segment` up to a
-    /// whole number of [`SAMPLE_BLOCK`]s.
+    /// `columns[j][k]` is weight `j` of
+    /// `CardinalSpline::basis_weights(tension, k / per_segment)`, zero past
+    /// `per_segment` up to a whole number of [`SAMPLE_BLOCK`]s.
     columns: [Vec<f64>; 4],
 }
 
@@ -70,12 +67,8 @@ impl SamplingPlan {
     }
 
     fn build(per_segment: usize, tension: f64) -> SamplingPlan {
-        let ts: Vec<f64> = (0..per_segment)
-            .map(|k| k as f64 / per_segment as f64)
-            .collect();
-        let weights: Vec<[f64; 4]> = ts
-            .iter()
-            .map(|&t| CardinalSpline::basis_weights(tension, t))
+        let weights: Vec<[f64; 4]> = (0..per_segment)
+            .map(|k| CardinalSpline::basis_weights(tension, k as f64 / per_segment as f64))
             .collect();
         let padded = per_segment.next_multiple_of(SAMPLE_BLOCK);
         let columns = std::array::from_fn(|j| {
@@ -85,8 +78,6 @@ impl SamplingPlan {
         SamplingPlan {
             per_segment,
             tension,
-            weights,
-            ts,
             columns,
         }
     }
@@ -111,19 +102,6 @@ impl SamplingPlan {
     pub fn tension(&self) -> f64 {
         self.tension
     }
-
-    /// The precomputed weights, one `[w_{i-1}, w_i, w_{i+1}, w_{i+2}]` row
-    /// per local parameter in [`ts`](Self::ts).
-    #[inline]
-    pub fn weights(&self) -> &[[f64; 4]] {
-        &self.weights
-    }
-
-    /// The local parameters `k / per_segment`, `k = 0..per_segment`.
-    #[inline]
-    pub fn ts(&self) -> &[f64] {
-        &self.ts
-    }
 }
 
 #[cfg(test)]
@@ -135,19 +113,17 @@ mod tests {
         let plan = SamplingPlan::get(8, 0.6);
         assert_eq!(plan.per_segment(), 8);
         assert_eq!(plan.tension(), 0.6);
-        assert_eq!(plan.weights().len(), 8);
-        for (k, w) in plan.weights().iter().enumerate() {
-            let t = k as f64 / 8.0;
-            assert_eq!(*w, CardinalSpline::basis_weights(0.6, t));
-            assert_eq!(plan.ts()[k], t);
-        }
         for per_segment in [1, 7, 8, 9, 16, 20] {
             let plan = SamplingPlan::get(per_segment, 0.5);
             for j in 0..4 {
                 let blocks = plan.blocks(j);
                 assert_eq!(blocks.len(), per_segment.div_ceil(SAMPLE_BLOCK));
                 for (k, w) in blocks.iter().flatten().enumerate() {
-                    let want = plan.weights().get(k).map_or(0.0, |row| row[j]);
+                    let t = k as f64 / per_segment as f64;
+                    let want = match k < per_segment {
+                        true => CardinalSpline::basis_weights(0.5, t)[j],
+                        false => 0.0,
+                    };
                     assert_eq!(w.to_bits(), want.to_bits(), "{per_segment}: {j} {k}");
                 }
             }

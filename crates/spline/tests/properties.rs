@@ -1,9 +1,7 @@
 //! Property-based tests for spline invariants.
 
 use cardopc_geometry::{Point, Polygon, SplitMix64};
-use cardopc_spline::{
-    fit::resample_closed, fit_contour, BezierChain, CardinalSpline, FitConfig, SamplingPlan,
-};
+use cardopc_spline::{fit::resample_closed, fit_contour, BezierChain, CardinalSpline, FitConfig};
 use proptest::prelude::*;
 
 /// A random simple (star-shaped) closed control polygon.
@@ -184,8 +182,7 @@ proptest! {
         let pts = star_points(seed, n);
         prop_assume!(pts.len() >= 3);
         let sp = CardinalSpline::closed(pts, s).unwrap();
-        let plan = SamplingPlan::get(per, s);
-        let planned = sp.sample_with_plan(&plan);
+        let planned = sp.sample(per);
         prop_assert_eq!(planned.len(), sp.segment_count() * per);
         for (idx, p) in planned.iter().enumerate() {
             let seg = idx / per;

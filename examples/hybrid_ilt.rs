@@ -57,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .mask
         .write_pgm(BufWriter::new(File::create("out/hybrid_ilt_mask.pgm")?))?;
     let (w, h, p) = (engine.width(), engine.height(), engine.pitch());
-    let fitted = rasterize(&out.mask_polygons(8), w, h, p);
+    let polygons: Vec<_> = out.shapes.iter().map(|s| s.to_polygon(8)).collect();
+    let fitted = rasterize(&polygons, w, h, p);
     fitted.write_pgm(BufWriter::new(File::create("out/hybrid_fitted_mask.pgm")?))?;
     println!("wrote out/hybrid_ilt_mask.pgm and out/hybrid_fitted_mask.pgm");
     Ok(())

@@ -54,7 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     std::fs::create_dir_all("out")?;
     let (w, h, p) = (engine.width(), engine.height(), engine.pitch());
-    let mask = rasterize(&card.mask_polygons(samples), w, h, p);
+    let polygons: Vec<_> = card
+        .shapes
+        .iter()
+        .map(|s| s.spline.to_polygon(samples))
+        .collect();
+    let mask = rasterize(&polygons, w, h, p);
     mask.write_pgm(BufWriter::new(File::create("out/metal_mask.pgm")?))?;
     println!("wrote out/metal_mask.pgm");
     Ok(())

@@ -52,7 +52,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target = rasterize(clip.targets(), w, h, p);
     save(&target, "out/via_target.pgm")?;
 
-    let mask_polys = outcome.mask_polygons(samples);
+    let mask_polys: Vec<_> = outcome
+        .shapes
+        .iter()
+        .map(|s| s.spline.to_polygon(samples))
+        .collect();
     let mask = rasterize(&mask_polys, w, h, p);
     save(&mask, "out/via_mask.pgm")?;
 

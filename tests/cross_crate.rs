@@ -161,7 +161,11 @@ fn svg_export_of_flow_output() {
         ..OpcConfig::via()
     };
     let outcome = CardOpc::new(cfg).run(&clip).unwrap();
-    let polys = outcome.mask_polygons(8);
+    let polys: Vec<_> = outcome
+        .shapes
+        .iter()
+        .map(|s| s.spline.to_polygon(8))
+        .collect();
     let mut buf = Vec::new();
     write_svg(
         &mut buf,
