@@ -140,11 +140,10 @@ impl GdsWriter {
 /// elements on `layer:datatype` at `nm_per_dbu`, splitting to honour the
 /// XY record limit: each piece through the one element encoder,
 /// [`RingEncoder`], behind [`GdsWriter::boundary`] and the parallel mask
-/// export. The encoder deduplicates, so the ring written is `polygon`'s
-/// as [`Polygon::new`] leaves it: the ring itself for a polygon that
-/// constructor built (sampled rings, split pieces, targets, windows),
-/// unless a second closing vertex lies within [`EPS`] of the first, which
-/// one pass of `Polygon::new` keeps. On error nothing is appended.
+/// export. The encoder deduplicates by [`Polygon::new`]'s rule, which
+/// leaves every polygon that constructor built unchanged, so it writes
+/// exactly `polygon.len()` vertices per unsplit polygon. On error nothing
+/// is appended.
 ///
 /// # Errors
 ///
@@ -202,8 +201,8 @@ fn element_head(layer: i16, datatype: i16) -> [u8; 16] {
 /// mask export each spline's samples.
 ///
 /// Each block is deduplicated as [`Polygon::new`] does it (a vertex within
-/// [`EPS`] of the last kept one is dropped; the ring's last vertex is
-/// dropped when within [`EPS`] of its first), quantised by the
+/// [`EPS`] of the last kept one is dropped; so is the ring's trailing run
+/// of vertices within [`EPS`] of its first), quantised by the
 /// multiply-and-round test with the exact division where that test cannot
 /// be trusted, and written as big-endian pairs. Both tests run over the
 /// whole block without branches: a block whose every x moves by more than
@@ -218,8 +217,11 @@ pub struct RingEncoder<'o> {
     start: usize,
     nm_per_dbu: f64,
     per_dbu: f64,
-    /// Vertices kept so far; written while one record holds them.
+    /// Vertices kept so far; written while one record can hold the ring.
     count: usize,
+    /// Those the ring keeps if it ends here: through the last one apart
+    /// from the first, so the closing run goes ([`Polygon::new`]'s rule).
+    kept: usize,
     first: Point,
     last: Point,
     /// The first coordinate found not to fit the grid.
@@ -240,6 +242,7 @@ impl<'o> RingEncoder<'o> {
             nm_per_dbu,
             per_dbu: 1.0 / nm_per_dbu,
             count: 0,
+            kept: 0,
             first: Point::ZERO,
             last: Point::ZERO,
             overflow: None,
@@ -252,7 +255,8 @@ impl<'o> RingEncoder<'o> {
     #[inline]
     pub fn push<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], n: usize) {
         if n < B {
-            return self.push_partial(xs, ys, n);
+            // The per-vertex path reads no padding lane.
+            return self.push_kept_of(xs, ys, n);
         }
         // A vertex within EPS of its predecessor (the last kept vertex for
         // lane 0; none, infinitely far, for the ring's first) has |dx| ≤
@@ -275,23 +279,9 @@ impl<'o> RingEncoder<'o> {
         }
     }
 
-    /// [`RingEncoder::push`] of a block whose lanes past `n` are padding:
-    /// those become zeros, which neither count as vertices nor fail the
-    /// rounding test.
-    #[cold]
-    fn push_partial<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], n: usize) {
-        let n = n.min(B);
-        if n == 0 {
-            return;
-        }
-        let (mut kx, mut ky) = ([0.0; B], [0.0; B]);
-        kx[..n].copy_from_slice(&xs[..n]);
-        ky[..n].copy_from_slice(&ys[..n]);
-        self.push_kept_of(&kx, &ky, n);
-    }
-
-    /// The per-vertex path of [`RingEncoder::push`]: keeps the vertices
-    /// not within [`EPS`] of the last kept one, then writes those.
+    /// The per-vertex path of [`RingEncoder::push`]: keeps the vertices of
+    /// lanes `..n` not within [`EPS`] of the last kept one, then writes
+    /// those.
     #[cold]
     fn push_kept_of<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], n: usize) {
         let (mut kx, mut ky, mut k) = ([0.0; B], [0.0; B], 0);
@@ -307,19 +297,27 @@ impl<'o> RingEncoder<'o> {
     }
 
     /// Counts lanes `..k` of `xs` and `ys`, all kept, and writes them
-    /// while one record holds the ring; lanes past `k` are zeros.
-    #[inline]
+    /// while one record holds the ring; lanes past `k` are zeros. Inlined
+    /// into the mask export's sampling loop, it cost the export ≈ 15 %.
+    #[inline(never)]
     fn push_kept<const B: usize>(&mut self, xs: &[f64; B], ys: &[f64; B], k: usize) {
         if k == 0 {
             return;
         }
         if self.count == 0 {
-            self.first = Point::new(xs[0], ys[0]);
+            (self.first, self.kept) = (Point::new(xs[0], ys[0]), 1);
         }
         self.last = Point::new(xs[k - 1], ys[k - 1]);
+        // Through the block's last vertex apart from the first: one test
+        // unless the block ends near it.
+        let first = self.first;
+        let apart = |l: &usize| !same_vertex(Point::new(xs[*l], ys[*l]), first);
+        if let Some(l) = (0..k).rev().find(apart) {
+            self.kept = self.count + l + 1;
+        }
         self.count += k;
-        if self.count > MAX_XY_POINTS {
-            // Past what one record holds even if the closing vertex goes.
+        if self.kept >= MAX_XY_POINTS {
+            // Past what one record holds however the ring closes.
             return;
         }
         let (mut x, x_untrusted) = round_block(xs, self.per_dbu);
@@ -380,30 +378,27 @@ impl<'o> RingEncoder<'o> {
     /// [`GdsError::CoordinateOverflow`] when a coordinate does not fit the
     /// grid.
     pub fn finish(mut self) -> Result<(), GdsError> {
-        if self.count > 1 && same_vertex(self.last, self.first) {
-            self.count -= 1;
-            self.out.truncate(self.out.len() - 8);
-        }
-        if self.count < 3 {
+        if self.kept < 3 {
             return Err(GdsError::Grammar {
                 offset: self.start,
-                reason: format!("polygon with {} vertices cannot be written", self.count),
+                reason: format!("polygon with {} vertices cannot be written", self.kept),
             });
         }
-        if self.count >= MAX_XY_POINTS {
-            return Err(GdsError::TooManyVertices(self.count));
+        if self.kept >= MAX_XY_POINTS {
+            return Err(GdsError::TooManyVertices(self.kept));
         }
         if let Some(overflow) = self.overflow.take() {
             return Err(overflow);
         }
-        let payload = (self.count + 1) * 8;
         let xy = self.start + 16;
+        self.out.truncate(xy + 4 + self.kept * 8);
         let closing: [u8; 8] = self.out[xy + 4..xy + 12]
             .try_into()
             .expect("a first vertex");
         self.out.extend_from_slice(&closing);
         self.out
             .extend_from_slice(&header(rtype::ENDEL, dtype::NONE, 0));
+        let payload = (self.kept + 1) * 8;
         self.out[xy..xy + 4].copy_from_slice(&header(rtype::XY, dtype::I32, payload));
         self.finished = true;
         Ok(())
@@ -820,7 +815,7 @@ mod tests {
                 .collect()
         };
         // Around the one-record limit, with and without a closing
-        // duplicate (which brings 8 191 vertices down to 8 190).
+        // duplicate (which brings 8 191 vertices down to 8 190) or run.
         for n in [
             MAX_XY_POINTS - 2,
             MAX_XY_POINTS - 1,
@@ -830,6 +825,14 @@ mod tests {
             let mut ring = circle(n, 40_000.0);
             check_ring::<8>(&ring, 0.01, &[8]);
             ring.push(ring[0] + Point::new(1e-10, 0.0));
+            check_ring::<8>(&ring, 0.01, &[8, 3]);
+            // A three-vertex closing run, each within EPS of the first but
+            // apart from its neighbours: 8 193 vertices down to 8 190.
+            ring.pop();
+            ring.extend(
+                [(-0.5e-9, 0.0), (0.9e-9, 0.0), (-0.5e-9, 0.6e-9)]
+                    .map(|(x, y)| ring[0] + Point::new(x, y)),
+            );
             check_ring::<8>(&ring, 0.01, &[8, 3]);
         }
         for _ in 0..400 {
@@ -867,6 +870,52 @@ mod tests {
             vec![Point::ZERO, Point::new(1.0, 0.0)],
         ] {
             check_ring::<8>(&ring, 0.01, &[8]);
+        }
+    }
+
+    /// [`Polygon::new`]'s closing rule: the whole trailing run within
+    /// [`EPS`] of the first vertex goes. On a ring whose two closing
+    /// vertices are apart, and one with a three-vertex run: rebuilding
+    /// the polygon leaves it unchanged, `put_boundary` writes exactly its
+    /// vertices (plus the explicit closing point), and the encoder fed
+    /// the raw ring writes the same bytes.
+    #[test]
+    fn ring_encoder_drops_the_whole_closing_run() {
+        let o = Point::new(250.0, -40.0);
+        let near = [
+            Point::new(-0.5e-9, 0.0),
+            Point::new(0.9e-9, 0.0),
+            Point::new(-0.5e-9, 0.6e-9),
+        ];
+        let found = vec![
+            Point::ZERO,
+            Point::new(100.0, 0.0),
+            Point::new(100.0, 100.0),
+            near[0],
+            near[1],
+        ];
+        let mut run = vec![
+            o,
+            o + Point::new(300.0, 0.0),
+            o + Point::new(300.0, 200.0),
+            o + Point::new(0.0, 200.0),
+        ];
+        run.extend(near.map(|d| o + d));
+        for (ring, len) in [(found, 3), (run, 4)] {
+            let p = Polygon::new(ring.clone());
+            assert_eq!(p.len(), len);
+            assert_eq!(Polygon::new(p.vertices().to_vec()), p);
+            let mut out = Vec::new();
+            put_boundary(&mut out, 0.001, 1, 0, &p).unwrap();
+            let xy = u16::from_be_bytes([out[16], out[17]]) as usize;
+            assert_eq!(
+                xy,
+                4 + (p.len() + 1) * 8,
+                "XY record of {} vertices",
+                p.len()
+            );
+            check_ring::<8>(&ring, 0.001, &[8]);
+            check_ring::<4>(&ring, 0.001, &[1, 4]);
         }
     }
 

@@ -40,18 +40,15 @@ pub struct Polygon {
 impl Polygon {
     /// Creates a polygon from its vertex ring.
     ///
-    /// Consecutive duplicate vertices (within [`EPS`]) are removed, as is a
-    /// duplicated closing vertex.
+    /// Consecutive duplicate vertices (within [`EPS`]) are removed, as is
+    /// the trailing run of vertices within [`EPS`] of the first (a closing
+    /// vertex), so the ring it builds is one it leaves unchanged.
     pub fn new(mut vertices: Vec<Point>) -> Self {
         vertices.dedup_by(|a, b| a.distance_sq(*b) <= EPS * EPS);
-        if vertices.len() > 1 {
-            let first = vertices[0];
-            if vertices
-                .last()
-                .is_some_and(|l| l.distance_sq(first) <= EPS * EPS)
-            {
-                vertices.pop();
-            }
+        while vertices.len() > 1
+            && vertices[vertices.len() - 1].distance_sq(vertices[0]) <= EPS * EPS
+        {
+            vertices.pop();
         }
         Polygon { vertices }
     }
@@ -282,6 +279,29 @@ mod tests {
             Point::new(0.0, 0.0),
         ]);
         assert_eq!(p.len(), 3);
+    }
+
+    #[test]
+    fn closing_run_removed_whole() {
+        // Two closing vertices within EPS of the first but 1.4e-9 apart:
+        // both go, so rebuilding the polygon leaves it unchanged.
+        let ring = vec![
+            Point::new(0.0, 0.0),
+            Point::new(100.0, 0.0),
+            Point::new(100.0, 100.0),
+            Point::new(-0.5e-9, 0.0),
+            Point::new(0.9e-9, 0.0),
+        ];
+        let p = Polygon::new(ring);
+        assert_eq!(p.len(), 3);
+        assert_eq!(Polygon::new(p.vertices().to_vec()), p);
+        // A run back to the first vertex leaves the first alone.
+        let p = Polygon::new(vec![
+            Point::ZERO,
+            Point::new(0.9e-9, 0.0),
+            Point::new(-0.5e-9, 0.0),
+        ]);
+        assert_eq!(p.vertices(), &[Point::ZERO]);
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub use engine::{LithoEngine, ProcessCondition};
 pub use error::LithoError;
 pub use fft::{next_five_smooth, FftScratch, Field};
 pub use metrics::{
-    epe_at, epe_footprint, l2_error, measure_epe, metal_measure_points, pvb_area,
-    thresholded_xor_area, via_measure_points, EpeReport, MeasurePoint,
+    epe_at, epe_footprint, measure_epe, metal_measure_points, thresholded_xor_area,
+    via_measure_points, EpeReport, MeasurePoint,
 };
 pub use optics::{OpticsConfig, SocsStacks};
 pub use plan::FftPlan;

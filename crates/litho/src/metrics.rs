@@ -1,9 +1,9 @@
 //! OPC quality metrics: EPE, L2 and the process variation band (§II-B).
 //!
-//! The binary-image comparisons fuse the thresholding with the XOR count
-//! ([`thresholded_xor_area`]) instead of materialising binarized grids.
+//! The binary-image comparisons (L2, PV band) are one fused threshold and
+//! XOR count over a pixel window, [`thresholded_xor_area`].
 
-use cardopc_geometry::{Grid, Orientation, Point, Polygon, Segment};
+use cardopc_geometry::{BBox, Grid, Orientation, Point, Polygon, Segment};
 
 /// An edge placement error measurement site: a point on a target edge and
 /// the outward normal of that edge.
@@ -29,11 +29,6 @@ impl EpeReport {
     /// Sum of absolute EPEs in nanometres — the quantity Tables I/II report.
     pub fn sum_abs(&self) -> f64 {
         self.values.iter().map(|v| v.abs()).sum()
-    }
-
-    /// Largest absolute EPE.
-    pub fn max_abs(&self) -> f64 {
-        self.values.iter().fold(0.0, |m, v| m.max(v.abs()))
     }
 
     /// Mean absolute EPE (0 when there are no measure points).
@@ -204,69 +199,50 @@ pub fn metal_measure_points(targets: &[Polygon], spacing: f64) -> Vec<MeasurePoi
     out
 }
 
-/// Fused threshold-and-XOR area: the area (nm²) where `(a >= threshold_a)`
-/// and `(b >= threshold_b)` disagree.
+/// Fused threshold-and-XOR area: the area (nm²) of the pixels whose centre
+/// lies in `window` (nm, the half-open box `[min, max)` on both axes) where
+/// `(a >= threshold_a)` and `(b >= threshold_b)` disagree.
 ///
-/// Exactly equivalent to `l2_error(&a.binarize(threshold_a),
-/// &b.binarize(threshold_b))` — `Grid::binarize` maps `v >= t` to 1.0 and
-/// the XOR counts compare against 0.5 — but without materialising either
-/// binarized grid. Evaluation loops use this for both the L2 term (nominal
-/// print vs rasterised target) and the PV band (outer vs inner corner
-/// prints on the raw aerial images).
+/// Thresholding is fused into the count instead of materialising binarized
+/// grids (`Grid::binarize` maps `v >= t` to 1.0, so the count is exact).
+/// Scoring uses it for the L2 term (nominal print vs rasterised target)
+/// and the PV band (outer vs inner corner prints on the raw aerials); a
+/// whole-grid count passes the grid's own extent, a tile's its core, so
+/// the disjoint cores of a partition count every seam pixel once.
 ///
 /// # Panics
 ///
 /// Panics when the two grids have different dimensions.
-pub fn thresholded_xor_area(a: &Grid, threshold_a: f64, b: &Grid, threshold_b: f64) -> f64 {
+pub fn thresholded_xor_area(
+    a: &Grid,
+    threshold_a: f64,
+    b: &Grid,
+    threshold_b: f64,
+    window: BBox,
+) -> f64 {
     assert_eq!(a.width(), b.width(), "grid width mismatch");
     assert_eq!(a.height(), b.height(), "grid height mismatch");
-    let px = a.pitch() * a.pitch();
+    let pitch = a.pitch();
+    // Pixel centres increase with the index, so each axis's pixels inside
+    // the window are one range.
+    let inside = |n: usize, lo: f64, hi: f64| {
+        let centre = |i: usize| (i as f64 + 0.5) * pitch;
+        let start = (0..n).take_while(|&i| centre(i) < lo).count();
+        let end = n - (0..n).rev().take_while(|&i| centre(i) >= hi).count();
+        start..end.max(start)
+    };
+    let cols = inside(a.width(), window.min.x, window.max.x);
+    let rows = inside(a.height(), window.min.y, window.max.y);
     let mut count = 0usize;
-    for (&va, &vb) in a.data().iter().zip(b.data()) {
-        if (va >= threshold_a) != (vb >= threshold_b) {
-            count += 1;
+    for row in rows.map(|y| y * a.width()) {
+        let span = row + cols.start..row + cols.end;
+        for (&va, &vb) in a.data()[span.clone()].iter().zip(&b.data()[span]) {
+            if (va >= threshold_a) != (vb >= threshold_b) {
+                count += 1;
+            }
         }
     }
-    count as f64 * px
-}
-
-/// Squared L2 error between a printed binary image and the binary target:
-/// the XOR pixel count scaled to nm² (for binary images the sum of squared
-/// differences equals the XOR area).
-///
-/// # Panics
-///
-/// Panics when the two grids have different dimensions.
-pub fn l2_error(printed: &Grid, target: &Grid) -> f64 {
-    assert_eq!(printed.width(), target.width(), "grid width mismatch");
-    assert_eq!(printed.height(), target.height(), "grid height mismatch");
-    let px = printed.pitch() * printed.pitch();
-    let mut count = 0usize;
-    for (&a, &b) in printed.data().iter().zip(target.data()) {
-        if (a > 0.5) != (b > 0.5) {
-            count += 1;
-        }
-    }
-    count as f64 * px
-}
-
-/// Process variation band area in nm²: pixels printed at the outer corner
-/// but not at the inner corner (plus any inverse discrepancies).
-///
-/// # Panics
-///
-/// Panics when the two grids have different dimensions.
-pub fn pvb_area(outer: &Grid, inner: &Grid) -> f64 {
-    assert_eq!(outer.width(), inner.width(), "grid width mismatch");
-    assert_eq!(outer.height(), inner.height(), "grid height mismatch");
-    let px = outer.pitch() * outer.pitch();
-    let mut count = 0usize;
-    for (&a, &b) in outer.data().iter().zip(inner.data()) {
-        if (a > 0.5) != (b > 0.5) {
-            count += 1;
-        }
-    }
-    count as f64 * px
+    count as f64 * (pitch * pitch)
 }
 
 #[cfg(test)]
@@ -391,7 +367,6 @@ mod tests {
             search_range: 10.0,
         };
         assert_eq!(report.sum_abs(), 6.5);
-        assert_eq!(report.max_abs(), 3.0);
         assert_eq!(report.mean_abs(), 1.625);
         assert_eq!(report.violations(1.0), 2);
         assert_eq!(report.violations(0.0), 4);
@@ -436,6 +411,12 @@ mod tests {
         assert_eq!(pts.len(), 12);
     }
 
+    /// The binary XOR area of two 0/1 grids over the whole grid.
+    fn xor_area(a: &Grid, b: &Grid) -> f64 {
+        let extent = Point::new(a.width() as f64, a.height() as f64) * a.pitch();
+        thresholded_xor_area(a, 0.5, b, 0.5, BBox::new(Point::ZERO, extent))
+    }
+
     #[test]
     fn l2_counts_xor_area() {
         let mut a = Grid::zeros(4, 4, 2.0);
@@ -445,14 +426,29 @@ mod tests {
         b[(1, 1)] = 1.0;
         b[(2, 2)] = 1.0;
         // XOR = {(0,0), (2,2)} = 2 pixels * 4 nm² = 8.
-        assert_eq!(l2_error(&a, &b), 8.0);
-        assert_eq!(l2_error(&a, &a), 0.0);
+        assert_eq!(xor_area(&a, &b), 8.0);
+        assert_eq!(xor_area(&a, &a), 0.0);
+        // Windows by pixel centre (1, 3, 5, … nm), half-open: a centre on
+        // the low edge is in, one on the high edge out.
+        for (lo, hi, area) in [
+            (0.0, 4.0, 4.0),
+            (1.0, 6.0, 8.0),
+            (0.0, 5.0, 4.0),
+            (1.1, 6.0, 4.0),
+        ] {
+            let window = BBox::new(Point::new(lo, lo), Point::new(hi, hi));
+            assert_eq!(
+                thresholded_xor_area(&a, 0.5, &b, 0.5, window),
+                area,
+                "{window:?}"
+            );
+        }
     }
 
     #[test]
     fn pvb_of_identical_prints_is_zero() {
         let g = Grid::filled(8, 8, 1.0, 1.0);
-        assert_eq!(pvb_area(&g, &g), 0.0);
+        assert_eq!(xor_area(&g, &g), 0.0);
     }
 
     #[test]
@@ -470,7 +466,7 @@ mod tests {
                 inner[(ix, iy)] = 1.0;
             }
         }
-        assert_eq!(pvb_area(&outer, &inner), 20.0);
+        assert_eq!(xor_area(&outer, &inner), 20.0);
     }
 
     #[test]
@@ -478,6 +474,6 @@ mod tests {
     fn l2_dimension_mismatch_panics() {
         let a = Grid::zeros(4, 4, 1.0);
         let b = Grid::zeros(8, 4, 1.0);
-        let _ = l2_error(&a, &b);
+        let _ = xor_area(&a, &b);
     }
 }

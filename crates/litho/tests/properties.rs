@@ -1,10 +1,53 @@
 //! Property-based tests for the lithography substrate.
 
-use cardopc_geometry::{Grid, Point, Polygon, SplitMix64};
+use cardopc_geometry::{BBox, Grid, Point, Polygon, SplitMix64};
 use cardopc_litho::fft::{fft_inplace, is_five_smooth, Complex, Field};
-use cardopc_litho::{epe_at, l2_error, pvb_area, rasterize, thresholded_xor_area, MeasurePoint};
+use cardopc_litho::{epe_at, rasterize, thresholded_xor_area, MeasurePoint};
 use proptest::prelude::*;
 use std::ops::Range;
+
+/// Reference definition: squared L2 error between a printed binary image
+/// and the binary target, the XOR pixel count scaled to nm² (for binary
+/// images the sum of squared differences equals the XOR area).
+fn l2_error(printed: &Grid, target: &Grid) -> f64 {
+    assert_eq!(printed.width(), target.width(), "grid width mismatch");
+    assert_eq!(printed.height(), target.height(), "grid height mismatch");
+    let px = printed.pitch() * printed.pitch();
+    let mut count = 0usize;
+    for (&a, &b) in printed.data().iter().zip(target.data()) {
+        if (a > 0.5) != (b > 0.5) {
+            count += 1;
+        }
+    }
+    count as f64 * px
+}
+
+/// Reference definition: process variation band area in nm², pixels
+/// printed at the outer corner but not at the inner one (plus any inverse
+/// discrepancies).
+fn pvb_area(outer: &Grid, inner: &Grid) -> f64 {
+    assert_eq!(outer.width(), inner.width(), "grid width mismatch");
+    assert_eq!(outer.height(), inner.height(), "grid height mismatch");
+    let px = outer.pitch() * outer.pitch();
+    let mut count = 0usize;
+    for (&a, &b) in outer.data().iter().zip(inner.data()) {
+        if (a > 0.5) != (b > 0.5) {
+            count += 1;
+        }
+    }
+    count as f64 * px
+}
+
+/// A grid's own extent: the window whole-grid scoring passes.
+fn extent(g: &Grid) -> BBox {
+    let corner = Point::new(g.width() as f64, g.height() as f64) * g.pitch();
+    BBox::new(Point::ZERO, corner)
+}
+
+/// The production XOR area of two binary grids over the whole grid.
+fn xor_area(a: &Grid, b: &Grid) -> f64 {
+    thresholded_xor_area(a, 0.5, b, 0.5, extent(a))
+}
 
 /// The 5-smooth integers of `range` (the only lengths the FFT transforms),
 /// drawn uniformly.
@@ -131,9 +174,9 @@ proptest! {
         };
         let a = mk(&mut rng);
         let b = mk(&mut rng);
-        prop_assert_eq!(l2_error(&a, &a), 0.0);
-        prop_assert_eq!(l2_error(&a, &b), l2_error(&b, &a));
-        prop_assert!(l2_error(&a, &b) >= 0.0);
+        prop_assert_eq!(xor_area(&a, &a), 0.0);
+        prop_assert_eq!(xor_area(&a, &b), xor_area(&b, &a));
+        prop_assert!(xor_area(&a, &b) >= 0.0);
     }
 
     /// PVB of nested prints equals outer minus inner area.
@@ -154,7 +197,7 @@ proptest! {
             }
         }
         let expected = (4 * outer_half * outer_half - 4 * inner_half * inner_half) as f64;
-        prop_assert_eq!(pvb_area(&outer, &inner), expected);
+        prop_assert_eq!(xor_area(&outer, &inner), expected);
     }
 
     /// PVB is symmetric in its arguments and monotone in the band width:
@@ -176,9 +219,9 @@ proptest! {
         let inner = square(inner_half);
         let mid = square(mid_half);
         let outer = square(outer_half);
-        prop_assert_eq!(pvb_area(&outer, &inner), pvb_area(&inner, &outer));
-        prop_assert!(pvb_area(&outer, &inner) >= pvb_area(&mid, &inner));
-        prop_assert!(pvb_area(&outer, &inner) >= pvb_area(&outer, &mid));
+        prop_assert_eq!(xor_area(&outer, &inner), xor_area(&inner, &outer));
+        prop_assert!(xor_area(&outer, &inner) >= xor_area(&mid, &inner));
+        prop_assert!(xor_area(&outer, &inner) >= xor_area(&outer, &mid));
     }
 
     /// The fused threshold-XOR count equals binarising both grids first and
@@ -193,12 +236,29 @@ proptest! {
         };
         let a = mk();
         let b = mk();
-        let fused = thresholded_xor_area(&a, ta, &b, tb);
+        let fused = thresholded_xor_area(&a, ta, &b, tb, extent(&a));
         let reference = pvb_area(&a.binarize(ta), &b.binarize(tb));
         prop_assert_eq!(fused, reference);
         // L2 against a binary target is the same fused count.
-        prop_assert_eq!(thresholded_xor_area(&a, ta, &b.binarize(tb), 0.5),
+        prop_assert_eq!(thresholded_xor_area(&a, ta, &b.binarize(tb), 0.5, extent(&a)),
                         l2_error(&a.binarize(ta), &b.binarize(tb)));
+    }
+
+    /// Over a grid's own extent the windowed count is the reference L2 and
+    /// PV-band definitions on binary grids, bit for bit: every pixel
+    /// centre lies in the window, whatever the size and pitch.
+    #[test]
+    fn whole_extent_window_is_the_reference_xor(seed in 0u64..1000, w in 1usize..40,
+                                                h in 1usize..40, pitch in 0.3..40.0f64) {
+        let mut rng = SplitMix64::new(seed);
+        let density = rng.range_f64(0.0, 1.0);
+        let mut mk = || {
+            let data = (0..w * h).map(|_| if rng.chance(density) { 1.0 } else { 0.0 }).collect();
+            Grid::from_data(w, h, pitch, data)
+        };
+        let (a, b) = (mk(), mk());
+        prop_assert_eq!(xor_area(&a, &b).to_bits(), l2_error(&a, &b).to_bits());
+        prop_assert_eq!(xor_area(&b, &a).to_bits(), pvb_area(&b, &a).to_bits());
     }
 
     /// EPE sign convention on a linear aerial ramp: a printed edge lying

@@ -1,15 +1,17 @@
 //! Shared mask evaluation: EPE / PVB / L2 under the paper's conventions.
 //!
 //! Every method in the benchmark tables — CardOPC, the rectilinear
-//! baselines, raw ILT and the hybrid — is scored by this one function, so
-//! comparisons are apples-to-apples (the paper does the same by scoring
-//! everything with the contest engine or Calibre).
+//! baselines, raw ILT and the hybrid — is scored by [`evaluate_mask`], and
+//! every tile of the tiled runtime by its EPE + PVB half,
+//! [`score_mask_grid`], so whole masks and tiles are scored by one rule
+//! (the paper does the same by scoring everything with the contest engine
+//! or Calibre).
 
 use crate::OpcError;
-use cardopc_geometry::{Grid, Polygon};
+use cardopc_geometry::{BBox, Grid, Point, Polygon};
 use cardopc_litho::{
     measure_epe, metal_measure_points, rasterize, thresholded_xor_area, via_measure_points,
-    EpeReport, LithoEngine, ProcessCondition,
+    EpeReport, LithoEngine, MeasurePoint, ProcessCondition,
 };
 
 /// Which measure point convention to evaluate EPE with.
@@ -20,6 +22,16 @@ pub enum MeasureConvention {
     /// Points along edges with the given spacing in nm (metal layers; the
     /// paper uses 60 nm).
     MetalSpacing(f64),
+}
+
+impl MeasureConvention {
+    /// The EPE measure sites of `targets` under this convention.
+    pub fn sites(self, targets: &[Polygon]) -> Vec<MeasurePoint> {
+        match self {
+            MeasureConvention::ViaEdgeCenters => via_measure_points(targets),
+            MeasureConvention::MetalSpacing(s) => metal_measure_points(targets, s),
+        }
+    }
 }
 
 /// The scores of one optimised mask.
@@ -37,6 +49,18 @@ pub struct Evaluation {
     pub pvb_nm2: f64,
     /// Squared L2 error vs the target, nm².
     pub l2_nm2: f64,
+}
+
+/// The EPE + PVB half of an [`Evaluation`]: what [`score_mask_grid`]
+/// measures without rasterising the targets.
+#[derive(Clone, Debug)]
+pub struct Score {
+    /// Per-site EPE at nominal conditions.
+    pub epe: EpeReport,
+    /// Process variation band area inside the window, nm².
+    pub pvb_nm2: f64,
+    /// The nominal aerial image EPE was measured on.
+    pub aerial: Grid,
 }
 
 /// EPE violation tolerance used throughout the experiments, nm.
@@ -74,13 +98,8 @@ pub fn evaluate_mask(
 }
 
 /// Scores a rasterised mask (e.g. a pixel ILT output) against target
-/// patterns; same metrics as [`evaluate_mask`].
-///
-/// Both aerial images (nominal + defocused) come from a single forward
-/// mask FFT ([`LithoEngine::aerial_images_multi`]), and the L2/PVB terms
-/// fuse thresholding with the XOR count instead of materialising binarized
-/// grids — the scores are identical to imaging each condition on its own
-/// and binarising ([`LithoEngine::print`]).
+/// patterns; same metrics as [`evaluate_mask`]: [`score_mask_grid`] over
+/// the whole grid, plus L2 on its nominal aerial.
 ///
 /// # Errors
 ///
@@ -94,9 +113,52 @@ pub fn evaluate_mask_grid(
     epe_search: f64,
 ) -> Result<Evaluation, OpcError> {
     let (w, h, pitch) = (engine.width(), engine.height(), engine.pitch());
+    let extent = BBox::new(Point::ZERO, Point::new(w as f64, h as f64) * pitch);
+    let score = score_mask_grid(
+        engine,
+        mask_raster,
+        targets,
+        convention,
+        dose_delta,
+        epe_search,
+        extent,
+    )?;
+    let target_raster = rasterize(targets, w, h, pitch);
+    let nominal = engine.effective_threshold(ProcessCondition::NOMINAL);
+    Ok(Evaluation {
+        epe_sum_nm: score.epe.sum_abs(),
+        epe_violations: score.epe.violations(EPE_TOLERANCE),
+        epe_tolerance: EPE_TOLERANCE,
+        pvb_nm2: score.pvb_nm2,
+        l2_nm2: thresholded_xor_area(&score.aerial, nominal, &target_raster, 0.5, extent),
+        epe: score.epe,
+    })
+}
 
-    // One shared-spectrum litho pass for both focus states.
-    let images = engine.aerial_images_multi(
+/// Scores a rasterised mask's EPE and PV band: EPE at the convention's
+/// sites on `targets`, and the PV band over the pixels whose centre lies
+/// in `window` (nm, grid coordinates, half-open — see
+/// [`thresholded_xor_area`]).
+///
+/// Both aerial images (nominal + inner corner) come from a single forward
+/// mask FFT ([`LithoEngine::aerial_images_multi`]), and the PVB count
+/// fuses thresholding with the XOR instead of materialising binarized
+/// grids — the scores are identical to imaging each condition on its own
+/// and binarising ([`LithoEngine::print`]).
+///
+/// # Errors
+///
+/// Propagates [`OpcError::Litho`] on engine/grid mismatches.
+pub fn score_mask_grid(
+    engine: &LithoEngine,
+    mask_raster: &Grid,
+    targets: &[Polygon],
+    convention: MeasureConvention,
+    dose_delta: f64,
+    epe_search: f64,
+    window: BBox,
+) -> Result<Score, OpcError> {
+    let mut images = engine.aerial_images_multi(
         mask_raster,
         &[
             ProcessCondition::NOMINAL,
@@ -104,36 +166,19 @@ pub fn evaluate_mask_grid(
         ],
     )?;
     let (aerial, inner_aerial) = (&images[0], &images[1]);
-
-    let sites = match convention {
-        MeasureConvention::ViaEdgeCenters => via_measure_points(targets),
-        MeasureConvention::MetalSpacing(s) => metal_measure_points(targets, s),
-    };
+    let sites = convention.sites(targets);
     let epe = measure_epe(aerial, engine.threshold(), &sites, epe_search);
-
-    // Fused threshold + XOR counts on the raw aerials: `binarize` maps
-    // `v >= t` to 1.0, so comparing `v >= t` directly is exact.
-    let target_raster = rasterize(targets, w, h, pitch);
-    let l2 = thresholded_xor_area(
-        aerial,
-        engine.effective_threshold(ProcessCondition::NOMINAL),
-        &target_raster,
-        0.5,
-    );
-    let pvb = thresholded_xor_area(
+    let pvb_nm2 = thresholded_xor_area(
         aerial,
         engine.effective_threshold(ProcessCondition::outer(dose_delta)),
         inner_aerial,
         engine.effective_threshold(ProcessCondition::inner(dose_delta)),
+        window,
     );
-
-    Ok(Evaluation {
-        epe_sum_nm: epe.sum_abs(),
-        epe_violations: epe.violations(EPE_TOLERANCE),
-        epe_tolerance: EPE_TOLERANCE,
-        pvb_nm2: pvb,
-        l2_nm2: l2,
+    Ok(Score {
         epe,
+        pvb_nm2,
+        aerial: images.swap_remove(0),
     })
 }
 

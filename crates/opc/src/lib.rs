@@ -55,7 +55,7 @@ pub use dissect::{dissect_polygon, DissectedSegment};
 pub use error::OpcError;
 pub use eval::{
     engine_for_extent, engine_for_extent_at, evaluate_mask, evaluate_mask_grid, raster_for_engine,
-    Evaluation, MeasureConvention, EPE_TOLERANCE,
+    score_mask_grid, Evaluation, MeasureConvention, Score, EPE_TOLERANCE,
 };
 pub use flow::{CardOpc, OpcOutcome, OptimizedShapes};
 pub use sraf::insert_srafs;

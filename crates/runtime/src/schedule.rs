@@ -2,16 +2,18 @@
 //!
 //! Tiles are fanned over [`WorkerPool`] tasks: each task (one worker
 //! thread, plus the participating submitter) claims tiles from a shared
-//! atomic counter and runs the full OPC flow on them. Every task takes its
+//! atomic counter, runs the full OPC flow on them and scores each with the
+//! one mask scorer, [`score_mask_grid`]: EPE at the owned targets' sites,
+//! the PV band over the core. Every task takes its
 //! [`LithoEngine`](cardopc_litho::LithoEngine) from one [`EngineCache`]
 //! (the attached one, or a run-local one), which holds one engine per
 //! window extent, pitch and precision; the engine pools its own scratch,
 //! so tasks share it. Tile windows are uniform, so a run builds exactly
-//! one engine. The claim order is dynamic (load
-//! balanced), but results are merged and sorted by tile index afterwards,
-//! so the outcome is **deterministic for any scheduler pool size**: each
-//! tile's correction is a pure function of its input clip, and the
-//! per-tile outputs are order-independent. The litho engine's SOCS
+//! one engine. The claim order is dynamic (load balanced), but results are
+//! merged and sorted by tile index afterwards, so the outcome is
+//! **deterministic for any scheduler pool size**: each tile's correction
+//! is a pure function of its input clip, and the per-tile outputs are
+//! order-independent. The litho engine's SOCS
 //! fan-out folds its kernel strips in ascending kernel order whatever the
 //! pool size, so `CARDOPC_THREADS` (or `--threads`) moves no bit of an
 //! image either (`aerial_image_is_identical_across_worker_counts`).
@@ -31,11 +33,10 @@ use crate::hash::TileHasher;
 use crate::partition::{Partition, Tile};
 use crate::run::Run;
 use crate::RuntimeError;
-use cardopc_geometry::{Grid, Polygon};
+use cardopc_geometry::{BBox, Polygon};
 use cardopc_litho::span::{span, tile_span};
-use cardopc_litho::{measure_epe, metal_measure_points, via_measure_points};
-use cardopc_litho::{ProcessCondition, WorkerPool};
-use cardopc_opc::{engine_for_extent_at, CardOpc, MeasureConvention, EPE_TOLERANCE};
+use cardopc_litho::WorkerPool;
+use cardopc_opc::{engine_for_extent_at, score_mask_grid, CardOpc, Score, EPE_TOLERANCE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -314,21 +315,6 @@ fn correct_tile(
         .collect();
     let raster =
         cardopc_litho::rasterize(&mask_polys, engine.width(), engine.height(), engine.pitch());
-    // Both focus states from a single forward mask FFT.
-    let images = engine
-        .aerial_images_multi(
-            &raster,
-            &[
-                ProcessCondition::NOMINAL,
-                ProcessCondition::inner(config.dose_delta),
-            ],
-        )
-        .map_err(|e| RuntimeError::Tile {
-            tile: tile.index,
-            source: e.into(),
-        })?;
-    let (aerial, inner_aerial) = (&images[0], &images[1]);
-
     let owned_targets: Vec<Polygon> = tile
         .clip
         .targets()
@@ -337,22 +323,19 @@ fn correct_tile(
         .filter(|&(_, owned)| *owned)
         .map(|(t, _)| t.clone())
         .collect();
-    let sites = match config.convention {
-        MeasureConvention::ViaEdgeCenters => via_measure_points(&owned_targets),
-        MeasureConvention::MetalSpacing(s) => metal_measure_points(&owned_targets, s),
-    };
-    let epe = measure_epe(aerial, engine.threshold(), &sites, config.epe_search);
-
-    // Core-restricted PV band on the raw aerials: thresholding is fused
-    // into the count (`binarize` maps `v >= t` to 1.0, so comparing
-    // `v >= t` directly is exact).
-    let pvb_nm2 = core_pvb(
-        aerial,
-        engine.effective_threshold(ProcessCondition::outer(config.dose_delta)),
-        inner_aerial,
-        engine.effective_threshold(ProcessCondition::inner(config.dose_delta)),
-        tile,
-    );
+    let Score { epe, pvb_nm2, .. } = score_mask_grid(
+        &engine,
+        &raster,
+        &owned_targets,
+        config.convention,
+        config.dose_delta,
+        config.epe_search,
+        window_core(tile),
+    )
+    .map_err(|source| RuntimeError::Tile {
+        tile: tile.index,
+        source,
+    })?;
     drop(score);
 
     // Window-relative output shapes: every *owned* main tagged with its
@@ -393,6 +376,16 @@ fn correct_tile(
     })
 }
 
+/// The tile's core in window coordinates: the PV band's pixel window. By
+/// pixel centre over half-open cores, the disjoint cores of a partition
+/// count every seam pixel exactly once across tiles.
+fn window_core(tile: &Tile) -> BBox {
+    BBox {
+        min: tile.core.min - tile.origin,
+        max: tile.core.max - tile.origin,
+    }
+}
+
 /// A corrected shape in window coordinates; `target` is a main's index in
 /// the tile clip's target list.
 fn window_shape(shape: &cardopc_opc::OpcShape, target: Option<usize>) -> StitchedShape {
@@ -404,53 +397,13 @@ fn window_shape(shape: &cardopc_opc::OpcShape, target: Option<usize>) -> Stitche
     }
 }
 
-/// PV-band area restricted to the tile's core, nm², computed directly on
-/// the raw outer/inner aerial images with their effective print thresholds
-/// (equivalent to binarizing both and XOR-counting, without materialising
-/// the binary grids). Pixel membership is by pixel centre, so the disjoint
-/// cores of a partition count every seam pixel exactly once across tiles.
-fn core_pvb(
-    outer: &Grid,
-    outer_threshold: f64,
-    inner: &Grid,
-    inner_threshold: f64,
-    tile: &Tile,
-) -> f64 {
-    let pitch = outer.pitch();
-    let px = pitch * pitch;
-    // Core in window coordinates.
-    let x0 = tile.core.min.x - tile.origin.x;
-    let x1 = tile.core.max.x - tile.origin.x;
-    let y0 = tile.core.min.y - tile.origin.y;
-    let y1 = tile.core.max.y - tile.origin.y;
-    let mut count = 0usize;
-    for iy in 0..outer.height() {
-        let cy = (iy as f64 + 0.5) * pitch;
-        if cy < y0 || cy >= y1 {
-            continue;
-        }
-        for ix in 0..outer.width() {
-            let cx = (ix as f64 + 0.5) * pitch;
-            if cx < x0 || cx >= x1 {
-                continue;
-            }
-            let a = outer.get(ix, iy).unwrap_or(0.0);
-            let b = inner.get(ix, iy).unwrap_or(0.0);
-            if (a >= outer_threshold) != (b >= inner_threshold) {
-                count += 1;
-            }
-        }
-    }
-    count as f64 * px
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partition::{partition_clip, TilingConfig};
-    use cardopc_geometry::Point;
+    use cardopc_geometry::{Grid, Point};
     use cardopc_layout::Clip;
-    use cardopc_opc::OpcConfig;
+    use cardopc_opc::{MeasureConvention, OpcConfig};
 
     fn small_clip() -> Clip {
         Clip::new(
@@ -715,5 +668,210 @@ mod tests {
         assert_eq!(again.results.len(), 16);
         drop(run_dir);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The core-restricted PV band `correct_tile` counted before tiles
+    /// scored through `score_mask_grid`, kept as the oracle of the
+    /// windowed count: pixel membership by centre in the half-open core.
+    fn core_pvb(
+        outer: &Grid,
+        outer_threshold: f64,
+        inner: &Grid,
+        inner_threshold: f64,
+        tile: &Tile,
+    ) -> f64 {
+        let pitch = outer.pitch();
+        let px = pitch * pitch;
+        // Core in window coordinates.
+        let x0 = tile.core.min.x - tile.origin.x;
+        let x1 = tile.core.max.x - tile.origin.x;
+        let y0 = tile.core.min.y - tile.origin.y;
+        let y1 = tile.core.max.y - tile.origin.y;
+        let mut count = 0usize;
+        for iy in 0..outer.height() {
+            let cy = (iy as f64 + 0.5) * pitch;
+            if cy < y0 || cy >= y1 {
+                continue;
+            }
+            for ix in 0..outer.width() {
+                let cx = (ix as f64 + 0.5) * pitch;
+                if cx < x0 || cx >= x1 {
+                    continue;
+                }
+                let a = outer.get(ix, iy).unwrap_or(0.0);
+                let b = inner.get(ix, iy).unwrap_or(0.0);
+                if (a >= outer_threshold) != (b >= inner_threshold) {
+                    count += 1;
+                }
+            }
+        }
+        count as f64 * px
+    }
+
+    proptest::proptest! {
+        /// Random aerial pairs on grids down to 13×16, under cores whose
+        /// edges fall exactly on, one ulp inside or outside a pixel centre
+        /// (or anywhere, past the grid and inverted too), at the window
+        /// origin or shifted by a chip origin: the tile scorer's PV-band
+        /// window counts `core_pvb`'s pixels, bit for bit.
+        #[test]
+        fn core_pvb_oracle_is_the_windowed_count(seed in 0u64..u64::MAX) {
+            use cardopc_geometry::SplitMix64;
+            let mut rng = SplitMix64::new(seed);
+            let (w, h) = (rng.range_usize(13, 48), rng.range_usize(16, 48));
+            let pitch = [1.0, 4.0, 7.0, 16.0, 34.0, 0.3, rng.range_f64(0.5, 40.0)][rng.range_usize(0, 7)];
+            let mut image = || {
+                let data = (0..w * h).map(|_| rng.range_f64(0.0, 1.0)).collect();
+                Grid::from_data(w, h, pitch, data)
+            };
+            let (outer, inner) = (image(), image());
+            let (outer_t, inner_t) = (rng.range_f64(0.2, 0.8), rng.range_f64(0.2, 0.8));
+            let mut edge = |n: usize| {
+                let centre = (rng.range_usize(0, n + 3) as f64 - 1.5) * pitch;
+                match rng.range_usize(0, 4) {
+                    0 => centre,
+                    1 => centre.next_down(),
+                    2 => centre.next_up(),
+                    _ => rng.range_f64(-pitch, (n + 1) as f64 * pitch),
+                }
+            };
+            let (x0, x1, y0, y1) = (edge(w), edge(w), edge(h), edge(h));
+            let origin = match rng.chance(0.5) {
+                true => Point::ZERO,
+                false => Point::new(rng.range_f64(-5e3, 5e3), rng.range_f64(-5e3, 5e3)),
+            };
+            let tile = Tile {
+                index: 0,
+                tx: 0,
+                ty: 0,
+                origin,
+                core: BBox {
+                    min: Point::new(x0, y0) + origin,
+                    max: Point::new(x1, y1) + origin,
+                },
+                clip: Clip::new("bare", 1.0, 1.0, Vec::new()),
+                global_ids: Vec::new(),
+                owned: Vec::new(),
+            };
+            let want = core_pvb(&outer, outer_t, &inner, inner_t, &tile);
+            let got = cardopc_litho::thresholded_xor_area(
+                &outer, outer_t, &inner, inner_t, window_core(&tile),
+            );
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    /// Every tile of two partitions whose owner grid clamps at the far
+    /// edges (corner, edge and interior tiles; cores on pixel centres and
+    /// off them): `score_mask_grid` over the tile's core gives the EPE and
+    /// PV band the tile's own scoring gave — the convention's sites on the
+    /// owned targets through `measure_epe`, and `core_pvb` — bit for bit.
+    #[test]
+    fn core_pvb_oracle_is_the_tile_scorer() {
+        use cardopc_litho::{measure_epe, metal_measure_points, via_measure_points};
+        use cardopc_litho::{Precision, ProcessCondition};
+        let rects = |w: f64, h: f64| {
+            let mut rng = cardopc_geometry::SplitMix64::new(47);
+            let mut rects = vec![
+                // Centred on the far corner: owned by the clamped tile.
+                Polygon::rect(
+                    Point::new(w - 40.0, h - 30.0),
+                    Point::new(w + 40.0, h + 30.0),
+                ),
+                Polygon::rect(Point::new(-20.0, 100.0), Point::new(60.0, 180.0)),
+            ];
+            for _ in 0..14 {
+                let (x, y) = (rng.range_f64(0.0, w), rng.range_f64(0.0, h));
+                let (dx, dy) = (rng.range_f64(40.0, 200.0), rng.range_f64(40.0, 120.0));
+                rects.push(Polygon::rect(Point::new(x, y), Point::new(x + dx, y + dy)));
+            }
+            rects
+        };
+        let cases = [
+            (
+                1000.0,
+                760.0,
+                300.0,
+                150.0,
+                20.0,
+                MeasureConvention::ViaEdgeCenters,
+            ),
+            (
+                1000.0,
+                900.0,
+                310.7,
+                133.3,
+                16.0,
+                MeasureConvention::MetalSpacing(60.0),
+            ),
+        ];
+        for (w, h, tile_size, halo, pitch, convention) in cases {
+            let clip = Clip::new("clamped", w, h, rects(w, h));
+            let partition = partition_clip(&clip, &TilingConfig { tile_size, halo }).unwrap();
+            assert!(partition.nx >= 3 && partition.ny >= 3);
+            let window = partition.window;
+            let engine = engine_for_extent_at(window.x, window.y, pitch, Precision::F64).unwrap();
+            let (dose_delta, epe_search) = (0.02, 40.0);
+            let mut scored = 0;
+            for tile in &partition.tiles {
+                let raster = cardopc_litho::rasterize(
+                    tile.clip.targets(),
+                    engine.width(),
+                    engine.height(),
+                    pitch,
+                );
+                let owned: Vec<Polygon> = tile
+                    .clip
+                    .targets()
+                    .iter()
+                    .zip(&tile.owned)
+                    .filter(|&(_, owned)| *owned)
+                    .map(|(t, _)| t.clone())
+                    .collect();
+                let score = score_mask_grid(
+                    &engine,
+                    &raster,
+                    &owned,
+                    convention,
+                    dose_delta,
+                    epe_search,
+                    window_core(tile),
+                )
+                .unwrap();
+
+                let conditions = [
+                    ProcessCondition::NOMINAL,
+                    ProcessCondition::inner(dose_delta),
+                ];
+                let images = engine.aerial_images_multi(&raster, &conditions).unwrap();
+                let sites = match convention {
+                    MeasureConvention::ViaEdgeCenters => via_measure_points(&owned),
+                    MeasureConvention::MetalSpacing(s) => metal_measure_points(&owned, s),
+                };
+                let epe = measure_epe(&images[0], engine.threshold(), &sites, epe_search);
+                let pvb = core_pvb(
+                    &images[0],
+                    engine.effective_threshold(ProcessCondition::outer(dose_delta)),
+                    &images[1],
+                    engine.effective_threshold(ProcessCondition::inner(dose_delta)),
+                    tile,
+                );
+                let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&score.epe.values),
+                    bits(&epe.values),
+                    "tile {}",
+                    tile.index
+                );
+                assert_eq!(
+                    score.pvb_nm2.to_bits(),
+                    pvb.to_bits(),
+                    "tile {}",
+                    tile.index
+                );
+                scored += usize::from(pvb > 0.0);
+            }
+            assert!(scored >= 4, "{scored} tiles with a PV band");
+        }
     }
 }

@@ -337,10 +337,13 @@ impl RunArgs {
     }
 }
 
-/// Serve-mode flags. `Ok(None)` means an informational flag (`--help`,
-/// `--version`) was handled and the process should exit successfully.
-fn parse_serve(it: &mut std::vec::IntoIter<String>) -> Result<Option<ServeConfig>, String> {
-    let mut config = ServeConfig::default();
+/// Serve-mode flags, and `--threads` (the process pool's size) beside
+/// them. `Ok(None)` means an informational flag (`--help`, `--version`)
+/// was handled and the process should exit successfully.
+fn parse_serve(
+    it: &mut std::vec::IntoIter<String>,
+) -> Result<Option<(ServeConfig, Option<usize>)>, String> {
+    let (mut config, mut threads) = (ServeConfig::default(), None);
     while let Some(flag) = it.next() {
         let mut value = || {
             it.next()
@@ -351,14 +354,14 @@ fn parse_serve(it: &mut std::vec::IntoIter<String>) -> Result<Option<ServeConfig
             "--max-queued" => config.max_queued = parse_num(&flag, &value()?)?,
             "--max-inflight" => config.max_inflight = parse_num(&flag, &value()?)?,
             "--retain-terminal" => config.retain_terminal = parse_num(&flag, &value()?)?,
-            "--threads" => config.threads = Some(parse_num(&flag, &value()?)?),
+            "--threads" => threads = Some(parse_num(&flag, &value()?)?),
             "--run-root" => config.run_root = value()?.into(),
             "--cache-dir" => config.cache_dir = Some(value()?.into()),
             "--no-cache" => config.cache = false,
             other => return other_flag(other),
         }
     }
-    Ok(Some(config))
+    Ok(Some((config, threads)))
 }
 
 fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
@@ -442,18 +445,18 @@ fn worker_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
 /// Serve mode: start the service, print the bound address, block until a
 /// drain completes, exit 0.
 fn serve_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
-    let mut config = match parse_serve(it) {
-        Ok(Some(config)) => config,
+    let (config, threads) = match parse_serve(it) {
+        Ok(Some(parsed)) => parsed,
         Ok(None) => return ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(n) = config.threads.take() {
+    if let Some(n) = threads {
         WorkerPool::init_global(n);
     }
-    let threads = WorkerPool::global().parallelism();
+    let workers = WorkerPool::global().parallelism();
     let mut server = match Server::start(config) {
         Ok(server) => server,
         Err(e) => {
@@ -464,7 +467,7 @@ fn serve_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
     // The address line is machine-readable: CI starts the server on port
     // 0 and scrapes the port from here.
     println!("cardopc-serve listening on {}", server.local_addr());
-    eprintln!("cardopc serve: {threads} workers; POST /admin/drain to stop");
+    eprintln!("cardopc serve: {workers} workers; POST /admin/drain to stop");
     server.wait_drained();
     server.shutdown();
     eprintln!("cardopc serve: drained, exiting");

@@ -29,25 +29,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Which worker pool the executors correct tiles on.
-#[derive(Clone)]
-pub enum PoolRef {
-    /// The process-global pool (sized by `CARDOPC_THREADS`).
-    Global,
-    /// A pool owned by this server (the `threads` config override).
-    Owned(Arc<WorkerPool>),
-}
-
-impl PoolRef {
-    /// The underlying pool.
-    pub fn get(&self) -> &WorkerPool {
-        match self {
-            PoolRef::Global => WorkerPool::global(),
-            PoolRef::Owned(pool) => pool,
-        }
-    }
-}
-
 /// Job lifecycle states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobState {
@@ -180,7 +161,6 @@ pub struct JobStore {
     /// server-wide (jobs can also opt out individually via the wire
     /// format's `"cache": false`).
     cache: Option<Arc<TileCache>>,
-    pool: PoolRef,
     /// Fleet worker registry; while non-empty, jobs are sharded across
     /// the registered workers instead of running in-process.
     workers: Arc<WorkerRegistry>,
@@ -194,7 +174,6 @@ impl JobStore {
         retain_terminal: usize,
         metrics: Arc<Metrics>,
         cache: Option<Arc<TileCache>>,
-        pool: PoolRef,
         workers: Arc<WorkerRegistry>,
     ) -> JobStore {
         JobStore {
@@ -212,7 +191,6 @@ impl JobStore {
             metrics,
             engines: EngineCache::default(),
             cache,
-            pool,
             workers,
         }
     }
@@ -509,7 +487,7 @@ impl JobStore {
                     Err(FleetError::Runtime(e)) => return Err(e),
                 }
             }
-            run_clip_controlled(&spec.clip, &spec.config, self.pool.get(), &control)
+            run_clip_controlled(&spec.clip, &spec.config, WorkerPool::global(), &control)
         });
         match catch_unwind(run) {
             Ok(Ok(outcome)) => Ok(outcome),

@@ -48,7 +48,7 @@ pub use cardopc_fleet::{client, http};
 
 use fleet::WorkerRegistry;
 use http::Response;
-use job::{DeleteOutcome, JobStore, PoolRef, ResultLookup, SubmitError};
+use job::{DeleteOutcome, JobStore, ResultLookup, SubmitError};
 use metrics::Metrics;
 use std::io;
 use std::net::SocketAddr;
@@ -69,12 +69,6 @@ pub struct ServeConfig {
     /// older ones are evicted so memory does not grow with every job
     /// ever served. `DELETE /v1/jobs/{id}` frees a result sooner.
     pub retain_terminal: usize,
-    /// Worker pool size override for embedders and tests; `None` uses the
-    /// process-global pool (sized by `WorkerPool::init_global` when that
-    /// ran first, else `CARDOPC_THREADS`, else the CPU count). The
-    /// `cardopc serve` binary sizes the global pool from `--threads` and
-    /// leaves this `None`, so the process runs one pool.
-    pub threads: Option<usize>,
     /// Directory under which job `run_dir` names are resolved.
     pub run_root: PathBuf,
     /// Whether jobs share a content-addressed tile correction cache
@@ -93,7 +87,6 @@ impl Default for ServeConfig {
             max_queued: 16,
             max_inflight: 1,
             retain_terminal: 256,
-            threads: None,
             run_root: PathBuf::from("runs"),
             cache: true,
             cache_dir: None,
@@ -125,10 +118,6 @@ impl Server {
     /// Bind/listen failures and an uncreatable run root.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
         std::fs::create_dir_all(&config.run_root)?;
-        let pool = match config.threads {
-            Some(n) => PoolRef::Owned(Arc::new(cardopc_litho::WorkerPool::new(n.max(1)))),
-            None => PoolRef::Global,
-        };
         let metrics = Arc::new(Metrics::default());
         let cache = if config.cache {
             let cache_config = cardopc_runtime::CacheConfig {
@@ -147,7 +136,6 @@ impl Server {
             config.retain_terminal,
             Arc::clone(&metrics),
             cache.clone(),
-            pool,
             Arc::clone(&workers),
         ));
 

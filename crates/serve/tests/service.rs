@@ -70,7 +70,6 @@ fn start_retaining(
         max_queued,
         max_inflight,
         retain_terminal,
-        threads: Some(2),
         run_root: root.clone(),
         ..ServeConfig::default()
     })
@@ -440,7 +439,6 @@ fn sequential_jobs_share_the_cache_across_jobs_and_restarts() {
     let start_cached = |tag: &str| {
         Server::start(ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: Some(2),
             run_root: root.join(tag),
             cache_dir: Some(cache_dir.clone()),
             ..ServeConfig::default()
