@@ -57,15 +57,7 @@ fn dump(precision: Precision) -> Result<String, Box<dyn std::error::Error>> {
     for clip in via_clips() {
         let mut config = OpcConfig::via();
         config.precision = precision;
-        let pitch = config.pitch;
-        let flow = CardOpc::new(config);
-        let outcome = match precision {
-            Precision::F64 => flow.run(&clip)?,
-            _ => {
-                let engine = engine_for_extent_at(clip.width(), clip.height(), pitch, precision)?;
-                flow.run_with_engine(&clip, &engine)?
-            }
-        };
+        let outcome = CardOpc::new(config).run(&clip)?;
         unit(clip.name(), &outcome);
     }
     Ok(out)

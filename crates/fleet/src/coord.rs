@@ -15,12 +15,13 @@
 //! order — and so every request body — is a function of the partition and
 //! the spec alone.
 //!
-//! Class-pure runs are what keep the lease meaning "one correction": a
-//! worker with its tile cache corrects the first tile of a run and replays
-//! the rest by translation, so a request carries at most one real
-//! correction, and each small pattern is simulated once fleet-wide rather
-//! than once per worker. (A `--no-cache` worker corrects every tile, so
-//! the request's IO timeout is `lease ×` tiles carried.)
+//! Class-pure runs are what make a request one correction: the worker
+//! corrects (or replays from its tile cache) the run's first tile and
+//! answers its entry, which the coordinator places on every tile of the
+//! run, so a request's IO timeout is one `lease`. Each worker's cache is
+//! its own: a class whose runs reach two workers is corrected on each
+//! (9–10 corrections for 9 classes on the 64×64 array over two workers;
+//! ROADMAP item 24(a)).
 //!
 //! # State machine (per tile)
 //!
@@ -47,15 +48,14 @@
 //! # What is per request: all-or-nothing answers
 //!
 //! One request is one worker failure, one IO timeout and one `requests`
-//! count, however many tiles it carries. Its answer — the class's entry
-//! line, then its tile lines — is accepted or refused as a whole: the lane
-//! checks the entry's key, the line count, the order, and the index, input
-//! hash, key and [`Placement::of`] of *every* tile line before it settles
-//! *any* tile, so a short, long, reordered, duplicated, mis-hashed,
-//! mis-keyed or misplaced answer (or an oversized one, refused by the
-//! client before it is read) re-queues the whole run and checkpoints
-//! nothing. The run frame places the entry and appends the verified lines
-//! verbatim — nothing is re-encoded, and nothing is encoded under a lock.
+//! count, however many tiles it carries. Its answer is one line, accepted
+//! or refused as a whole: it must be an entry line of the run's class key
+//! that places ([`TileLine::of`]) on *every* tile of the run before *any*
+//! tile settles, so an empty, torn, long, mis-keyed or misplacing answer
+//! (or an oversized one, refused by the client before it is read)
+//! re-queues the whole run and checkpoints nothing. Every tile line —
+//! index, name, input hash, key, placement — is the coordinator's own,
+//! built from its partition; nothing but the entry comes from the worker.
 //!
 //! # Dispatch topology
 //!
@@ -67,12 +67,13 @@
 //! # Around the dispatch: the run frame
 //!
 //! Resume from the coordinator's run dir, the tile budget, committing a
-//! verified line, progress events, the outcome and the manifests are
+//! tile line, progress events, the outcome and the manifests are
 //! [`cardopc_runtime::run`]'s — the frame a single-process run uses. The
 //! coordinator adds one thing before dispatching: it harvests
-//! `GET /v1/records` from every worker and lets the frame adopt the lines,
-//! so a restart loses no finished work even when its own run dir is gone —
-//! the workers' checkpoints are the durable copy.
+//! `GET /v1/records` (each worker's cached entry lines) and lets the frame
+//! adopt every tile they place on, so a restart loses no finished work
+//! even when its own run dir is gone — a worker's persisted tile cache is
+//! the durable copy.
 
 use crate::client::{self, HttpResponse};
 use crate::proto::{self, MAX_BATCH};
@@ -80,9 +81,8 @@ use crate::spec::WorkSpec;
 use cardopc_layout::Clip;
 use cardopc_litho::span::span;
 use cardopc_runtime::{
-    partition_clip, tile_cache_keys, CachedTile, Partition, Placement, Run, RunControl,
-    RunManifest, RunOutcome, RunStore, RuntimeError, ScheduleOutcome, Stitched, StoreLine, Tile,
-    TileLine,
+    partition_clip, tile_cache_keys, CachedTile, Partition, Run, RunControl, RunManifest,
+    RunOutcome, RunStore, RuntimeError, ScheduleOutcome, Stitched, Tile, TileLine,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -99,9 +99,9 @@ pub struct FleetConfig {
     /// In-flight tiles per worker (lane threads). Bounds how much work a
     /// slow worker can absorb.
     pub window: usize,
-    /// Per-tile lease: a dispatch request's IO timeout is this times the
-    /// tiles it carries. A worker that does not answer within it loses the
-    /// run back to the queue.
+    /// A dispatch request's IO timeout: a request corrects at most one
+    /// tile. A worker that does not answer within it loses the run back to
+    /// the queue.
     pub lease: Duration,
     /// Minimum lease age before an idle lane may duplicate-dispatch
     /// (steal) a tile leased to another worker.
@@ -351,31 +351,33 @@ pub fn run_fleet_clip(
     let checkpoints = std::mem::take(&mut store.checkpoints);
     let sink = store.sink.as_mut();
     let mut run = Run::resume(&partition, &spec.opc, checkpoints, sink, &control);
+    let keys = {
+        let tiles: Vec<&Tile> = partition.tiles.iter().collect();
+        tile_cache_keys(&tiles, &partition.config, &spec.opc)
+    };
 
-    // Recovery: adopt matching records from the workers' checkpoints.
-    // A fresh or unreachable worker simply contributes nothing here.
+    // Recovery: adopt every wanted tile a worker's harvested entry lines
+    // place on. A fresh or unreachable worker contributes nothing here.
     let mut stats = FleetStats::default();
     for addr in &config.workers {
         let harvest = client::request_with_timeout(*addr, "GET", "/v1/records", None, config.lease);
         let Some(response) = harvest.ok().filter(|r| r.status == 200) else {
             continue;
         };
-        stats.recovered += run.adopt(&response.body_str())?;
+        stats.recovered += run.adopt(&partition, &keys, &response.body_str())?;
     }
 
     // To-dispatch tiles: budget-truncated in index order (a budget takes
     // the lowest indices), then ordered by pattern — classes in first-seen
     // order, index order within a class (the sort is stable).
     let wanted = run.start(config.max_tiles);
-    let tiles: Vec<&Tile> = wanted
-        .iter()
-        .map(|&(index, _)| &partition.tiles[index])
-        .collect();
-    let keys = tile_cache_keys(&tiles, &partition.config, &spec.opc);
     let mut todo: Vec<TileInfo> = wanted
         .into_iter()
-        .zip(keys)
-        .map(|((index, hash), key)| TileInfo { index, hash, key })
+        .map(|(index, hash)| TileInfo {
+            index,
+            hash,
+            key: keys[index],
+        })
         .collect();
     let mut class_rank: HashMap<u64, usize> = HashMap::new();
     for tile in &todo {
@@ -487,8 +489,9 @@ impl From<String> for Failure {
 }
 
 /// One dispatch lane: claim a run → one HTTP request (lease = IO timeout)
-/// → verify the whole answer → settle. Exits when all tiles are done, the
-/// run is aborted/cancelled, or its worker is retired.
+/// → check the answer and build the run's tile lines → settle. Exits when
+/// all tiles are done, the run is aborted/cancelled, or its worker is
+/// retired.
 ///
 /// Each lane owns one keep-alive [`client::Connection`] to its worker, so
 /// after the first request a dispatch costs a request/response exchange,
@@ -504,12 +507,13 @@ fn lane_loop(shared: &Shared<'_>, worker_id: usize) {
     while let Some(run) = claim_run(shared, worker_id) {
         let indices: Vec<usize> = run.iter().map(|&pos| shared.tiles[pos].index).collect();
         let body = proto::dispatch_body(shared.spec, &indices);
-        // A caching worker corrects at most the first tile of a class-pure
-        // run; one without a cache corrects them all.
-        let timeout = shared.config.lease * run.len() as u32;
-        let response = connection.request_with_timeout("POST", "/v1/tiles", Some(&body), timeout);
+        let sent = Instant::now();
+        let response =
+            connection.request_with_timeout("POST", "/v1/tiles", Some(&body), shared.config.lease);
+        // Each tile line's seconds: its share of the round trip.
+        let seconds = sent.elapsed().as_secs_f64() / run.len() as f64;
         let answer = match &response {
-            Ok(response) => verify_answer(shared, &run, response),
+            Ok(response) => place_answer(shared, &run, response, seconds),
             Err(e) => Err(e.to_string().into()),
         };
         settle(shared, worker_id, &run, answer);
@@ -520,21 +524,20 @@ fn lane_loop(shared: &Shared<'_>, worker_id: usize) {
     shared.cv.notify_all();
 }
 
-/// A verified answer: the entry its tile lines place, and every line beside
-/// the text it came as (borrowed from the response body, so the lines that
-/// were verified are the lines that get checkpointed).
-type Answer<'r> = ((CachedTile, &'r str), Vec<(TileLine, &'r str)>);
+/// An accepted answer: the entry, and the tile line of each tile of the
+/// run, in run order.
+type Answer = (CachedTile, Vec<TileLine>);
 
-/// Checks a worker's whole answer against the run it was asked for: the
-/// entry line of the run's class key, then one tile line per tile, in
-/// request order, each with that tile's index, input hash and key, placing
-/// the entry as the coordinator's own [`Placement::of`] — or refuses the
-/// answer as a whole.
-fn verify_answer<'r>(
+/// Checks a worker's answer against the run it was asked for — exactly
+/// one line, the entry line of the run's class key — and builds each
+/// tile's line from the coordinator's own partition, or refuses the
+/// answer as a whole when the entry does not place on some tile.
+fn place_answer(
     shared: &Shared<'_>,
     run: &[usize],
-    response: &'r HttpResponse,
-) -> Result<Answer<'r>, Failure> {
+    response: &HttpResponse,
+    seconds: f64,
+) -> Result<Answer, Failure> {
     if response.status != 200 {
         let message = format!(
             "worker answered {}: {}",
@@ -549,33 +552,21 @@ fn verify_answer<'r>(
     }
     let body =
         std::str::from_utf8(&response.body).map_err(|_| "answer is not UTF-8".to_string())?;
-    let mut lines = body.lines().map(str::trim);
     let class = shared.tiles[run[0]].key;
-    let entry_line = lines.next().unwrap_or_default();
-    let entry = match StoreLine::parse(entry_line) {
-        Ok(StoreLine::Entry(key, entry)) if key == class => entry,
-        _ => return Err(format!("answer does not open with the entry of {class:016x}").into()),
+    let mut lines = body.lines();
+    let entry = match (lines.next().map(CachedTile::from_json_line), lines.next()) {
+        (Some(Ok((key, entry))), None) if key == class => entry,
+        _ => return Err(format!("answer is not one entry line of {class:016x}").into()),
     };
     let mut tiles = Vec::with_capacity(run.len());
     for &pos in run {
-        let want = &shared.tiles[pos];
-        let short = || format!("short answer: {} tile lines for {}", tiles.len(), run.len());
-        let line = lines.next().ok_or_else(short)?;
-        let Ok(StoreLine::Tile(tile_line)) = StoreLine::parse(line) else {
-            return Err(format!("unparseable tile line for tile {}", want.index).into());
-        };
-        let tile = &shared.partition.tiles[want.index];
-        let own = Placement::of(tile, shared.partition, &entry);
-        let got = (tile_line.index, tile_line.input_hash, tile_line.key);
-        if got != (want.index, want.hash, want.key) || own.as_ref() != Some(&tile_line.placement) {
-            return Err(format!("tile line {got:x?} is not tile {}'s", want.index).into());
-        }
-        tiles.push((tile_line, line));
+        let TileInfo { index, hash, key } = shared.tiles[pos];
+        let tile = &shared.partition.tiles[index];
+        let line = TileLine::of(tile, shared.partition, hash, key, seconds, &entry)
+            .ok_or_else(|| format!("the entry names a target tile {index} lacks"))?;
+        tiles.push(line);
     }
-    if lines.next().is_some() {
-        return Err(format!("long answer: more than {} tile lines", run.len()).into());
-    }
-    Ok(((entry, entry_line), tiles))
+    Ok((entry, tiles))
 }
 
 /// Claims the next run for `worker_id` — positions into `Shared::tiles` —
@@ -656,18 +647,13 @@ fn claim_run(shared: &Shared<'_>, worker_id: usize) -> Option<Vec<usize>> {
 /// Settles one request, tile by tile: first valid result wins; a failed
 /// request re-queues its whole run and counts once toward the worker's
 /// retirement.
-fn settle(
-    shared: &Shared<'_>,
-    worker_id: usize,
-    run: &[usize],
-    answer: Result<Answer<'_>, Failure>,
-) {
+fn settle(shared: &Shared<'_>, worker_id: usize, run: &[usize], answer: Result<Answer, Failure>) {
     let mut state = shared.lock();
     for &pos in run {
         state.slots[pos].leases.retain(|&(w, _)| w != worker_id);
     }
     match answer {
-        Ok(((entry, entry_line), tiles)) => {
+        Ok((entry, tiles)) => {
             state.workers[worker_id].failures = 0;
             let mut fresh = Vec::with_capacity(tiles.len());
             for (&pos, tile) in run.iter().zip(tiles) {
@@ -681,12 +667,9 @@ fn settle(
             }
             drop(state);
             shared.cv.notify_all();
-            // The verified lines, verbatim; the state lock is not held
-            // across the writes.
-            for (line, text) in fresh {
-                shared
-                    .run
-                    .commit(line, &entry, false, Some((entry_line, text)));
+            // The state lock is not held across the writes.
+            for line in fresh {
+                shared.run.commit(line, &entry, false);
             }
         }
         Err(Failure { tile, message }) => {

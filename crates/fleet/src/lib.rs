@@ -4,8 +4,8 @@
 //! unit to the distributed unit of work. One **coordinator** partitions a
 //! clip with the existing halo-aware partitioner and dispatches tile work
 //! units to N **worker processes** over the same dependency-free HTTP/1.1
-//! subset `cardopc-serve` speaks; per-tile results stream back for
-//! incremental stitching and manifest aggregation.
+//! subset `cardopc-serve` speaks; each answer, a pattern's entry line, is
+//! placed on its tiles for stitching and manifest aggregation.
 //!
 //! Because every tile correction is a pure, deterministic function of
 //! `(work spec, tile index)`, the distributed run produces a timing-free
@@ -20,9 +20,9 @@
 //! - **work stealing** — near the tail, idle lanes duplicate-dispatch
 //!   tiles still leased to slower workers; the first result wins and the
 //!   loser's copy is discarded (byte-identical by construction);
-//! - **checkpoints** — workers append every finished tile to their own
-//!   `RunDir`; a restarted coordinator rebuilds job state by harvesting
-//!   `GET /v1/records` from the surviving workers and its own run dir.
+//! - **checkpoints** — a worker's tile cache can persist in its run
+//!   directory; a restarted coordinator rebuilds job state from its own
+//!   run dir and the entry lines it harvests from `GET /v1/records`.
 //!
 //! Module map: [`spec`] is the wire-level work description (design +
 //! tiling + full `OpcConfig`, exhaustively serialised); [`proto`] the

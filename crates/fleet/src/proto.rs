@@ -7,28 +7,23 @@
 //!
 //! | Method & path          | Purpose                                         |
 //! |------------------------|-------------------------------------------------|
-//! | `POST /v1/tiles`       | correct a run of tiles; 200 body = the entry    |
-//! |                        | line, then one tile line per tile, in order     |
-//! | `GET /v1/records`      | every stored entry line, then tile line (JSONL) |
-//! | `GET /healthz`         | heartbeat (liveness + tiles-done counter)       |
+//! | `POST /v1/tiles`       | correct a run of congruent tiles; 200 body =    |
+//! |                        | the entry line of its first tile                |
+//! | `GET /v1/records`      | the worker's cached entry lines (JSONL)         |
+//! | `GET /healthz`         | heartbeat (liveness + tiles-answered counter)   |
 //! | `POST /admin/shutdown` | stop accepting and let the process exit 0       |
 //!
 //! A dispatch body is `{"spec": <work spec>, "tiles": [<index>, …]}` with
 //! 1 ..= [`MAX_BATCH`] indices — the [`WorkSpec`] is self-contained, so a
 //! worker needs no session state and any worker can serve any tile of any
 //! job; a single tile is a batch of one, there is no other request form.
-//! The spec is parsed, validated and expanded once per request, which is
-//! why the coordinator sends congruent tiles together (see
-//! [`crate::coord`]). The 200 body is the runtime's own `tiles.jsonl`
-//! lines, each `\n`-terminated: the entry line of the run's pattern (said
-//! once), then one tile line per requested tile in request order. A tile
-//! line carries the tile input hash, cache key and placement, which the
-//! coordinator recomputes locally, so a worker that somehow expanded a
-//! different partition cannot corrupt the run. A request fails as a whole:
-//! on the first tile that errors the worker answers 500 with
-//! `{"error": …, "tile": <index>}` and no lines — what it had already
-//! finished stays in its store, so the re-dispatch is answered from
-//! memory.
+//! The coordinator sends congruent tiles together (see [`crate::coord`]):
+//! the worker corrects (or replays) the first and answers its entry line,
+//! `\n`-terminated — the pattern's window-relative correction under its
+//! cache key, the line `cache.jsonl` and `tiles.jsonl` hold. The
+//! coordinator places it on every tile of the run and builds their tile
+//! lines from its own partition, so nothing positional crosses the wire.
+//! A tile that fails is a 500 with `{"error": …, "tile": <index>}`.
 
 use crate::spec::{reject_unknown, BadRequest, WorkSpec};
 use cardopc_json::Json;

@@ -7,8 +7,8 @@
 //! [`OpcConfig`]. Workers rebuild the clip and run the halo-aware
 //! partitioner locally; because both constructions are deterministic, a
 //! tile index alone identifies the exact work unit on every process, and
-//! the runtime's `tile_input_hash` double-checks the agreement on every
-//! result.
+//! an answer's cache key must be the one the coordinator computed for the
+//! tile.
 //!
 //! This module also owns the *non-panicking* parsing layer that
 //! `cardopc-serve` uses for untrusted request bytes (`parse_design`,

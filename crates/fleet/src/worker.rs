@@ -2,8 +2,10 @@
 //!
 //! A worker holds no job state a coordinator depends on for progress —
 //! every `POST /v1/tiles` request is self-contained (full [`WorkSpec`](crate::WorkSpec) +
-//! a run of tile indices), so any worker can serve any tile of any job at
-//! any time.
+//! a run of congruent tile indices), so any worker can serve any tile of
+//! any job at any time. The answer is one line: the entry line of the
+//! run's first tile (its window-relative correction under its cache key),
+//! which the coordinator places on every tile of the run itself.
 //! What a worker *does* keep is pure gain:
 //!
 //! - a **prepared-state cache** keyed by the spec's canonical JSON: the
@@ -13,30 +15,23 @@
 //! - an [`EngineCache`] holding one litho engine per window extent, pitch
 //!   and precision, which every request thread shares across tiles and
 //!   specs;
-//! - an optional in-memory tile cache (repeated patterns replay);
-//! - the runtime's **line store** ([`LineStore`]) of finished tiles — each
-//!   pattern's entry line by cache key, each tile's line by input hash —
-//!   optionally persisted to a `RunDir` (and read back verbatim on
-//!   start). A re-dispatched, duplicate-dispatched (work-steal), or
-//!   post-restart tile whose hash is already known is answered from it
-//!   without recomputation or re-encoding — this is what makes the
-//!   coordinator's aggressive re-dispatch and crash recovery cheap, and
-//!   `GET /v1/records` is how a restarted coordinator harvests it.
-//!
-//! An answer is the run directory's own lines: the class's entry line,
-//! then one tile line per requested tile, in request order.
+//! - one store, its [`TileCache`]: in memory, or persisted in the run
+//!   directory (`cache.jsonl`, locked by `cache.lock`) and read back on
+//!   start. A re-dispatched, stolen or post-restart run whose pattern is
+//!   held is answered without recomputation, and `GET /v1/records` (the
+//!   cache's entry lines) is how a restarted coordinator harvests it.
 //!
 //! Determinism: the correction path is `cardopc_runtime`'s own
-//! `correct_single_tile`, so a line produced here is byte-identical
-//! (timing aside) to the single-process scheduler's for the same tile.
+//! `correct_single_tile`, so an entry produced here is byte-identical
+//! (timing aside) to the single-process scheduler's for the same pattern.
 
 use crate::http::{self, Request, Response};
 use crate::proto;
 use cardopc_json::Json;
 use cardopc_opc::CardOpc;
 use cardopc_runtime::{
-    correct_single_tile, partition_clip, tile_input_hash, CacheConfig, EngineCache, LineStore,
-    Partition, RunControl, RunDir, RuntimeError, TileCache,
+    correct_single_tile, partition_clip, CacheConfig, EngineCache, Partition, RunControl,
+    RuntimeError, TileCache,
 };
 use std::collections::HashMap;
 use std::io;
@@ -50,12 +45,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub struct WorkerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Checkpoint directory: finished tiles are appended here and loaded
-    /// back on start, so a restarted worker answers its old tiles from
-    /// disk. `None` keeps checkpoints in memory only.
+    /// The tile cache's directory (`cache.jsonl` + `cache.lock`): finished
+    /// patterns are appended there and loaded back on start, so a
+    /// restarted worker answers them from disk. `None` keeps the cache in
+    /// memory. Needs `cache`.
     pub run_dir: Option<PathBuf>,
-    /// Whether to keep an in-memory content-addressed tile cache
-    /// (repeated patterns replay instead of re-correcting).
+    /// Whether to keep the content-addressed tile cache (repeated patterns
+    /// replay instead of re-correcting).
     pub cache: bool,
 }
 
@@ -117,14 +113,11 @@ fn prepare(spec: &crate::WorkSpec) -> Result<Prepared, String> {
 }
 
 struct WorkerState {
-    /// Finished tiles as lines (multi-spec by nature: different specs
-    /// produce different hashes and keys), mirrored into `run_dir`.
-    store: Mutex<LineStore>,
-    /// Held for its PID lock.
-    _run_dir: Option<RunDir>,
     prepared: Preparations,
     engines: EngineCache,
+    /// The one store: patterns by cache key, mirrored into `run_dir`.
     cache: Option<TileCache>,
+    /// Tiles of the runs answered (`/healthz`).
     tiles_done: AtomicUsize,
     server: http::StopHandle,
 }
@@ -135,27 +128,29 @@ pub struct WorkerServer {
 }
 
 impl WorkerServer {
-    /// Binds, loads any persisted checkpoints, and starts serving.
+    /// Binds, loads any persisted tile cache, and starts serving.
     ///
     /// # Errors
     ///
-    /// Bind/listen failures, an unopenable run directory (including one
-    /// locked by another live worker), or an unreadable checkpoint file.
+    /// Bind/listen failures, a run directory without the cache, an
+    /// unopenable run directory (including one held by another live
+    /// process), or an unreadable cache file.
     pub fn start(config: WorkerConfig) -> io::Result<WorkerServer> {
         let other = |e: RuntimeError| io::Error::other(e.to_string());
-        let run_dir = config.run_dir.as_ref().map(RunDir::open);
-        let run_dir = run_dir.transpose().map_err(other)?;
-        let store = LineStore::open(run_dir.as_ref()).map_err(other)?;
-        let cache = if config.cache {
-            Some(TileCache::open(&CacheConfig::default()).map_err(other)?)
-        } else {
-            None
-        };
+        if config.run_dir.is_some() && !config.cache {
+            let why = "a worker's run directory is its tile cache: --run-dir needs the cache";
+            return Err(io::Error::other(why));
+        }
+        let dir = config.run_dir.clone();
+        let cache = config.cache.then(|| TileCache::open(&CacheConfig { dir }));
+        let cache = cache.transpose().map_err(other)?;
+        if cache.as_ref().is_some_and(TileCache::is_read_only) {
+            let held = "the run directory is held by another live process";
+            return Err(io::Error::other(held));
+        }
 
         let server = http::Server::start(&config.addr, "cardopc-worker", |server| {
             Arc::new(WorkerState {
-                store: Mutex::new(store),
-                _run_dir: run_dir,
                 prepared: Preparations::default(),
                 engines: EngineCache::default(),
                 cache,
@@ -212,13 +207,10 @@ impl http::Handler for WorkerState {
     }
 }
 
-/// `POST /v1/tiles`: correct (or answer from the store) a run of tiles:
-/// the entry line of each pattern they place (one, for the coordinator's
-/// class-pure runs), then one tile line per tile in request order. The
-/// spec is parsed and expanded once for the whole run. The first tile that
-/// fails fails the request — with a 500 naming it — but everything
-/// finished before it stays in the store, so the re-dispatch is answered
-/// from memory.
+/// `POST /v1/tiles`: the entry line of the run's first tile, corrected
+/// or replayed from the tile cache; the coordinator places it on every
+/// tile of the run. The spec is parsed and expanded once per distinct
+/// spec. A failed correction is a 500 naming the tile.
 fn dispatch(request: &Request, state: &WorkerState) -> Response {
     let Some(body) = request.body_str() else {
         return Response::error(400, "request body must be UTF-8 JSON");
@@ -245,86 +237,32 @@ fn dispatch(request: &Request, state: &WorkerState) -> Response {
             ),
         );
     }
-    let (mut keys, mut tile_lines) = (Vec::new(), String::new());
-    for tile_index in tiles {
-        match answer_tile(state, &prepared, tile_index) {
-            Ok((key, line)) => {
-                if !keys.contains(&key) {
-                    keys.push(key);
-                }
-                tile_lines.push_str(&line);
-                tile_lines.push('\n');
-            }
-            Err(message) => {
-                return Response::json(
-                    500,
-                    Json::obj(vec![
-                        ("error", Json::Str(message)),
-                        ("tile", Json::num_usize(tile_index)),
-                    ])
-                    .to_string_compact(),
-                );
-            }
-        }
-    }
-    let store = state.store.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut answer = String::new();
-    for entry in keys.into_iter().filter_map(|key| store.entry(key)) {
-        answer.push_str(entry);
-        answer.push('\n');
-    }
-    answer.push_str(&tile_lines);
-    Response::text(200, answer)
-}
-
-/// One tile's cache key and tile line: from the store when the tile's
-/// input hash is known, else by correcting it and storing (and
-/// checkpointing) its lines.
-fn answer_tile(
-    state: &WorkerState,
-    prepared: &Prepared,
-    tile_index: usize,
-) -> Result<(u64, String), String> {
-    let tile = &prepared.partition.tiles[tile_index];
-    let hash = tile_input_hash(tile, prepared.flow.config());
-    let lock_store = || state.store.lock().unwrap_or_else(PoisonError::into_inner);
-    let held = |store: &LineStore| store.tile(hash).map(|(key, line)| (key, line.to_string()));
-
-    // Store hit: a re-dispatch, steal duplicate, or post-restart replay is
-    // answered without recomputation.
-    if let Some(held) = held(&lock_store()) {
-        return Ok(held);
-    }
-
     let control = RunControl {
         engines: Some(&state.engines),
         cache: state.cache.as_ref(),
         ..RunControl::default()
     };
-    let (line, entry) =
-        correct_single_tile(&prepared.partition, tile_index, &prepared.flow, &control, 0)
-            .map_err(|e| format!("tile {tile_index} failed: {e}"))?;
-    // Encoded once, before the lock: the tile line, and the entry line if
-    // the store lacks it. They are the answer, the checkpoint and the
-    // `/v1/records` lines.
-    let text = line.to_json_line();
-    let missing = lock_store().entry(line.key).is_none();
-    let entry = missing.then(|| entry.to_json_line(line.key));
-    let mut store = lock_store();
-    let stored = store.insert(&line, text, entry);
-    if stored.map_err(|e| format!("checkpoint append failed: {e}"))? {
-        state.tiles_done.fetch_add(1, Ordering::AcqRel);
+    match correct_single_tile(partition, tiles[0], &prepared.flow, &control, 0) {
+        Ok((line, entry)) => {
+            state.tiles_done.fetch_add(tiles.len(), Ordering::AcqRel);
+            Response::text(200, entry.to_json_line(line.key) + "\n")
+        }
+        Err(e) => Response::json(
+            500,
+            Json::obj(vec![
+                ("error", Json::Str(format!("tile {} failed: {e}", tiles[0]))),
+                ("tile", Json::num_usize(tiles[0])),
+            ])
+            .to_string_compact(),
+        ),
     }
-    // A concurrent duplicate that finished first keeps its line, so the
-    // checkpoint file and the answer agree.
-    held(&store).ok_or_else(|| format!("tile {tile_index} was not stored"))
 }
 
-/// `GET /v1/records`: every stored line as JSONL — entry lines, then tile
-/// lines by tile index (deterministic output for tests and debugging).
+/// `GET /v1/records`: the tile cache's entry lines as JSONL (none
+/// without a cache).
 fn records_jsonl(state: &WorkerState) -> Response {
-    let store = state.store.lock().unwrap_or_else(PoisonError::into_inner);
-    Response::text(200, store.to_jsonl())
+    let lines = state.cache.as_ref().map(TileCache::entry_lines);
+    Response::text(200, lines.unwrap_or_default())
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use cardopc_litho::WorkerPool;
 use cardopc_opc::OpcConfig;
 use cardopc_runtime as rt;
 use cardopc_runtime::{
-    run_clip_controlled, CacheConfig, RunConfig, RunControl, RuntimeError, StoreLine, TileCache,
-    TileLine, TilingConfig,
+    run_clip_controlled, CacheConfig, CachedTile, Placement, RunConfig, RunControl, RuntimeError,
+    StitchedShape, StoreLine, TileCache, TileLine, TilingConfig,
 };
 use std::collections::HashSet;
 use std::io::Write as _;
@@ -268,6 +268,38 @@ fn canonical_lines(text: &str) -> (usize, usize) {
         "a tile line lacks its entry"
     );
     (keys.len(), tiles.len())
+}
+
+/// A store's entry lines, and its tile lines with `seconds` zeroed (the
+/// one field a coordinator and a local run may differ in), each sorted.
+fn split_store(text: &str) -> (Vec<String>, Vec<String>) {
+    let (mut entries, mut tiles) = (Vec::new(), Vec::new());
+    for line in text.lines() {
+        match StoreLine::parse(line).unwrap() {
+            StoreLine::Entry(..) => entries.push(line.to_string()),
+            StoreLine::Tile(mut tile) => {
+                tile.seconds = 0.0;
+                tiles.push(tile.to_json_line());
+            }
+        }
+    }
+    entries.sort();
+    tiles.sort();
+    (entries, tiles)
+}
+
+/// The entry lines a worker lists in `GET /v1/records`.
+fn records(addr: SocketAddr) -> String {
+    let response = client::get(addr, "/v1/records").unwrap();
+    assert_eq!(response.status, 200);
+    response.body_str()
+}
+
+/// A worker run directory for one test, emptied.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cardopc-fleet-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// `tiles_done` of a worker's `/healthz`.
@@ -733,9 +765,7 @@ fn claim_order_is_a_function_of_the_partition_and_spec_alone() {
 #[test]
 fn coordinator_checkpoint_lines_are_verbatim_and_canonical() {
     let (_file, spec) = array_design("verbatim");
-    let run_dir =
-        std::env::temp_dir().join(format!("cardopc-fleet-verbatim-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&run_dir);
+    let (run_dir, local_dir) = (fresh_dir("verbatim"), fresh_dir("verbatim-local"));
     let (w1, w2) = (worker(), worker());
     let config = FleetConfig {
         workers: vec![w1.local_addr(), w2.local_addr()],
@@ -745,12 +775,24 @@ fn coordinator_checkpoint_lines_are_verbatim_and_canonical() {
     let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
     assert!(outcome.complete);
 
-    // The coordinator appended the workers' lines as they came; each must
-    // be exactly what encoding the parsed line gives, so a checkpoint
-    // written this way resumes like one the scheduler wrote: one entry
-    // line per pattern, one tile line per tile.
+    // Each line is exactly what encoding the parsed line gives, so the
+    // checkpoint resumes like one the scheduler wrote: one entry line per
+    // pattern, one tile line per tile.
     let text = std::fs::read_to_string(run_dir.join("tiles.jsonl")).unwrap();
     assert_eq!(canonical_lines(&text), (ARRAY_CLASSES, ARRAY_TILES));
+    // The entry lines are the workers' own; the tile lines, which the
+    // coordinator built, are a local run's apart from `seconds`.
+    let (entries, tiles) = split_store(&text);
+    let held = records(w1.local_addr()) + &records(w2.local_addr());
+    assert!(entries.iter().all(|e| held.lines().any(|h| h == e)));
+    let cache = TileCache::open(&CacheConfig::default()).unwrap();
+    let control = RunControl {
+        cache: Some(&cache),
+        ..RunControl::default()
+    };
+    run_locally(&spec, Some(&local_dir), &control);
+    let local = std::fs::read_to_string(local_dir.join("tiles.jsonl")).unwrap();
+    assert_eq!(tiles, split_store(&local).1);
 
     // And it does resume: nothing left to dispatch.
     let resumed = run_fleet(&spec, &config, &RunControl::default()).unwrap();
@@ -758,6 +800,7 @@ fn coordinator_checkpoint_lines_are_verbatim_and_canonical() {
     assert_eq!(resumed.stats.requests, 0, "{:?}", resumed.stats);
     assert_eq!(resumed.manifest.to_json(false), direct_manifest(&spec));
     let _ = std::fs::remove_dir_all(&run_dir);
+    let _ = std::fs::remove_dir_all(&local_dir);
 }
 
 #[test]
@@ -852,7 +895,8 @@ fn harvest_only_coordinator_rebuilds_a_run_dir_the_local_pool_finishes() {
     let run_dir =
         std::env::temp_dir().join(format!("cardopc-cross-harvest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&run_dir);
-    let reference = run_locally(&spec, None, &RunControl::default());
+    let reference_dir = fresh_dir("cross-harvest-reference");
+    let reference = run_locally(&spec, Some(&reference_dir), &RunControl::default());
     let log = resume::EventLog::default();
     let progress = |event: &rt::TileEvent| log.push(event);
     let control = RunControl {
@@ -879,28 +923,33 @@ fn harvest_only_coordinator_rebuilds_a_run_dir_the_local_pool_finishes() {
     assert_eq!(harvest.stats.requests, 0, "{:?}", harvest.stats);
     assert_eq!((harvest.outcome.resumed, harvest.outcome.executed), (2, 0));
     resume::assert_progress(&log, 2, 2, 4);
-    let records = |w: &WorkerServer| client::get(w.local_addr(), "/v1/records").unwrap();
-    let held = records(&w1).body_str() + &records(&w2).body_str();
+    // The dir now holds the workers' entry lines, as they came, and a tile
+    // line per harvested tile: the one a local run writes, apart from
+    // `seconds`.
+    let held = records(w1.local_addr()) + &records(w2.local_addr());
     let mut held: Vec<&str> = held.lines().collect();
-    let checkpointed = std::fs::read_to_string(run_dir.join("tiles.jsonl")).unwrap();
-    let mut checkpointed: Vec<&str> = checkpointed.lines().collect();
     held.sort();
-    checkpointed.sort();
-    assert_eq!(checkpointed, held);
+    let checkpointed = std::fs::read_to_string(run_dir.join("tiles.jsonl")).unwrap();
+    let (entries, tiles) = split_store(&checkpointed);
+    assert_eq!(entries, held);
+    let local = std::fs::read_to_string(reference_dir.join("tiles.jsonl")).unwrap();
+    let local = split_store(&local).1;
+    assert_eq!(tiles.len(), 2);
+    assert!(tiles.iter().all(|t| local.contains(t)), "{tiles:?}");
 
     let finished = run_locally(&spec, Some(&run_dir), &control);
     resume::assert_finished_like(&reference, &finished, &run_dir, (2, 2), &log);
     let _ = std::fs::remove_dir_all(&run_dir);
+    let _ = std::fs::remove_dir_all(&reference_dir);
 }
 
 // ------------------------------------------------ answers not to be trusted
 
 /// Runs the array job on one healthy worker and one whose every answer is
-/// `corrupt`ed on the way back (its lines: the entry line, then the tile
-/// lines), and checks that nothing the bad worker said was believed: it is
-/// retired, every tile was settled by the healthy worker, and the
-/// checkpoint holds one canonical entry line per pattern and tile line per
-/// tile.
+/// `corrupt`ed on the way back (its lines: one, the entry line), and
+/// checks that nothing the bad worker said was believed: it is retired,
+/// every tile was settled by the healthy worker, and the checkpoint holds
+/// one canonical entry line per pattern and tile line per tile.
 fn run_beside_a_lying_worker(tag: &str, corrupt: fn(Vec<&str>) -> Vec<u8>) {
     let (_file, spec) = array_design(tag);
     let run_dir = std::env::temp_dir().join(format!("cardopc-fleet-{tag}-{}", std::process::id()));
@@ -929,17 +978,10 @@ fn jsonl(lines: &[&str]) -> Vec<u8> {
     framed(&lines.iter().map(|l| format!("{l}\n")).collect::<String>())
 }
 
-/// The answer with its last tile line re-encoded after `edit`.
-fn forge_last_tile(lines: Vec<&str>, edit: fn(&mut TileLine)) -> Vec<u8> {
-    let last = lines.len() - 1;
-    let Ok(StoreLine::Tile(mut tile)) = StoreLine::parse(lines[last]) else {
-        panic!("an answer ends with a tile line: {}", lines[last]);
-    };
-    edit(&mut tile);
-    let forged = tile.to_json_line();
-    let mut lines: Vec<&str> = lines;
-    lines[last] = &forged;
-    jsonl(&lines)
+/// The answer's entry line, parsed.
+fn entry_of(lines: &[&str]) -> (u64, CachedTile) {
+    assert_eq!(lines.len(), 1, "an answer is one line: {lines:?}");
+    CachedTile::from_json_line(lines[0]).unwrap()
 }
 
 #[test]
@@ -952,72 +994,184 @@ fn oversized_declared_length_is_refused_unread() {
 
 #[test]
 fn short_answer_settles_nothing() {
-    run_beside_a_lying_worker("short", |lines| jsonl(&lines[..lines.len() - 1]));
+    // The entry line torn halfway, as a stream cut mid-line leaves it.
+    run_beside_a_lying_worker("short", |lines| jsonl(&[&lines[0][..lines[0].len() / 2]]));
 }
 
 #[test]
 fn long_answer_settles_nothing() {
-    run_beside_a_lying_worker("long", |mut lines| {
-        lines.push(lines[1]);
-        jsonl(&lines)
-    });
-}
-
-#[test]
-fn reordered_answer_settles_nothing() {
-    // A one-tile answer cannot be reordered; it is dropped instead.
-    run_beside_a_lying_worker("reordered", |mut lines| {
-        lines[1..].rotate_left(1);
-        jsonl(if lines.len() > 2 { &lines } else { &[] })
-    });
-}
-
-#[test]
-fn duplicated_index_settles_nothing() {
-    run_beside_a_lying_worker("duplicated", |mut lines| {
-        let last = lines.len() - 1;
-        lines[last] = lines[1];
-        jsonl(if lines.len() > 2 { &lines } else { &[] })
-    });
-}
-
-#[test]
-fn wrong_input_hash_in_one_line_settles_nothing() {
-    run_beside_a_lying_worker("hash", |lines| {
-        forge_last_tile(lines, |tile| tile.input_hash ^= 1)
-    });
+    // Two entry lines where one is due, both of the run's key.
+    run_beside_a_lying_worker("long", |lines| jsonl(&[lines[0], lines[0]]));
 }
 
 #[test]
 fn missing_entry_line_settles_nothing() {
+    // With the entry gone, nothing is left: the empty body.
     run_beside_a_lying_worker("no-entry", |lines| jsonl(&lines[1..]));
 }
 
 #[test]
 fn entry_for_another_key_settles_nothing() {
     run_beside_a_lying_worker("other-entry", |lines| {
-        let Ok(StoreLine::Entry(key, entry)) = StoreLine::parse(lines[0]) else {
-            panic!("an answer opens with an entry line: {}", lines[0]);
+        let (key, entry) = entry_of(&lines);
+        jsonl(&[&entry.to_json_line(key ^ 1)])
+    });
+}
+
+#[test]
+fn tile_line_in_place_of_the_entry_settles_nothing() {
+    // A well-formed tile line naming the run's key, where the entry is due.
+    run_beside_a_lying_worker("tile-line", |lines| {
+        let (key, _) = entry_of(&lines);
+        let tile = TileLine {
+            index: 0,
+            name: "array:t0x0".into(),
+            input_hash: 0,
+            key,
+            seconds: 0.0,
+            placement: Placement {
+                origin: Point::new(0.0, 0.0),
+                ids: Vec::new(),
+                keep: Vec::new(),
+            },
         };
-        let forged = entry.to_json_line(key ^ 1);
-        let mut lines: Vec<&str> = lines;
-        lines[0] = &forged;
-        jsonl(&lines)
+        jsonl(&[&tile.to_json_line()])
     });
 }
 
 #[test]
-fn tile_line_naming_another_key_settles_nothing() {
-    run_beside_a_lying_worker("other-key", |lines| {
-        forge_last_tile(lines, |tile| tile.key ^= 1)
+fn entry_naming_a_target_the_tile_lacks_settles_nothing() {
+    // The run's key and a well-formed entry, plus a main whose target no
+    // tile has: `Placement::of` places it nowhere.
+    run_beside_a_lying_worker("no-target", |lines| {
+        let (key, mut entry) = entry_of(&lines);
+        entry.shapes.push(StitchedShape {
+            global_id: Some(1_000_000),
+            is_sraf: false,
+            tension: 0.5,
+            control_points: vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)],
+        });
+        jsonl(&[&entry.to_json_line(key)])
     });
 }
 
+// ------------------------------------------------ worker persistence
+
+/// A proxy that renames every tile line of its answers — the probe that
+/// once put forged names into the stable manifest — changes nothing: no
+/// tile line crosses the wire, so each tile's name is the coordinator's.
 #[test]
-fn placement_other_than_the_coordinators_settles_nothing() {
-    // A well-formed placement that fits the entry — the window moved by a
-    // nanometre — but is not the one the coordinator computes.
-    run_beside_a_lying_worker("placement", |lines| {
-        forge_last_tile(lines, |tile| tile.placement.origin.x += 1.0)
+fn forged_tile_names_reach_neither_manifest_nor_checkpoint() {
+    let (_file, spec) = array_design("forged");
+    let run_dir = fresh_dir("forged-run");
+    let backend = worker();
+    let forger = proxy(backend.local_addr(), |_, forward| {
+        let rename = |line: &str| match StoreLine::parse(line) {
+            Ok(StoreLine::Tile(mut tile)) => {
+                tile.name = "forged".into();
+                tile.to_json_line()
+            }
+            _ => line.to_string(),
+        };
+        let answer = forward().body_str();
+        framed(&answer.lines().map(|l| rename(l) + "\n").collect::<String>())
     });
+    let config = FleetConfig {
+        workers: vec![forger],
+        run_dir: Some(run_dir.clone()),
+        ..FleetConfig::default()
+    };
+    let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
+    assert!(outcome.complete);
+    assert_eq!(outcome.stats.retired_workers, 0, "{:?}", outcome.stats);
+    let stable = std::fs::read_to_string(run_dir.join("manifest.stable.json")).unwrap();
+    let text = std::fs::read_to_string(run_dir.join("tiles.jsonl")).unwrap();
+    assert!(!stable.contains("forged") && !text.contains("forged"));
+    assert_eq!(stable, direct_manifest(&spec));
+    let _ = std::fs::remove_dir_all(&run_dir);
+}
+
+/// A worker's run directory is its tile cache: restarted on it, the worker
+/// lists its entries before any dispatch, and a fresh coordinator recovers
+/// every tile from them without sending a request.
+#[test]
+fn restarted_worker_lists_its_entries_and_a_fresh_coordinator_recovers_every_tile() {
+    let (_file, spec) = array_design("restart");
+    let dir = fresh_dir("worker-restart");
+    let config = WorkerConfig {
+        run_dir: Some(dir.clone()),
+        ..WorkerConfig::default()
+    };
+    let run_on = |worker: &WorkerServer| {
+        let fleet = FleetConfig {
+            workers: vec![worker.local_addr()],
+            ..FleetConfig::default()
+        };
+        run_fleet(&spec, &fleet, &RunControl::default()).unwrap()
+    };
+    let first = WorkerServer::start(config.clone()).unwrap();
+    assert!(run_on(&first).complete);
+    let mut held: Vec<String> = records(first.local_addr())
+        .lines()
+        .map(Into::into)
+        .collect();
+    assert_eq!(held.len(), ARRAY_CLASSES);
+    drop(first);
+    // The lock goes with the worker's state, once its last connection
+    // thread has let go of it.
+    for _ in 0..200 {
+        if !dir.join("cache.lock").exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    let second = WorkerServer::start(config).unwrap();
+    let mut listed: Vec<String> = records(second.local_addr())
+        .lines()
+        .map(Into::into)
+        .collect();
+    held.sort();
+    listed.sort();
+    assert_eq!(listed, held);
+    let recovered = run_on(&second);
+    assert!(recovered.complete);
+    assert_eq!(
+        recovered.stats.recovered, ARRAY_TILES,
+        "{:?}",
+        recovered.stats
+    );
+    assert_eq!(recovered.stats.requests, 0, "{:?}", recovered.stats);
+    assert_eq!(recovered.manifest.to_json(false), direct_manifest(&spec));
+    drop(second);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One live worker per run directory; and without a cache there is no run
+/// directory to have.
+#[test]
+fn a_second_worker_on_a_live_workers_run_dir_fails_to_start() {
+    let dir = fresh_dir("worker-locked");
+    let config = WorkerConfig {
+        run_dir: Some(dir.clone()),
+        ..WorkerConfig::default()
+    };
+    let live = WorkerServer::start(config.clone()).unwrap();
+    let refused = |config: WorkerConfig| match WorkerServer::start(config) {
+        Ok(_) => panic!("a second worker started on {}", dir.display()),
+        Err(e) => e.to_string(),
+    };
+    let held = refused(config.clone());
+    assert!(held.contains("held by another live process"), "{held}");
+    assert_eq!(
+        client::get(live.local_addr(), "/healthz").unwrap().status,
+        200
+    );
+    let uncached = refused(WorkerConfig {
+        cache: false,
+        ..config
+    });
+    assert!(uncached.contains("--run-dir needs the cache"), "{uncached}");
+    drop(live);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,7 +9,7 @@ use crate::config::OpcConfig;
 use crate::control::OpcShape;
 use crate::correct::{correct_shapes_recording, CorrectionStep};
 use crate::dissect::dissect_polygon;
-use crate::eval::{engine_for_extent, evaluate_mask, Evaluation, MeasureConvention};
+use crate::eval::{engine_for_extent_at, evaluate_mask, Evaluation, MeasureConvention};
 use crate::sraf::insert_srafs;
 use crate::OpcError;
 use cardopc_geometry::{BBox, Grid, Point, Polygon};
@@ -73,12 +73,12 @@ pub struct OptimizedShapes {
 pub struct CardOpc {
     config: OpcConfig,
     /// The engine [`CardOpc::run`] calibrated last and the extent (bits of
-    /// the longer clip edge, nm) it was sized for, so a batch of clips of
-    /// one extent (the 13 Table I clips) builds it once.
-    last_engine: Arc<Mutex<Option<(u64, SharedEngine)>>>,
+    /// the longer clip edge, nm) and precision tag it was built for, so a
+    /// batch of clips of one extent (the 13 Table I clips) builds it once.
+    last_engine: Arc<Mutex<Option<KeyedEngine>>>,
 }
 
-type SharedEngine = Arc<LithoEngine>;
+type KeyedEngine = ((u64, u8), Arc<LithoEngine>);
 
 impl CardOpc {
     /// Creates the flow.
@@ -160,15 +160,15 @@ impl CardOpc {
     }
 
     /// Runs the full flow on a clip, constructing a calibrated engine for
-    /// the clip's extent.
+    /// the clip's extent at the configured precision.
     ///
     /// # Errors
     ///
     /// Any [`OpcError`]; see [`CardOpc::run_with_engine`].
     pub fn run(&self, clip: &Clip) -> Result<OpcOutcome, OpcError> {
-        // The engine is a function of the extent it is sized for: this
-        // flow's pitch is fixed and `run` always simulates in f64.
+        // The pitch is fixed: an engine is a function of extent and precision.
         let extent = clip.width().max(clip.height()).to_bits();
+        let key = (extent, self.config.precision.tag());
         let engine = {
             // Held through a build, so clips run concurrently build once.
             let mut memo = self
@@ -176,11 +176,11 @@ impl CardOpc {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             match &*memo {
-                Some((e, engine)) if *e == extent => Arc::clone(engine),
+                Some((built, engine)) if *built == key => Arc::clone(engine),
                 _ => {
-                    let (width, height) = (clip.width(), clip.height());
-                    let engine = Arc::new(engine_for_extent(width, height, self.config.pitch)?);
-                    *memo = Some((extent, Arc::clone(&engine)));
+                    let (w, h, c) = (clip.width(), clip.height(), &self.config);
+                    let engine = Arc::new(engine_for_extent_at(w, h, c.pitch, c.precision)?);
+                    *memo = Some((key, Arc::clone(&engine)));
                     engine
                 }
             }
@@ -362,6 +362,7 @@ impl CardOpc {
 mod tests {
     use super::*;
     use crate::correct::correct_shapes_recording;
+    use crate::eval::engine_for_extent;
     use cardopc_geometry::Point;
 
     /// A small clip with one 120 nm square, cheap enough for debug-mode
@@ -643,6 +644,25 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "{}: {a:?}", clip.name());
             }
         }
+    }
+
+    /// An f32 configuration simulates in f32 through [`CardOpc::run`]: the
+    /// outcome is bit for bit the one an f32 engine gives, not the f64 one.
+    #[test]
+    fn run_simulates_at_the_configured_precision() {
+        use cardopc_litho::Precision;
+        let mut cfg = OpcConfig::via();
+        (cfg.iterations, cfg.decay_at, cfg.precision) = (4, 2, Precision::F32);
+        let clip = cardopc_layout::via_clips().remove(0);
+        let flow = CardOpc::new(cfg.clone());
+        let (width, height) = (clip.width(), clip.height());
+        let with_engine = |precision| {
+            let engine = engine_for_extent_at(width, height, cfg.pitch, precision).unwrap();
+            format!("{:?}", flow.run_with_engine(&clip, &engine).unwrap())
+        };
+        let run = format!("{:?}", flow.run(&clip).unwrap());
+        assert_eq!(run, with_engine(Precision::F32));
+        assert_ne!(run, with_engine(Precision::F64));
     }
 
     #[test]

@@ -178,6 +178,22 @@ impl Store {
         }
     }
 
+    /// Every live entry's line, least recently hit first, as JSONL: the
+    /// order a reload takes for recency.
+    fn entry_lines(&self) -> String {
+        let mut live: Vec<(u64, u64, &CachedTile)> = self
+            .slots
+            .iter()
+            .filter_map(|(key, slot)| match slot {
+                Slot::Ready(entry) => Some((entry.last_hit, *key, &*entry.value)),
+                Slot::InFlight => None,
+            })
+            .collect();
+        live.sort_unstable_by_key(|(tick, ..)| *tick);
+        let line = |(_, key, value): (u64, u64, &CachedTile)| value.to_json_line(key) + "\n";
+        live.into_iter().map(line).collect()
+    }
+
     /// Evicts least-recently-hit entries until the store fits its entry
     /// and byte budgets. In-flight keys are never evicted.
     fn enforce_budget(&mut self) {
@@ -311,6 +327,12 @@ impl TileCache {
         self.read_only
     }
 
+    /// Every live entry's line (`cache.jsonl`'s own lines), least
+    /// recently hit first, as JSONL.
+    pub fn entry_lines(&self) -> String {
+        self.lock().entry_lines()
+    }
+
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         self.lock().stats
@@ -404,23 +426,9 @@ impl Drop for TileCache {
         let store = self.store.get_mut().unwrap_or_else(PoisonError::into_inner);
         let dead_weight = store.file_bytes > store.stats.bytes;
         if let (Some(dir), true, true) = (&self.dir, store.writer.is_some(), dead_weight) {
-            let mut lines: Vec<(u64, String)> = store
-                .slots
-                .iter()
-                .filter_map(|(key, slot)| match slot {
-                    Slot::Ready(entry) => Some((entry.last_hit, entry.value.to_json_line(*key))),
-                    Slot::InFlight => None,
-                })
-                .collect();
-            lines.sort_unstable_by_key(|(tick, _)| *tick);
-            let mut text = String::new();
-            for (_, line) in &lines {
-                text.push_str(line);
-                text.push('\n');
-            }
             // Best effort: a failed compaction leaves the (valid,
             // merely larger) append-only file in place.
-            let _ = write_atomic(&dir.join("cache.jsonl"), &text);
+            let _ = write_atomic(&dir.join("cache.jsonl"), &store.entry_lines());
         }
         if let Some(lock) = self.lock.take() {
             let _ = std::fs::remove_file(lock);
@@ -893,7 +901,7 @@ mod tests {
         let config = CacheConfig {
             dir: Some(dir.clone()),
         };
-        {
+        let listed = {
             let cache = TileCache::open_bounded(&config, 2, MAX_BYTES).unwrap();
             for key in 0..6u64 {
                 cache.get_or_correct(key, || ok_sample(key as f64)).unwrap();
@@ -902,10 +910,15 @@ mod tests {
             // The append-only file still carries all 6 lines.
             let text = std::fs::read_to_string(dir.join("cache.jsonl")).unwrap();
             assert_eq!(text.lines().count(), 6);
-        }
-        // Dropping compacted the file down to the live entries.
+            // A hit puts key 4 behind key 5: the listing goes by recency.
+            cache.get_or_correct(4, || ok_sample(-1.0)).unwrap();
+            let line = |key: u64| sample(key as f64).to_json_line(key) + "\n";
+            assert_eq!(cache.entry_lines(), line(5) + &line(4));
+            cache.entry_lines()
+        };
+        // Dropping compacted the file down to the live entries: the listing.
         let text = std::fs::read_to_string(dir.join("cache.jsonl")).unwrap();
-        assert_eq!(text.lines().count(), 2);
+        assert_eq!(text, listed);
         let reopened = TileCache::open_bounded(&config, 2, MAX_BYTES).unwrap();
         assert_eq!(reopened.stats().entries, 2);
         drop(reopened);

@@ -29,7 +29,6 @@ use crate::{map_on_pool, RuntimeError};
 use cardopc_geometry::{BBox, Point};
 use cardopc_litho::WorkerPool;
 use std::collections::{HashMap, HashSet};
-use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -170,6 +169,27 @@ pub struct TileLine {
 }
 
 impl TileLine {
+    /// `tile`'s line placing `entry` under `key`: the tile's own identity
+    /// and [`Placement::of`] — `None` when the entry names a target the
+    /// tile does not have. Every tile line is built here.
+    pub fn of(
+        tile: &Tile,
+        partition: &Partition,
+        input_hash: u64,
+        key: u64,
+        seconds: f64,
+        entry: &CachedTile,
+    ) -> Option<TileLine> {
+        Some(TileLine {
+            index: tile.index,
+            name: tile.clip.name().to_string(),
+            input_hash,
+            key,
+            seconds,
+            placement: Placement::of(tile, partition, entry)?,
+        })
+    }
+
     /// The tile's chip-frame record, built from its pattern's `entry`:
     /// control points move by the origin, mains take the ids in order, only
     /// kept assists stay. Every record — cold, replayed, resumed, harvested
@@ -361,7 +381,7 @@ impl CachedTile {
     /// # Errors
     ///
     /// A message describing the malformed line, or that it is a tile line.
-    pub(crate) fn from_json_line(line: &str) -> Result<(u64, CachedTile), String> {
+    pub fn from_json_line(line: &str) -> Result<(u64, CachedTile), String> {
         match StoreLine::parse(line)? {
             StoreLine::Entry(key, entry) => Ok((key, entry)),
             StoreLine::Tile(_) => Err("a tile line, not an entry line".into()),
@@ -510,7 +530,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// One line of `tiles.jsonl` or of a fleet answer.
+/// One line of `tiles.jsonl`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StoreLine {
     /// An entry line: a pattern's key and window-relative correction.
@@ -544,25 +564,6 @@ impl StoreLine {
             _ => Err("unknown line version".into()),
         }
     }
-}
-
-/// Lines of a store, each beside `X` (its text, or nothing): the last
-/// entry line per key, and the tile lines whose entry is there and fits.
-pub(crate) type Usable<X> = (HashMap<u64, (CachedTile, X)>, Vec<(TileLine, X)>);
-
-pub(crate) fn usable<X>(lines: impl IntoIterator<Item = (StoreLine, X)>) -> Usable<X> {
-    let (mut entries, mut tiles) = (HashMap::new(), Vec::new());
-    for (line, x) in lines {
-        match line {
-            StoreLine::Entry(key, entry) => {
-                entries.insert(key, (entry, x));
-            }
-            StoreLine::Tile(tile) => tiles.push((tile, x)),
-        }
-    }
-    let fits = |t: &TileLine| entries.get(&t.key).is_some_and(|e| t.placement.fits(&e.0));
-    tiles.retain(|(t, _)| fits(t));
-    (entries, tiles)
 }
 
 fn append_error(e: std::io::Error) -> RuntimeError {
@@ -700,9 +701,18 @@ impl RunDir {
     ///
     /// [`RuntimeError::Io`] when the file exists but cannot be read.
     pub fn load_records(&self) -> Result<HashMap<usize, TileRecord>, RuntimeError> {
-        let (entries, tiles) = usable(load_jsonl(&self.tiles_path(), StoreLine::parse)?.0);
-        let place = |(t, _): (TileLine, u64)| {
-            let entry = &entries[&t.key].0;
+        let (mut entries, mut tiles) = (HashMap::new(), Vec::new());
+        for (line, _) in load_jsonl(&self.tiles_path(), StoreLine::parse)?.0 {
+            match line {
+                StoreLine::Entry(key, entry) => {
+                    entries.insert(key, entry);
+                }
+                StoreLine::Tile(tile) => tiles.push(tile),
+            }
+        }
+        tiles.retain(|t| entries.get(&t.key).is_some_and(|e| t.placement.fits(e)));
+        let place = |t: TileLine| {
+            let entry = &entries[&t.key];
             (t.index, t.place(entry))
         };
         let records = map_on_pool(WorkerPool::global(), tiles, place);
@@ -763,89 +773,6 @@ impl Drop for RunDir {
             // next opener reclaims (our PID is gone by then).
             let _ = std::fs::remove_file(lock);
         }
-    }
-}
-
-/// Finished tiles as lines, verbatim — entry lines by cache key, tile
-/// lines (with index and key) by input hash — optionally appended to a run
-/// directory: what a fleet worker answers from.
-#[derive(Debug, Default)]
-pub struct LineStore {
-    entries: HashMap<u64, String>,
-    tiles: HashMap<u64, (usize, u64, String)>,
-    sink: Option<Appender<File>>,
-}
-
-impl LineStore {
-    /// A store over `dir`, if any: the lines a resume would use, verbatim,
-    /// with `tiles.jsonl` open for appending (like a resumed run, it may
-    /// repeat a loaded entry line).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Io`] when the file cannot be read or opened.
-    pub fn open(dir: Option<&RunDir>) -> Result<LineStore, RuntimeError> {
-        let mut store = LineStore::default();
-        if let Some(dir) = dir {
-            let text = |l: &str| Ok((StoreLine::parse(l)?, l.to_string()));
-            let (lines, _) = load_jsonl(&dir.tiles_path(), text)?;
-            let (entries, tiles) = usable(lines.into_iter().map(|(line, _)| line));
-            store.entries = entries.into_iter().map(|(key, e)| (key, e.1)).collect();
-            for (t, line) in tiles {
-                store.tiles.insert(t.input_hash, (t.index, t.key, line));
-            }
-            store.sink = Some(Appender::new(dir.append_handle()?));
-        }
-        Ok(store)
-    }
-
-    /// The cache key and line of the tile whose input hash is `hash`.
-    pub fn tile(&self, hash: u64) -> Option<(u64, &str)> {
-        let (_, key, line) = self.tiles.get(&hash)?;
-        Some((*key, line))
-    }
-
-    /// The entry line of `key`.
-    pub fn entry(&self, key: u64) -> Option<&str> {
-        self.entries.get(&key).map(String::as_str)
-    }
-
-    /// Keeps `tile`'s line `text`, appended after its key's entry line —
-    /// `entry`, which the caller encodes (outside its lock) when
-    /// [`LineStore::entry`] has none — unless its input hash is held
-    /// already (`Ok(false)`).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Io`] when the append fails; the tile is not kept.
-    pub fn insert(
-        &mut self,
-        tile: &TileLine,
-        text: String,
-        entry: Option<String>,
-    ) -> Result<bool, RuntimeError> {
-        if self.tiles.contains_key(&tile.input_hash) {
-            return Ok(false);
-        }
-        self.entries.extend(entry.map(|entry| (tile.key, entry)));
-        if let Some(sink) = &mut self.sink {
-            let entry = self.entries.get(&tile.key).map(String::as_str);
-            sink.append(tile.key, entry, &text)?;
-        }
-        self.tiles
-            .insert(tile.input_hash, (tile.index, tile.key, text));
-        Ok(true)
-    }
-
-    /// Every held line as JSONL: entry lines, then tile lines by tile
-    /// index, each kind in a fixed order.
-    pub fn to_jsonl(&self) -> String {
-        let mut entries: Vec<_> = self.entries.values().collect();
-        let mut tiles: Vec<_> = self.tiles.values().collect();
-        entries.sort_unstable();
-        tiles.sort_unstable();
-        let lines = entries.into_iter().chain(tiles.into_iter().map(|t| &t.2));
-        lines.map(|line| format!("{line}\n")).collect()
     }
 }
 
@@ -1013,12 +940,6 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[&3], a.clone().place(&entry));
         assert_eq!(records[&5], b.place(&entry));
-        // A line store over the directory holds the same lines, verbatim.
-        let store = LineStore::open(Some(&run)).unwrap();
-        assert_eq!(store.entry(a.key), Some(entry.to_json_line(a.key).as_str()));
-        assert_eq!(store.tile(a.input_hash).unwrap().1, a.to_json_line());
-        assert!(store.tile(orphan.input_hash).is_none());
-        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -69,8 +69,7 @@ mod store;
 
 pub use cache::{tile_cache_key, tile_cache_keys, CacheConfig, CacheStats, CachedTile, TileCache};
 pub use checkpoint::{
-    tile_input_hash, LineStore, Placement, RunDir, StitchedShape, StoreLine, TileLine, TileMetrics,
-    TileRecord,
+    tile_input_hash, Placement, RunDir, StitchedShape, StoreLine, TileLine, TileMetrics, TileRecord,
 };
 pub use error::RuntimeError;
 pub use gdsout::{stream_mask_gds, write_mask_gds, MaskGdsOptions, MASK_NM_PER_DBU};

@@ -8,8 +8,9 @@
 //!    open `tiles.jsonl` for appending;
 //! 2. **resume / adopt** ([`Run::resume`], [`Run::adopt`]): a record whose
 //!    input hash still matches its tile stands for that tile — from the
-//!    run's own checkpoints (moved in, so each is placed once), or from a
-//!    fleet worker's harvested lines (re-checkpointed verbatim);
+//!    run's own checkpoints (moved in, so each is placed once); a fleet
+//!    worker's harvested entry line stands for every wanted tile of its
+//!    key that it places on (each re-checkpointed);
 //! 3. **budget** ([`Run::start`]): resumed tiles are reported first, then
 //!    at most `max_tiles` wanted tiles, lowest index first, go to the
 //!    executor, which owns nothing but its claim policy;
@@ -22,7 +23,7 @@
 //!    run's shapes move into it), the manifests.
 
 use crate::cache::CachedTile;
-use crate::checkpoint::{usable, Appender, RunDir, StoreLine, TileLine, TileRecord};
+use crate::checkpoint::{Appender, RunDir, TileLine, TileRecord};
 use crate::handle::{RunControl, TileEvent};
 use crate::hash::TileHasher;
 use crate::manifest::RunManifest;
@@ -239,42 +240,52 @@ impl<'a> Run<'a> {
 
     /// Lets `record` stand for its tile when the tile is still wanted and
     /// was hashed from the same input; a borrowed record is cloned then.
-    fn take(&mut self, record: Cow<'_, TileRecord>) -> bool {
-        match self.wanted.get_mut(record.index) {
-            Some(slot) if slot.is_some_and(|hash| record.input_hash == hash) => {
-                *slot = None;
-                self.resumed.push(TileResult {
-                    record: record.into_owned(),
-                    resumed: true,
-                    cached: false,
-                });
-                true
-            }
-            _ => false,
+    fn take(&mut self, record: Cow<'_, TileRecord>) {
+        let slot = self.wanted.get_mut(record.index);
+        if let Some(slot) = slot.filter(|s| s.is_some_and(|hash| record.input_hash == hash)) {
+            *slot = None;
+            self.resumed.push(TileResult {
+                record: record.into_owned(),
+                resumed: true,
+                cached: false,
+            });
         }
     }
 
-    /// Adopts the lines of a fleet worker's `GET /v1/records`: each tile
-    /// line whose entry line came and fits it stands for its wanted tile
-    /// like a checkpoint, and is re-checkpointed verbatim with its entry,
-    /// so the next run resumes without asking. Returns how many tiles it
-    /// adopted; any other line changes nothing.
+    /// Adopts the entry lines of a fleet worker's `GET /v1/records`: each
+    /// wanted tile whose cache key (`keys`, by tile index) has an entry that
+    /// places on it ([`TileLine::of`]) stands for that tile like a
+    /// checkpoint and is re-checkpointed with it, so the next run resumes
+    /// without asking. Returns how many tiles it adopted.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Io`] when an append fails.
-    pub fn adopt(&mut self, lines: &str) -> Result<usize, RuntimeError> {
-        let lines = lines.lines().map(str::trim);
-        let (entries, tiles) = usable(lines.filter_map(|l| Some((StoreLine::parse(l).ok()?, l))));
+    pub fn adopt(
+        &mut self,
+        partition: &Partition,
+        keys: &[u64],
+        lines: &str,
+    ) -> Result<usize, RuntimeError> {
+        let entries: HashMap<u64, (CachedTile, &str)> = lines
+            .lines()
+            .filter_map(|l| CachedTile::from_json_line(l).ok().map(|(k, e)| (k, (e, l))))
+            .collect();
         let mut adopted = 0;
-        for (tile, text) in tiles {
-            let (key, (entry, entry_line)) = (tile.key, &entries[&tile.key]);
-            if self.take(Cow::Owned(tile.place(entry))) {
-                adopted += 1;
-                let ledger = self.ledger.get_mut();
-                if let Some(sink) = &mut ledger.unwrap_or_else(PoisonError::into_inner).sink {
-                    sink.append(key, Some(entry_line), text)?;
-                }
+        for (tile, &key) in partition.tiles.iter().zip(keys) {
+            let found = entries.get(&key).zip(self.wanted[tile.index]);
+            let Some(((entry, entry_line), hash)) = found else {
+                continue;
+            };
+            let Some(line) = TileLine::of(tile, partition, hash, key, 0.0, entry) else {
+                continue;
+            };
+            let text = line.to_json_line();
+            self.take(Cow::Owned(line.place(entry)));
+            adopted += 1;
+            let ledger = self.ledger.get_mut();
+            if let Some(sink) = &mut ledger.unwrap_or_else(PoisonError::into_inner).sink {
+                sink.append(key, Some(entry_line), &text)?;
             }
         }
         Ok(adopted)
@@ -307,30 +318,19 @@ impl<'a> Run<'a> {
     /// Commits a finished tile — its `line`, the `entry` it places, whether
     /// that was a cache replay: appends the tile line (after its key's
     /// entry line, in one write, while the key is new to this run), then
-    /// places, counts and reports it. `verbatim` holds the `(entry, tile)`
-    /// lines an executor received and verified (the coordinator); else
-    /// they are encoded here, before the lock is taken — the entry only
-    /// while its key looks new. A failed append is latched — the tile stays
-    /// uncommitted and the run [`stopped`](Run::stopped).
-    pub fn commit(
-        &self,
-        line: TileLine,
-        entry: &CachedTile,
-        cached: bool,
-        verbatim: Option<(&str, &str)>,
-    ) {
+    /// places, counts and reports it. The lines are encoded before the lock
+    /// is taken — the entry only while its key looks new. A failed append
+    /// is latched — the tile stays uncommitted and the run
+    /// [`stopped`](Run::stopped).
+    pub fn commit(&self, line: TileLine, entry: &CachedTile, cached: bool) {
         let _span = tile_span("commit", line.index);
         let key = line.key;
         // Without a sink `None`; else whether the key's entry is still due.
         let wants_entry = self.lock().sink.as_ref().map(|s| s.wants_entry(key));
-        let lines = match (verbatim, wants_entry) {
-            (Some((entry, text)), _) => Some((Some(Cow::Borrowed(entry)), Cow::Borrowed(text))),
-            (None, Some(wants)) => Some((
-                wants.then(|| Cow::Owned(entry.to_json_line(key))),
-                Cow::Owned(line.to_json_line()),
-            )),
-            (None, None) => None,
-        };
+        let lines = wants_entry.map(|wants| {
+            let entry = wants.then(|| entry.to_json_line(key));
+            (entry, line.to_json_line())
+        });
         let result = TileResult {
             record: line.place(entry),
             resumed: false,

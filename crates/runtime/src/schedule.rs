@@ -25,9 +25,7 @@
 //! not care.
 
 use crate::cache::{tile_cache_key, CachedTile};
-use crate::checkpoint::{
-    tile_input_hash, Placement, StitchedShape, TileLine, TileMetrics, TileRecord,
-};
+use crate::checkpoint::{tile_input_hash, StitchedShape, TileLine, TileMetrics, TileRecord};
 use crate::handle::{EngineCache, EngineKey, RunControl};
 use crate::hash::TileHasher;
 use crate::partition::{Partition, Tile};
@@ -163,7 +161,7 @@ fn fan_out(
             let tile = &partition.tiles[index];
             let key = keys[claim];
             match execute_tile(tile, hash, key, partition, flow, engines, control) {
-                Ok((line, entry, cached)) => run.commit(line, &entry, cached, None),
+                Ok((line, entry, cached)) => run.commit(line, &entry, cached),
                 Err(e) => run.fail(index, e),
             }
         }
@@ -173,7 +171,7 @@ fn fan_out(
 
 /// Corrects exactly one tile of `partition` and returns its tile line and
 /// the entry the line places — the fleet worker's entry point. Runs through the same (optionally cached) `correct_tile` →
-/// [`Placement::of`] path as the full scheduler, so the lines are
+/// [`Placement::of`](crate::Placement::of) path as the full scheduler, so the lines are
 /// byte-identical (timing aside) to what a single-process run writes for
 /// that tile. `_slot_index`: ignored; removed with ROADMAP 14-II. Without an
 /// attached [`EngineCache`] the call builds its own engine.
@@ -228,23 +226,15 @@ fn execute_tile(
         None => (Arc::new(correct()?), false),
     };
     let seconds = start.elapsed().as_secs_f64();
-    let placement = Placement::of(tile, partition, &entry).ok_or(RuntimeError::InvalidConfig(
-        "a tile cache entry names a target its tile does not have",
-    ))?;
-    let line = TileLine {
-        index: tile.index,
-        name: tile.clip.name().to_string(),
-        input_hash,
-        key,
-        seconds,
-        placement,
-    };
+    let line = TileLine::of(tile, partition, input_hash, key, seconds, &entry).ok_or(
+        RuntimeError::InvalidConfig("a tile cache entry names a target its tile does not have"),
+    )?;
     Ok((line, entry, cached))
 }
 
 /// Corrects one tile — the expensive part: the full OPC flow plus
 /// scoring — producing a *window-relative* [`CachedTile`] that this tile
-/// or any congruent one places by [`Placement::of`].
+/// or any congruent one places by [`Placement::of`](crate::Placement::of).
 fn correct_tile(
     tile: &Tile,
     flow: &CardOpc,

@@ -104,8 +104,8 @@ RUN OPTIONS:
     --worker-addr <HOST:PORT>       shard across an already-running
                                     `cardopc worker` (repeatable; combines
                                     with --workers-local)
-    --lease-secs <S>                fleet per-tile lease timeout (a request
-                                    carrying n tiles gets n times this) [120]
+    --lease-secs <S>                fleet lease: one request's timeout (a
+                                    request corrects at most one tile) [120]
     --steal-secs <S>                fleet steal threshold: idle workers
                                     duplicate-dispatch tiles leased longer
                                     than this [20]
@@ -120,11 +120,11 @@ RUN OPTIONS:
 WORKER OPTIONS:
     --addr <HOST:PORT>              bind address [127.0.0.1:0]; port 0
                                     picks an ephemeral port
-    --run-dir <PATH>                worker checkpoint directory (lets a
-                                    coordinator restart recover finished
-                                    tiles from this worker)
-    --no-cache                      disable the worker's in-memory tile
-                                    cache
+    --run-dir <PATH>                persist the worker's tile cache here
+                                    (cache.jsonl): a restarted worker or
+                                    coordinator recovers its finished
+                                    patterns; not with --no-cache
+    --no-cache                      disable the worker's tile cache
 
 SERVE OPTIONS:
     --addr <HOST:PORT>              bind address [127.0.0.1:8650]; port 0

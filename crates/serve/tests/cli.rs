@@ -84,6 +84,21 @@ fn unknown_flags_print_usage_and_exit_nonzero() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A worker's run directory is its tile cache, so `--no-cache` refuses
+/// one: exit 1 with a message, before anything is bound or created.
+#[test]
+fn worker_run_dir_without_the_cache_exits_1() {
+    let dir = tempdir("workernocache");
+    let out = cardopc(&["worker", "--run-dir", "W", "--no-cache"], &dir);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let text = stderr(&out);
+    assert!(text.contains("cardopc worker: cannot start"), "{text}");
+    assert!(text.contains("--run-dir needs the cache"), "{text}");
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert!(!dir.join("W").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_design_flags_exit_nonzero_with_actionable_messages() {
     let dir = tempdir("baddesign");
