@@ -189,7 +189,7 @@ fn report_dispatch_overhead(spec: &WorkSpec) {
 
     let worker = WorkerServer::start(WorkerConfig::default()).unwrap();
     let addr = worker.local_addr();
-    let body = proto::dispatch_body(spec, &[0]);
+    let body = proto::dispatch_body(spec, 0);
     let timeout = Duration::from_secs(30);
 
     // Prime: correct tile 0 once so every timed dispatch replays the

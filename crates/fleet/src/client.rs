@@ -10,7 +10,6 @@
 //! framing, size cap and timeouts. [`send_raw`] alone reads to EOF, for
 //! the fuzz corpora.
 
-use crate::proto::MAX_BATCH;
 use cardopc_json::Json;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -231,14 +230,14 @@ impl Connection {
     }
 }
 
-/// Largest framed response body a [`Connection`] accepts. The largest
-/// legitimate one answers a full dispatch: [`MAX_BATCH`] record lines, each
-/// allowed what any single message of this protocol is
-/// ([`MAX_BODY_BYTES`](crate::http::MAX_BODY_BYTES), 4 MiB — the record of
-/// the densest tile at CLI defaults is ≈ 150 KB, an array tile's 2.4 KB):
-/// 64 × 4 MiB = 256 MiB. A peer declaring more is answered with
-/// `InvalidData` before a byte of the body is read.
-pub const MAX_RESPONSE_BYTES: usize = MAX_BATCH * crate::http::MAX_BODY_BYTES;
+/// Largest framed response body a [`Connection`] accepts: 256 MiB. The
+/// bodies it bounds are a dispatch answer — one entry line, ≈ 150 KB for
+/// the densest tile at CLI defaults, 2.4 KB for an array tile — and a
+/// worker's whole `GET /v1/records` listing, every pattern its tile cache
+/// keeps (the cache's own budget holds it to about 256 MiB). A peer
+/// declaring more is answered with `InvalidData` before a byte of the body
+/// is read.
+pub const MAX_RESPONSE_BYTES: usize = 256 * 1024 * 1024;
 
 /// Reads one `Content-Length`-framed response off a kept-alive stream.
 fn read_framed_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {

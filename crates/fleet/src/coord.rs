@@ -1,59 +1,53 @@
-//! The fleet coordinator: lease-based dispatch of **runs of congruent
-//! tiles** with work stealing, heartbeat-driven worker retirement, and
-//! checkpoint recovery.
+//! The fleet coordinator: lease-based dispatch of **tile classes** with
+//! work stealing, heartbeat-driven worker retirement, and checkpoint
+//! recovery.
 //!
 //! # What a claim is
 //!
-//! The to-run tiles are ordered by pattern: classes (tiles sharing a
-//! [`tile_cache_key`](cardopc_runtime::tile_cache_key)) in first-seen
-//! order, tile index within a class. A
-//! lane's **claim** takes the head of the pending queue plus the pending
-//! tiles that follow it *with the same key*, up to [`MAX_BATCH`], and
-//! sends them as one `POST /v1/tiles`. Nothing selects this: unique tiles
-//! (a logic design) have one-tile classes and go out one per request; a
-//! 64×64 array (9 classes) goes out in ≈ 70 requests instead of 4096. The
-//! order — and so every request body — is a function of the partition and
-//! the spec alone.
+//! The to-run tiles are grouped into classes — tiles sharing a
+//! [`tile_cache_key`](cardopc_runtime::tile_cache_key), so congruent
+//! windows — in first-seen order, tile index within a class. A lane's
+//! **claim** is one class, sent as one `POST /v1/tiles` that names the
+//! class's head (its lowest index). The worker corrects (or replays from
+//! its tile cache) the head and answers its entry, which the coordinator
+//! places on every tile of the class. Nothing selects this: unique tiles
+//! (a logic design) are classes of one and go out one per request; a
+//! 64×64 array (9 classes) goes out in 9 requests instead of 4096, and
+//! each pattern is corrected once fleet-wide unless a request fails or is
+//! stolen. The order — and so every request body — is a function of the
+//! partition and the spec alone.
 //!
-//! Class-pure runs are what make a request one correction: the worker
-//! corrects (or replays from its tile cache) the run's first tile and
-//! answers its entry, which the coordinator places on every tile of the
-//! run, so a request's IO timeout is one `lease`. Each worker's cache is
-//! its own: a class whose runs reach two workers is corrected on each
-//! (9–10 corrections for 9 classes on the 64×64 array over two workers;
-//! ROADMAP item 24(a)).
+//! # State machine (per class)
 //!
-//! # State machine (per tile)
-//!
-//! Every to-run tile moves through: **pending** → **leased** (dispatched
-//! to a worker, lease clock running) → **done** (first valid result wins).
-//! Each tile keeps its own lease list, `done` flag and at most two live
+//! Every class moves through: **pending** → **leased** (dispatched to a
+//! worker, lease clock running) → **done** (first valid answer wins). Each
+//! class keeps its own lease list, `done` flag and at most two live
 //! leases; `dispatched`, `stolen`, `duplicates` and `redispatched` count
-//! tiles. Transitions out of *leased* that do not finish the tile put it
-//! back in *pending*:
+//! the class's tiles. Transitions out of *leased* that do not finish the
+//! class put it back in *pending*:
 //!
 //! - the request that carried it fails or times out (the HTTP read timeout
 //!   *is* the lease — a worker that does not answer within it loses the
-//!   run);
+//!   class);
 //! - the owning worker is retired (crash detected by the heartbeat
 //!   prober, or `max_failures` consecutive errors).
 //!
-//! Near the tail an idle lane may **steal**: duplicate-dispatch tiles whose
-//! every lease is older than `steal_after` to a different worker — the
-//! first such tile plus the stealable same-class tiles after it. The first
-//! result marks a tile done; the loser's copy is discarded on arrival
-//! (`duplicates` in [`FleetStats`]). Tiles are deterministic, so which
-//! copy wins never changes the output — byte-identity by construction.
+//! Near the tail an idle lane may **steal**: duplicate-dispatch a class
+//! whose every lease is older than `steal_after` to a different worker.
+//! The first answer marks the class done; the loser's copy is discarded on
+//! arrival (`duplicates` in [`FleetStats`]). Tiles are deterministic, so
+//! which copy wins never changes the output — byte-identity by
+//! construction.
 //!
-//! # What is per request: all-or-nothing answers
+//! # All-or-nothing answers
 //!
 //! One request is one worker failure, one IO timeout and one `requests`
-//! count, however many tiles it carries. Its answer is one line, accepted
-//! or refused as a whole: it must be an entry line of the run's class key
-//! that places ([`TileLine::of`]) on *every* tile of the run before *any*
-//! tile settles, so an empty, torn, long, mis-keyed or misplacing answer
-//! (or an oversized one, refused by the client before it is read)
-//! re-queues the whole run and checkpoints nothing. Every tile line —
+//! count, however many tiles its class has. Its answer is one line,
+//! accepted or refused as a whole: it must be an entry line of the class
+//! key that places ([`TileLine::of`]) on *every* wanted tile of the class
+//! before *any* tile settles, so an empty, torn, long, mis-keyed or
+//! misplacing answer (or an oversized one, refused by the client before it
+//! is read) re-queues the class and checkpoints nothing. Every tile line —
 //! index, name, input hash, key, placement — is the coordinator's own,
 //! built from its partition; nothing but the entry comes from the worker.
 //!
@@ -76,7 +70,7 @@
 //! the durable copy.
 
 use crate::client::{self, HttpResponse};
-use crate::proto::{self, MAX_BATCH};
+use crate::proto;
 use crate::spec::WorkSpec;
 use cardopc_layout::Clip;
 use cardopc_litho::span::span;
@@ -96,15 +90,15 @@ pub struct FleetConfig {
     /// Worker addresses. At least one; a single worker is a valid
     /// (degenerate) fleet.
     pub workers: Vec<SocketAddr>,
-    /// In-flight tiles per worker (lane threads). Bounds how much work a
-    /// slow worker can absorb.
+    /// In-flight requests per worker (lane threads). Bounds how much work
+    /// a slow worker can absorb.
     pub window: usize,
     /// A dispatch request's IO timeout: a request corrects at most one
-    /// tile. A worker that does not answer within it loses the run back to
-    /// the queue.
+    /// tile. A worker that does not answer within it loses the class back
+    /// to the queue.
     pub lease: Duration,
     /// Minimum lease age before an idle lane may duplicate-dispatch
-    /// (steal) a tile leased to another worker.
+    /// (steal) a class leased to another worker.
     pub steal_after: Duration,
     /// Consecutive dispatch failures after which a worker is retired.
     pub max_failures: u32,
@@ -153,8 +147,8 @@ pub struct FleetStats {
     pub retired_workers: usize,
     /// Tiles adopted from workers' checkpoints during startup recovery.
     pub recovered: usize,
-    /// `POST /v1/tiles` requests sent (each carries a run of 1 ..=
-    /// [`MAX_BATCH`] tiles; re-dispatches and steals included).
+    /// `POST /v1/tiles` requests sent: one per class claimed, re-dispatches
+    /// and steals included.
     pub requests: usize,
 }
 
@@ -225,18 +219,20 @@ impl From<RuntimeError> for FleetError {
     }
 }
 
-/// One to-run tile's identity: fixed for the run, read without the lock.
-struct TileInfo {
-    index: usize,
-    hash: u64,
-    /// [`tile_cache_key`](cardopc_runtime::tile_cache_key): tiles sharing
-    /// it are congruent and travel together.
+/// One class of congruent to-run tiles: fixed for the run, read without
+/// the lock.
+struct Class {
+    /// The [`tile_cache_key`](cardopc_runtime::tile_cache_key) its tiles
+    /// share.
     key: u64,
+    /// `(tile index, input hash)` of each wanted tile, index order: the
+    /// first is the head a request names.
+    tiles: Vec<(usize, u64)>,
 }
 
-/// One to-run tile's dispatch state.
+/// One class's dispatch state.
 #[derive(Default)]
-struct TileSlot {
+struct ClassSlot {
     done: bool,
     in_pending: bool,
     /// Live leases: `(worker id, dispatch instant)`.
@@ -251,9 +247,10 @@ struct WorkerSlot {
 }
 
 struct State {
-    /// Dispatch state of `Shared::tiles`, position for position.
-    slots: Vec<TileSlot>,
+    /// Dispatch state of `Shared::classes`, position for position.
+    slots: Vec<ClassSlot>,
     pending: VecDeque<usize>,
+    /// Classes done.
     done: usize,
     workers: Vec<WorkerSlot>,
     alive: usize,
@@ -271,9 +268,8 @@ struct Shared<'a> {
     /// The run frame: decides what is resumed, commits what the lanes
     /// settle, and says when to stop claiming.
     run: Run<'a>,
-    /// The to-run tiles in claim order: classes in first-seen order, tile
-    /// index within a class.
-    tiles: Vec<TileInfo>,
+    /// The to-run classes in claim order: first-seen order.
+    classes: Vec<Class>,
     partition: &'a Partition,
     spec: &'a WorkSpec,
     config: &'a FleetConfig,
@@ -367,34 +363,31 @@ pub fn run_fleet_clip(
         stats.recovered += run.adopt(&partition, &keys, &response.body_str())?;
     }
 
-    // To-dispatch tiles: budget-truncated in index order (a budget takes
-    // the lowest indices), then ordered by pattern — classes in first-seen
-    // order, index order within a class (the sort is stable).
-    let wanted = run.start(config.max_tiles);
-    let mut todo: Vec<TileInfo> = wanted
-        .into_iter()
-        .map(|(index, hash)| TileInfo {
-            index,
-            hash,
-            key: keys[index],
-        })
-        .collect();
-    let mut class_rank: HashMap<u64, usize> = HashMap::new();
-    for tile in &todo {
-        let next = class_rank.len();
-        class_rank.entry(tile.key).or_insert(next);
+    // To-dispatch classes: the wanted tiles, budget-truncated in index
+    // order (a budget takes the lowest indices), grouped by key in
+    // first-seen order.
+    let mut classes: Vec<Class> = Vec::new();
+    let mut rank: HashMap<u64, usize> = HashMap::new();
+    for (index, hash) in run.start(config.max_tiles) {
+        let key = keys[index];
+        let at = *rank.entry(key).or_insert(classes.len());
+        if at == classes.len() {
+            classes.push(Class {
+                key,
+                tiles: Vec::new(),
+            });
+        }
+        classes[at].tiles.push((index, hash));
     }
-    todo.sort_by_key(|tile| class_rank[&tile.key]);
-    let todo_len = todo.len();
     let lanes = config.workers.len() * config.window.max(1);
 
     let shared = Shared {
         state: Mutex::new(State {
-            pending: (0..todo_len).collect(),
-            slots: (0..todo_len)
-                .map(|_| TileSlot {
+            pending: (0..classes.len()).collect(),
+            slots: (0..classes.len())
+                .map(|_| ClassSlot {
                     in_pending: true,
-                    ..TileSlot::default()
+                    ..ClassSlot::default()
                 })
                 .collect(),
             done: 0,
@@ -416,7 +409,7 @@ pub fn run_fleet_clip(
         }),
         cv: Condvar::new(),
         run,
-        tiles: todo,
+        classes,
         partition: &partition,
         spec,
         config,
@@ -435,10 +428,20 @@ pub fn run_fleet_clip(
     });
 
     drop(dispatch);
-    let Shared { state, run, .. } = shared;
+    let Shared {
+        state,
+        run,
+        classes,
+        ..
+    } = shared;
     let state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut outcome = run.finish()?;
-    let unfinished = todo_len - state.done;
+    let unfinished: usize = classes
+        .iter()
+        .zip(&state.slots)
+        .filter(|(_, slot)| !slot.done)
+        .map(|(class, _)| class.tiles.len())
+        .sum();
     if state.alive == 0 && unfinished > 0 && !outcome.cancelled {
         // Surface a deterministic tile failure when one was observed —
         // workers were likely retired *because* the tile itself fails.
@@ -470,9 +473,9 @@ pub fn run_fleet_clip(
     })
 }
 
-/// Why a request settled nothing. `tile` is set for a worker-side tile
-/// failure (HTTP 5xx — deterministic for a broken tile) and names the tile
-/// that failed; transport errors and refused answers stay "maybe
+/// Why a request settled nothing. `tile` is set for a worker-side failure
+/// (HTTP 5xx — deterministic for a broken tile) and names the class head
+/// the request sent; transport errors and refused answers stay "maybe
 /// transient".
 struct Failure {
     tile: Option<usize>,
@@ -488,10 +491,10 @@ impl From<String> for Failure {
     }
 }
 
-/// One dispatch lane: claim a run → one HTTP request (lease = IO timeout)
-/// → check the answer and build the run's tile lines → settle. Exits when
-/// all tiles are done, the run is aborted/cancelled, or its worker is
-/// retired.
+/// One dispatch lane: claim a class → one HTTP request naming its head
+/// (lease = IO timeout) → check the answer and build the class's tile
+/// lines → settle. Exits when all classes are done, the run is
+/// aborted/cancelled, or its worker is retired.
 ///
 /// Each lane owns one keep-alive [`client::Connection`] to its worker, so
 /// after the first request a dispatch costs a request/response exchange,
@@ -504,19 +507,19 @@ fn lane_loop(shared: &Shared<'_>, worker_id: usize) {
         state.workers[worker_id].addr
     };
     let mut connection = client::Connection::new(addr);
-    while let Some(run) = claim_run(shared, worker_id) {
-        let indices: Vec<usize> = run.iter().map(|&pos| shared.tiles[pos].index).collect();
-        let body = proto::dispatch_body(shared.spec, &indices);
+    while let Some(pos) = claim(shared, worker_id) {
+        let class = &shared.classes[pos];
+        let body = proto::dispatch_body(shared.spec, class.tiles[0].0);
         let sent = Instant::now();
         let response =
             connection.request_with_timeout("POST", "/v1/tiles", Some(&body), shared.config.lease);
         // Each tile line's seconds: its share of the round trip.
-        let seconds = sent.elapsed().as_secs_f64() / run.len() as f64;
+        let seconds = sent.elapsed().as_secs_f64() / class.tiles.len() as f64;
         let answer = match &response {
-            Ok(response) => place_answer(shared, &run, response, seconds),
+            Ok(response) => place_answer(shared, class, response, seconds),
             Err(e) => Err(e.to_string().into()),
         };
-        settle(shared, worker_id, &run, answer);
+        settle(shared, worker_id, pos, answer);
     }
     let mut state = shared.lock();
     state.active_lanes -= 1;
@@ -525,16 +528,16 @@ fn lane_loop(shared: &Shared<'_>, worker_id: usize) {
 }
 
 /// An accepted answer: the entry, and the tile line of each tile of the
-/// run, in run order.
+/// class, in index order.
 type Answer = (CachedTile, Vec<TileLine>);
 
-/// Checks a worker's answer against the run it was asked for — exactly
-/// one line, the entry line of the run's class key — and builds each
-/// tile's line from the coordinator's own partition, or refuses the
-/// answer as a whole when the entry does not place on some tile.
+/// Checks a worker's answer against the class it was asked for — exactly
+/// one line, the entry line of the class key — and builds each tile's line
+/// from the coordinator's own partition, or refuses the answer as a whole
+/// when the entry does not place on some tile.
 fn place_answer(
     shared: &Shared<'_>,
-    run: &[usize],
+    class: &Class,
     response: &HttpResponse,
     seconds: f64,
 ) -> Result<Answer, Failure> {
@@ -544,132 +547,106 @@ fn place_answer(
             response.status,
             response.body_str()
         );
-        // A tile failure names its tile; any other 5xx is pinned on the
-        // head of the run.
-        let named = || response.json().ok()?.get("tile")?.as_usize();
-        let tile = (response.status >= 500).then(|| named().unwrap_or(shared.tiles[run[0]].index));
+        let tile = (response.status >= 500).then_some(class.tiles[0].0);
         return Err(Failure { tile, message });
     }
     let body =
         std::str::from_utf8(&response.body).map_err(|_| "answer is not UTF-8".to_string())?;
-    let class = shared.tiles[run[0]].key;
+    let key = class.key;
     let mut lines = body.lines();
     let entry = match (lines.next().map(CachedTile::from_json_line), lines.next()) {
-        (Some(Ok((key, entry))), None) if key == class => entry,
-        _ => return Err(format!("answer is not one entry line of {class:016x}").into()),
+        (Some(Ok((got, entry))), None) if got == key => entry,
+        _ => return Err(format!("answer is not one entry line of {key:016x}").into()),
     };
-    let mut tiles = Vec::with_capacity(run.len());
-    for &pos in run {
-        let TileInfo { index, hash, key } = shared.tiles[pos];
-        let tile = &shared.partition.tiles[index];
-        let line = TileLine::of(tile, shared.partition, hash, key, seconds, &entry)
-            .ok_or_else(|| format!("the entry names a target tile {index} lacks"))?;
-        tiles.push(line);
-    }
+    let partition = shared.partition;
+    let tiles = class.tiles.iter().map(|&(index, hash)| {
+        let tile = &partition.tiles[index];
+        TileLine::of(tile, partition, hash, key, seconds, &entry)
+            .ok_or_else(|| format!("the entry names a target tile {index} lacks").into())
+    });
+    let tiles = tiles.collect::<Result<_, Failure>>()?;
     Ok((entry, tiles))
 }
 
-/// Claims the next run for `worker_id` — positions into `Shared::tiles` —
-/// from the pending queue first, then by stealing; `None` when the lane
-/// should exit. Blocks (with periodic wakeups, so steal ages are
-/// re-examined) while other workers still hold fresh leases.
-fn claim_run(shared: &Shared<'_>, worker_id: usize) -> Option<Vec<usize>> {
-    let tiles = &shared.tiles;
+/// Claims the next class for `worker_id` — a position into
+/// `Shared::classes` — from the pending queue first, then by stealing;
+/// `None` when the lane should exit. Blocks (with periodic wakeups, so
+/// steal ages are re-examined) while other workers still hold fresh
+/// leases.
+fn claim(shared: &Shared<'_>, worker_id: usize) -> Option<usize> {
     let mut state = shared.lock();
     loop {
-        if state.done == tiles.len()
+        if state.done == shared.classes.len()
             || state.aborted
             || state.workers[worker_id].retired
             || shared.run.stopped()
         {
             return None;
         }
-        // Pending queue first (work-conserving): its head and the pending
-        // tiles behind it that share the head's pattern.
-        let mut run: Vec<usize> = Vec::new();
-        while let Some(&pos) = state.pending.front() {
-            if !state.slots[pos].done {
-                let congruent = run
-                    .first()
-                    .is_none_or(|&head| tiles[head].key == tiles[pos].key);
-                if run.len() == MAX_BATCH || !congruent {
-                    break;
-                }
-                run.push(pos);
-            }
-            state.pending.pop_front();
+        // Pending queue first (work-conserving).
+        let mut claimed = None;
+        while let Some(pos) = state.pending.pop_front() {
             state.slots[pos].in_pending = false;
+            if !state.slots[pos].done {
+                claimed = Some(pos);
+                break;
+            }
         }
-        // Tail: steal tiles whose every lease has aged past the steal
-        // threshold and belongs to someone else — the first one and the
-        // same-class tiles after it. Capped at two live leases per tile:
-        // one steal in flight at a time.
-        if run.is_empty() {
+        // Tail: steal a class whose every lease has aged past the steal
+        // threshold and belongs to someone else. Capped at two live leases
+        // per class: one steal in flight at a time.
+        if claimed.is_none() {
             let now = Instant::now();
             let steal_after = shared.config.steal_after;
-            let stealable = |t: &TileSlot| {
-                !t.done
-                    && !t.in_pending
-                    && !t.leases.is_empty()
-                    && t.leases.len() < 2
-                    && t.leases.iter().all(|&(w, since)| {
-                        w != worker_id && now.duration_since(since) >= steal_after
-                    })
-            };
-            if let Some(first) = state.slots.iter().position(stealable) {
-                run.extend(
-                    (first..tiles.len())
-                        .take_while(|&pos| tiles[pos].key == tiles[first].key)
-                        .filter(|&pos| stealable(&state.slots[pos]))
-                        .take(MAX_BATCH),
-                );
-                state.stats.stolen += run.len();
+            claimed = state.slots.iter().position(|slot| {
+                !slot.done
+                    && !slot.in_pending
+                    && matches!(slot.leases[..], [(w, since)]
+                        if w != worker_id && now.duration_since(since) >= steal_after)
+            });
+            if let Some(pos) = claimed {
+                state.stats.stolen += shared.classes[pos].tiles.len();
             }
         }
-        if run.is_empty() {
+        let Some(pos) = claimed else {
             state = shared
                 .cv
                 .wait_timeout(state, Duration::from_millis(100))
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
             continue;
-        }
-        let now = Instant::now();
-        for &pos in &run {
-            state.slots[pos].leases.push((worker_id, now));
-        }
-        state.stats.dispatched += run.len();
+        };
+        state.slots[pos].leases.push((worker_id, Instant::now()));
+        state.stats.dispatched += shared.classes[pos].tiles.len();
         state.stats.requests += 1;
-        return Some(run);
+        return Some(pos);
     }
 }
 
-/// Settles one request, tile by tile: first valid result wins; a failed
-/// request re-queues its whole run and counts once toward the worker's
-/// retirement.
-fn settle(shared: &Shared<'_>, worker_id: usize, run: &[usize], answer: Result<Answer, Failure>) {
+/// Settles one request: the first valid answer finishes the class and
+/// commits its tile lines; a failed request re-queues the class and counts
+/// once toward the worker's retirement.
+fn settle(shared: &Shared<'_>, worker_id: usize, pos: usize, answer: Result<Answer, Failure>) {
+    let size = shared.classes[pos].tiles.len();
     let mut state = shared.lock();
-    for &pos in run {
-        state.slots[pos].leases.retain(|&(w, _)| w != worker_id);
-    }
+    state.slots[pos].leases.retain(|&(w, _)| w != worker_id);
     match answer {
         Ok((entry, tiles)) => {
             state.workers[worker_id].failures = 0;
-            let mut fresh = Vec::with_capacity(tiles.len());
-            for (&pos, tile) in run.iter().zip(tiles) {
-                if state.slots[pos].done {
-                    state.stats.duplicates += 1;
-                    continue;
-                }
+            let fresh = !state.slots[pos].done;
+            if fresh {
                 state.slots[pos].done = true;
                 state.done += 1;
-                fresh.push(tile);
+            } else {
+                state.stats.duplicates += size;
             }
             drop(state);
             shared.cv.notify_all();
             // The state lock is not held across the writes.
-            for line in fresh {
-                shared.run.commit(line, &entry, false);
+            if fresh {
+                for line in tiles {
+                    shared.run.commit(line, &entry, false);
+                }
             }
         }
         Err(Failure { tile, message }) => {
@@ -679,21 +656,19 @@ fn settle(shared: &Shared<'_>, worker_id: usize, run: &[usize], answer: Result<A
                     slot => *slot = Some((index, message)),
                 }
             }
-            // Back to the head of the queue, in run order.
+            // Back to the head of the queue.
             let State {
                 slots,
                 pending,
                 stats,
                 ..
             } = &mut *state;
-            for &pos in run.iter().rev() {
-                let slot = &mut slots[pos];
-                if !slot.done {
-                    stats.redispatched += 1;
-                    if slot.leases.is_empty() && !slot.in_pending {
-                        slot.in_pending = true;
-                        pending.push_front(pos);
-                    }
+            let slot = &mut slots[pos];
+            if !slot.done {
+                stats.redispatched += size;
+                if slot.leases.is_empty() && !slot.in_pending {
+                    slot.in_pending = true;
+                    pending.push_front(pos);
                 }
             }
             state.workers[worker_id].failures += 1;
@@ -706,8 +681,8 @@ fn settle(shared: &Shared<'_>, worker_id: usize, run: &[usize], answer: Result<A
     }
 }
 
-/// Retires a worker: releases its leases (re-queueing orphaned tiles) and
-/// aborts the run when no workers remain.
+/// Retires a worker: releases its leases (re-queueing orphaned classes)
+/// and aborts the run when no workers remain.
 fn retire_worker(state: &mut State, worker_id: usize) {
     if state.workers[worker_id].retired {
         return;
@@ -715,10 +690,10 @@ fn retire_worker(state: &mut State, worker_id: usize) {
     state.workers[worker_id].retired = true;
     state.alive -= 1;
     state.stats.retired_workers += 1;
-    for (pos, tile) in state.slots.iter_mut().enumerate() {
-        tile.leases.retain(|&(w, _)| w != worker_id);
-        if !tile.done && tile.leases.is_empty() && !tile.in_pending {
-            tile.in_pending = true;
+    for (pos, slot) in state.slots.iter_mut().enumerate() {
+        slot.leases.retain(|&(w, _)| w != worker_id);
+        if !slot.done && slot.leases.is_empty() && !slot.in_pending {
+            slot.in_pending = true;
             state.pending.push_back(pos);
         }
     }

@@ -325,7 +325,9 @@ pub trait Handler: Send + Sync + 'static {
 /// closed), idles past [`IO_TIMEOUT`], or the server stops; bytes after a
 /// request begin the next one, so pipelined requests are answered in
 /// order. [`Server::stop`] (idempotent, also on drop) sets the stop flag,
-/// wakes the accept thread with a throwaway connection and joins it.
+/// wakes the accept thread with a throwaway connection and joins it, then
+/// waits for the requests being answered — the stop request's own answer
+/// among them — to be written.
 pub struct Server {
     handle: StopHandle,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
@@ -340,6 +342,8 @@ struct Core {
     addr: SocketAddr,
     stopping: AtomicBool,
     active: AtomicUsize,
+    /// Requests read and not yet answered.
+    answering: AtomicUsize,
 }
 
 impl Server {
@@ -359,6 +363,7 @@ impl Server {
             addr: listener.local_addr()?,
             stopping: AtomicBool::new(false),
             active: AtomicUsize::new(0),
+            answering: AtomicUsize::new(0),
         }));
         let handler = handler(handle.clone());
         let (core, name) = (Arc::clone(&handle.0), name.to_string());
@@ -376,8 +381,10 @@ impl Server {
         self.handle.0.addr
     }
 
-    /// Blocks until the server has stopped accepting: as soon as a stop is
-    /// requested, by [`Server::stop`] or a [`StopHandle`].
+    /// Blocks until the server has stopped accepting — as soon as a stop
+    /// is requested, by [`Server::stop`] or a [`StopHandle`] — and has
+    /// written the answers to the requests it had read, so a process that
+    /// exits next does not cut one off.
     pub fn wait_stopped(&self) {
         let mut accept_thread = self
             .accept_thread
@@ -385,6 +392,10 @@ impl Server {
             .unwrap_or_else(PoisonError::into_inner);
         if let Some(thread) = accept_thread.take() {
             let _ = thread.join();
+        }
+        // A poll: it runs once, at the end of the server's life.
+        while self.handle.0.answering.load(Ordering::Acquire) > 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -420,6 +431,15 @@ impl Drop for Slot {
     }
 }
 
+/// One request being answered, from its read to its answer's write.
+struct Answering<'a>(&'a AtomicUsize);
+
+impl Drop for Answering<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 fn accept_loop<H: Handler>(listener: &TcpListener, core: &Arc<Core>, handler: &Arc<H>, name: &str) {
     loop {
         let accepted = listener.accept();
@@ -450,7 +470,11 @@ fn serve_connection(mut stream: TcpStream, slot: &Slot, handler: &impl Handler) 
     let _ = stream.set_nodelay(true);
     let mut carry = Vec::new();
     loop {
-        let (response, keep_alive) = match read_next_request(&mut stream, &mut carry) {
+        let outcome = read_next_request(&mut stream, &mut carry);
+        // Counted from here: an idle keep-alive read owes no answer.
+        slot.0.answering.fetch_add(1, Ordering::AcqRel);
+        let _answering = Answering(&slot.0.answering);
+        let (response, keep_alive) = match outcome {
             ReadOutcome::Disconnected => return,
             // Framing is unrecoverable after a malformed request.
             ReadOutcome::Malformed(e) => (Response::error(e.status, &e.message), false),
@@ -578,6 +602,40 @@ mod tests {
         ] {
             assert_eq!(framed(bad), Err(400), "{bad:?}");
         }
+    }
+
+    /// Stops its server, then takes 200 ms to answer and marks the answer
+    /// built.
+    struct SlowStop {
+        stop: StopHandle,
+        built: Arc<AtomicBool>,
+    }
+
+    impl Handler for SlowStop {
+        fn route(&self, _: &Request) -> Response {
+            self.stop.stop();
+            std::thread::sleep(Duration::from_millis(200));
+            self.built.store(true, Ordering::SeqCst);
+            Response::text(202, "stopping")
+        }
+    }
+
+    #[test]
+    fn a_stopped_server_writes_the_answers_it_owes_before_it_is_done() {
+        let built = Arc::new(AtomicBool::new(false));
+        let server = Server::start("127.0.0.1:0", "slow-stop", |stop| {
+            let built = Arc::clone(&built);
+            Arc::new(SlowStop { stop, built })
+        })
+        .unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(b"POST /stop HTTP/1.1\r\n\r\n").unwrap();
+        // What a process exiting right after `wait_stopped` would cut off.
+        server.wait_stopped();
+        assert!(built.load(Ordering::SeqCst), "returned before the answer");
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 202"), "{reply}");
     }
 
     /// Panics on `/panic`, answers 200 everywhere else.

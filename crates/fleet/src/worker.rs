@@ -2,10 +2,10 @@
 //!
 //! A worker holds no job state a coordinator depends on for progress —
 //! every `POST /v1/tiles` request is self-contained (full [`WorkSpec`](crate::WorkSpec) +
-//! a run of congruent tile indices), so any worker can serve any tile of
-//! any job at any time. The answer is one line: the entry line of the
-//! run's first tile (its window-relative correction under its cache key),
-//! which the coordinator places on every tile of the run itself.
+//! one tile index), so any worker can serve any tile of any job at any
+//! time. The answer is one line: the tile's entry line (its
+//! window-relative correction under its cache key), which the coordinator
+//! places on every tile of the tile's class itself.
 //! What a worker *does* keep is pure gain:
 //!
 //! - a **prepared-state cache** keyed by the spec's canonical JSON: the
@@ -17,8 +17,8 @@
 //!   specs;
 //! - one store, its [`TileCache`]: in memory, or persisted in the run
 //!   directory (`cache.jsonl`, locked by `cache.lock`) and read back on
-//!   start. A re-dispatched, stolen or post-restart run whose pattern is
-//!   held is answered without recomputation, and `GET /v1/records` (the
+//!   start. A re-dispatched, stolen or post-restart request whose pattern
+//!   is held is answered without recomputation, and `GET /v1/records` (the
 //!   cache's entry lines) is how a restarted coordinator harvests it.
 //!
 //! Determinism: the correction path is `cardopc_runtime`'s own
@@ -117,7 +117,7 @@ struct WorkerState {
     engines: EngineCache,
     /// The one store: patterns by cache key, mirrored into `run_dir`.
     cache: Option<TileCache>,
-    /// Tiles of the runs answered (`/healthz`).
+    /// Tiles answered (`/healthz`).
     tiles_done: AtomicUsize,
     server: http::StopHandle,
 }
@@ -136,18 +136,20 @@ impl WorkerServer {
     /// unopenable run directory (including one held by another live
     /// process), or an unreadable cache file.
     pub fn start(config: WorkerConfig) -> io::Result<WorkerServer> {
-        let other = |e: RuntimeError| io::Error::other(e.to_string());
         if config.run_dir.is_some() && !config.cache {
             let why = "a worker's run directory is its tile cache: --run-dir needs the cache";
             return Err(io::Error::other(why));
         }
         let dir = config.run_dir.clone();
-        let cache = config.cache.then(|| TileCache::open(&CacheConfig { dir }));
-        let cache = cache.transpose().map_err(other)?;
-        if cache.as_ref().is_some_and(TileCache::is_read_only) {
-            let held = "the run directory is held by another live process";
-            return Err(io::Error::other(held));
-        }
+        let cache = config
+            .cache
+            .then(|| TileCache::open_exclusive(&CacheConfig { dir }));
+        let cache = cache.transpose().map_err(|e| match e {
+            RuntimeError::Locked { pid, .. } => io::Error::other(format!(
+                "the run directory is held by another live process (pid {pid})"
+            )),
+            e => io::Error::other(e.to_string()),
+        })?;
 
         let server = http::Server::start(&config.addr, "cardopc-worker", |server| {
             Arc::new(WorkerState {
@@ -207,15 +209,14 @@ impl http::Handler for WorkerState {
     }
 }
 
-/// `POST /v1/tiles`: the entry line of the run's first tile, corrected
-/// or replayed from the tile cache; the coordinator places it on every
-/// tile of the run. The spec is parsed and expanded once per distinct
+/// `POST /v1/tiles`: the tile's entry line, corrected or replayed from
+/// the tile cache. The spec is parsed and expanded once per distinct
 /// spec. A failed correction is a 500 naming the tile.
 fn dispatch(request: &Request, state: &WorkerState) -> Response {
     let Some(body) = request.body_str() else {
         return Response::error(400, "request body must be UTF-8 JSON");
     };
-    let (spec, tiles) = match proto::parse_dispatch(body) {
+    let (spec, tile) = match proto::parse_dispatch(body) {
         Ok(parsed) => parsed,
         Err(msg) => return Response::error(400, &msg),
     };
@@ -228,11 +229,11 @@ fn dispatch(request: &Request, state: &WorkerState) -> Response {
     };
 
     let partition = &prepared.partition;
-    if let Some(&outside) = tiles.iter().find(|&&t| t >= partition.tiles.len()) {
+    if tile >= partition.tiles.len() {
         return Response::error(
             400,
             &format!(
-                "tile {outside} outside the partition ({} tiles)",
+                "tile {tile} outside the partition ({} tiles)",
                 partition.tiles.len()
             ),
         );
@@ -242,16 +243,16 @@ fn dispatch(request: &Request, state: &WorkerState) -> Response {
         cache: state.cache.as_ref(),
         ..RunControl::default()
     };
-    match correct_single_tile(partition, tiles[0], &prepared.flow, &control, 0) {
+    match correct_single_tile(partition, tile, &prepared.flow, &control, 0) {
         Ok((line, entry)) => {
-            state.tiles_done.fetch_add(tiles.len(), Ordering::AcqRel);
+            state.tiles_done.fetch_add(1, Ordering::AcqRel);
             Response::text(200, entry.to_json_line(line.key) + "\n")
         }
         Err(e) => Response::json(
             500,
             Json::obj(vec![
-                ("error", Json::Str(format!("tile {} failed: {e}", tiles[0]))),
-                ("tile", Json::num_usize(tiles[0])),
+                ("error", Json::Str(format!("tile {tile} failed: {e}"))),
+                ("tile", Json::num_usize(tile)),
             ])
             .to_string_compact(),
         ),
@@ -365,7 +366,7 @@ mod tests {
         let worker = WorkerServer::start(WorkerConfig::default()).unwrap();
         let addr = worker.local_addr();
         let spec = spec(3072.0);
-        let body = crate::proto::dispatch_body(&spec, &[99]);
+        let body = crate::proto::dispatch_body(&spec, 99);
         std::thread::scope(|scope| {
             let sends: Vec<_> = (0..4)
                 .map(|_| {
@@ -397,7 +398,7 @@ mod tests {
             design: DesignSpec::gds(missing, cardopc_layout::LayerFilter::Layer(1), None),
             ..spec.clone()
         };
-        let body = crate::proto::dispatch_body(&bad, &[0]);
+        let body = crate::proto::dispatch_body(&bad, 0);
         for _ in 0..2 {
             let answer = crate::client::request_with_timeout(
                 addr,

@@ -4,12 +4,13 @@
 //! (lease expiry → re-dispatch), crashed workers (heartbeat retirement),
 //! work-steal duplicate races (first result wins), and coordinator
 //! restarts recovering finished tiles from workers' checkpoints. Every
-//! scenario runs on two specs: four unique tiles (one tile per request)
-//! and an array of repeated cells (runs of congruent tiles per request).
+//! scenario runs on two specs: four unique tiles (a class of one per
+//! request) and an array of repeated cells (one request per class of
+//! congruent tiles).
 
 use cardopc_fleet::client::HttpResponse;
 use cardopc_fleet::http::{self, ReadOutcome, Response};
-use cardopc_fleet::proto::{parse_dispatch, MAX_BATCH};
+use cardopc_fleet::proto::parse_dispatch;
 use cardopc_fleet::spec::DesignSpec;
 use cardopc_fleet::worker::{WorkerConfig, WorkerServer};
 use cardopc_fleet::{client, run_fleet, FleetConfig, FleetError, WorkSpec};
@@ -22,10 +23,11 @@ use cardopc_runtime::{
     run_clip_controlled, CacheConfig, CachedTile, Placement, RunConfig, RunControl, RuntimeError,
     StitchedShape, StoreLine, TileCache, TileLine, TilingConfig,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -86,17 +88,25 @@ impl Drop for DesignFile {
 const ARRAY: (usize, usize) = (70, 3);
 const ARRAY_TILES: usize = ARRAY.0 * ARRAY.1;
 const ARRAY_CLASSES: usize = 9;
-/// Dispatch requests the array job takes when nothing goes wrong: three
-/// classes of 68 tiles (top edge, middle row, bottom edge) split 64 + 4,
-/// and the four corners and the two ends of the middle row go alone.
-const ARRAY_REQUESTS: usize = 3 * 2 + 6;
+/// Dispatch requests the array job takes when nothing goes wrong: one per
+/// class.
+const ARRAY_REQUESTS: usize = ARRAY_CLASSES;
+/// The heads (lowest indices) of the array's classes, in first-seen order:
+/// per row, its first tile, its interior run of 68 and its last tile.
+const ARRAY_HEADS: [usize; ARRAY_CLASSES] = [0, 1, 69, 70, 71, 139, 140, 141, 209];
+/// Tiles in each of the array's three multi-tile classes.
+const ARRAY_RUN: usize = ARRAY.0 - 2;
+
+/// Whether `head` names one of the array's 68-tile classes.
+fn heads_a_run(head: usize) -> bool {
+    head % ARRAY.0 == 1
+}
 
 /// A 70×3 array of a two-wire cell at a 1024 nm step, tiled 1024 + 512:
-/// 210 tiles in 9 classes of congruent windows, three of them larger than
-/// [`MAX_BATCH`].
+/// 210 tiles in 9 classes of congruent windows (a row's two ends and its
+/// 68 interior tiles, per row).
 fn array_design(tag: &str) -> (DesignFile, WorkSpec) {
     const STEP: f64 = 1024.0;
-    assert!(ARRAY.0 - 2 > MAX_BATCH, "edge classes must split");
     let mut wires = Vec::new();
     for row in 0..ARRAY.1 {
         for col in 0..ARRAY.0 {
@@ -223,15 +233,26 @@ fn proxy(
     addr
 }
 
-/// A proxy that delays the answers to the dispatches `slow` picks by
-/// `delay` — a slow worker whose leases age enough to get stolen from.
-fn slow_proxy(backend: SocketAddr, delay: Duration, slow: fn(&[usize]) -> bool) -> SocketAddr {
+/// A proxy that delays the answers to the dispatches `slow` picks (by the
+/// tile they name) by `delay` — a slow worker whose leases age enough to
+/// get stolen from.
+fn slow_proxy(backend: SocketAddr, delay: Duration, slow: fn(usize) -> bool) -> SocketAddr {
     proxy(backend, move |request, forward| {
         let answer = forward();
-        if slow(&parse_dispatch(request).unwrap().1) {
+        if slow(parse_dispatch(request).unwrap().1) {
             std::thread::sleep(delay);
         }
         framed(&answer.body_str())
+    })
+}
+
+/// A proxy that holds every dispatch to `backend` until `open` is set.
+fn gated_proxy(backend: SocketAddr, open: Arc<AtomicBool>) -> SocketAddr {
+    proxy(backend, move |_, forward| {
+        while !open.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        framed(&forward().body_str())
     })
 }
 
@@ -286,6 +307,13 @@ fn split_store(text: &str) -> (Vec<String>, Vec<String>) {
     entries.sort();
     tiles.sort();
     (entries, tiles)
+}
+
+/// The keys of the entry lines a worker lists in `GET /v1/records`.
+fn listed_keys(addr: SocketAddr) -> Vec<u64> {
+    let listing = records(addr);
+    let key = |line: &str| CachedTile::from_json_line(line).unwrap().0;
+    listing.lines().map(key).collect()
 }
 
 /// The entry lines a worker lists in `GET /v1/records`.
@@ -475,7 +503,7 @@ fn coordinator_run_dir_resumes_without_asking_workers() {
 #[test]
 fn hostile_dispatch_is_a_400_and_the_worker_stays_healthy() {
     let w = worker();
-    let good = cardopc_fleet::proto::dispatch_body(&spec(), &[0]);
+    let good = cardopc_fleet::proto::dispatch_body(&spec(), 0);
     // Values that used to get past parsing: a zero measure spacing (an
     // unbounded loop in the tile scorer), a negative mask rule (a panic
     // inside the handler thread) and a pitch that overflows to +∞ (now a
@@ -539,7 +567,7 @@ fn saturated_worker_sheds_with_503_and_recovers() {
 #[test]
 fn malformed_requests_never_panic_the_worker() {
     let w = worker();
-    let body = cardopc_fleet::proto::dispatch_body(&spec(), &[0]);
+    let body = cardopc_fleet::proto::dispatch_body(&spec(), 0);
     http_roles::assert_malformed_requests_answered(
         w.local_addr(),
         "/v1/tiles",
@@ -592,7 +620,7 @@ fn unusable_fleets_error_instead_of_hanging() {
     }
 }
 
-// ------------------------------------------------ runs of congruent tiles
+// --------------------------------------------- one request per tile class
 
 #[test]
 fn any_worker_count_matches_single_process_and_only_arrays_batch() {
@@ -619,39 +647,68 @@ fn any_worker_count_matches_single_process_and_only_arrays_batch() {
     }
 }
 
+/// Each pattern is corrected once fleet-wide, however many workers there
+/// are: the workers' tile caches hold the 9 patterns between them, none
+/// twice.
+#[test]
+fn each_class_is_corrected_on_one_worker_for_any_worker_count() {
+    let (_file, spec) = array_design("once");
+    for n in 1..=3 {
+        let workers: Vec<WorkerServer> = (0..n).map(|_| worker()).collect();
+        let config = FleetConfig {
+            workers: workers.iter().map(WorkerServer::local_addr).collect(),
+            ..FleetConfig::default()
+        };
+        let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
+        assert!(outcome.complete);
+        assert_eq!(outcome.stats.requests, ARRAY_CLASSES, "{:?}", outcome.stats);
+        let mut held: HashMap<u64, usize> = HashMap::new();
+        for (at, addr) in config.workers.iter().enumerate() {
+            for key in listed_keys(*addr) {
+                let first = held.insert(key, at);
+                assert!(first.is_none(), "{n} workers: {key:016x} on two workers");
+            }
+        }
+        assert_eq!(held.len(), ARRAY_CLASSES, "{n} workers");
+    }
+}
+
 #[test]
 fn worker_killed_mid_batch_loses_the_whole_run_to_the_survivor() {
     let (_file, spec) = array_design("killed");
-    let survivor = worker();
-    // Every run sent to the doomed worker dies in flight: the request is
-    // read, the connection drops. (Lone tiles it answers: a failed run
-    // returns to the head of the queue, and a lane that only ever lost
-    // tile 0 would lose no run.) It keeps answering health probes, so it
-    // is the failed requests that retire it.
+    let (backend, survivor) = (worker(), worker());
+    // The first request for the head of a 68-tile class sent to the doomed
+    // worker dies in flight: the request is read, the connection drops.
+    // Lone tiles it answers, and the survivor holds its first request back
+    // until the kill, so the kill is sure to land on a 68-tile class. The
+    // doomed worker keeps answering health probes, so it is the failed
+    // request that retires it: one failure is its limit.
+    let killed = Arc::new(AtomicBool::new(false));
     let lost: Arc<Mutex<Vec<usize>>> = Arc::default();
-    let backend = worker();
     let doomed = {
-        let lost = Arc::clone(&lost);
+        let (killed, lost) = (Arc::clone(&killed), Arc::clone(&lost));
         proxy(backend.local_addr(), move |request, forward| {
-            let tiles = parse_dispatch(request).unwrap().1;
-            if tiles.len() == 1 {
+            let head = parse_dispatch(request).unwrap().1;
+            if !heads_a_run(head) {
                 return framed(&forward().body_str());
             }
-            lost.lock().unwrap().push(tiles.len());
+            lost.lock().unwrap().push(head);
+            killed.store(true, Ordering::SeqCst);
             Vec::new()
         })
     };
-    let mut config = fast_config(vec![doomed, survivor.local_addr()]);
+    let mut config = fast_config(vec![doomed, gated_proxy(survivor.local_addr(), killed)]);
     config.window = 1;
+    config.max_failures = 1;
 
     let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
     assert!(outcome.complete);
     let (stats, lost) = (outcome.stats, lost.lock().unwrap().clone());
     assert_eq!(stats.retired_workers, 1, "{stats:?}");
-    // One failed request is one worker failure however many tiles it
-    // carried; every tile it carried goes back to the queue.
-    assert_eq!(lost.len(), config.max_failures as usize, "{lost:?}");
-    assert_eq!(stats.redispatched, lost.iter().sum::<usize>(), "{stats:?}");
+    // One failed request is one worker failure however many tiles its
+    // class has; every tile of the class goes back to the queue.
+    assert_eq!(lost.len(), 1, "{lost:?}");
+    assert_eq!(stats.redispatched, ARRAY_RUN, "{stats:?}");
     assert_eq!(
         stats.dispatched,
         ARRAY_TILES + stats.redispatched + stats.stolen,
@@ -664,22 +721,33 @@ fn worker_killed_mid_batch_loses_the_whole_run_to_the_survivor() {
 fn steal_inside_a_slow_batch_settles_tile_by_tile() {
     let (_file, spec) = array_design("steal");
     let (slow_backend, fast) = (worker(), worker());
-    // The slow worker stalls on its first multi-tile run; the fast one
-    // finishes the rest of the job and steals that run's tiles.
-    let slow = slow_proxy(slow_backend.local_addr(), Duration::from_secs(3), |tiles| {
-        tiles.len() > 1
-    });
-    let mut config = fast_config(vec![slow, fast.local_addr()]);
+    // The slow worker stalls on the first 68-tile class it is sent; the
+    // fast one holds its first request back until then (so the slow worker
+    // is sure to get one), then finishes the rest of the job and steals
+    // that class.
+    let stalled = Arc::new(AtomicBool::new(false));
+    let slow = {
+        let stalled = Arc::clone(&stalled);
+        proxy(slow_backend.local_addr(), move |request, forward| {
+            let answer = forward();
+            let head = parse_dispatch(request).unwrap().1;
+            if heads_a_run(head) && !stalled.swap(true, Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_secs(3));
+            }
+            framed(&answer.body_str())
+        })
+    };
+    let mut config = fast_config(vec![slow, gated_proxy(fast.local_addr(), stalled)]);
     config.window = 1;
 
     let outcome = run_fleet(&spec, &config, &RunControl::default()).unwrap();
     assert!(outcome.complete);
     let stats = outcome.stats;
-    assert!(
-        stats.stolen > 1,
-        "a run must be stolen, not a tile: {stats:?}"
+    assert_eq!(
+        stats.stolen, ARRAY_RUN,
+        "a class must be stolen whole, once: {stats:?}"
     );
-    // Both copies of every stolen tile arrive; the first wins, the other
+    // Both copies of the stolen class arrive; the first wins, the other
     // is discarded — counted per tile.
     assert_eq!(stats.duplicates, stats.stolen, "{stats:?}");
     assert_eq!(stats.redispatched, 0, "{stats:?}");
@@ -710,7 +778,7 @@ fn tile_budget_still_takes_the_lowest_indices() {
         .map(|r| r.record.index)
         .collect();
     assert_eq!(indices, (0..72).collect::<Vec<_>>());
-    assert_eq!(outcome.stats.requests, 6, "{:?}", outcome.stats);
+    assert_eq!(outcome.stats.requests, 5, "{:?}", outcome.stats);
 }
 
 #[test]
@@ -739,22 +807,19 @@ fn claim_order_is_a_function_of_the_partition_and_spec_alone() {
         bodies
     };
 
-    // One lane: the request sequence itself repeats, class by class.
+    // One lane: the request sequence itself repeats, one body per class
+    // head, classes in first-seen order.
     let first = bodies_of_run(1, 1);
     assert_eq!(first.len(), ARRAY_REQUESTS);
     assert_eq!(first, bodies_of_run(1, 1));
-    let runs: Vec<Vec<usize>> = first
+    let heads: Vec<usize> = first
         .iter()
         .map(|body| parse_dispatch(body).unwrap().1)
         .collect();
-    assert_eq!(runs[0], [0]);
-    assert_eq!(runs[1], (1..=64).collect::<Vec<_>>());
-    assert_eq!(runs[2], [65, 66, 67, 68]);
-    assert_eq!(runs[3], [69]);
-    assert!(runs.iter().all(|run| run.is_sorted()), "{runs:?}");
+    assert_eq!(heads, ARRAY_HEADS);
 
     // Four lanes race for the queue, but what they take from it is the
-    // same set of runs.
+    // same set of classes.
     let mut raced = bodies_of_run(2, 2);
     let mut expected = first;
     raced.sort();
@@ -967,7 +1032,7 @@ fn run_beside_a_lying_worker(tag: &str, corrupt: fn(Vec<&str>) -> Vec<u8>) {
     assert_eq!(stats.retired_workers, 1, "{stats:?}");
     assert!(stats.redispatched >= 1, "{stats:?}");
     assert_eq!(stats.duplicates, 0, "{stats:?}");
-    assert_eq!(tiles_done(&healthy), ARRAY_TILES);
+    assert_eq!(tiles_done(&healthy), ARRAY_CLASSES);
     let text = std::fs::read_to_string(run_dir.join("tiles.jsonl")).unwrap();
     assert_eq!(canonical_lines(&text), (ARRAY_CLASSES, ARRAY_TILES));
     assert_eq!(outcome.manifest.to_json(false), direct_manifest(&spec));
@@ -1000,7 +1065,7 @@ fn short_answer_settles_nothing() {
 
 #[test]
 fn long_answer_settles_nothing() {
-    // Two entry lines where one is due, both of the run's key.
+    // Two entry lines where one is due, both of the class key.
     run_beside_a_lying_worker("long", |lines| jsonl(&[lines[0], lines[0]]));
 }
 
@@ -1020,7 +1085,7 @@ fn entry_for_another_key_settles_nothing() {
 
 #[test]
 fn tile_line_in_place_of_the_entry_settles_nothing() {
-    // A well-formed tile line naming the run's key, where the entry is due.
+    // A well-formed tile line naming the class key, where the entry is due.
     run_beside_a_lying_worker("tile-line", |lines| {
         let (key, _) = entry_of(&lines);
         let tile = TileLine {
@@ -1041,7 +1106,7 @@ fn tile_line_in_place_of_the_entry_settles_nothing() {
 
 #[test]
 fn entry_naming_a_target_the_tile_lacks_settles_nothing() {
-    // The run's key and a well-formed entry, plus a main whose target no
+    // The class key and a well-formed entry, plus a main whose target no
     // tile has: `Placement::of` places it nowhere.
     run_beside_a_lying_worker("no-target", |lines| {
         let (key, mut entry) = entry_of(&lines);

@@ -58,7 +58,8 @@
 //! accumulated dead lines.
 //! A directory locked by a live process degrades to a read-only open (the
 //! store is still consulted and new corrections are kept in memory for
-//! the run, just not written back).
+//! the run, just not written back); [`TileCache::open_exclusive`] refuses
+//! it instead, for a process whose store must be its own.
 
 use crate::checkpoint::{StitchedShape, TileMetrics};
 use crate::store::{acquire_pid_lock, append_lines, load_jsonl, open_append, write_atomic};
@@ -253,15 +254,29 @@ impl TileCache {
     /// [`RuntimeError::Io`] when the directory or file cannot be
     /// created/read.
     pub fn open(config: &CacheConfig) -> Result<TileCache, RuntimeError> {
-        TileCache::open_bounded(config, MAX_ENTRIES, MAX_BYTES)
+        TileCache::open_bounded(config, MAX_ENTRIES, MAX_BYTES, true)
     }
 
-    /// [`TileCache::open`] under explicit budgets (the eviction tests'
-    /// small stores).
+    /// [`TileCache::open`], but a directory another live process holds is
+    /// refused — before its file is read, with nothing printed — instead
+    /// of opened read-only: the open of a process whose store must be its
+    /// own (a fleet worker's run directory).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Locked`] for a held directory; otherwise as
+    /// [`TileCache::open`].
+    pub fn open_exclusive(config: &CacheConfig) -> Result<TileCache, RuntimeError> {
+        TileCache::open_bounded(config, MAX_ENTRIES, MAX_BYTES, false)
+    }
+
+    /// [`TileCache::open`] (`shared`) or [`TileCache::open_exclusive`]
+    /// under explicit budgets (the eviction tests' small stores).
     pub(crate) fn open_bounded(
         config: &CacheConfig,
         max_entries: u64,
         max_bytes: u64,
+        shared: bool,
     ) -> Result<TileCache, RuntimeError> {
         let mut cache = TileCache {
             store: Mutex::new(Store {
@@ -285,7 +300,7 @@ impl TileCache {
             .map_err(|e| RuntimeError::Io(format!("create {}: {e}", dir.display())))?;
         match acquire_pid_lock(dir, "cache.lock") {
             Ok(path) => cache.lock = Some(path),
-            Err(RuntimeError::Locked { path, pid }) => {
+            Err(RuntimeError::Locked { path, pid }) if shared => {
                 eprintln!(
                     "cardopc: tile cache {path} is held by live process {pid}; \
                      opening read-only"
@@ -389,7 +404,11 @@ impl TileCache {
         store.persist(&line);
         store.enforce_budget();
         drop(store);
-        drop(lead);
+        // The marker is gone, replaced by the value, so the claim has only
+        // waiters to wake: by now the key may be evicted and claimed by a
+        // new leader, whose marker the guard must not remove.
+        std::mem::forget(lead);
+        self.settled.notify_all();
         Ok((value, false))
     }
 
@@ -399,10 +418,10 @@ impl TileCache {
 }
 
 /// The in-flight claim on a key, held by the caller correcting it.
-/// Dropping it — after publishing the value, or while unwinding from a
-/// failed or panicking correction — removes a marker that is still in
-/// flight and wakes the key's waiters, so a fault in one leader can never
-/// park every later requester of that pattern.
+/// Dropping it — on a failed correction, or while unwinding from a
+/// panicking one — removes its marker and wakes the key's waiters, so a
+/// fault in one leader can never park every later requester of that
+/// pattern. A leader that publishes forgets the claim instead.
 struct Leader<'a> {
     cache: &'a TileCache,
     key: u64,
@@ -716,7 +735,7 @@ mod tests {
 
     #[test]
     fn eviction_keeps_the_store_within_budget() {
-        let cache = TileCache::open_bounded(&CacheConfig::default(), 4, MAX_BYTES).unwrap();
+        let cache = TileCache::open_bounded(&CacheConfig::default(), 4, MAX_BYTES, true).unwrap();
         for key in 0..20u64 {
             cache.get_or_correct(key, || ok_sample(key as f64)).unwrap();
             // Keep key 0 hot so LRU must spare it.
@@ -734,7 +753,8 @@ mod tests {
         // Byte budget alone also bounds the store.
         let line_bytes = sample(0.0).to_json_line(0).len() as u64 + 1;
         let tight =
-            TileCache::open_bounded(&CacheConfig::default(), MAX_ENTRIES, 3 * line_bytes).unwrap();
+            TileCache::open_bounded(&CacheConfig::default(), MAX_ENTRIES, 3 * line_bytes, true)
+                .unwrap();
         for key in 0..10u64 {
             tight.get_or_correct(key, || ok_sample(0.0)).unwrap();
         }
@@ -847,7 +867,7 @@ mod tests {
             proptest::prop_assert_eq!(cache.lock().slots.len() as u64, stats.entries);
 
             let small = Arc::new(
-                TileCache::open_bounded(&CacheConfig::default(), budget, MAX_BYTES).unwrap(),
+                TileCache::open_bounded(&CacheConfig::default(), budget, MAX_BYTES, true).unwrap(),
             );
             let traffic = seeded_traffic(&small, seed, threads, keys);
             let stats = small.stats();
@@ -902,7 +922,7 @@ mod tests {
             dir: Some(dir.clone()),
         };
         let listed = {
-            let cache = TileCache::open_bounded(&config, 2, MAX_BYTES).unwrap();
+            let cache = TileCache::open_bounded(&config, 2, MAX_BYTES, true).unwrap();
             for key in 0..6u64 {
                 cache.get_or_correct(key, || ok_sample(key as f64)).unwrap();
             }
@@ -919,7 +939,7 @@ mod tests {
         // Dropping compacted the file down to the live entries: the listing.
         let text = std::fs::read_to_string(dir.join("cache.jsonl")).unwrap();
         assert_eq!(text, listed);
-        let reopened = TileCache::open_bounded(&config, 2, MAX_BYTES).unwrap();
+        let reopened = TileCache::open_bounded(&config, 2, MAX_BYTES, true).unwrap();
         assert_eq!(reopened.stats().entries, 2);
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -966,6 +986,30 @@ mod tests {
             std::fs::read_to_string(dir.join("cache.jsonl")).unwrap(),
             "read-only must not touch the file"
         );
+        drop(holder);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn exclusive_open_refuses_a_held_directory_before_reading_it() {
+        let dir = tmp("exclusive");
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CacheConfig {
+            dir: Some(dir.clone()),
+        };
+        let holder = TileCache::open_exclusive(&config).unwrap();
+        assert!(!holder.is_read_only());
+        // An unreadable store file: any open that reads it fails on it.
+        let file = dir.join("cache.jsonl");
+        std::fs::rename(&file, dir.join("moved.jsonl")).unwrap();
+        std::fs::create_dir(&file).unwrap();
+        assert!(matches!(TileCache::open(&config), Err(RuntimeError::Io(_))));
+        match TileCache::open_exclusive(&config) {
+            Err(RuntimeError::Locked { pid, .. }) => assert_eq!(pid, std::process::id()),
+            other => panic!("expected Locked, got {other:?}"),
+        }
+        std::fs::remove_dir(&file).unwrap();
+        std::fs::rename(dir.join("moved.jsonl"), &file).unwrap();
         drop(holder);
         std::fs::remove_dir_all(&dir).unwrap();
     }

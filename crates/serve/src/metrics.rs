@@ -205,7 +205,7 @@ pub struct Metrics {
     pub fleet_jobs: Counter,
     /// Fleet tile dispatch attempts (including steals and re-dispatches).
     pub fleet_tiles_dispatched: Counter,
-    /// Fleet dispatch requests (each carries a run of congruent tiles).
+    /// Fleet dispatch requests (one per class of congruent tiles).
     pub fleet_requests: Counter,
     /// Fleet steal dispatches (duplicate of a still-leased tile).
     pub fleet_tiles_stolen: Counter,

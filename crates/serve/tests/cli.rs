@@ -99,6 +99,44 @@ fn worker_run_dir_without_the_cache_exits_1() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A second worker on a live worker's run directory refuses to start, and
+/// the refusal is all it says: no read-only warning, and no read of the
+/// held cache file (an unreadable one in its place is never reached).
+#[test]
+fn a_second_worker_on_a_held_run_dir_refuses_before_reading_it() {
+    use std::io::BufRead as _;
+    let dir = tempdir("workerheld");
+    let mut live = Command::new(env!("CARGO_BIN_EXE_cardopc"))
+        .args(["worker", "--run-dir", "W"])
+        .current_dir(&dir)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let mut listening = String::new();
+    let mut lines = std::io::BufReader::new(live.stdout.take().unwrap());
+    lines.read_line(&mut listening).unwrap();
+    assert!(
+        listening.starts_with("cardopc-worker listening on "),
+        "{listening}"
+    );
+    std::fs::remove_file(dir.join("W/cache.jsonl")).unwrap();
+    std::fs::create_dir(dir.join("W/cache.jsonl")).unwrap();
+
+    let out = cardopc(&["worker", "--run-dir", "W"], &dir);
+    live.kill().unwrap();
+    live.wait().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let refusal = format!(
+        "cardopc worker: cannot start: the run directory is held by another live process \
+         (pid {})\n",
+        live.id()
+    );
+    assert_eq!(stderr(&out), refusal);
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_design_flags_exit_nonzero_with_actionable_messages() {
     let dir = tempdir("baddesign");
